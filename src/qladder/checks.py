@@ -7,7 +7,6 @@ Every suite returns a CheckReport; suite names are the `--suite` vocabulary.
 
 from __future__ import annotations
 
-import math
 import time
 
 from .hypergeometric_core import (
@@ -20,10 +19,13 @@ from .hypergeometric_core import (
     sigma_eval,
     tau_k_coeffs,
     theta_eval,
+    ttrr_coeffs_generic,
 )
 from .lattice import GridFunction, kfold_forward_diff
 from .ladder import (
     OrthonormalFamily,
+    _sqrt_ts_minus,
+    _sqrt_ts_plus,
     check_adjoint,
     check_bootstrap,
     check_branch_continuity,
@@ -47,7 +49,6 @@ from .report import CaseRecord, CheckReport
 __all__ = [
     "SUITE_NAMES",
     "default_grid",
-    "default_tolerances",
     "run_suite",
     "run_suites",
     "concordance_suite",
@@ -102,63 +103,9 @@ _DEFAULT_TOL = {
 }
 
 
-def default_tolerances() -> dict:
-    return dict(_DEFAULT_TOL)
-
-
 def default_grid(fam, count: int = 5):
-    """Nondegenerate default check grid: an s-chain for exponential and
-    quadratic lattices, theta samples mapped to s = i theta / ln q for the
-    trigonometric lattice."""
-    if fam.name in ("asc1", "asc2", "big_q_jacobi"):
-        return [0.25 + k for k in range(count)]
-    if fam.name == "q_dual_hahn":
-        return [0.3 + k for k in range(count)]
-    lnq = math.log(fam.eq.base.q)
-    return [complex(0.0, 1.0) * ((j + 0.5) * math.pi / (count + 1)) / lnq for j in range(count)]
-
-
-def theta_grid(fam, count: int):
-    lnq = math.log(fam.eq.base.q)
-    return [complex(0.0, 1.0) * ((j + 0.5) * math.pi / count) / lnq for j in range(count)]
-
-
-def dual_route_points(fam, count: int = 7):
-    """Seven points per family where the series evaluation is well
-    conditioned up to n = 10 (n = n_max for the finite dual-Hahn family)."""
-    return {
-        "asc1": [-3.0 + 0.9 * j for j in range(count)],
-        "asc2": [-3.0 + 0.9 * j for j in range(count)],
-        "big_q_jacobi": [-3.9 + 0.25 * j for j in range(count)],
-        "q_dual_hahn": [0.3 + 0.7 * j for j in range(count)],
-        "askey_wilson": [3.8 + 0.35 * j for j in range(count)],
-        "continuous_q_hermite": [2.2 + 0.6 * j for j in range(count)],
-    }[fam.name]
-
-
-def _series_n_cap(fam, n_hi: int) -> int:
-    return min(n_hi, fam.n_max) if fam.n_max is not None else n_hi
-
-
-def _compare(rep: CheckReport, quantity: str, label: str, got, expect,
-             tol: float, errata: list, detail: str = ""):
-    got = complex(got)
-    expect = complex(expect)
-    err = abs(got - expect)
-    rel = err / max(abs(got), abs(expect), 1e-12)
-    ok = err <= 1e-12 or rel <= tol
-    rep.cases.append(CaseRecord(0, label, 0.0 if ok else rel, quantity))
-    if not ok:
-        errata.append(
-            {
-                "family": rep.family,
-                "quantity": quantity,
-                "case": label,
-                "rel_dev": rel,
-                "detail": detail or f"tabulated {got:.9g} vs general {expect:.9g}",
-            }
-        )
-    return ok
+    """Nondegenerate default check grid of the family's lattice kind."""
+    return fam.kind.default_grid(fam, count)
 
 
 def concordance_suite(fam, n_hi: int = 8, tolerance: float = 1e-9) -> CheckReport:
@@ -176,27 +123,33 @@ def concordance_suite(fam, n_hi: int = 8, tolerance: float = 1e-9) -> CheckRepor
     eq = fam.eq
     errata: list = []
     grid = default_grid(fam)
+    notes = fam.closed.notes
+
+    def compare(quantity, label, got, expect, tol=tolerance, detail=""):
+        got = complex(got)
+        expect = complex(expect)
+        err = abs(got - expect)
+        rel = err / max(abs(got), abs(expect), 1e-12)
+        # a mismatch is recorded as a suspected erratum; the record, not
+        # silence, is the pass condition, so every case carries residual 0
+        rep.cases.append(CaseRecord(0, label, 0.0, quantity))
+        if not (err <= 1e-12 or rel <= tol):
+            errata.append({
+                "family": rep.family, "quantity": quantity, "case": label, "rel_dev": rel,
+                "detail": notes.get(quantity, detail)
+                or f"tabulated {got:.9g} vs general {expect:.9g}",
+            })
 
     for n in range(0, 11):
-        _compare(rep, "lambda_n", f"n={n}", fam.lambda_closed(n), lambda_n(eq, n),
-                 tolerance, errata)
+        compare("lambda_n", f"n={n}", fam.lambda_closed(n), lambda_n(eq, n))
     for n in range(0, n_hi + 1):
         tk = tau_k_coeffs(eq, float(n))
-        _compare(rep, "tau_n_slope", f"n={n}", fam.closed.tau_slope(n), tk.slope,
-                 tolerance, errata)
-        _compare(rep, "tau_n_intercept", f"n={n}", fam.closed.tau_intercept(n),
-                 tk.intercept, tolerance, errata)
+        compare("tau_n_slope", f"n={n}", fam.closed.tau_slope(n), tk.slope)
+        compare("tau_n_intercept", f"n={n}", fam.closed.tau_intercept(n), tk.intercept)
 
     # beta display vs the generic route (monic normalization)
-    from .hypergeometric_core import ttrr_coeffs_generic
-
     for n in range(0, n_hi + 1):
-        beta_gen = ttrr_coeffs_generic(eq, n, 1.0)[1]
-        _compare(
-            rep, "beta_n", f"n={n}", fam.closed.beta_n(n), beta_gen, tolerance, errata,
-            detail="tabulated central recurrence coefficient disagrees with the "
-            "generic route (the [b-a-n-1]-type variant matches)" if fam.name == "q_dual_hahn" else "",
-        )
+        compare("beta_n", f"n={n}", fam.closed.beta_n(n), ttrr_coeffs_generic(eq, n, 1.0)[1])
 
     # tabulated d_n^2 ratio vs gamma_n/alpha_{n-1} (canonical normalization)
     if fam.closed.d_n_sq is not None:
@@ -205,61 +158,40 @@ def concordance_suite(fam, n_hi: int = 8, tolerance: float = 1e-9) -> CheckRepor
                 tab_ratio = complex(fam.closed.d_n_sq(n)) / complex(fam.closed.d_n_sq(n - 1))
             except Exception:
                 break
-            want = fam.ttrr_gamma(n) / fam.ttrr_alpha(n - 1)
-            _compare(
-                rep, "d_n_sq_ratio", f"n={n}", tab_ratio, want, tolerance, errata,
-                detail="tabulated squared-norm ratio is inconsistent with the "
-                "recurrence coefficients gamma_n/alpha_{n-1}",
-            )
+            compare("d_n_sq_ratio", f"n={n}", tab_ratio, fam.ttrr_gamma(n) / fam.ttrr_alpha(n - 1),
+                    detail="tabulated squared-norm ratio is inconsistent with the "
+                    "recurrence coefficients gamma_n/alpha_{n-1}")
 
-    # norm anchor vs a direct orthogonality computation
-    if fam.name == "big_q_jacobi":
-        a, c, q = fam.params["a"], fam.params["c"], fam.base.q
-        direct = jackson_integral(lambda x: fam.weight(x), c * q, a * q, fam.base)
-        _compare(rep, "d_0_sq_anchor", "n=0", fam.closed.d_n_sq(0), direct, 1e-8, errata,
-                 detail="tabulated norm prefactor disagrees with the direct "
-                 "orthogonality integral of the weight")
-    if fam.name == "q_dual_hahn":
-        direct = fam.norm_sq(0)
-        _compare(rep, "d_0_sq_anchor", "n=0", fam.closed.d_n_sq(0), direct, 1e-8, errata,
-                 detail="tabulated norm at n=0 vs the direct orthogonality sum")
+    # where the validated norm comes from the orthogonality measure (Jackson
+    # integral or discrete sum), the tabulated anchor d_0^2 is compared to it
+    if fam.norm_source != "closed" and fam.support.kind != "none":
+        compare("d_0_sq_anchor", "n=0", fam.closed.d_n_sq(0), fam.norm_sq(0), 1e-8)
 
     # recurrence route vs series route; the points are chosen where the
     # alternating series is well conditioned (terms of size q^{-n(n-1)/2}
     # must not dwarf the value), which for the exponential lattices means
     # |x| above the support scale and for the trigonometric one x off the
     # orthogonality interval -- the polynomial identity holds everywhere
-    ncap = _series_n_cap(fam, 10)
+    ncap = min(10, fam.n_max) if fam.n_max is not None else 10
     for n in range(0, ncap + 1):
-        for s in dual_route_points(fam):
-            got = fam.pn_series(n, s)
-            want = fam.pn_ttrr(n, s)
-            _compare(rep, "series_vs_ttrr", f"n={n},s={complex(s):.4g}", got, want,
-                     max(tolerance, 1e-10), errata)
+        for s in fam.series_points:
+            compare("series_vs_ttrr", f"n={n},s={complex(s):.4g}", fam.pn_series(n, s),
+                    fam.pn_ttrr(n, s), max(tolerance, 1e-10))
 
     # secondary displays
-    if "u" in fam.closed.displays:
+    displays = fam.closed.displays
+    if "u" in displays:
         for n in range(1, 4):
             for s in grid[:3]:
-                _compare(
-                    rep, "u_display", f"n={n},s={complex(s):.4g}",
-                    fam.closed.displays["u"](s, n), u_fn(fam, n, s), tolerance, errata,
-                    detail="displayed u(s,n) disagrees with the general route "
-                    "(the sigma/nabla-x term is off by a factor 2)" if fam.name == "askey_wilson" else "",
-                )
-    if "h_mp" in fam.closed.displays:
+                compare("u_display", f"n={n},s={complex(s):.4g}", displays["u"](s, n),
+                        u_fn(fam, n, s))
+    if "h_mp" in displays:
         for n in range(1, 5):
-            _compare(rep, "h_mp_display", f"n={n}", fam.closed.displays["h_mp"](n),
-                     h_minusplus(fam, n), tolerance, errata)
-    if "h_pm" in fam.closed.displays:
+            compare("h_mp_display", f"n={n}", displays["h_mp"](n), h_minusplus(fam, n))
+    if "h_pm" in displays:
         for n in range(1, 5):
-            _compare(
-                rep, "h_pm_display", f"n={n}", fam.closed.displays["h_pm"](n),
-                h_plusminus(fam, n), tolerance, errata,
-                detail="displayed factorization constant differs from the general "
-                "route by a factor q^2",
-            )
-    if "ham_i" in fam.closed.displays:
+            compare("h_pm_display", f"n={n}", displays["h_pm"](n), h_plusminus(fam, n))
+    if "ham_i" in displays:
         H_i = lambda s, n: -(
             theta_eval(eq, s) / eq.lattice.delta_x(s)
             + sigma_eval(eq, s) / eq.lattice.nabla_x(s)
@@ -267,33 +199,19 @@ def concordance_suite(fam, n_hi: int = 8, tolerance: float = 1e-9) -> CheckRepor
         )
         for n in range(1, 3):
             for s in grid[:3]:
-                _compare(
-                    rep, "hamiltonian_i_display", f"n={n},s={complex(s):.4g}",
-                    fam.closed.displays["ham_i"](s, n), H_i(s, n), tolerance, errata,
-                    detail="displayed identity-term of the three-point operator: "
-                    "its 1/x coefficient lacks the parameter factor a",
-                )
-    if "ham_cminus" in fam.closed.displays:
+                compare("hamiltonian_i_display", f"n={n},s={complex(s):.4g}",
+                        displays["ham_i"](s, n), H_i(s, n))
+    if "ham_cminus" in displays:
         # squared comparison of displayed E-+ coefficients (branch-free)
-        from .ladder import _sqrt_ts_minus, _sqrt_ts_plus
-
         for s in grid[:3]:
-            got = complex(fam.closed.displays["ham_cminus"](s)) ** 2
+            got = complex(displays["ham_cminus"](s)) ** 2
             want = (_sqrt_ts_minus(fam, s) / eq.lattice.nabla_x(s)) ** 2
-            _compare(rep, "hamiltonian_cminus_sq", f"s={complex(s):.4g}", got, want,
-                     tolerance, errata)
-            got = complex(fam.closed.displays["ham_cplus"](s)) ** 2
+            compare("hamiltonian_cminus_sq", f"s={complex(s):.4g}", got, want)
+            got = complex(displays["ham_cplus"](s)) ** 2
             want = (_sqrt_ts_plus(fam, s) / eq.lattice.delta_x(s)) ** 2
-            _compare(rep, "hamiltonian_cplus_sq", f"s={complex(s):.4g}", got, want,
-                     tolerance, errata)
+            compare("hamiltonian_cplus_sq", f"s={complex(s):.4g}", got, want)
 
     rep.meta["errata"] = errata
-    # concordance passes when mismatches are recorded: the record, not
-    # silence, is the pass condition, so recorded cases carry residual 0
-    recorded = {(e["quantity"], e["case"]) for e in errata}
-    for c in rep.cases:
-        if (c.note, c.s) in recorded:
-            object.__setattr__(c, "residual", 0.0)
     return rep
 
 
@@ -419,17 +337,8 @@ def pearson_suite(fam, tolerance: float = 1e-10) -> CheckReport:
         rep.meta["reason"] = "no closed-form weight tabulated"
         return rep
     grid = default_grid(fam)
-    lat = fam.lattice
-    trig = fam.name in ("askey_wilson", "continuous_q_hermite")
-
-    def closed_rho(s):
-        if fam.name == "q_dual_hahn":
-            return fam.weight(s)
-        if fam.name in ("asc1", "asc2", "big_q_jacobi"):
-            return fam.weight(lat.x(s))
-        return fam.weight(lat.x(s)) * lat.delta_x_mid(s)
-
-    if trig:
+    closed_rho = fam.kind.pearson_rho
+    if fam.kind.complex_s:
         # one-step ratios at each theta anchor: integer chains walk x off the
         # unit circle where |x| ~ q^{-k} destroys the Taylor-form conditioning
         pairs = [(complex(s), pearson_weight(fam.eq, s, 0, 1)) for s in grid]
@@ -439,19 +348,17 @@ def pearson_suite(fam, tolerance: float = 1e-10) -> CheckReport:
         pairs = [(anchor + k, table) for k in range(len(grid))]
     for s, table in pairs:
         got = table.rho(s + 1.0) / table.rho(s)
-        want = closed_rho(s + 1.0) / closed_rho(s)
+        want = closed_rho(fam, s + 1.0) / closed_rho(fam, s)
         rep.cases.append(CaseRecord(0, f"{complex(s):.4g}", rel_residual(got - want, (got, want))))
-    # ASC1 oracle form of the same ratio
-    if fam.name == "asc1":
-        a = fam.params["a"]
-        q = fam.base.q
+    # oracle form of the same ratio, where the family tabulates one
+    oracle = fam.closed.displays.get("pearson_ratio")
+    if oracle is not None:
         for s, table in pairs:
-            x = lat.x(s)
             got = table.rho(s + 1.0) / table.rho(s)
-            want = 1.0 / ((1.0 - q * x) * (1.0 - q * x / a))
+            want = oracle(s)
             rep.cases.append(
                 CaseRecord(0, f"{complex(s):.4g}", rel_residual(got - want, (got, want)),
-                           "oracle 1/((1-qx)(1-qx/a))")
+                           fam.closed.notes.get("pearson_ratio", "oracle"))
             )
     return rep
 
@@ -480,7 +387,9 @@ def orthonormality_suite(fam, tolerance: float | None = None) -> CheckReport:
             target = 1.0 if n == m else 0.0
             rep.cases.append(CaseRecord(n, f"m={m}", abs(G[n, m] - target)))
     rep.meta["N"] = N
-    if kind == "jackson_integral" and fam.name == "asc1":
+    if kind == "jackson_integral" and fam.norm_source == "closed":
+        # the tabulated d_n^2 is the validated norm: its ratio to the
+        # Jackson integral must not depend on n
         ratios = []
         for n in range(N + 1):
             val = jackson_integral(
@@ -590,8 +499,8 @@ def run_suite(fam, suite: str, ns=None, s_grid=None, tolerances=None) -> CheckRe
     elif suite == "difference_calculus":
         rep = difference_calculus_suite(fam, 6, tol)
     elif suite == "branch_continuity":
-        if fam.name in ("askey_wilson", "continuous_q_hermite"):
-            rep = check_branch_continuity(fam, theta_grid(fam, 200), tol)
+        if fam.kind.complex_s:
+            rep = check_branch_continuity(fam, fam.kind.theta_grid(fam, 200), tol)
         else:
             rep = CheckReport(suite=suite, identity="branch continuity along the theta grid",
                               family=fam.name, tolerance=tol,

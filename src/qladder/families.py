@@ -34,6 +34,7 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass, field, replace
+from functools import cached_property
 
 from .hypergeometric_core import EquationData, lam_ratio, ttrr_coeffs_generic
 from .lattice import Lattice
@@ -51,7 +52,8 @@ from .qkernel import (
 
 __all__ = [
     "FamilyError",
-    "FamilyName",
+    "LatticeKind",
+    "lattice_kind",
     "SupportSpec",
     "ClosedForms",
     "FamilySpec",
@@ -64,25 +66,6 @@ __all__ = [
     "norm_sq",
 ]
 
-FAMILY_NAMES = (
-    "asc1",
-    "asc2",
-    "big_q_jacobi",
-    "q_dual_hahn",
-    "askey_wilson",
-    "continuous_q_hermite",
-)
-
-_ALIASES = {
-    "al_salam_carlitz_1": "asc1",
-    "al_salam_carlitz_2": "asc2",
-    "asc_i": "asc1",
-    "asc_ii": "asc2",
-    "aw": "askey_wilson",
-    "q_hermite": "continuous_q_hermite",
-    "cqh": "continuous_q_hermite",
-}
-
 
 class FamilyError(ValueError):
     """Invalid family name or parameter set."""
@@ -90,17 +73,6 @@ class FamilyError(ValueError):
 
 def family_names():
     return FAMILY_NAMES
-
-
-class FamilyName:
-    """Canonical family-name strings (see FAMILY_NAMES)."""
-
-    ASC1 = "asc1"
-    ASC2 = "asc2"
-    BIG_Q_JACOBI = "big_q_jacobi"
-    Q_DUAL_HAHN = "q_dual_hahn"
-    ASKEY_WILSON = "askey_wilson"
-    CONTINUOUS_Q_HERMITE = "continuous_q_hermite"
 
 
 @dataclass(frozen=True)
@@ -134,8 +106,10 @@ class ClosedForms:
 
     alpha_n/beta_n/gamma_n are the monic-recurrence displays; d_n_sq is in the
     family's canonical normalization.  `displays` carries secondary displayed
-    expressions (u(s,n), the factorization constant, Hamiltonian coefficients)
-    used only for concordance comparisons.
+    expressions (u(s,n), the factorization constant, Hamiltonian coefficients,
+    an oracle Pearson ratio) for the concordance and Pearson comparisons;
+    `notes` maps a compared quantity to the text its record carries (what a
+    suspected erratum gets wrong, or an oracle's formula).
     """
 
     lambda_n: object
@@ -147,6 +121,92 @@ class ClosedForms:
     d_n_sq: object = None
     weight: object = None
     displays: dict = field(default_factory=dict)
+    notes: dict = field(default_factory=dict)
+
+
+class LatticeKind:
+    """The shape of x(s) = c1 q^s + c2 q^{-s} + c3, read off the coefficients
+    by `lattice_kind`, and every decision that depends on it: how a point in
+    the natural coordinate or a `--grid` value maps to s, the default check
+    grid, the pointwise weight rho(s), the closed-form rho of the Pearson
+    suite, and whether s is complex.  The base class is the quadratic kind
+    (real s, weight tabulated in s)."""
+
+    complex_s = False  # s = i theta / ln q: one-step Pearson ratios, branch checks
+    grid_start = 0.3
+
+    def s_from_point(self, fam, point) -> complex:
+        return complex(point)
+
+    def s_from_grid_value(self, fam, value) -> complex:
+        return complex(value)
+
+    def default_grid(self, fam, count: int) -> list:
+        """Nondegenerate default check grid."""
+        return [self.grid_start + k for k in range(count)]
+
+    def rho_at_s(self, fam, s) -> complex:
+        """Pointwise weight, nonnegative on the real support."""
+        return fam.weight(s)
+
+    def pearson_rho(self, fam, s) -> complex:
+        """Closed-form rho(s) whose ratios the Pearson table reproduces."""
+        return self.rho_at_s(fam, s)
+
+
+class _Exponential(LatticeKind):
+    """c2 = 0: the natural coordinate is x = c1 q^s + c3, the weight a function of x."""
+
+    grid_start = 0.25
+
+    def s_from_point(self, fam, point) -> complex:
+        lat = fam.lattice
+        x = complex(point)
+        if x == lat.c3:
+            raise FamilyError(f"x = {lat.c3:g} is not on the exponential lattice")
+        return cmath.log((x - lat.c3) / lat.c1) / math.log(lat.base.q)
+
+    def rho_at_s(self, fam, s) -> complex:
+        return fam.weight(fam.lattice.x(s))
+
+
+class _Trigonometric(LatticeKind):
+    """c1 = c2, c3 = 0 with q^s = e^{i theta}: points and `--grid` values are
+    theta, and rho is the density on x in [-1, 1]."""
+
+    complex_s = True
+
+    def s_from_point(self, fam, theta) -> complex:
+        return complex(0.0, 1.0) * complex(theta) / math.log(fam.lattice.base.q)
+
+    s_from_grid_value = s_from_point
+
+    def theta_grid(self, fam, count: int, parts: int | None = None) -> list:
+        """s at theta = (j + 1/2) pi / parts, j < count (parts defaults to count)."""
+        parts = parts or count
+        return [self.s_from_point(fam, (j + 0.5) * math.pi / parts) for j in range(count)]
+
+    def default_grid(self, fam, count: int) -> list:
+        return self.theta_grid(fam, count, count + 1)
+
+    def rho_at_s(self, fam, s) -> complex:
+        return fam.closed.displays["weight_density"](fam.lattice.x(s))
+
+    def pearson_rho(self, fam, s) -> complex:
+        return fam.weight(fam.lattice.x(s)) * fam.lattice.delta_x_mid(s)
+
+
+QUADRATIC, EXPONENTIAL, TRIGONOMETRIC = LatticeKind(), _Exponential(), _Trigonometric()
+
+
+def lattice_kind(lat: Lattice) -> LatticeKind:
+    """Exponential if c2 = 0, trigonometric if c1 = c2 and c3 = 0, else quadratic."""
+    c1, c2, c3 = complex(lat.c1), complex(lat.c2), complex(lat.c3)
+    if c2 == 0:
+        return EXPONENTIAL
+    if c1 == c2 and c3 == 0:
+        return TRIGONOMETRIC
+    return QUADRATIC
 
 
 @dataclass(frozen=True)
@@ -168,34 +228,26 @@ class FamilySpec:
     a_n: object  # callable n -> canonical leading coefficient
     series_fn: object  # callable (n, s) -> canonical value at lattice coordinate s
     n_max: int | None = None  # highest n of the orthogonal family (None = infinite)
+    # lattice coordinates where the series route is well conditioned up to
+    # n = 10 (n_max for a finite family): the concordance series-vs-ttrr points
+    series_points: tuple = ()
     beta_source: str = "closed"  # "closed" | "generic"
     norm_source: str = "closed"  # "closed" | "ratio" | "discrete_sum"
     perturb: dict = field(default_factory=dict)
     _cache: dict = field(default_factory=dict, compare=False, repr=False)
 
-    # -- lattice coordinate <-> natural coordinate ------------------------
+    # -- lattice and natural coordinate ------------------------------------
     @property
     def lattice(self) -> Lattice:
         return self.eq.lattice
 
+    @cached_property
+    def kind(self) -> LatticeKind:
+        return lattice_kind(self.lattice)
+
     def s_from_point(self, point) -> complex:
         """Map the family's natural coordinate to the lattice coordinate s."""
-        if self.name in ("asc1", "asc2", "big_q_jacobi"):
-            x = complex(point)
-            if x == 0:
-                raise FamilyError("x = 0 is not on the exponential lattice")
-            return cmath.log(x) / math.log(self.eq.base.q)
-        if self.name == "q_dual_hahn":
-            return complex(point)
-        # Askey-Wilson / q-Hermite: point is theta with q^s = e^{i theta}
-        return complex(0.0, 1.0) * complex(point) / math.log(self.eq.base.q)
-
-    def point_from_s(self, s):
-        if self.name in ("asc1", "asc2", "big_q_jacobi"):
-            return self.lattice.x(s)
-        if self.name == "q_dual_hahn":
-            return complex(s)
-        return complex(s) * math.log(self.eq.base.q) / complex(0.0, 1.0)
+        return self.kind.s_from_point(self, point)
 
     # -- polynomial evaluation --------------------------------------------
     def pn_series(self, n: int, s) -> complex:
@@ -216,7 +268,7 @@ class FamilySpec:
         x = complex(x)
         pm, pc = complex(0.0), complex(1.0)  # monic P_{-1}, P_0
         for k in range(n):
-            pm, pc = pc, (x - self.ttrr_beta_monic(k)) * pc - self.ttrr_gamma_monic(k) * pm
+            pm, pc = pc, (x - self.ttrr_beta(k)) * pc - self.ttrr_gamma_monic(k) * pm
         return pc * self.a_n(n)
 
     def pn(self, n: int, s, route: str = "ttrr") -> complex:
@@ -231,7 +283,8 @@ class FamilySpec:
         return self.pn(n, s, route) / self.a_n(n)
 
     # -- validated recurrence coefficients ---------------------------------
-    def ttrr_beta_monic(self, n: int) -> complex:
+    def ttrr_beta(self, n: int) -> complex:
+        """beta_n, the same in the monic and the canonical normalization."""
         key = ("beta", n)
         if key not in self._cache:
             if self.beta_source == "generic":
@@ -249,9 +302,6 @@ class FamilySpec:
     def ttrr_alpha(self, n: int) -> complex:
         """Canonical alpha_n = a_n / a_{n+1}."""
         return self.a_n(n) / self.a_n(n + 1)
-
-    def ttrr_beta(self, n: int) -> complex:
-        return self.ttrr_beta_monic(n)
 
     def ttrr_gamma(self, n: int) -> complex:
         """Canonical gamma_n = gamma_n^monic * a_n / a_{n-1}."""
@@ -300,16 +350,13 @@ class FamilySpec:
         raise FamilyError(f"unknown norm source {self.norm_source!r}")
 
     def _norm_anchor(self) -> complex:
+        """d_0^2 of the ratio route: the Jackson integral of the weight over a
+        Jackson support, else the closed d_0^2."""
         key = ("d0",)
         if key not in self._cache:
-            if self.name == "big_q_jacobi":
-                a, _, c = self.params["a"], self.params["b"], self.params["c"]
-                q = self.base.q
-                self._cache[key] = jackson_integral(
-                    lambda x: self.weight(x), c * q, a * q, self.base
-                )
-            elif self.name == "asc2":
-                self._cache[key] = complex(1.0)  # free constant; see module doc
+            sup = self.support
+            if sup.kind == "jackson_integral":
+                self._cache[key] = jackson_integral(self.weight, sup.lo, sup.hi, self.base)
             else:
                 self._cache[key] = complex(self.closed.d_n_sq(0))
         return self._cache[key]
@@ -344,18 +391,6 @@ def _positive_q(base: QBase):
         raise FamilyError("families require 0 < q < 1 (base.q)")
 
 
-def _monic_B(eq: EquationData):
-    """B(n) making the Rodrigues output monic: B_n = 1/prod(-lam_ratio(n+k))."""
-
-    def B(n: int) -> complex:
-        out = complex(1.0)
-        for k in range(n):
-            out /= -lam_ratio(eq, n + k)
-        return out
-
-    return B
-
-
 def _B_from_leading(eq: EquationData, a_n):
     def B(n: int) -> complex:
         out = complex(a_n(n))
@@ -369,6 +404,10 @@ def _B_from_leading(eq: EquationData, a_n):
 def _require(cond: bool, param: str, message: str):
     if not cond:
         raise FamilyError(f"parameter {param!r} invalid: {message}")
+
+
+def _series_points(start: float, step: float) -> tuple:
+    return tuple(start + step * j for j in range(7))
 
 
 def _make_asc1(params: dict, base: QBase) -> FamilySpec:
@@ -423,8 +462,7 @@ def _make_asc1(params: dict, base: QBase) -> FamilySpec:
         return a * q ** (1 - n) * (q ** (n + 1) - 1.0) / (q - 1.0) ** 2
 
     def ham_i_display(s, n):
-        # tabulated I-coefficient of the three-point operator; its x^{-1}
-        # term lacks the factor a relative to the general route
+        # tabulated I-coefficient of the three-point operator
         x = lat.x(s)
         k2 = q_number(2.0, base)
         return (
@@ -432,6 +470,11 @@ def _make_asc1(params: dict, base: QBase) -> FamilySpec:
             + q * (a + 1.0) / (q - 1.0)
             - k2 / base.k_q / x
         )
+
+    def pearson_ratio(s):
+        # rho(s+1)/rho(s) = w(qx)/w(x) of the closed weight
+        x = lat.x(s)
+        return 1.0 / ((1.0 - q * x) * (1.0 - q * x / a))
 
     closed = ClosedForms(
         lambda_n=lambda n: q_number(float(n), base) * q ** (1 - n / 2.0) / (q - 1.0),
@@ -441,7 +484,13 @@ def _make_asc1(params: dict, base: QBase) -> FamilySpec:
         tau_intercept=lambda n: q ** ((1.0 - n) / 2.0) * (a + 1.0) / (q - 1.0),
         d_n_sq=d_n_sq,
         weight=weight,
-        displays={"u": u_display, "h_mp": h_mp_display, "ham_i": ham_i_display},
+        displays={"u": u_display, "h_mp": h_mp_display, "ham_i": ham_i_display,
+                  "pearson_ratio": pearson_ratio},
+        notes={
+            "hamiltonian_i_display": "displayed identity-term of the three-point "
+            "operator: its 1/x coefficient lacks the parameter factor a",
+            "pearson_ratio": "oracle 1/((1-qx)(1-qx/a))",
+        },
     )
     return FamilySpec(
         name="asc1",
@@ -452,6 +501,7 @@ def _make_asc1(params: dict, base: QBase) -> FamilySpec:
         closed=closed,
         a_n=a_n,
         series_fn=series,
+        series_points=_series_points(-3.0, 0.9),
         norm_source="closed",
     )
 
@@ -516,6 +566,7 @@ def _make_asc2(params: dict, base: QBase) -> FamilySpec:
         closed=closed,
         a_n=a_n,
         series_fn=series,
+        series_points=_series_points(-3.0, 0.9),
         norm_source="ratio",
     )
 
@@ -637,6 +688,8 @@ def _make_big_q_jacobi(params: dict, base: QBase) -> FamilySpec:
         d_n_sq=d_n_sq_tab,
         weight=weight,
         displays={"u": u_display, "h_mp": h_mp_display},
+        notes={"d_0_sq_anchor": "tabulated norm prefactor disagrees with the direct "
+                                "orthogonality integral of the weight"},
     )
     return FamilySpec(
         name="big_q_jacobi",
@@ -647,6 +700,7 @@ def _make_big_q_jacobi(params: dict, base: QBase) -> FamilySpec:
         closed=closed,
         a_n=a_n,
         series_fn=series,
+        series_points=_series_points(-3.9, 0.25),
         norm_source="ratio",
     )
 
@@ -823,6 +877,11 @@ def _make_q_dual_hahn(params: dict, base: QBase) -> FamilySpec:
             "u": u_display,
             "h_mp": lambda n: base.pow(float(-2 * n)) * gamma_n(n + 1),
         },
+        notes={
+            "beta_n": "tabulated central recurrence coefficient disagrees with the "
+            "generic route (the [b-a-n-1]-type variant matches)",
+            "d_0_sq_anchor": "tabulated norm at n=0 vs the direct orthogonality sum",
+        },
     )
     return FamilySpec(
         name="q_dual_hahn",
@@ -833,6 +892,7 @@ def _make_q_dual_hahn(params: dict, base: QBase) -> FamilySpec:
         closed=closed,
         a_n=a_n,
         series_fn=series,
+        series_points=_series_points(0.3, 0.7),
         n_max=n_max,
         beta_source="generic",
         norm_source="discrete_sum",
@@ -857,6 +917,40 @@ def _aw_equation_data(a, b, c, d, base: QBase) -> EquationData:
     )
 
 
+def _aw_weights(a, b, c, d, base: QBase):
+    """h(x, alpha), the tabulated weight omega(x) and the positive density of
+    the Askey--Wilson measure (q-Hermite at a = b = c = d = 0)."""
+    q = base.q
+    kq = base.k_q
+    rq = math.sqrt(q)
+
+    def h_pair(x, alpha):
+        # h(x, alpha) = prod_k (1 - 2 alpha x q^k + alpha^2 q^{2k})
+        out = complex(1.0)
+        aq = complex(alpha)
+        while abs(aq) > 1e-17:
+            out *= 1.0 - 2.0 * aq * x + aq * aq
+            aq *= q
+        return out
+
+    def h_ratio(x, den0):
+        # h(x,1) h(x,-1) h(x,sqrt q) h(x,-sqrt q) / (den0 h(x,a) h(x,b) h(x,c) h(x,d))
+        num = h_pair(x, 1.0) * h_pair(x, -1.0) * h_pair(x, rq) * h_pair(x, -rq)
+        return num / (den0 * h_pair(x, a) * h_pair(x, b) * h_pair(x, c) * h_pair(x, d))
+
+    def weight(x):
+        # tabulated omega(x); carries the (negative for q<1) kappa_q factor
+        x = complex(x)
+        return h_ratio(x, 2.0 * math.pi * kq * (1.0 - x * x))
+
+    def weight_density(x):
+        """Positive density w(x)/(2 pi) with the measure folded in:
+        integral of p_n p_m weight_density / sqrt(1-x^2) dx = delta d_n^2."""
+        return h_ratio(complex(x), 2.0 * math.pi)
+
+    return h_pair, weight, weight_density
+
+
 def _make_askey_wilson(params: dict, base: QBase) -> FamilySpec:
     a, b, c, d = (float(params[k]) for k in ("a", "b", "c", "d"))
     for nm, v in (("a", a), ("b", b), ("c", c), ("d", d)):
@@ -864,7 +958,6 @@ def _make_askey_wilson(params: dict, base: QBase) -> FamilySpec:
     _require(a != 0.0, "a", "series prefactor needs a != 0 "
                             "(use continuous_q_hermite for a=b=c=d=0)")
     q = base.q
-    kq = base.k_q
     eq0 = _aw_equation_data(a, b, c, d, base)
     lat = eq0.lattice
     abcd = a * b * c * d
@@ -908,42 +1001,7 @@ def _make_askey_wilson(params: dict, base: QBase) -> FamilySpec:
             / ((1 - abcd * q ** (2 * n - 2)) * (1 - abcd * q ** (2 * n - 1)))
         )
 
-    def h_pair(x, alpha):
-        # h(x, alpha) = prod_k (1 - 2 alpha x q^k + alpha^2 q^{2k})
-        out = complex(1.0)
-        aq = complex(alpha)
-        while abs(aq) > 1e-17:
-            out *= 1.0 - 2.0 * aq * x + aq * aq
-            aq *= q
-        return out
-
-    def weight(x):
-        # tabulated omega(x); carries the (negative for q<1) kappa_q factor
-        x = complex(x)
-        num = h_pair(x, 1.0) * h_pair(x, -1.0) * h_pair(x, math.sqrt(q)) * h_pair(
-            x, -math.sqrt(q)
-        )
-        den = (
-            2.0
-            * math.pi
-            * kq
-            * (1.0 - x * x)
-            * h_pair(x, a)
-            * h_pair(x, b)
-            * h_pair(x, c)
-            * h_pair(x, d)
-        )
-        return num / den
-
-    def weight_density(x):
-        """Positive density w(x)/(2 pi) with the measure folded in:
-        integral of p_n p_m weight_density / sqrt(1-x^2) dx = delta d_n^2."""
-        x = complex(x)
-        num = h_pair(x, 1.0) * h_pair(x, -1.0) * h_pair(x, math.sqrt(q)) * h_pair(
-            x, -math.sqrt(q)
-        )
-        den = 2.0 * math.pi * h_pair(x, a) * h_pair(x, b) * h_pair(x, c) * h_pair(x, d)
-        return num / den
+    h_pair, weight, weight_density = _aw_weights(a, b, c, d, base)
 
     def d_n_sq(n):
         num = q_pochhammer(abcd * q ** (n - 1), base, n) * q_pochhammer_inf(
@@ -967,8 +1025,7 @@ def _make_askey_wilson(params: dict, base: QBase) -> FamilySpec:
         return -4.0 * base.pow(-n / 2.0 + 0.5) * (q - 1) * (1 - abcd * q ** (n - 1))
 
     def u_display(s, n):
-        # as tabulated; the sigma/nabla-x term lacks a factor 2 relative to
-        # the general route (suspected erratum)
+        # as tabulated (suspected erratum, see notes)
         s = complex(s)
         qs = lat.qs(s)
         En = (-e1 + e3 * q**n) * base.pow(n / 2.0) / (2.0 * (1 - abcd * q ** (2 * n)))
@@ -990,6 +1047,8 @@ def _make_askey_wilson(params: dict, base: QBase) -> FamilySpec:
             "weight_density": weight_density,
             "h_pair": h_pair,
         },
+        notes={"u_display": "displayed u(s,n) disagrees with the general route "
+                            "(the sigma/nabla-x term is off by a factor 2)"},
     )
     return FamilySpec(
         name="askey_wilson",
@@ -1001,14 +1060,12 @@ def _make_askey_wilson(params: dict, base: QBase) -> FamilySpec:
         closed=closed,
         a_n=a_n,
         series_fn=series,
+        series_points=_series_points(3.8, 0.35),
         norm_source="closed",
     )
 
 
 def _make_continuous_q_hermite(params: dict, base: QBase) -> FamilySpec:
-    for k in params:
-        if k not in ():
-            raise FamilyError(f"parameter {k!r} invalid: continuous_q_hermite takes none")
     q = base.q
     kq = base.k_q
     # bit-for-bit the Askey-Wilson equation data at a=b=c=d=0
@@ -1031,30 +1088,10 @@ def _make_continuous_q_hermite(params: dict, base: QBase) -> FamilySpec:
         )
         return qs**n * basic_hypergeometric(spec, base)
 
-    def h_pair(x, alpha):
-        out = complex(1.0)
-        aq = complex(alpha)
-        while abs(aq) > 1e-17:
-            out *= 1.0 - 2.0 * aq * x + aq * aq
-            aq *= q
-        return out
-
-    def weight(x):
-        x = complex(x)
-        num = h_pair(x, 1.0) * h_pair(x, -1.0) * h_pair(x, math.sqrt(q)) * h_pair(
-            x, -math.sqrt(q)
-        )
-        return num / (2.0 * math.pi * kq * (1.0 - x * x))
-
-    def weight_density(x):
-        x = complex(x)
-        num = h_pair(x, 1.0) * h_pair(x, -1.0) * h_pair(x, math.sqrt(q)) * h_pair(
-            x, -math.sqrt(q)
-        )
-        return num / (2.0 * math.pi)
+    _, weight, weight_density = _aw_weights(0.0, 0.0, 0.0, 0.0, base)
 
     def h_pm_display(n):
-        # as tabulated; differs from the general route by a factor q^2
+        # as tabulated (suspected erratum, see notes)
         return 4.0 * kq**2 * base.pow(float(-2 * n + 1)) * (1 - q**n)
 
     closed = ClosedForms(
@@ -1071,6 +1108,8 @@ def _make_continuous_q_hermite(params: dict, base: QBase) -> FamilySpec:
             "ham_cminus": lambda s: 2.0 * base.pow(1.5) / q_number(2.0 * complex(s) - 1.0, base),
             "ham_cplus": lambda s: 2.0 * base.pow(1.5) / q_number(2.0 * complex(s) + 1.0, base),
         },
+        notes={"h_pm_display": "displayed factorization constant differs from the "
+                               "general route by a factor q^2"},
     )
     return FamilySpec(
         name="continuous_q_hermite",
@@ -1082,46 +1121,34 @@ def _make_continuous_q_hermite(params: dict, base: QBase) -> FamilySpec:
         closed=closed,
         a_n=a_n,
         series_fn=series,
+        series_points=_series_points(2.2, 0.6),
         norm_source="closed",
     )
 
 
-_BUILDERS = {
-    "asc1": _make_asc1,
-    "asc2": _make_asc2,
-    "big_q_jacobi": _make_big_q_jacobi,
-    "q_dual_hahn": _make_q_dual_hahn,
-    "askey_wilson": _make_askey_wilson,
-    "continuous_q_hermite": _make_continuous_q_hermite,
+# One row per family: name -> (builder, reference parameters, aliases).  The
+# reference parameter names are the parameters the builder requires.
+_REGISTRY = {
+    "asc1": (_make_asc1, {"a": -1.0}, ("al_salam_carlitz_1", "asc_i")),
+    "asc2": (_make_asc2, {"a": -1.0}, ("al_salam_carlitz_2", "asc_ii")),
+    "big_q_jacobi": (_make_big_q_jacobi, {"a": 0.5, "b": 0.5, "c": -0.5}, ()),
+    "q_dual_hahn": (_make_q_dual_hahn, {"a": 0.0, "b": 5.0, "c": 0.25}, ()),
+    "askey_wilson": (_make_askey_wilson, {"a": 0.3, "b": 0.3, "c": 0.3, "d": 0.3}, ("aw",)),
+    "continuous_q_hermite": (_make_continuous_q_hermite, {}, ("q_hermite", "cqh")),
 }
-
-_REQUIRED_PARAMS = {
-    "asc1": ("a",),
-    "asc2": ("a",),
-    "big_q_jacobi": ("a", "b", "c"),
-    "q_dual_hahn": ("a", "b", "c"),
-    "askey_wilson": ("a", "b", "c", "d"),
-    "continuous_q_hermite": (),
-}
+FAMILY_NAMES = tuple(_REGISTRY)
+_ALIASES = {alias: name for name, row in _REGISTRY.items() for alias in row[2]}
 
 
 def reference_params(name: str) -> dict:
     """The reference parameter sets used by the acceptance suites."""
-    name = canonical_name(name)
-    return {
-        "asc1": {"a": -1.0},
-        "asc2": {"a": -1.0},
-        "big_q_jacobi": {"a": 0.5, "b": 0.5, "c": -0.5},
-        "q_dual_hahn": {"a": 0.0, "b": 5.0, "c": 0.25},
-        "askey_wilson": {"a": 0.3, "b": 0.3, "c": 0.3, "d": 0.3},
-        "continuous_q_hermite": {},
-    }[name]
+    return dict(_REGISTRY[canonical_name(name)][1])
 
 
 def canonical_name(name: str) -> str:
     key = name.strip().lower().replace("-", "_")
     key = _ALIASES.get(key, key)
-    if key not in _BUILDERS:
+    if key not in _REGISTRY:
         raise FamilyError(
             f"unknown family {name!r}; known families: {', '.join(FAMILY_NAMES)}"
         )
@@ -1133,14 +1160,15 @@ def make_family(name: str, params: dict, base: QBase) -> FamilySpec:
     FamilyError naming the offending parameter."""
     _positive_q(base)
     key = canonical_name(name)
-    required = _REQUIRED_PARAMS[key]
+    build, reference, _ = _REGISTRY[key]
+    required = tuple(reference)
     missing = [p for p in required if p not in params]
     if missing:
         raise FamilyError(f"parameter {missing[0]!r} invalid: missing (required: {required})")
     extra = [p for p in params if p not in required]
     if extra:
         raise FamilyError(f"parameter {extra[0]!r} invalid: not used by {key}")
-    return _BUILDERS[key](params, base)
+    return build(params, base)
 
 
 # -- module-level convenience wrappers --------------------------------------

@@ -56,8 +56,6 @@ __all__ = [
     "lowering_op",
     "h_minusplus",
     "h_plusminus",
-    "h_bracket_minusplus",
-    "h_bracket_plusminus",
     "weight_chain",
     "PhiChain",
     "check_eigen",
@@ -204,6 +202,9 @@ def h_plusminus(fam, n: int) -> complex:
 
 
 def _h_bracket_mp_pieces(fam, n: int, s):
+    """The two terms of the displayed bracket whose value is h_minusplus(n):
+    (A(s+1) - sigma(s+1)/nabla x(s+1)) (A(s) - lambda_n Delta x(s-1/2))
+    and A(s+1) Theta(s)/Delta x(s), with A(s) = lambda_n/[n]_q tau_n(s)/tau_n'."""
     eq = fam.eq
     s = complex(s)
     tk = tau_k_coeffs(eq, float(n))
@@ -215,19 +216,11 @@ def _h_bracket_mp_pieces(fam, n: int, s):
     return p1, p2
 
 
-def h_bracket_minusplus(fam, n: int, s) -> complex:
-    """The displayed s-dependent bracket whose value is h_minusplus(n):
-
-        (A(s+1) - sigma(s+1)/nabla x(s+1)) (A(s) - lambda_n Delta x(s-1/2))
-        + A(s+1) Theta(s)/Delta x(s),
-
-    with A(s) = lambda_n/[n]_q tau_n(s)/tau_n'.  Its s-independence is an
-    identity check; it never defines h."""
-    p1, p2 = _h_bracket_mp_pieces(fam, n, s)
-    return p1 + p2
-
-
 def _h_bracket_pm_pieces(fam, n: int, s):
+    """The two terms of the displayed bracket for h_plusminus(n), with
+    B(s) = -A(s) + lambda_{2n}/[2n]_q (x(s) - beta_n):
+    (B(s-1) + lambda_n Delta x(s-3/2)) (B(s) + sigma(s)/nabla x(s)) and
+    -B(s) Theta(s-1)/Delta x(s-1)."""
     eq = fam.eq
     s = complex(s)
     tk = tau_k_coeffs(eq, float(n))
@@ -240,18 +233,6 @@ def _h_bracket_pm_pieces(fam, n: int, s):
     )
     p2 = -B(s) * theta_over_delta(eq, s - 1.0)
     return p1, p2
-
-
-def h_bracket_plusminus(fam, n: int, s) -> complex:
-    """The displayed bracket for h_plusminus(n):
-
-        (-A(s-1) + L (x(s-1)-beta_n) + lambda_n Delta x(s-3/2))
-        * (-A(s) + L (x(s)-beta_n) + sigma(s)/nabla x(s))
-        - (-A(s) + L (x(s)-beta_n)) Theta(s-1)/Delta x(s-1),
-
-    with L = lambda_{2n}/[2n]_q."""
-    p1, p2 = _h_bracket_pm_pieces(fam, n, s)
-    return p1 + p2
 
 
 # ==========================================================================
@@ -325,11 +306,6 @@ class PhiChain:
     def fn(self, n: int):
         return lambda s: self.w[self.offset(s)] * self.fam.pn(n, s, self.route)
 
-    def phi_fn(self, n: int):
-        """Chain function divided by the family norm d_n (when valid)."""
-        d = self.fam.d_n(n)
-        return lambda s: self.w[self.offset(s)] * self.fam.pn(n, s, self.route) / d
-
 
 # ==========================================================================
 # orthonormal family (pointwise, closed-form weight on the real support)
@@ -348,13 +324,7 @@ class OrthonormalFamily:
     route: str = "ttrr"
 
     def rho_at_s(self, s) -> complex:
-        fam = self.family
-        if fam.name == "q_dual_hahn":
-            return fam.weight(s)
-        if fam.name in ("asc1", "asc2", "big_q_jacobi"):
-            return fam.weight(fam.lattice.x(s))
-        dens = fam.closed.displays["weight_density"]
-        return dens(fam.lattice.x(s))
+        return self.family.kind.rho_at_s(self.family, s)
 
     def phi(self, n: int, s) -> complex:
         rho = self.rho_at_s(s)

@@ -38,9 +38,6 @@ class InnerProductSpec:
     lattice: object
     nodes: tuple
 
-    def weights(self):
-        return [self.lattice.delta_x_mid(s) for s in self.nodes]
-
 
 def discrete_inner(spec: InnerProductSpec, f, g) -> complex:
     """sum_i f(s_i) g(s_i) Delta x(s_i - 1/2).

@@ -24,7 +24,6 @@ __all__ = [
     "q_number",
     "alpha_q",
     "q_factorial",
-    "q_binom_exponent",
     "q_pochhammer",
     "q_pochhammer_inf",
     "q_pochhammer_multi",
@@ -119,11 +118,6 @@ def q_factorial(n: int, base: QBase) -> float:
     for k in range(1, int(n) + 1):
         out *= q_number(float(k), base)
     return out
-
-
-def q_binom_exponent(n: int) -> float:
-    """The exponent n(n-1)/2 appearing in q^{binom(n,2)} prefactors."""
-    return n * (n - 1) / 2.0
 
 
 def q_pochhammer(a, base: QBase, k: int):

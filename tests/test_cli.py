@@ -90,6 +90,23 @@ def test_check_all_reference_configs_pass(tmp_path, capsys):
                 assert "n" in case and "s" in case and "residual" in case
 
 
+def test_skipped_suite_reported_as_skip_not_pass(tmp_path, capsys):
+    # asc2 tabulates no weight and no orthogonality; a skip is not a pass
+    rc = run_cli(["check", "--family", "asc2", "--q", "0.5", *REF_ARGS["asc2"],
+                  "--suite", "pearson", "--suite", "orthonormality", "--suite", "eigen",
+                  "--out", str(tmp_path / "s.json")])
+    err = capsys.readouterr().err.splitlines()
+    assert rc == 0
+    assert err[0] == "[skip] asc2 pearson: no closed-form weight tabulated"
+    assert err[1] == ("[skip] asc2 orthonormality: "
+                      "no orthogonality relation tabulated for this family")
+    assert err[2].startswith("[pass] asc2 eigen: max residual ")
+    # the JSON verdict keeps its qladder-report/1 meaning
+    data = json.loads((tmp_path / "s.json").read_text())
+    assert [r["verdict"] for r in data["reports"]] == ["pass", "pass", "pass"]
+    assert data["reports"][0]["meta"]["status"] == "skipped"
+
+
 def test_check_single_suite_uv_shift(tmp_path):
     out = tmp_path / "uv.json"
     rc = run_cli(["check", "--family", "big_q_jacobi", "--q", "0.5",

@@ -3,7 +3,6 @@ import math
 
 import pytest
 
-from qladder.checks import dual_route_points
 from qladder.families import (
     FamilyError,
     eval_series,
@@ -214,7 +213,7 @@ def test_dual_route_agreement(families):
         fam = families[name]
         top = min(10, fam.n_max) if fam.n_max is not None else 10
         for n in range(0, top + 1):
-            for s in dual_route_points(fam):
+            for s in fam.series_points:
                 a = fam.pn_series(n, s)
                 b = fam.pn_ttrr(n, s)
                 assert rel_residual(a - b, (a, b)) < 1e-10, (name, n, s)

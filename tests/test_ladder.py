@@ -402,10 +402,8 @@ def test_selfadjoint(families):
 
 
 def test_branch_continuity_aw(families):
-    from qladder.checks import theta_grid
-
     fam = families["askey_wilson"]
-    rep = L.check_branch_continuity(fam, theta_grid(fam, 200))
+    rep = L.check_branch_continuity(fam, fam.kind.theta_grid(fam, 200))
     assert rep.max_residual < 0.2
 
 
