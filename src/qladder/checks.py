@@ -9,6 +9,8 @@ from __future__ import annotations
 
 import time
 
+import numpy as np
+
 from .hypergeometric_core import (
     check_poly_lowering,
     check_poly_raising,
@@ -42,7 +44,7 @@ from .ladder import (
     h_plusminus,
     u_fn,
 )
-from .orthogonality import gram_matrix, jackson_integral
+from .orthogonality import QUADRATURE_RULE, gram_matrix, jackson_integral
 from .qkernel import QKernelError, q_factorial, q_number
 from .report import CaseRecord, CheckReport
 
@@ -390,22 +392,19 @@ def orthonormality_suite(fam, tolerance: float | None = None) -> CheckReport:
     if kind == "jackson_integral" and fam.norm_source == "closed":
         # the tabulated d_n^2 is the validated norm: its ratio to the
         # Jackson integral must not depend on n
-        ratios = []
-        for n in range(N + 1):
-            val = jackson_integral(
-                lambda x, n=n: fam.pn_ttrr_x(n, x) ** 2 * fam.weight(x),
-                fam.support.lo,
-                fam.support.hi,
-                fam.base,
-            )
-            ratios.append(val / complex(fam.closed.d_n_sq(n)))
-        spread = max(abs(r - ratios[0]) for r in ratios) / abs(ratios[0])
+        ratios = jackson_integral(
+            lambda x: np.array([fam.pn_ttrr_x(n, x) for n in range(N + 1)]) ** 2 * fam.weight(x),
+            fam.support.lo,
+            fam.support.hi,
+            fam.base,
+        ) / np.array([complex(fam.closed.d_n_sq(n)) for n in range(N + 1)])
+        spread = float(np.max(np.abs(ratios - ratios[0])) / abs(ratios[0]))
         rep.meta["norm_convention_ratio"] = [ratios[0].real, ratios[0].imag]
         rep.meta["norm_convention_spread"] = spread
         rep.cases.append(CaseRecord(0, "convention-ratio spread", spread,
                                     "(integral)/(tabulated d_n^2) constant over n"))
     if kind == "continuous_interval":
-        rep.meta["quadrature"] = "Gauss-Legendre in theta with node doubling"
+        rep.meta["quadrature"] = QUADRATURE_RULE
     return rep
 
 

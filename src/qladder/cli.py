@@ -23,7 +23,7 @@ from .families import (
 )
 from .hypergeometric_core import sigma_eval, tau_eval, theta_eval
 from .ladder import OrthonormalFamily, _phi_pointwise_ok
-from .orthogonality import gram_matrix
+from .orthogonality import QUADRATURE_RULE, continuous_inner_aw_converged, gram_matrix
 from .qkernel import QBase, QKernelError
 from .report import SCHEMA_ID, dumps_reports
 
@@ -32,8 +32,6 @@ __all__ = ["main", "RunConfig", "parse_config_file"]
 EXIT_OK = 0
 EXIT_FAIL = 1
 EXIT_USAGE = 2
-
-_PARAM_KEYS = ("a", "b", "c", "d")
 
 
 class ConfigError(ValueError):
@@ -373,15 +371,13 @@ def cmd_gram(cfg: RunConfig) -> int:
         "max_diag_deviation": diag,
     }
     if fam.support.kind == "continuous_interval":
-        from .orthogonality import continuous_inner_aw_converged
-
         dens = fam.closed.displays["weight_density"]
         _, history = continuous_inner_aw_converged(
             lambda x: fam.pn_ttrr_x(N, x), lambda x: fam.pn_ttrr_x(N, x), dens,
             scale=abs(fam.norm_sq(N)),
         )
         payload["quadrature"] = {
-            "rule": "Gauss-Legendre in theta with node doubling",
+            "rule": QUADRATURE_RULE,
             "node_history": [[nodes, [v.real, v.imag]] for nodes, v in history],
         }
     _emit(json.dumps(payload, indent=2), cfg.out)

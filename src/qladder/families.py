@@ -38,7 +38,7 @@ from functools import cached_property
 
 from .hypergeometric_core import EquationData, lam_ratio, ttrr_coeffs_generic
 from .lattice import Lattice
-from .orthogonality import jackson_integral
+from .orthogonality import InnerProductSpec, discrete_inner, jackson_integral
 from .qkernel import (
     QBase,
     SeriesSpec,
@@ -262,10 +262,10 @@ class FamilySpec:
         return self.pn_ttrr_x(n, self.lattice.x(s))
 
     def pn_ttrr_x(self, n: int, x) -> complex:
-        """Recurrence route directly in the polynomial variable x."""
+        """Recurrence route directly in the polynomial variable x (a number,
+        or an array of x values evaluated elementwise)."""
         if n < 0:
             return complex(0.0)
-        x = complex(x)
         pm, pc = complex(0.0), complex(1.0)  # monic P_{-1}, P_0
         for k in range(n):
             pm, pc = pc, (x - self.ttrr_beta(k)) * pc - self.ttrr_gamma_monic(k) * pm
@@ -341,12 +341,8 @@ class FamilySpec:
                 out *= self.ttrr_gamma(k) / self.ttrr_alpha(k - 1)
             return out
         if self.norm_source == "discrete_sum":
-            lat = self.lattice
-            total = complex(0.0)
-            for s in self.support.grid_points:
-                p = self.pn_ttrr(n, s)
-                total += p * p * self.weight(s) * lat.delta_x_mid(s)
-            return total
+            spec = InnerProductSpec(self.lattice, tuple(self.support.grid_points))
+            return discrete_inner(spec, lambda s: self.pn_ttrr(n, s) ** 2, self.weight)
         raise FamilyError(f"unknown norm source {self.norm_source!r}")
 
     def _norm_anchor(self) -> complex:
@@ -945,8 +941,9 @@ def _aw_weights(a, b, c, d, base: QBase):
 
     def weight_density(x):
         """Positive density w(x)/(2 pi) with the measure folded in:
-        integral of p_n p_m weight_density / sqrt(1-x^2) dx = delta d_n^2."""
-        return h_ratio(complex(x), 2.0 * math.pi)
+        integral of p_n p_m weight_density / sqrt(1-x^2) dx = delta d_n^2.
+        x may be an array of nodes."""
+        return h_ratio(x, 2.0 * math.pi)
 
     return h_pair, weight, weight_density
 

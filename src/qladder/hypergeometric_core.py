@@ -38,9 +38,9 @@ __all__ = [
     "theta_eval",
     "tau_eval",
     "tau_k_coeffs",
-    "tau_k_eval",
     "tau_k_eval_direct",
     "lam_ratio",
+    "lam_tau_ratio",
     "lambda_n",
     "mu_k",
     "a_nk",
@@ -113,6 +113,10 @@ class TauK:
     slope: complex
     intercept: complex
 
+    def at(self, lattice: Lattice, s) -> complex:
+        """tau_k(s) on `lattice`, through the affine coefficients."""
+        return self.slope * lattice.x_shifted(self.k, s) + self.intercept
+
 
 def sigma_tilde(eq: EquationData, xv) -> complex:
     xv = complex(xv)
@@ -163,16 +167,10 @@ def tau_k_coeffs(eq: EquationData, k) -> TauK:
     return TauK(k=k, slope=slope, intercept=intercept)
 
 
-def tau_k_eval(eq: EquationData, k, s) -> complex:
-    """tau_k(s) through the affine coefficients."""
-    tk = tau_k_coeffs(eq, k)
-    return tk.slope * eq.lattice.x_shifted(k, s) + tk.intercept
-
-
 def tau_k_eval_direct(eq: EquationData, k: int, s) -> complex:
     """tau_k(s) = (sigma(s+k) - sigma(s) + tau(s+k) Delta x(s+k-1/2)) / Delta x_{k-1}(s).
 
-    k = 0 reduces to tau(s).  Cross-route companion of `tau_k_eval`.
+    k = 0 reduces to tau(s).  Cross-route companion of the affine `TauK.at`.
     """
     if k == 0:
         return tau_eval(eq, s)
@@ -198,6 +196,13 @@ def lam_ratio(eq: EquationData, n) -> complex:
         alpha_q(n - 1.0, base) * complex(eq.tau_p)
         + q_number(n - 1.0, base) * complex(eq.sigma_pp) / 2.0
     )
+
+
+def lam_tau_ratio(eq: EquationData, n, s) -> complex:
+    """A(s,n) = lambda_n/[n]_q * tau_n(s)/tau_n', the n = 0 value by the
+    continuation of lam_ratio."""
+    tk = tau_k_coeffs(eq, float(n))
+    return lam_ratio(eq, n) * tk.at(eq.lattice, s) / tk.slope
 
 
 def lambda_n(eq: EquationData, n) -> complex:
@@ -468,9 +473,8 @@ def check_poly_raising(eq: EquationData, pn, n: int, s, alpha_n) -> float:
     if n < 1:
         raise QKernelError("raising relation needs n >= 1")
     s = complex(s)
-    tk = tau_k_coeffs(eq, float(n))
     lhs = sigma_over_nabla(eq, s) * (pn(n, s) - pn(n, s - 1.0))
-    t1 = lam_ratio(eq, n) * tau_k_eval(eq, float(n), s) / tk.slope * pn(n, s)
+    t1 = lam_tau_ratio(eq, n, s) * pn(n, s)
     t2 = complex(alpha_n) * lam_ratio(eq, 2.0 * n) * pn(n + 1, s)
     return rel_residual(lhs - (t1 - t2), (lhs, t1, t2))
 
@@ -489,11 +493,10 @@ def check_poly_lowering(eq: EquationData, pn, n: int, s, beta_n, gamma_n) -> flo
         raise QKernelError("lowering relation needs n >= 0")
     lat = eq.lattice
     s = complex(s)
-    tk = tau_k_coeffs(eq, float(n))
     lhs = theta_over_delta(eq, s) * (pn(n, s + 1.0) - pn(n, s))
     low = complex(gamma_n) * lam_ratio(eq, 2.0 * n) * (pn(n - 1, s) if n >= 1 else 0.0)
     mid = (
-        lam_ratio(eq, n) * tau_k_eval(eq, float(n), s) / tk.slope
+        lam_tau_ratio(eq, n, s)
         - lambda_n(eq, n) * lat.delta_x_mid(s)
         - lam_ratio(eq, 2.0 * n) * (lat.x(s) - complex(beta_n))
     ) * pn(n, s)

@@ -33,12 +33,11 @@ from dataclasses import dataclass, field
 
 from .hypergeometric_core import (
     lam_ratio,
+    lam_tau_ratio,
     lambda_n,
     rel_residual,
     sigma_eval,
     sigma_over_nabla,
-    tau_k_coeffs,
-    tau_k_eval,
     theta_eval,
     theta_over_delta,
 )
@@ -117,20 +116,16 @@ def u_fn(fam, n: int, s) -> complex:
     """u(s,n) = lambda_n/[n]_q * tau_n(s)/tau_n' - sigma(s)/nabla x(s);
     the n = 0 value uses the analytic continuation of lambda_n/[n]_q."""
     eq = fam.eq
-    tk = tau_k_coeffs(eq, float(n))
-    return lam_ratio(eq, n) * tau_k_eval(eq, float(n), s) / tk.slope - sigma_over_nabla(
-        eq, s
-    )
+    return lam_tau_ratio(eq, n, s) - sigma_over_nabla(eq, s)
 
 
 def v_fn(fam, n: int, s) -> complex:
     """v(s,n) = -lambda_n/[n]_q tau_n(s)/tau_n' + lambda_n Delta x(s-1/2)
     + lambda_{2n}/[2n]_q (x(s) - beta_n) - Theta(s)/Delta x(s)."""
     eq = fam.eq
-    tk = tau_k_coeffs(eq, float(n))
     beta = fam.ttrr_beta(n)
     return (
-        -lam_ratio(eq, n) * tau_k_eval(eq, float(n), s) / tk.slope
+        -lam_tau_ratio(eq, n, s)
         + lambda_n(eq, n) * eq.lattice.delta_x_mid(s)
         + lam_ratio(eq, 2.0 * n) * (eq.lattice.x(s) - beta)
         - theta_over_delta(eq, s)
@@ -207,8 +202,7 @@ def _h_bracket_mp_pieces(fam, n: int, s):
     and A(s+1) Theta(s)/Delta x(s), with A(s) = lambda_n/[n]_q tau_n(s)/tau_n'."""
     eq = fam.eq
     s = complex(s)
-    tk = tau_k_coeffs(eq, float(n))
-    A = lambda t: lam_ratio(eq, n) * tau_k_eval(eq, float(n), t) / tk.slope
+    A = lambda t: lam_tau_ratio(eq, n, t)
     p1 = (A(s + 1.0) - sigma_over_nabla(eq, s + 1.0)) * (
         A(s) - lambda_n(eq, n) * eq.lattice.delta_x_mid(s)
     )
@@ -223,11 +217,9 @@ def _h_bracket_pm_pieces(fam, n: int, s):
     -B(s) Theta(s-1)/Delta x(s-1)."""
     eq = fam.eq
     s = complex(s)
-    tk = tau_k_coeffs(eq, float(n))
     beta = fam.ttrr_beta(n)
     L = lam_ratio(eq, 2.0 * n)
-    A = lambda t: lam_ratio(eq, n) * tau_k_eval(eq, float(n), t) / tk.slope
-    B = lambda t: -A(t) + L * (eq.lattice.x(t) - beta)
+    B = lambda t: -lam_tau_ratio(eq, n, t) + L * (eq.lattice.x(t) - beta)
     p1 = (B(s - 1.0) + lambda_n(eq, n) * eq.lattice.delta_x_mid(s - 1.0)) * (
         B(s) + sigma_over_nabla(eq, s)
     )

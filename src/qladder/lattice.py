@@ -34,10 +34,6 @@ class DegenerateStepError(ArithmeticError):
     """A lattice difference step vanished where a quotient needed it."""
 
 
-def _as_complex(v) -> complex:
-    return complex(v)
-
-
 @dataclass(frozen=True)
 class Lattice:
     """x(s) = c1 q^s + c2 q^{-s} + c3 on base q."""
@@ -57,7 +53,7 @@ class Lattice:
 
     def x(self, s) -> complex:
         t = self.qs(s)
-        return _as_complex(self.c1) * t + _as_complex(self.c2) / t + _as_complex(self.c3)
+        return complex(self.c1) * t + complex(self.c2) / t + complex(self.c3)
 
     def x_shifted(self, k, s) -> complex:
         """x_k(s) = x(s + k/2); k any real."""

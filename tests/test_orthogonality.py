@@ -130,3 +130,60 @@ def test_gram_n_zero(families):
     G = gram_matrix(of, 0)
     assert G.shape == (1, 1)
     assert abs(G[0, 0] - 1.0) < 1e-9
+
+
+@pytest.mark.parametrize("name", ["q_dual_hahn", "asc1", "askey_wilson", "continuous_q_hermite"])
+def test_gram_matches_per_pair_scalar_rule(families, name):
+    # one rule call per support must equal the rule called once per (n, m)
+    fam = families[name]
+    of = L.OrthonormalFamily(fam)
+    sup = fam.support
+    N = 4 if sup.kind == "discrete_grid" else 3
+    G = gram_matrix(of, N)
+    for n in range(N + 1):
+        for m in range(N + 1):
+            if sup.kind == "discrete_grid":
+                spec = InnerProductSpec(fam.lattice, tuple(sup.grid_points))
+                want = discrete_inner(spec, lambda s: of.phi(n, s), lambda s: of.phi(m, s))
+            elif sup.kind == "jackson_integral":
+                want = jackson_integral(lambda x: of.phi_point(n, x) * of.phi_point(m, x),
+                                        sup.lo, sup.hi, fam.base)
+            else:
+                dd = fam.d_n(n) * fam.d_n(m)
+                val, _ = continuous_inner_aw_converged(
+                    lambda x: fam.pn_ttrr_x(n, x), lambda x: fam.pn_ttrr_x(m, x),
+                    fam.closed.displays["weight_density"], scale=abs(dd),
+                )
+                want = val / dd
+            assert abs(G[n, m] - want) < 1e-13, (n, m)
+
+
+@pytest.mark.parametrize("name", ["askey_wilson", "continuous_q_hermite"])
+def test_gram_trigonometric_reference_near_identity(families, name):
+    G = gram_matrix(L.OrthonormalFamily(families[name]), 3)
+    assert np.max(np.abs(G - np.eye(4))) < 1e-13
+
+
+def test_jackson_vector_integrand_matches_each_component(base):
+    # the last component's terms decay like q^(k/10): the integral must keep
+    # summing it long after the others have settled
+    fs = (lambda t: t * t + 0.3, lambda t: 1.0 / (1.0 + t * t), lambda t: t ** -0.9)
+    got = jackson_integral(lambda t: np.array([f(t) for f in fs]), 0.2, 1.0, base)
+    assert got.shape == (3,)
+    for value, f in zip(got, fs):
+        want = jackson_integral(f, 0.2, 1.0, base)
+        assert abs(value - want) <= 1e-14 * abs(want)
+
+
+def test_continuous_vector_integrand_unsettled_entry_raises():
+    from qladder.qkernel import NonConvergedError
+
+    smooth = lambda x: 1.0 + 0.5 * x * x
+    one = lambda x: 1.0
+    continuous_inner_aw_converged(smooth, one, one)  # settles on its own
+    # 1/sqrt(1-x) has a non-integrable 1/theta singularity: its entry grows
+    # by about sqrt(2) ln 2 per doubling and never settles
+    with pytest.raises(NonConvergedError):
+        continuous_inner_aw_converged(
+            lambda x: np.array([smooth(x), 1.0 / np.sqrt(1.0 - x)]), one, one
+        )
