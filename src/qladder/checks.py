@@ -18,16 +18,14 @@ from .hypergeometric_core import (
     pearson_weight,
     rel_residual,
     rodrigues_eval,
-    sigma_eval,
     tau_k_coeffs,
-    theta_eval,
     ttrr_coeffs_generic,
 )
 from .lattice import GridFunction, kfold_forward_diff
 from .ladder import (
     OrthonormalFamily,
-    _sqrt_ts_minus,
-    _sqrt_ts_plus,
+    _e_minus,
+    _e_plus,
     check_adjoint,
     check_bootstrap,
     check_branch_continuity,
@@ -42,6 +40,7 @@ from .ladder import (
     check_uv_shift,
     h_minusplus,
     h_plusminus,
+    hamiltonian,
     u_fn,
 )
 from .orthogonality import QUADRATURE_RULE, gram_matrix, jackson_integral
@@ -194,23 +193,19 @@ def concordance_suite(fam, n_hi: int = 8, tolerance: float = 1e-9) -> CheckRepor
         for n in range(1, 5):
             compare("h_pm_display", f"n={n}", displays["h_pm"](n), h_plusminus(fam, n))
     if "ham_i" in displays:
-        H_i = lambda s, n: -(
-            theta_eval(eq, s) / eq.lattice.delta_x(s)
-            + sigma_eval(eq, s) / eq.lattice.nabla_x(s)
-            - lambda_n(eq, n) * eq.lattice.delta_x_mid(s)
-        )
         for n in range(1, 3):
+            H_i = hamiltonian(fam, n).c_zero
             for s in grid[:3]:
                 compare("hamiltonian_i_display", f"n={n},s={complex(s):.4g}",
-                        displays["ham_i"](s, n), H_i(s, n))
+                        displays["ham_i"](s, n), H_i(s))
     if "ham_cminus" in displays:
         # squared comparison of displayed E-+ coefficients (branch-free)
         for s in grid[:3]:
             got = complex(displays["ham_cminus"](s)) ** 2
-            want = (_sqrt_ts_minus(fam, s) / eq.lattice.nabla_x(s)) ** 2
+            want = _e_minus(fam, s) ** 2
             compare("hamiltonian_cminus_sq", f"s={complex(s):.4g}", got, want)
             got = complex(displays["ham_cplus"](s)) ** 2
-            want = (_sqrt_ts_plus(fam, s) / eq.lattice.delta_x(s)) ** 2
+            want = _e_plus(fam, s) ** 2
             compare("hamiltonian_cplus_sq", f"s={complex(s):.4g}", got, want)
 
     rep.meta["errata"] = errata
@@ -383,6 +378,8 @@ def orthonormality_suite(fam, tolerance: float | None = None) -> CheckReport:
         return rep
     of = OrthonormalFamily(fam)
     N = 4 if kind == "discrete_grid" else 3
+    if fam.n_max is not None:
+        N = min(N, fam.n_max)
     G = gram_matrix(of, N)
     for n in range(N + 1):
         for m in range(n, N + 1):

@@ -258,8 +258,9 @@ class FamilySpec:
         return self.series_fn(n, s)
 
     def pn_ttrr(self, n: int, s) -> complex:
-        """Canonical value of P_n via the (stable) three-term recurrence."""
-        return self.pn_ttrr_x(n, self.lattice.x(s))
+        """Canonical value of P_n via the (stable) three-term recurrence, at
+        one point or elementwise on an ndarray of s."""
+        return self.pn_ttrr_x(n, self.lattice.x_values(s))
 
     def pn_ttrr_x(self, n: int, x) -> complex:
         """Recurrence route directly in the polynomial variable x (a number,

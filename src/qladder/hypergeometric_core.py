@@ -19,13 +19,28 @@ Conventions
   limit-aware helpers: when the denominator vanishes (a removable 0/0 at a
   lattice symmetry point, e.g. s = 0 on the quadratic dual-Hahn lattice with
   boundary a = 0) the exact analytic s-derivative ratio is used.
+
+Scalar/array contract
+---------------------
+`sigma_eval`, `theta_eval`, `sigma_over_nabla` and `theta_over_delta` take
+one point and return a Python complex.  `sigma_tilde`, `tau_tilde`,
+`TauK.at`, `lam_tau_ratio` and `rel_residual` take one point or an ndarray
+(elementwise, through numpy).  The batched suites of `ladder` build their
+arrays from the formula helpers that the scalar functions call: `_sigma_at`
+and `_theta_at` (sigma and Theta from x and Delta x(s-1/2)) and
+`_limit_ratio` (sigma/nabla x and Theta/Delta x, taking the removable 0/0
+entries one by one through the scalar limit).  Everything else here is
+scalar.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import reduce
 
-from .lattice import DegenerateStepError, GridFunction, Lattice, nfold_backward_chain
+import numpy as np
+
+from .lattice import DegenerateStepError, GridFunction, Lattice, _cdiv, nfold_backward_chain
 from .qkernel import QBase, QKernelError, alpha_q, q_factorial, q_number, require_finite
 
 __all__ = [
@@ -65,8 +80,13 @@ def rel_residual(residual, terms, floor: float = 1e-12) -> float:
     """|residual| divided by the largest constituent magnitude.
 
     Falls back to the absolute residual when every term is below `floor`
-    (tolerances are relative with an absolute floor).
+    (tolerances are relative with an absolute floor).  With an ndarray
+    residual the terms broadcast against it and the result is elementwise.
     """
+    if isinstance(residual, np.ndarray):
+        scale = reduce(np.maximum, (np.abs(t) for t in terms))
+        res = np.abs(residual)
+        return np.where(scale < floor, res, res / np.maximum(scale, floor))
     scale = max((abs(t) for t in terms), default=0.0)
     if scale < floor:
         return abs(residual)
@@ -113,32 +133,40 @@ class TauK:
     slope: complex
     intercept: complex
 
-    def at(self, lattice: Lattice, s) -> complex:
+    def at(self, lattice: Lattice, s):
         """tau_k(s) on `lattice`, through the affine coefficients."""
         return self.slope * lattice.x_shifted(self.k, s) + self.intercept
 
 
-def sigma_tilde(eq: EquationData, xv) -> complex:
-    xv = complex(xv)
+def sigma_tilde(eq: EquationData, xv):
     return complex(eq.sigma_pp) / 2.0 * xv * xv + complex(eq.sigma_p0) * xv + complex(
         eq.sigma_00
     )
 
 
-def tau_tilde(eq: EquationData, xv) -> complex:
-    return complex(eq.tau_p) * complex(xv) + complex(eq.tau_0)
+def tau_tilde(eq: EquationData, xv):
+    return complex(eq.tau_p) * xv + complex(eq.tau_0)
 
 
 def sigma_eval(eq: EquationData, s) -> complex:
-    """sigma(s) = sigma~(x(s)) - (1/2) tau~(x(s)) Delta x(s-1/2)."""
-    xv = eq.lattice.x(s)
-    return sigma_tilde(eq, xv) - 0.5 * tau_tilde(eq, xv) * eq.lattice.delta_x_mid(s)
+    """sigma(s) at one point."""
+    return _sigma_at(eq, eq.lattice.x(s), eq.lattice.delta_x_mid(s))
 
 
 def theta_eval(eq: EquationData, s) -> complex:
-    """Theta(s) = sigma(s) + tau(s) Delta x(s-1/2)."""
-    xv = eq.lattice.x(s)
-    return sigma_tilde(eq, xv) + 0.5 * tau_tilde(eq, xv) * eq.lattice.delta_x_mid(s)
+    """Theta(s) at one point."""
+    return _theta_at(eq, eq.lattice.x(s), eq.lattice.delta_x_mid(s))
+
+
+def _sigma_at(eq: EquationData, xv, dxm):
+    """sigma = sigma~(x) - (1/2) tau~(x) Delta x(s-1/2), from x = x(s) and
+    dxm = Delta x(s-1/2)."""
+    return sigma_tilde(eq, xv) - 0.5 * tau_tilde(eq, xv) * dxm
+
+
+def _theta_at(eq: EquationData, xv, dxm):
+    """Theta = sigma + tau Delta x(s-1/2) = sigma~(x) + (1/2) tau~(x) Delta x(s-1/2)."""
+    return sigma_tilde(eq, xv) + 0.5 * tau_tilde(eq, xv) * dxm
 
 
 def tau_eval(eq: EquationData, s) -> complex:
@@ -198,11 +226,11 @@ def lam_ratio(eq: EquationData, n) -> complex:
     )
 
 
-def lam_tau_ratio(eq: EquationData, n, s) -> complex:
+def lam_tau_ratio(eq: EquationData, n, s):
     """A(s,n) = lambda_n/[n]_q * tau_n(s)/tau_n', the n = 0 value by the
     continuation of lam_ratio."""
     tk = tau_k_coeffs(eq, float(n))
-    return lam_ratio(eq, n) * tk.at(eq.lattice, s) / tk.slope
+    return _cdiv(lam_ratio(eq, n) * tk.at(eq.lattice, s), tk.slope)
 
 
 def lambda_n(eq: EquationData, n) -> complex:
@@ -306,6 +334,17 @@ def _theta_deriv(eq: EquationData, s) -> complex:
         + 0.5 * complex(eq.tau_p) * xd * dxm
         + 0.5 * tau_tilde(eq, xv) * ddxm
     )
+
+
+def _limit_ratio(eq: EquationData, num, step, s, scalar_ratio):
+    """num/step on arrays, with `scalar_ratio(eq, s)` (sigma_over_nabla or
+    theta_over_delta, which take the exact limit) at the entries where the
+    step is degenerate."""
+    degenerate = eq.lattice.is_degenerate_step(step)
+    out = _cdiv(num, np.where(degenerate, 1.0, step))
+    for idx in zip(*np.nonzero(degenerate)):
+        out[idx] = scalar_ratio(eq, complex(s[idx]))
+    return out
 
 
 def sigma_over_nabla(eq: EquationData, s) -> complex:

@@ -9,6 +9,18 @@ Degenerate steps (a difference quotient whose denominator vanishes, e.g. the
 symmetry point of a quadratic lattice) raise DegenerateStepError; check
 grids are chosen to avoid them, and the few places that must evaluate a
 removable 0/0 limit use the analytic s-derivative `x_deriv`.
+
+Scalar/array contract
+---------------------
+`Lattice.x` takes one point and returns a Python complex.  `x_values`, `qs`,
+`x_shifted`, `delta_x_mid`, `delta_x`, `nabla_x` and `is_degenerate_step`
+take one point (through `cmath`, returning a Python complex, or a bool) or
+an ndarray of points (through numpy, elementwise).
+`x` and `x_values` share one formula; array evaluation enters through
+`x_values`, never through `x`.  Quotients of complex arrays go through
+`_cdiv`, which rounds as Python's complex division does, so an array entry
+equals the scalar value bit for bit on real-valued data (numpy's own
+complex division multiplies by a rounded reciprocal).
 """
 
 from __future__ import annotations
@@ -16,6 +28,8 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
+
+import numpy as np
 
 from .qkernel import QBase, QKernelError
 
@@ -34,6 +48,39 @@ class DegenerateStepError(ArithmeticError):
     """A lattice difference step vanished where a quotient needed it."""
 
 
+def _cdiv(a, b):
+    """a / b; elementwise when either is an ndarray, with the operation
+    order of Python's complex division (Smith's method: divide through by
+    the larger part of b)."""
+    if not isinstance(b, np.ndarray):
+        if not isinstance(a, np.ndarray):
+            return a / b
+        b = complex(b)
+        by_real = all_real = abs(b.real) >= abs(b.imag)
+        no_real = not all_real
+    else:
+        by_real = np.abs(b.real) >= np.abs(b.imag)
+        all_real = by_real.all()
+        no_real = not all_real and not by_real.any()
+    a = np.asarray(a, dtype=complex)
+    ar, ai, br, bi = a.real, a.imag, b.real, b.imag
+    if all_real:
+        p, q, u, v = br, bi, ar, ai
+    elif no_real:
+        p, q, u, v = bi, br, ai, ar
+    else:
+        p, q = np.where(by_real, br, bi), np.where(by_real, bi, br)
+        u, v = np.where(by_real, ar, ai), np.where(by_real, ai, ar)
+    ratio = q / p
+    denom = p + q * ratio
+    uq = u * ratio
+    out = np.empty(np.broadcast(a, b).shape, dtype=complex)
+    out.real = (u + v * ratio) / denom
+    out.imag = (v - uq if all_real else uq - v if no_real
+                else np.where(by_real, v - uq, uq - v)) / denom
+    return out
+
+
 @dataclass(frozen=True)
 class Lattice:
     """x(s) = c1 q^s + c2 q^{-s} + c3 on base q."""
@@ -47,34 +94,41 @@ class Lattice:
         if complex(self.c1) == 0 and complex(self.c2) == 0:
             raise QKernelError("degenerate lattice: c1 and c2 cannot both vanish")
 
-    def qs(self, s) -> complex:
-        """q**s for real or complex s."""
+    def qs(self, s):
+        """q**s for real or complex s; elementwise for an ndarray of s."""
+        if isinstance(s, np.ndarray):
+            return np.exp(s * math.log(self.base.q))
         return cmath.exp(complex(s) * math.log(self.base.q))
 
     def x(self, s) -> complex:
-        t = self.qs(s)
-        return complex(self.c1) * t + complex(self.c2) / t + complex(self.c3)
+        """x(s) at one point."""
+        return self.x_values(s)
 
-    def x_shifted(self, k, s) -> complex:
+    def x_values(self, s):
+        """x(s) at one point, or elementwise on an ndarray of s."""
+        t = self.qs(s)
+        return complex(self.c1) * t + _cdiv(complex(self.c2), t) + complex(self.c3)
+
+    def x_shifted(self, k, s):
         """x_k(s) = x(s + k/2); k any real."""
-        return self.x(complex(s) + k / 2.0)
+        return self.x_values(s + k / 2.0)
 
     def x_deriv(self, s) -> complex:
         """d x / d s = ln(q) (c1 q^s - c2 q^{-s}); used for 0/0 limits."""
         t = self.qs(s)
         return math.log(self.base.q) * (complex(self.c1) * t - complex(self.c2) / t)
 
-    def delta_x_mid(self, s) -> complex:
+    def delta_x_mid(self, s):
         """Delta x(s - 1/2) = x(s + 1/2) - x(s - 1/2)."""
-        return self.x(complex(s) + 0.5) - self.x(complex(s) - 0.5)
+        return self.x_values(s + 0.5) - self.x_values(s - 0.5)
 
-    def delta_x(self, s) -> complex:
+    def delta_x(self, s):
         """Delta x(s) = x(s+1) - x(s)."""
-        return self.x(complex(s) + 1.0) - self.x(complex(s))
+        return self.x_values(s + 1.0) - self.x_values(s)
 
-    def nabla_x(self, s) -> complex:
+    def nabla_x(self, s):
         """nabla x(s) = x(s) - x(s-1)."""
-        return self.x(complex(s)) - self.x(complex(s) - 1.0)
+        return self.x_values(s) - self.x_values(s - 1.0)
 
     def step_scale(self) -> float:
         """Magnitude scale used to decide whether a step is degenerate."""
@@ -82,7 +136,8 @@ class Lattice:
             self.base.k_q
         )
 
-    def is_degenerate_step(self, value) -> bool:
+    def is_degenerate_step(self, value):
+        """Whether a step is degenerate (elementwise for an ndarray of steps)."""
         return abs(value) < 1e-9 * self.step_scale()
 
 

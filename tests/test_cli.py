@@ -90,6 +90,21 @@ def test_check_all_reference_configs_pass(tmp_path, capsys):
                 assert "n" in case and "s" in case and "residual" in case
 
 
+def test_check_all_finite_dual_hahn_reports_every_suite(tmp_path, capsys):
+    # b - a = 3 gives n_max = 2, below the fixed orders of the selfadjoint
+    # pairs (n, m < 5) and of the discrete Gram (N = 4)
+    out = tmp_path / "dh.json"
+    rc = run_cli(["check", "--family", "q_dual_hahn", "--param", "a=0.5", "--param", "b=3.5",
+                  "--param", "c=0.3", "--suite", "all", "--out", str(out)])
+    capsys.readouterr()
+    assert rc in (0, 1)
+    reports = {r["suite"]: r for r in json.loads(out.read_text())["reports"]}
+    assert len(reports) == 18
+    assert reports["orthonormality"]["meta"]["N"] == 2
+    notes = [c.get("note", "") for c in reports["selfadjoint"]["cases"]]
+    assert notes.count("out-of-range: phi_k beyond finite family") == 16
+
+
 def test_skipped_suite_reported_as_skip_not_pass(tmp_path, capsys):
     # asc2 tabulates no weight and no orthogonality; a skip is not a pass
     rc = run_cli(["check", "--family", "asc2", "--q", "0.5", *REF_ARGS["asc2"],

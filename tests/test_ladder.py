@@ -6,11 +6,17 @@ import pytest
 
 from qladder import ladder as L
 from qladder.families import make_family
+import numpy as np
+
 from qladder.hypergeometric_core import (
     lam_ratio,
+    lam_tau_ratio,
+    lambda_n,
     rel_residual,
     sigma_eval,
+    sigma_over_nabla,
     theta_eval,
+    theta_over_delta,
 )
 from qladder.lattice import Lattice
 from qladder.qkernel import QBase, QKernelError, q_number
@@ -425,3 +431,167 @@ def test_three_point_operator_application():
     f = lambda s: complex(s) ** 2
     got = op.apply(f, 3.0)
     assert got == pytest.approx(2 * 4.0 - 9.0 + 0.5 * 16.0)
+
+
+# --------------------------------------------------------------------------
+# the batched point-local suites against the public scalar operators
+# --------------------------------------------------------------------------
+
+BATCHED_SUITES = ("eigen", "raising", "lowering", "uv_shift", "h_s_independence",
+                  "factorization")
+
+
+def _scalar_suite_cases(fam, suite, ns, grid):
+    """(n, label, residual, note) of one point-local suite, evaluated point by
+    point through hamiltonian, raising_op, lowering_op, _apply_scaled and
+    PhiChain, in the suite's case order."""
+    eq, lat = fam.eq, fam.lattice
+    out = []
+    if suite in ("eigen", "raising", "lowering"):
+        for s in map(complex, grid):
+            chain = L.PhiChain(fam, s, -1, 1)
+            for n in ns:
+                f = chain.fn(n)
+                if suite == "eigen":
+                    H = L.hamiltonian(fam, n)
+                    terms = (H.c_minus(s) * f(s - 1.0), H.c_zero(s) * f(s),
+                             H.c_plus(s) * f(s + 1.0))
+                    out.append((n, f"{s:.6g}", rel_residual(sum(terms), terms), ""))
+                    continue
+                if suite == "raising":
+                    op = L.raising_op(fam, n)
+                    target = fam.ttrr_alpha(n) * lam_ratio(eq, 2.0 * n) * chain.fn(n + 1)(s)
+                else:
+                    op = L.lowering_op(fam, n)
+                    target = (fam.ttrr_gamma(n) * lam_ratio(eq, 2.0 * n) * chain.fn(n - 1)(s)
+                              if n >= 1 else 0j)
+                got = op.apply(f, s)
+                terms = (got, target, op.c_zero(s) * f(s))
+                out.append((n, f"{s:.6g}", rel_residual(got - target, terms), ""))
+    elif suite == "uv_shift":
+        for n in ns:
+            for s in map(complex, grid):
+                uu, vv = L.u_fn(fam, n, s + 1.0), L.v_fn(fam, n + 1, s)
+                out.append((n, f"{s:.6g}", rel_residual(uu - vv, (uu, vv)), ""))
+    elif suite == "h_s_independence":
+        for n in ns:
+            A = lambda t: lam_tau_ratio(eq, n, t)
+            lam, hm = lambda_n(eq, n), L.h_minusplus(fam, n)
+            for s in map(complex, grid):
+                p1 = (A(s + 1.0) - sigma_over_nabla(eq, s + 1.0)) * (A(s) - lam * lat.delta_x_mid(s))
+                p2 = A(s + 1.0) * theta_over_delta(eq, s)
+                out.append((n, f"{s:.6g}", rel_residual(p1 + p2 - hm, (p1, p2, hm)), "minusplus"))
+            if n >= 1:
+                hp, L2, beta = L.h_plusminus(fam, n), lam_ratio(eq, 2.0 * n), fam.ttrr_beta(n)
+                B = lambda t: -A(t) + L2 * (lat.x(t) - beta)
+                for s in map(complex, grid):
+                    p1 = (B(s - 1.0) + lam * lat.delta_x_mid(s - 1.0)) * (
+                        B(s) + sigma_over_nabla(eq, s))
+                    p2 = -B(s) * theta_over_delta(eq, s - 1.0)
+                    out.append((n, f"{s:.6g}", rel_residual(p1 + p2 - hp, (p1, p2, hp)),
+                                "plusminus"))
+    else:
+        for n in ns:
+            Lp, Lm = L.raising_op(fam, n), L.lowering_op(fam, n + 1)
+            Hn, Hn1 = L.hamiltonian(fam, n), L.hamiltonian(fam, n + 1)
+            h = L.h_minusplus(fam, n)
+            for s in map(complex, grid):
+                chain = L.PhiChain(fam, s, -2, 2)
+                probes = [(f"x^{j}", lambda t, j=j: lat.x(t) ** j) for j in range(4)]
+                probes.append((f"phi_{n}", chain.fn(n)))
+                for tag, f in probes:
+                    for order, outer, inner, H, u in (
+                        ("minus-plus", Lm, Lp, Hn, L.u_fn(fam, n, s + 1.0)),
+                        ("plus-minus", Lp, Lm, Hn1, L.u_fn(fam, n, s)),
+                    ):
+                        t1, sc1 = L._apply_scaled(outer, inner.applied(f), s, inner=(inner, f))
+                        t2 = h * f(s)
+                        hf, schf = L._apply_scaled(H, f, s)
+                        scale = max(sc1, abs(t2), abs(u) * schf, 1e-300)
+                        out.append((n, f"{s:.6g}", abs(t1 - t2 - u * hf) / scale,
+                                    f"{order} {tag}"))
+    return out
+
+
+@pytest.mark.parametrize("suite", BATCHED_SUITES)
+@pytest.mark.parametrize("name", FAMILY_NAMES + ("q_dual_hahn_perturbed",))
+def test_batched_suite_matches_scalar_operators(families, name, suite):
+    if name in families:
+        fam = families[name]
+    else:  # the negative control (beta + 1e-3): residuals far from rounding level
+        fam = families["q_dual_hahn"].with_perturbation("beta", 1e-3)
+    grid = grid_for(fam.name)
+    ns = list(range(0, 7)) if suite == "uv_shift" else list(range(1, 6))
+    got = getattr(L, f"check_{suite}")(fam, ns, grid).cases
+    want = _scalar_suite_cases(fam, suite, ns, grid)
+    assert [(c.n, c.s, c.note) for c in got] == [(n, s, note) for n, s, _, note in want]
+    worst = max(abs(c.residual - r) for c, (_, _, r, _) in zip(got, want))
+    assert worst < 1e-13, (name, suite, worst)
+
+
+def _scalar_at(points, fn):
+    return np.array([[fn(complex(t)) for t in row] for row in points])
+
+
+def _assert_grid_matches_scalar(fam, grid):
+    """The StencilGrid coefficients on the inner offsets against their scalar
+    definitions, elementwise (real lattices agree bit for bit; on the
+    trigonometric lattice numpy's complex products round differently)."""
+    g = L.StencilGrid(fam, grid, 2)
+    inner = g.t[:, 1:-1]
+    close = lambda a, b: np.testing.assert_allclose(a, b, rtol=1e-12, atol=0)
+    close(g.son, _scalar_at(inner, lambda t: sigma_over_nabla(fam.eq, t)))
+    close(g.tod, _scalar_at(inner, lambda t: theta_over_delta(fam.eq, t)))
+    close(g.roots, _scalar_at(g.t[:, :-1], lambda t: L._sqrt_ts_plus(fam, t)))
+    close(g.roots, _scalar_at(g.t[:, 1:], lambda t: L._sqrt_ts_minus(fam, t)))
+    for n in (0, 1, 4):
+        close(g.u(n), _scalar_at(inner, lambda t: L.u_fn(fam, n, t)))
+        close(g.v(n), _scalar_at(inner, lambda t: L.v_fn(fam, n, t)))
+    return g
+
+
+@pytest.mark.parametrize("name", FAMILY_NAMES)
+def test_stencil_grid_coefficients_match_scalar(families, name):
+    fam = families[name]
+    g = _assert_grid_matches_scalar(fam, grid_for(name))
+    inner = g.t[:, 1:-1]
+    np.testing.assert_allclose(g.e_minus, _scalar_at(inner, lambda t: L._e_minus(fam, t)),
+                               rtol=1e-12, atol=0)
+    np.testing.assert_allclose(g.e_plus, _scalar_at(inner, lambda t: L._e_plus(fam, t)),
+                               rtol=1e-12, atol=0)
+    for i, s in enumerate(grid_for(name)):
+        w = L.weight_chain(fam, s, -2, 2)
+        np.testing.assert_allclose(g.w[i], [w[k] for k in range(-2, 3)], rtol=1e-12, atol=0)
+
+
+def test_stencil_grid_removable_limit_on_the_chain(families):
+    # dual Hahn with a = 0: the chain through s = 1 reaches s = 0, where
+    # sigma(0) = nabla x(0) = 0 and sigma/nabla x is the removable limit
+    fam = families["q_dual_hahn"]
+    g = _assert_grid_matches_scalar(fam, [1.0, 2.5])
+    assert g.t[0, 1] == 0 and fam.lattice.is_degenerate_step(g.nabla[0, 0])
+    assert cmath.isfinite(g.son[0, 0]) and g.son[0, 0] != 0
+
+
+@pytest.mark.parametrize("drop_last", [0, 1])
+def test_selfadjoint_matches_per_pair_scalar_sums(families, drop_last):
+    fam = families["q_dual_hahn"]
+    of = L.OrthonormalFamily(fam)
+    pairs = [(n, m) for n in range(5) for m in range(5)]
+    grid = fam.support.grid_points[:len(fam.support.grid_points) - drop_last]
+    got = L.check_selfadjoint(of, pairs, drop_last=drop_last).cases
+    for (n, m), case in zip(pairs, got):
+        ta = [of.phi(m, s) * of.apply_reduced("H", n, s, op_n=n) for s in grid]
+        tb = [of.phi(n, s) * of.apply_reduced("H", m, s, op_n=n) for s in grid]
+        a, b = sum(ta), sum(tb)
+        scale = max(abs(a), abs(b), *map(abs, ta + tb), 1e-30)
+        assert case.residual == pytest.approx(abs(a - b) / scale, rel=1e-9, abs=1e-13)
+
+
+def test_selfadjoint_pairs_beyond_finite_family_out_of_range():
+    fam = make_family("q_dual_hahn", {"a": 0.5, "b": 3.5, "c": 0.3}, QBase(0.5))
+    assert fam.n_max == 2
+    rep = L.check_selfadjoint(L.OrthonormalFamily(fam), [(n, m) for n in range(5) for m in range(5)])
+    skipped = [c for c in rep.cases if c.note.startswith("out-of-range")]
+    assert len(skipped) == 25 - 9 and all(max(c.n, int(c.s[2:])) > 2 for c in skipped)
+    assert rep.passed and rep.max_residual < 1e-8
