@@ -390,7 +390,7 @@ def orthonormality_suite(fam, tolerance: float | None = None) -> CheckReport:
         # the tabulated d_n^2 is the validated norm: its ratio to the
         # Jackson integral must not depend on n
         ratios = jackson_integral(
-            lambda x: np.array([fam.pn_ttrr_x(n, x) for n in range(N + 1)]) ** 2 * fam.weight(x),
+            lambda x: fam.pn_stack(N, x) ** 2 * fam.weight(x),
             fam.support.lo,
             fam.support.hi,
             fam.base,
@@ -420,9 +420,15 @@ def poly_ladder_suite(fam, n_hi: int = 6, tolerance: float = 1e-10) -> CheckRepo
         tolerance=tolerance,
     )
     grid = default_grid(fam)
+    # P_0..P_{n_hi+1} once per (point, shift), each from one recurrence pass;
+    # the relations evaluate P at s - 1, s and s + 1
+    stacks = {}
+    for s in grid:
+        for t in (complex(s) - 1.0, complex(s), complex(s) + 1.0):
+            stacks[t] = fam.pn_stack(n_hi + 1, fam.lattice.x_values(t))
 
     def pn(k, s):
-        return fam.pn_ttrr(k, s)
+        return stacks[s][k]
 
     for n in range(1, n_hi + 1):
         alpha = fam.ttrr_alpha(n)

@@ -36,8 +36,10 @@ import math
 from dataclasses import dataclass, field, replace
 from functools import cached_property
 
+import numpy as np
+
 from .hypergeometric_core import EquationData, lam_ratio, ttrr_coeffs_generic
-from .lattice import Lattice
+from .lattice import Lattice, _cdiv
 from .orthogonality import InnerProductSpec, discrete_inner, jackson_integral
 from .qkernel import (
     QBase,
@@ -73,6 +75,14 @@ class FamilyError(ValueError):
 
 def family_names():
     return FAMILY_NAMES
+
+
+_CMATH_LOG = np.frompyfunc(cmath.log, 1, 1)
+
+
+def _complex(x):
+    """x as a Python complex, or an ndarray of x as a complex ndarray."""
+    return np.asarray(x, dtype=complex) if isinstance(x, np.ndarray) else complex(x)
 
 
 @dataclass(frozen=True)
@@ -136,7 +146,7 @@ class LatticeKind:
     grid_start = 0.3
 
     def s_from_point(self, fam, point) -> complex:
-        return complex(point)
+        return _complex(point)
 
     def s_from_grid_value(self, fam, value) -> complex:
         return complex(value)
@@ -146,7 +156,8 @@ class LatticeKind:
         return [self.grid_start + k for k in range(count)]
 
     def rho_at_s(self, fam, s) -> complex:
-        """Pointwise weight, nonnegative on the real support."""
+        """Pointwise weight, nonnegative on the real support (elementwise on
+        an ndarray of s)."""
         return fam.weight(s)
 
     def pearson_rho(self, fam, s) -> complex:
@@ -161,13 +172,19 @@ class _Exponential(LatticeKind):
 
     def s_from_point(self, fam, point) -> complex:
         lat = fam.lattice
-        x = complex(point)
-        if x == lat.c3:
+        x = _complex(point)
+        if np.any(x == lat.c3):
             raise FamilyError(f"x = {lat.c3:g} is not on the exponential lattice")
+        if isinstance(x, np.ndarray):
+            # cmath's log elementwise: numpy's complex log rounds differently
+            # in the last place, which the x -> s -> x round trip of
+            # `OrthonormalFamily.phi_point` carries into ill-conditioned Grams
+            log = _CMATH_LOG(_cdiv(x - lat.c3, lat.c1)).astype(complex)
+            return _cdiv(log, math.log(lat.base.q))
         return cmath.log((x - lat.c3) / lat.c1) / math.log(lat.base.q)
 
     def rho_at_s(self, fam, s) -> complex:
-        return fam.weight(fam.lattice.x(s))
+        return fam.weight(fam.lattice.x_values(s))
 
 
 class _Trigonometric(LatticeKind):
@@ -190,7 +207,7 @@ class _Trigonometric(LatticeKind):
         return self.theta_grid(fam, count, count + 1)
 
     def rho_at_s(self, fam, s) -> complex:
-        return fam.closed.displays["weight_density"](fam.lattice.x(s))
+        return fam.closed.displays["weight_density"](fam.lattice.x_values(s))
 
     def pearson_rho(self, fam, s) -> complex:
         return fam.weight(fam.lattice.x(s)) * fam.lattice.delta_x_mid(s)
@@ -264,13 +281,29 @@ class FamilySpec:
 
     def pn_ttrr_x(self, n: int, x) -> complex:
         """Recurrence route directly in the polynomial variable x (a number,
-        or an array of x values evaluated elementwise)."""
+        or an array of x values evaluated elementwise): row n of the stacked
+        recurrence."""
         if n < 0:
             return complex(0.0)
+        return self._monic_stack(n, x)[n] * self.a_n(n)
+
+    def pn_stack(self, N: int, x):
+        """P_0..P_N (canonical) at x from one pass of the recurrence: a list
+        of N+1 Python complex numbers at one x, an (N+1, *x.shape) ndarray
+        for an ndarray of x."""
+        rows = [p * self.a_n(k) for k, p in enumerate(self._monic_stack(N, x))]
+        if isinstance(x, np.ndarray):
+            return np.stack([np.broadcast_to(p, x.shape) for p in rows])
+        return rows
+
+    def _monic_stack(self, N: int, x) -> list:
+        """Monic P_0..P_N at x by the three-term recurrence."""
         pm, pc = complex(0.0), complex(1.0)  # monic P_{-1}, P_0
-        for k in range(n):
+        rows = [pc]
+        for k in range(N):
             pm, pc = pc, (x - self.ttrr_beta(k)) * pc - self.ttrr_gamma_monic(k) * pm
-        return pc * self.a_n(n)
+            rows.append(pc)
+        return rows
 
     def pn(self, n: int, s, route: str = "ttrr") -> complex:
         if route == "ttrr":
@@ -342,8 +375,15 @@ class FamilySpec:
                 out *= self.ttrr_gamma(k) / self.ttrr_alpha(k - 1)
             return out
         if self.norm_source == "discrete_sum":
+            # one weight pass gives every norm of the finite family
+            top = max(n, self.n_max or 0)
             spec = InnerProductSpec(self.lattice, tuple(self.support.grid_points))
-            return discrete_inner(spec, lambda s: self.pn_ttrr(n, s) ** 2, self.weight)
+            sums = discrete_inner(
+                spec, lambda s: self.pn_stack(top, self.lattice.x_values(s)) ** 2, self.weight
+            )
+            for k in range(top + 1):
+                self._cache[("dsq", k)] = complex(sums[k])
+            return self._cache[("dsq", n)]
         raise FamilyError(f"unknown norm source {self.norm_source!r}")
 
     def _norm_anchor(self) -> complex:
@@ -360,13 +400,15 @@ class FamilySpec:
 
     # -- weight -------------------------------------------------------------
     def weight(self, point) -> complex:
-        """Closed-form weight at a natural-coordinate point (dual Hahn: at s)."""
+        """Closed-form weight at a natural-coordinate point (dual Hahn: at s),
+        or elementwise on an ndarray of points."""
         if self.closed.weight is None:
             raise FamilyError(
                 f"{self.name}: no closed-form weight is tabulated; "
                 "use the Pearson table instead"
             )
-        return complex(self.closed.weight(point))
+        w = self.closed.weight(point)
+        return w if isinstance(point, np.ndarray) else complex(w)
 
     def with_perturbation(self, name: str, delta: float) -> "FamilySpec":
         """A copy with a named closed-form coefficient shifted by delta
@@ -438,9 +480,8 @@ def _make_asc1(params: dict, base: QBase) -> FamilySpec:
         return pre * basic_hypergeometric(spec, base)
 
     def weight(x):
-        return q_pochhammer_inf(q * complex(x), base) * q_pochhammer_inf(
-            q * complex(x) / a, base
-        )
+        x = _complex(x)
+        return q_pochhammer_inf(q * x, base) * q_pochhammer_inf(_cdiv(q * x, a), base)
 
     def d_n_sq(n):
         const = q_pochhammer_multi((q, a, q / a), base)
@@ -622,11 +663,10 @@ def _make_big_q_jacobi(params: dict, base: QBase) -> FamilySpec:
         )
 
     def weight(x):
-        x = complex(x)
-        return (
-            q_pochhammer_inf(x / a, base)
-            * q_pochhammer_inf(x / c, base)
-            / (q_pochhammer_inf(x, base) * q_pochhammer_inf(b * x / c, base))
+        x = _complex(x)
+        return _cdiv(
+            q_pochhammer_inf(_cdiv(x, a), base) * q_pochhammer_inf(_cdiv(x, c), base),
+            q_pochhammer_inf(x, base) * q_pochhammer_inf(_cdiv(b * x, c), base),
         )
 
     def d_n_sq_tab(n):
@@ -778,10 +818,11 @@ def _make_q_dual_hahn(params: dict, base: QBase) -> FamilySpec:
         return pre * basic_hypergeometric(spec, base)
 
     def weight(s):
-        s = complex(s)
-        pre = base.pow(((b - 1.0) ** 2 - (2.0 * s - 1.0) * (a + c)) / 2.0) / (
-            1.0 - q
-        ) ** (2 * (a + c - b) + 1)
+        s = _complex(s)
+        pre = _cdiv(
+            base.pow(((b - 1.0) ** 2 - (2.0 * s - 1.0) * (a + c)) / 2.0),
+            (1.0 - q) ** (2 * (a + c - b) + 1),
+        )
         num = q_pochhammer_multi(
             (
                 base.pow(s - a + 1.0),
@@ -794,7 +835,7 @@ def _make_q_dual_hahn(params: dict, base: QBase) -> FamilySpec:
         den = q_pochhammer_inf(q, base) ** 2 * q_pochhammer_multi(
             (base.pow(s + a + 1.0), base.pow(s + c + 1.0)), base
         )
-        return pre * num / den
+        return _cdiv(pre * num, den)
 
     def beta_display(n):
         # as tabulated; the general route matches [b-a-n-1]_q in place of

@@ -48,6 +48,7 @@ from .hypergeometric_core import (
     theta_over_delta,
 )
 from .lattice import _cdiv
+from .orthogonality import InnerProductSpec, discrete_inner
 from .qkernel import QKernelError
 from .report import CaseRecord, CheckReport
 
@@ -115,11 +116,15 @@ def theta(fam, s) -> complex:
     return theta_eval(fam.eq, s)
 
 
+def _sqrt(z):
+    """The principal square root, elementwise for an ndarray."""
+    return np.sqrt(z) if isinstance(z, np.ndarray) else cmath.sqrt(z)
+
+
 def _root(theta, sigma):
     """The principal square root of the product Theta sigma: the branch of
     every operator coefficient and chain weight."""
-    z = theta * sigma
-    return np.sqrt(z) if isinstance(z, np.ndarray) else cmath.sqrt(z)
+    return _sqrt(theta * sigma)
 
 
 def _sqrt_ts_minus(fam, s) -> complex:
@@ -355,6 +360,10 @@ class OrthonormalFamily:
 
     Pointwise phi values require rho >= 0 (real support); chain-based checks
     do not go through this class.  P_n comes from the recurrence route.
+    Every method takes one point or an ndarray of support nodes, with one
+    weight evaluation per node; `phi` and `phi_point` take n as one index or
+    as a range, which stacks phi_n for n in the range on a leading axis from
+    one recurrence pass.
     """
 
     family: object
@@ -364,25 +373,35 @@ class OrthonormalFamily:
 
     def sqrt_rho(self, s):
         """sqrt(rho(s)) at a point of the real support, or elementwise on an
-        ndarray of support nodes (one weight evaluation per node)."""
-        if isinstance(s, np.ndarray):
-            return np.array([self.sqrt_rho(t) for t in s.tolist()], dtype=complex)
+        ndarray of support nodes."""
         rho = self.rho_at_s(s)
-        if abs(rho.imag) > 1e-12 * abs(rho) or rho.real < 0.0:
+        bad = (np.abs(rho.imag) > 1e-12 * np.abs(rho)) | (rho.real < 0.0)
+        if np.any(bad):
+            at = s[bad][0] if isinstance(s, np.ndarray) else s
             raise QKernelError(
-                f"rho({s}) is not a nonnegative real; pointwise phi needs the "
+                f"rho({at}) is not a nonnegative real; pointwise phi needs the "
                 "real branch (use PhiChain for off-support checks)"
             )
-        return cmath.sqrt(rho)
+        return _sqrt(rho)
 
-    def phi(self, n: int, s) -> complex:
-        return self._normalized(self.sqrt_rho(s), self.family.pn_ttrr(n, s), n)
+    def phi(self, n, s):
+        """phi_n at support points s (n an index or a range)."""
+        return self._phi(n, self.sqrt_rho(s), self.family.lattice.x_values(s))
 
-    def phi_point(self, n: int, point) -> complex:
-        """phi at a natural-coordinate point (used by Jackson-integral Grams)."""
+    def phi_point(self, n, point):
+        """phi_n at natural-coordinate points (n an index or a range; used
+        by Jackson-integral Grams)."""
         fam = self.family
-        rho = fam.weight(point)
-        return cmath.sqrt(rho) * fam.pn_ttrr(n, fam.s_from_point(point)) / fam.d_n(n)
+        w = _sqrt(fam.weight(point))
+        return self._phi(n, w, fam.lattice.x_values(fam.s_from_point(point)))
+
+    def _phi(self, n, w, x):
+        fam = self.family
+        if not isinstance(n, range):
+            return self._normalized(w, fam.pn_ttrr_x(n, x), n)
+        P = fam.pn_stack(n[-1], x)
+        d = np.array([fam.d_n(k) for k in n]).reshape((-1,) + (1,) * np.ndim(x))
+        return _cdiv(w * np.asarray(P)[n.start:n.stop:n.step], d)
 
     # reduced operator application: valid where sigma, Theta, rho >= 0 on the
     # support (discrete sums); uses the limit-aware ratios so boundary points
@@ -393,28 +412,31 @@ class OrthonormalFamily:
         for nonnegative sigma, Theta, rho on the support.  `op_n` is the
         operator's eigen-parameter (defaults to the function index n); only
         H distinguishes the two."""
-        fam = self.family
-        eq = fam.eq
-        s = complex(s)
-        son = sigma_over_nabla(eq, s)
-        tod = theta_over_delta(eq, s)
-        P = lambda t: fam.pn_ttrr(n, t)
-        if which == "L+":
-            reduced = u_fn(fam, n, s) * P(s) + son * P(s - 1.0)
-        elif which == "L-":
-            reduced = v_fn(fam, n, s) * P(s) + tod * P(s + 1.0)
-        elif which == "H":
-            lam = lambda_n(eq, n if op_n is None else op_n)
-            diag = _h_diag_at(lam, son, tod, eq.lattice.delta_x_mid(s))
-            reduced = _reduced_h_at(son, tod, diag, P(s - 1.0), P(s), P(s + 1.0))
-        else:
-            raise QKernelError(f"unknown operator {which!r}")
+        reduced = _reduced(which, n, StencilGrid(self.family, np.atleast_1d(s), 1), op_n)
+        if not isinstance(s, np.ndarray):
+            reduced = complex(reduced[0])
         return self._normalized(self.sqrt_rho(s), reduced, n)
 
     def _normalized(self, w, values, n: int):
         """w values / d_n, with w = sqrt(rho): phi_n from P_n, or an operator
         applied to phi_n from its reduced stencil on P_n."""
         return _cdiv(w * values, self.family.d_n(n))
+
+
+def _reduced(which: str, n: int, g: "StencilGrid", op_n: int | None = None):
+    """The reduced stencil of L+, L- or H(., op_n) on P_n at the points of a
+    margin-1 StencilGrid (see `OrthonormalFamily.apply_reduced`)."""
+    P = g.p(n).T  # P_n at s - 1, s, s + 1
+    son, tod = g.son[:, 0], g.tod[:, 0]
+    if which == "L+":
+        return g.u(n)[:, 0] * P[1] + son * P[0]
+    if which == "L-":
+        return g.v(n)[:, 0] * P[1] + tod * P[2]
+    if which == "H":
+        diag = _h_diag_at(lambda_n(g.fam.eq, n if op_n is None else op_n), son, tod,
+                          g.dxm[:, 1])
+        return _reduced_h_at(son, tod, diag, *P)
+    raise QKernelError(f"unknown operator {which!r}")
 
 
 def _reduced_h_at(son, tod, diag, p_minus, p_zero, p_plus):
@@ -916,13 +938,16 @@ def check_bootstrap(of: OrthonormalFamily, N: int, s_grid, tolerance: float = 1e
     return rep
 
 
+@_RAISE_FP
 def check_adjoint(of: OrthonormalFamily, ns, tolerance: float = 1e-8) -> CheckReport:
     """Mutual adjointness on a finite discrete support:
 
         sum phi_{n+1} [[2n]_q/lambda_{2n} L+ phi_n] Delta x(s-1/2)
           = sum [[2n+2]_q/lambda_{2n+2} L- phi_{n+1}] phi_n Delta x(s-1/2)
           = alpha_n d_{n+1}/d_n.
-    """
+
+    One pass over the support: the weight is evaluated once per node, and
+    phi_k and the reduced L+ phi_n, L- phi_{n+1} once on the node array."""
     fam = of.family
     rep = CheckReport(
         suite="adjoint",
@@ -935,8 +960,11 @@ def check_adjoint(of: OrthonormalFamily, ns, tolerance: float = 1e-8) -> CheckRe
         rep.meta["status"] = "skipped"
         rep.meta["reason"] = f"support kind {fam.support.kind!r} has no discrete sum"
         return rep
-    lat = fam.lattice
     grid = fam.support.grid_points
+    spec = InnerProductSpec(fam.lattice, tuple(grid))
+    g = StencilGrid(fam, grid, 1)  # the nodes with s - 1, s + 1
+    w = of.sqrt_rho(g.s)
+    phi = lambda k: of._normalized(w, g.p(k)[:, 1], k)  # phi_k on the nodes
     for n in ns:
         if fam.n_max is not None and n + 1 > fam.n_max:
             rep.cases.append(CaseRecord(n, "-", 0.0, "out-of-range: phi_{n+1} beyond finite family"))
@@ -946,14 +974,12 @@ def check_adjoint(of: OrthonormalFamily, ns, tolerance: float = 1e-8) -> CheckRe
             rep.cases.append(CaseRecord(n, "-", 0.0, "out-of-range: d_{n+1} vanishes"))
             continue
         target = fam.ttrr_alpha(n) * dr
-        s1 = complex(0.0)
-        s2 = complex(0.0)
-        for s in grid:
-            dx = lat.delta_x_mid(s)
-            s1 += of.phi(n + 1, s) * of.apply_reduced("L+", n, s) * dx
-            s2 += of.apply_reduced("L-", n + 1, s) * of.phi(n, s) * dx
-        s1 /= lam_ratio(fam.eq, 2.0 * n)
-        s2 /= lam_ratio(fam.eq, 2.0 * n + 2.0)
+        raised = of._normalized(w, _reduced("L+", n, g), n)
+        lowered = of._normalized(w, _reduced("L-", n + 1, g), n + 1)
+        s1 = discrete_inner(spec, lambda _: phi(n + 1), lambda _: raised) / lam_ratio(
+            fam.eq, 2.0 * n)
+        s2 = discrete_inner(spec, lambda _: lowered, lambda _: phi(n)) / lam_ratio(
+            fam.eq, 2.0 * n + 2.0)
         rep.cases.append(CaseRecord(n, "sum1", rel_residual(s1 - target, (s1, target))))
         rep.cases.append(CaseRecord(n, "sum2", rel_residual(s2 - target, (s2, target))))
     return rep
@@ -992,21 +1018,17 @@ def check_selfadjoint(of: OrthonormalFamily, pairs, tolerance: float = 1e-8,
         grid = grid[:-drop_last]
     g = StencilGrid(fam, grid, 1)  # the nodes with their neighbours s - 1, s + 1
     w = of.sqrt_rho(g.s)
-    son, tod, dxm = g.son[:, 0], g.tod[:, 0], g.dxm[:, 1]
-    P, diag, phi, hphi = {}, {}, {}, {}  # P_k at s-1, s, s+1; phi_k, H(.,n) phi_k
+    phi, hphi = {}, {}  # phi_k, H(.,n) phi_k
     for n, m in pairs:
         if fam.n_max is not None and max(n, m) > fam.n_max:
             rep.cases.append(CaseRecord(n, f"m={m}", 0.0,
                                         "out-of-range: phi_k beyond finite family"))
             continue
-        if n not in diag:
-            diag[n] = _h_diag_at(lambda_n(fam.eq, n), son, tod, dxm)
         for k in (n, m):
-            if k not in P:
-                P[k] = g.p(k).T
-                phi[k] = of._normalized(w, P[k][1], k)
+            if k not in phi:
+                phi[k] = of._normalized(w, g.p(k)[:, 1], k)
             if (n, k) not in hphi:
-                hphi[n, k] = of._normalized(w, _reduced_h_at(son, tod, diag[n], *P[k]), k)
+                hphi[n, k] = of._normalized(w, _reduced("H", k, g, op_n=n), k)
         ta = phi[m] * hphi[n, n]
         tb = phi[n] * hphi[n, m]
         a, b = ta.sum(), tb.sum()

@@ -1,17 +1,20 @@
 """Inner products: finite discrete sums, Jackson q-integrals, and continuous
 quadrature on [-1, 1] for the Askey--Wilson measure; Gram matrices.
 
-Every rule makes one pass over its support.  The integrands may return a
-scalar or an array (over n, or over pairs (n, m)); the rule then returns the
-matching array of inner products, so a Gram matrix evaluates phi_0..phi_N
-once per node instead of once per pair.
+Every rule makes one pass over its support and calls its integrands on node
+arrays: an integrand returns a scalar or an array whose last axis runs over
+the nodes (its leading axes over n, or over pairs (n, m)), and the rule
+returns the matching array of inner products.  A Gram matrix therefore
+evaluates the weight once per node and phi_0..phi_N in one recurrence pass.
 
 Discrete sums use the node weights Delta x(s - 1/2); the Jackson integral is
 
     int_0^z f(t) d_q t = z (1-q) sum_{k>=0} f(z q^k) q^k,   0 < q < 1,
 
-truncated once the tail terms of every entry decay below tolerance (node cap
-10^4).  The continuous Askey--Wilson quadrature substitutes x = cos(theta),
+(Gasper & Rahman, Basic Hypergeometric Series, 2nd ed., 2004, section 1.11),
+summed in blocks of nodes; each entry stops at its own 4th consecutive node
+whose term is below tolerance, as a node-by-node sum would (node cap 10^4).
+The continuous Askey--Wilson quadrature substitutes x = cos(theta),
 where the integrand is smooth and periodic, and applies the midpoint rule
 theta_j = (j + 1/2) pi / M (Gauss--Chebyshev in x), which converges
 exponentially (Trefethen & Weideman, SIAM Review 56 (2014) 385-458); a
@@ -59,37 +62,76 @@ def _one(_):
 def discrete_inner(spec: InnerProductSpec, f, g):
     """sum_i f(s_i) g(s_i) Delta x(s_i - 1/2), elementwise for array values.
 
-    Callers supply f, g already including the sqrt(rho) factors when the
-    summands are orthonormal functions.  An empty grid sums to 0.
+    f and g are called once, on the array of all nodes.  Callers supply f, g
+    already including the sqrt(rho) factors when the summands are
+    orthonormal functions.  An empty grid sums to 0.
     """
-    total = complex(0.0)
-    for s in spec.nodes:
-        total += f(s) * g(s) * spec.lattice.delta_x_mid(s)
-    return _scalar_or_array(total)
+    s = np.array(spec.nodes, dtype=complex)
+    terms = np.asarray(f(s) * g(s) * spec.lattice.delta_x_mid(s), dtype=complex)
+    # a running sum from 0 in node order: the rounding of a node-by-node sum
+    return _scalar_or_array(np.cumsum(np.insert(terms, 0, 0.0, axis=-1), axis=-1)[..., -1])
+
+
+def _first(mask):
+    """Index of the first True along the last axis of a 2-d mask, or its
+    length where there is none."""
+    return np.where(mask.any(axis=-1), mask.argmax(axis=-1), mask.shape[-1])
+
+
+def _jackson_block(q: float, tol: float) -> int:
+    """Nodes in the first block: a bounded integrand's terms take about
+    log(tol)/log(q) nodes to fall below tol, and then 4 must settle."""
+    return min(math.ceil(math.log(tol) / math.log(q)) + 4, JACKSON_NODE_CAP)
 
 
 def _jackson_zero_to(f, z, base: QBase, tol: float):
     if z == 0:
         return complex(0.0)
     q = base.q
-    node = complex(z)
-    total, settled, live = 0.0, 0, True
-    for k in range(JACKSON_NODE_CAP):
-        term = np.asarray(f(node) * node, dtype=complex)
-        # an entry stops accumulating once it has settled, so each entry is
-        # the sum its scalar integrand alone would give
-        total = np.where(live, total + term, total)
-        if not np.isfinite(total).all():
+    start, done, size = complex(z), 0, _jackson_block(q, tol)
+    shape = None  # entry shape of the integrand, known after the first block
+    while done < JACKSON_NODE_CAP:
+        size = min(size, JACKSON_NODE_CAP - done)
+        # nodes past an entry's stop are evaluated but never read: whatever
+        # they give must neither raise nor warn
+        with np.errstate(all="ignore"):
+            steps = np.full(size, q, dtype=complex)
+            steps[0] = start
+            nodes = np.cumprod(steps)  # z q^k by repeated multiplication
+            terms = np.asarray(f(nodes) * nodes, dtype=complex)
+            if shape is None:
+                shape = terms.shape[:-1]
+                total = np.zeros(math.prod(shape), dtype=complex)  # carried sums
+                settled = np.zeros(total.shape, dtype=int)  # carried settled nodes
+                value = np.empty(total.shape, dtype=complex)
+                live = np.ones(total.shape, dtype=bool)
+            terms = terms.reshape(-1, size)
+            # running sums seeded with the carried ones: the node-by-node rounding
+            sums = np.cumsum(np.concatenate([total[:, None], terms], axis=1), axis=1)[:, 1:]
+            small = np.abs(terms) <= tol * np.maximum(np.abs(sums), 1.0)
+        # an entry stops at its 4th consecutive small term, counting the
+        # small terms that ended the previous block
+        carried = settled[:, None] > np.arange(2, -1, -1)
+        ext = np.concatenate([carried, small], axis=1)
+        stop = _first(ext[:, :-3] & ext[:, 1:-2] & ext[:, 2:-1] & ext[:, 3:])
+        bad = _first(~np.isfinite(sums))
+        hit = live & (bad < size) & (bad <= stop)
+        if hit.any():
+            j = bad[hit].min()
             raise NonConvergedError(
-                f"Jackson integrand is not finite near node {node:.3e} "
-                f"(partial sum overflowed after {k + 1} nodes)"
+                f"Jackson integrand is not finite near node {complex(nodes[j]):.3e} "
+                f"(partial sum overflowed after {done + j + 1} nodes)"
             )
-        node *= q
-        small = np.abs(term) <= tol * np.maximum(np.abs(total), 1.0)
-        settled = np.where(small, settled + 1, 0)
-        live &= settled < 4
+        ends = live & (stop < size)
+        value[ends] = sums[ends, stop[ends]]
+        live &= ~ends
         if not live.any():
-            return _scalar_or_array((1.0 - q) * total)
+            return _scalar_or_array((1.0 - q) * value.reshape(shape))
+        total = sums[:, -1]
+        settled = np.where(small.all(axis=1), settled + size, np.argmin(small[:, ::-1], axis=1))
+        start = nodes[-1] * q
+        done += size
+        size *= 2
     raise NonConvergedError(
         f"Jackson integral tail did not decay below {tol} within {JACKSON_NODE_CAP} nodes"
     )
@@ -98,7 +140,8 @@ def _jackson_zero_to(f, z, base: QBase, tol: float):
 def jackson_integral(f, z1, z2, base: QBase, tol: float = 1e-15):
     """int_{z1}^{z2} f(t) d_q t = int_0^{z2} - int_0^{z1}, each as the
     displayed node series, elementwise for array values; every entry must
-    settle for 4 consecutive nodes.  Requires 0 < q < 1."""
+    settle for 4 consecutive nodes.  f is called on arrays of nodes, a block
+    at a time.  Requires 0 < q < 1."""
     if not base.allows_infinite_products:
         raise QKernelError(f"Jackson integral requires q < 1, got q={base.q}")
     return _jackson_zero_to(f, z2, base, tol) - _jackson_zero_to(f, z1, base, tol)
@@ -159,28 +202,23 @@ def gram_matrix(of, N: int) -> np.ndarray:
     """(N+1) x (N+1) matrix of inner products of the orthonormal functions
     phi_0..phi_N of an OrthonormalFamily, using the family's support.
 
-    One rule call per support: the integrand is the matrix phi_n phi_m at a
-    node (P_n P_m over the node array on the continuous support), so each
-    phi_n is evaluated once per node and the matrix is symmetric by
-    construction.
+    One rule call per support: the integrand is the matrix phi_n phi_m on a
+    node array (P_n P_m on the continuous support), so the weight is
+    evaluated once per node, phi_0..phi_N come from one recurrence pass and
+    the matrix is symmetric by construction.
     """
     fam = of.family
     sup = fam.support
     ns = range(N + 1)
     if sup.kind == "discrete_grid":
         spec = InnerProductSpec(fam.lattice, tuple(sup.grid_points))
-        phis = lambda s: np.array([of.phi(n, s) for n in ns])
-        return discrete_inner(spec, lambda s: _outer(phis(s)), _one)
+        return discrete_inner(spec, lambda s: _outer(of.phi(ns, s)), _one)
     if sup.kind == "jackson_integral":
-        return jackson_integral(
-            lambda x: _outer(np.array([of.phi_point(n, x) for n in ns])),
-            sup.lo, sup.hi, fam.base,
-        )
+        return jackson_integral(lambda x: _outer(of.phi_point(ns, x)), sup.lo, sup.hi, fam.base)
     if sup.kind == "continuous_interval":
         dd = _outer(np.array([fam.d_n(n) for n in ns]))
         val, _ = continuous_inner_aw_converged(
-            lambda x: _outer(np.array([np.broadcast_to(fam.pn_ttrr_x(n, x), x.shape)
-                                       for n in ns])),
+            lambda x: _outer(fam.pn_stack(N, x)),
             _one,
             fam.closed.displays["weight_density"],
             scale=np.abs(dd),

@@ -8,6 +8,16 @@ Symmetric q-numbers
     [k]_q = (q^{k/2} - q^{-k/2}) / (q^{1/2} - q^{-1/2})
 
 are the primitive (real or complex k), not a special-cased integer version.
+
+Scalar/array contract
+---------------------
+Scalars go through `math`/`cmath` and return a Python complex (or float).
+`QBase.pow`, `q_pochhammer_inf` and `q_pochhammer_multi` (infinite products)
+also take an ndarray and work elementwise through numpy, so a closed weight
+is evaluated once per node array.  The array product repeats the scalar's
+factor sequence: a q^k by repeated multiplication, the factors multiplied
+left to right from 1, each element truncated at its own first |a q^k| < tol,
+so on real arguments every entry equals the scalar value bit for bit.
 """
 
 from __future__ import annotations
@@ -15,6 +25,8 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass, field
+
+import numpy as np
 
 __all__ = [
     "QKernelError",
@@ -34,6 +46,9 @@ __all__ = [
 # Hard cap on infinite-product factors; geometric decay for q < 1 means this
 # is never reached for sane inputs.
 _MAX_INF_FACTORS = 10**6
+# (factor x element) entries of one block of an array infinite product; bounds
+# the memory of a block, not the number of factors
+_BLOCK_ENTRIES = 1 << 16
 
 
 class QKernelError(ValueError):
@@ -75,7 +90,9 @@ class QBase:
         return self.q < 1.0
 
     def pow(self, e):
-        """q**e for real or complex exponent e."""
+        """q**e for real or complex exponent e; elementwise for an ndarray."""
+        if isinstance(e, np.ndarray):
+            return np.exp(e * math.log(self.q))
         if isinstance(e, complex):
             return cmath.exp(e * math.log(self.q))
         return math.exp(e * math.log(self.q))
@@ -137,6 +154,7 @@ def q_pochhammer_inf(a, base: QBase, tol: float = 1e-16):
 
     Requires 0 < q < 1.  The truncation criterion is factor distance from 1;
     the dropped tail multiplies the result by 1 + O(|a| q^K / (1-q)).
+    `a` may be an ndarray (elementwise, see the module contract).
     """
     if not base.allows_infinite_products:
         raise QKernelError(
@@ -144,6 +162,8 @@ def q_pochhammer_inf(a, base: QBase, tol: float = 1e-16):
         )
     if tol <= 0.0:
         raise QKernelError("tolerance must be positive")
+    if isinstance(a, np.ndarray):
+        return _q_pochhammer_inf_array(a, base.q, tol)
     out = complex(1.0)
     aq = complex(a)
     for _ in range(_MAX_INF_FACTORS):
@@ -156,6 +176,42 @@ def q_pochhammer_inf(a, base: QBase, tol: float = 1e-16):
     raise NonConvergedError(
         f"(a;q)_inf did not truncate within {_MAX_INF_FACTORS} factors"
     )
+
+
+def _q_pochhammer_inf_array(a, q: float, tol: float):
+    """`q_pochhammer_inf` elementwise on an ndarray, in blocks of factors."""
+    aq = np.array(a, dtype=complex)
+    if not np.isfinite(aq).all():  # the scalar loop runs to the factor cap
+        raise NonConvergedError(
+            f"(a;q)_inf did not truncate within {_MAX_INF_FACTORS} factors"
+        )
+    out = np.ones(aq.shape, dtype=complex)
+    live = np.abs(aq) >= tol  # elements still multiplying factors in
+    so_far = np.ones((1,) + aq.shape, dtype=bool)  # the product so far takes part
+    done = 0
+    with np.errstate(over="ignore", invalid="ignore"):  # non-finite raises below
+        while live.any():
+            if done >= _MAX_INF_FACTORS:
+                raise NonConvergedError(
+                    f"(a;q)_inf did not truncate within {_MAX_INF_FACTORS} factors"
+                )
+            # enough factors for the largest live element, within the budget
+            need = math.ceil(math.log(tol / np.abs(aq[live]).max()) / math.log(q)) + 1
+            rows = max(1, min(need, _MAX_INF_FACTORS - done, _BLOCK_ENTRIES // aq.size))
+            steps = np.full((rows,) + aq.shape, q, dtype=complex)
+            steps[0] = aq
+            powers = np.cumprod(steps, axis=0)  # a q^k: the scalar's aq *= q
+            run = live & np.logical_and.accumulate(np.abs(powers) >= tol, axis=0)
+            # left to right from the product so far, each element to its own stop
+            out = np.multiply.reduce(np.concatenate([out[None], 1.0 - powers]), axis=0,
+                                     where=np.concatenate([so_far, run]))
+            aq = powers[-1] * q
+            live = run[-1] & (np.abs(aq) >= tol)
+            done += rows
+    bad = ~np.isfinite(out)
+    if bad.any():
+        raise QKernelError(f"(a;q)_inf is not finite: {complex(out[bad][0])!r}")
+    return out
 
 
 def q_pochhammer_multi(values, base: QBase, k=None, tol: float = 1e-16):

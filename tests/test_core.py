@@ -355,3 +355,22 @@ def test_sigma_over_nabla_removable_limit(families):
     vnear = sigma_eval(fam.eq, eps) / (fam.lattice.x(eps) - fam.lattice.x(eps - 1.0))
     assert v0 == pytest.approx(vnear, rel=1e-5)
     assert cmath.isfinite(v0)
+
+
+def test_poly_ladder_suite_equals_per_evaluation_recurrence(families):
+    # P_0..P_{n_hi+1} from one recurrence pass per (point, shift) give the
+    # residuals of running the recurrence per evaluation, bit for bit
+    from qladder.checks import default_grid, poly_ladder_suite
+
+    for name in FAMILY_NAMES:
+        fam = families[name]
+        pn = lambda k, s: fam.pn_ttrr(k, s)
+        grid = default_grid(fam)
+        want = []
+        for n in range(1, 7):
+            for s in grid:
+                want.append(check_poly_raising(fam.eq, pn, n, s, fam.ttrr_alpha(n)))
+                want.append(check_poly_lowering(fam.eq, pn, n, s, fam.ttrr_beta(n),
+                                                fam.ttrr_gamma(n)))
+        want += [check_poly_lowering(fam.eq, pn, 0, s, fam.ttrr_beta(0), 0.0) for s in grid[:2]]
+        assert [c.residual for c in poly_ladder_suite(fam, 6).cases] == want

@@ -1,6 +1,7 @@
 import cmath
 import math
 
+import numpy as np
 import pytest
 
 from qladder.families import (
@@ -342,3 +343,58 @@ def test_perturbation_roundtrip(families):
     assert fam.ttrr_beta(2) == pytest.approx(pert.ttrr_beta(2) - 1e-3, rel=1e-12)
     with pytest.raises(FamilyError, match="perturbation"):
         fam.with_perturbation("sigma", 1.0)
+
+
+# -------------------- node arrays equal the scalar path ---------------------
+
+
+def _support_points(fam):
+    # enough points that a 1-ulp difference of a numpy quotient would show
+    sup = fam.support
+    if sup.kind == "discrete_grid":
+        return np.linspace(sup.lo, sup.hi - 1.0, 200).astype(complex)
+    return np.linspace(sup.lo, sup.hi, 200).astype(complex)
+
+
+@pytest.mark.parametrize("name, params", [
+    ("asc1", {"a": -1.0}), ("asc1", {"a": -2.345}),
+    ("big_q_jacobi", {"a": 0.5, "b": 0.5, "c": -0.5}),
+    ("big_q_jacobi", {"a": 0.73, "b": 1.9, "c": -1.37}),
+    ("q_dual_hahn", {"a": 0.0, "b": 5.0, "c": 0.25}),
+    ("q_dual_hahn", {"a": 0.4, "b": 5.4, "c": -0.7}),
+])
+def test_weight_on_node_arrays_equals_scalar_bit_for_bit(name, params):
+    fam = make_family(name, params, QBase(0.37))
+    pts = _support_points(fam)
+    got = fam.weight(pts)
+    assert got.tobytes() == np.array([fam.weight(p) for p in pts]).tobytes()
+
+
+def test_s_from_point_on_arrays_equals_scalar(families):
+    # the Jackson Grams map nodes x -> s -> x; the array map is cmath's
+    fam = families["asc1"]
+    x = np.linspace(-1.0, 1.0, 400).astype(complex)  # numpy's log differs on some
+    got = fam.s_from_point(x)
+    assert got.tobytes() == np.array([fam.s_from_point(t) for t in x]).tobytes()
+    with pytest.raises(FamilyError, match="not on the exponential lattice"):
+        fam.s_from_point(np.array([0.5, 0.0]))
+
+
+def test_pn_stack_rows_equal_single_recurrences(families):
+    x = np.array([-0.7, 0.1, 0.37, 1.9], dtype=complex)
+    for fam in families.values():
+        stack = fam.pn_stack(6, x)
+        assert stack.shape == (7, 4)
+        assert fam.pn_stack(6, 0.37) == [fam.pn_ttrr_x(n, 0.37) for n in range(7)]
+        for n in range(7):
+            assert stack[n].tolist() == np.broadcast_to(fam.pn_ttrr_x(n, x), x.shape).tolist()
+
+
+def test_discrete_sum_norms_from_one_weight_pass(families):
+    fam = families["q_dual_hahn"]
+    fresh = make_family(fam.name, fam.params, fam.base)
+    grid = fam.support.grid_points
+    for n in range(fam.n_max + 1):
+        direct = sum(fam.pn_ttrr(n, s) ** 2 * fam.weight(s) * fam.lattice.delta_x_mid(s)
+                     for s in grid)
+        assert abs(fresh.norm_sq(n) - direct) <= 1e-15 * abs(direct)

@@ -382,7 +382,7 @@ def test_adjoint_skipped_for_continuous_support(families):
 def test_adjoint_invariant_under_weight_rescale(families):
     fam = families["q_dual_hahn"]
     w0 = fam.closed.weight
-    scaled_closed = replace(fam.closed, weight=lambda s: 9.0 * complex(w0(s)))
+    scaled_closed = replace(fam.closed, weight=lambda s: 9.0 * w0(s))
     fam9 = replace(fam, closed=scaled_closed, _cache={})
     r1 = L.check_adjoint(L.OrthonormalFamily(fam), [0, 1, 2])
     r9 = L.check_adjoint(L.OrthonormalFamily(fam9), [0, 1, 2])
@@ -595,3 +595,75 @@ def test_selfadjoint_pairs_beyond_finite_family_out_of_range():
     skipped = [c for c in rep.cases if c.note.startswith("out-of-range")]
     assert len(skipped) == 25 - 9 and all(max(c.n, int(c.s[2:])) > 2 for c in skipped)
     assert rep.passed and rep.max_residual < 1e-8
+
+
+def _reduced_pointwise(of, which, n, s, op_n=None):
+    """`apply_reduced` point by point from the scalar coefficient functions,
+    the form the node-array version replaced."""
+    fam = of.family
+    eq = fam.eq
+    s = complex(s)
+    son, tod = sigma_over_nabla(eq, s), theta_over_delta(eq, s)
+    P = lambda t: fam.pn_ttrr(n, t)
+    if which == "L+":
+        reduced = L.u_fn(fam, n, s) * P(s) + son * P(s - 1.0)
+    elif which == "L-":
+        reduced = L.v_fn(fam, n, s) * P(s) + tod * P(s + 1.0)
+    else:
+        diag = L._h_diag_at(lambda_n(eq, n if op_n is None else op_n), son, tod,
+                            fam.lattice.delta_x_mid(s))
+        reduced = L._reduced_h_at(son, tod, diag, P(s - 1.0), P(s), P(s + 1.0))
+    return of._normalized(of.sqrt_rho(s), reduced, n)
+
+
+@pytest.mark.parametrize("which", ["L+", "L-", "H"])
+def test_apply_reduced_on_node_arrays_matches_pointwise(families, which):
+    # the support starts at s = a = 0, the removable 0/0 of sigma/nabla x
+    fam = families["q_dual_hahn"]
+    of = L.OrthonormalFamily(fam)
+    nodes = np.array(fam.support.grid_points, dtype=complex)
+    for n in range(5):
+        want = [_reduced_pointwise(of, which, n, s, op_n=2) for s in nodes]
+        assert of.apply_reduced(which, n, nodes, op_n=2).tolist() == want
+        assert [of.apply_reduced(which, n, s, op_n=2) for s in nodes] == want
+
+
+def test_adjoint_one_weight_pass_matches_per_node_sums(families):
+    fam = families["q_dual_hahn"]
+    w0 = fam.closed.weight
+    calls = []
+    fam = replace(fam, closed=replace(fam.closed, weight=lambda s: calls.append(np.size(s)) or w0(s)),
+                  _cache={})
+    for n in range(fam.n_max + 1):
+        fam.d_n(n)
+    calls.clear()
+    of = L.OrthonormalFamily(fam)
+    rep = L.check_adjoint(of, list(range(5)))
+    grid = fam.support.grid_points
+    assert calls == [len(grid)]  # one weight evaluation, on the node array
+    cases = iter(rep.cases)
+    for n in range(fam.n_max):
+        target = fam.ttrr_alpha(n) * fam.d_n(n + 1) / fam.d_n(n)
+        s1 = sum(of.phi(n + 1, s) * _reduced_pointwise(of, "L+", n, s)
+                 * fam.lattice.delta_x_mid(s) for s in grid) / lam_ratio(fam.eq, 2.0 * n)
+        s2 = sum(_reduced_pointwise(of, "L-", n + 1, s) * of.phi(n, s)
+                 * fam.lattice.delta_x_mid(s) for s in grid) / lam_ratio(fam.eq, 2.0 * n + 2.0)
+        for label, total in (("sum1", s1), ("sum2", s2)):
+            case = next(cases)
+            assert (case.n, case.s) == (n, label)
+            assert abs(case.residual - rel_residual(total - target, (total, target))) <= 1e-15
+
+
+def test_phi_range_stacks_single_phis(families):
+    fam = families["q_dual_hahn"]
+    of = L.OrthonormalFamily(fam)
+    nodes = np.array(fam.support.grid_points, dtype=complex)
+    stacked = of.phi(range(5), nodes)
+    assert stacked.shape == (5, len(nodes))
+    for n in range(5):
+        assert stacked[n].tolist() == [of.phi(n, s) for s in nodes]
+        assert of.phi(n, nodes).tolist() == stacked[n].tolist()
+    asc1 = L.OrthonormalFamily(families["asc1"])
+    x = np.linspace(-1.0, 1.0, 8)  # the Jackson support [a, 1] = [-1, 1]
+    assert asc1.phi_point(range(4), x).tolist() == [[asc1.phi_point(n, t) for t in x]
+                                                    for n in range(4)]

@@ -1,18 +1,22 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
 
 from qladder import ladder as L
+from qladder.families import make_family
 from qladder.orthogonality import (
+    JACKSON_NODE_CAP,
     InnerProductSpec,
+    _jackson_block,
     continuous_inner_aw,
     continuous_inner_aw_converged,
     discrete_inner,
     gram_matrix,
     jackson_integral,
 )
-from qladder.qkernel import QBase, QKernelError
+from qladder.qkernel import NonConvergedError, QBase, QKernelError
 
 from conftest import grid_for
 
@@ -187,3 +191,136 @@ def test_continuous_vector_integrand_unsettled_entry_raises():
         continuous_inner_aw_converged(
             lambda x: np.array([smooth(x), 1.0 / np.sqrt(1.0 - x)]), one, one
         )
+
+
+# -- the Jackson rule against its node-by-node form ---------------------------
+
+
+def _jackson_per_node(f, z, base, tol=1e-15):
+    """The node-by-node Jackson series the block rule replaced, kept as its
+    reference: f is called on one node at a time.  Returns the value and the
+    node index at which each entry stopped."""
+    if z == 0:
+        return complex(0.0), None
+    q = base.q
+    node = complex(z)
+    total, settled, live, stop = 0.0, 0, True, -1
+    for k in range(JACKSON_NODE_CAP):
+        term = np.asarray(f(node) * node, dtype=complex)
+        total = np.where(live, total + term, total)
+        if not np.isfinite(total).all():
+            raise NonConvergedError(
+                f"Jackson integrand is not finite near node {node:.3e} "
+                f"(partial sum overflowed after {k + 1} nodes)"
+            )
+        node *= q
+        small = np.abs(term) <= tol * np.maximum(np.abs(total), 1.0)
+        settled = np.where(small, settled + 1, 0)
+        stop = np.where(live & (settled >= 4), k, stop)
+        live &= settled < 4
+        if not live.any():
+            return (1.0 - q) * total, stop
+    raise NonConvergedError(
+        f"Jackson integral tail did not decay below {tol} within {JACKSON_NODE_CAP} nodes"
+    )
+
+
+def _by_node_index(z, q, table):
+    """An integrand whose value at the node z q^k is table[..., k] (the last
+    column past the table), so a test can put each entry's small terms on
+    chosen nodes.  One node or an array of nodes."""
+    def f(t):
+        k = np.rint(np.log(np.abs(np.asarray(t) / z)) / math.log(q)).astype(int)
+        return table[..., np.minimum(k, table.shape[-1] - 1)]
+    return f
+
+
+def _first_small_at(q, firsts, length, gaps=()):
+    """Rows whose terms are z up to the row's first small node (values
+    q^-k); after it, and at the (row, node) pairs of `gaps`, the terms are
+    below the settling threshold of the sum so far but still change its last
+    bits, so a rule that stops on the wrong node gives another sum."""
+    k = np.arange(length)
+    firsts = np.array(firsts)[:, None]
+    small = np.minimum(k, firsts) * 0.3e-15
+    table = np.where(k < firsts, 1.0, small) * q ** -k
+    for row, at in gaps:
+        table[row, at] = small[row, at] * q ** -at
+    return table
+
+
+def _same_outcome(f, z, base):
+    """The block rule and the node-by-node rule agree entry by entry, bit for
+    bit, or raise the same error; the block rule must not warn (the nodes it
+    evaluates past an entry's stop may overflow or divide by zero).  Returns
+    the reference stops."""
+    try:
+        with np.errstate(all="ignore"):
+            want, stop = _jackson_per_node(f, z, base)
+    except NonConvergedError as exc:
+        with pytest.raises(NonConvergedError) as got, warnings.catch_warnings():
+            warnings.simplefilter("error")
+            jackson_integral(f, 0.0, z, base)
+        assert str(got.value) == str(exc)
+        return None
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = jackson_integral(f, 0.0, z, base)
+    assert np.asarray(got).tobytes() == np.asarray(want, dtype=complex).tobytes()
+    return stop
+
+
+def test_discrete_inner_equals_node_by_node_sum():
+    # 12 nodes: a pairwise summation would round differently
+    fam = make_family("q_dual_hahn", {"a": 0.0, "b": 12.0, "c": 0.25}, QBase(0.5))
+    of = L.OrthonormalFamily(fam)
+    nodes = fam.support.grid_points
+    got = discrete_inner(InnerProductSpec(fam.lattice, tuple(nodes)),
+                         lambda s: of.phi(range(4), s), lambda s: of.phi(range(4), s))
+    for n in range(4):
+        want = complex(0.0)
+        for s in nodes:
+            want += of.phi(n, s) * of.phi(n, s) * fam.lattice.delta_x_mid(s)
+        assert got[n] == want
+
+
+def test_jackson_blocks_equal_node_by_node_across_block_boundaries():
+    q, z = 0.9, 0.7
+    base = QBase(q)
+    B = _jackson_block(q, 1e-15)
+    # entries stop on their 4th small node: inside the first block, on its
+    # last node, and 1, 2 or 3 nodes into the second with the settled count
+    # carried over; a reset just before the boundary; one in the third block
+    firsts = [5, B - 4, B - 3, B - 2, B - 1, B, B + 2, B + 7, 3 * B - 2]
+    gaps = [(6, B - 2), (6, B - 1)]  # two small nodes, a big one at B, then small
+    table = _first_small_at(q, firsts, 4 * B, gaps)
+    table[6, B] = q ** -B
+    stop = _same_outcome(_by_node_index(z, q, table), z, base)
+    want = np.array(firsts) + 3
+    assert stop.tolist() == want.tolist()
+    assert stop[4] == B + 2 and stop[6] == B + 5
+
+
+def test_jackson_non_finite_partial_sum_equals_node_by_node():
+    q, z = 0.5, 1.0
+    base = QBase(q)
+    table = _first_small_at(q, [10, 40], 200)
+    table[1, 20] = np.inf  # a live entry overflows at node 20: the rule raises
+    assert _same_outcome(_by_node_index(z, q, table), z, base) is None
+    # past its own stop an entry may overflow without effect
+    table = _first_small_at(q, [10, 40], 200)
+    table[0, 20] = np.inf
+    assert _same_outcome(_by_node_index(z, q, table), z, base).tolist() == [13, 43]
+
+
+def test_jackson_node_cap_equals_node_by_node():
+    # terms of size 1 never settle; q = 0.99 keeps the 10^4 nodes finite
+    q, z = 0.99, 1.0
+    table = _first_small_at(q, [JACKSON_NODE_CAP + 1], JACKSON_NODE_CAP)
+    assert _same_outcome(_by_node_index(z, q, table[0]), z, QBase(q)) is None
+
+
+def test_jackson_nonconvergent_tail_message_equals_node_by_node(base):
+    # f = 1/t overflows where z q^k underflows; the nodes past it, in the
+    # same block, divide by zero
+    assert _same_outcome(lambda t: 1.0 / t, 1.0, base) is None

@@ -1,6 +1,7 @@
 import cmath
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -101,6 +102,49 @@ def test_q_pochhammer_inf_against_truncation():
     oracle = q_pochhammer(0.5, B50, 50)
     assert abs(val - oracle) <= 1e-12 * abs(oracle)
     assert q_pochhammer_inf(0.0, B50) == 1.0
+
+
+def _bits(values):
+    return np.asarray(values, dtype=complex).tobytes()
+
+
+@pytest.mark.parametrize("q", [0.5, 0.1, 0.83])
+def test_q_pochhammer_inf_array_equals_scalar_bit_for_bit(q):
+    # mixed truncation lengths in one array, |a| < tol, a = 0 and, at q = 1/2,
+    # the zero factor of a = q^-3; the 2-d shape is kept
+    base = QBase(q)
+    a = np.array([[0.3, -2.7, 1e-17, 0.0, 5.0, 123.4],
+                  [-0.999, 1e-3, 8.0, -40.0, 0.75, 1e-15]])
+    got = q_pochhammer_inf(a, base)
+    assert got.shape == a.shape
+    assert _bits(got) == _bits([[q_pochhammer_inf(float(v), base) for v in row] for row in a])
+    if q == 0.5:
+        assert got[1, 2] == 0.0
+
+
+def test_q_pochhammer_inf_array_in_several_blocks():
+    # 1500 elements at q = 0.9 need about 350 factors, more than one block holds
+    base = QBase(0.9)
+    a = np.linspace(-3.0, 3.0, 1500)
+    assert _bits(q_pochhammer_inf(a, base)) == _bits([q_pochhammer_inf(float(v), base) for v in a])
+
+
+def test_q_pochhammer_inf_array_non_finite_errors():
+    base = QBase(0.5)
+    # the product overflows: scalar and array raise the same error
+    with pytest.raises(QKernelError, match="not finite"):
+        q_pochhammer_inf(1e200, base)
+    with pytest.raises(QKernelError, match="not finite"):
+        q_pochhammer_inf(np.array([0.5, 1e200]), base)
+    # a non-finite argument never truncates
+    with pytest.raises(NonConvergedError):
+        q_pochhammer_inf(np.array([0.5, np.nan]), base)
+
+
+def test_qbase_pow_array_equals_scalar():
+    base = QBase(0.3)
+    e = np.array([0.5, -2.25, 3.0 + 0.0j, 1.5 - 0.7j])
+    assert _bits(base.pow(e)) == _bits([base.pow(complex(v)) for v in e])
 
 
 def test_q_pochhammer_inf_requires_q_below_one():
