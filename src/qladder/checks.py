@@ -23,9 +23,9 @@ from .hypergeometric_core import (
 )
 from .lattice import GridFunction, kfold_forward_diff
 from .ladder import (
+    _RAISE_FP,
     OrthonormalFamily,
-    _e_minus,
-    _e_plus,
+    StencilGrid,
     check_adjoint,
     check_bootstrap,
     check_branch_continuity,
@@ -40,8 +40,6 @@ from .ladder import (
     check_uv_shift,
     h_minusplus,
     h_plusminus,
-    hamiltonian,
-    u_fn,
 )
 from .orthogonality import QUADRATURE_RULE, gram_matrix, jackson_integral
 from .qkernel import QKernelError, q_factorial, q_number
@@ -179,13 +177,23 @@ def concordance_suite(fam, n_hi: int = 8, tolerance: float = 1e-9) -> CheckRepor
             compare("series_vs_ttrr", f"n={n},s={complex(s):.4g}", fam.pn_series(n, s),
                     fam.pn_ttrr(n, s), max(tolerance, 1e-10))
 
-    # secondary displays
+    _compare_displays(fam, grid[:3], compare)
+    rep.meta["errata"] = errata
+    return rep
+
+
+@_RAISE_FP
+def _compare_displays(fam, grid, compare):
+    """The concordance cases of the secondary displays (u, h, the identity
+    term of H and the squared E-+ coefficients), against the coefficients of
+    H, L+ and L- on a StencilGrid at the points of `grid`."""
     displays = fam.closed.displays
+    g = StencilGrid(fam, grid, 1)
+    labels = [f"{complex(s):.4g}" for s in grid]
     if "u" in displays:
         for n in range(1, 4):
-            for s in grid[:3]:
-                compare("u_display", f"n={n},s={complex(s):.4g}", displays["u"](s, n),
-                        u_fn(fam, n, s))
+            for s, label, u in zip(grid, labels, g.u(n)[:, 0].tolist()):
+                compare("u_display", f"n={n},s={label}", displays["u"](s, n), u)
     if "h_mp" in displays:
         for n in range(1, 5):
             compare("h_mp_display", f"n={n}", displays["h_mp"](n), h_minusplus(fam, n))
@@ -194,22 +202,16 @@ def concordance_suite(fam, n_hi: int = 8, tolerance: float = 1e-9) -> CheckRepor
             compare("h_pm_display", f"n={n}", displays["h_pm"](n), h_plusminus(fam, n))
     if "ham_i" in displays:
         for n in range(1, 3):
-            H_i = hamiltonian(fam, n).c_zero
-            for s in grid[:3]:
-                compare("hamiltonian_i_display", f"n={n},s={complex(s):.4g}",
-                        displays["ham_i"](s, n), H_i(s))
+            for s, label, h in zip(grid, labels, g.h_diag(n).tolist()):
+                compare("hamiltonian_i_display", f"n={n},s={label}", displays["ham_i"](s, n), h)
     if "ham_cminus" in displays:
         # squared comparison of displayed E-+ coefficients (branch-free)
-        for s in grid[:3]:
-            got = complex(displays["ham_cminus"](s)) ** 2
-            want = _e_minus(fam, s) ** 2
-            compare("hamiltonian_cminus_sq", f"s={complex(s):.4g}", got, want)
-            got = complex(displays["ham_cplus"](s)) ** 2
-            want = _e_plus(fam, s) ** 2
-            compare("hamiltonian_cplus_sq", f"s={complex(s):.4g}", got, want)
-
-    rep.meta["errata"] = errata
-    return rep
+        for s, label, em, ep in zip(grid, labels, g.e_minus[:, 0].tolist(),
+                                    g.e_plus[:, 0].tolist()):
+            compare("hamiltonian_cminus_sq", f"s={label}",
+                    complex(displays["ham_cminus"](s)) ** 2, em ** 2)
+            compare("hamiltonian_cplus_sq", f"s={label}",
+                    complex(displays["ham_cplus"](s)) ** 2, ep ** 2)
 
 
 def difference_calculus_suite(fam, n_hi: int = 6, tolerance: float = 1e-10) -> CheckReport:

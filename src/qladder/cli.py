@@ -446,7 +446,9 @@ def main(argv=None) -> int:
             return cmd_check(cfg)
         if args.command == "gram":
             return cmd_gram(cfg)
-    except (ConfigError, FamilyError, QKernelError) as e:
+    except (ConfigError, FamilyError, QKernelError, ArithmeticError) as e:
+        # ArithmeticError: a division by a vanishing lattice step, an
+        # overflow or an invalid operation in the requested configuration
         sys.stderr.write(f"error: {e}\n")
         return EXIT_USAGE
     except OSError as e:

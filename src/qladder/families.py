@@ -305,16 +305,9 @@ class FamilySpec:
             rows.append(pc)
         return rows
 
-    def pn(self, n: int, s, route: str = "ttrr") -> complex:
-        if route == "ttrr":
-            return self.pn_ttrr(n, s)
-        if route == "series":
-            return self.pn_series(n, s)
-        raise FamilyError(f"unknown evaluation route {route!r}")
-
-    def pn_monic(self, n: int, s, route: str = "ttrr") -> complex:
+    def pn_monic(self, n: int, s) -> complex:
         """Monic-normalization value P_n / a_n."""
-        return self.pn(n, s, route) / self.a_n(n)
+        return self.pn_ttrr(n, s) / self.a_n(n)
 
     # -- validated recurrence coefficients ---------------------------------
     def ttrr_beta(self, n: int) -> complex:

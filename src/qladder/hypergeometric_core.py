@@ -23,14 +23,16 @@ Conventions
 Scalar/array contract
 ---------------------
 `sigma_eval`, `theta_eval`, `sigma_over_nabla` and `theta_over_delta` take
-one point and return a Python complex.  `sigma_tilde`, `tau_tilde`,
+one point and return a Python complex; they serve the scalar routines here
+(Pearson tables, the Rodrigues oracle, discrete norms, the polynomial
+ladder relations) and the CLI's `eval` rows.  `sigma_tilde`, `tau_tilde`,
 `TauK.at`, `lam_tau_ratio` and `rel_residual` take one point or an ndarray
-(elementwise, through numpy).  The batched suites of `ladder` build their
-arrays from the formula helpers that the scalar functions call: `_sigma_at`
-and `_theta_at` (sigma and Theta from x and Delta x(s-1/2)) and
-`_limit_ratio` (sigma/nabla x and Theta/Delta x, taking the removable 0/0
-entries one by one through the scalar limit).  Everything else here is
-scalar.
+(elementwise, through numpy).  `ladder.StencilGrid`, the one implementation
+of the operator coefficients, builds its arrays from the formula helpers
+that the scalar functions call: `_sigma_at` and `_theta_at` (sigma and
+Theta from x and Delta x(s-1/2)) and `_limit_ratio` (sigma/nabla x and
+Theta/Delta x, taking the removable 0/0 entries one by one through the
+scalar limit).  Everything else here is scalar.
 """
 
 from __future__ import annotations

@@ -11,6 +11,14 @@ the principal square root of the *product* Theta(s-1) sigma(s) (resp.
 Theta(s) sigma(s+1)).  Evaluating the product first fixes one branch for
 every family, including complex lattice coordinates.
 
+`StencilGrid` is the one implementation of these coefficients.  It tabulates
+x, the steps, sigma, Theta, the limit-aware ratios, the principal roots, the
+E^- and E^+ coefficients, u, v, the H diagonal and the chain weights on
+(grid point x chain offset) arrays, and every suite reads them there: a
+suite that needs the coefficients at a few points builds a grid on them.
+Quotients of those arrays round as Python's complex division does
+(`lattice._cdiv`).
+
 phi values used by residual checks are built along integer chains
 s0 + k by the Pearson-consistent recurrence
 
@@ -29,7 +37,7 @@ real support, where rho >= 0 pointwise.
 from __future__ import annotations
 
 import cmath
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property, reduce
 
 import numpy as np
@@ -42,9 +50,7 @@ from .hypergeometric_core import (
     lam_tau_ratio,
     lambda_n,
     rel_residual,
-    sigma_eval,
     sigma_over_nabla,
-    theta_eval,
     theta_over_delta,
 )
 from .lattice import _cdiv
@@ -55,16 +61,8 @@ from .report import CaseRecord, CheckReport
 __all__ = [
     "ThreePointOperator",
     "OrthonormalFamily",
-    "theta",
-    "u_fn",
-    "v_fn",
-    "hamiltonian",
-    "raising_op",
-    "lowering_op",
     "h_minusplus",
     "h_plusminus",
-    "weight_chain",
-    "PhiChain",
     "StencilGrid",
     "check_eigen",
     "check_ttrr_phi",
@@ -111,111 +109,9 @@ class ThreePointOperator:
         return lambda s: self.apply(f, s)
 
 
-def theta(fam, s) -> complex:
-    """Theta(s) = sigma(s) + tau(s) Delta x(s-1/2)."""
-    return theta_eval(fam.eq, s)
-
-
 def _sqrt(z):
     """The principal square root, elementwise for an ndarray."""
     return np.sqrt(z) if isinstance(z, np.ndarray) else cmath.sqrt(z)
-
-
-def _root(theta, sigma):
-    """The principal square root of the product Theta sigma: the branch of
-    every operator coefficient and chain weight."""
-    return _sqrt(theta * sigma)
-
-
-def _sqrt_ts_minus(fam, s) -> complex:
-    """Principal sqrt of Theta(s-1) sigma(s)."""
-    return _root(theta_eval(fam.eq, complex(s) - 1.0), sigma_eval(fam.eq, s))
-
-
-def _sqrt_ts_plus(fam, s) -> complex:
-    """Principal sqrt of Theta(s) sigma(s+1)."""
-    return _root(theta_eval(fam.eq, s), sigma_eval(fam.eq, complex(s) + 1.0))
-
-
-def _e_minus(fam, s) -> complex:
-    """The E^- coefficient of H and L+: sqrt(Theta(s-1) sigma(s))/nabla x(s)."""
-    return _sqrt_ts_minus(fam, s) / fam.eq.lattice.nabla_x(s)
-
-
-def _e_plus(fam, s) -> complex:
-    """The E^+ coefficient of H and L-: sqrt(Theta(s) sigma(s+1))/Delta x(s)."""
-    return _sqrt_ts_plus(fam, s) / fam.eq.lattice.delta_x(s)
-
-
-# The diagonal coefficients from their pieces at a point, for one point or
-# for the arrays of a StencilGrid: A = A(s,n) = lambda_n/[n]_q tau_n(s)/tau_n',
-# son = sigma(s)/nabla x(s), tod = Theta(s)/Delta x(s), dxm = Delta x(s-1/2).
-
-def _u_at(A, son):
-    return A - son
-
-
-def _v_at(fam, n: int, A, xv, dxm, tod):
-    eq = fam.eq
-    return (
-        -A
-        + lambda_n(eq, n) * dxm
-        + lam_ratio(eq, 2.0 * n) * (xv - fam.ttrr_beta(n))
-        - tod
-    )
-
-
-def _h_diag_at(lam, son, tod, dxm):
-    return -(tod + son - lam * dxm)
-
-
-def u_fn(fam, n: int, s):
-    """u(s,n) = lambda_n/[n]_q * tau_n(s)/tau_n' - sigma(s)/nabla x(s);
-    the n = 0 value uses the analytic continuation of lambda_n/[n]_q."""
-    eq = fam.eq
-    return _u_at(lam_tau_ratio(eq, n, s), sigma_over_nabla(eq, s))
-
-
-def v_fn(fam, n: int, s):
-    """v(s,n) = -lambda_n/[n]_q tau_n(s)/tau_n' + lambda_n Delta x(s-1/2)
-    + lambda_{2n}/[2n]_q (x(s) - beta_n) - Theta(s)/Delta x(s)."""
-    eq = fam.eq
-    lat = eq.lattice
-    return _v_at(fam, n, lam_tau_ratio(eq, n, s), lat.x_values(s), lat.delta_x_mid(s),
-                 theta_over_delta(eq, s))
-
-
-def hamiltonian(fam, n: int) -> ThreePointOperator:
-    """H(s,n) = sqrt(Theta(s-1) sigma(s))/nabla x(s) E^-
-              + sqrt(Theta(s) sigma(s+1))/Delta x(s) E^+
-              - (Theta(s)/Delta x(s) + sigma(s)/nabla x(s)
-                 - lambda_n Delta x(s-1/2)) I."""
-    eq = fam.eq
-    lam = lambda_n(eq, n)
-    return ThreePointOperator(
-        c_minus=lambda s: _e_minus(fam, s),
-        c_zero=lambda s: _h_diag_at(lam, sigma_over_nabla(eq, s), theta_over_delta(eq, s),
-                                    eq.lattice.delta_x_mid(s)),
-        c_plus=lambda s: _e_plus(fam, s),
-    )
-
-
-def raising_op(fam, n: int) -> ThreePointOperator:
-    """L+(s,n) = u(s,n) I + sqrt(Theta(s-1) sigma(s))/nabla x(s) E^-."""
-    return ThreePointOperator(
-        c_minus=lambda s: _e_minus(fam, s),
-        c_zero=lambda s: u_fn(fam, n, s),
-        c_plus=_absent,
-    )
-
-
-def lowering_op(fam, n: int) -> ThreePointOperator:
-    """L-(s,n) = v(s,n) I + sqrt(Theta(s) sigma(s+1))/Delta x(s) E^+."""
-    return ThreePointOperator(
-        c_minus=_absent,
-        c_zero=lambda s: v_fn(fam, n, s),
-        c_plus=lambda s: _e_plus(fam, s),
-    )
 
 
 def _absent(s):
@@ -253,8 +149,8 @@ def _h_bracket_mp_pieces(n: int, g: "StencilGrid"):
     """The two terms of the displayed bracket whose value is h_minusplus(n),
     at every grid point: (A(s+1) - sigma(s+1)/nabla x(s+1)) (A(s) - lambda_n
     Delta x(s-1/2)) and A(s+1) Theta(s)/Delta x(s)."""
-    A, son, tod = (_by_offset(a) for a in (g.A(n), g.son, g.tod))
-    dxm = _by_offset(g.dxm)
+    A, dxm = _by_offset(g.A(n)), _by_offset(g.dxm)
+    son, tod = g.plus_side(g.son), g.minus_side(g.tod)
     p1 = (A(1) - son(1)) * (A(0) - lambda_n(g.fam.eq, n) * dxm(0))
     p2 = A(1) * tod(0)
     return p1, p2
@@ -268,85 +164,12 @@ def _h_bracket_pm_pieces(n: int, g: "StencilGrid"):
     fam = g.fam
     beta = fam.ttrr_beta(n)
     L = lam_ratio(fam.eq, 2.0 * n)
-    A, son, tod, xv, dxm = (_by_offset(a) for a in (g.A(n), g.son, g.tod, g.x, g.dxm))
+    A, xv, dxm = (_by_offset(a) for a in (g.A(n), g.x, g.dxm))
+    son, tod = g.plus_side(g.son), g.minus_side(g.tod)
     B = lambda k: -A(k) + L * (xv(k) - beta)
     p1 = (B(-1) + lambda_n(fam.eq, n) * dxm(-1)) * (B(0) + son(0))
     p2 = -B(0) * tod(-1)
     return p1, p2
-
-
-# ==========================================================================
-# chain-consistent phi values
-# ==========================================================================
-
-
-def weight_chain(fam, s0, lo: int, hi: int, anchor=1.0) -> dict:
-    """w(s0+k) for k in lo..hi with w(s0) = anchor, satisfying
-
-        sqrt(Theta(s) sigma(s+1)) w(s+1) = Theta(s) w(s)  and
-        sqrt(Theta(s-1) sigma(s)) w(s-1) = sigma(s) w(s),
-
-    so w^2 solves the Pearson ratio recurrence and all square-root branches
-    agree with the operator coefficients."""
-    if lo > 0 or hi < 0:
-        raise QKernelError("chain must contain its anchor (lo <= 0 <= hi)")
-    s0 = complex(s0)
-    w = {0: complex(anchor)}
-    for k in range(hi):
-        s = s0 + k
-        root = _sqrt_ts_plus(fam, s)
-        _require_nonzero_root(root, s, "Theta(s) sigma(s+1)")
-        w[k + 1] = theta_eval(fam.eq, s) * w[k] / root
-    for k in range(0, lo, -1):
-        s = s0 + k
-        root = _sqrt_ts_minus(fam, s)
-        _require_nonzero_root(root, s, "Theta(s-1) sigma(s)")
-        w[k - 1] = sigma_eval(fam.eq, s) * w[k] / root
-    return w
-
-
-def _require_nonzero_root(root, s, product: str):
-    zero = np.asarray(root == 0.0)
-    if zero.any():
-        at = s[zero][0] if isinstance(s, np.ndarray) else s
-        raise QKernelError(
-            f"weight chain hit {product} = 0 at s = {at}; "
-            "choose a chain away from support boundaries"
-        )
-
-
-@dataclass
-class PhiChain:
-    """phi-like functions w(s) P_n(s) along one integer chain.
-
-    The overall constant of w is irrelevant to every residual check here
-    (they are 1-homogeneous); `fn(n)` returns the callable and resolves
-    chain offsets by nearest integer.
-    """
-
-    fam: object
-    s0: complex
-    lo: int
-    hi: int
-    route: str = "ttrr"
-    w: dict = field(default_factory=dict)
-
-    def __post_init__(self):
-        self.s0 = complex(self.s0)
-        if not self.w:
-            self.w = weight_chain(self.fam, self.s0, self.lo, self.hi)
-
-    def offset(self, s) -> int:
-        d = complex(s) - self.s0
-        k = round(d.real)
-        if abs(d - k) > 1e-8:
-            raise QKernelError(f"point {s} is not on the chain through {self.s0}")
-        if not (self.lo <= k <= self.hi):
-            raise QKernelError(f"chain offset {k} outside [{self.lo}, {self.hi}]")
-        return k
-
-    def fn(self, n: int):
-        return lambda s: self.w[self.offset(s)] * self.fam.pn(n, s, self.route)
 
 
 # ==========================================================================
@@ -380,7 +203,7 @@ class OrthonormalFamily:
             at = s[bad][0] if isinstance(s, np.ndarray) else s
             raise QKernelError(
                 f"rho({at}) is not a nonnegative real; pointwise phi needs the "
-                "real branch (use PhiChain for off-support checks)"
+                "real branch (off the support the checks use chain weights)"
             )
         return _sqrt(rho)
 
@@ -425,7 +248,8 @@ class OrthonormalFamily:
 
 def _reduced(which: str, n: int, g: "StencilGrid", op_n: int | None = None):
     """The reduced stencil of L+, L- or H(., op_n) on P_n at the points of a
-    margin-1 StencilGrid (see `OrthonormalFamily.apply_reduced`)."""
+    margin-1 StencilGrid (see `OrthonormalFamily.apply_reduced`): the square
+    roots reduce to sigma/nabla x on P_n(s-1) and Theta/Delta x on P_n(s+1)."""
     P = g.p(n).T  # P_n at s - 1, s, s + 1
     son, tod = g.son[:, 0], g.tod[:, 0]
     if which == "L+":
@@ -433,16 +257,8 @@ def _reduced(which: str, n: int, g: "StencilGrid", op_n: int | None = None):
     if which == "L-":
         return g.v(n)[:, 0] * P[1] + tod * P[2]
     if which == "H":
-        diag = _h_diag_at(lambda_n(g.fam.eq, n if op_n is None else op_n), son, tod,
-                          g.dxm[:, 1])
-        return _reduced_h_at(son, tod, diag, *P)
+        return son * P[0] + tod * P[2] + g.h_diag(n if op_n is None else op_n) * P[1]
     raise QKernelError(f"unknown operator {which!r}")
-
-
-def _reduced_h_at(son, tod, diag, p_minus, p_zero, p_plus):
-    """H(s,n) on P with the square roots reduced: sigma/nabla x P(s-1) +
-    Theta/Delta x P(s+1) + (the I coefficient of H) P(s)."""
-    return son * p_minus + tod * p_plus + diag * p_zero
 
 
 # ==========================================================================
@@ -451,28 +267,72 @@ def _reduced_h_at(son, tod, diag, p_minus, p_zero, p_plus):
 
 
 # numpy turns a division by a vanishing step, an overflow or an invalid
-# operation into a warning and an inf or nan residual; the scalar operators
-# raise an ArithmeticError there, and so do the batched suites
+# operation into a warning and an inf or nan residual; Python's complex
+# arithmetic raises an ArithmeticError there, and so do the suites
 _RAISE_FP = np.errstate(divide="raise", over="raise", invalid="raise")
 
 
-def _by_offset(a):
-    """A (... x chain offset) array centred on offset 0, as a function of
-    the offset."""
-    return lambda k: a[..., a.shape[-1] // 2 + round(k)]
+def _by_offset(a, first: int | None = None):
+    """A (... x chain offset) array as a function of the offset, its column 0
+    holding offset `first` (by default the array is centred on offset 0)."""
+    if first is None:
+        first = -(a.shape[-1] // 2)
+
+    def at(k):
+        i = round(k) - first
+        if not 0 <= i < a.shape[-1]:
+            raise IndexError(f"chain offset {k} was not evaluated")
+        return a[..., i]
+
+    return at
+
+
+def _chain_weights(theta, sigma, up, down, t, anchor: int):
+    """Chain weights along the last axis, w = 1 on column `anchor`:
+
+        sqrt(Theta(s) sigma(s+1)) w(s+1) = Theta(s) w(s)  and
+        sqrt(Theta(s-1) sigma(s)) w(s-1) = sigma(s) w(s),
+
+    so w^2 solves the Pearson ratio recurrence and every square-root branch
+    agrees with the operator coefficients.  Column c of `up` and of `down` is
+    sqrt(Theta sigma) between columns c and c + 1 of theta, sigma and the
+    points t, evaluated from the lower and from the upper point."""
+    last = theta.shape[-1] - 1
+    w = {anchor: np.ones(theta.shape[:-1], dtype=complex)}
+    for c in range(anchor, last):
+        _require_nonzero_root(up[..., c], t[..., c], "Theta(s) sigma(s+1)")
+        w[c + 1] = _cdiv(theta[..., c] * w[c], up[..., c])
+    for c in range(anchor, 0, -1):
+        _require_nonzero_root(down[..., c - 1], t[..., c], "Theta(s-1) sigma(s)")
+        w[c - 1] = _cdiv(sigma[..., c] * w[c], down[..., c - 1])
+    return np.stack([w[c] for c in range(last + 1)], axis=-1)
+
+
+def _require_nonzero_root(root, s, product: str):
+    zero = root == 0.0
+    if zero.any():
+        raise QKernelError(
+            f"weight chain hit {product} = 0 at s = {s[zero][0]}; "
+            "choose a chain away from support boundaries"
+        )
 
 
 class StencilGrid:
-    """The n-independent data of the point-local suites on one check grid,
-    each piece computed once, when first needed.
+    """The coefficients of H, L+ and L- on one check grid, each piece
+    computed once, when first needed.
 
     Arrays are (grid point x chain offset).  `t`, `x`, `dxm` (Delta x(s-1/2)),
     `sigma`, `theta` and the chain weights `w` cover the offsets
-    k = -margin..margin, column margin + k holding s + k.  The coefficients
-    (`son` = sigma/nabla x and `tod` = Theta/Delta x with the removable-0/0
-    limit, `e_minus`, `e_plus`, and the per-n ones) cover the inner offsets
-    -(margin-1)..margin-1, as far as a three-point stencil reaches inside the
-    chain.  x is evaluated once, on the half-integer offsets as well.
+    k = -margin..margin, column margin + k holding s + k; column c of `roots`
+    is sqrt(Theta sigma) between columns c and c + 1 of those.  Each
+    coefficient covers only the offsets a stencil of the suites reads, so the
+    grid divides by a lattice step exactly where a point-by-point stencil
+    would: the L+ side (`nabla`, `son` = sigma/nabla x with the removable-0/0
+    limit, `e_minus`, `u`) on offsets 0..margin-1, the L- side (`delta`,
+    `tod` = Theta/Delta x, `e_plus`, `v`) on -(margin-1)..0, A(s,n) on
+    -(margin-1)..margin-1 and the H diagonal on offset 0.  `plus_side` and
+    `minus_side` index the two sides by offset.  x is evaluated once, on the
+    half-integer offsets as well.
 
     Each grid point carries its own Pearson-consistent weight chain, anchored
     at w = 1 on offset 0 (the residuals checked here are local and
@@ -492,6 +352,17 @@ class StencilGrid:
         self.t = self.s[:, None] + np.arange(-margin, margin + 1)
         self.x = self._x_half[:, 1::2]
         self._A = {}
+        m = margin
+        self._plus = slice(m, 2 * m)  # columns of the L+ offsets 0..m-1
+        self._minus = slice(1, m + 1)  # columns of the L- offsets -(m-1)..0
+
+    def plus_side(self, a):
+        """An L+-side array as a function of the offset."""
+        return _by_offset(a, 0)
+
+    def minus_side(self, a):
+        """An L--side array as a function of the offset."""
+        return _by_offset(a, 1 - self.margin)
 
     @cached_property
     def dxm(self):
@@ -507,66 +378,80 @@ class StencilGrid:
         return _theta_at(self.fam.eq, self.x, self.dxm)
 
     @cached_property
-    def inner(self):
-        return self.t[:, 1:-1]
-
-    @cached_property
     def nabla(self):
-        return self.x[:, 1:-1] - self.x[:, :-2]
+        """nabla x(s) = x(s) - x(s-1) on the L+ offsets."""
+        m = self.margin
+        return self.x[:, self._plus] - self.x[:, m - 1:2 * m - 1]
 
     @cached_property
     def delta(self):
-        return self.x[:, 2:] - self.x[:, 1:-1]
+        """Delta x(s) = x(s+1) - x(s) on the L- offsets."""
+        m = self.margin
+        return self.x[:, 2:m + 2] - self.x[:, self._minus]
 
     @cached_property
     def son(self):
-        return _limit_ratio(self.fam.eq, self.sigma[:, 1:-1], self.nabla, self.inner,
-                            sigma_over_nabla)
+        return _limit_ratio(self.fam.eq, self.sigma[:, self._plus], self.nabla,
+                            self.t[:, self._plus], sigma_over_nabla)
 
     @cached_property
     def tod(self):
-        return _limit_ratio(self.fam.eq, self.theta[:, 1:-1], self.delta, self.inner,
-                            theta_over_delta)
+        return _limit_ratio(self.fam.eq, self.theta[:, self._minus], self.delta,
+                            self.t[:, self._minus], theta_over_delta)
 
     @cached_property
     def roots(self):
-        """sqrt(Theta(s+k) sigma(s+k+1)) for k = -margin..margin-1: the root
-        of the E^+ coefficient at s+k and of the E^- coefficient at s+k+1."""
-        return _root(self.theta[:, :-1], self.sigma[:, 1:])
+        """sqrt(Theta(s+k) sigma(s+k+1)) for k = -margin..margin-1, the
+        principal root of the product: the root of the E^+ coefficient at
+        s+k and of the E^- coefficient at s+k+1."""
+        return np.sqrt(self.theta[:, :-1] * self.sigma[:, 1:])
 
     @cached_property
     def e_minus(self):
-        return _cdiv(self.roots[:, :-1], self.nabla)
+        """The E^- coefficient of H and L+, sqrt(Theta(s-1) sigma(s))/nabla x(s),
+        on the L+ offsets."""
+        m = self.margin
+        return _cdiv(self.roots[:, m - 1:2 * m - 1], self.nabla)
 
     @cached_property
     def e_plus(self):
-        return _cdiv(self.roots[:, 1:], self.delta)
+        """The E^+ coefficient of H and L-, sqrt(Theta(s) sigma(s+1))/Delta x(s),
+        on the L- offsets."""
+        return _cdiv(self.roots[:, self._minus], self.delta)
 
     @cached_property
     def w(self):
-        """The recurrence of `weight_chain` on every grid point at once."""
-        m = self.margin
-        root = lambda k: self.roots[:, m + k]  # sqrt(Theta(s+k) sigma(s+k+1))
-        w = {0: np.ones(self.s.shape, dtype=complex)}
-        for k in range(m):
-            _require_nonzero_root(root(k), self.t[:, m + k], "Theta(s) sigma(s+1)")
-            w[k + 1] = _cdiv(self.theta[:, m + k] * w[k], root(k))
-        for k in range(0, -m, -1):
-            _require_nonzero_root(root(k - 1), self.t[:, m + k], "Theta(s-1) sigma(s)")
-            w[k - 1] = _cdiv(self.sigma[:, m + k] * w[k], root(k - 1))
-        return np.stack([w[k] for k in range(-m, m + 1)], axis=-1)
+        """The chain weights of every grid point, w = 1 on offset 0."""
+        return _chain_weights(self.theta, self.sigma, self.roots, self.roots, self.t,
+                             self.margin)
 
     def A(self, n: int):
-        """A(s,n) = lambda_n/[n]_q tau_n(s)/tau_n' on the inner offsets."""
+        """A(s,n) = lambda_n/[n]_q tau_n(s)/tau_n' on offsets -(margin-1)..margin-1;
+        the n = 0 value by the continuation of lam_ratio."""
         if n not in self._A:
-            self._A[n] = lam_tau_ratio(self.fam.eq, n, self.inner)
+            self._A[n] = lam_tau_ratio(self.fam.eq, n, self.t[:, 1:-1])
         return self._A[n]
 
     def u(self, n: int):
-        return _u_at(self.A(n), self.son)
+        """u(s,n) = A(s,n) - sigma(s)/nabla x(s) on the L+ offsets."""
+        return self.A(n)[:, self.margin - 1:] - self.son
 
     def v(self, n: int):
-        return _v_at(self.fam, n, self.A(n), self.x[:, 1:-1], self.dxm[:, 1:-1], self.tod)
+        """v(s,n) = -A(s,n) + lambda_n Delta x(s-1/2) + lambda_{2n}/[2n]_q
+        (x(s) - beta_n) - Theta(s)/Delta x(s) on the L- offsets."""
+        fam, cols = self.fam, self._minus
+        return (
+            -self.A(n)[:, :self.margin]
+            + lambda_n(fam.eq, n) * self.dxm[:, cols]
+            + lam_ratio(fam.eq, 2.0 * n) * (self.x[:, cols] - fam.ttrr_beta(n))
+            - self.tod
+        )
+
+    def h_diag(self, n: int):
+        """The I coefficient of H(s,n) on offset 0:
+        -(Theta/Delta x + sigma/nabla x - lambda_n Delta x(s-1/2))."""
+        lam = lambda_n(self.fam.eq, n)
+        return -(self.tod[:, -1] + self.son[:, 0] - lam * self.dxm[:, self.margin])
 
     def p(self, n: int):
         """P_n on every offset."""
@@ -576,17 +461,21 @@ class StencilGrid:
         """The chain function w P_n on every offset."""
         return self.w * self.p(n)
 
-    # H, L+ and L- on chain offsets, with the coefficients tabulated here
+    # H(s,n) = E^- coefficient E^- + E^+ coefficient E^+ + (H diagonal) I,
+    # L+(s,n) = u(s,n) I + E^- coefficient E^-, L-(s,n) = v(s,n) I + E^+
+    # coefficient E^+, on chain offsets
     def hamiltonian(self, n: int) -> ThreePointOperator:
-        diag = _h_diag_at(lambda_n(self.fam.eq, n), self.son, self.tod, self.dxm[:, 1:-1])
-        return ThreePointOperator(_by_offset(self.e_minus), _by_offset(diag),
-                                  _by_offset(self.e_plus))
+        return ThreePointOperator(self.plus_side(self.e_minus),
+                                  _by_offset(self.h_diag(n)[:, None], 0),
+                                  self.minus_side(self.e_plus))
 
     def raising(self, n: int) -> ThreePointOperator:
-        return ThreePointOperator(_by_offset(self.e_minus), _by_offset(self.u(n)), _absent)
+        return ThreePointOperator(self.plus_side(self.e_minus), self.plus_side(self.u(n)),
+                                  _absent)
 
     def lowering(self, n: int) -> ThreePointOperator:
-        return ThreePointOperator(_absent, _by_offset(self.v(n)), _by_offset(self.e_plus))
+        return ThreePointOperator(_absent, self.minus_side(self.v(n)),
+                                  self.minus_side(self.e_plus))
 
 
 @_RAISE_FP
@@ -618,10 +507,11 @@ def _cases_by_point(rep: CheckReport, g: "StencilGrid", ns, residuals) -> CheckR
     return rep
 
 
-def check_ttrr_phi(fam, ns, s_grid, tolerance: float = 1e-9, route: str = "ttrr") -> CheckReport:
+def check_ttrr_phi(fam, ns, s_grid, tolerance: float = 1e-9) -> CheckReport:
     """alpha_n (d_{n+1}/d_n) phi_{n+1} + gamma_n (d_{n-1}/d_n) phi_{n-1}
     + (beta_n - x) phi_n = 0; the norm ratios cancel against the phi
-    normalizations, so the check runs on chain functions."""
+    normalizations, so the check runs on chain functions.  P_0..P_{n+1} come
+    from one recurrence pass on the grid's x values."""
     rep = CheckReport(
         suite="ttrr_phi",
         identity="alpha_n d_{n+1}/d_n phi_{n+1} + gamma_n d_{n-1}/d_n phi_{n-1}"
@@ -629,15 +519,18 @@ def check_ttrr_phi(fam, ns, s_grid, tolerance: float = 1e-9, route: str = "ttrr"
         family=fam.name,
         tolerance=tolerance,
     )
+    pts = [complex(s) for s in s_grid]
+    x = fam.lattice.x_values(np.array(pts, dtype=complex))
+    stack = fam.pn_stack(max(ns, default=-1) + 1, x)
+    P = lambda k: stack[k] if k >= 0 else 0.0  # P_{-1} = 0
     for n in ns:
-        for s in s_grid:
-            s = complex(s)
-            terms = (
-                fam.ttrr_alpha(n) * fam.pn(n + 1, s, route),
-                fam.ttrr_gamma(n) * (fam.pn(n - 1, s, route) if n >= 1 else 0.0),
-                (fam.ttrr_beta(n) - fam.lattice.x(s)) * fam.pn(n, s, route),
-            )
-            rep.cases.append(CaseRecord(n, f"{s:.6g}", rel_residual(sum(terms), terms)))
+        terms = (
+            fam.ttrr_alpha(n) * P(n + 1),
+            fam.ttrr_gamma(n) * (P(n - 1) if n >= 1 else 0.0),
+            (fam.ttrr_beta(n) - x) * P(n),
+        )
+        for s, r in zip(pts, rel_residual(sum(terms), terms).tolist()):
+            rep.cases.append(CaseRecord(n, f"{s:.6g}", r))
     return rep
 
 
@@ -697,8 +590,8 @@ def check_uv_shift(fam, ns, s_grid, tolerance: float = 1e-10) -> CheckReport:
     )
     g = StencilGrid(fam, s_grid, 2)
     for n in ns:
-        uu = _by_offset(g.u(n))(1)
-        vv = _by_offset(g.v(n + 1))(0)
+        uu = g.plus_side(g.u(n))(1)
+        vv = g.minus_side(g.v(n + 1))(0)
         for label, r in zip(g.labels, rel_residual(uu - vv, (uu, vv)).tolist()):
             rep.cases.append(CaseRecord(n, label, r))
     return rep
@@ -822,46 +715,60 @@ def _apply_scaled(op: ThreePointOperator, f, s, inner=None):
     return val, scale
 
 
-def ladder_bootstrap(of: OrthonormalFamily, N: int, s_grid, route: str = "ttrr") -> dict:
+@_RAISE_FP
+def ladder_bootstrap(of: OrthonormalFamily, N: int, s_grid) -> dict:
     """Solve L-(s,0) phi_0 = 0 as the ratio recurrence
 
         phi_0(s+1) = -v(s,0) Delta x(s) phi_0(s) / sqrt(Theta(s) sigma(s+1)),
 
     normalize phi_0 at the first grid point, then climb with the raising
     operator.  Returns {n: {offset: value}} on the grid chain."""
-    fam = of.family
-    eq = fam.eq
-    if N < 0:
-        raise QKernelError("bootstrap needs N >= 0")
+    return _bootstrap(of, N, s_grid)[0]
+
+
+def _chain(s_grid, N: int):
+    """The bootstrap chain of a grid: its anchor s0 = s_grid[0], the offsets
+    of the grid points from s0 and the first chain offset (the raising climb
+    consumes one left point per level)."""
     s0 = complex(s_grid[0])
     offs = [round((complex(s) - s0).real) for s in s_grid]
-    lo, hi = min(offs) - 0, max(offs) + 0
-    # phi_0 on an extended chain (raising consumes one left point per level)
-    ext_lo = lo - N
-    vals = {ext_lo: complex(1.0)}
-    for k in range(ext_lo, hi):
-        s = s0 + k
-        root = _sqrt_ts_plus(fam, s)
-        if root == 0.0:
-            raise QKernelError(f"bootstrap ratio degenerate at s = {s}")
-        vals[k + 1] = -v_fn(fam, 0, s) * eq.lattice.delta_x(s) * vals[k] / root
+    return s0, offs, min(offs) - N
+
+
+def _bootstrap(of: OrthonormalFamily, N: int, s_grid):
+    """The bootstrap table and the margin-1 StencilGrid on the chain points
+    s0 + lo .. s0 + max(offsets)."""
+    fam = of.family
+    if N < 0:
+        raise QKernelError("bootstrap needs N >= 0")
+    s0, offs, lo = _chain(s_grid, N)
+    hi = max(offs)
+    g = StencilGrid(fam, [s0 + k for k in range(lo, hi + 1)], 1)
+    # phi_0 from L-(s,0) phi_0 = 0 at every chain point but the last
+    root = g.roots[:-1, 1]  # sqrt(Theta(s) sigma(s+1))
+    if np.any(root == 0.0):
+        at = complex(g.s[:-1][root == 0.0][0])
+        raise QKernelError(f"bootstrap ratio degenerate at s = {at}")
+    vals = [complex(1.0)]
+    for step, r in zip((-g.v(0)[:-1, 0] * g.delta[:-1, 0]).tolist(), root.tolist()):
+        vals.append(step * vals[-1] / r)
     # normalize at the first grid point against the direct phi_0
-    anchor = of.phi(0, s0) if _pointwise_branch_consistent(of, [s0]) else complex(1.0)
-    scale = anchor / vals[offs[0]] if vals[offs[0]] != 0 else complex(1.0)
-    table = {0: {k: vals[k] * scale for k in range(ext_lo, hi + 1)}}
-    cur = table[0]
+    i0 = offs[0] - lo
+    anchor = of.phi(0, s0) if _pointwise_branch_consistent(of, g, [i0]) else complex(1.0)
+    scale = anchor / vals[i0] if vals[i0] != 0 else complex(1.0)
+    cur = np.array([v * scale for v in vals])  # phi_n on the chain offsets n + lo .. hi
+    table = {0: dict(zip(range(lo, hi + 1), cur.tolist()))}
+    # L+ acts on every chain point but the first, on a grid of its own: E^-
+    # is not evaluated at the first point, which may be a lattice symmetry
+    # point where nabla x vanishes
+    up = StencilGrid(fam, g.s[1:], 1)
     for n in range(N):
-        Lp = raising_op(fam, n)
-        nxt = {}
-        coef = fam.ttrr_alpha(n) * lam_ratio(eq, 2.0 * n)
+        coef = fam.ttrr_alpha(n) * lam_ratio(fam.eq, 2.0 * n)
         dr = _d_ratio_up(fam, n)
-        for k in range(ext_lo + n + 1, hi + 1):
-            s = s0 + k
-            val = u_fn(fam, n, s) * cur[k] + _e_minus(fam, s) * cur[k - 1]
-            nxt[k] = val / (coef * dr) if dr is not None else val / coef
-        table[n + 1] = nxt
-        cur = nxt
-    return table
+        val = up.u(n)[n:, 0] * cur[1:] + up.e_minus[n:, 0] * cur[:-1]
+        cur = _cdiv(val, coef * dr if dr is not None else coef)
+        table[n + 1] = dict(zip(range(lo + n + 1, hi + 1), cur.tolist()))
+    return table, g
 
 
 def _phi_pointwise_ok(of: OrthonormalFamily, s) -> bool:
@@ -872,24 +779,20 @@ def _phi_pointwise_ok(of: OrthonormalFamily, s) -> bool:
     return abs(rho.imag) <= 1e-12 * abs(rho) and rho.real > 0.0
 
 
-def _pointwise_branch_consistent(of: OrthonormalFamily, s_values) -> bool:
+def _pointwise_branch_consistent(of: OrthonormalFamily, g: StencilGrid, rows) -> bool:
     """Whether the positive pointwise sqrt(rho) satisfies the same branch
-    relations as the principal-root chain: needs sigma(s) >= 0 and
-    Theta(s) >= 0 (real) across the span.  Where Theta < 0 (Al-Salam--Carlitz
-    with a < 0) the chain continuation alternates sign against pointwise
-    sqrt(rho) and is the branch the operators pair with."""
-    eq = of.family.eq
+    relations as the principal-root chain at the given points of a margin-1
+    grid: needs sigma(s) >= 0 and Theta(s) >= 0 (real) across the span.
+    Where Theta < 0 (Al-Salam--Carlitz with a < 0) the chain continuation
+    alternates sign against pointwise sqrt(rho) and is the branch the
+    operators pair with."""
 
     def nonneg(z):
         z = complex(z)
         return abs(z.imag) <= 1e-10 * max(1.0, abs(z)) and z.real >= -1e-12 * max(1.0, abs(z))
 
-    for s in s_values:
-        if not _phi_pointwise_ok(of, s):
-            return False
-        if not (nonneg(sigma_eval(eq, s)) and nonneg(theta_eval(eq, s))):
-            return False
-    return True
+    return all(_phi_pointwise_ok(of, complex(g.s[i])) and nonneg(g.sigma[i, 1])
+               and nonneg(g.theta[i, 1]) for i in rows)
 
 
 def _d_ratio_up(fam, n: int):
@@ -904,10 +807,12 @@ def _d_ratio_up(fam, n: int):
     return hi / lo
 
 
-def check_bootstrap(of: OrthonormalFamily, N: int, s_grid, tolerance: float = 1e-8,
-                    route: str = "ttrr") -> CheckReport:
+@_RAISE_FP
+def check_bootstrap(of: OrthonormalFamily, N: int, s_grid, tolerance: float = 1e-8) -> CheckReport:
     """Bootstrapped phi_n match direct phi_n up to one constant per level,
-    fixed at the first grid point."""
+    fixed at the first grid point.  The direct phi_n are the pointwise ones
+    where their branch agrees with the chain's, else the chain weights times
+    P_n, both on the bootstrap's chain grid."""
     fam = of.family
     rep = CheckReport(
         suite="bootstrap",
@@ -915,26 +820,27 @@ def check_bootstrap(of: OrthonormalFamily, N: int, s_grid, tolerance: float = 1e
         family=fam.name,
         tolerance=tolerance,
     )
-    table = ladder_bootstrap(of, N, s_grid, route)
-    s0 = complex(s_grid[0])
-    offs = [round((complex(s) - s0).real) for s in s_grid]
-    chain = PhiChain(fam, s0, min(offs) - N, max(offs), route=route)
-    span = [s0 + k for k in range(min(offs) - N, max(offs) + 1)]
-    use_pointwise = _pointwise_branch_consistent(of, span)
+    table, g = _bootstrap(of, N, s_grid)
+    s0, offs, lo = _chain(s_grid, N)
+    rows = [k - lo for k in offs]
+    if _pointwise_branch_consistent(of, g, range(len(g.s))):
+        direct = of.phi(range(N + 1), g.s[rows])
+    else:
+        # one chain through the grid points, anchored at s0; a link going up
+        # is read at its lower point, one going down at its upper point
+        theta, sigma = g.theta[None, :, 1], g.sigma[None, :, 1]
+        up, down = g.roots[None, :-1, 1], g.roots[None, 1:, 0]
+        w = _chain_weights(theta, sigma, up, down, g.s[None, :], -lo)[0]
+        direct = w[rows] * fam.pn_stack(N, g.x[rows, 1])
     for n in range(N + 1):
-        if use_pointwise:
-            direct = {k: of.phi(n, s0 + k) for k in offs}
-        else:
-            f = chain.fn(n)
-            direct = {k: f(s0 + k) for k in offs}
+        direct_n = dict(zip(offs, direct[n].tolist()))
         got = table[n]
-        k0 = next(k for k in offs if abs(direct[k]) > 1e-14)
-        const = got[k0] / direct[k0]
-        scale = max(max(abs(v) for v in direct.values()), 1e-30)
+        k0 = next(k for k in offs if abs(direct_n[k]) > 1e-14)
+        const = got[k0] / direct_n[k0]
+        scale = max(max(abs(v) for v in direct_n.values()), 1e-30)
         for k in offs:
-            rep.cases.append(
-                CaseRecord(n, f"{s0 + k:.6g}", abs(got[k] - const * direct[k]) / (abs(const) * scale))
-            )
+            rep.cases.append(CaseRecord(
+                n, f"{s0 + k:.6g}", abs(got[k] - const * direct_n[k]) / (abs(const) * scale)))
     return rep
 
 
@@ -1038,6 +944,7 @@ def check_selfadjoint(of: OrthonormalFamily, pairs, tolerance: float = 1e-8,
     return rep
 
 
+@_RAISE_FP
 def check_branch_continuity(fam, s_grid, tolerance: float = 0.2) -> CheckReport:
     """Continuity of the principal-root operator coefficients along the grid
     (detects branch flips on complex lattice coordinates)."""
@@ -1047,10 +954,9 @@ def check_branch_continuity(fam, s_grid, tolerance: float = 0.2) -> CheckReport:
         family=fam.name,
         tolerance=tolerance,
     )
-    vals = [_sqrt_ts_plus(fam, s) for s in s_grid]
+    g = StencilGrid(fam, s_grid, 1)
+    vals = g.roots[:, 1].tolist()  # sqrt(Theta(s) sigma(s+1))
     for i in range(1, len(vals)):
         scale = max(abs(vals[i]), abs(vals[i - 1]), 1e-30)
-        rep.cases.append(
-            CaseRecord(0, f"{complex(s_grid[i]):.6g}", abs(vals[i] - vals[i - 1]) / scale)
-        )
+        rep.cases.append(CaseRecord(0, g.labels[i], abs(vals[i] - vals[i - 1]) / scale))
     return rep

@@ -26,7 +26,7 @@ class CheckReport:
 
     `identity` names the relation being verified (self-describing anchor);
     verdict is pass iff max_residual <= tolerance, except suites that carry
-    status "skipped"/"out-of-range" in meta.
+    status "skipped" in meta.
     """
 
     suite: str
@@ -43,12 +43,9 @@ class CheckReport:
 
     @property
     def passed(self) -> bool:
-        if self.meta.get("status") in ("skipped", "out-of-range"):
+        if self.meta.get("status") == "skipped":
             return True
         return self.max_residual <= self.tolerance
-
-    def worst(self, k: int = 3):
-        return sorted(self.cases, key=lambda c: -c.residual)[:k]
 
 
 def report_to_dict(rep: CheckReport) -> dict:
@@ -69,9 +66,9 @@ def report_to_dict(rep: CheckReport) -> dict:
     }
 
 
-def dumps_reports(reports, **kw) -> str:
+def dumps_reports(reports) -> str:
     return json.dumps(
         {"schema": SCHEMA_ID, "reports": [report_to_dict(r) for r in reports]},
-        indent=kw.get("indent", 2),
+        indent=2,
         sort_keys=False,
     )

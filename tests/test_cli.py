@@ -72,6 +72,33 @@ def test_degenerate_grid_rejected(capsys):
     assert "degenerate" in capsys.readouterr().err
 
 
+# q-dual Hahn with a = 0.7, grid s = 1, 2, 3: chains through s = 1 reach the
+# lattice symmetry point s = 0, where nabla x(0) = 0
+SYMMETRY_CHAIN = ["check", "--family", "q_dual_hahn", "--param", "a=0.7", "--param", "b=3.7",
+                  "--param", "c=0", "--q", "0.5", "--grid", "1:3:3"]
+
+
+def test_factorization_next_to_symmetry_point(tmp_path):
+    # the stencils never read E^-(0), so neither does the grid
+    assert run_cli(SYMMETRY_CHAIN + ["--suite", "factorization",
+                                     "--out", str(tmp_path / "f.json")]) == 0
+
+
+def test_arithmetic_error_exits_2(tmp_path, capsys):
+    # the bootstrap climb applies L+ at s = 0, dividing by nabla x(0) = 0
+    assert run_cli(SYMMETRY_CHAIN + ["--suite", "bootstrap",
+                                     "--out", str(tmp_path / "b.json")]) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+
+
+def test_bootstrap_chain_starting_at_symmetry_point(tmp_path):
+    # the chain s = 0..8 starts at the symmetry point; L+ acts from s = 1 on
+    for a in (0.0, 0.7):
+        assert run_cli(["check", "--family", "q_dual_hahn", "--param", f"a={a}", "--param",
+                        f"b={a + 5}", "--param", "c=0.25", "--q", "0.5", "--grid", "4:8:5",
+                        "--suite", "bootstrap", "--out", str(tmp_path / "b.json")]) == 0
+
+
 def test_check_all_reference_configs_pass(tmp_path, capsys):
     for name, extra in REF_ARGS.items():
         out = tmp_path / f"{name}.json"

@@ -21,6 +21,7 @@ from qladder.hypergeometric_core import (
 from qladder.lattice import Lattice
 from qladder.qkernel import QBase, QKernelError, q_number
 
+import pointwise as pw
 from conftest import FAMILY_NAMES, grid_for
 
 SWEEP_NS = list(range(1, 7))
@@ -31,16 +32,15 @@ def test_theta_reduces_to_sigma_without_tau(base):
 
     lat = Lattice(1.0, 0.0, 0.0, base)
     eq = EquationData(2.0, 0.3, -0.1, 0.0, 0.0, lat)
-    fam_like = type("F", (), {"eq": eq})()
     for s in (0.4, 1.3):
-        assert L.theta(fam_like, s) == pytest.approx(sigma_eval(eq, s), rel=1e-14)
+        assert theta_eval(eq, s) == pytest.approx(sigma_eval(eq, s), rel=1e-14)
 
 
 def test_theta_asc1_constant(families):
     fam = families["asc1"]
     a = fam.params["a"]
     for s in [0.21 * j - 0.5 for j in range(7)]:
-        assert L.theta(fam, s) == pytest.approx(a, rel=1e-12)
+        assert theta_eval(fam.eq, s) == pytest.approx(a, rel=1e-12)
 
 
 def test_theta_sigma_product_matches_aw_display_squared(families):
@@ -120,13 +120,13 @@ def test_eigen_equation_sweep(families):
 
 def test_eigen_nondegenerate_for_wrong_index(families):
     fam = families["big_q_jacobi"]
-    H = L.hamiltonian(fam, 2)
-    chain = L.PhiChain(fam, 0.25, -1, 1)
-    f = chain.fn(4)  # phi_4 is not annihilated by H(.,2)
+    g = L.StencilGrid(fam, [0.25], 1)
+    H = g.hamiltonian(2)
+    f = L._by_offset(g.phi(4)[0])  # phi_4 is not annihilated by H(.,2)
     terms = (
-        complex(H.c_minus(0.25)) * f(-0.75),
-        complex(H.c_zero(0.25)) * f(0.25),
-        complex(H.c_plus(0.25)) * f(1.25),
+        complex(H.c_minus(0)[0]) * f(-1),
+        complex(H.c_zero(0)[0]) * f(0),
+        complex(H.c_plus(0)[0]) * f(1),
     )
     assert rel_residual(sum(terms), terms) > 1e-3
 
@@ -137,9 +137,10 @@ def test_qdh_hamiltonian_display_coefficients(families):
     a, b, c = (fam.params[k] for k in "abc")
     q = fam.base.q
     qn = lambda k: q_number(k, fam.base)
-    H = L.hamiltonian(fam, 2)
-    for s in grid_for("q_dual_hahn", 4):
-        cm = complex(H.c_minus(s))
+    grid = grid_for("q_dual_hahn", 4)
+    H = L.StencilGrid(fam, grid, 1).hamiltonian(2)
+    for i, s in enumerate(grid):
+        cm = complex(H.c_minus(0)[i])
         want = (
             q ** (0.5 * (c + a - b + 2))
             * cmath.sqrt(
@@ -150,7 +151,7 @@ def test_qdh_hamiltonian_display_coefficients(families):
             / qn(2.0 * s)
         )
         assert cm**2 == pytest.approx(want**2, rel=1e-11)
-        cp = complex(H.c_plus(s))
+        cp = complex(H.c_plus(0)[i])
         want_p = (
             q ** (0.5 * (c + a - b + 2))
             * cmath.sqrt(
@@ -166,11 +167,12 @@ def test_qdh_hamiltonian_display_coefficients(families):
 def test_cqh_hamiltonian_display_coefficients(families):
     fam = families["continuous_q_hermite"]
     q = fam.base.q
-    H = L.hamiltonian(fam, 1)
-    for s in grid_for("continuous_q_hermite", 4):
+    grid = grid_for("continuous_q_hermite", 4)
+    H = L.StencilGrid(fam, grid, 1).hamiltonian(1)
+    for i, s in enumerate(grid):
         s = complex(s)
-        cm = complex(H.c_minus(s))
-        cp = complex(H.c_plus(s))
+        cm = complex(H.c_minus(0)[i])
+        cp = complex(H.c_plus(0)[i])
         assert cm**2 == pytest.approx(
             (2 * q**1.5 / q_number(2.0 * s - 1.0, fam.base)) ** 2, rel=1e-11
         )
@@ -183,12 +185,13 @@ def test_u_closed_forms(families):
     # ASC1: u(x,n) = a q/(1-q) x^{-1} and v(x,n) = a/(1-q) x^{-1}
     fam = families["asc1"]
     a, q = fam.params["a"], fam.base.q
+    g = L.StencilGrid(fam, grid_for("asc1", 5), 1)
     for n in range(1, 6):
-        for s in grid_for("asc1", 5):
+        for i, s in enumerate(grid_for("asc1", 5)):
             x = fam.lattice.x(s)
-            got = L.u_fn(fam, n, s)
+            got = g.u(n)[i, 0]
             assert got == pytest.approx(a * q / (1 - q) / x, rel=1e-10)
-            gotv = L.v_fn(fam, n, s)
+            gotv = g.v(n)[i, 0]
             assert gotv == pytest.approx(a / (1 - q) / x, rel=1e-10)
     # big q-Jacobi u display
     fam = families["big_q_jacobi"]
@@ -201,11 +204,12 @@ def test_u_closed_forms(families):
             - a * (b + c + a * b + b * c) * q ** (n + 2)
         ) / ((1 - a * b * q ** (2 * n + 2)) * (1 - q))
 
+    g = L.StencilGrid(fam, grid_for("big_q_jacobi", 3), 1)
     for n in range(1, 5):
-        for s in grid_for("big_q_jacobi", 3):
+        for i, s in enumerate(grid_for("big_q_jacobi", 3)):
             x = fam.lattice.x(s)
             want = a * b * q ** (n + 1) / (1 - q) * x + D_n(n) - a * c * q**2 / (q - 1) / x
-            assert L.u_fn(fam, n, s) == pytest.approx(want, rel=1e-10)
+            assert g.u(n)[i, 0] == pytest.approx(want, rel=1e-10)
 
 
 def test_uv_shift_sweep(families):
@@ -214,11 +218,11 @@ def test_uv_shift_sweep(families):
         rep = L.check_uv_shift(fam, list(range(0, 7)), grid_for(name))
         assert rep.max_residual < 1e-10, (name, rep.max_residual)
         # the equivalent form u(s+1, n-1) = v(s, n)
+        g = L.StencilGrid(fam, grid_for(name, 3), 2)
         for n in (1, 4):
-            for s in grid_for(name, 3):
-                uu = L.u_fn(fam, n - 1, complex(s) + 1.0)
-                vv = L.v_fn(fam, n, s)
-                assert rel_residual(uu - vv, (uu, vv)) < 1e-10
+            uu = g.plus_side(g.u(n - 1))(1)
+            vv = g.minus_side(g.v(n))(0)
+            assert np.all(rel_residual(uu - vv, (uu, vv)) < 1e-10)
 
 
 def test_ladder_actions_sweep(families):
@@ -232,11 +236,11 @@ def test_ladder_actions_sweep(families):
 
 def test_lowering_annihilates_phi0(families):
     fam = families["q_dual_hahn"]
-    op = L.lowering_op(fam, 0)
-    chain = L.PhiChain(fam, 1.3, -1, 1)
-    f = chain.fn(0)
-    got = op.apply(f, 1.3)
-    scale = max(abs(complex(op.c_zero(1.3)) * f(1.3)), 1e-12)
+    g = L.StencilGrid(fam, [1.3], 1)
+    op = g.lowering(0)
+    f = L._by_offset(g.phi(0)[0])
+    got = complex(op.apply(f, 0)[0])
+    scale = max(abs(complex(op.c_zero(0)[0]) * f(0)), 1e-12)
     assert abs(got) / scale < 1e-12
 
 
@@ -244,19 +248,17 @@ def test_ladder_round_trip(families):
     # L-(n+1) L+(n) phi_n = h(n) phi_n
     for name in FAMILY_NAMES:
         fam = families[name]
+        g = L.StencilGrid(fam, grid_for(name, 3), 2)
         for n in (1, 3, 5):
             h = L.h_minusplus(fam, n)
-            Lp = L.raising_op(fam, n)
-            Lm = L.lowering_op(fam, n + 1)
-            for s in grid_for(name, 3):
-                s = complex(s)
-                chain = L.PhiChain(fam, s, -2, 2)
-                f = chain.fn(n)
-                got = Lm.apply(Lp.applied(f), s)
-                want = h * f(s)
-                scale = max(abs(got), abs(want),
-                            abs(complex(Lm.c_zero(s))) * abs(Lp.apply(f, s)), 1e-12)
-                assert abs(got - want) / scale < 1e-9, (name, n, s)
+            Lp = g.raising(n)
+            Lm = g.lowering(n + 1)
+            f = L._by_offset(g.phi(n))
+            got = Lm.apply(Lp.applied(f), 0)
+            want = h * f(0)
+            scale = np.maximum.reduce([abs(got), abs(want), abs(Lm.c_zero(0)) * abs(Lp.apply(f, 0)),
+                                       np.full(got.shape, 1e-12)])
+            assert np.all(abs(got - want) / scale < 1e-9), (name, n)
 
 
 def test_h_closed_values(families):
@@ -314,20 +316,21 @@ def test_factorization_sweep(families):
 
 def test_factorization_probe_scale_invariance(families):
     fam = families["big_q_jacobi"]
-    lat = fam.lattice
-    n, s = 2, complex(0.25)
-    Lp = L.raising_op(fam, n)
-    Lm = L.lowering_op(fam, n + 1)
-    Hn = L.hamiltonian(fam, n)
+    n = 2
+    g = L.StencilGrid(fam, [0.25], 2)
+    Lp = g.raising(n)
+    Lm = g.lowering(n + 1)
+    Hn = g.hamiltonian(n)
     h = L.h_minusplus(fam, n)
 
     def resid(scale):
-        f = lambda t: scale * (lat.x(t) ** 2 + 0.7)
-        t1, sc1 = L._apply_scaled(Lm, Lp.applied(f), s, inner=(Lp, f))
-        hf, schf = L._apply_scaled(Hn, f, s)
-        u1 = L.u_fn(fam, n, s + 1.0)
-        sc = max(sc1, abs(h * f(s)), abs(u1) * schf)
-        return abs(t1 - h * f(s) - u1 * hf) / sc
+        f = L._by_offset(scale * (g.x[0] ** 2 + 0.7))
+        t1, sc1 = L._apply_scaled(Lm, Lp.applied(f), 0, inner=(Lp, f))
+        hf, schf = L._apply_scaled(Hn, f, 0)
+        u1 = Lp.c_zero(1)[0]
+        t1, sc1, hf, schf = t1[0], sc1[0], hf[0], schf[0]
+        sc = max(sc1, abs(h * f(0)), abs(u1) * schf)
+        return abs(t1 - h * f(0) - u1 * hf) / sc
 
     assert abs(resid(1.0) - resid(1e3)) < 1e-12
 
@@ -417,9 +420,9 @@ def test_chain_weight_squares_to_pearson_ratio(families):
     for name in ("asc1", "big_q_jacobi", "askey_wilson"):
         fam = families[name]
         s0 = complex(grid_for(name, 1)[0])
-        w = L.weight_chain(fam, s0, -2, 2)
+        w = L._by_offset(L.StencilGrid(fam, [s0], 2).w[0])
         for k in range(-2, 2):
-            lhs = w[k + 1] ** 2 / w[k] ** 2
+            lhs = w(k + 1) ** 2 / w(k) ** 2
             rhs = theta_eval(fam.eq, s0 + k) / sigma_eval(fam.eq, s0 + k + 1.0)
             assert rel_residual(lhs - rhs, (lhs, rhs)) < 1e-12
 
@@ -434,7 +437,7 @@ def test_three_point_operator_application():
 
 
 # --------------------------------------------------------------------------
-# the batched point-local suites against the public scalar operators
+# the batched point-local suites against the point-by-point operators
 # --------------------------------------------------------------------------
 
 BATCHED_SUITES = ("eigen", "raising", "lowering", "uv_shift", "h_s_independence",
@@ -443,26 +446,26 @@ BATCHED_SUITES = ("eigen", "raising", "lowering", "uv_shift", "h_s_independence"
 
 def _scalar_suite_cases(fam, suite, ns, grid):
     """(n, label, residual, note) of one point-local suite, evaluated point by
-    point through hamiltonian, raising_op, lowering_op, _apply_scaled and
+    point through the reference operators of `pointwise`, _apply_scaled and
     PhiChain, in the suite's case order."""
     eq, lat = fam.eq, fam.lattice
     out = []
     if suite in ("eigen", "raising", "lowering"):
         for s in map(complex, grid):
-            chain = L.PhiChain(fam, s, -1, 1)
+            chain = pw.PhiChain(fam, s, -1, 1)
             for n in ns:
                 f = chain.fn(n)
                 if suite == "eigen":
-                    H = L.hamiltonian(fam, n)
+                    H = pw.hamiltonian(fam, n)
                     terms = (H.c_minus(s) * f(s - 1.0), H.c_zero(s) * f(s),
                              H.c_plus(s) * f(s + 1.0))
                     out.append((n, f"{s:.6g}", rel_residual(sum(terms), terms), ""))
                     continue
                 if suite == "raising":
-                    op = L.raising_op(fam, n)
+                    op = pw.raising_op(fam, n)
                     target = fam.ttrr_alpha(n) * lam_ratio(eq, 2.0 * n) * chain.fn(n + 1)(s)
                 else:
-                    op = L.lowering_op(fam, n)
+                    op = pw.lowering_op(fam, n)
                     target = (fam.ttrr_gamma(n) * lam_ratio(eq, 2.0 * n) * chain.fn(n - 1)(s)
                               if n >= 1 else 0j)
                 got = op.apply(f, s)
@@ -471,7 +474,7 @@ def _scalar_suite_cases(fam, suite, ns, grid):
     elif suite == "uv_shift":
         for n in ns:
             for s in map(complex, grid):
-                uu, vv = L.u_fn(fam, n, s + 1.0), L.v_fn(fam, n + 1, s)
+                uu, vv = pw.u_fn(fam, n, s + 1.0), pw.v_fn(fam, n + 1, s)
                 out.append((n, f"{s:.6g}", rel_residual(uu - vv, (uu, vv)), ""))
     elif suite == "h_s_independence":
         for n in ns:
@@ -492,17 +495,17 @@ def _scalar_suite_cases(fam, suite, ns, grid):
                                 "plusminus"))
     else:
         for n in ns:
-            Lp, Lm = L.raising_op(fam, n), L.lowering_op(fam, n + 1)
-            Hn, Hn1 = L.hamiltonian(fam, n), L.hamiltonian(fam, n + 1)
+            Lp, Lm = pw.raising_op(fam, n), pw.lowering_op(fam, n + 1)
+            Hn, Hn1 = pw.hamiltonian(fam, n), pw.hamiltonian(fam, n + 1)
             h = L.h_minusplus(fam, n)
             for s in map(complex, grid):
-                chain = L.PhiChain(fam, s, -2, 2)
+                chain = pw.PhiChain(fam, s, -2, 2)
                 probes = [(f"x^{j}", lambda t, j=j: lat.x(t) ** j) for j in range(4)]
                 probes.append((f"phi_{n}", chain.fn(n)))
                 for tag, f in probes:
                     for order, outer, inner, H, u in (
-                        ("minus-plus", Lm, Lp, Hn, L.u_fn(fam, n, s + 1.0)),
-                        ("plus-minus", Lp, Lm, Hn1, L.u_fn(fam, n, s)),
+                        ("minus-plus", Lm, Lp, Hn, pw.u_fn(fam, n, s + 1.0)),
+                        ("plus-minus", Lp, Lm, Hn1, pw.u_fn(fam, n, s)),
                     ):
                         t1, sc1 = L._apply_scaled(outer, inner.applied(f), s, inner=(inner, f))
                         t2 = h * f(s)
@@ -534,19 +537,21 @@ def _scalar_at(points, fn):
 
 
 def _assert_grid_matches_scalar(fam, grid):
-    """The StencilGrid coefficients on the inner offsets against their scalar
-    definitions, elementwise (real lattices agree bit for bit; on the
-    trigonometric lattice numpy's complex products round differently)."""
+    """The StencilGrid coefficients, each on the offsets it covers (L+ side
+    0..1, L- side -1..0), against their point-by-point definitions,
+    elementwise (on the trigonometric lattice numpy's complex products round
+    differently)."""
     g = L.StencilGrid(fam, grid, 2)
-    inner = g.t[:, 1:-1]
+    plus, minus = g.t[:, 2:4], g.t[:, 1:3]
     close = lambda a, b: np.testing.assert_allclose(a, b, rtol=1e-12, atol=0)
-    close(g.son, _scalar_at(inner, lambda t: sigma_over_nabla(fam.eq, t)))
-    close(g.tod, _scalar_at(inner, lambda t: theta_over_delta(fam.eq, t)))
-    close(g.roots, _scalar_at(g.t[:, :-1], lambda t: L._sqrt_ts_plus(fam, t)))
-    close(g.roots, _scalar_at(g.t[:, 1:], lambda t: L._sqrt_ts_minus(fam, t)))
+    close(g.son, _scalar_at(plus, lambda t: sigma_over_nabla(fam.eq, t)))
+    close(g.tod, _scalar_at(minus, lambda t: theta_over_delta(fam.eq, t)))
+    close(g.roots, _scalar_at(g.t[:, :-1], lambda t: pw.sqrt_ts_plus(fam, t)))
+    close(g.roots, _scalar_at(g.t[:, 1:], lambda t: pw.sqrt_ts_minus(fam, t)))
     for n in (0, 1, 4):
-        close(g.u(n), _scalar_at(inner, lambda t: L.u_fn(fam, n, t)))
-        close(g.v(n), _scalar_at(inner, lambda t: L.v_fn(fam, n, t)))
+        close(g.u(n), _scalar_at(plus, lambda t: pw.u_fn(fam, n, t)))
+        close(g.v(n), _scalar_at(minus, lambda t: pw.v_fn(fam, n, t)))
+        close(g.h_diag(n), _scalar_at(g.t[:, 2:3], pw.hamiltonian(fam, n).c_zero)[:, 0])
     return g
 
 
@@ -554,23 +559,35 @@ def _assert_grid_matches_scalar(fam, grid):
 def test_stencil_grid_coefficients_match_scalar(families, name):
     fam = families[name]
     g = _assert_grid_matches_scalar(fam, grid_for(name))
-    inner = g.t[:, 1:-1]
-    np.testing.assert_allclose(g.e_minus, _scalar_at(inner, lambda t: L._e_minus(fam, t)),
+    np.testing.assert_allclose(g.e_minus, _scalar_at(g.t[:, 2:4], lambda t: pw.e_minus(fam, t)),
                                rtol=1e-12, atol=0)
-    np.testing.assert_allclose(g.e_plus, _scalar_at(inner, lambda t: L._e_plus(fam, t)),
+    np.testing.assert_allclose(g.e_plus, _scalar_at(g.t[:, 1:3], lambda t: pw.e_plus(fam, t)),
                                rtol=1e-12, atol=0)
     for i, s in enumerate(grid_for(name)):
-        w = L.weight_chain(fam, s, -2, 2)
+        w = pw.weight_chain(fam, s, -2, 2)
         np.testing.assert_allclose(g.w[i], [w[k] for k in range(-2, 3)], rtol=1e-12, atol=0)
 
 
 def test_stencil_grid_removable_limit_on_the_chain(families):
-    # dual Hahn with a = 0: the chain through s = 1 reaches s = 0, where
-    # sigma(0) = nabla x(0) = 0 and sigma/nabla x is the removable limit
+    # dual Hahn with a = 0: sigma(0) = nabla x(0) = 0 at the symmetry point
+    # s = 0, where sigma/nabla x is the removable limit
     fam = families["q_dual_hahn"]
-    g = _assert_grid_matches_scalar(fam, [1.0, 2.5])
-    assert g.t[0, 1] == 0 and fam.lattice.is_degenerate_step(g.nabla[0, 0])
+    g = _assert_grid_matches_scalar(fam, [0.0, 2.5])
+    assert g.t[0, 2] == 0 and fam.lattice.is_degenerate_step(g.nabla[0, 0])
     assert cmath.isfinite(g.son[0, 0]) and g.son[0, 0] != 0
+
+
+def test_stencil_grid_reads_no_step_beyond_the_stencils(families):
+    # the chain through s = 1 reaches the symmetry point s = 0 at offset -1,
+    # where nabla x(0) = 0; no stencil reads the L+ side there, so the grid
+    # divides by no vanishing step, as the point-by-point stencils do not
+    fam = families["q_dual_hahn"]
+    with np.errstate(divide="raise", invalid="raise"):
+        g = _assert_grid_matches_scalar(fam, [1.0, 2.5])
+        np.testing.assert_allclose(g.e_minus, _scalar_at(g.t[:, 2:4], lambda t: pw.e_minus(fam, t)),
+                                   rtol=1e-12, atol=0)
+    assert g.t[0, 1] == 0 and fam.lattice.is_degenerate_step(g.x[0, 1] - g.x[0, 0])
+    assert L.check_factorization(fam, [1, 2], [1.0, 2.5]).max_residual < 1e-9
 
 
 @pytest.mark.parametrize("drop_last", [0, 1])
@@ -606,13 +623,13 @@ def _reduced_pointwise(of, which, n, s, op_n=None):
     son, tod = sigma_over_nabla(eq, s), theta_over_delta(eq, s)
     P = lambda t: fam.pn_ttrr(n, t)
     if which == "L+":
-        reduced = L.u_fn(fam, n, s) * P(s) + son * P(s - 1.0)
+        reduced = pw.u_fn(fam, n, s) * P(s) + son * P(s - 1.0)
     elif which == "L-":
-        reduced = L.v_fn(fam, n, s) * P(s) + tod * P(s + 1.0)
+        reduced = pw.v_fn(fam, n, s) * P(s) + tod * P(s + 1.0)
     else:
-        diag = L._h_diag_at(lambda_n(eq, n if op_n is None else op_n), son, tod,
+        diag = pw.h_diag_at(lambda_n(eq, n if op_n is None else op_n), son, tod,
                             fam.lattice.delta_x_mid(s))
-        reduced = L._reduced_h_at(son, tod, diag, P(s - 1.0), P(s), P(s + 1.0))
+        reduced = pw.reduced_h_at(son, tod, diag, P(s - 1.0), P(s), P(s + 1.0))
     return of._normalized(of.sqrt_rho(s), reduced, n)
 
 
@@ -667,3 +684,26 @@ def test_phi_range_stacks_single_phis(families):
     x = np.linspace(-1.0, 1.0, 8)  # the Jackson support [a, 1] = [-1, 1]
     assert asc1.phi_point(range(4), x).tolist() == [[asc1.phi_point(n, t) for t in x]
                                                     for n in range(4)]
+
+
+def test_one_path_no_scalar_sigma_theta(monkeypatch):
+    # bootstrap, branch_continuity and concordance read sigma and Theta from
+    # StencilGrid arrays, never point by point
+    import sys
+
+    from qladder import checks, hypergeometric_core
+    from qladder.families import reference_params
+
+    calls = []
+    modules = [m for k, m in sys.modules.items() if k.split(".")[0] == "qladder"]
+    for name in ("sigma_eval", "theta_eval"):
+        original = getattr(hypergeometric_core, name)
+        counting = lambda *a, _f=original, **k: calls.append(1) or _f(*a, **k)
+        for mod in modules:  # every binding site
+            if getattr(mod, name, None) is original:
+                monkeypatch.setattr(mod, name, counting)
+    for name in FAMILY_NAMES:
+        fam = make_family(name, reference_params(name), QBase(0.5))
+        for suite in ("bootstrap", "branch_continuity", "concordance"):
+            checks.run_suite(fam, suite)
+    assert not calls

@@ -4,7 +4,7 @@ other admissible parameters, randomized lattices."""
 import math
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from qladder import ladder as L
@@ -81,6 +81,7 @@ def test_bootstrap_other_config():
     st.floats(min_value=-0.8, max_value=0.8),
 )
 @settings(max_examples=20, deadline=None)
+@example(q=0.5, a=0.7, N=3, cfrac=0.0)  # the chain through s = 1 reaches nabla x(0) = 0
 def test_dual_hahn_identities_random_admissible(q, a, N, cfrac):
     b = a + N
     c = cfrac * (a + 1.0) * 0.9
