@@ -15,7 +15,7 @@ from .qkernel import (
     q_pochhammer,
     q_pochhammer_inf,
 )
-from .lattice import DegenerateStepError, GridFunction, Lattice
+from .lattice import DegenerateStepError, Lattice
 from .hypergeometric_core import EquationData, WeightTable
 from .families import (
     FamilyError,
@@ -45,7 +45,6 @@ __all__ = [
     "q_pochhammer_inf",
     "basic_hypergeometric",
     "Lattice",
-    "GridFunction",
     "EquationData",
     "WeightTable",
     "FamilyError",

@@ -17,11 +17,11 @@ from .hypergeometric_core import (
     lambda_n,
     pearson_weight,
     rel_residual,
-    rodrigues_eval,
+    rodrigues_values,
     tau_k_coeffs,
     ttrr_coeffs_generic,
 )
-from .lattice import GridFunction, kfold_forward_diff
+from .lattice import LatticeTable
 from .ladder import (
     _RAISE_FP,
     OrthonormalFamily,
@@ -228,51 +228,56 @@ def difference_calculus_suite(fam, n_hi: int = 6, tolerance: float = 1e-10) -> C
     )
     lat = fam.lattice
     base = fam.eq.base
-    pts = default_grid(fam, 3)
+    fact = [q_factorial(n, base) for n in range(n_hi + 1)]
+    pts = [complex(s) for s in default_grid(fam, 3)]
+    s0 = pts[0]
+    # rows: the grid, then the lemma's divided-difference nodes s0 + 0.35 j
+    # (node 0 is s0); each row folds x^n as deep as its deepest case reads:
+    # n - 1 on the grid, n + 1 (degree drop) at s0, k <= n_hi - j at node j
+    rows = pts + [s0 + 0.35 * j for j in range(1, n_hi)]
+    node = lambda j: len(pts) + j - 1 if j else 0
+    depth = np.array([n_hi - 1] * len(pts) + [n_hi - j for j in range(1, n_hi)])
+    depth[0] = n_hi + 1
+    table = LatticeTable(lat, rows, 0, 2 * n_hi + 2)
+    xh = table.x.tolist()  # x(s_r + h/2)
+    powers = np.array([[[x ** n if j <= depth[r] else 0j for j, x in enumerate(xr[::2])]
+                        for n in range(1, n_hi + 1)] for r, xr in enumerate(xh)])
+    folds = [d.tolist() for d in table.forward(powers, depth[:, None])]
+    fold = lambda k, r, n: folds[k][r][n - 1][0]  # Delta^{(k)} x^n at row r
     for n in range(1, n_hi + 1):
-        f = GridFunction(lat, lambda s, n=n: lat.x(s) ** n)
-        for s in pts:
-            got = kfold_forward_diff(f, n - 1, s)
-            want = q_factorial(n, base) * lat.x_shifted(n - 1, s) + complex(
-                lat.c3
-            ) * q_factorial(n - 1, base) * (n - q_number(float(n), base))
+        for r, s in enumerate(pts):
+            got = fold(n - 1, r, n)
+            want = fact[n] * xh[r][n - 1] + complex(lat.c3) * fact[n - 1] * (
+                n - q_number(float(n), base))
             rep.cases.append(
-                CaseRecord(n, f"{complex(s):.4g}", rel_residual(got - want, (got, want)),
+                CaseRecord(n, f"{s:.4g}", rel_residual(got - want, (got, want)),
                            "exact (n-1)-fold form")
             )
         # degree drop: one extra fold annihilates x^n
-        for s in pts[:1]:
-            got = kfold_forward_diff(f, n + 1, s)
-            scale = abs(q_factorial(n, base)) + abs(lat.x(s)) ** n
-            rep.cases.append(
-                CaseRecord(n, f"{complex(s):.4g}", abs(got) / scale, "degree drop to zero")
-            )
+        got = fold(n + 1, 0, n)
+        scale = abs(fact[n]) + abs(xh[0][0]) ** n
+        rep.cases.append(CaseRecord(n, f"{s0:.4g}", abs(got) / scale, "degree drop to zero"))
     # Lemma leading term via divided differences in x_k
     for n in range(2, n_hi + 1):
         for k in range(1, n):
-            s0 = complex(pts[0])
-            nodes = [s0 + 0.35 * j for j in range(n - k + 1)]
-            f = GridFunction(lat, lambda s, n=n: lat.x(s) ** n)
-            lead = q_factorial(n, base) / q_factorial(n - k, base)
-            gvals = [
-                kfold_forward_diff(f, k, s) - lead * lat.x_shifted(k, s) ** (n - k)
-                for s in nodes
-            ]
-            xvals = [lat.x_shifted(k, s) for s in nodes]
+            lead = fact[n] / fact[n - k]
+            rs = [node(j) for j in range(n - k + 1)]
+            xvals = [xh[r][k] for r in rs]
+            gvals = [fold(k, r, n) - lead * xv ** (n - k) for r, xv in zip(rs, xvals)]
             resid = _divided_difference(xvals, gvals)
             scale = abs(_divided_difference(xvals, [lead * xv ** (n - k) for xv in xvals]))
             rep.cases.append(
                 CaseRecord(n, f"k={k}", abs(resid) / max(scale, 1e-12), "leading-term lemma")
             )
-    # shift identity (exact)
-    for k in (0.0, 1.0, 0.5, 2.5):
-        for s in pts:
-            a = lat.x_shifted(k, complex(s) + 1.0)
-            b = lat.x_shifted(k + 2.0, s)
-            rep.cases.append(
-                CaseRecord(0, f"k={k},s={complex(s):.4g}",
-                           rel_residual(a - b, (a, b)), "x_k(s+1) = x_{k+2}(s)")
-            )
+    # shift identity (exact), each side through its own argument
+    shifts = [(k, s) for k in (0.0, 1.0, 0.5, 2.5) for s in pts]
+    a = table.at(np.array([s + 1.0 + k / 2.0 for k, s in shifts])).tolist()  # x_k(s+1)
+    b = table.at(np.array([s + (k + 2.0) / 2.0 for k, s in shifts])).tolist()  # x_{k+2}(s)
+    for (k, s), av, bv in zip(shifts, a, b):
+        rep.cases.append(
+            CaseRecord(0, f"k={k},s={s:.4g}", rel_residual(av - bv, (av, bv)),
+                       "x_k(s+1) = x_{k+2}(s)")
+        )
     return rep
 
 
@@ -295,19 +300,11 @@ def rodrigues_suite(fam, n_hi: int = 5, tolerance: float = 1e-9) -> CheckReport:
         tolerance=tolerance,
     )
     grid = default_grid(fam)
-    anchor = complex(grid[0])
-    table = pearson_weight(fam.eq, anchor, -n_hi - 1, len(grid) + n_hi + 1)
+    rods, x = rodrigues_values(fam.eq, grid[0], len(grid), n_hi)
+    refs = fam.pn_stack(n_hi, x)
     for n in range(0, n_hi + 1):
-        pairs = []
-        for k, s in enumerate(grid):
-            rod = rodrigues_eval(fam.eq, table, n, anchor + k)
-            ref = fam.pn_ttrr(n, anchor + k)
-            pairs.append((rod, ref))
-        fit = None
-        for rod, ref in pairs:
-            if abs(ref) > 1e-12:
-                fit = rod / ref
-                break
+        pairs = list(zip(rods[n].tolist(), refs[n].tolist()))
+        fit = next((rod / ref for rod, ref in pairs if abs(ref) > 1e-12), None)
         if fit is None:
             raise QKernelError("all reference values vanish; cannot fit constant")
         for (rod, ref), s in zip(pairs, grid):
@@ -456,14 +453,24 @@ def poly_ladder_suite(fam, n_hi: int = 6, tolerance: float = 1e-10) -> CheckRepo
 
 
 def run_suite(fam, suite: str, ns=None, s_grid=None, tolerances=None) -> CheckReport:
-    """Run one named suite with default sweeps unless overridden."""
+    """Run one named suite with default sweeps unless overridden.  An
+    ArithmeticError (a vanishing lattice step, an overflow, an invalid
+    operation) is raised again, of the same class, with the suite named."""
     tolmap = dict(_DEFAULT_TOL)
     if tolerances:
         tolmap.update(tolerances)
     ns = list(ns) if ns is not None else list(range(1, 6))
     grid = list(s_grid) if s_grid is not None else default_grid(fam)
-    tol = tolmap[suite]
     t0 = time.perf_counter()
+    try:
+        rep = _run(fam, suite, ns, grid, tolmap[suite], tolerances)
+    except ArithmeticError as e:
+        raise type(e)(f"{suite}: {e}") from e
+    rep.wall_ms = (time.perf_counter() - t0) * 1e3
+    return rep
+
+
+def _run(fam, suite: str, ns, grid, tol, tolerances) -> CheckReport:
     if suite == "eigen":
         rep = check_eigen(fam, ns, grid, tol)
     elif suite == "ttrr_phi":
@@ -511,7 +518,6 @@ def run_suite(fam, suite: str, ns=None, s_grid=None, tolerances=None) -> CheckRe
                               meta={"status": "skipped", "reason": "real lattice coordinate"})
     else:
         raise QKernelError(f"unknown suite {suite!r}; known: {', '.join(SUITE_NAMES)}")
-    rep.wall_ms = (time.perf_counter() - t0) * 1e3
     return rep
 
 

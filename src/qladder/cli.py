@@ -9,6 +9,7 @@ error.  JSON reports carry the schema id "qladder-report/1".
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from dataclasses import dataclass, field
@@ -312,7 +313,7 @@ def cmd_eval(cfg: RunConfig) -> int:
                 for r in rows
             ],
         }
-        _emit(json.dumps(payload, indent=2), cfg.out)
+        _emit(json.dumps(payload), cfg.out)
     return EXIT_OK
 
 
@@ -380,7 +381,7 @@ def cmd_gram(cfg: RunConfig) -> int:
             "rule": QUADRATURE_RULE,
             "node_history": [[nodes, [v.real, v.imag]] for nodes, v in history],
         }
-    _emit(json.dumps(payload, indent=2), cfg.out)
+    _emit(json.dumps(payload), cfg.out)
     return EXIT_OK
 
 
@@ -430,10 +431,15 @@ def build_parser() -> argparse.ArgumentParser:
     return p
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser of this process, built on the first call."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
     except SystemExit as e:
         return EXIT_USAGE if e.code not in (0, None) else EXIT_OK
     if args.command == "list-families":

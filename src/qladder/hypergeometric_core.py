@@ -6,8 +6,8 @@
 on a nonuniform lattice: sigma/tau evaluation from Taylor data, the tau_k
 coefficients, eigenvalues lambda_n and mu_k, the A_{n,k} products, Pearson
 weight tables, Rodrigues evaluation (an oracle for n <= 5), generic
-three-term-recurrence coefficients, discrete squared norms, and the
-polynomial raising/lowering relations.
+three-term-recurrence coefficients, and the polynomial raising/lowering
+relations.
 
 Conventions
 -----------
@@ -23,9 +23,13 @@ Conventions
 Scalar/array contract
 ---------------------
 `sigma_eval`, `theta_eval`, `sigma_over_nabla` and `theta_over_delta` take
-one point and return a Python complex; they serve the scalar routines here
-(Pearson tables, the Rodrigues oracle, discrete norms, the polynomial
-ladder relations) and the CLI's `eval` rows.  `sigma_tilde`, `tau_tilde`,
+one point and return a Python complex; they serve the polynomial ladder
+relations and the CLI's `eval` rows.  The Pearson tables and the Rodrigues
+values read one `lattice.LatticeTable`: x once per distinct point, sigma
+and Theta from it through the same scalar formulas (`_sigma_theta`), so
+the Pearson recurrence and the rho_n products read identical values; the
+n-fold backward chains of every order and point are one array fold.
+`sigma_tilde`, `tau_tilde`,
 `TauK.at`, `lam_tau_ratio` and `rel_residual` take one point or an ndarray
 (elementwise, through numpy).  `ladder.StencilGrid`, the one implementation
 of the operator coefficients, builds its arrays from the formula helpers
@@ -42,8 +46,8 @@ from functools import reduce
 
 import numpy as np
 
-from .lattice import DegenerateStepError, GridFunction, Lattice, _cdiv, nfold_backward_chain
-from .qkernel import QBase, QKernelError, alpha_q, q_factorial, q_number, require_finite
+from .lattice import DegenerateStepError, Lattice, LatticeTable, _cdiv
+from .qkernel import QBase, QKernelError, alpha_q, q_factorial, q_number
 
 __all__ = [
     "EquationData",
@@ -55,7 +59,6 @@ __all__ = [
     "theta_eval",
     "tau_eval",
     "tau_k_coeffs",
-    "tau_k_eval_direct",
     "lam_ratio",
     "lam_tau_ratio",
     "lambda_n",
@@ -67,9 +70,7 @@ __all__ = [
     "sigma_over_nabla",
     "theta_over_delta",
     "pearson_weight",
-    "rho_n",
-    "rodrigues_eval",
-    "d_n_sq_discrete",
+    "rodrigues_values",
     "check_poly_raising",
     "check_poly_lowering",
     "rel_residual",
@@ -195,28 +196,6 @@ def tau_k_coeffs(eq: EquationData, k) -> TauK:
         + complex(eq.tau_0) * ak
     )
     return TauK(k=k, slope=slope, intercept=intercept)
-
-
-def tau_k_eval_direct(eq: EquationData, k: int, s) -> complex:
-    """tau_k(s) = (sigma(s+k) - sigma(s) + tau(s+k) Delta x(s+k-1/2)) / Delta x_{k-1}(s).
-
-    k = 0 reduces to tau(s).  Cross-route companion of the affine `TauK.at`.
-    """
-    if k == 0:
-        return tau_eval(eq, s)
-    if k < 0:
-        raise QKernelError(f"direct tau_k needs k >= 0, got {k}")
-    lat = eq.lattice
-    s = complex(s)
-    denom = lat.x_shifted(k - 1, s + 1.0) - lat.x_shifted(k - 1, s)
-    if lat.is_degenerate_step(denom):
-        raise DegenerateStepError(f"Delta x_{k-1}({s}) vanishes in direct tau_k")
-    num = (
-        sigma_eval(eq, s + k)
-        - sigma_eval(eq, s)
-        + tau_eval(eq, s + k) * lat.delta_x_mid(s + k)
-    )
-    return num / denom
 
 
 def lam_ratio(eq: EquationData, n) -> complex:
@@ -412,94 +391,92 @@ def pearson_weight(eq: EquationData, anchor, lo: int, hi: int) -> WeightTable:
     if lo > 0 or hi < 0:
         raise QKernelError("weight table must contain its anchor (lo <= 0 <= hi)")
     anchor = complex(anchor)
-    scale = abs(sigma_eval(eq, anchor)) + abs(theta_eval(eq, anchor)) + 1e-300
+    table = LatticeTable(eq.lattice, [anchor], 2 * lo - 1, 2 * hi + 1)
+    return _pearson_table(eq, anchor, lo, hi, *_sigma_theta(eq, table.x[0]))
+
+
+def _sigma_theta(eq: EquationData, xh):
+    """sigma and Theta as lists of Python complex numbers, at the points of
+    x values `xh` on consecutive half-integer offsets that start half a step
+    below the first point: the scalar formulas of sigma_eval and theta_eval,
+    once per point."""
+    xh = xh.tolist()
+    pts = [(x, b - a) for a, x, b in zip(xh[:-2:2], xh[1::2], xh[2::2])]
+    return [_sigma_at(eq, x, d) for x, d in pts], [_theta_at(eq, x, d) for x, d in pts]
+
+
+def _pearson_table(eq, anchor: complex, lo: int, hi: int, sigma, theta) -> WeightTable:
+    """The Pearson ratio recurrence of `pearson_weight` on sigma and Theta
+    given at anchor+lo .. anchor+hi."""
+    sig = lambda k: sigma[k - lo]
+    th = lambda k: theta[k - lo]
+    scale = abs(sig(0)) + abs(th(0)) + 1e-300
     # legitimate support-boundary zeros enter through the numerators
     # (sigma(a) = 0 going down, Theta(b-1) = 0 going up); a vanishing divisor
     # leaves the weight undetermined and always raises
     up = [complex(1.0)]
     for k in range(hi):
-        s = anchor + k
-        den = sigma_eval(eq, s + 1.0)
+        den = sig(k + 1)
         if abs(den) <= 1e-13 * scale:
             raise QKernelError(
-                f"sigma({s + 1.0}) = 0 inside weight span: weight undetermined"
+                f"sigma({anchor + k + 1.0}) = 0 inside weight span: weight undetermined"
             )
-        up.append(up[-1] * theta_eval(eq, s) / den)
+        up.append(up[-1] * th(k) / den)
     down = []
     cur = complex(1.0)
     for k in range(-lo):
-        s = anchor - k
-        den = theta_eval(eq, s - 1.0)
+        den = th(-k - 1)
         if abs(den) <= 1e-13 * scale:
             raise QKernelError(
-                f"Theta({s - 1.0}) = 0 inside weight span: weight undetermined"
+                f"Theta({anchor - k - 1.0}) = 0 inside weight span: weight undetermined"
             )
-        cur = cur * sigma_eval(eq, s) / den
+        cur = cur * sig(-k) / den
         down.append(cur)
     values = tuple(reversed(down)) + tuple(up)
     return WeightTable(eq=eq, anchor=anchor, lo=lo, hi=hi, values=values)
 
 
-def rho_n(eq: EquationData, weight: WeightTable, n: int, s) -> complex:
-    """rho_n(s) = rho(s+n) prod_{k=1}^{n} sigma(s+k)."""
-    if n < 0:
-        raise QKernelError(f"rho_n needs n >= 0, got {n}")
-    out = weight.rho(complex(s) + n)
-    for k in range(1, n + 1):
-        out *= sigma_eval(eq, complex(s) + k)
-    return out
-
-
-def rodrigues_eval(eq: EquationData, weight: WeightTable, n: int, s) -> complex:
-    """P_n(x(s)) = B_n / rho(s) * nabla^{(n)} rho_n(s).
+def rodrigues_values(eq: EquationData, anchor, count: int, n_hi: int):
+    """The Rodrigues formula P_n(x(s)) = B_n / rho(s) * nabla^{(n)} rho_n(s),
+    rho_n(s) = rho(s+n) prod_{k=1}^{n} sigma(s+k), for n = 0..n_hi at the
+    points s = anchor + k, k < count; rho is the Pearson weight on
+    anchor - n_hi - 1 .. anchor + count + n_hi + 1 with rho(anchor) = 1.
 
     An oracle, not a production evaluator: restricted to n <= 5 because each
-    nested difference quotient costs roughly a digit in doubles.
+    nested difference quotient costs roughly a digit in doubles.  One
+    LatticeTable on the anchor gives x, and through it the sigma and Theta
+    that both the Pearson recurrence and the rho_n products read (rho_n
+    telescopes against the weight only when the two read identical values).
+    The chains of every order and point are one backward fold.  Returns the
+    (n_hi + 1, count) values and x at the points.
     """
-    if n < 0:
-        raise QKernelError(f"Rodrigues order must be >= 0, got {n}")
-    if n > RODRIGUES_MAX_ORDER:
+    if n_hi > RODRIGUES_MAX_ORDER:
         raise QKernelError(
             f"Rodrigues evaluation is an oracle restricted to n <= {RODRIGUES_MAX_ORDER}"
         )
-    rho_s = weight.rho(s)
-    if abs(rho_s) == 0.0:
-        raise QKernelError(f"rho({s}) = 0: Rodrigues quotient undefined")
-    if n == 0:
-        return eq.B_n(0)
-    f = GridFunction(eq.lattice, lambda u: rho_n(eq, weight, n, u))
-    return eq.B_n(n) / rho_s * nfold_backward_chain(f, n, s)
-
-
-def d_n_sq_discrete(eq: EquationData, weight: WeightTable, n: int, a, b) -> complex:
-    """d_n^2 = (-1)^n A_{n,n} B_n^2 sum_{s=a}^{b-n-1} rho_n(s) Delta x_n(s-1/2),
-
-    on the finite grid s = a, a+1, ..., b-1 with the boundary conditions
-    sigma(a) = 0 and sigma(b) rho(b) = 0 (violations raise, never silently
-    proceed).
-    """
-    a = complex(a)
-    b = complex(b)
-    length = (b - a).real
-    if abs(b - a - round(length)) > 1e-9 or round(length) < 1:
-        raise QKernelError("discrete support must have integer length b-a >= 1")
-    length = round(length)
-    scale = max(abs(sigma_eval(eq, a + j)) for j in range(length + 1)) + 1e-300
-    if abs(sigma_eval(eq, a)) > 1e-10 * scale:
-        raise QKernelError(f"boundary condition sigma(a)=0 violated at a={a}")
-    if abs(sigma_eval(eq, b) * weight.rho(b)) > 1e-10 * scale:
-        raise QKernelError(f"boundary condition sigma(b) rho(b)=0 violated at b={b}")
-    lat = eq.lattice
-    total = complex(0.0)
-    for j in range(length - n):
-        s = a + j
-        total += rho_n(eq, weight, n, s) * (
-            lat.x_shifted(n, s + 0.5) - lat.x_shifted(n, s - 0.5)
-        )
-    sign = -1.0 if n % 2 else 1.0
-    return require_finite(
-        sign * a_nk(eq, n, n) * eq.B_n(n) ** 2 * total, "discrete d_n^2"
-    )
+    anchor = complex(anchor)
+    lo, hi = -n_hi - 1, count + n_hi + 1
+    table = LatticeTable(eq.lattice, [anchor], 2 * lo - 1, 2 * hi + 1)
+    sigma, theta = _sigma_theta(eq, table.x[0])
+    rho = np.array(_pearson_table(eq, anchor, lo, hi, sigma, theta).values)
+    rho_s = rho[-lo:count - lo]
+    if not rho_s.all():
+        k = int(np.flatnonzero(rho_s == 0)[0])
+        raise QKernelError(f"rho({anchor + k}) = 0: Rodrigues quotient undefined")
+    # lanes (point anchor + k, order n = 1..n_hi), each on its chain
+    # anchor + k - n_hi + i, i = 0..n_hi, read from i = n_hi - n on
+    k = np.arange(count)[:, None, None]
+    n = np.arange(1, n_hi + 1)[:, None]
+    u = k - n_hi + np.arange(n_hi + 1) - lo
+    sigma = np.array(sigma)
+    with np.errstate(all="ignore"):
+        rho_n = rho[u + n]
+        for j in range(1, n_hi + 1):
+            rho_n[:, j - 1:] *= sigma[u + j]
+    chains = table.backward(rho_n[None], n[:, 0], k[:, :, 0])
+    values = [np.full(count, eq.B_n(0))] + [
+        _cdiv(eq.B_n(j), rho_s) * chains[j][0, :, j - 1, -1] for j in range(1, n_hi + 1)]
+    return np.array(values), table.x[0, 2 * np.arange(count) - table.h_lo]
 
 
 def check_poly_raising(eq: EquationData, pn, n: int, s, alpha_n) -> float:

@@ -21,6 +21,19 @@ an ndarray of points (through numpy, elementwise).
 `_cdiv`, which rounds as Python's complex division does, so an array entry
 equals the scalar value bit for bit on real-valued data (numpy's own
 complex division multiplies by a rounded reciprocal).
+
+`LatticeTable` is the difference calculus of a suite: x(s + h/2) for its
+rows s (grid points or nodes) and a range of integer h.  Its x values come
+from the scalar formula, once per distinct point, so each equals
+`Lattice.x` at that point; numpy's exp rounds differently, and a guard
+such as the Pearson recurrence's sigma = 0 test can flip on that last bit.
+Only the folds are arrays.  `forward` (k-fold forward differences) and
+`backward` (n-fold backward chains) take values on integer offsets of the
+rows, stacked over any further lanes (n, the chain's end point), and
+return every depth, so all lanes share one quotient per fold level.  A step
+is tested for degeneracy only where some lane reads it, which is where a
+point-by-point fold would divide by it; the quotients no lane reads are
+formed with floating-point errors ignored and never read.
 """
 
 from __future__ import annotations
@@ -33,15 +46,7 @@ import numpy as np
 
 from .qkernel import QBase, QKernelError
 
-__all__ = [
-    "DegenerateStepError",
-    "Lattice",
-    "GridFunction",
-    "forward_diff",
-    "backward_diff",
-    "kfold_forward_diff",
-    "nfold_backward_chain",
-]
+__all__ = ["DegenerateStepError", "Lattice", "LatticeTable"]
 
 
 class DegenerateStepError(ArithmeticError):
@@ -141,86 +146,78 @@ class Lattice:
         return abs(value) < 1e-9 * self.step_scale()
 
 
-@dataclass(frozen=True)
-class GridFunction:
-    """An evaluation rule s -> value together with the lattice it lives on."""
+class LatticeTable:
+    """x(s + h/2) for the rows s of one suite and h = h_lo..h_hi, as
+    `x[r, h - h_lo]`.
 
-    lattice: Lattice
-    fn: object  # callable s -> complex
-
-    def __call__(self, s) -> complex:
-        return self.fn(s)
-
-
-def _checked_step(lat: Lattice, value, what: str):
-    if lat.is_degenerate_step(value):
-        raise DegenerateStepError(f"{what} vanishes: lattice step is degenerate")
-    return value
-
-
-def forward_diff(f: GridFunction, s) -> complex:
-    """(f(s+1) - f(s)) / (x(s+1) - x(s))."""
-    lat = f.lattice
-    step = _checked_step(lat, lat.delta_x(s), f"Delta x({s})")
-    return (f(complex(s) + 1.0) - f(s)) / step
-
-
-def backward_diff(f: GridFunction, s) -> complex:
-    """(f(s) - f(s-1)) / (x(s) - x(s-1))."""
-    lat = f.lattice
-    step = _checked_step(lat, lat.nabla_x(s), f"nabla x({s})")
-    return (f(s) - f(complex(s) - 1.0)) / step
-
-
-def kfold_forward_diff(f: GridFunction, k: int, s) -> complex:
-    """The k-fold forward difference derivative
-
-        Delta^{(k)} f(s) = Delta/Delta x_{k-1}(s) ... Delta/Delta x(s) f(s);
-
-    k = 0 returns f(s).  Needs f on s..s+k.
+    Each distinct point is evaluated once, through the scalar formula, and
+    `at` evaluates further points through the same memo.  `forward` and
+    `backward` fold values given on integer offsets of the rows: each fold
+    level is one `_cdiv` over the whole stack, every depth is returned, and a
+    step is tested for degeneracy only where some lane reads it.
     """
-    if k < 0:
-        raise QKernelError(f"fold count must be nonnegative, got {k}")
-    lat = f.lattice
-    s0 = complex(s)
-    vals = [f(s0 + j) for j in range(k + 1)]
-    for level in range(k):
-        # divide by Delta x_level(s + j) = x(s + j + 1 + level/2) - x(s + j + level/2)
-        nxt = []
-        for j in range(len(vals) - 1):
-            step = _checked_step(
-                lat,
-                lat.x_shifted(level, s0 + j + 1) - lat.x_shifted(level, s0 + j),
-                f"Delta x_{level}({s0 + j})",
-            )
-            nxt.append((vals[j + 1] - vals[j]) / step)
-        vals = nxt
-    return vals[0]
 
+    def __init__(self, lattice: Lattice, rows, h_lo: int, h_hi: int):
+        self.lattice = lattice
+        self.rows = np.array([complex(s) for s in rows], dtype=complex)
+        self.h_lo = h_lo
+        self._memo = {}
+        self.x = self.at(self.rows[:, None] + np.arange(h_lo, h_hi + 1) / 2.0)
 
-def nfold_backward_chain(f: GridFunction, n: int, s) -> complex:
-    """The n-fold backward chain
+    def at(self, s):
+        """x at an ndarray of points, each distinct point evaluated once."""
+        memo, x = self._memo, self.lattice.x_values
+        vals = [memo[p] if p in memo else memo.setdefault(p, x(p)) for p in s.ravel().tolist()]
+        return np.array(vals, dtype=complex).reshape(s.shape)
 
-        nabla^{(n)} f(s) = nabla/nabla x_1(s) nabla/nabla x_2(s) ...
-                           nabla/nabla x_n(s) f(s),
+    def forward(self, f, depth):
+        """k-fold forward differences
 
-    applied rightmost first.  Needs f on s-n..s.
-    """
-    if n < 1:
-        raise QKernelError(f"chain length must be >= 1, got {n}")
-    lat = f.lattice
-    s0 = complex(s)
-    vals = [f(s0 - n + j) for j in range(n + 1)]
-    for level in range(n, 0, -1):
-        # level runs n, n-1, ..., 1; current vals live on s-(level-1)..s
-        nxt = []
-        for j in range(len(vals) - 1):
-            sj = s0 - (len(vals) - 2) + j  # point where the quotient is taken
-            step = _checked_step(
-                lat,
-                lat.x_shifted(level, sj) - lat.x_shifted(level, sj - 1),
-                f"nabla x_{level}({sj})",
-            )
-            nxt.append((vals[j + 1] - vals[j]) / step)
-        vals = nxt
-    return vals[0]
+            Delta^{(k)} f(s) = Delta/Delta x_{k-1}(s) ... Delta/Delta x(s) f(s)
+
+        of f[r, ..., j] = f(s_r + j), j = 0..m.  Entry d of the returned list
+        holds Delta^{(d)} f(s_r + j) for j = 0..m-d.  `depth` (broadcast
+        against the lanes f[..., 0]) is the k a lane reads, at entry k [..., 0].
+        """
+        return self._fold(f, np.expand_dims(depth, -1), 0, 0)
+
+    def backward(self, f, depth, end=0):
+        """n-fold backward chains, applied rightmost first,
+
+            nabla^{(n)} f(s) = nabla/nabla x_1(s) ... nabla/nabla x_n(s) f(s),
+
+        of f[r, ..., i] = f(s_r + end - m + i), i = 0..m.  A lane of `depth`
+        n reads nabla^{(n)} f(s_r + end) at entry n [..., -1] of the returned
+        list; entry d holds the values after d quotients of that chain, on
+        s_r + end - m + d + i.  `depth` and `end` broadcast against the
+        lanes f[..., 0].
+        """
+        m = f.shape[-1] - 1
+        n = np.expand_dims(depth, -1)
+        return self._fold(f, n, n - 2 * m + 2 * np.expand_dims(end, -1), m - n)
+
+    def _fold(self, f, depth, c, start):
+        """The quotient at depth d and index i divides by x(s + (h + 2)/2) -
+        x(s + h/2), h = c + 2 i + d - 1; a lane reads the quotients
+        start <= i <= start + depth - d.  The others may divide by a
+        degenerate step; they are computed with errors ignored and never read."""
+        m = f.shape[-1] - 1
+        if np.min(c) < self.h_lo:
+            raise IndexError("the fold reads x below the table")
+        rows = np.arange(len(self.rows)).reshape((-1,) + (1,) * (f.ndim - 1))
+        out = [f]
+        with np.errstate(all="ignore"):
+            for d in range(1, m + 1):
+                i = np.arange(m + 1 - d)
+                h = c + 2 * i + d - 1 - self.h_lo
+                step = self.x[rows, h + 2] - self.x[rows, h]
+                bad = (start <= i) & (i <= start + depth - d) & self.lattice.is_degenerate_step(step)
+                if bad.any():
+                    at = tuple(np.argwhere(bad)[0])
+                    s = complex(self.rows[at[0]])
+                    h0 = int(np.broadcast_to(h, bad.shape)[at]) + self.h_lo
+                    raise DegenerateStepError(f"x({s + (h0 + 2) / 2}) - x({s + h0 / 2}) "
+                                              "vanishes: lattice step is degenerate")
+                v = out[-1]
+                out.append(_cdiv(v[..., 1:] - v[..., :-1], step))
+        return out

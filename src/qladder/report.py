@@ -67,8 +67,4 @@ def report_to_dict(rep: CheckReport) -> dict:
 
 
 def dumps_reports(reports) -> str:
-    return json.dumps(
-        {"schema": SCHEMA_ID, "reports": [report_to_dict(r) for r in reports]},
-        indent=2,
-        sort_keys=False,
-    )
+    return json.dumps({"schema": SCHEMA_ID, "reports": [report_to_dict(r) for r in reports]})

@@ -37,3 +37,16 @@ def grid_for(name, count=5):
         return [0.3 + k for k in range(count)]
     lnq = math.log(REFERENCE_Q)
     return [complex(0.0, 1.0) * ((j + 0.5) * math.pi / (count + 1)) / lnq for j in range(count)]
+
+
+# real lattices whose default grid is 0.25 + k: every point sum is exact, so
+# array and point-by-point evaluation agree bit for bit
+EXACT_FAMILIES = ("asc1", "asc2", "big_q_jacobi")
+
+
+def assert_matches_reference(got, want, name):
+    """Bit for bit on EXACT_FAMILIES, else within max(1e-14, 1% relative)."""
+    if name in EXACT_FAMILIES:
+        assert got == want
+    else:
+        assert abs(got - want) <= max(1e-14, 0.01 * abs(want)), (got, want)

@@ -1,22 +1,33 @@
-"""Point-by-point definitions of the ladder coefficients and operators: one
-point at a time, through the scalar sigma_eval, theta_eval and the
-limit-aware ratios.  The library evaluates them on `ladder.StencilGrid`
-arrays only; the tests keep these as the reference the grid is compared
+"""Point-by-point definitions, one point at a time through the scalar
+Lattice.x, sigma_eval, theta_eval and the limit-aware ratios: the ladder
+coefficients and operators (the library evaluates them on
+`ladder.StencilGrid` arrays only), the difference quotients, k-fold forward
+differences and n-fold backward chains (the library folds
+`lattice.LatticeTable` arrays), the Pearson recurrence, rho_n, the
+Rodrigues formula, the direct tau_k quotient and the discrete squared
+norms.  The tests keep these as the reference the library is compared
 against."""
 
 import cmath
+from dataclasses import dataclass
 
 from qladder.hypergeometric_core import (
+    RODRIGUES_MAX_ORDER,
+    EquationData,
+    WeightTable,
+    a_nk,
     lam_ratio,
     lam_tau_ratio,
     lambda_n,
     sigma_eval,
     sigma_over_nabla,
+    tau_eval,
     theta_eval,
     theta_over_delta,
 )
 from qladder.ladder import ThreePointOperator, _absent
-from qladder.qkernel import QKernelError
+from qladder.lattice import DegenerateStepError, Lattice
+from qladder.qkernel import QKernelError, require_finite
 
 
 def sqrt_ts_minus(fam, s) -> complex:
@@ -128,3 +139,212 @@ class PhiChain:
             return self.w[k] * self.fam.pn_ttrr(n, s)
 
         return f
+
+
+@dataclass(frozen=True)
+class GridFunction:
+    """An evaluation rule s -> value together with the lattice it lives on."""
+
+    lattice: Lattice
+    fn: object  # callable s -> complex
+
+    def __call__(self, s) -> complex:
+        return self.fn(s)
+
+
+def _checked_step(lat: Lattice, value, what: str):
+    if lat.is_degenerate_step(value):
+        raise DegenerateStepError(f"{what} vanishes: lattice step is degenerate")
+    return value
+
+
+def forward_diff(f: GridFunction, s) -> complex:
+    """(f(s+1) - f(s)) / (x(s+1) - x(s))."""
+    lat = f.lattice
+    step = _checked_step(lat, lat.delta_x(s), f"Delta x({s})")
+    return (f(complex(s) + 1.0) - f(s)) / step
+
+
+def backward_diff(f: GridFunction, s) -> complex:
+    """(f(s) - f(s-1)) / (x(s) - x(s-1))."""
+    lat = f.lattice
+    step = _checked_step(lat, lat.nabla_x(s), f"nabla x({s})")
+    return (f(s) - f(complex(s) - 1.0)) / step
+
+
+def kfold_forward_diff(f: GridFunction, k: int, s) -> complex:
+    """The k-fold forward difference derivative
+
+        Delta^{(k)} f(s) = Delta/Delta x_{k-1}(s) ... Delta/Delta x(s) f(s);
+
+    k = 0 returns f(s).  Needs f on s..s+k.
+    """
+    if k < 0:
+        raise QKernelError(f"fold count must be nonnegative, got {k}")
+    lat = f.lattice
+    s0 = complex(s)
+    vals = [f(s0 + j) for j in range(k + 1)]
+    for level in range(k):
+        # divide by Delta x_level(s + j) = x(s + j + 1 + level/2) - x(s + j + level/2)
+        nxt = []
+        for j in range(len(vals) - 1):
+            step = _checked_step(
+                lat,
+                lat.x_shifted(level, s0 + j + 1) - lat.x_shifted(level, s0 + j),
+                f"Delta x_{level}({s0 + j})",
+            )
+            nxt.append((vals[j + 1] - vals[j]) / step)
+        vals = nxt
+    return vals[0]
+
+
+def nfold_backward_chain(f: GridFunction, n: int, s) -> complex:
+    """The n-fold backward chain
+
+        nabla^{(n)} f(s) = nabla/nabla x_1(s) nabla/nabla x_2(s) ...
+                           nabla/nabla x_n(s) f(s),
+
+    applied rightmost first.  Needs f on s-n..s.
+    """
+    if n < 1:
+        raise QKernelError(f"chain length must be >= 1, got {n}")
+    lat = f.lattice
+    s0 = complex(s)
+    vals = [f(s0 - n + j) for j in range(n + 1)]
+    for level in range(n, 0, -1):
+        # level runs n, n-1, ..., 1; current vals live on s-(level-1)..s
+        nxt = []
+        for j in range(len(vals) - 1):
+            sj = s0 - (len(vals) - 2) + j  # point where the quotient is taken
+            step = _checked_step(
+                lat,
+                lat.x_shifted(level, sj) - lat.x_shifted(level, sj - 1),
+                f"nabla x_{level}({sj})",
+            )
+            nxt.append((vals[j + 1] - vals[j]) / step)
+        vals = nxt
+    return vals[0]
+
+
+def tau_k_eval_direct(eq: EquationData, k: int, s) -> complex:
+    """tau_k(s) = (sigma(s+k) - sigma(s) + tau(s+k) Delta x(s+k-1/2)) / Delta x_{k-1}(s).
+
+    k = 0 reduces to tau(s).  Cross-route companion of the affine `TauK.at`.
+    """
+    if k == 0:
+        return tau_eval(eq, s)
+    if k < 0:
+        raise QKernelError(f"direct tau_k needs k >= 0, got {k}")
+    lat = eq.lattice
+    s = complex(s)
+    denom = lat.x_shifted(k - 1, s + 1.0) - lat.x_shifted(k - 1, s)
+    if lat.is_degenerate_step(denom):
+        raise DegenerateStepError(f"Delta x_{k-1}({s}) vanishes in direct tau_k")
+    num = (
+        sigma_eval(eq, s + k)
+        - sigma_eval(eq, s)
+        + tau_eval(eq, s + k) * lat.delta_x_mid(s + k)
+    )
+    return num / denom
+
+
+def pearson_weight(eq: EquationData, anchor, lo: int, hi: int) -> WeightTable:
+    """The Pearson table of `hypergeometric_core.pearson_weight`, point by
+    point through sigma_eval and theta_eval: the Pearson equation
+    Delta[sigma rho]/Delta x(s-1/2) = tau rho as a ratio recurrence on
+    anchor+lo .. anchor+hi, normalized to rho(anchor) = 1.
+
+    sigma may vanish only where the running weight is already zero (support
+    boundaries); anywhere else a vanishing divisor raises.
+    """
+    if lo > 0 or hi < 0:
+        raise QKernelError("weight table must contain its anchor (lo <= 0 <= hi)")
+    anchor = complex(anchor)
+    scale = abs(sigma_eval(eq, anchor)) + abs(theta_eval(eq, anchor)) + 1e-300
+    # legitimate support-boundary zeros enter through the numerators
+    # (sigma(a) = 0 going down, Theta(b-1) = 0 going up); a vanishing divisor
+    # leaves the weight undetermined and always raises
+    up = [complex(1.0)]
+    for k in range(hi):
+        s = anchor + k
+        den = sigma_eval(eq, s + 1.0)
+        if abs(den) <= 1e-13 * scale:
+            raise QKernelError(
+                f"sigma({s + 1.0}) = 0 inside weight span: weight undetermined"
+            )
+        up.append(up[-1] * theta_eval(eq, s) / den)
+    down = []
+    cur = complex(1.0)
+    for k in range(-lo):
+        s = anchor - k
+        den = theta_eval(eq, s - 1.0)
+        if abs(den) <= 1e-13 * scale:
+            raise QKernelError(
+                f"Theta({s - 1.0}) = 0 inside weight span: weight undetermined"
+            )
+        cur = cur * sigma_eval(eq, s) / den
+        down.append(cur)
+    values = tuple(reversed(down)) + tuple(up)
+    return WeightTable(eq=eq, anchor=anchor, lo=lo, hi=hi, values=values)
+
+
+def rho_n(eq: EquationData, weight: WeightTable, n: int, s) -> complex:
+    """rho_n(s) = rho(s+n) prod_{k=1}^{n} sigma(s+k)."""
+    if n < 0:
+        raise QKernelError(f"rho_n needs n >= 0, got {n}")
+    out = weight.rho(complex(s) + n)
+    for k in range(1, n + 1):
+        out *= sigma_eval(eq, complex(s) + k)
+    return out
+
+
+def rodrigues_eval(eq: EquationData, weight: WeightTable, n: int, s) -> complex:
+    """P_n(x(s)) = B_n / rho(s) * nabla^{(n)} rho_n(s).
+
+    An oracle, not a production evaluator: restricted to n <= 5 because each
+    nested difference quotient costs roughly a digit in doubles.
+    """
+    if n < 0:
+        raise QKernelError(f"Rodrigues order must be >= 0, got {n}")
+    if n > RODRIGUES_MAX_ORDER:
+        raise QKernelError(
+            f"Rodrigues evaluation is an oracle restricted to n <= {RODRIGUES_MAX_ORDER}"
+        )
+    rho_s = weight.rho(s)
+    if abs(rho_s) == 0.0:
+        raise QKernelError(f"rho({s}) = 0: Rodrigues quotient undefined")
+    if n == 0:
+        return eq.B_n(0)
+    f = GridFunction(eq.lattice, lambda u: rho_n(eq, weight, n, u))
+    return eq.B_n(n) / rho_s * nfold_backward_chain(f, n, s)
+
+
+def d_n_sq_discrete(eq: EquationData, weight: WeightTable, n: int, a, b) -> complex:
+    """d_n^2 = (-1)^n A_{n,n} B_n^2 sum_{s=a}^{b-n-1} rho_n(s) Delta x_n(s-1/2),
+
+    on the finite grid s = a, a+1, ..., b-1 with the boundary conditions
+    sigma(a) = 0 and sigma(b) rho(b) = 0 (violations raise, never silently
+    proceed).
+    """
+    a = complex(a)
+    b = complex(b)
+    length = (b - a).real
+    if abs(b - a - round(length)) > 1e-9 or round(length) < 1:
+        raise QKernelError("discrete support must have integer length b-a >= 1")
+    length = round(length)
+    scale = max(abs(sigma_eval(eq, a + j)) for j in range(length + 1)) + 1e-300
+    if abs(sigma_eval(eq, a)) > 1e-10 * scale:
+        raise QKernelError(f"boundary condition sigma(a)=0 violated at a={a}")
+    if abs(sigma_eval(eq, b) * weight.rho(b)) > 1e-10 * scale:
+        raise QKernelError(f"boundary condition sigma(b) rho(b)=0 violated at b={b}")
+    lat = eq.lattice
+    total = complex(0.0)
+    for j in range(length - n):
+        s = a + j
+        total += rho_n(eq, weight, n, s) * (
+            lat.x_shifted(n, s + 0.5) - lat.x_shifted(n, s - 0.5)
+        )
+    sign = -1.0 if n % 2 else 1.0
+    return require_finite(
+        sign * a_nk(eq, n, n) * eq.B_n(n) ** 2 * total, "discrete d_n^2"
+    )

@@ -4,9 +4,10 @@ import sys
 
 import pytest
 
+from qladder import cli
 from qladder.cli import main
 from qladder.families import reference_params
-from qladder.report import SCHEMA_ID
+from qladder.report import SCHEMA_ID, report_to_dict
 
 REF_ARGS = {
     "asc1": ["--param", "a=-1"],
@@ -89,6 +90,19 @@ def test_arithmetic_error_exits_2(tmp_path, capsys):
     assert run_cli(SYMMETRY_CHAIN + ["--suite", "bootstrap",
                                      "--out", str(tmp_path / "b.json")]) == 2
     assert capsys.readouterr().err.startswith("error: ")
+
+
+def test_arithmetic_error_names_the_suite(tmp_path, capsys):
+    assert run_cli(SYMMETRY_CHAIN + ["--suite", "bootstrap",
+                                     "--out", str(tmp_path / "b.json")]) == 2
+    assert "bootstrap" in capsys.readouterr().err.splitlines()[-1]
+
+
+def test_rodrigues_next_to_a_sigma_zero_of_q_hermite(tmp_path):
+    # sigma comes within one last bit of the Pearson guard here: x from
+    # numpy's exp instead of the scalar formula reports sigma = 0 in the span
+    assert run_cli(["check", "--family", "continuous_q_hermite", "--q", "0.1745347148715276",
+                    "--suite", "rodrigues", "--out", str(tmp_path / "r.json")]) == 0
 
 
 def test_bootstrap_chain_starting_at_symmetry_point(tmp_path):
@@ -316,3 +330,42 @@ def test_console_entry_point():
     )
     assert proc.returncode == 0
     assert "askey_wilson" in proc.stdout
+
+
+def test_check_json_is_compact_and_equals_the_report_dicts(tmp_path, monkeypatch):
+    reports = []
+    run_suites = cli.run_suites
+
+    def capturing(*args, **kwargs):
+        reports.extend(run_suites(*args, **kwargs))
+        return reports
+
+    monkeypatch.setattr(cli, "run_suites", capturing)
+    out = tmp_path / "c.json"
+    assert run_cli(["check", "--family", "q_dual_hahn", "--q", "0.5", *REF_ARGS["q_dual_hahn"],
+                    "--suite", "all", "--out", str(out)]) == 0
+    text = out.read_text()
+    assert "\n" not in text.strip()
+    assert json.loads(text) == {"schema": SCHEMA_ID,
+                                "reports": [report_to_dict(r) for r in reports]}
+    for cmd in ("eval", "gram"):
+        out = tmp_path / f"{cmd}.json"
+        assert run_cli([cmd, "--family", "asc1", "--q", "0.5", *REF_ARGS["asc1"],
+                        "--n-max", "2", "--out", str(out)]) == 0
+        assert "\n" not in out.read_text().strip()
+
+
+def test_parser_built_once_configs_independent(monkeypatch):
+    configs = []
+    monkeypatch.setattr(cli, "cmd_check", lambda cfg: configs.append(cfg) or 0)
+    base = ["check", "--family", "asc1", "--q", "0.5"]
+    assert run_cli(base + ["--param", "a=-1", "--suite", "eigen", "--tol", "eigen=1e-3"]) == 0
+    parser = cli._parser()
+    assert run_cli(base + ["--param", "a=-2", "--suite", "raising", "--suite", "lowering",
+                           "--tol", "raising=1e-4"]) == 0
+    assert cli._parser() is parser
+    first, second = configs
+    assert (first.params, first.suites, first.tolerances) == (
+        {"a": -1.0}, ["eigen"], {"eigen": 1e-3})
+    assert (second.params, second.suites, second.tolerances) == (
+        {"a": -2.0}, ["raising", "lowering"], {"raising": 1e-4})

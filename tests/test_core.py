@@ -3,6 +3,7 @@ family data (which the family layer validates independently)."""
 
 import cmath
 import math
+import re
 
 import pytest
 
@@ -12,27 +13,28 @@ from qladder.hypergeometric_core import (
     b_over_a,
     check_poly_lowering,
     check_poly_raising,
-    d_n_sq_discrete,
     lam_ratio,
     lambda_n,
     leading_coeff,
     mu_k,
     pearson_weight,
     rel_residual,
-    rho_n,
-    rodrigues_eval,
+    rodrigues_values,
     sigma_eval,
     sigma_over_nabla,
     tau_eval,
     tau_k_coeffs,
-    tau_k_eval_direct,
     theta_eval,
     ttrr_coeffs_generic,
 )
+from qladder.checks import default_grid, rodrigues_suite
+from qladder.families import make_family, reference_params
 from qladder.lattice import Lattice
 from qladder.qkernel import QBase, QKernelError, q_number
 
-from conftest import FAMILY_NAMES, grid_for
+import pointwise
+from conftest import FAMILY_NAMES, assert_matches_reference, grid_for
+from pointwise import d_n_sq_discrete, rho_n, rodrigues_eval, tau_k_eval_direct
 
 
 def test_equation_data_guard():
@@ -374,3 +376,61 @@ def test_poly_ladder_suite_equals_per_evaluation_recurrence(families):
                                                 fam.ttrr_gamma(n)))
         want += [check_poly_lowering(fam.eq, pn, 0, s, fam.ttrr_beta(0), 0.0) for s in grid[:2]]
         assert [c.residual for c in poly_ladder_suite(fam, 6).cases] == want
+
+
+@pytest.mark.parametrize("q", [0.2, 0.5, 0.8])
+@pytest.mark.parametrize("name", FAMILY_NAMES)
+def test_pearson_weight_matches_pointwise(name, q):
+    fam = make_family(name, reference_params(name), QBase(q))
+    anchor = complex(default_grid(fam)[0])
+    try:
+        want = pointwise.pearson_weight(fam.eq, anchor, -6, 11).values
+    except QKernelError as e:
+        with pytest.raises(QKernelError, match=re.escape(str(e))):
+            pearson_weight(fam.eq, anchor, -6, 11)
+        return
+    for got, ref in zip(pearson_weight(fam.eq, anchor, -6, 11).values, want):
+        assert_matches_reference(got, ref, name)
+
+
+def _pointwise_rodrigues_residuals(fam, n_hi=5):
+    """The rodrigues suite point by point: rodrigues_eval on the pointwise
+    Pearson table against pn_ttrr, with the constant fit at the first point."""
+    grid = default_grid(fam)
+    anchor = complex(grid[0])
+    table = pointwise.pearson_weight(fam.eq, anchor, -n_hi - 1, len(grid) + n_hi + 1)
+    out = []
+    for n in range(n_hi + 1):
+        pairs = [(rodrigues_eval(fam.eq, table, n, anchor + k), fam.pn_ttrr(n, anchor + k))
+                 for k in range(len(grid))]
+        fit = next(rod / ref for rod, ref in pairs if abs(ref) > 1e-12)
+        out += [abs(rod - fit * ref) / max(abs(rod), abs(fit * ref), 1e-12) for rod, ref in pairs]
+    return out
+
+
+@pytest.mark.parametrize("q", [0.2, 0.5, 0.8])
+@pytest.mark.parametrize("name", FAMILY_NAMES)
+def test_rodrigues_table_matches_pointwise(name, q):
+    fam = make_family(name, reference_params(name), QBase(q))
+    grid = default_grid(fam)
+    anchor = complex(grid[0])
+    try:
+        table = pointwise.pearson_weight(fam.eq, anchor, -6, len(grid) + 6)
+    except QKernelError as e:  # q-Hermite at q = 0.2: sigma = 0 inside the span
+        with pytest.raises(QKernelError, match=re.escape(str(e))):
+            rodrigues_values(fam.eq, anchor, len(grid), 5)
+        return
+    got, x = rodrigues_values(fam.eq, anchor, len(grid), 5)
+    for k in range(len(grid)):
+        assert x[k] == fam.lattice.x(anchor + k)
+        for n in range(6):
+            want = rodrigues_eval(fam.eq, table, n, anchor + k)
+            assert_matches_reference(complex(got[n, k]), want, name)
+    residuals = [c.residual for c in rodrigues_suite(fam).cases]
+    for got_r, want_r in zip(residuals, _pointwise_rodrigues_residuals(fam), strict=True):
+        assert_matches_reference(got_r, want_r, name)
+
+
+def test_rodrigues_values_order_cap(families):
+    with pytest.raises(QKernelError, match="oracle"):
+        rodrigues_values(families["asc1"].eq, 0.25, 5, 6)

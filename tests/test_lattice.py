@@ -1,20 +1,26 @@
 import cmath
 import math
+import re
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qladder.lattice import (
-    DegenerateStepError,
+from qladder import checks
+from qladder.families import make_family, reference_params
+from qladder.lattice import DegenerateStepError, Lattice, LatticeTable
+from qladder.qkernel import QBase, QKernelError, q_factorial, q_number
+
+from conftest import FAMILY_NAMES, assert_matches_reference
+
+from pointwise import (
     GridFunction,
-    Lattice,
     backward_diff,
     forward_diff,
     kfold_forward_diff,
     nfold_backward_chain,
 )
-from qladder.qkernel import QBase, QKernelError, q_factorial, q_number
 
 B = QBase(0.5)
 EXP = Lattice(1.0, 0.0, 0.0, B)  # x(s) = q^s
@@ -179,3 +185,96 @@ def test_product_rule(sa, sb):
         GridFunction(lat, f), s
     )
     assert abs(lhs - rhs) <= 1e-11 * max(1.0, abs(lhs))
+
+
+@pytest.mark.parametrize("q", [0.2, 0.5, 0.8])
+@pytest.mark.parametrize("name", FAMILY_NAMES)
+def test_forward_fold_matches_pointwise(name, q):
+    # the rows of the difference_calculus suite: its grid and lemma nodes
+    fam = make_family(name, reference_params(name), QBase(q))
+    lat = fam.lattice
+    rows = [complex(s) for s in checks.default_grid(fam, 3)]
+    rows += [rows[0] + 0.35 * j for j in range(1, 6)]
+    table = LatticeTable(lat, rows, 0, 14)
+    powers = np.array([[[lat.x(s + j) ** n for j in range(8)] for n in range(1, 7)]
+                       for s in rows])
+    folds = table.forward(powers, 7)
+    for k, fold in enumerate(folds):
+        for r, s in enumerate(rows):
+            for n in range(1, 7):
+                f = GridFunction(lat, lambda t, n=n: lat.x(t) ** n)
+                assert_matches_reference(complex(fold[r, n - 1, 0]),
+                                         kfold_forward_diff(f, k, s), name)
+
+
+@pytest.mark.parametrize("q", [0.2, 0.5, 0.8])
+@pytest.mark.parametrize("name", FAMILY_NAMES)
+def test_backward_fold_matches_pointwise(name, q):
+    # chains of every length 1..4 ending at each of three points, one fold
+    fam = make_family(name, reference_params(name), QBase(q))
+    lat = fam.lattice
+    s0 = complex(checks.default_grid(fam, 1)[0])
+    f = lambda t: lat.x(t) ** 3 - 2.0 * lat.x(t)
+    table = LatticeTable(lat, [s0], -8, 8)
+    ends = np.arange(3)[:, None]
+    vals = np.array([[[f(s0 + e - 4 + i) for i in range(5)] for n in range(1, 5)]
+                     for e in range(3)])
+    chains = table.backward(vals[None], np.arange(1, 5), ends)
+    for e in range(3):
+        for n in range(1, 5):
+            want = nfold_backward_chain(GridFunction(lat, f), n, s0 + e)
+            assert_matches_reference(complex(chains[n][0, e, n - 1, -1]), want, name)
+
+
+# the q-dual Hahn reference lattice is symmetric about s = -1/2: nabla x(0) = 0
+QDH = make_family("q_dual_hahn", reference_params("q_dual_hahn"), QBase(0.5)).lattice
+
+
+def test_forward_fold_raises_only_where_a_read_step_vanishes():
+    assert QDH.is_degenerate_step(QDH.nabla_x(0.0))
+    f = GridFunction(QDH, lambda s: QDH.x(s) ** 3)
+    vals = np.array([[f(-2.0 + j) for j in range(4)]])
+    table = LatticeTable(QDH, [-2.0], 0, 8)
+    # Delta x(-1) = x(0) - x(-1) is read from depth 2 on
+    with pytest.raises(DegenerateStepError):
+        kfold_forward_diff(f, 2, -2.0)
+    with pytest.raises(DegenerateStepError, match=re.escape("x(0j) - x((-1+0j))")):
+        table.forward(vals, 2)
+    # depth 1 reads Delta x(-2) only; the stacked entries that divide by
+    # the vanishing step are formed but not read
+    assert table.forward(vals, 1)[1][0, 0] == kfold_forward_diff(f, 1, -2.0)
+
+
+def test_backward_fold_raises_only_where_a_read_step_vanishes():
+    f = GridFunction(QDH, lambda s: QDH.x(s) ** 3)
+    vals = np.array([[f(-3.0 + i) for i in range(4)]])
+    table = LatticeTable(QDH, [0.0], -8, 8)
+    # nabla x_2(-1) = x(0) - x(-1) is read by every chain of length >= 2
+    with pytest.raises(DegenerateStepError):
+        nfold_backward_chain(f, 2, 0.0)
+    with pytest.raises(DegenerateStepError, match=re.escape("x(0j) - x((-1+0j))")):
+        table.backward(vals, 2)
+    with pytest.raises(DegenerateStepError):
+        table.backward(vals[:, None], np.array([1, 2]))
+    # a chain of length 1 stacked on four values: its unread depth-2
+    # entries divide by x(0) - x(-1)
+    assert table.backward(vals, 1)[1][0, -1] == nfold_backward_chain(f, 1, 0.0)
+
+
+def test_suites_evaluate_each_lattice_point_once(monkeypatch):
+    points = []
+    x_values = Lattice.x_values
+
+    def counting(self, s):
+        points.append(s)
+        return x_values(self, s)
+
+    for name in FAMILY_NAMES:
+        fam = make_family(name, reference_params(name), QBase(0.5))
+        for suite, most in (("rodrigues", 40), ("difference_calculus", 160)):
+            points.clear()
+            monkeypatch.setattr(Lattice, "x_values", counting)
+            checks.run_suite(fam, suite)
+            monkeypatch.undo()
+            assert len(points) <= most, (name, suite)
+            assert len(points) == len(set(points)), (name, suite)
