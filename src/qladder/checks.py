@@ -12,8 +12,7 @@ import time
 import numpy as np
 
 from .hypergeometric_core import (
-    check_poly_lowering,
-    check_poly_raising,
+    lam_ratio,
     lambda_n,
     pearson_weight,
     rel_residual,
@@ -404,12 +403,16 @@ def orthonormality_suite(fam, tolerance: float | None = None) -> CheckReport:
     return rep
 
 
+@_RAISE_FP
 def poly_ladder_suite(fam, n_hi: int = 6, tolerance: float = 1e-10) -> CheckReport:
     """The polynomial-level raising and lowering relations, canonical
-    normalization.  Evaluation goes through the recurrence route (the
-    well-conditioned evaluator; alternating-sign series terms of size
-    q^{-n(n-1)/2} make the series route lose digits from n ~ 6); the
-    series-vs-recurrence tie happens in the concordance suite."""
+    normalization, at every point of the default grid at once.  The
+    coefficients sigma/nabla x, Theta/Delta x, A(s,n), x and Delta x(s-1/2)
+    come from one margin-1 StencilGrid, and P_0..P_{n_hi+1} on its offsets
+    -1, 0, 1 from one recurrence pass (the well-conditioned evaluator;
+    alternating-sign series terms of size q^{-n(n-1)/2} make the series
+    route lose digits from n ~ 6); the series-vs-recurrence tie happens in
+    the concordance suite."""
     rep = CheckReport(
         suite="poly_ladder",
         identity="sigma nabla P_n/nabla x = lambda_n/[n]_q tau_n/tau_n' P_n "
@@ -418,37 +421,38 @@ def poly_ladder_suite(fam, n_hi: int = 6, tolerance: float = 1e-10) -> CheckRepo
         family=fam.name,
         tolerance=tolerance,
     )
+    eq = fam.eq
     grid = default_grid(fam)
-    # P_0..P_{n_hi+1} once per (point, shift), each from one recurrence pass;
-    # the relations evaluate P at s - 1, s and s + 1
-    stacks = {}
-    for s in grid:
-        for t in (complex(s) - 1.0, complex(s), complex(s) + 1.0):
-            stacks[t] = fam.pn_stack(n_hi + 1, fam.lattice.x_values(t))
+    g = StencilGrid(fam, grid, 1)
+    P = fam.pn_stack(n_hi + 1, g.x)  # P[k][:, 1 + j] = P_k(s + j)
+    son, tod, x, dxm = g.son[:, 0], g.tod[:, 0], g.x[:, 1], g.dxm[:, 1]
+    labels = [f"{complex(s):.4g}" for s in grid]
 
-    def pn(k, s):
-        return stacks[s][k]
+    def raising(n):
+        """sigma nabla P_n/nabla x - (A P_n - alpha_n lambda_2n/[2n]_q P_{n+1})."""
+        lhs = son * (P[n][:, 1] - P[n][:, 0])
+        t1 = g.A(n)[:, 0] * P[n][:, 1]
+        t2 = complex(fam.ttrr_alpha(n)) * lam_ratio(eq, 2.0 * n) * P[n + 1][:, 1]
+        return rel_residual(lhs - (t1 - t2), (lhs, t1, t2)).tolist()
+
+    def lowering(n, beta, gamma):
+        """Theta Delta P_n/Delta x - (gamma_n lambda_2n/[2n]_q P_{n-1} + [...] P_n);
+        P_{-1} = 0."""
+        L = lam_ratio(eq, 2.0 * n)
+        lhs = tod * (P[n][:, 2] - P[n][:, 1])
+        low = complex(gamma) * L * (P[n - 1][:, 1] if n >= 1 else 0.0)
+        mid = (g.A(n)[:, 0] - lambda_n(eq, n) * dxm - L * (x - complex(beta))) * P[n][:, 1]
+        return rel_residual(lhs - (low + mid), (lhs, low, mid)).tolist()
 
     for n in range(1, n_hi + 1):
-        alpha = fam.ttrr_alpha(n)
-        beta = fam.ttrr_beta(n)
-        gamma = fam.ttrr_gamma(n)
-        for s in grid:
-            rep.cases.append(
-                CaseRecord(n, f"{complex(s):.4g}",
-                           check_poly_raising(fam.eq, pn, n, s, alpha), "raising")
-            )
-            rep.cases.append(
-                CaseRecord(n, f"{complex(s):.4g}",
-                           check_poly_lowering(fam.eq, pn, n, s, beta, gamma), "lowering")
-            )
+        up = raising(n)
+        down = lowering(n, fam.ttrr_beta(n), fam.ttrr_gamma(n))
+        for label, r_up, r_down in zip(labels, up, down):
+            rep.cases.append(CaseRecord(n, label, r_up, "raising"))
+            rep.cases.append(CaseRecord(n, label, r_down, "lowering"))
     # n = 0 lowering consistency with P_{-1} = 0
-    for s in grid[:2]:
-        rep.cases.append(
-            CaseRecord(0, f"{complex(s):.4g}",
-                       check_poly_lowering(fam.eq, pn, 0, s, fam.ttrr_beta(0), 0.0),
-                       "lowering n=0")
-        )
+    for label, r in zip(labels[:2], lowering(0, fam.ttrr_beta(0), 0.0)):
+        rep.cases.append(CaseRecord(0, label, r, "lowering n=0"))
     return rep
 
 

@@ -22,8 +22,9 @@ from .families import (
     make_family,
     reference_params,
 )
-from .hypergeometric_core import sigma_eval, tau_eval, theta_eval
+from .hypergeometric_core import _sigma_at, _theta_at, tau_tilde
 from .ladder import OrthonormalFamily, _phi_pointwise_ok
+from .lattice import LatticeTable
 from .orthogonality import QUADRATURE_RULE, continuous_inner_aw_converged, gram_matrix
 from .qkernel import QBase, QKernelError
 from .report import SCHEMA_ID, dumps_reports
@@ -245,13 +246,19 @@ def _fmt_float(v: float) -> str:
 
 def cmd_eval(cfg: RunConfig) -> int:
     fam = _build_family(cfg)
-    pts = _grid_points(fam, cfg)
+    eq = fam.eq
+    pts = [complex(s) for s in _grid_points(fam, cfg)]
+    # x at s - 1/2, s, s + 1/2: x, sigma, tau and Theta once per grid point
+    columns = [
+        {"s": s, "x": x, "sigma": _sigma_at(eq, x, b - a), "tau": tau_tilde(eq, x),
+         "Theta": _theta_at(eq, x, b - a)}
+        for s, (a, x, b) in zip(pts, LatticeTable(fam.lattice, pts, -1, 1).x.tolist())
+    ]
     of = OrthonormalFamily(fam)
     rows = []
     for n in range(cfg.n_min, cfg.n_max + 1):
-        for s in pts:
-            s = complex(s)
-            x = fam.lattice.x(s)
+        for col in columns:
+            s = col["s"]
             p = fam.pn_ttrr(n, s)
             try:
                 rho = of.rho_at_s(s)
@@ -263,19 +270,7 @@ def cmd_eval(cfg: RunConfig) -> int:
                     phi = of.phi(n, s)
                 except (FamilyError, QKernelError):
                     phi = None
-            rows.append(
-                {
-                    "n": n,
-                    "s": s,
-                    "x": x,
-                    "P": p,
-                    "phi": phi,
-                    "rho": rho,
-                    "sigma": sigma_eval(fam.eq, s),
-                    "tau": tau_eval(fam.eq, s),
-                    "Theta": theta_eval(fam.eq, s),
-                }
-            )
+            rows.append({"n": n, "P": p, "phi": phi, "rho": rho, **col})
     if cfg.fmt == "csv":
         cols = ["n", "s", "x", "P", "phi", "rho", "sigma", "tau", "Theta"]
         lines = []
@@ -321,6 +316,9 @@ def cmd_check(cfg: RunConfig) -> int:
     fam = _build_family(cfg)
     pts = _grid_points(fam, cfg)
     ns = list(range(max(cfg.n_min, 1), cfg.n_max + 1))
+    if not ns:
+        raise ConfigError(f"check needs --n-max >= 1 (the suites start at n = 1), "
+                          f"got {cfg.n_max}")
     reports = run_suites(fam, cfg.suites, ns=ns, s_grid=pts, tolerances=cfg.tolerances)
     if cfg.fmt == "csv":
         lines = ["suite,identity,family,max_residual,tolerance,verdict,wall_ms"]

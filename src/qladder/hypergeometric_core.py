@@ -3,11 +3,10 @@
     sigma(s) Delta/Delta x(s-1/2) [nabla y / nabla x] + tau(s) Delta y/Delta x
         + lambda y = 0
 
-on a nonuniform lattice: sigma/tau evaluation from Taylor data, the tau_k
+on a nonuniform lattice: sigma/tau from Taylor data, the tau_k
 coefficients, eigenvalues lambda_n and mu_k, the A_{n,k} products, Pearson
-weight tables, Rodrigues evaluation (an oracle for n <= 5), generic
-three-term-recurrence coefficients, and the polynomial raising/lowering
-relations.
+weight tables, Rodrigues evaluation (an oracle for n <= 5) and generic
+three-term-recurrence coefficients.
 
 Conventions
 -----------
@@ -15,28 +14,28 @@ Conventions
   Theta(s) = sigma(s) + tau(s) Delta x(s-1/2) = sigma~ + (1/2) tau~ Delta x(s-1/2).
 * lam_ratio(n) is the analytic function -{alpha_q(n-1) tau~' + [n-1]_q sigma~''/2},
   equal to lambda_n/[n]_q for n != 0 and to its limit at n = 0.
-* Ratios sigma(s)/nabla x(s) and Theta(s)/Delta x(s) are evaluated through
-  limit-aware helpers: when the denominator vanishes (a removable 0/0 at a
-  lattice symmetry point, e.g. s = 0 on the quadratic dual-Hahn lattice with
-  boundary a = 0) the exact analytic s-derivative ratio is used.
+* Ratios sigma(s)/nabla x(s) and Theta(s)/Delta x(s) are limit-aware: when
+  the denominator vanishes (a removable 0/0 at a lattice symmetry point,
+  e.g. s = 0 on the quadratic dual-Hahn lattice with boundary a = 0) the
+  exact analytic s-derivative ratio is used.
 
 Scalar/array contract
 ---------------------
-`sigma_eval`, `theta_eval`, `sigma_over_nabla` and `theta_over_delta` take
-one point and return a Python complex; they serve the polynomial ladder
-relations and the CLI's `eval` rows.  The Pearson tables and the Rodrigues
-values read one `lattice.LatticeTable`: x once per distinct point, sigma
-and Theta from it through the same scalar formulas (`_sigma_theta`), so
-the Pearson recurrence and the rho_n products read identical values; the
-n-fold backward chains of every order and point are one array fold.
-`sigma_tilde`, `tau_tilde`,
-`TauK.at`, `lam_tau_ratio` and `rel_residual` take one point or an ndarray
-(elementwise, through numpy).  `ladder.StencilGrid`, the one implementation
-of the operator coefficients, builds its arrays from the formula helpers
-that the scalar functions call: `_sigma_at` and `_theta_at` (sigma and
-Theta from x and Delta x(s-1/2)) and `_limit_ratio` (sigma/nabla x and
-Theta/Delta x, taking the removable 0/0 entries one by one through the
-scalar limit).  Everything else here is scalar.
+sigma and Theta have one formula each, `_sigma_at` and `_theta_at`: from x
+and Delta x(s-1/2), given as numbers or as ndarrays, never from a point s.
+Two containers hand them x.  `ladder.StencilGrid`, the one implementation
+of the operator coefficients and of the polynomial ladder relations, passes
+arrays, and takes sigma/nabla x and Theta/Delta x from `_limit_ratio`,
+which evaluates the removable 0/0 entries one by one through the analytic
+limit.  `lattice.LatticeTable` gives x once per distinct point: the
+Pearson tables and the Rodrigues values read sigma and Theta from it as
+Python complex numbers (`_sigma_theta`), so the Pearson recurrence and the
+rho_n products read identical values, and the CLI's `eval` rows read their
+sigma, tau and Theta the same way.  There is no point-by-point sigma or
+Theta function; the tests keep one as the reference.  `sigma_tilde`,
+`tau_tilde`, `TauK.at`, `lam_tau_ratio` and `rel_residual` take one point
+or an ndarray (elementwise, through numpy).  Everything else here is
+scalar.
 """
 
 from __future__ import annotations
@@ -55,9 +54,6 @@ __all__ = [
     "WeightTable",
     "sigma_tilde",
     "tau_tilde",
-    "sigma_eval",
-    "theta_eval",
-    "tau_eval",
     "tau_k_coeffs",
     "lam_ratio",
     "lam_tau_ratio",
@@ -67,12 +63,8 @@ __all__ = [
     "leading_coeff",
     "b_over_a",
     "ttrr_coeffs_generic",
-    "sigma_over_nabla",
-    "theta_over_delta",
     "pearson_weight",
     "rodrigues_values",
-    "check_poly_raising",
-    "check_poly_lowering",
     "rel_residual",
 ]
 
@@ -151,16 +143,6 @@ def tau_tilde(eq: EquationData, xv):
     return complex(eq.tau_p) * xv + complex(eq.tau_0)
 
 
-def sigma_eval(eq: EquationData, s) -> complex:
-    """sigma(s) at one point."""
-    return _sigma_at(eq, eq.lattice.x(s), eq.lattice.delta_x_mid(s))
-
-
-def theta_eval(eq: EquationData, s) -> complex:
-    """Theta(s) at one point."""
-    return _theta_at(eq, eq.lattice.x(s), eq.lattice.delta_x_mid(s))
-
-
 def _sigma_at(eq: EquationData, xv, dxm):
     """sigma = sigma~(x) - (1/2) tau~(x) Delta x(s-1/2), from x = x(s) and
     dxm = Delta x(s-1/2)."""
@@ -170,10 +152,6 @@ def _sigma_at(eq: EquationData, xv, dxm):
 def _theta_at(eq: EquationData, xv, dxm):
     """Theta = sigma + tau Delta x(s-1/2) = sigma~(x) + (1/2) tau~(x) Delta x(s-1/2)."""
     return sigma_tilde(eq, xv) + 0.5 * tau_tilde(eq, xv) * dxm
-
-
-def tau_eval(eq: EquationData, s) -> complex:
-    return tau_tilde(eq, eq.lattice.x(s))
 
 
 def tau_k_coeffs(eq: EquationData, k) -> TauK:
@@ -288,8 +266,9 @@ def ttrr_coeffs_generic(eq: EquationData, n: int, dn_ratio) -> tuple:
     return alpha, beta, gamma
 
 
-def _sigma_deriv(eq: EquationData, s) -> complex:
-    """d sigma / d s (analytic), for removable 0/0 limits."""
+def _sigma_theta_deriv(eq: EquationData, s, sign: int) -> complex:
+    """d sigma/d s (sign -1) or d Theta/d s (sign +1), analytic, at one
+    point: the removable 0/0 limits of `_limit_ratio`."""
     lat = eq.lattice
     s = complex(s)
     xv = lat.x(s)
@@ -298,58 +277,28 @@ def _sigma_deriv(eq: EquationData, s) -> complex:
     xd = lat.x_deriv(s)
     return (
         (complex(eq.sigma_pp) * xv + complex(eq.sigma_p0)) * xd
-        - 0.5 * complex(eq.tau_p) * xd * dxm
-        - 0.5 * tau_tilde(eq, xv) * ddxm
+        + sign * 0.5 * complex(eq.tau_p) * xd * dxm
+        + sign * 0.5 * tau_tilde(eq, xv) * ddxm
     )
 
 
-def _theta_deriv(eq: EquationData, s) -> complex:
+def _limit_ratio(eq: EquationData, num, step, s, sign: int):
+    """num/step on arrays: sigma/nabla x (sign -1) or Theta/Delta x (sign
+    +1) at the points s.  Where the step is degenerate (a removable 0/0 at a
+    lattice symmetry point) the entry is the exact ratio of the analytic
+    s-derivatives; a step vanishing to second order raises."""
     lat = eq.lattice
-    s = complex(s)
-    xv = lat.x(s)
-    dxm = lat.delta_x_mid(s)
-    ddxm = lat.x_deriv(s + 0.5) - lat.x_deriv(s - 0.5)
-    xd = lat.x_deriv(s)
-    return (
-        (complex(eq.sigma_pp) * xv + complex(eq.sigma_p0)) * xd
-        + 0.5 * complex(eq.tau_p) * xd * dxm
-        + 0.5 * tau_tilde(eq, xv) * ddxm
-    )
-
-
-def _limit_ratio(eq: EquationData, num, step, s, scalar_ratio):
-    """num/step on arrays, with `scalar_ratio(eq, s)` (sigma_over_nabla or
-    theta_over_delta, which take the exact limit) at the entries where the
-    step is degenerate."""
-    degenerate = eq.lattice.is_degenerate_step(step)
+    degenerate = lat.is_degenerate_step(step)
     out = _cdiv(num, np.where(degenerate, 1.0, step))
     for idx in zip(*np.nonzero(degenerate)):
-        out[idx] = scalar_ratio(eq, complex(s[idx]))
+        t = complex(s[idx])
+        hi, lo = (t, t - 1.0) if sign < 0 else (t + 1.0, t)
+        dstep = lat.x_deriv(hi) - lat.x_deriv(lo)
+        if lat.is_degenerate_step(dstep):
+            name = "nabla" if sign < 0 else "Delta"
+            raise DegenerateStepError(f"{name} x({t}) vanishes to second order")
+        out[idx] = _sigma_theta_deriv(eq, t, sign) / dstep
     return out
-
-
-def sigma_over_nabla(eq: EquationData, s) -> complex:
-    """sigma(s)/nabla x(s), with the exact derivative ratio at removable 0/0."""
-    lat = eq.lattice
-    step = lat.nabla_x(s)
-    if lat.is_degenerate_step(step):
-        dstep = lat.x_deriv(s) - lat.x_deriv(complex(s) - 1.0)
-        if lat.is_degenerate_step(dstep):
-            raise DegenerateStepError(f"nabla x({s}) vanishes to second order")
-        return _sigma_deriv(eq, s) / dstep
-    return sigma_eval(eq, s) / step
-
-
-def theta_over_delta(eq: EquationData, s) -> complex:
-    """Theta(s)/Delta x(s), with the exact derivative ratio at removable 0/0."""
-    lat = eq.lattice
-    step = lat.delta_x(s)
-    if lat.is_degenerate_step(step):
-        dstep = lat.x_deriv(complex(s) + 1.0) - lat.x_deriv(s)
-        if lat.is_degenerate_step(dstep):
-            raise DegenerateStepError(f"Delta x({s}) vanishes to second order")
-        return _theta_deriv(eq, s) / dstep
-    return theta_eval(eq, s) / step
 
 
 @dataclass(frozen=True)
@@ -398,8 +347,8 @@ def pearson_weight(eq: EquationData, anchor, lo: int, hi: int) -> WeightTable:
 def _sigma_theta(eq: EquationData, xh):
     """sigma and Theta as lists of Python complex numbers, at the points of
     x values `xh` on consecutive half-integer offsets that start half a step
-    below the first point: the scalar formulas of sigma_eval and theta_eval,
-    once per point."""
+    below the first point: `_sigma_at` and `_theta_at` on Python complex
+    numbers, once per point."""
     xh = xh.tolist()
     pts = [(x, b - a) for a, x, b in zip(xh[:-2:2], xh[1::2], xh[2::2])]
     return [_sigma_at(eq, x, d) for x, d in pts], [_theta_at(eq, x, d) for x, d in pts]
@@ -477,45 +426,3 @@ def rodrigues_values(eq: EquationData, anchor, count: int, n_hi: int):
     values = [np.full(count, eq.B_n(0))] + [
         _cdiv(eq.B_n(j), rho_s) * chains[j][0, :, j - 1, -1] for j in range(1, n_hi + 1)]
     return np.array(values), table.x[0, 2 * np.arange(count) - table.h_lo]
-
-
-def check_poly_raising(eq: EquationData, pn, n: int, s, alpha_n) -> float:
-    """Relative residual of the raising relation
-
-        sigma(s) nabla P_n / nabla x(s)
-            = lambda_n/[n]_q * tau_n(s)/tau_n' * P_n - alpha_n lambda_{2n}/[2n]_q P_{n+1}
-
-    where `pn(k, s)` evaluates P_k at lattice coordinate s in the same
-    normalization as alpha_n.  Requires n >= 1.
-    """
-    if n < 1:
-        raise QKernelError("raising relation needs n >= 1")
-    s = complex(s)
-    lhs = sigma_over_nabla(eq, s) * (pn(n, s) - pn(n, s - 1.0))
-    t1 = lam_tau_ratio(eq, n, s) * pn(n, s)
-    t2 = complex(alpha_n) * lam_ratio(eq, 2.0 * n) * pn(n + 1, s)
-    return rel_residual(lhs - (t1 - t2), (lhs, t1, t2))
-
-
-def check_poly_lowering(eq: EquationData, pn, n: int, s, beta_n, gamma_n) -> float:
-    """Relative residual of the lowering relation
-
-        [sigma(s) + tau(s) Delta x(s-1/2)] Delta P_n / Delta x(s)
-            = gamma_n lambda_{2n}/[2n]_q P_{n-1}
-              + [lambda_n/[n]_q tau_n/tau_n' - lambda_n Delta x(s-1/2)
-                 - lambda_{2n}/[2n]_q (x - beta_n)] P_n.
-
-    `pn(k, s)` must use the same normalization as gamma_n; P_{-1} = 0.
-    """
-    if n < 0:
-        raise QKernelError("lowering relation needs n >= 0")
-    lat = eq.lattice
-    s = complex(s)
-    lhs = theta_over_delta(eq, s) * (pn(n, s + 1.0) - pn(n, s))
-    low = complex(gamma_n) * lam_ratio(eq, 2.0 * n) * (pn(n - 1, s) if n >= 1 else 0.0)
-    mid = (
-        lam_tau_ratio(eq, n, s)
-        - lambda_n(eq, n) * lat.delta_x_mid(s)
-        - lam_ratio(eq, 2.0 * n) * (lat.x(s) - complex(beta_n))
-    ) * pn(n, s)
-    return rel_residual(lhs - (low + mid), (lhs, low, mid))

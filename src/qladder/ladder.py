@@ -50,8 +50,6 @@ from .hypergeometric_core import (
     lam_tau_ratio,
     lambda_n,
     rel_residual,
-    sigma_over_nabla,
-    theta_over_delta,
 )
 from .lattice import _cdiv
 from .orthogonality import InnerProductSpec, discrete_inner
@@ -392,12 +390,12 @@ class StencilGrid:
     @cached_property
     def son(self):
         return _limit_ratio(self.fam.eq, self.sigma[:, self._plus], self.nabla,
-                            self.t[:, self._plus], sigma_over_nabla)
+                            self.t[:, self._plus], -1)
 
     @cached_property
     def tod(self):
         return _limit_ratio(self.fam.eq, self.theta[:, self._minus], self.delta,
-                            self.t[:, self._minus], theta_over_delta)
+                            self.t[:, self._minus], 1)
 
     @cached_property
     def roots(self):

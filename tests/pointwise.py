@@ -1,12 +1,14 @@
 """Point-by-point definitions, one point at a time through the scalar
-Lattice.x, sigma_eval, theta_eval and the limit-aware ratios: the ladder
-coefficients and operators (the library evaluates them on
-`ladder.StencilGrid` arrays only), the difference quotients, k-fold forward
-differences and n-fold backward chains (the library folds
-`lattice.LatticeTable` arrays), the Pearson recurrence, rho_n, the
-Rodrigues formula, the direct tau_k quotient and the discrete squared
-norms.  The tests keep these as the reference the library is compared
-against."""
+Lattice.x: sigma, Theta and tau at a point, the two-branch limit-aware
+ratios sigma/nabla x and Theta/Delta x, the polynomial raising and lowering
+relations, the ladder coefficients and operators, the difference
+quotients, k-fold forward differences and n-fold backward chains, the
+Pearson recurrence, rho_n, the Rodrigues formula, the direct tau_k quotient
+and the discrete squared norms.  The library has no point-by-point
+evaluator: it evaluates sigma, Theta and the ladder coefficients on
+`ladder.StencilGrid` arrays, and x on `lattice.LatticeTable`s, whose folds
+give the difference calculus.  The tests keep these as the reference the
+library is compared against."""
 
 import cmath
 from dataclasses import dataclass
@@ -15,19 +17,100 @@ from qladder.hypergeometric_core import (
     RODRIGUES_MAX_ORDER,
     EquationData,
     WeightTable,
+    _sigma_at,
+    _sigma_theta_deriv,
+    _theta_at,
     a_nk,
     lam_ratio,
     lam_tau_ratio,
     lambda_n,
-    sigma_eval,
-    sigma_over_nabla,
-    tau_eval,
-    theta_eval,
-    theta_over_delta,
+    rel_residual,
+    tau_tilde,
 )
 from qladder.ladder import ThreePointOperator, _absent
 from qladder.lattice import DegenerateStepError, Lattice
 from qladder.qkernel import QKernelError, require_finite
+
+
+def sigma_eval(eq: EquationData, s) -> complex:
+    """sigma(s) at one point."""
+    return _sigma_at(eq, eq.lattice.x(s), eq.lattice.delta_x_mid(s))
+
+
+def theta_eval(eq: EquationData, s) -> complex:
+    """Theta(s) at one point."""
+    return _theta_at(eq, eq.lattice.x(s), eq.lattice.delta_x_mid(s))
+
+
+def tau_eval(eq: EquationData, s) -> complex:
+    """tau(s) = tau~(x(s)) at one point."""
+    return tau_tilde(eq, eq.lattice.x(s))
+
+
+def sigma_over_nabla(eq: EquationData, s) -> complex:
+    """sigma(s)/nabla x(s), with the exact derivative ratio at removable 0/0."""
+    lat = eq.lattice
+    step = lat.nabla_x(s)
+    if lat.is_degenerate_step(step):
+        dstep = lat.x_deriv(s) - lat.x_deriv(complex(s) - 1.0)
+        if lat.is_degenerate_step(dstep):
+            raise DegenerateStepError(f"nabla x({s}) vanishes to second order")
+        return _sigma_theta_deriv(eq, s, -1) / dstep
+    return sigma_eval(eq, s) / step
+
+
+def theta_over_delta(eq: EquationData, s) -> complex:
+    """Theta(s)/Delta x(s), with the exact derivative ratio at removable 0/0."""
+    lat = eq.lattice
+    step = lat.delta_x(s)
+    if lat.is_degenerate_step(step):
+        dstep = lat.x_deriv(complex(s) + 1.0) - lat.x_deriv(s)
+        if lat.is_degenerate_step(dstep):
+            raise DegenerateStepError(f"Delta x({s}) vanishes to second order")
+        return _sigma_theta_deriv(eq, s, 1) / dstep
+    return theta_eval(eq, s) / step
+
+
+def check_poly_raising(eq: EquationData, pn, n: int, s, alpha_n) -> float:
+    """Relative residual of the raising relation
+
+        sigma(s) nabla P_n / nabla x(s)
+            = lambda_n/[n]_q * tau_n(s)/tau_n' * P_n - alpha_n lambda_{2n}/[2n]_q P_{n+1}
+
+    where `pn(k, s)` evaluates P_k at lattice coordinate s in the same
+    normalization as alpha_n.  Requires n >= 1.
+    """
+    if n < 1:
+        raise QKernelError("raising relation needs n >= 1")
+    s = complex(s)
+    lhs = sigma_over_nabla(eq, s) * (pn(n, s) - pn(n, s - 1.0))
+    t1 = lam_tau_ratio(eq, n, s) * pn(n, s)
+    t2 = complex(alpha_n) * lam_ratio(eq, 2.0 * n) * pn(n + 1, s)
+    return rel_residual(lhs - (t1 - t2), (lhs, t1, t2))
+
+
+def check_poly_lowering(eq: EquationData, pn, n: int, s, beta_n, gamma_n) -> float:
+    """Relative residual of the lowering relation
+
+        [sigma(s) + tau(s) Delta x(s-1/2)] Delta P_n / Delta x(s)
+            = gamma_n lambda_{2n}/[2n]_q P_{n-1}
+              + [lambda_n/[n]_q tau_n/tau_n' - lambda_n Delta x(s-1/2)
+                 - lambda_{2n}/[2n]_q (x - beta_n)] P_n.
+
+    `pn(k, s)` must use the same normalization as gamma_n; P_{-1} = 0.
+    """
+    if n < 0:
+        raise QKernelError("lowering relation needs n >= 0")
+    lat = eq.lattice
+    s = complex(s)
+    lhs = theta_over_delta(eq, s) * (pn(n, s + 1.0) - pn(n, s))
+    low = complex(gamma_n) * lam_ratio(eq, 2.0 * n) * (pn(n - 1, s) if n >= 1 else 0.0)
+    mid = (
+        lam_tau_ratio(eq, n, s)
+        - lambda_n(eq, n) * lat.delta_x_mid(s)
+        - lam_ratio(eq, 2.0 * n) * (lat.x(s) - complex(beta_n))
+    ) * pn(n, s)
+    return rel_residual(lhs - (low + mid), (lhs, low, mid))
 
 
 def sqrt_ts_minus(fam, s) -> complex:

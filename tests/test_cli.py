@@ -6,8 +6,11 @@ import pytest
 
 from qladder import cli
 from qladder.cli import main
-from qladder.families import reference_params
+from qladder.families import make_family, reference_params
+from qladder.qkernel import QBase
 from qladder.report import SCHEMA_ID, report_to_dict
+
+import pointwise
 
 REF_ARGS = {
     "asc1": ["--param", "a=-1"],
@@ -50,6 +53,25 @@ def test_eval_json_schema(tmp_path):
     data = json.loads(out.read_text())
     assert data["schema"] == SCHEMA_ID
     assert len(data["rows"]) == 10
+
+
+@pytest.mark.parametrize("q", [0.2, 0.5, 0.8])
+@pytest.mark.parametrize("name", list(REF_ARGS))
+def test_eval_columns_equal_pointwise_reference(tmp_path, name, q):
+    # x, sigma, tau and Theta of every row, bit for bit, against their
+    # point-by-point definitions
+    out = tmp_path / "e.json"
+    assert run_cli(["eval", "--family", name, *REF_ARGS[name], "--q", str(q),
+                    "--n-min", "0", "--n-max", "2", "--out", str(out)]) == 0
+    rows = json.loads(out.read_text())["rows"]
+    assert len(rows) == 15
+    eq = make_family(name, reference_params(name), QBase(q)).eq
+    for row in rows:
+        s = complex(*row["s"])
+        for col, want in (("x", eq.lattice.x(s)), ("sigma", pointwise.sigma_eval(eq, s)),
+                          ("tau", pointwise.tau_eval(eq, s)),
+                          ("Theta", pointwise.theta_eval(eq, s))):
+            assert row[col] == [want.real, want.imag], (col, s)
 
 
 def test_unknown_family_exits_2(capsys):
@@ -184,6 +206,33 @@ def test_perturbation_negative_control(tmp_path, capsys):
     data = json.loads((tmp_path / "p.json").read_text())
     assert data["reports"][0]["verdict"] == "fail"
     assert data["reports"][0]["max_residual"] > 1e-5
+
+
+@pytest.mark.parametrize("target", ["beta", "gamma"])
+@pytest.mark.parametrize("name", list(REF_ARGS))
+def test_poly_ladder_negative_control(tmp_path, capsys, name, target):
+    out = tmp_path / "p.json"
+    rc = run_cli(["check", "--family", name, "--q", "0.5", *REF_ARGS[name],
+                  "--suite", "poly_ladder", "--perturb", target, "1e-3", "--out", str(out)])
+    capsys.readouterr()
+    assert rc == 1
+    rep = json.loads(out.read_text())["reports"][0]
+    assert rep["verdict"] == "fail"
+    assert rep["max_residual"] > 1e-5
+
+
+@pytest.mark.parametrize("suite", ["uv_shift", "h_remark", "bootstrap", "poly_ladder",
+                                   "eigen", "all"])
+def test_check_with_empty_n_range_exits_2(capsys, suite):
+    # validate accepts n_max = 0 (eval and gram use n = 0); every suite of
+    # check starts at n = 1, so the range is empty and check refuses it
+    rc = run_cli(["check", "--family", "asc1", "--param", "a=-1", "--q", "0.5",
+                  "--n-min", "0", "--n-max", "0", "--suite", suite])
+    captured = capsys.readouterr()
+    assert rc == 2
+    assert captured.out == ""
+    err = captured.err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error:") and "--n-max" in err[0]
 
 
 def test_tolerance_override_flips_verdict(tmp_path, capsys):

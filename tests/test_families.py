@@ -79,7 +79,7 @@ def test_alias_names(base):
 def test_asc1_sigma_is_factored_product(families):
     fam = families["asc1"]
     a = fam.params["a"]
-    from qladder.hypergeometric_core import sigma_eval
+    from pointwise import sigma_eval
 
     for s in [0.15 * j - 0.4 for j in range(7)]:
         x = fam.lattice.x(s)

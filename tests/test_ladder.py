@@ -13,15 +13,12 @@ from qladder.hypergeometric_core import (
     lam_tau_ratio,
     lambda_n,
     rel_residual,
-    sigma_eval,
-    sigma_over_nabla,
-    theta_eval,
-    theta_over_delta,
 )
 from qladder.lattice import Lattice
 from qladder.qkernel import QBase, QKernelError, q_number
 
 import pointwise as pw
+from pointwise import sigma_eval, sigma_over_nabla, theta_eval, theta_over_delta
 from conftest import FAMILY_NAMES, grid_for
 
 SWEEP_NS = list(range(1, 7))
@@ -684,26 +681,3 @@ def test_phi_range_stacks_single_phis(families):
     x = np.linspace(-1.0, 1.0, 8)  # the Jackson support [a, 1] = [-1, 1]
     assert asc1.phi_point(range(4), x).tolist() == [[asc1.phi_point(n, t) for t in x]
                                                     for n in range(4)]
-
-
-def test_one_path_no_scalar_sigma_theta(monkeypatch):
-    # bootstrap, branch_continuity and concordance read sigma and Theta from
-    # StencilGrid arrays, never point by point
-    import sys
-
-    from qladder import checks, hypergeometric_core
-    from qladder.families import reference_params
-
-    calls = []
-    modules = [m for k, m in sys.modules.items() if k.split(".")[0] == "qladder"]
-    for name in ("sigma_eval", "theta_eval"):
-        original = getattr(hypergeometric_core, name)
-        counting = lambda *a, _f=original, **k: calls.append(1) or _f(*a, **k)
-        for mod in modules:  # every binding site
-            if getattr(mod, name, None) is original:
-                monkeypatch.setattr(mod, name, counting)
-    for name in FAMILY_NAMES:
-        fam = make_family(name, reference_params(name), QBase(0.5))
-        for suite in ("bootstrap", "branch_continuity", "concordance"):
-            checks.run_suite(fam, suite)
-    assert not calls

@@ -1,8 +1,14 @@
-"""Source-layout guards: family-specific decisions live in families.py.
+"""Source-layout guards.
 
-Every choice that differs between families goes through the family's
-lattice kind or through data its builder sets, so no module compares a
-`.name` attribute and no module but families.py spells a family name.
+Family-specific decisions live in families.py: every choice that differs
+between families goes through the family's lattice kind or through data its
+builder sets, so no module compares a `.name` attribute and no module but
+families.py spells a family name.
+
+sigma, Theta and the ladder coefficients have one implementation: the
+library evaluates them on `StencilGrid` and `LatticeTable` arrays, and the
+point-by-point evaluators live in tests/pointwise.py as the reference, so
+no library module defines, imports or reads one.
 """
 
 import ast
@@ -13,6 +19,8 @@ from qladder import families
 SRC = pathlib.Path(families.__file__).parent
 MODULES = sorted(SRC.glob("*.py"))
 FAMILY_STRINGS = set(families.FAMILY_NAMES) | set(families._ALIASES)
+POINTWISE_ONLY = {"sigma_eval", "theta_eval", "tau_eval", "sigma_over_nabla",
+                  "theta_over_delta", "check_poly_raising", "check_poly_lowering"}
 
 
 def _tree(path):
@@ -43,3 +51,28 @@ def test_family_names_spelled_only_in_families_module():
             if isinstance(node, ast.Constant) and node.value in FAMILY_STRINGS:
                 found.append(f"{path.name}:{node.lineno} {node.value!r}")
     assert not found, f"family names outside families.py: {found}"
+
+
+def _names(node):
+    """The names a node defines, imports or reads."""
+    if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+        return [node.name]
+    if isinstance(node, ast.alias):
+        return [node.name, node.asname]
+    if isinstance(node, ast.Name):
+        return [node.id]
+    if isinstance(node, ast.Attribute):
+        return [node.attr]
+    if isinstance(node, ast.Constant):  # __all__ entries, getattr strings
+        return [node.value]
+    return []
+
+
+def test_no_module_defines_or_imports_a_pointwise_evaluator():
+    found = []
+    for path in MODULES:
+        for node in ast.walk(_tree(path)):
+            for name in _names(node):
+                if name in POINTWISE_ONLY:
+                    found.append(f"{path.name}:{getattr(node, 'lineno', '?')} {name}")
+    assert not found, f"point-by-point evaluators in the library: {found}"
