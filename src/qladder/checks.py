@@ -2,7 +2,10 @@
 core checks and the CLI, including the closed-form-vs-general concordance
 suite that emits suspected-erratum records.
 
-Every suite returns a CheckReport; suite names are the `--suite` vocabulary.
+Every suite returns a CheckReport.  A suite is one row of `_SUITES`: its
+name (the `--suite` vocabulary, `SUITE_NAMES` in `--suite all` order) and
+the sweep run_suite hands its suite function.  Its default tolerance is the
+`tolerance=` default of that function.
 """
 
 from __future__ import annotations
@@ -12,13 +15,13 @@ import time
 import numpy as np
 
 from .hypergeometric_core import (
+    beta_generic,
     lam_ratio,
     lambda_n,
     pearson_weight,
     rel_residual,
     rodrigues_values,
     tau_k_coeffs,
-    ttrr_coeffs_generic,
 )
 from .lattice import LatticeTable
 from .ladder import (
@@ -56,49 +59,6 @@ __all__ = [
     "orthonormality_suite",
     "poly_ladder_suite",
 ]
-
-SUITE_NAMES = (
-    "eigen",
-    "ttrr_phi",
-    "raising",
-    "lowering",
-    "uv_shift",
-    "h_remark",
-    "h_s_independence",
-    "factorization",
-    "bootstrap",
-    "adjoint",
-    "selfadjoint",
-    "poly_ladder",
-    "pearson",
-    "rodrigues",
-    "orthonormality",
-    "concordance",
-    "difference_calculus",
-    "branch_continuity",
-)
-
-# empirical double-precision headroom per suite (relative residuals)
-_DEFAULT_TOL = {
-    "eigen": 1e-9,
-    "ttrr_phi": 1e-9,
-    "raising": 1e-9,
-    "lowering": 1e-9,
-    "uv_shift": 1e-10,
-    "h_remark": 1e-12,
-    "h_s_independence": 1e-10,
-    "factorization": 1e-9,
-    "bootstrap": 1e-8,
-    "adjoint": 1e-8,
-    "selfadjoint": 1e-8,
-    "poly_ladder": 1e-10,
-    "pearson": 1e-10,
-    "rodrigues": 1e-9,
-    "orthonormality": 1e-8,
-    "concordance": 1e-9,
-    "difference_calculus": 1e-10,
-    "branch_continuity": 0.2,
-}
 
 
 def default_grid(fam, count: int = 5):
@@ -147,7 +107,7 @@ def concordance_suite(fam, n_hi: int = 8, tolerance: float = 1e-9) -> CheckRepor
 
     # beta display vs the generic route (monic normalization)
     for n in range(0, n_hi + 1):
-        compare("beta_n", f"n={n}", fam.closed.beta_n(n), ttrr_coeffs_generic(eq, n, 1.0)[1])
+        compare("beta_n", f"n={n}", fam.closed.beta_n(n), beta_generic(eq, n))
 
     # tabulated d_n^2 ratio vs gamma_n/alpha_{n-1} (canonical normalization)
     if fam.closed.d_n_sq is not None:
@@ -456,72 +416,70 @@ def poly_ladder_suite(fam, n_hi: int = 6, tolerance: float = 1e-10) -> CheckRepo
     return rep
 
 
+def _branch_continuity_skip(fam, tolerance: float = 0.2) -> CheckReport:
+    """The branch_continuity report on a real lattice coordinate, where no
+    square-root branch can flip: skipped, at check_branch_continuity's 0.2."""
+    return CheckReport(suite="branch_continuity",
+                       identity="branch continuity along the theta grid",
+                       family=fam.name, tolerance=tolerance,
+                       meta={"status": "skipped", "reason": "real lattice coordinate"})
+
+
+# The suites in `--suite all` order.  A row maps run_suite's (family, ns, grid)
+# onto its suite function, and passes `tolerance=` only when the caller
+# overrides it, so each default lives in the suite function's signature.
+# Rows look the suite functions up in this module's globals at call time, so
+# rebinding one of them (a tracer, a test) reaches the dispatch.
+_SUITES = {
+    "eigen": lambda fam, ns, grid, **tol: check_eigen(fam, ns, grid, **tol),
+    "ttrr_phi": lambda fam, ns, grid, **tol: check_ttrr_phi(fam, ns, grid, **tol),
+    "raising": lambda fam, ns, grid, **tol: check_raising(fam, ns, grid, **tol),
+    "lowering": lambda fam, ns, grid, **tol: check_lowering(fam, ns, grid, **tol),
+    "uv_shift": lambda fam, ns, grid, **tol: check_uv_shift(
+        fam, list(range(0, max(ns) + 2)), grid, **tol),
+    "h_remark": lambda fam, ns, grid, **tol: check_h_remark(
+        fam, list(range(1, max(ns) + 2)), **tol),
+    "h_s_independence": lambda fam, ns, grid, **tol: check_h_s_independence(
+        fam, ns, grid, **tol),
+    "factorization": lambda fam, ns, grid, **tol: check_factorization(fam, ns, grid, **tol),
+    # the bootstrap recurses along one integer chain; anchor it at the first
+    # grid point (theta grids are not integer-spaced in s)
+    "bootstrap": lambda fam, ns, grid, **tol: check_bootstrap(
+        OrthonormalFamily(fam), min(max(ns), 4),
+        [complex(grid[0]) + k for k in range(len(grid))], **tol),
+    "adjoint": lambda fam, ns, grid, **tol: check_adjoint(
+        OrthonormalFamily(fam), list(range(0, 5)), **tol),
+    "selfadjoint": lambda fam, ns, grid, **tol: check_selfadjoint(
+        OrthonormalFamily(fam), [(n, m) for n in range(5) for m in range(5)], **tol),
+    "poly_ladder": lambda fam, ns, grid, **tol: poly_ladder_suite(fam, max(ns) + 1, **tol),
+    "pearson": lambda fam, ns, grid, **tol: pearson_suite(fam, **tol),
+    "rodrigues": lambda fam, ns, grid, **tol: rodrigues_suite(fam, **tol),
+    "orthonormality": lambda fam, ns, grid, **tol: orthonormality_suite(fam, **tol),
+    "concordance": lambda fam, ns, grid, **tol: concordance_suite(fam, **tol),
+    "difference_calculus": lambda fam, ns, grid, **tol: difference_calculus_suite(fam, **tol),
+    "branch_continuity": lambda fam, ns, grid, **tol: (
+        check_branch_continuity(fam, fam.kind.theta_grid(fam, 200), **tol)
+        if fam.kind.complex_s else _branch_continuity_skip(fam, **tol)),
+}
+SUITE_NAMES = tuple(_SUITES)
+
+
 def run_suite(fam, suite: str, ns=None, s_grid=None, tolerances=None) -> CheckReport:
-    """Run one named suite with default sweeps unless overridden.  An
-    ArithmeticError (a vanishing lattice step, an overflow, an invalid
-    operation) is raised again, of the same class, with the suite named."""
-    tolmap = dict(_DEFAULT_TOL)
-    if tolerances:
-        tolmap.update(tolerances)
+    """Run one named suite with default sweeps and its default tolerance
+    unless overridden.  An ArithmeticError (a vanishing lattice step, an
+    overflow, an invalid operation) is raised again, of the same class, with
+    the suite named."""
+    if suite not in _SUITES:
+        raise QKernelError(f"unknown suite {suite!r}; known: {', '.join(SUITE_NAMES)}")
+    tol = {"tolerance": tolerances[suite]} if tolerances and suite in tolerances else {}
     ns = list(ns) if ns is not None else list(range(1, 6))
     grid = list(s_grid) if s_grid is not None else default_grid(fam)
     t0 = time.perf_counter()
     try:
-        rep = _run(fam, suite, ns, grid, tolmap[suite], tolerances)
+        rep = _SUITES[suite](fam, ns, grid, **tol)
     except ArithmeticError as e:
         raise type(e)(f"{suite}: {e}") from e
     rep.wall_ms = (time.perf_counter() - t0) * 1e3
-    return rep
-
-
-def _run(fam, suite: str, ns, grid, tol, tolerances) -> CheckReport:
-    if suite == "eigen":
-        rep = check_eigen(fam, ns, grid, tol)
-    elif suite == "ttrr_phi":
-        rep = check_ttrr_phi(fam, ns, grid, tol)
-    elif suite == "raising":
-        rep = check_raising(fam, ns, grid, tol)
-    elif suite == "lowering":
-        rep = check_lowering(fam, ns, grid, tol)
-    elif suite == "uv_shift":
-        rep = check_uv_shift(fam, list(range(0, max(ns) + 2)), grid, tol)
-    elif suite == "h_remark":
-        rep = check_h_remark(fam, list(range(1, max(ns) + 2)), tol)
-    elif suite == "h_s_independence":
-        rep = check_h_s_independence(fam, ns, grid, tol)
-    elif suite == "factorization":
-        rep = check_factorization(fam, ns, grid, tol)
-    elif suite == "bootstrap":
-        # the bootstrap recurses along one integer chain; anchor it at the
-        # first grid point (theta grids are not integer-spaced in s)
-        chain_grid = [complex(grid[0]) + k for k in range(len(grid))]
-        rep = check_bootstrap(OrthonormalFamily(fam), min(max(ns), 4), chain_grid, tol)
-    elif suite == "adjoint":
-        rep = check_adjoint(OrthonormalFamily(fam), list(range(0, 5)), tol)
-    elif suite == "selfadjoint":
-        pairs = [(n, m) for n in range(5) for m in range(5)]
-        rep = check_selfadjoint(OrthonormalFamily(fam), pairs, tol)
-    elif suite == "poly_ladder":
-        rep = poly_ladder_suite(fam, max(ns) + 1, tol)
-    elif suite == "pearson":
-        rep = pearson_suite(fam, tol)
-    elif suite == "rodrigues":
-        rep = rodrigues_suite(fam, 5, tol)
-    elif suite == "orthonormality":
-        rep = orthonormality_suite(fam, tolerances.get("orthonormality") if tolerances else None)
-    elif suite == "concordance":
-        rep = concordance_suite(fam, 8, tol)
-    elif suite == "difference_calculus":
-        rep = difference_calculus_suite(fam, 6, tol)
-    elif suite == "branch_continuity":
-        if fam.kind.complex_s:
-            rep = check_branch_continuity(fam, fam.kind.theta_grid(fam, 200), tol)
-        else:
-            rep = CheckReport(suite=suite, identity="branch continuity along the theta grid",
-                              family=fam.name, tolerance=tol,
-                              meta={"status": "skipped", "reason": "real lattice coordinate"})
-    else:
-        raise QKernelError(f"unknown suite {suite!r}; known: {', '.join(SUITE_NAMES)}")
     return rep
 
 

@@ -76,19 +76,22 @@ class RunConfig:
             raise ConfigError(f"field 'format' must be json or csv, got {self.fmt!r}")
 
 
-def parse_config_file(path: str) -> dict:
-    """Flat key=value lines (repeated `suite=` keys accumulate; parameters as
-    `param.<name>=<value>`; tolerance overrides as `tol.<suite>=<value>`),
-    or a JSON object with the same fields."""
+def parse_config_file(path: str) -> list:
+    """The (location, key, value) entries of a config file, in file order.
+    Flat key=value lines (blank and `#` lines skipped) give their keys:
+    `param.<name>`, repeated `suite`, `tol.<suite>` and the keys of _KEYS.
+    A JSON object gives the same entries: its `params` and `tolerances`
+    objects give `param.<name>` and `tol.<suite>`, its `suites` list gives
+    repeated `suite`, and a list `grid` or `perturb` is joined with `:`."""
     with open(path, "r", encoding="utf-8") as fh:
         text = fh.read()
-    stripped = text.lstrip()
-    if stripped.startswith("{"):
+    if text.lstrip().startswith("{"):
         try:
-            return json.loads(text)
+            data = json.loads(text)
         except json.JSONDecodeError as e:
             raise ConfigError(f"{path}: invalid JSON: {e}") from None
-    out: dict = {"params": {}, "suites": [], "tolerances": {}}
+        return [(path, key, val) for key, val in _json_entries(data, path)]
+    out = []
     for lineno, raw in enumerate(text.splitlines(), 1):
         line = raw.strip()
         if not line or line.startswith("#"):
@@ -96,37 +99,72 @@ def parse_config_file(path: str) -> dict:
         if "=" not in line:
             raise ConfigError(f"{path}:{lineno}: expected key=value, got {raw!r}")
         key, _, val = line.partition("=")
-        key = key.strip()
-        val = val.strip()
-        try:
-            if key == "family":
-                out["family"] = val
-            elif key == "q":
-                out["q"] = float(val)
-            elif key.startswith("param."):
-                out["params"][key[6:]] = float(val)
-            elif key == "suite":
-                out["suites"].append(val)
-            elif key.startswith("tol."):
-                out["tolerances"][key[4:]] = float(val)
-            elif key == "grid":
-                out["grid"] = val
-            elif key == "n_min":
-                out["n_min"] = int(val)
-            elif key == "n_max":
-                out["n_max"] = int(val)
-            elif key == "out":
-                out["out"] = val
-            elif key == "format":
-                out["format"] = val
-            elif key == "perturb":
-                name, _, delta = val.partition(":")
-                out["perturb"] = [name.strip(), float(delta)]
-            else:
-                raise ConfigError(f"{path}:{lineno}: unknown key {key!r}")
-        except ValueError as e:
-            raise ConfigError(f"{path}:{lineno}: field {key!r}: {e}") from None
+        out.append((f"{path}:{lineno}", key.strip(), val.strip()))
     return out
+
+
+def _json_entries(data, path: str) -> list:
+    if not isinstance(data, dict):
+        raise ConfigError(f"{path}: expected a JSON object")
+    out = []
+    for name, val in data.items():
+        if name not in _KEYS and name not in ("params", "tolerances", "suites"):
+            raise ConfigError(f"{path}: unknown key {name!r}")
+        if val is None:
+            continue  # null leaves the field unset
+        if name in ("params", "tolerances") and isinstance(val, dict):
+            prefix = "param." if name == "params" else "tol."
+            out += [(prefix + k, str(v)) for k, v in val.items()]
+        elif name == "suites" and isinstance(val, list):
+            out += [("suite", str(v)) for v in val]
+        elif name in _KEYS:
+            out.append((name, ":".join(map(str, val)) if isinstance(val, list) else str(val)))
+        else:
+            raise ConfigError(f"{path}: field {name!r} must be a JSON "
+                              f"{'array' if name == 'suites' else 'object'}")
+    return out
+
+
+def _flag_entries(args) -> list:
+    """The (location, key, value) entries of the command-line flags."""
+    out = []
+    for key in _KEYS:
+        val = getattr(args, key, None)
+        if val is not None:  # --perturb NAME DELTA is a list
+            out.append(("--" + key.replace("_", "-"), key,
+                        ":".join(val) if isinstance(val, list) else val))
+    for flag in ("param", "tol"):
+        for kv in getattr(args, flag, None) or []:
+            name, _, val = kv.partition("=")
+            if not val:
+                raise ConfigError(f"--{flag} expects name=value, got {kv!r}")
+            out.append((f"--{flag}", f"{flag}.{name.strip()}", val))
+    return out + [("--suite", "suite", s) for s in getattr(args, "suite", None) or []]
+
+
+def _apply(cfg: RunConfig, entries):
+    """Parse one source's entries into cfg, key by key.  Suites accumulate
+    within the source, and a source that names suites replaces the suites of
+    the sources before it."""
+    suites = []
+    for where, key, val in entries:
+        try:
+            if key == "suite":
+                suites.append(val)
+            elif key.startswith(("param.", "tol.")):
+                table, _, name = key.partition(".")
+                (cfg.params if table == "param" else cfg.tolerances)[name] = float(val)
+            elif key in _KEYS:
+                attr, parse = _KEYS[key]
+                setattr(cfg, attr, parse(val))
+            else:
+                raise ConfigError(f"unknown key {key!r}")
+        except ConfigError as e:
+            raise ConfigError(f"{where}: {e}") from None
+        except ValueError as e:
+            raise ConfigError(f"{where}: field {key!r}: {e}") from None
+    if suites:
+        cfg.suites = suites
 
 
 def _parse_grid_token(tok: str) -> tuple:
@@ -143,60 +181,31 @@ def _parse_grid_token(tok: str) -> tuple:
     return (start, stop, count)
 
 
+def _parse_perturb(tok: str) -> tuple:
+    name, _, delta = tok.partition(":")
+    return (name.strip(), float(delta))
+
+
+# the one-valued keys of a config source: key -> (RunConfig field, parser)
+_KEYS = {
+    "family": ("family", str),
+    "q": ("q", float),
+    "grid": ("grid", _parse_grid_token),
+    "n_min": ("n_min", int),
+    "n_max": ("n_max", int),
+    "out": ("out", str),
+    "format": ("fmt", str),
+    "perturb": ("perturb", _parse_perturb),
+}
+
+
 def _config_from_args(args) -> RunConfig:
+    """The run config of a config file (if --config names one) overridden by
+    the flags, validated."""
     cfg = RunConfig()
     if getattr(args, "config", None):
-        data = parse_config_file(args.config)
-        cfg.family = data.get("family", cfg.family)
-        cfg.params.update({k: float(v) for k, v in data.get("params", {}).items()})
-        cfg.q = float(data.get("q", cfg.q))
-        if data.get("suites"):
-            cfg.suites = list(data["suites"])
-        if data.get("grid"):
-            cfg.grid = _parse_grid_token(data["grid"]) if isinstance(data["grid"], str) else tuple(data["grid"])
-        cfg.n_min = int(data.get("n_min", cfg.n_min))
-        cfg.n_max = int(data.get("n_max", cfg.n_max))
-        cfg.tolerances.update({k: float(v) for k, v in data.get("tolerances", {}).items()})
-        cfg.out = data.get("out", cfg.out)
-        cfg.fmt = data.get("format", cfg.fmt)
-        if data.get("perturb"):
-            name, delta = data["perturb"]
-            cfg.perturb = (str(name), float(delta))
-    if getattr(args, "family", None):
-        cfg.family = args.family
-    for kv in getattr(args, "param", None) or []:
-        key, _, val = kv.partition("=")
-        if not val:
-            raise ConfigError(f"--param expects name=value, got {kv!r}")
-        try:
-            cfg.params[key.strip()] = float(val)
-        except ValueError:
-            raise ConfigError(f"--param {key.strip()!r}: non-numeric value {val!r}") from None
-    if getattr(args, "q", None) is not None:
-        cfg.q = args.q
-    if getattr(args, "suite", None):
-        cfg.suites = list(args.suite)
-    if getattr(args, "grid", None):
-        cfg.grid = _parse_grid_token(args.grid)
-    if getattr(args, "n_min", None) is not None:
-        cfg.n_min = args.n_min
-    if getattr(args, "n_max", None) is not None:
-        cfg.n_max = args.n_max
-    for kv in getattr(args, "tol", None) or []:
-        key, _, val = kv.partition("=")
-        if not val:
-            raise ConfigError(f"--tol expects name=value, got {kv!r}")
-        try:
-            cfg.tolerances[key.strip()] = float(val)
-        except ValueError:
-            raise ConfigError(f"--tol {key.strip()!r}: non-numeric value {val!r}") from None
-    if getattr(args, "out", None):
-        cfg.out = args.out
-    if getattr(args, "format", None):
-        cfg.fmt = args.format
-    if getattr(args, "perturb", None):
-        name, delta = args.perturb
-        cfg.perturb = (name, float(delta))
+        _apply(cfg, parse_config_file(args.config))
+    _apply(cfg, _flag_entries(args))
     cfg.validate()
     return cfg
 

@@ -38,7 +38,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .hypergeometric_core import EquationData, lam_ratio, ttrr_coeffs_generic
+from .hypergeometric_core import EquationData, beta_generic, lam_ratio
 from .lattice import Lattice, _cdiv
 from .orthogonality import InnerProductSpec, discrete_inner, jackson_integral
 from .qkernel import (
@@ -248,7 +248,6 @@ class FamilySpec:
     # lattice coordinates where the series route is well conditioned up to
     # n = 10 (n_max for a finite family): the concordance series-vs-ttrr points
     series_points: tuple = ()
-    beta_source: str = "closed"  # "closed" | "generic"
     norm_source: str = "closed"  # "closed" | "ratio" | "discrete_sum"
     perturb: dict = field(default_factory=dict)
     _cache: dict = field(default_factory=dict, compare=False, repr=False)
@@ -311,11 +310,13 @@ class FamilySpec:
 
     # -- validated recurrence coefficients ---------------------------------
     def ttrr_beta(self, n: int) -> complex:
-        """beta_n, the same in the monic and the canonical normalization."""
+        """beta_n, the same in the monic and the canonical normalization: the
+        generic route where the tabulated display is a recorded suspected
+        erratum, else the display."""
         key = ("beta", n)
         if key not in self._cache:
-            if self.beta_source == "generic":
-                val = ttrr_coeffs_generic(self.eq, n, 1.0)[1]
+            if "beta_n" in self.closed.notes:
+                val = beta_generic(self.eq, n)
             else:
                 val = complex(self.closed.beta_n(n))
             self._cache[key] = val
@@ -442,9 +443,11 @@ def _series_points(start: float, step: float) -> tuple:
     return tuple(start + step * j for j in range(7))
 
 
-def _make_asc1(params: dict, base: QBase) -> FamilySpec:
-    a = float(params["a"])
-    _require(a != 0.0, "a", "must be nonzero (weight support [a,1] degenerates)")
+def _asc_forms(a: float, base: QBase):
+    """What Al-Salam-Carlitz I in base `base` shares with Al-Salam-Carlitz II,
+    which is I in the inverted base: the lattice q^s, the equation data with
+    a_n = 1, and the closed forms lambda_n, beta_n, gamma_n, tau_n', tau_n(0),
+    u and h-+.  Returns (lattice, eq, a_n, ClosedForms fields, displays)."""
     q = base.q
     lat = Lattice(1.0, 0.0, 0.0, base)
     rq = math.sqrt(q)
@@ -457,7 +460,25 @@ def _make_asc1(params: dict, base: QBase) -> FamilySpec:
         lattice=lat,
     )
     a_n = lambda n: complex(1.0)
-    eq = replace(eq0, B=_B_from_leading(eq0, a_n))
+    forms = {
+        "lambda_n": lambda n: q_number(float(n), base) * q ** (1 - n / 2.0) / (q - 1.0),
+        "beta_n": lambda n: (1.0 + a) * q**n,
+        "gamma_n": lambda n: a * q ** (n - 1) * (q**n - 1.0),
+        "tau_slope": lambda n: q ** (0.5 - n) / (1.0 - q),
+        "tau_intercept": lambda n: q ** ((1.0 - n) / 2.0) * (a + 1.0) / (q - 1.0),
+    }
+    displays = {
+        "u": lambda s, n: a * q / (1.0 - q) / lat.x(s),
+        "h_mp": lambda n: a * q ** (1 - n) * (q ** (n + 1) - 1.0) / (q - 1.0) ** 2,
+    }
+    return lat, replace(eq0, B=_B_from_leading(eq0, a_n)), a_n, forms, displays
+
+
+def _make_asc1(params: dict, base: QBase) -> FamilySpec:
+    a = float(params["a"])
+    _require(a != 0.0, "a", "must be nonzero (weight support [a,1] degenerates)")
+    q = base.q
+    lat, eq, a_n, forms, displays = _asc_forms(a, base)
 
     def series(n, s):
         x = lat.x(s)
@@ -486,12 +507,6 @@ def _make_asc1(params: dict, base: QBase) -> FamilySpec:
             * q ** (n * (n - 1) / 2.0)
         )
 
-    def u_display(s, n):
-        return a * q / (1.0 - q) / lat.x(s)
-
-    def h_mp_display(n):
-        return a * q ** (1 - n) * (q ** (n + 1) - 1.0) / (q - 1.0) ** 2
-
     def ham_i_display(s, n):
         # tabulated I-coefficient of the three-point operator
         x = lat.x(s)
@@ -508,15 +523,10 @@ def _make_asc1(params: dict, base: QBase) -> FamilySpec:
         return 1.0 / ((1.0 - q * x) * (1.0 - q * x / a))
 
     closed = ClosedForms(
-        lambda_n=lambda n: q_number(float(n), base) * q ** (1 - n / 2.0) / (q - 1.0),
-        beta_n=lambda n: (1.0 + a) * q**n,
-        gamma_n=lambda n: a * q ** (n - 1) * (q**n - 1.0),
-        tau_slope=lambda n: q ** (0.5 - n) / (1.0 - q),
-        tau_intercept=lambda n: q ** ((1.0 - n) / 2.0) * (a + 1.0) / (q - 1.0),
+        **forms,
         d_n_sq=d_n_sq,
         weight=weight,
-        displays={"u": u_display, "h_mp": h_mp_display, "ham_i": ham_i_display,
-                  "pearson_ratio": pearson_ratio},
+        displays={**displays, "ham_i": ham_i_display, "pearson_ratio": pearson_ratio},
         notes={
             "hamiltonian_i_display": "displayed identity-term of the three-point "
             "operator: its 1/x coefficient lacks the parameter factor a",
@@ -543,18 +553,7 @@ def _make_asc2(params: dict, base: QBase) -> FamilySpec:
     q = base.q
     ibase = base.inverted()  # the family is the base-inverted ASC1
     iq = ibase.q
-    lat = Lattice(1.0, 0.0, 0.0, ibase)
-    rq = math.sqrt(iq)
-    eq0 = EquationData(
-        sigma_pp=1.0,
-        sigma_p0=-(a + 1.0) / 2.0,
-        sigma_00=a,
-        tau_p=rq / (1.0 - iq),
-        tau_0=rq * (1.0 + a) / (iq - 1.0),
-        lattice=lat,
-    )
-    a_n = lambda n: complex(1.0)
-    eq = replace(eq0, B=_B_from_leading(eq0, a_n))
+    lat, eq, a_n, forms, displays = _asc_forms(a, ibase)
 
     def series(n, s):
         # V_n^{(a)}(x; q) = U_n^{(a)}(x; 1/q), evaluated as the 2phi0 form in
@@ -575,26 +574,13 @@ def _make_asc2(params: dict, base: QBase) -> FamilySpec:
         # (only ratios enter the ladder identities); anchored at d_0^2 = 1.
         return (-a) ** n * q_pochhammer(iq, ibase, n) * iq ** (n * (n - 1) / 2.0)
 
-    closed = ClosedForms(
-        lambda_n=lambda n: q_number(float(n), ibase) * iq ** (1 - n / 2.0) / (iq - 1.0),
-        beta_n=lambda n: (1.0 + a) * iq**n,
-        gamma_n=lambda n: a * iq ** (n - 1) * (iq**n - 1.0),
-        tau_slope=lambda n: iq ** (0.5 - n) / (1.0 - iq),
-        tau_intercept=lambda n: iq ** ((1.0 - n) / 2.0) * (a + 1.0) / (iq - 1.0),
-        d_n_sq=d_n_sq,
-        weight=None,
-        displays={
-            "u": lambda s, n: a * iq / (1.0 - iq) / lat.x(s),
-            "h_mp": lambda n: a * iq ** (1 - n) * (iq ** (n + 1) - 1.0) / (iq - 1.0) ** 2,
-        },
-    )
     return FamilySpec(
         name="asc2",
         params={"a": a},
         base=base,
         eq=eq,
         support=SupportSpec("none", note="no orthogonality relation tabulated"),
-        closed=closed,
+        closed=ClosedForms(**forms, d_n_sq=d_n_sq, weight=None, displays=displays),
         a_n=a_n,
         series_fn=series,
         series_points=_series_points(-3.0, 0.9),
@@ -832,7 +818,8 @@ def _make_q_dual_hahn(params: dict, base: QBase) -> FamilySpec:
 
     def beta_display(n):
         # as tabulated; the general route matches [b-a-n-1]_q in place of
-        # [b-a-n+1]_q (suspected erratum), so beta_source="generic" below
+        # [b-a-n+1]_q (suspected erratum); the notes entry below records it,
+        # so ttrr_beta takes the generic route
         return (
             q ** ((2 * n - b + c + 1) / 2.0) * qn(b - a - n + 1.0) * qn(a + c + n + 1.0)
             + q ** ((2 * n + 2 * a + c - b + 1) / 2.0) * qn(float(n)) * qn(b - c - n)
@@ -925,7 +912,6 @@ def _make_q_dual_hahn(params: dict, base: QBase) -> FamilySpec:
         series_fn=series,
         series_points=_series_points(0.3, 0.7),
         n_max=n_max,
-        beta_source="generic",
         norm_source="discrete_sum",
     )
 

@@ -62,6 +62,7 @@ __all__ = [
     "a_nk",
     "leading_coeff",
     "b_over_a",
+    "beta_generic",
     "ttrr_coeffs_generic",
     "pearson_weight",
     "rodrigues_values",
@@ -246,6 +247,11 @@ def b_over_a(eq: EquationData, n: int) -> complex:
     return qn * tk.intercept / tk.slope + complex(eq.lattice.c3) * (qn - n)
 
 
+def beta_generic(eq: EquationData, n: int) -> complex:
+    """beta_n = b_n/a_n - b_{n+1}/a_{n+1}, the same in every normalization."""
+    return b_over_a(eq, n) - b_over_a(eq, n + 1)
+
+
 def ttrr_coeffs_generic(eq: EquationData, n: int, dn_ratio) -> tuple:
     """Generic three-term recurrence coefficients for x P_n = alpha_n P_{n+1}
     + beta_n P_n + gamma_n P_{n-1}:
@@ -258,7 +264,7 @@ def ttrr_coeffs_generic(eq: EquationData, n: int, dn_ratio) -> tuple:
     never silently depends on a support choice.  gamma_0 is returned as 0.
     """
     alpha = leading_coeff(eq, n) / leading_coeff(eq, n + 1)
-    beta = b_over_a(eq, n) - b_over_a(eq, n + 1)
+    beta = beta_generic(eq, n)
     if n == 0:
         gamma = complex(0.0)
     else:

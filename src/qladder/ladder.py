@@ -131,16 +131,11 @@ def h_minusplus(fam, n: int) -> complex:
 
 def h_plusminus(fam, n: int) -> complex:
     """h(n) in L+(s,n-1) L-(s,n) = h(n) I + u(s,n-1) H(s,n):
-    lambda_{2n-2}/[2n-2]_q * lambda_{2n}/[2n]_q * alpha_{n-1} gamma_n."""
+    lambda_{2n-2}/[2n-2]_q * lambda_{2n}/[2n]_q * alpha_{n-1} gamma_n, which
+    is h_minusplus(n-1)."""
     if n < 1:
         raise QKernelError("h_plusminus needs n >= 1")
-    eq = fam.eq
-    return (
-        lam_ratio(eq, 2.0 * n - 2.0)
-        * lam_ratio(eq, 2.0 * n)
-        * fam.ttrr_alpha(n - 1)
-        * fam.ttrr_gamma(n)
-    )
+    return h_minusplus(fam, n - 1)
 
 
 def _h_bracket_mp_pieces(n: int, g: "StencilGrid"):
@@ -596,7 +591,10 @@ def check_uv_shift(fam, ns, s_grid, tolerance: float = 1e-10) -> CheckReport:
 
 
 def check_h_remark(fam, ns, tolerance: float = 1e-12) -> CheckReport:
-    """h_plusminus(n+1) = h_minusplus(n)."""
+    """h_plusminus(n+1) = h_minusplus(n).  The closed form has one copy, and
+    h_plusminus(n+1) is h_minusplus(n), so this is the index identity of
+    that closed form and its residual is exactly 0; check_h_s_independence
+    tests h-+ and h+- against their bracket expansions."""
     rep = CheckReport(
         suite="h_remark",
         identity="h+-(n+1) = h-+(n)",

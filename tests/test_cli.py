@@ -1,4 +1,5 @@
 import json
+import pathlib
 import subprocess
 import sys
 
@@ -278,6 +279,68 @@ def test_config_file_bad_line(tmp_path, capsys):
     cfg.write_text("family=asc1\nwat\n")
     assert run_cli(["check", "--config", str(cfg)]) == 2
     assert "bad.cfg:2" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("fields", [{"params": {"a": "x"}}, {"n_max": "x"}])
+def test_config_json_non_numeric_value_exits_2(tmp_path, capsys, fields):
+    cfg = tmp_path / "v.json"
+    cfg.write_text(json.dumps({"family": "asc1", "q": 0.5, "params": {"a": -1.0},
+                               "suites": ["eigen"], **fields}))
+    assert run_cli(["check", "--config", str(cfg)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {cfg}: field ") and "'x'" in err
+
+
+@pytest.mark.parametrize("grid, message", [([0.3, 2.5], "start:stop:count"),
+                                           ([0.3, 2.5, 0], "count must be >= 1")])
+def test_config_json_bad_grid_exits_2(tmp_path, capsys, grid, message):
+    cfg = tmp_path / "g.json"
+    cfg.write_text(json.dumps({"family": "asc1", "q": 0.5, "params": {"a": -1.0},
+                               "suites": ["eigen"], "grid": grid}))
+    assert run_cli(["check", "--config", str(cfg)]) == 2
+    assert message in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("key", ["suite", "n_mx"])
+def test_config_json_unknown_key_exits_2(tmp_path, capsys, key):
+    cfg = tmp_path / "k.json"
+    cfg.write_text(json.dumps({"family": "asc1", "q": 0.5, "params": {"a": -1.0},
+                               key: "eigen" if key == "suite" else 3}))
+    assert run_cli(["check", "--config", str(cfg)]) == 2
+    assert capsys.readouterr().err == f"error: {cfg}: unknown key {key!r}\n"
+
+
+def test_config_unknown_key_names_its_location_once(tmp_path, capsys):
+    cfg = tmp_path / "c.cfg"
+    cfg.write_text("family=asc1\nparam.a=-1\nn_mx=3\n")
+    assert run_cli(["check", "--config", str(cfg)]) == 2
+    assert capsys.readouterr().err == f"error: {cfg}:3: unknown key 'n_mx'\n"
+
+
+def _run_config(argv):
+    return cli._config_from_args(cli._parser().parse_args(argv))
+
+
+def test_flags_override_the_file_and_named_suites_replace(tmp_path):
+    cfg = tmp_path / "o.cfg"
+    cfg.write_text("family=asc1\nq=0.3\nparam.a=-1\nsuite=eigen\nsuite=raising\n"
+                   "tol.eigen=1e-7\n")
+    base = ["check", "--config", str(cfg)]
+    from_file = _run_config(base)
+    assert (from_file.q, from_file.suites, from_file.tolerances) == (
+        0.3, ["eigen", "raising"], {"eigen": 1e-7})
+    flagged = _run_config(base + ["--q", "0.5", "--param", "a=-2", "--suite", "lowering",
+                                  "--tol", "eigen=1e-5"])
+    assert (flagged.q, flagged.params, flagged.suites, flagged.tolerances) == (
+        0.5, {"a": -2.0}, ["lowering"], {"eigen": 1e-5})
+
+
+def test_example_configs_equal_the_flags():
+    examples = pathlib.Path(__file__).resolve().parent.parent / "examples"
+    flags = _run_config(["check", "--family", "q_dual_hahn", *REF_ARGS["q_dual_hahn"],
+                         "--q", "0.5", "--suite", "all", "--format", "json"])
+    for name in ("q_dual_hahn_reference.cfg", "q_dual_hahn_reference.json"):
+        assert _run_config(["check", "--config", str(examples / name)]) == flags, name
 
 
 def test_gram_command(tmp_path):

@@ -1,4 +1,5 @@
 import cmath
+import dataclasses
 import math
 
 import numpy as np
@@ -6,6 +7,7 @@ import pytest
 
 from qladder.families import (
     FamilyError,
+    FamilySpec,
     eval_series,
     eval_ttrr,
     make_family,
@@ -14,6 +16,7 @@ from qladder.families import (
     weight_at,
 )
 from qladder.hypergeometric_core import (
+    beta_generic,
     lambda_n,
     rel_residual,
     tau_k_coeffs,
@@ -155,6 +158,21 @@ def test_ttrr_closed_matches_generic(families):
             assert rel_residual(
                 fam.ttrr_beta(n) - beta_gen, (beta_gen, fam.ttrr_beta(n))
             ) < 1e-9, (name, n, "beta")
+
+
+def test_beta_generic_where_the_display_is_a_recorded_erratum(families):
+    # the validated beta_n is the generic one exactly where the notes record
+    # the tabulated beta_n as a suspected erratum (q-dual Hahn only)
+    assert "beta_source" not in {f.name for f in dataclasses.fields(FamilySpec)}
+    generic = [name for name in FAMILY_NAMES if "beta_n" in families[name].closed.notes]
+    assert generic == ["q_dual_hahn"]
+    for name in FAMILY_NAMES:
+        fam = families[name]
+        for n in range(0, 5):
+            gen = beta_generic(fam.eq, n)
+            assert gen == ttrr_coeffs_generic(fam.eq, n, 1.0)[1]
+            want = gen if name in generic else complex(fam.closed.beta_n(n))
+            assert fam.ttrr_beta(n) == want, (name, n)
 
 
 def test_qdh_displayed_beta_is_erratum(families):

@@ -5,7 +5,7 @@ from dataclasses import replace
 import pytest
 
 from qladder import ladder as L
-from qladder.families import make_family
+from qladder.families import make_family, reference_params
 import numpy as np
 
 from qladder.hypergeometric_core import (
@@ -292,6 +292,22 @@ def test_h_remark_and_s_independence(families):
         assert rep.max_residual < 1e-12, name
         rep = L.check_h_s_independence(fam, SWEEP_NS, grid_for(name))
         assert rep.max_residual < 1e-10, (name, rep.max_residual)
+
+
+@pytest.mark.parametrize("q", [0.2, 0.5, 0.9])
+def test_h_remark_is_the_index_identity_of_one_closed_form(q):
+    # h+-(n) = lambda_{2n-2}/[2n-2]_q lambda_{2n}/[2n]_q alpha_{n-1} gamma_n is
+    # h-+(n-1): one copy of the closed form, so h_remark's residual is exactly 0
+    for name in FAMILY_NAMES:
+        plain = make_family(name, reference_params(name), QBase(q))
+        for fam in (plain, plain.with_perturbation("beta", 1e-3),
+                    plain.with_perturbation("gamma", 1e-3)):
+            top = 8 if fam.n_max is None else fam.n_max
+            for n in range(1, top + 1):
+                want = (lam_ratio(fam.eq, 2.0 * n - 2.0) * lam_ratio(fam.eq, 2.0 * n)
+                        * fam.ttrr_alpha(n - 1) * fam.ttrr_gamma(n))
+                assert L.h_plusminus(fam, n) == want, (name, q, n)
+            assert L.check_h_remark(fam, list(range(1, top))).max_residual == 0.0, (name, q)
 
 
 def test_cqh_h_pm_display_off_by_q_squared(families):
