@@ -14,15 +14,7 @@ import time
 
 import numpy as np
 
-from .hypergeometric_core import (
-    beta_generic,
-    lam_ratio,
-    lambda_n,
-    pearson_weight,
-    rel_residual,
-    rodrigues_values,
-    tau_k_coeffs,
-)
+from .hypergeometric_core import pearson_weight, rel_residual, rodrigues_values
 from .lattice import LatticeTable
 from .ladder import (
     _RAISE_FP,
@@ -78,7 +70,7 @@ def concordance_suite(fam, n_hi: int = 8, tolerance: float = 1e-9) -> CheckRepor
         family=fam.name,
         tolerance=tolerance,
     )
-    eq = fam.eq
+    t = fam.coeffs
     errata: list = []
     grid = default_grid(fam)
     notes = fam.closed.notes
@@ -99,42 +91,44 @@ def concordance_suite(fam, n_hi: int = 8, tolerance: float = 1e-9) -> CheckRepor
             })
 
     for n in range(0, 11):
-        compare("lambda_n", f"n={n}", fam.lambda_closed(n), lambda_n(eq, n))
+        compare("lambda_n", f"n={n}", fam.lambda_closed(n), t.lambda_n(n))
     for n in range(0, n_hi + 1):
-        tk = tau_k_coeffs(eq, float(n))
+        tk = t.tau(n)
         compare("tau_n_slope", f"n={n}", fam.closed.tau_slope(n), tk.slope)
         compare("tau_n_intercept", f"n={n}", fam.closed.tau_intercept(n), tk.intercept)
 
     # beta display vs the generic route (monic normalization)
     for n in range(0, n_hi + 1):
-        compare("beta_n", f"n={n}", fam.closed.beta_n(n), beta_generic(eq, n))
+        compare("beta_n", f"n={n}", fam.closed.beta_n(n), t.beta_generic(n))
 
     # tabulated d_n^2 ratio vs gamma_n/alpha_{n-1} (canonical normalization)
     if fam.closed.d_n_sq is not None:
         for n in range(1, n_hi + 1):
             try:
-                tab_ratio = complex(fam.closed.d_n_sq(n)) / complex(fam.closed.d_n_sq(n - 1))
+                tab_ratio = t.d_n_sq(n) / t.d_n_sq(n - 1)
             except Exception:
                 break
-            compare("d_n_sq_ratio", f"n={n}", tab_ratio, fam.ttrr_gamma(n) / fam.ttrr_alpha(n - 1),
+            compare("d_n_sq_ratio", f"n={n}", tab_ratio, t.gamma(n) / t.alpha(n - 1),
                     detail="tabulated squared-norm ratio is inconsistent with the "
                     "recurrence coefficients gamma_n/alpha_{n-1}")
 
     # where the validated norm comes from the orthogonality measure (Jackson
     # integral or discrete sum), the tabulated anchor d_0^2 is compared to it
     if fam.norm_source != "closed" and fam.support.kind != "none":
-        compare("d_0_sq_anchor", "n=0", fam.closed.d_n_sq(0), fam.norm_sq(0), 1e-8)
+        compare("d_0_sq_anchor", "n=0", t.d_n_sq(0), fam.norm_sq(0), 1e-8)
 
     # recurrence route vs series route; the points are chosen where the
     # alternating series is well conditioned (terms of size q^{-n(n-1)/2}
     # must not dwarf the value), which for the exponential lattices means
     # |x| above the support scale and for the trigonometric one x off the
-    # orthogonality interval -- the polynomial identity holds everywhere
+    # orthogonality interval -- the polynomial identity holds everywhere.
+    # The recurrence runs once per point, P_0..P_ncap in one pass.
     ncap = min(10, fam.n_max) if fam.n_max is not None else 10
+    stacks = [fam.pn_stack(ncap, fam.lattice.x_values(s)) for s in fam.series_points]
     for n in range(0, ncap + 1):
-        for s in fam.series_points:
+        for s, stack in zip(fam.series_points, stacks):
             compare("series_vs_ttrr", f"n={n},s={complex(s):.4g}", fam.pn_series(n, s),
-                    fam.pn_ttrr(n, s), max(tolerance, 1e-10))
+                    stack[n], max(tolerance, 1e-10))
 
     _compare_displays(fam, grid[:3], compare)
     rep.meta["errata"] = errata
@@ -147,7 +141,7 @@ def _compare_displays(fam, grid, compare):
     term of H and the squared E-+ coefficients), against the coefficients of
     H, L+ and L- on a StencilGrid at the points of `grid`."""
     displays = fam.closed.displays
-    g = StencilGrid(fam, grid, 1)
+    g = StencilGrid.shared(fam, grid, 1)
     labels = [f"{complex(s):.4g}" for s in grid]
     if "u" in displays:
         for n in range(1, 4):
@@ -259,7 +253,7 @@ def rodrigues_suite(fam, n_hi: int = 5, tolerance: float = 1e-9) -> CheckReport:
         tolerance=tolerance,
     )
     grid = default_grid(fam)
-    rods, x = rodrigues_values(fam.eq, grid[0], len(grid), n_hi)
+    rods, x = rodrigues_values(fam.eq, grid[0], len(grid), n_hi, fam.coeffs.B)
     refs = fam.pn_stack(n_hi, x)
     for n in range(0, n_hi + 1):
         pairs = list(zip(rods[n].tolist(), refs[n].tolist()))
@@ -352,7 +346,7 @@ def orthonormality_suite(fam, tolerance: float | None = None) -> CheckReport:
             fam.support.lo,
             fam.support.hi,
             fam.base,
-        ) / np.array([complex(fam.closed.d_n_sq(n)) for n in range(N + 1)])
+        ) / np.array([fam.coeffs.d_n_sq(n) for n in range(N + 1)])
         spread = float(np.max(np.abs(ratios - ratios[0])) / abs(ratios[0]))
         rep.meta["norm_convention_ratio"] = [ratios[0].real, ratios[0].imag]
         rep.meta["norm_convention_spread"] = spread
@@ -368,8 +362,8 @@ def poly_ladder_suite(fam, n_hi: int = 6, tolerance: float = 1e-10) -> CheckRepo
     """The polynomial-level raising and lowering relations, canonical
     normalization, at every point of the default grid at once.  The
     coefficients sigma/nabla x, Theta/Delta x, A(s,n), x and Delta x(s-1/2)
-    come from one margin-1 StencilGrid, and P_0..P_{n_hi+1} on its offsets
-    -1, 0, 1 from one recurrence pass (the well-conditioned evaluator;
+    come from the shared margin-1 StencilGrid, and P_0..P_{n_hi+1} on its
+    offsets -1, 0, 1 from its recurrence pass (the well-conditioned evaluator;
     alternating-sign series terms of size q^{-n(n-1)/2} make the series
     route lose digits from n ~ 6); the series-vs-recurrence tie happens in
     the concordance suite."""
@@ -381,37 +375,37 @@ def poly_ladder_suite(fam, n_hi: int = 6, tolerance: float = 1e-10) -> CheckRepo
         family=fam.name,
         tolerance=tolerance,
     )
-    eq = fam.eq
+    t = fam.coeffs
     grid = default_grid(fam)
-    g = StencilGrid(fam, grid, 1)
-    P = fam.pn_stack(n_hi + 1, g.x)  # P[k][:, 1 + j] = P_k(s + j)
+    g = StencilGrid.shared(fam, grid, 1)
+    P = g.p  # P(k)[:, 1 + j] = P_k(s + j)
     son, tod, x, dxm = g.son[:, 0], g.tod[:, 0], g.x[:, 1], g.dxm[:, 1]
     labels = [f"{complex(s):.4g}" for s in grid]
 
     def raising(n):
         """sigma nabla P_n/nabla x - (A P_n - alpha_n lambda_2n/[2n]_q P_{n+1})."""
-        lhs = son * (P[n][:, 1] - P[n][:, 0])
-        t1 = g.A(n)[:, 0] * P[n][:, 1]
-        t2 = complex(fam.ttrr_alpha(n)) * lam_ratio(eq, 2.0 * n) * P[n + 1][:, 1]
+        lhs = son * (P(n)[:, 1] - P(n)[:, 0])
+        t1 = g.A(n)[:, 0] * P(n)[:, 1]
+        t2 = complex(t.alpha(n)) * t.lam_ratio(2.0 * n) * P(n + 1)[:, 1]
         return rel_residual(lhs - (t1 - t2), (lhs, t1, t2)).tolist()
 
     def lowering(n, beta, gamma):
         """Theta Delta P_n/Delta x - (gamma_n lambda_2n/[2n]_q P_{n-1} + [...] P_n);
         P_{-1} = 0."""
-        L = lam_ratio(eq, 2.0 * n)
-        lhs = tod * (P[n][:, 2] - P[n][:, 1])
-        low = complex(gamma) * L * (P[n - 1][:, 1] if n >= 1 else 0.0)
-        mid = (g.A(n)[:, 0] - lambda_n(eq, n) * dxm - L * (x - complex(beta))) * P[n][:, 1]
+        L = t.lam_ratio(2.0 * n)
+        lhs = tod * (P(n)[:, 2] - P(n)[:, 1])
+        low = complex(gamma) * L * (P(n - 1)[:, 1] if n >= 1 else 0.0)
+        mid = (g.A(n)[:, 0] - t.lambda_n(n) * dxm - L * (x - complex(beta))) * P(n)[:, 1]
         return rel_residual(lhs - (low + mid), (lhs, low, mid)).tolist()
 
     for n in range(1, n_hi + 1):
         up = raising(n)
-        down = lowering(n, fam.ttrr_beta(n), fam.ttrr_gamma(n))
+        down = lowering(n, t.beta(n), t.gamma(n))
         for label, r_up, r_down in zip(labels, up, down):
             rep.cases.append(CaseRecord(n, label, r_up, "raising"))
             rep.cases.append(CaseRecord(n, label, r_down, "lowering"))
     # n = 0 lowering consistency with P_{-1} = 0
-    for label, r in zip(labels[:2], lowering(0, fam.ttrr_beta(0), 0.0)):
+    for label, r in zip(labels[:2], lowering(0, t.beta(0), 0.0)):
         rep.cases.append(CaseRecord(0, label, r, "lowering n=0"))
     return rep
 

@@ -63,6 +63,9 @@ class RunConfig:
         if not (0.0 < self.q < 1.0):
             raise ConfigError(f"field 'q' must lie in (0,1), got {self.q}")
         for k, v in self.tolerances.items():
+            if k not in SUITE_NAMES:
+                raise ConfigError(f"tolerance override {k!r} names no suite; "
+                                  f"known: {', '.join(SUITE_NAMES)}")
             if v <= 0:
                 raise ConfigError(f"tolerance {k!r} must be positive, got {v}")
         if self.n_min < 0 or self.n_max < self.n_min:
@@ -263,12 +266,14 @@ def cmd_eval(cfg: RunConfig) -> int:
          "Theta": _theta_at(eq, x, b - a)}
         for s, (a, x, b) in zip(pts, LatticeTable(fam.lattice, pts, -1, 1).x.tolist())
     ]
+    # P_n(s) for every n from one recurrence pass per grid point
+    stacks = [fam.pn_stack(cfg.n_max, fam.lattice.x_values(col["s"])) for col in columns]
     of = OrthonormalFamily(fam)
     rows = []
     for n in range(cfg.n_min, cfg.n_max + 1):
-        for col in columns:
+        for col, stack in zip(columns, stacks):
             s = col["s"]
-            p = fam.pn_ttrr(n, s)
+            p = stack[n]
             try:
                 rho = of.rho_at_s(s)
             except (FamilyError, QKernelError, KeyError):

@@ -38,7 +38,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .hypergeometric_core import EquationData, beta_generic, lam_ratio
+from .hypergeometric_core import EquationData, EquationTable, _entry, lam_ratio
 from .lattice import Lattice, _cdiv
 from .orthogonality import InnerProductSpec, discrete_inner, jackson_integral
 from .qkernel import (
@@ -58,6 +58,7 @@ __all__ = [
     "lattice_kind",
     "SupportSpec",
     "ClosedForms",
+    "CoefficientTable",
     "FamilySpec",
     "make_family",
     "family_names",
@@ -226,14 +227,79 @@ def lattice_kind(lat: Lattice) -> LatticeKind:
     return QUADRATIC
 
 
+class CoefficientTable(EquationTable):
+    """The per-n table of one family: the entries of its equation's table
+    (lam_ratio, lambda_n, tau_n', tau_n(0), b_n/a_n, generic beta_n) and the
+    family's a_n, B_n, validated beta_n, monic gamma_n, canonical alpha_n and
+    gamma_n and tabulated d_n^2, each computed once, when first read, by the
+    scalar formula it replaces, so every value is the one that formula gives.
+    Entries are Python numbers and frozen `TauK`s, so no reader can change
+    one.  The table lives in the family's private cache: `with_perturbation`
+    and `replace(fam, ..., _cache={})` give a copy a table of its own."""
+
+    def __init__(self, fam: "FamilySpec"):
+        super().__init__(fam.eq)
+        self.fam = fam
+        self._beta_shift = complex(fam.perturb.get("beta", 0.0))
+        self._gamma_shift = complex(fam.perturb.get("gamma", 0.0))
+
+    @_entry
+    def a_n(self, n: int):
+        """The canonical leading coefficient, as the family's a_n gives it."""
+        return self.fam.a_n(n)
+
+    @_entry
+    def B(self, n: int) -> complex:
+        """The Rodrigues normalization B_n = a_n / prod_{k<n} -lam_ratio(n+k)."""
+        return _B_norm(self.a_n(n), self.lam_ratio, n)
+
+    @_entry
+    def beta(self, n: int) -> complex:
+        """beta_n, the same in the monic and the canonical normalization: the
+        generic route where the tabulated display is a recorded suspected
+        erratum, else the display; plus any perturbation."""
+        fam = self.fam
+        if "beta_n" in fam.closed.notes:
+            val = self.beta_generic(n)
+        else:
+            val = complex(fam.closed.beta_n(n))
+        return val + self._beta_shift
+
+    @_entry
+    def gamma_monic(self, n: int) -> complex:
+        if n == 0:
+            return complex(0.0)
+        return complex(self.fam.closed.gamma_n(n)) + self._gamma_shift
+
+    @_entry
+    def alpha(self, n: int) -> complex:
+        """Canonical alpha_n = a_n / a_{n+1}."""
+        return self.a_n(n) / self.a_n(n + 1)
+
+    @_entry
+    def gamma(self, n: int) -> complex:
+        """Canonical gamma_n = gamma_n^monic * a_n / a_{n-1}."""
+        if n == 0:
+            return complex(0.0)
+        return self.gamma_monic(n) * self.a_n(n) / self.a_n(n - 1)
+
+    @_entry
+    def d_n_sq(self, n: int) -> complex:
+        """The tabulated d_n^2 (canonical normalization)."""
+        return complex(self.fam.closed.d_n_sq(n))
+
+
 @dataclass(frozen=True)
 class FamilySpec:
     """A fully populated family: lattice + equation data + closed forms +
     series evaluator + support + validated recurrence/norm routes.
 
     Immutable after construction; evaluators are pure.  The private cache
-    only memoizes idempotent derived values (norms, recurrence coefficients),
-    so concurrent use is safe: a race at worst recomputes the same number.
+    only memoizes idempotent derived values: the per-n table `coeffs`, the
+    norms and the stencil grids of the suites (`ladder.StencilGrid.shared`),
+    so concurrent use is safe: a race at worst recomputes the same values.
+    A copy made by `with_perturbation` or `replace(fam, ..., _cache={})`
+    starts with an empty cache.
     """
 
     name: str
@@ -284,58 +350,41 @@ class FamilySpec:
         recurrence."""
         if n < 0:
             return complex(0.0)
-        return self._monic_stack(n, x)[n] * self.a_n(n)
+        return self.monic_rows(n, x)[n] * self.coeffs.a_n(n)
 
     def pn_stack(self, N: int, x):
         """P_0..P_N (canonical) at x from one pass of the recurrence: a list
         of N+1 Python complex numbers at one x, an (N+1, *x.shape) ndarray
         for an ndarray of x."""
-        rows = [p * self.a_n(k) for k, p in enumerate(self._monic_stack(N, x))]
+        a_n = self.coeffs.a_n
+        rows = [p * a_n(k) for k, p in enumerate(self.monic_rows(N, x))]
         if isinstance(x, np.ndarray):
             return np.stack([np.broadcast_to(p, x.shape) for p in rows])
         return rows
 
-    def _monic_stack(self, N: int, x) -> list:
-        """Monic P_0..P_N at x by the three-term recurrence."""
-        pm, pc = complex(0.0), complex(1.0)  # monic P_{-1}, P_0
-        rows = [pc]
-        for k in range(N):
-            pm, pc = pc, (x - self.ttrr_beta(k)) * pc - self.ttrr_gamma_monic(k) * pm
-            rows.append(pc)
+    def monic_rows(self, N: int, x, rows=()) -> list:
+        """Monic P_0..P_N (at least) at x by the three-term recurrence,
+        continued from `rows`, monic P_0..P_k at the same x from an earlier
+        call, when given."""
+        t = self.coeffs
+        rows = list(rows) or [complex(1.0)]  # monic P_0
+        for k in range(len(rows) - 1, N):
+            pm = rows[k - 1] if k else complex(0.0)  # monic P_{k-1}
+            rows.append((x - t.beta(k)) * rows[k] - t.gamma_monic(k) * pm)
         return rows
 
     def pn_monic(self, n: int, s) -> complex:
         """Monic-normalization value P_n / a_n."""
-        return self.pn_ttrr(n, s) / self.a_n(n)
+        return self.pn_ttrr(n, s) / self.coeffs.a_n(n)
 
-    # -- validated recurrence coefficients ---------------------------------
-    def ttrr_beta(self, n: int) -> complex:
-        """beta_n, the same in the monic and the canonical normalization: the
-        generic route where the tabulated display is a recorded suspected
-        erratum, else the display."""
-        key = ("beta", n)
-        if key not in self._cache:
-            if "beta_n" in self.closed.notes:
-                val = beta_generic(self.eq, n)
-            else:
-                val = complex(self.closed.beta_n(n))
-            self._cache[key] = val
-        return self._cache[key] + complex(self.perturb.get("beta", 0.0))
-
-    def ttrr_gamma_monic(self, n: int) -> complex:
-        if n == 0:
-            return complex(0.0)
-        return complex(self.closed.gamma_n(n)) + complex(self.perturb.get("gamma", 0.0))
-
-    def ttrr_alpha(self, n: int) -> complex:
-        """Canonical alpha_n = a_n / a_{n+1}."""
-        return self.a_n(n) / self.a_n(n + 1)
-
-    def ttrr_gamma(self, n: int) -> complex:
-        """Canonical gamma_n = gamma_n^monic * a_n / a_{n-1}."""
-        if n == 0:
-            return complex(0.0)
-        return self.ttrr_gamma_monic(n) * self.a_n(n) / self.a_n(n - 1)
+    # -- the per-n table ------------------------------------------------------
+    @property
+    def coeffs(self) -> CoefficientTable:
+        """The family's per-n table, built on first use."""
+        table = self._cache.get("coeffs")
+        if table is None:
+            table = self._cache["coeffs"] = CoefficientTable(self)
+        return table
 
     def lambda_closed(self, n) -> complex:
         return complex(self.closed.lambda_n(n))
@@ -361,12 +410,12 @@ class FamilySpec:
 
     def _compute_norm_sq(self, n: int) -> complex:
         if self.norm_source == "closed":
-            return complex(self.closed.d_n_sq(n))
+            return self.coeffs.d_n_sq(n)
         if self.norm_source == "ratio":
             # d_n^2 = d_0^2 prod_{k<=n} gamma_k/alpha_{k-1} (canonical)
             out = self._norm_anchor()
             for k in range(1, n + 1):
-                out *= self.ttrr_gamma(k) / self.ttrr_alpha(k - 1)
+                out *= self.coeffs.gamma(k) / self.coeffs.alpha(k - 1)
             return out
         if self.norm_source == "discrete_sum":
             # one weight pass gives every norm of the finite family
@@ -389,7 +438,7 @@ class FamilySpec:
             if sup.kind == "jackson_integral":
                 self._cache[key] = jackson_integral(self.weight, sup.lo, sup.hi, self.base)
             else:
-                self._cache[key] = complex(self.closed.d_n_sq(0))
+                self._cache[key] = self.coeffs.d_n_sq(0)
         return self._cache[key]
 
     # -- weight -------------------------------------------------------------
@@ -424,14 +473,16 @@ def _positive_q(base: QBase):
         raise FamilyError("families require 0 < q < 1 (base.q)")
 
 
-def _B_from_leading(eq: EquationData, a_n):
-    def B(n: int) -> complex:
-        out = complex(a_n(n))
-        for k in range(n):
-            out /= -lam_ratio(eq, n + k)
-        return out
+def _B_norm(a, lam, n: int) -> complex:
+    """B_n = a_n / prod_{k<n} -lam(n + k), from a = a_n and lam(m) = lam_ratio(m)."""
+    out = complex(a)
+    for k in range(n):
+        out /= -lam(n + k)
+    return out
 
-    return B
+
+def _B_from_leading(eq: EquationData, a_n):
+    return lambda n: _B_norm(a_n(n), lambda m: lam_ratio(eq, m), n)
 
 
 def _require(cond: bool, param: str, message: str):
@@ -819,7 +870,7 @@ def _make_q_dual_hahn(params: dict, base: QBase) -> FamilySpec:
     def beta_display(n):
         # as tabulated; the general route matches [b-a-n-1]_q in place of
         # [b-a-n+1]_q (suspected erratum); the notes entry below records it,
-        # so ttrr_beta takes the generic route
+        # so the family's table takes beta_n from the generic route
         return (
             q ** ((2 * n - b + c + 1) / 2.0) * qn(b - a - n + 1.0) * qn(a + c + n + 1.0)
             + q ** ((2 * n + 2 * a + c - b + 1) / 2.0) * qn(float(n)) * qn(b - c - n)

@@ -33,15 +33,23 @@ Python complex numbers (`_sigma_theta`), so the Pearson recurrence and the
 rho_n products read identical values, and the CLI's `eval` rows read their
 sigma, tau and Theta the same way.  There is no point-by-point sigma or
 Theta function; the tests keep one as the reference.  `sigma_tilde`,
-`tau_tilde`, `TauK.at`, `lam_tau_ratio` and `rel_residual` take one point
-or an ndarray (elementwise, through numpy).  Everything else here is
-scalar.
+`tau_tilde`, `TauK.at`, `lam_tau_ratio`, `EquationTable.A` and
+`rel_residual` take one point or an ndarray (elementwise, through numpy).
+Everything else here is scalar.
+
+The n-dependent data (lam_ratio, lambda_n, the tau_k coefficients, b_n/a_n
+and the generic beta_n) are read from an `EquationTable`, which computes
+each entry once, when first read, through the scalar formula, so a table
+entry equals the formula's value bit for bit.  A family keeps one table
+for all its suites (`families.CoefficientTable`); `lambda_n`,
+`lam_tau_ratio`, `b_over_a` and `beta_generic` evaluate on a table of
+their own.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import reduce
+from functools import reduce, wraps
 
 import numpy as np
 
@@ -52,6 +60,7 @@ __all__ = [
     "EquationData",
     "TauK",
     "WeightTable",
+    "EquationTable",
     "sigma_tilde",
     "tau_tilde",
     "tau_k_coeffs",
@@ -189,13 +198,12 @@ def lam_ratio(eq: EquationData, n) -> complex:
 def lam_tau_ratio(eq: EquationData, n, s):
     """A(s,n) = lambda_n/[n]_q * tau_n(s)/tau_n', the n = 0 value by the
     continuation of lam_ratio."""
-    tk = tau_k_coeffs(eq, float(n))
-    return _cdiv(lam_ratio(eq, n) * tk.at(eq.lattice, s), tk.slope)
+    return EquationTable(eq).A(n, s)
 
 
 def lambda_n(eq: EquationData, n) -> complex:
     """lambda_n = -[n]_q {alpha_q(n-1) tau~' + [n-1]_q sigma~''/2}."""
-    return q_number(float(n), eq.base) * lam_ratio(eq, n)
+    return EquationTable(eq).lambda_n(n)
 
 
 def mu_k(eq: EquationData, lam, k: int) -> complex:
@@ -237,19 +245,72 @@ def leading_coeff(eq: EquationData, n: int) -> complex:
 
 def b_over_a(eq: EquationData, n: int) -> complex:
     """b_n/a_n = [n]_q tau_{n-1}(0)/tau_{n-1}' + c3 ([n]_q - n)."""
-    if n == 0:
-        return complex(0.0)
-    base = eq.base
-    tk = tau_k_coeffs(eq, float(n - 1))
-    if abs(tk.slope) == 0.0:
-        raise QKernelError(f"tau_{n-1}' = 0: b_n/a_n undefined")
-    qn = q_number(float(n), base)
-    return qn * tk.intercept / tk.slope + complex(eq.lattice.c3) * (qn - n)
+    return EquationTable(eq).b_over_a(n)
 
 
 def beta_generic(eq: EquationData, n: int) -> complex:
     """beta_n = b_n/a_n - b_{n+1}/a_{n+1}, the same in every normalization."""
-    return b_over_a(eq, n) - b_over_a(eq, n + 1)
+    return EquationTable(eq).beta_generic(n)
+
+
+def _entry(fn):
+    """A table entry: fn(table, n), computed once per argument, when first
+    read (an int and the equal float are one argument)."""
+
+    @wraps(fn)
+    def read(self, n):
+        key = (fn, n)
+        memo = self._memo
+        if key not in memo:
+            memo[key] = fn(self, n)
+        return memo[key]
+
+    return read
+
+
+class EquationTable:
+    """The n-dependent data of one equation, each entry computed once, when
+    first read, by its scalar formula: lam_ratio, lambda_n, the tau_k
+    coefficients, b_n/a_n and the generic beta_n.  `A` reads its lam_ratio
+    and tau_n entries.  A family's table (`families.CoefficientTable`)
+    extends it with the family's own per-n data; the module-level functions
+    of the same names evaluate on a table of their own."""
+
+    def __init__(self, eq: EquationData):
+        self.eq = eq
+        self._memo = {}
+
+    @_entry
+    def lam_ratio(self, n) -> complex:
+        return lam_ratio(self.eq, n)
+
+    @_entry
+    def lambda_n(self, n) -> complex:
+        return q_number(float(n), self.eq.base) * self.lam_ratio(n)
+
+    @_entry
+    def tau(self, k) -> TauK:
+        """The affine data of tau_k (tau_k' = slope, tau_k(0) = intercept)."""
+        return tau_k_coeffs(self.eq, float(k))
+
+    @_entry
+    def b_over_a(self, n: int) -> complex:
+        if n == 0:
+            return complex(0.0)
+        tk = self.tau(n - 1)
+        if abs(tk.slope) == 0.0:
+            raise QKernelError(f"tau_{n-1}' = 0: b_n/a_n undefined")
+        qn = q_number(float(n), self.eq.base)
+        return qn * tk.intercept / tk.slope + complex(self.eq.lattice.c3) * (qn - n)
+
+    @_entry
+    def beta_generic(self, n: int) -> complex:
+        return self.b_over_a(n) - self.b_over_a(n + 1)
+
+    def A(self, n, s):
+        """A(s,n) at one point or elementwise on an ndarray of s."""
+        tk = self.tau(n)
+        return _cdiv(self.lam_ratio(n) * tk.at(self.eq.lattice, s), tk.slope)
 
 
 def ttrr_coeffs_generic(eq: EquationData, n: int, dn_ratio) -> tuple:
@@ -391,11 +452,12 @@ def _pearson_table(eq, anchor: complex, lo: int, hi: int, sigma, theta) -> Weigh
     return WeightTable(eq=eq, anchor=anchor, lo=lo, hi=hi, values=values)
 
 
-def rodrigues_values(eq: EquationData, anchor, count: int, n_hi: int):
+def rodrigues_values(eq: EquationData, anchor, count: int, n_hi: int, B):
     """The Rodrigues formula P_n(x(s)) = B_n / rho(s) * nabla^{(n)} rho_n(s),
     rho_n(s) = rho(s+n) prod_{k=1}^{n} sigma(s+k), for n = 0..n_hi at the
     points s = anchor + k, k < count; rho is the Pearson weight on
     anchor - n_hi - 1 .. anchor + count + n_hi + 1 with rho(anchor) = 1.
+    B maps n to B_n (`eq.B_n`, or a family's table entry `coeffs.B`).
 
     An oracle, not a production evaluator: restricted to n <= 5 because each
     nested difference quotient costs roughly a digit in doubles.  One
@@ -429,6 +491,6 @@ def rodrigues_values(eq: EquationData, anchor, count: int, n_hi: int):
         for j in range(1, n_hi + 1):
             rho_n[:, j - 1:] *= sigma[u + j]
     chains = table.backward(rho_n[None], n[:, 0], k[:, :, 0])
-    values = [np.full(count, eq.B_n(0))] + [
-        _cdiv(eq.B_n(j), rho_s) * chains[j][0, :, j - 1, -1] for j in range(1, n_hi + 1)]
+    values = [np.full(count, B(0))] + [
+        _cdiv(B(j), rho_s) * chains[j][0, :, j - 1, -1] for j in range(1, n_hi + 1)]
     return np.array(values), table.x[0, 2 * np.arange(count) - table.h_lo]

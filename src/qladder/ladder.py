@@ -15,7 +15,10 @@ every family, including complex lattice coordinates.
 x, the steps, sigma, Theta, the limit-aware ratios, the principal roots, the
 E^- and E^+ coefficients, u, v, the H diagonal and the chain weights on
 (grid point x chain offset) arrays, and every suite reads them there: a
-suite that needs the coefficients at a few points builds a grid on them.
+suite that needs the coefficients at a few points takes a grid on them
+from `StencilGrid.shared`, which keeps one grid per family and distinct
+(points, margin), so the suites of one run share them.  The n-dependent
+constants come from the family's per-n table (`FamilySpec.coeffs`).
 Quotients of those arrays round as Python's complex division does
 (`lattice._cdiv`).
 
@@ -38,19 +41,11 @@ from __future__ import annotations
 
 import cmath
 from dataclasses import dataclass
-from functools import cached_property, reduce
+from functools import cached_property, reduce, wraps
 
 import numpy as np
 
-from .hypergeometric_core import (
-    _limit_ratio,
-    _sigma_at,
-    _theta_at,
-    lam_ratio,
-    lam_tau_ratio,
-    lambda_n,
-    rel_residual,
-)
+from .hypergeometric_core import _entry, _limit_ratio, _sigma_at, _theta_at, rel_residual
 from .lattice import _cdiv
 from .orthogonality import InnerProductSpec, discrete_inner
 from .qkernel import QKernelError
@@ -120,13 +115,8 @@ def _absent(s):
 def h_minusplus(fam, n: int) -> complex:
     """h(n) in L-(s,n+1) L+(s,n) = h(n) I + u(s+1,n) H(s,n):
     lambda_{2n}/[2n]_q * lambda_{2n+2}/[2n+2]_q * alpha_n gamma_{n+1}."""
-    eq = fam.eq
-    return (
-        lam_ratio(eq, 2.0 * n)
-        * lam_ratio(eq, 2.0 * n + 2.0)
-        * fam.ttrr_alpha(n)
-        * fam.ttrr_gamma(n + 1)
-    )
+    t = fam.coeffs
+    return t.lam_ratio(2.0 * n) * t.lam_ratio(2.0 * n + 2.0) * t.alpha(n) * t.gamma(n + 1)
 
 
 def h_plusminus(fam, n: int) -> complex:
@@ -144,7 +134,7 @@ def _h_bracket_mp_pieces(n: int, g: "StencilGrid"):
     Delta x(s-1/2)) and A(s+1) Theta(s)/Delta x(s)."""
     A, dxm = _by_offset(g.A(n)), _by_offset(g.dxm)
     son, tod = g.plus_side(g.son), g.minus_side(g.tod)
-    p1 = (A(1) - son(1)) * (A(0) - lambda_n(g.fam.eq, n) * dxm(0))
+    p1 = (A(1) - son(1)) * (A(0) - g.fam.coeffs.lambda_n(n) * dxm(0))
     p2 = A(1) * tod(0)
     return p1, p2
 
@@ -154,13 +144,13 @@ def _h_bracket_pm_pieces(n: int, g: "StencilGrid"):
     B(s) = -A(s) + lambda_{2n}/[2n]_q (x(s) - beta_n), at every grid point:
     (B(s-1) + lambda_n Delta x(s-3/2)) (B(s) + sigma(s)/nabla x(s)) and
     -B(s) Theta(s-1)/Delta x(s-1)."""
-    fam = g.fam
-    beta = fam.ttrr_beta(n)
-    L = lam_ratio(fam.eq, 2.0 * n)
+    t = g.fam.coeffs
+    beta = t.beta(n)
+    L = t.lam_ratio(2.0 * n)
     A, xv, dxm = (_by_offset(a) for a in (g.A(n), g.x, g.dxm))
     son, tod = g.plus_side(g.son), g.minus_side(g.tod)
     B = lambda k: -A(k) + L * (xv(k) - beta)
-    p1 = (B(-1) + lambda_n(fam.eq, n) * dxm(-1)) * (B(0) + son(0))
+    p1 = (B(-1) + t.lambda_n(n) * dxm(-1)) * (B(0) + son(0))
     p2 = -B(0) * tod(-1)
     return p1, p2
 
@@ -228,7 +218,7 @@ class OrthonormalFamily:
         for nonnegative sigma, Theta, rho on the support.  `op_n` is the
         operator's eigen-parameter (defaults to the function index n); only
         H distinguishes the two."""
-        reduced = _reduced(which, n, StencilGrid(self.family, np.atleast_1d(s), 1), op_n)
+        reduced = _reduced(which, n, StencilGrid.shared(self.family, np.atleast_1d(s), 1), op_n)
         if not isinstance(s, np.ndarray):
             reduced = complex(reduced[0])
         return self._normalized(self.sqrt_rho(s), reduced, n)
@@ -310,6 +300,25 @@ def _require_nonzero_root(root, s, product: str):
         )
 
 
+def _frozen(a):
+    """a, marked read-only: a grid's arrays are read by every suite that
+    shares the grid, so none may change one under another."""
+    a.flags.writeable = False
+    return a
+
+
+# A grid's arrays are computed under _RAISE_FP whichever suite reads them
+# first, so a shared array is the same, or raises the same, for every suite.
+def _grid_array(fn):
+    """A StencilGrid array, computed on first read and read-only."""
+    return cached_property(wraps(fn)(_RAISE_FP(lambda self: _frozen(fn(self)))))
+
+
+def _per_n(fn):
+    """A StencilGrid array of one n, computed on first read and read-only."""
+    return _entry(wraps(fn)(_RAISE_FP(lambda self, n: _frozen(fn(self, n)))))
+
+
 class StencilGrid:
     """The coefficients of H, L+ and L- on one check grid, each piece
     computed once, when first needed.
@@ -325,7 +334,16 @@ class StencilGrid:
     `tod` = Theta/Delta x, `e_plus`, `v`) on -(margin-1)..0, A(s,n) on
     -(margin-1)..margin-1 and the H diagonal on offset 0.  `plus_side` and
     `minus_side` index the two sides by offset.  x is evaluated once, on the
-    half-integer offsets as well.
+    half-integer offsets as well.  Per n the grid keeps A(s,n), u, v, the H
+    diagonal, P_n and the chain function w P_n; P_0..P_n come from one
+    recurrence pass on x, continued when a higher n is first read, and the
+    n-dependent constants from the family's per-n table (`fam.coeffs`).
+
+    The suites take their grids from `StencilGrid.shared`, one per family
+    and distinct (points, margin), so suites on the same points and margin
+    read one grid, and the first of them pays for each piece.  The margin is
+    part of the key because it fixes the offsets each coefficient covers.
+    Every array a grid keeps is read-only.
 
     Each grid point carries its own Pearson-consistent weight chain, anchored
     at w = 1 on offset 0 (the residuals checked here are local and
@@ -334,20 +352,33 @@ class StencilGrid:
     lattice are handled.
     """
 
+    @_RAISE_FP
     def __init__(self, fam, s_grid, margin: int):
         self.fam = fam
         self.margin = margin
         pts = [complex(s) for s in s_grid]
-        self.s = np.array(pts, dtype=complex)
+        self.s = _frozen(np.array(pts, dtype=complex))
         self.labels = tuple(f"{s:.6g}" for s in pts)  # case label of each grid point
         half = np.arange(-2 * margin - 1, 2 * margin + 2) / 2.0
-        self._x_half = fam.lattice.x_values(self.s[:, None] + half)
-        self.t = self.s[:, None] + np.arange(-margin, margin + 1)
+        self._x_half = _frozen(fam.lattice.x_values(self.s[:, None] + half))
+        self.t = _frozen(self.s[:, None] + np.arange(-margin, margin + 1))
         self.x = self._x_half[:, 1::2]
-        self._A = {}
+        self._memo = {}  # the per-n arrays
+        self._monic = ()  # monic P_0, P_1, .. on x, as far as read
         m = margin
         self._plus = slice(m, 2 * m)  # columns of the L+ offsets 0..m-1
         self._minus = slice(1, m + 1)  # columns of the L- offsets -(m-1)..0
+
+    @classmethod
+    def shared(cls, fam, s_grid, margin: int) -> "StencilGrid":
+        """The grid of `fam` on these points with this margin, built on the
+        first request and kept in the family's private cache."""
+        pts = tuple(complex(s) for s in s_grid)
+        key = ("grid", pts, margin)
+        grid = fam._cache.get(key)
+        if grid is None:
+            grid = fam._cache[key] = cls(fam, pts, margin)
+        return grid
 
     def plus_side(self, a):
         """An L+-side array as a function of the offset."""
@@ -357,99 +388,105 @@ class StencilGrid:
         """An L--side array as a function of the offset."""
         return _by_offset(a, 1 - self.margin)
 
-    @cached_property
+    @_grid_array
     def dxm(self):
         xh = self._x_half[:, ::2]
         return xh[:, 1:] - xh[:, :-1]
 
-    @cached_property
+    @_grid_array
     def sigma(self):
         return _sigma_at(self.fam.eq, self.x, self.dxm)
 
-    @cached_property
+    @_grid_array
     def theta(self):
         return _theta_at(self.fam.eq, self.x, self.dxm)
 
-    @cached_property
+    @_grid_array
     def nabla(self):
         """nabla x(s) = x(s) - x(s-1) on the L+ offsets."""
         m = self.margin
         return self.x[:, self._plus] - self.x[:, m - 1:2 * m - 1]
 
-    @cached_property
+    @_grid_array
     def delta(self):
         """Delta x(s) = x(s+1) - x(s) on the L- offsets."""
         m = self.margin
         return self.x[:, 2:m + 2] - self.x[:, self._minus]
 
-    @cached_property
+    @_grid_array
     def son(self):
         return _limit_ratio(self.fam.eq, self.sigma[:, self._plus], self.nabla,
                             self.t[:, self._plus], -1)
 
-    @cached_property
+    @_grid_array
     def tod(self):
         return _limit_ratio(self.fam.eq, self.theta[:, self._minus], self.delta,
                             self.t[:, self._minus], 1)
 
-    @cached_property
+    @_grid_array
     def roots(self):
         """sqrt(Theta(s+k) sigma(s+k+1)) for k = -margin..margin-1, the
         principal root of the product: the root of the E^+ coefficient at
         s+k and of the E^- coefficient at s+k+1."""
         return np.sqrt(self.theta[:, :-1] * self.sigma[:, 1:])
 
-    @cached_property
+    @_grid_array
     def e_minus(self):
         """The E^- coefficient of H and L+, sqrt(Theta(s-1) sigma(s))/nabla x(s),
         on the L+ offsets."""
         m = self.margin
         return _cdiv(self.roots[:, m - 1:2 * m - 1], self.nabla)
 
-    @cached_property
+    @_grid_array
     def e_plus(self):
         """The E^+ coefficient of H and L-, sqrt(Theta(s) sigma(s+1))/Delta x(s),
         on the L- offsets."""
         return _cdiv(self.roots[:, self._minus], self.delta)
 
-    @cached_property
+    @_grid_array
     def w(self):
         """The chain weights of every grid point, w = 1 on offset 0."""
         return _chain_weights(self.theta, self.sigma, self.roots, self.roots, self.t,
-                             self.margin)
+                              self.margin)
 
+    @_per_n
     def A(self, n: int):
         """A(s,n) = lambda_n/[n]_q tau_n(s)/tau_n' on offsets -(margin-1)..margin-1;
         the n = 0 value by the continuation of lam_ratio."""
-        if n not in self._A:
-            self._A[n] = lam_tau_ratio(self.fam.eq, n, self.t[:, 1:-1])
-        return self._A[n]
+        return self.fam.coeffs.A(n, self.t[:, 1:-1])
 
+    @_per_n
     def u(self, n: int):
         """u(s,n) = A(s,n) - sigma(s)/nabla x(s) on the L+ offsets."""
         return self.A(n)[:, self.margin - 1:] - self.son
 
+    @_per_n
     def v(self, n: int):
         """v(s,n) = -A(s,n) + lambda_n Delta x(s-1/2) + lambda_{2n}/[2n]_q
         (x(s) - beta_n) - Theta(s)/Delta x(s) on the L- offsets."""
-        fam, cols = self.fam, self._minus
+        t, cols = self.fam.coeffs, self._minus
         return (
             -self.A(n)[:, :self.margin]
-            + lambda_n(fam.eq, n) * self.dxm[:, cols]
-            + lam_ratio(fam.eq, 2.0 * n) * (self.x[:, cols] - fam.ttrr_beta(n))
+            + t.lambda_n(n) * self.dxm[:, cols]
+            + t.lam_ratio(2.0 * n) * (self.x[:, cols] - t.beta(n))
             - self.tod
         )
 
+    @_per_n
     def h_diag(self, n: int):
         """The I coefficient of H(s,n) on offset 0:
         -(Theta/Delta x + sigma/nabla x - lambda_n Delta x(s-1/2))."""
-        lam = lambda_n(self.fam.eq, n)
+        lam = self.fam.coeffs.lambda_n(n)
         return -(self.tod[:, -1] + self.son[:, 0] - lam * self.dxm[:, self.margin])
 
+    @_per_n
     def p(self, n: int):
         """P_n on every offset."""
-        return np.broadcast_to(self.fam.pn_ttrr_x(n, self.x), self.x.shape)
+        fam = self.fam
+        self._monic = rows = fam.monic_rows(n, self.x, self._monic)
+        return np.broadcast_to(rows[n] * fam.coeffs.a_n(n), self.x.shape)
 
+    @_per_n
     def phi(self, n: int):
         """The chain function w P_n on every offset."""
         return self.w * self.p(n)
@@ -480,7 +517,7 @@ def check_eigen(fam, ns, s_grid, tolerance: float = 1e-9) -> CheckReport:
         family=fam.name,
         tolerance=tolerance,
     )
-    return _cases_by_point(rep, StencilGrid(fam, s_grid, 1), ns, _eigen_residuals)
+    return _cases_by_point(rep, StencilGrid.shared(fam, s_grid, 1), ns, _eigen_residuals)
 
 
 def _eigen_residuals(n: int, g: "StencilGrid"):
@@ -504,7 +541,7 @@ def check_ttrr_phi(fam, ns, s_grid, tolerance: float = 1e-9) -> CheckReport:
     """alpha_n (d_{n+1}/d_n) phi_{n+1} + gamma_n (d_{n-1}/d_n) phi_{n-1}
     + (beta_n - x) phi_n = 0; the norm ratios cancel against the phi
     normalizations, so the check runs on chain functions.  P_0..P_{n+1} come
-    from one recurrence pass on the grid's x values."""
+    from the recurrence pass of the margin-1 grid on the points."""
     rep = CheckReport(
         suite="ttrr_phi",
         identity="alpha_n d_{n+1}/d_n phi_{n+1} + gamma_n d_{n-1}/d_n phi_{n-1}"
@@ -512,33 +549,32 @@ def check_ttrr_phi(fam, ns, s_grid, tolerance: float = 1e-9) -> CheckReport:
         family=fam.name,
         tolerance=tolerance,
     )
-    pts = [complex(s) for s in s_grid]
-    x = fam.lattice.x_values(np.array(pts, dtype=complex))
-    stack = fam.pn_stack(max(ns, default=-1) + 1, x)
-    P = lambda k: stack[k] if k >= 0 else 0.0  # P_{-1} = 0
+    g = StencilGrid.shared(fam, s_grid, 1)
+    t, x = fam.coeffs, g.x[:, 1]
+    P = lambda k: g.p(k)[:, 1] if k >= 0 else 0.0  # P_{-1} = 0
     for n in ns:
         terms = (
-            fam.ttrr_alpha(n) * P(n + 1),
-            fam.ttrr_gamma(n) * (P(n - 1) if n >= 1 else 0.0),
-            (fam.ttrr_beta(n) - x) * P(n),
+            t.alpha(n) * P(n + 1),
+            t.gamma(n) * (P(n - 1) if n >= 1 else 0.0),
+            (t.beta(n) - x) * P(n),
         )
-        for s, r in zip(pts, rel_residual(sum(terms), terms).tolist()):
-            rep.cases.append(CaseRecord(n, f"{s:.6g}", r))
+        for label, r in zip(g.labels, rel_residual(sum(terms), terms).tolist()):
+            rep.cases.append(CaseRecord(n, label, r))
     return rep
 
 
 def _ladder_residuals(which: str, n: int, g: StencilGrid):
     """Residual of L+ phi_n (which "+") or L- phi_n ("-") against its
     target at every grid point."""
-    fam = g.fam
+    t = g.fam.coeffs
     f = _by_offset(g.phi(n))
     if which == "+":
         op = g.raising(n)
-        coef = fam.ttrr_alpha(n) * lam_ratio(fam.eq, 2.0 * n)
+        coef = t.alpha(n) * t.lam_ratio(2.0 * n)
         target = coef * _by_offset(g.phi(n + 1))(0)
     else:
         op = g.lowering(n)
-        coef = fam.ttrr_gamma(n) * lam_ratio(fam.eq, 2.0 * n)
+        coef = t.gamma(n) * t.lam_ratio(2.0 * n)
         target = coef * _by_offset(g.phi(n - 1))(0) if n >= 1 else complex(0.0)
     got = op.apply(f, 0)
     return rel_residual(got - target, (got, target, op.c_zero(0) * f(0)))
@@ -555,7 +591,7 @@ def check_raising(fam, ns, s_grid, tolerance: float = 1e-9) -> CheckReport:
         family=fam.name,
         tolerance=tolerance,
     )
-    return _cases_by_point(rep, StencilGrid(fam, s_grid, 1), ns,
+    return _cases_by_point(rep, StencilGrid.shared(fam, s_grid, 1), ns,
                            lambda n, g: _ladder_residuals("+", n, g))
 
 
@@ -568,7 +604,7 @@ def check_lowering(fam, ns, s_grid, tolerance: float = 1e-9) -> CheckReport:
         family=fam.name,
         tolerance=tolerance,
     )
-    return _cases_by_point(rep, StencilGrid(fam, s_grid, 1), ns,
+    return _cases_by_point(rep, StencilGrid.shared(fam, s_grid, 1), ns,
                            lambda n, g: _ladder_residuals("-", n, g))
 
 
@@ -581,7 +617,7 @@ def check_uv_shift(fam, ns, s_grid, tolerance: float = 1e-10) -> CheckReport:
         family=fam.name,
         tolerance=tolerance,
     )
-    g = StencilGrid(fam, s_grid, 2)
+    g = StencilGrid.shared(fam, s_grid, 2)
     for n in ns:
         uu = g.plus_side(g.u(n))(1)
         vv = g.minus_side(g.v(n + 1))(0)
@@ -618,7 +654,7 @@ def check_h_s_independence(fam, ns, s_grid, tolerance: float = 1e-10) -> CheckRe
         family=fam.name,
         tolerance=tolerance,
     )
-    g = StencilGrid(fam, s_grid, 2)
+    g = StencilGrid.shared(fam, s_grid, 2)
     for n in ns:
         hm = h_minusplus(fam, n)
         p1, p2 = _h_bracket_mp_pieces(n, g)
@@ -653,7 +689,7 @@ def check_factorization(fam, ns, s_grid, tolerance: float = 1e-9) -> CheckReport
         family=fam.name,
         tolerance=tolerance,
     )
-    g = StencilGrid(fam, s_grid, 2)
+    g = StencilGrid.shared(fam, s_grid, 2)
     monomials = [g.x ** j for j in range(4)]
     for n in ns:
         Lp, Lm = g.raising(n), g.lowering(n + 1)
@@ -739,7 +775,7 @@ def _bootstrap(of: OrthonormalFamily, N: int, s_grid):
         raise QKernelError("bootstrap needs N >= 0")
     s0, offs, lo = _chain(s_grid, N)
     hi = max(offs)
-    g = StencilGrid(fam, [s0 + k for k in range(lo, hi + 1)], 1)
+    g = StencilGrid.shared(fam, [s0 + k for k in range(lo, hi + 1)], 1)
     # phi_0 from L-(s,0) phi_0 = 0 at every chain point but the last
     root = g.roots[:-1, 1]  # sqrt(Theta(s) sigma(s+1))
     if np.any(root == 0.0):
@@ -757,9 +793,9 @@ def _bootstrap(of: OrthonormalFamily, N: int, s_grid):
     # L+ acts on every chain point but the first, on a grid of its own: E^-
     # is not evaluated at the first point, which may be a lattice symmetry
     # point where nabla x vanishes
-    up = StencilGrid(fam, g.s[1:], 1)
+    up = StencilGrid.shared(fam, g.s[1:], 1)
     for n in range(N):
-        coef = fam.ttrr_alpha(n) * lam_ratio(fam.eq, 2.0 * n)
+        coef = fam.coeffs.alpha(n) * fam.coeffs.lam_ratio(2.0 * n)
         dr = _d_ratio_up(fam, n)
         val = up.u(n)[n:, 0] * cur[1:] + up.e_minus[n:, 0] * cur[:-1]
         cur = _cdiv(val, coef * dr if dr is not None else coef)
@@ -827,7 +863,7 @@ def check_bootstrap(of: OrthonormalFamily, N: int, s_grid, tolerance: float = 1e
         theta, sigma = g.theta[None, :, 1], g.sigma[None, :, 1]
         up, down = g.roots[None, :-1, 1], g.roots[None, 1:, 0]
         w = _chain_weights(theta, sigma, up, down, g.s[None, :], -lo)[0]
-        direct = w[rows] * fam.pn_stack(N, g.x[rows, 1])
+        direct = w[rows] * np.stack([g.p(n)[rows, 1] for n in range(N + 1)])
     for n in range(N + 1):
         direct_n = dict(zip(offs, direct[n].tolist()))
         got = table[n]
@@ -864,7 +900,8 @@ def check_adjoint(of: OrthonormalFamily, ns, tolerance: float = 1e-8) -> CheckRe
         return rep
     grid = fam.support.grid_points
     spec = InnerProductSpec(fam.lattice, tuple(grid))
-    g = StencilGrid(fam, grid, 1)  # the nodes with s - 1, s + 1
+    g = StencilGrid.shared(fam, grid, 1)  # the nodes with s - 1, s + 1
+    t = fam.coeffs
     w = of.sqrt_rho(g.s)
     phi = lambda k: of._normalized(w, g.p(k)[:, 1], k)  # phi_k on the nodes
     for n in ns:
@@ -875,13 +912,12 @@ def check_adjoint(of: OrthonormalFamily, ns, tolerance: float = 1e-8) -> CheckRe
         if dr is None:
             rep.cases.append(CaseRecord(n, "-", 0.0, "out-of-range: d_{n+1} vanishes"))
             continue
-        target = fam.ttrr_alpha(n) * dr
+        target = t.alpha(n) * dr
         raised = of._normalized(w, _reduced("L+", n, g), n)
         lowered = of._normalized(w, _reduced("L-", n + 1, g), n + 1)
-        s1 = discrete_inner(spec, lambda _: phi(n + 1), lambda _: raised) / lam_ratio(
-            fam.eq, 2.0 * n)
-        s2 = discrete_inner(spec, lambda _: lowered, lambda _: phi(n)) / lam_ratio(
-            fam.eq, 2.0 * n + 2.0)
+        s1 = discrete_inner(spec, lambda _: phi(n + 1), lambda _: raised) / t.lam_ratio(2.0 * n)
+        s2 = discrete_inner(spec, lambda _: lowered, lambda _: phi(n)) / t.lam_ratio(
+            2.0 * n + 2.0)
         rep.cases.append(CaseRecord(n, "sum1", rel_residual(s1 - target, (s1, target))))
         rep.cases.append(CaseRecord(n, "sum2", rel_residual(s2 - target, (s2, target))))
     return rep
@@ -918,7 +954,7 @@ def check_selfadjoint(of: OrthonormalFamily, pairs, tolerance: float = 1e-8,
     grid = fam.support.grid_points
     if drop_last:
         grid = grid[:-drop_last]
-    g = StencilGrid(fam, grid, 1)  # the nodes with their neighbours s - 1, s + 1
+    g = StencilGrid.shared(fam, grid, 1)  # the nodes with their neighbours s - 1, s + 1
     w = of.sqrt_rho(g.s)
     phi, hphi = {}, {}  # phi_k, H(.,n) phi_k
     for n, m in pairs:
@@ -950,7 +986,7 @@ def check_branch_continuity(fam, s_grid, tolerance: float = 0.2) -> CheckReport:
         family=fam.name,
         tolerance=tolerance,
     )
-    g = StencilGrid(fam, s_grid, 1)
+    g = StencilGrid.shared(fam, s_grid, 1)
     vals = g.roots[:, 1].tolist()  # sqrt(Theta(s) sigma(s+1))
     for i in range(1, len(vals)):
         scale = max(abs(vals[i]), abs(vals[i - 1]), 1e-30)

@@ -147,7 +147,7 @@ def v_fn(fam, n: int, s):
     return (
         -lam_tau_ratio(eq, n, s)
         + lambda_n(eq, n) * lat.delta_x_mid(s)
-        + lam_ratio(eq, 2.0 * n) * (lat.x_values(s) - fam.ttrr_beta(n))
+        + lam_ratio(eq, 2.0 * n) * (lat.x_values(s) - fam.coeffs.beta(n))
         - theta_over_delta(eq, s)
     )
 

@@ -144,7 +144,7 @@ def test_criterion_6_concordance_with_errata(families):
         for n in range(0, 9):
             pairs = {
                 "lambda_n": (fam.lambda_closed(n), lam_general(fam.eq, n)),
-                "alpha_n": (fam.ttrr_alpha(n), ttrr_coeffs_generic(fam.eq, n, 1.0)[0]),
+                "alpha_n": (fam.coeffs.alpha(n), ttrr_coeffs_generic(fam.eq, n, 1.0)[0]),
                 "beta_n": (complex(fam.closed.beta_n(n)),
                            ttrr_coeffs_generic(fam.eq, n, 1.0)[1]),
                 "tau_n_slope": (complex(fam.closed.tau_slope(n)),
@@ -157,7 +157,7 @@ def test_criterion_6_concordance_with_errata(families):
             top = fam.n_max if fam.n_max is not None else 99
             if 1 <= n <= top and name in ("asc1", "q_dual_hahn", "askey_wilson",
                                           "continuous_q_hermite"):
-                gamma_machinery = fam.ttrr_alpha(n - 1) * fam.norm_sq(n) / fam.norm_sq(n - 1)
+                gamma_machinery = fam.coeffs.alpha(n - 1) * fam.norm_sq(n) / fam.norm_sq(n - 1)
                 gamma_closed = complex(fam.closed.gamma_n(n)) * fam.a_n(n) / fam.a_n(n - 1)
                 pairs["gamma_n"] = (gamma_closed, gamma_machinery)
             for qty, (got, want) in pairs.items():
@@ -176,7 +176,7 @@ def test_criterion_6_concordance_with_errata(families):
         sens = max((rp - r0) / delta, 1e-30)
         certified_abs = r0 / sens
         gscale = min(
-            (abs(fam.ttrr_gamma(n)) for n in range(1, 9) if abs(fam.ttrr_gamma(n)) > 0),
+            (abs(fam.coeffs.gamma(n)) for n in range(1, 9) if abs(fam.coeffs.gamma(n)) > 0),
         )
         if certified_abs / gscale > 1e-9:
             mismatched.add("gamma_n")

@@ -245,6 +245,27 @@ def test_tolerance_override_flips_verdict(tmp_path, capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("source", ["flag", "key=value", "json"])
+def test_misspelt_tolerance_override_exits_2_naming_it(tmp_path, capsys, source):
+    out = tmp_path / "t.json"
+    argv = ["check", "--family", "asc1", "--q", "0.5", *REF_ARGS["asc1"],
+            "--suite", "eigen", "--out", str(out)]
+    if source == "flag":
+        argv += ["--tol", "eigne=1e-20"]
+    elif source == "key=value":
+        cfg = tmp_path / "tol.cfg"
+        cfg.write_text("tol.eigne=1e-20\n")
+        argv += ["--config", str(cfg)]
+    else:
+        cfg = tmp_path / "tol.json"
+        cfg.write_text(json.dumps({"tolerances": {"eigne": 1e-20}}))
+        argv += ["--config", str(cfg)]
+    assert run_cli(argv) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: ") and "'eigne'" in err[0]
+    assert not out.exists()
+
+
 def test_config_file_key_value(tmp_path, capsys):
     cfg = tmp_path / "run.cfg"
     cfg.write_text(

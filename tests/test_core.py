@@ -310,14 +310,14 @@ def test_poly_raising_lowering_all_families(families):
         pn = lambda k, s: fam.pn_ttrr(k, s)
         for n in range(1, 7):
             for s in grid_for(name, 5):
-                r = check_poly_raising(fam.eq, pn, n, s, fam.ttrr_alpha(n))
+                r = check_poly_raising(fam.eq, pn, n, s, fam.coeffs.alpha(n))
                 assert r < 1e-10, (name, "raising", n, s, r)
                 r = check_poly_lowering(
-                    fam.eq, pn, n, s, fam.ttrr_beta(n), fam.ttrr_gamma(n)
+                    fam.eq, pn, n, s, fam.coeffs.beta(n), fam.coeffs.gamma(n)
                 )
                 assert r < 1e-10, (name, "lowering", n, s, r)
         # n = 0 lowering with P_{-1} = 0
-        r = check_poly_lowering(fam.eq, pn, 0, grid_for(name, 1)[0], fam.ttrr_beta(0), 0.0)
+        r = check_poly_lowering(fam.eq, pn, 0, grid_for(name, 1)[0], fam.coeffs.beta(0), 0.0)
         assert r < 1e-10
 
 
@@ -329,8 +329,8 @@ def test_poly_relations_scale_invariant_in_B(families):
     pn_scaled = lambda k, s: 1e3 * fam.pn_ttrr(k, s)
     for n in (1, 3):
         s = 0.25
-        r1 = check_poly_raising(fam.eq, pn, n, s, fam.ttrr_alpha(n))
-        r2 = check_poly_raising(fam.eq, pn_scaled, n, s, fam.ttrr_alpha(n))
+        r1 = check_poly_raising(fam.eq, pn, n, s, fam.coeffs.alpha(n))
+        r2 = check_poly_raising(fam.eq, pn_scaled, n, s, fam.coeffs.alpha(n))
         assert abs(r1 - r2) < 1e-12
 
 
@@ -378,10 +378,10 @@ def test_poly_ladder_suite_equals_per_evaluation_recurrence(families):
         want = []
         for n in range(1, 7):
             for s in grid:
-                want.append(check_poly_raising(fam.eq, pn, n, s, fam.ttrr_alpha(n)))
-                want.append(check_poly_lowering(fam.eq, pn, n, s, fam.ttrr_beta(n),
-                                                fam.ttrr_gamma(n)))
-        want += [check_poly_lowering(fam.eq, pn, 0, s, fam.ttrr_beta(0), 0.0) for s in grid[:2]]
+                want.append(check_poly_raising(fam.eq, pn, n, s, fam.coeffs.alpha(n)))
+                want.append(check_poly_lowering(fam.eq, pn, n, s, fam.coeffs.beta(n),
+                                                fam.coeffs.gamma(n)))
+        want += [check_poly_lowering(fam.eq, pn, 0, s, fam.coeffs.beta(0), 0.0) for s in grid[:2]]
         got = [c.residual for c in poly_ladder_suite(fam, 6).cases]
         if fam.kind.complex_s:
             assert len(got) == len(want)
@@ -431,9 +431,9 @@ def test_rodrigues_table_matches_pointwise(name, q):
         table = pointwise.pearson_weight(fam.eq, anchor, -6, len(grid) + 6)
     except QKernelError as e:  # q-Hermite at q = 0.2: sigma = 0 inside the span
         with pytest.raises(QKernelError, match=re.escape(str(e))):
-            rodrigues_values(fam.eq, anchor, len(grid), 5)
+            rodrigues_values(fam.eq, anchor, len(grid), 5, fam.eq.B_n)
         return
-    got, x = rodrigues_values(fam.eq, anchor, len(grid), 5)
+    got, x = rodrigues_values(fam.eq, anchor, len(grid), 5, fam.eq.B_n)
     for k in range(len(grid)):
         assert x[k] == fam.lattice.x(anchor + k)
         for n in range(6):
@@ -446,4 +446,4 @@ def test_rodrigues_table_matches_pointwise(name, q):
 
 def test_rodrigues_values_order_cap(families):
     with pytest.raises(QKernelError, match="oracle"):
-        rodrigues_values(families["asc1"].eq, 0.25, 5, 6)
+        rodrigues_values(families["asc1"].eq, 0.25, 5, 6, families["asc1"].eq.B_n)

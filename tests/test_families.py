@@ -153,10 +153,10 @@ def test_ttrr_closed_matches_generic(families):
             alpha_gen, beta_gen, _ = ttrr_coeffs_generic(fam.eq, n, 1.0)
             # canonical alpha = a_n/a_{n+1} equals the generic leading ratio
             assert rel_residual(
-                fam.ttrr_alpha(n) - alpha_gen, (alpha_gen,)
+                fam.coeffs.alpha(n) - alpha_gen, (alpha_gen,)
             ) < 1e-9, (name, n, "alpha")
             assert rel_residual(
-                fam.ttrr_beta(n) - beta_gen, (beta_gen, fam.ttrr_beta(n))
+                fam.coeffs.beta(n) - beta_gen, (beta_gen, fam.coeffs.beta(n))
             ) < 1e-9, (name, n, "beta")
 
 
@@ -172,7 +172,7 @@ def test_beta_generic_where_the_display_is_a_recorded_erratum(families):
             gen = beta_generic(fam.eq, n)
             assert gen == ttrr_coeffs_generic(fam.eq, n, 1.0)[1]
             want = gen if name in generic else complex(fam.closed.beta_n(n))
-            assert fam.ttrr_beta(n) == want, (name, n)
+            assert fam.coeffs.beta(n) == want, (name, n)
 
 
 def test_qdh_displayed_beta_is_erratum(families):
@@ -209,7 +209,7 @@ def test_gamma_consistent_with_norm_ratio(families):
         top = min(8, fam.n_max) if fam.n_max is not None else 8
         for n in range(1, top + 1):
             ratio = fam.norm_sq(n) / fam.norm_sq(n - 1)
-            want = fam.ttrr_gamma(n) / fam.ttrr_alpha(n - 1)
+            want = fam.coeffs.gamma(n) / fam.coeffs.alpha(n - 1)
             assert rel_residual(ratio - want, (ratio, want)) < 1e-9, (name, n)
 
 
@@ -357,8 +357,8 @@ def test_qdh_norm_out_of_range(families):
 def test_perturbation_roundtrip(families):
     fam = families["q_dual_hahn"]
     pert = fam.with_perturbation("beta", 1e-3)
-    assert pert.ttrr_beta(2) == pytest.approx(fam.ttrr_beta(2) + 1e-3, rel=1e-12)
-    assert fam.ttrr_beta(2) == pytest.approx(pert.ttrr_beta(2) - 1e-3, rel=1e-12)
+    assert pert.coeffs.beta(2) == pytest.approx(fam.coeffs.beta(2) + 1e-3, rel=1e-12)
+    assert fam.coeffs.beta(2) == pytest.approx(pert.coeffs.beta(2) - 1e-3, rel=1e-12)
     with pytest.raises(FamilyError, match="perturbation"):
         fam.with_perturbation("sigma", 1.0)
 

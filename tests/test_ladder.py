@@ -271,8 +271,8 @@ def test_h_closed_values(families):
         want = (
             lam_ratio(fam.eq, 2.0 * n)
             * lam_ratio(fam.eq, 2.0 * n + 2.0)
-            * fam.ttrr_alpha(n)
-            * fam.ttrr_gamma(n + 1)
+            * fam.coeffs.alpha(n)
+            * fam.coeffs.gamma(n + 1)
         )
         assert L.h_minusplus(fam, n) == pytest.approx(want, rel=1e-13)
         disp = fam.closed.displays["h_mp"](n)
@@ -305,7 +305,7 @@ def test_h_remark_is_the_index_identity_of_one_closed_form(q):
             top = 8 if fam.n_max is None else fam.n_max
             for n in range(1, top + 1):
                 want = (lam_ratio(fam.eq, 2.0 * n - 2.0) * lam_ratio(fam.eq, 2.0 * n)
-                        * fam.ttrr_alpha(n - 1) * fam.ttrr_gamma(n))
+                        * fam.coeffs.alpha(n - 1) * fam.coeffs.gamma(n))
                 assert L.h_plusminus(fam, n) == want, (name, q, n)
             assert L.check_h_remark(fam, list(range(1, top))).max_residual == 0.0, (name, q)
 
@@ -476,10 +476,10 @@ def _scalar_suite_cases(fam, suite, ns, grid):
                     continue
                 if suite == "raising":
                     op = pw.raising_op(fam, n)
-                    target = fam.ttrr_alpha(n) * lam_ratio(eq, 2.0 * n) * chain.fn(n + 1)(s)
+                    target = fam.coeffs.alpha(n) * lam_ratio(eq, 2.0 * n) * chain.fn(n + 1)(s)
                 else:
                     op = pw.lowering_op(fam, n)
-                    target = (fam.ttrr_gamma(n) * lam_ratio(eq, 2.0 * n) * chain.fn(n - 1)(s)
+                    target = (fam.coeffs.gamma(n) * lam_ratio(eq, 2.0 * n) * chain.fn(n - 1)(s)
                               if n >= 1 else 0j)
                 got = op.apply(f, s)
                 terms = (got, target, op.c_zero(s) * f(s))
@@ -498,7 +498,7 @@ def _scalar_suite_cases(fam, suite, ns, grid):
                 p2 = A(s + 1.0) * theta_over_delta(eq, s)
                 out.append((n, f"{s:.6g}", rel_residual(p1 + p2 - hm, (p1, p2, hm)), "minusplus"))
             if n >= 1:
-                hp, L2, beta = L.h_plusminus(fam, n), lam_ratio(eq, 2.0 * n), fam.ttrr_beta(n)
+                hp, L2, beta = L.h_plusminus(fam, n), lam_ratio(eq, 2.0 * n), fam.coeffs.beta(n)
                 B = lambda t: -A(t) + L2 * (lat.x(t) - beta)
                 for s in map(complex, grid):
                     p1 = (B(s - 1.0) + lam * lat.delta_x_mid(s - 1.0)) * (
@@ -673,7 +673,7 @@ def test_adjoint_one_weight_pass_matches_per_node_sums(families):
     assert calls == [len(grid)]  # one weight evaluation, on the node array
     cases = iter(rep.cases)
     for n in range(fam.n_max):
-        target = fam.ttrr_alpha(n) * fam.d_n(n + 1) / fam.d_n(n)
+        target = fam.coeffs.alpha(n) * fam.d_n(n + 1) / fam.d_n(n)
         s1 = sum(of.phi(n + 1, s) * _reduced_pointwise(of, "L+", n, s)
                  * fam.lattice.delta_x_mid(s) for s in grid) / lam_ratio(fam.eq, 2.0 * n)
         s2 = sum(_reduced_pointwise(of, "L-", n + 1, s) * of.phi(n, s)

@@ -1,0 +1,126 @@
+"""What a check run shares across suites: the family's per-n table
+(`FamilySpec.coeffs`) and one StencilGrid per distinct (points, margin).
+
+Sharing must not change what a suite reports, must not leak between a family
+and its perturbed copy, and must evaluate each shared quantity once.
+"""
+
+import collections
+import json
+from dataclasses import replace
+
+import numpy as np
+import pytest
+
+from qladder import checks, families, hypergeometric_core, ladder
+from qladder.checks import SUITE_NAMES, default_grid, run_suite, run_suites
+from qladder.families import make_family, reference_params
+from qladder.ladder import StencilGrid
+from qladder.qkernel import QBase
+from qladder.report import report_to_dict
+
+from conftest import FAMILY_NAMES, REFERENCE_Q
+
+
+def _fresh(name, perturbed=False):
+    fam = make_family(name, reference_params(name), QBase(REFERENCE_Q))
+    return fam.with_perturbation("beta", 1e-3) if perturbed else fam
+
+
+def _exact(rep) -> str:
+    """A report as JSON without its wall time: floats print as repr, so two
+    equal strings mean bit-identical residuals and meta."""
+    d = report_to_dict(rep)
+    d.pop("wall_ms")
+    return json.dumps(d)
+
+
+def _grids(fam):
+    return [v for v in fam._cache.values() if isinstance(v, StencilGrid)]
+
+
+@pytest.mark.parametrize("perturbed", [False, True], ids=["plain", "perturbed"])
+@pytest.mark.parametrize("name", FAMILY_NAMES)
+def test_suites_on_one_family_equal_suites_on_fresh_families(name, perturbed):
+    together = run_suites(_fresh(name, perturbed), "all")
+    assert [r.suite for r in together] == list(SUITE_NAMES)
+    for rep in together:
+        alone = run_suite(_fresh(name, perturbed), rep.suite)
+        assert _exact(rep) == _exact(alone), rep.suite
+
+
+def test_shared_grid_arrays_are_read_only():
+    fam = _fresh("q_dual_hahn")
+    run_suites(fam, "all")
+    grids = _grids(fam)
+    assert grids
+    arrays = [v for g in grids for v in (*vars(g).values(), *g._memo.values())
+              if isinstance(v, np.ndarray)]
+    assert len(arrays) > 20
+    assert not any(a.flags.writeable for a in arrays)
+    g = StencilGrid.shared(fam, default_grid(fam), 1)
+    for a in (g.sigma, g.u(2), g.p(3)):
+        with pytest.raises(ValueError, match="read-only"):
+            a[0, 0] = 0.0
+
+
+def test_perturbed_copy_has_its_own_table_and_grids():
+    fam = _fresh("q_dual_hahn")
+    run_suites(fam, "all")
+    pert = fam.with_perturbation("beta", 1e-3)
+    run_suites(pert, "all")
+    assert pert.coeffs is not fam.coeffs
+    shared = {id(v) for v in fam._cache.values()} & {id(v) for v in pert._cache.values()}
+    assert not shared
+    grid = default_grid(fam)
+    g0, g1 = StencilGrid.shared(fam, grid, 1), StencilGrid.shared(pert, grid, 1)
+    assert g1 is not g0
+    t = fam.coeffs
+    for n in range(1, 5):
+        assert pert.coeffs.beta(n) == t.beta_generic(n) + complex(1e-3)
+        assert pert.coeffs.beta(n) != fam.coeffs.beta(n)
+        # beta_n enters v(s,n) as -lambda_{2n}/[2n]_q beta_n
+        shift = g1.v(n) - g0.v(n)
+        np.testing.assert_allclose(shift, -t.lam_ratio(2.0 * n) * 1e-3, rtol=1e-6)
+        # and the recurrence: P_1 = x - beta_0 moves by -1e-3 (monic)
+        x = g0.x
+        assert not np.array_equal(pert.pn_stack(n, x)[n], fam.pn_stack(n, x)[n])
+        assert np.array_equal(g1.p(n), pert.pn_stack(n, x)[n])
+        assert np.array_equal(g0.p(n), fam.pn_stack(n, x)[n])
+    fresh = StencilGrid.shared(_fresh("q_dual_hahn", perturbed=True), grid, 1)
+    assert all(np.array_equal(fresh.v(n), g1.v(n)) for n in range(1, 5))
+
+
+def _counter(fn, counts, key):
+    def counted(*args):
+        counts[key(args)] += 1
+        return fn(*args)
+    return counted
+
+
+@pytest.mark.parametrize("name", FAMILY_NAMES)
+def test_each_shared_quantity_is_evaluated_once(name, monkeypatch):
+    counts = {k: collections.Counter() for k in
+              ("lam_ratio", "tau_k_coeffs", "gamma_n", "d_n_sq", "a_n", "grid")}
+    for module in (hypergeometric_core, families, ladder, checks):
+        for fn in ("lam_ratio", "tau_k_coeffs"):
+            if hasattr(module, fn):
+                monkeypatch.setattr(module, fn, _counter(
+                    getattr(hypergeometric_core, fn), counts[fn], lambda a: float(a[1])))
+    build = StencilGrid.__init__
+
+    def counted_build(self, fam, s_grid, margin):
+        counts["grid"][tuple(complex(s) for s in s_grid), margin] += 1
+        build(self, fam, s_grid, margin)
+
+    monkeypatch.setattr(StencilGrid, "__init__", counted_build)
+    fam = _fresh(name)
+    one = lambda a: a[0]
+    closed = replace(fam.closed, gamma_n=_counter(fam.closed.gamma_n, counts["gamma_n"], one),
+                     d_n_sq=_counter(fam.closed.d_n_sq, counts["d_n_sq"], one))
+    fam = replace(fam, closed=closed, a_n=_counter(fam.a_n, counts["a_n"], one), _cache={})
+    run_suites(fam, "all")
+    for what, counter in counts.items():
+        assert counter, what
+        assert max(counter.values()) == 1, (what, counter.most_common(3))
+    assert len(_grids(fam)) == len(counts["grid"])
