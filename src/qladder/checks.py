@@ -91,7 +91,7 @@ def concordance_suite(fam, n_hi: int = 8, tolerance: float = 1e-9) -> CheckRepor
             })
 
     for n in range(0, 11):
-        compare("lambda_n", f"n={n}", fam.lambda_closed(n), t.lambda_n(n))
+        compare("lambda_n", f"n={n}", fam.closed.lambda_n(n), t.lambda_n(n))
     for n in range(0, n_hi + 1):
         tk = t.tau(n)
         compare("tau_n_slope", f"n={n}", fam.closed.tau_slope(n), tk.slope)
@@ -122,15 +122,17 @@ def concordance_suite(fam, n_hi: int = 8, tolerance: float = 1e-9) -> CheckRepor
     # must not dwarf the value), which for the exponential lattices means
     # |x| above the support scale and for the trigonometric one x off the
     # orthogonality interval -- the polynomial identity holds everywhere.
-    # The recurrence runs once per point, P_0..P_ncap in one pass.
+    # One recurrence pass gives P_0..P_ncap at every point; the series runs
+    # once per (n, point).
     ncap = min(10, fam.n_max) if fam.n_max is not None else 10
-    stacks = [fam.pn_stack(ncap, fam.lattice.x_values(s)) for s in fam.series_points]
+    pts = fam.series_points
+    stack = fam.pn_stack(ncap, fam.lattice.x_values(np.array(pts, dtype=complex))).tolist()
     for n in range(0, ncap + 1):
-        for s, stack in zip(fam.series_points, stacks):
+        for s, want in zip(pts, stack[n]):
             compare("series_vs_ttrr", f"n={n},s={complex(s):.4g}", fam.pn_series(n, s),
-                    stack[n], max(tolerance, 1e-10))
+                    want, max(tolerance, 1e-10))
 
-    _compare_displays(fam, grid[:3], compare)
+    _compare_displays(fam, grid, compare)
     rep.meta["errata"] = errata
     return rep
 
@@ -138,14 +140,16 @@ def concordance_suite(fam, n_hi: int = 8, tolerance: float = 1e-9) -> CheckRepor
 @_RAISE_FP
 def _compare_displays(fam, grid, compare):
     """The concordance cases of the secondary displays (u, h, the identity
-    term of H and the squared E-+ coefficients), against the coefficients of
-    H, L+ and L- on a StencilGrid at the points of `grid`."""
+    term of H and the squared E-+ coefficients) at the first three points
+    of `grid`, against the coefficients of H, L+ and L- on the margin-1
+    StencilGrid of `grid` (the eigen suite's, on the default grid)."""
     displays = fam.closed.displays
     g = StencilGrid.shared(fam, grid, 1)
+    grid = grid[:3]
     labels = [f"{complex(s):.4g}" for s in grid]
     if "u" in displays:
-        for n in range(1, 4):
-            for s, label, u in zip(grid, labels, g.u(n)[:, 0].tolist()):
+        for n, us in zip(range(1, 4), g.u(range(1, 4))[:, :3, 0].tolist()):
+            for s, label, u in zip(grid, labels, us):
                 compare("u_display", f"n={n},s={label}", displays["u"](s, n), u)
     if "h_mp" in displays:
         for n in range(1, 5):
@@ -154,13 +158,13 @@ def _compare_displays(fam, grid, compare):
         for n in range(1, 5):
             compare("h_pm_display", f"n={n}", displays["h_pm"](n), h_plusminus(fam, n))
     if "ham_i" in displays:
-        for n in range(1, 3):
-            for s, label, h in zip(grid, labels, g.h_diag(n).tolist()):
+        for n, hs in zip(range(1, 3), g.h_diag(range(1, 3))[:, :3].tolist()):
+            for s, label, h in zip(grid, labels, hs):
                 compare("hamiltonian_i_display", f"n={n},s={label}", displays["ham_i"](s, n), h)
     if "ham_cminus" in displays:
         # squared comparison of displayed E-+ coefficients (branch-free)
-        for s, label, em, ep in zip(grid, labels, g.e_minus[:, 0].tolist(),
-                                    g.e_plus[:, 0].tolist()):
+        for s, label, em, ep in zip(grid, labels, g.e_minus[:3, 0].tolist(),
+                                    g.e_plus[:3, 0].tolist()):
             compare("hamiltonian_cminus_sq", f"s={label}",
                     complex(displays["ham_cminus"](s)) ** 2, em ** 2)
             compare("hamiltonian_cplus_sq", f"s={label}",
@@ -378,34 +382,28 @@ def poly_ladder_suite(fam, n_hi: int = 6, tolerance: float = 1e-10) -> CheckRepo
     t = fam.coeffs
     grid = default_grid(fam)
     g = StencilGrid.shared(fam, grid, 1)
-    P = g.p  # P(k)[:, 1 + j] = P_k(s + j)
+    P = g.p(range(n_hi + 2))  # P[k][:, 1 + j] = P_k(s + j)
+    n = np.arange(n_hi + 1)
     son, tod, x, dxm = g.son[:, 0], g.tod[:, 0], g.x[:, 1], g.dxm[:, 1]
+    A, Pn, L = g.A(n)[..., 0], P[n], t.lam_ratio(2.0 * n)[:, None]
+    # raising, n >= 1: sigma nabla P_n/nabla x - (A P_n - alpha_n lambda_2n/[2n]_q P_{n+1})
+    lhs = son * (Pn[1:, :, 1] - Pn[1:, :, 0])
+    t1 = A[1:] * Pn[1:, :, 1]
+    t2 = (t.alpha(n[1:])[:, None] * L[1:]) * P[n[1:] + 1, :, 1]
+    up = rel_residual(lhs - (t1 - t2), (lhs, t1, t2)).tolist()
+    # lowering, n >= 0: Theta Delta P_n/Delta x - (gamma_n lambda_2n/[2n]_q P_{n-1}
+    # + [...] P_n), P_{-1} = 0
+    lhs = tod * (Pn[..., 2] - Pn[..., 1])
+    low = np.where(n[:, None] >= 1, (t.gamma(n)[:, None] * L) * P[np.maximum(n - 1, 0), :, 1], 0.0)
+    mid = (A - t.lambda_n(n)[:, None] * dxm - L * (x - t.beta(n)[:, None])) * Pn[..., 1]
+    down = rel_residual(lhs - (low + mid), (lhs, low, mid)).tolist()
     labels = [f"{complex(s):.4g}" for s in grid]
-
-    def raising(n):
-        """sigma nabla P_n/nabla x - (A P_n - alpha_n lambda_2n/[2n]_q P_{n+1})."""
-        lhs = son * (P(n)[:, 1] - P(n)[:, 0])
-        t1 = g.A(n)[:, 0] * P(n)[:, 1]
-        t2 = complex(t.alpha(n)) * t.lam_ratio(2.0 * n) * P(n + 1)[:, 1]
-        return rel_residual(lhs - (t1 - t2), (lhs, t1, t2)).tolist()
-
-    def lowering(n, beta, gamma):
-        """Theta Delta P_n/Delta x - (gamma_n lambda_2n/[2n]_q P_{n-1} + [...] P_n);
-        P_{-1} = 0."""
-        L = t.lam_ratio(2.0 * n)
-        lhs = tod * (P(n)[:, 2] - P(n)[:, 1])
-        low = complex(gamma) * L * (P(n - 1)[:, 1] if n >= 1 else 0.0)
-        mid = (g.A(n)[:, 0] - t.lambda_n(n) * dxm - L * (x - complex(beta))) * P(n)[:, 1]
-        return rel_residual(lhs - (low + mid), (lhs, low, mid)).tolist()
-
-    for n in range(1, n_hi + 1):
-        up = raising(n)
-        down = lowering(n, t.beta(n), t.gamma(n))
-        for label, r_up, r_down in zip(labels, up, down):
-            rep.cases.append(CaseRecord(n, label, r_up, "raising"))
-            rep.cases.append(CaseRecord(n, label, r_down, "lowering"))
+    for k in range(1, n_hi + 1):
+        for label, r_up, r_down in zip(labels, up[k - 1], down[k]):
+            rep.cases.append(CaseRecord(k, label, r_up, "raising"))
+            rep.cases.append(CaseRecord(k, label, r_down, "lowering"))
     # n = 0 lowering consistency with P_{-1} = 0
-    for label, r in zip(labels[:2], lowering(0, t.beta(0), 0.0)):
+    for label, r in zip(labels[:2], down[0]):
         rep.cases.append(CaseRecord(0, label, r, "lowering n=0"))
     return rep
 

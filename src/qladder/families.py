@@ -13,7 +13,7 @@ Al-Salam--Carlitz, big q-Jacobi; a_n = 2^n (abcd q^{n-1};q)_n for
 Askey--Wilson; a_n = 2^n for continuous q-Hermite; a nontrivial closed form
 for q-dual Hahn).  The tabulated three-term recurrence coefficients
 (alpha_n = 1 style) refer to the *monic* normalization and are converted to
-the canonical one through a_n.  `pn_monic` exposes monic values.
+the canonical one through a_n.
 
 Validated vs tabulated data
 ---------------------------
@@ -373,10 +373,6 @@ class FamilySpec:
             rows.append((x - t.beta(k)) * rows[k] - t.gamma_monic(k) * pm)
         return rows
 
-    def pn_monic(self, n: int, s) -> complex:
-        """Monic-normalization value P_n / a_n."""
-        return self.pn_ttrr(n, s) / self.coeffs.a_n(n)
-
     # -- the per-n table ------------------------------------------------------
     @property
     def coeffs(self) -> CoefficientTable:
@@ -385,9 +381,6 @@ class FamilySpec:
         if table is None:
             table = self._cache["coeffs"] = CoefficientTable(self)
         return table
-
-    def lambda_closed(self, n) -> complex:
-        return complex(self.closed.lambda_n(n))
 
     # -- norms --------------------------------------------------------------
     def norm_sq(self, n: int) -> complex:

@@ -4,9 +4,8 @@
         + lambda y = 0
 
 on a nonuniform lattice: sigma/tau from Taylor data, the tau_k
-coefficients, eigenvalues lambda_n and mu_k, the A_{n,k} products, Pearson
-weight tables, Rodrigues evaluation (an oracle for n <= 5) and generic
-three-term-recurrence coefficients.
+coefficients, eigenvalues lambda_n, the per-n table of the equation,
+Pearson weight tables and Rodrigues evaluation (an oracle for n <= 5).
 
 Conventions
 -----------
@@ -33,17 +32,18 @@ Python complex numbers (`_sigma_theta`), so the Pearson recurrence and the
 rho_n products read identical values, and the CLI's `eval` rows read their
 sigma, tau and Theta the same way.  There is no point-by-point sigma or
 Theta function; the tests keep one as the reference.  `sigma_tilde`,
-`tau_tilde`, `TauK.at`, `lam_tau_ratio`, `EquationTable.A` and
-`rel_residual` take one point or an ndarray (elementwise, through numpy).
-Everything else here is scalar.
+`tau_tilde`, `TauK.at`, `EquationTable.A` and `rel_residual` take one
+point or an ndarray (elementwise, through numpy).  Everything else here is
+scalar, except the table entries over n below.
 
 The n-dependent data (lam_ratio, lambda_n, the tau_k coefficients, b_n/a_n
 and the generic beta_n) are read from an `EquationTable`, which computes
 each entry once, when first read, through the scalar formula, so a table
-entry equals the formula's value bit for bit.  A family keeps one table
-for all its suites (`families.CoefficientTable`); `lambda_n`,
-`lam_tau_ratio`, `b_over_a` and `beta_generic` evaluate on a table of
-their own.
+entry equals the formula's value bit for bit.  An entry read with an
+ndarray of n gives the complex ndarray of those entries, and `A` with an
+ndarray of n stacks A(s,n) on a leading n axis, so the suites take their
+per-n constants for every n at once.  A family keeps one table for all
+its suites (`families.CoefficientTable`).
 """
 
 from __future__ import annotations
@@ -54,7 +54,7 @@ from functools import reduce, wraps
 import numpy as np
 
 from .lattice import DegenerateStepError, Lattice, LatticeTable, _cdiv
-from .qkernel import QBase, QKernelError, alpha_q, q_factorial, q_number
+from .qkernel import QBase, QKernelError, alpha_q, q_number
 
 __all__ = [
     "EquationData",
@@ -65,14 +65,6 @@ __all__ = [
     "tau_tilde",
     "tau_k_coeffs",
     "lam_ratio",
-    "lam_tau_ratio",
-    "lambda_n",
-    "mu_k",
-    "a_nk",
-    "leading_coeff",
-    "b_over_a",
-    "beta_generic",
-    "ttrr_coeffs_generic",
     "pearson_weight",
     "rodrigues_values",
     "rel_residual",
@@ -195,70 +187,21 @@ def lam_ratio(eq: EquationData, n) -> complex:
     )
 
 
-def lam_tau_ratio(eq: EquationData, n, s):
-    """A(s,n) = lambda_n/[n]_q * tau_n(s)/tau_n', the n = 0 value by the
-    continuation of lam_ratio."""
-    return EquationTable(eq).A(n, s)
-
-
-def lambda_n(eq: EquationData, n) -> complex:
-    """lambda_n = -[n]_q {alpha_q(n-1) tau~' + [n-1]_q sigma~''/2}."""
-    return EquationTable(eq).lambda_n(n)
-
-
-def mu_k(eq: EquationData, lam, k: int) -> complex:
-    """mu_k = lambda + sum_{m=0}^{k-1} tau_m' (each summand is s-independent)."""
-    if k < 0:
-        raise QKernelError(f"mu_k needs k >= 0, got {k}")
-    total = complex(lam)
-    for m in range(k):
-        total += tau_k_coeffs(eq, float(m)).slope
-    return total
-
-
-def a_nk(eq: EquationData, n: int, k: int) -> complex:
-    """A_{n,k} = [n]_q!/[n-k]_q! prod_{m=0}^{k-1} {alpha_q(n+m-1) tau~' + [n+m-1]_q sigma~''/2}."""
-    if not 0 <= k <= n:
-        raise QKernelError(f"need 0 <= k <= n, got n={n} k={k}")
-    base = eq.base
-    out = complex(q_factorial(n, base) / q_factorial(n - k, base))
-    for m in range(k):
-        factor = -lam_ratio(eq, n + m)
-        if abs(factor) == 0.0:
-            raise QKernelError(
-                f"admissibility failure: alpha_q({n+m-1}) tau~' + [{n+m-1}]_q sigma~''/2 = 0"
-            )
-        out *= factor
-    return out
-
-
-def leading_coeff(eq: EquationData, n: int) -> complex:
-    """a_n = B_n prod_{k=0}^{n-1} {alpha_q(n+k-1) tau~' + [n+k-1]_q sigma~''/2}."""
-    out = eq.B_n(n)
-    for k in range(n):
-        factor = -lam_ratio(eq, n + k)
-        if abs(factor) == 0.0:
-            raise QKernelError(f"admissibility failure in a_{n}: zero factor at k={k}")
-        out *= factor
-    return out
-
-
-def b_over_a(eq: EquationData, n: int) -> complex:
-    """b_n/a_n = [n]_q tau_{n-1}(0)/tau_{n-1}' + c3 ([n]_q - n)."""
-    return EquationTable(eq).b_over_a(n)
-
-
-def beta_generic(eq: EquationData, n: int) -> complex:
-    """beta_n = b_n/a_n - b_{n+1}/a_{n+1}, the same in every normalization."""
-    return EquationTable(eq).beta_generic(n)
-
-
 def _entry(fn):
     """A table entry: fn(table, n), computed once per argument, when first
-    read (an int and the equal float are one argument)."""
+    read (an int and the equal float are one argument).  Read with an
+    ndarray of n, it gives the read-only complex ndarray of the entries of
+    those n, kept for the next read with the same n."""
 
     @wraps(fn)
     def read(self, n):
+        if isinstance(n, np.ndarray):
+            key = (fn, n.dtype.str, n.shape, n.tobytes())
+            if key not in self._memo:
+                entries = np.array([read(self, k) for k in n.tolist()], dtype=complex)
+                entries.flags.writeable = False  # shared by every reader of the table
+                self._memo[key] = entries
+            return self._memo[key]
         key = (fn, n)
         memo = self._memo
         if key not in memo:
@@ -273,8 +216,7 @@ class EquationTable:
     first read, by its scalar formula: lam_ratio, lambda_n, the tau_k
     coefficients, b_n/a_n and the generic beta_n.  `A` reads its lam_ratio
     and tau_n entries.  A family's table (`families.CoefficientTable`)
-    extends it with the family's own per-n data; the module-level functions
-    of the same names evaluate on a table of their own."""
+    extends it with the family's own per-n data."""
 
     def __init__(self, eq: EquationData):
         self.eq = eq
@@ -308,29 +250,16 @@ class EquationTable:
         return self.b_over_a(n) - self.b_over_a(n + 1)
 
     def A(self, n, s):
-        """A(s,n) at one point or elementwise on an ndarray of s."""
-        tk = self.tau(n)
-        return _cdiv(self.lam_ratio(n) * tk.at(self.eq.lattice, s), tk.slope)
-
-
-def ttrr_coeffs_generic(eq: EquationData, n: int, dn_ratio) -> tuple:
-    """Generic three-term recurrence coefficients for x P_n = alpha_n P_{n+1}
-    + beta_n P_n + gamma_n P_{n-1}:
-
-        alpha_n = a_n/a_{n+1},
-        beta_n  = b_n/a_n - b_{n+1}/a_{n+1},
-        gamma_n = (a_{n-1}/a_n) * dn_ratio,
-
-    with dn_ratio = d_n^2/d_{n-1}^2 supplied by the caller so the routine
-    never silently depends on a support choice.  gamma_0 is returned as 0.
-    """
-    alpha = leading_coeff(eq, n) / leading_coeff(eq, n + 1)
-    beta = beta_generic(eq, n)
-    if n == 0:
-        gamma = complex(0.0)
-    else:
-        gamma = leading_coeff(eq, n - 1) / leading_coeff(eq, n) * complex(dn_ratio)
-    return alpha, beta, gamma
+        """A(s,n) at one point or elementwise on an ndarray of s; for an
+        ndarray of n, the (n x *s.shape) stack of A(s,n)."""
+        if not isinstance(n, np.ndarray):
+            tk = self.tau(n)
+            return _cdiv(self.lam_ratio(n) * tk.at(self.eq.lattice, s), tk.slope)
+        taus = [self.tau(k) for k in n.tolist()]
+        col = lambda v: np.array(v, dtype=complex).reshape((-1,) + (1,) * np.ndim(s))
+        k, slope = col([tk.k for tk in taus]).real, col([tk.slope for tk in taus])
+        at = slope * self.eq.lattice.x_shifted(k, s) + col([tk.intercept for tk in taus])
+        return _cdiv(col(self.lam_ratio(n)) * at, slope)
 
 
 def _sigma_theta_deriv(eq: EquationData, s, sign: int) -> complex:

@@ -18,9 +18,11 @@ E^- and E^+ coefficients, u, v, the H diagonal and the chain weights on
 suite that needs the coefficients at a few points takes a grid on them
 from `StencilGrid.shared`, which keeps one grid per family and distinct
 (points, margin), so the suites of one run share them.  The n-dependent
-constants come from the family's per-n table (`FamilySpec.coeffs`).
-Quotients of those arrays round as Python's complex division does
-(`lattice._cdiv`).
+pieces (A(s,n), u, v, the H diagonal, P_n and w P_n) are arrays over n as
+well, so a suite forms the residuals of every n it checks with a fixed
+number of array operations; their constants come from the family's per-n
+table (`FamilySpec.coeffs`), read as arrays over n.  Quotients of those
+arrays round as Python's complex division does (`lattice._cdiv`).
 
 phi values used by residual checks are built along integer chains
 s0 + k by the Pearson-consistent recurrence
@@ -45,14 +47,13 @@ from functools import cached_property, reduce, wraps
 
 import numpy as np
 
-from .hypergeometric_core import _entry, _limit_ratio, _sigma_at, _theta_at, rel_residual
+from .hypergeometric_core import _limit_ratio, _sigma_at, _theta_at, rel_residual
 from .lattice import _cdiv
 from .orthogonality import InnerProductSpec, discrete_inner
 from .qkernel import QKernelError
 from .report import CaseRecord, CheckReport
 
 __all__ = [
-    "ThreePointOperator",
     "OrthonormalFamily",
     "h_minusplus",
     "h_plusminus",
@@ -65,7 +66,6 @@ __all__ = [
     "check_h_remark",
     "check_h_s_independence",
     "check_factorization",
-    "ladder_bootstrap",
     "check_bootstrap",
     "check_adjoint",
     "check_selfadjoint",
@@ -73,86 +73,26 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class ThreePointOperator:
-    """c_minus(s) E^- + c_zero(s) I + c_plus(s) E^+ with callable coefficients.
-
-    s is one point, or anything the coefficients and f accept: the batched
-    suites pass chain offsets to operators tabulated on a StencilGrid, whose
-    values are arrays.  A coefficient that is zero everywhere is skipped, so
-    f is not evaluated where it would only be multiplied by zero.
-    """
-
-    c_minus: object
-    c_zero: object
-    c_plus: object
-
-    def apply(self, f, s):
-        out = self.c_zero(s) * f(s)
-        cm = self.c_minus(s)
-        if np.any(cm != 0.0):
-            out = out + cm * f(s - 1.0)
-        cp = self.c_plus(s)
-        if np.any(cp != 0.0):
-            out = out + cp * f(s + 1.0)
-        return out
-
-    def applied(self, f):
-        """The function s -> (Op f)(s), for nesting operators."""
-        return lambda s: self.apply(f, s)
-
-
 def _sqrt(z):
     """The principal square root, elementwise for an ndarray."""
     return np.sqrt(z) if isinstance(z, np.ndarray) else cmath.sqrt(z)
 
 
-def _absent(s):
-    """The coefficient of a shift an operator does not have."""
-    return 0.0
-
-
-def h_minusplus(fam, n: int) -> complex:
+def h_minusplus(fam, n):
     """h(n) in L-(s,n+1) L+(s,n) = h(n) I + u(s+1,n) H(s,n):
-    lambda_{2n}/[2n]_q * lambda_{2n+2}/[2n+2]_q * alpha_n gamma_{n+1}."""
+    lambda_{2n}/[2n]_q * lambda_{2n+2}/[2n+2]_q * alpha_n gamma_{n+1}, for
+    one n or elementwise on an int ndarray of n."""
     t = fam.coeffs
     return t.lam_ratio(2.0 * n) * t.lam_ratio(2.0 * n + 2.0) * t.alpha(n) * t.gamma(n + 1)
 
 
-def h_plusminus(fam, n: int) -> complex:
+def h_plusminus(fam, n):
     """h(n) in L+(s,n-1) L-(s,n) = h(n) I + u(s,n-1) H(s,n):
     lambda_{2n-2}/[2n-2]_q * lambda_{2n}/[2n]_q * alpha_{n-1} gamma_n, which
     is h_minusplus(n-1)."""
-    if n < 1:
+    if np.any(np.asarray(n) < 1):
         raise QKernelError("h_plusminus needs n >= 1")
     return h_minusplus(fam, n - 1)
-
-
-def _h_bracket_mp_pieces(n: int, g: "StencilGrid"):
-    """The two terms of the displayed bracket whose value is h_minusplus(n),
-    at every grid point: (A(s+1) - sigma(s+1)/nabla x(s+1)) (A(s) - lambda_n
-    Delta x(s-1/2)) and A(s+1) Theta(s)/Delta x(s)."""
-    A, dxm = _by_offset(g.A(n)), _by_offset(g.dxm)
-    son, tod = g.plus_side(g.son), g.minus_side(g.tod)
-    p1 = (A(1) - son(1)) * (A(0) - g.fam.coeffs.lambda_n(n) * dxm(0))
-    p2 = A(1) * tod(0)
-    return p1, p2
-
-
-def _h_bracket_pm_pieces(n: int, g: "StencilGrid"):
-    """The two terms of the displayed bracket for h_plusminus(n), with
-    B(s) = -A(s) + lambda_{2n}/[2n]_q (x(s) - beta_n), at every grid point:
-    (B(s-1) + lambda_n Delta x(s-3/2)) (B(s) + sigma(s)/nabla x(s)) and
-    -B(s) Theta(s-1)/Delta x(s-1)."""
-    t = g.fam.coeffs
-    beta = t.beta(n)
-    L = t.lam_ratio(2.0 * n)
-    A, xv, dxm = (_by_offset(a) for a in (g.A(n), g.x, g.dxm))
-    son, tod = g.plus_side(g.son), g.minus_side(g.tod)
-    B = lambda k: -A(k) + L * (xv(k) - beta)
-    p1 = (B(-1) + t.lambda_n(n) * dxm(-1)) * (B(0) + son(0))
-    p2 = -B(0) * tod(-1)
-    return p1, p2
 
 
 # ==========================================================================
@@ -209,38 +149,32 @@ class OrthonormalFamily:
         d = np.array([fam.d_n(k) for k in n]).reshape((-1,) + (1,) * np.ndim(x))
         return _cdiv(w * np.asarray(P)[n.start:n.stop:n.step], d)
 
-    # reduced operator application: valid where sigma, Theta, rho >= 0 on the
-    # support (discrete sums); uses the limit-aware ratios so boundary points
-    # with sigma(a) = nabla x(a) = 0 evaluate cleanly.
-    def apply_reduced(self, which: str, n: int, s, op_n: int | None = None) -> complex:
-        """(Op phi_n)(s) with the square roots reduced through the Pearson
-        relation: sqrt(Theta(s-1)sigma(s)) sqrt(rho(s-1)) = sigma(s) sqrt(rho(s))
-        for nonnegative sigma, Theta, rho on the support.  `op_n` is the
-        operator's eigen-parameter (defaults to the function index n); only
-        H distinguishes the two."""
-        reduced = _reduced(which, n, StencilGrid.shared(self.family, np.atleast_1d(s), 1), op_n)
-        if not isinstance(s, np.ndarray):
-            reduced = complex(reduced[0])
-        return self._normalized(self.sqrt_rho(s), reduced, n)
-
-    def _normalized(self, w, values, n: int):
+    def _normalized(self, w, values, n):
         """w values / d_n, with w = sqrt(rho): phi_n from P_n, or an operator
-        applied to phi_n from its reduced stencil on P_n."""
+        applied to phi_n from its reduced stencil on P_n; for an int ndarray
+        of n, row by row."""
+        if isinstance(n, np.ndarray):
+            return _cdiv(w * values, np.array([self.family.d_n(k) for k in n.tolist()])[:, None])
         return _cdiv(w * values, self.family.d_n(n))
 
 
-def _reduced(which: str, n: int, g: "StencilGrid", op_n: int | None = None):
+def _reduced(which: str, n, g: "StencilGrid", op_n: int | None = None):
     """The reduced stencil of L+, L- or H(., op_n) on P_n at the points of a
-    margin-1 StencilGrid (see `OrthonormalFamily.apply_reduced`): the square
-    roots reduce to sigma/nabla x on P_n(s-1) and Theta/Delta x on P_n(s+1)."""
-    P = g.p(n).T  # P_n at s - 1, s, s + 1
+    margin-1 StencilGrid, for one n or, on (n x point) arrays, for an int
+    ndarray of n.  Where sigma, Theta and rho are >= 0 on a real support, the
+    Pearson relation sqrt(Theta(s-1) sigma(s)) sqrt(rho(s-1)) = sigma(s)
+    sqrt(rho(s)) reduces the square roots of the operators on phi_n to
+    sigma/nabla x on P_n(s-1) and Theta/Delta x on P_n(s+1); the limit-aware
+    ratios keep boundary points with sigma(a) = nabla x(a) = 0 finite."""
+    P = g.p(n)  # P_n at s - 1, s, s + 1 on the last axis
     son, tod = g.son[:, 0], g.tod[:, 0]
     if which == "L+":
-        return g.u(n)[:, 0] * P[1] + son * P[0]
+        return g.u(n)[..., 0] * P[..., 1] + son * P[..., 0]
     if which == "L-":
-        return g.v(n)[:, 0] * P[1] + tod * P[2]
+        return g.v(n)[..., 0] * P[..., 1] + tod * P[..., 2]
     if which == "H":
-        return son * P[0] + tod * P[2] + g.h_diag(n if op_n is None else op_n) * P[1]
+        diag = g.h_diag(n if op_n is None else op_n)
+        return son * P[..., 0] + tod * P[..., 2] + diag * P[..., 1]
     raise QKernelError(f"unknown operator {which!r}")
 
 
@@ -314,9 +248,36 @@ def _grid_array(fn):
     return cached_property(wraps(fn)(_RAISE_FP(lambda self: _frozen(fn(self)))))
 
 
-def _per_n(fn):
-    """A StencilGrid array of one n, computed on first read and read-only."""
-    return _entry(wraps(fn)(_RAISE_FP(lambda self, n: _frozen(fn(self, n)))))
+def _over_n(fn):
+    """A StencilGrid array over n.  `g.A(n)` for one n is the array of that
+    n; `g.A(ns)` for a sequence of n stacks the arrays of those n on a
+    leading n axis.  fn(g, n) computes the rows of an int ndarray n in one
+    pass; a read computes the n not read before in one `_compute` call and
+    appends their rows to the kept ones."""
+    name = fn.__name__
+
+    @wraps(fn)
+    def read(self, n):
+        one = isinstance(n, (int, np.integer))
+        ns = [int(n)] if one else n.tolist() if isinstance(n, np.ndarray) else list(n)
+        at = self._at.setdefault(name, {})
+        new = sorted({k for k in ns if k not in at})
+        if new or not ns:
+            rows = self._compute(fn, np.array(new, dtype=int))
+            if not ns:
+                return rows
+            if at:
+                rows = np.concatenate([self._memo[name], rows])
+            at.update(zip(new, range(len(at), len(at) + len(new))))
+            self._memo[name] = _frozen(rows)
+        rows, idx = self._memo[name], [at[k] for k in ns]
+        if idx == list(range(idx[0], idx[0] + len(idx))):
+            rows = rows[idx[0]:idx[0] + len(idx)]
+        else:
+            rows = _frozen(rows[idx])
+        return rows[0] if one else rows
+
+    return read
 
 
 class StencilGrid:
@@ -334,10 +295,14 @@ class StencilGrid:
     `tod` = Theta/Delta x, `e_plus`, `v`) on -(margin-1)..0, A(s,n) on
     -(margin-1)..margin-1 and the H diagonal on offset 0.  `plus_side` and
     `minus_side` index the two sides by offset.  x is evaluated once, on the
-    half-integer offsets as well.  Per n the grid keeps A(s,n), u, v, the H
-    diagonal, P_n and the chain function w P_n; P_0..P_n come from one
-    recurrence pass on x, continued when a higher n is first read, and the
-    n-dependent constants from the family's per-n table (`fam.coeffs`).
+    half-integer offsets as well.
+
+    A(s,n), u, v, the H diagonal, P_n and the chain function w P_n are
+    arrays over n too (`_over_n`): a suite reads every n it checks at once,
+    as (n x grid point x offset).  Each n is computed once, when a suite
+    first reads it, so a grid raises under _RAISE_FP only at an n a suite
+    asked for.  P_0..P_n come from one recurrence pass on x, continued when
+    a higher n is first read; the constants from the family's per-n table.
 
     The suites take their grids from `StencilGrid.shared`, one per family
     and distinct (points, margin), so suites on the same points and margin
@@ -363,7 +328,8 @@ class StencilGrid:
         self._x_half = _frozen(fam.lattice.x_values(self.s[:, None] + half))
         self.t = _frozen(self.s[:, None] + np.arange(-margin, margin + 1))
         self.x = self._x_half[:, 1::2]
-        self._memo = {}  # the per-n arrays
+        self._memo = {}  # name -> the rows over n computed so far
+        self._at = {}  # name -> {n: its row}
         self._monic = ()  # monic P_0, P_1, .. on x, as far as read
         m = margin
         self._plus = slice(m, 2 * m)  # columns of the L+ offsets 0..m-1
@@ -379,6 +345,11 @@ class StencilGrid:
         if grid is None:
             grid = fam._cache[key] = cls(fam, pts, margin)
         return grid
+
+    @_RAISE_FP
+    def _compute(self, fn, n):
+        """fn's rows for the int ndarray n: one coefficient-array computation."""
+        return fn(self, n)
 
     def plus_side(self, a):
         """An L+-side array as a function of the offset."""
@@ -449,63 +420,65 @@ class StencilGrid:
         return _chain_weights(self.theta, self.sigma, self.roots, self.roots, self.t,
                               self.margin)
 
-    @_per_n
-    def A(self, n: int):
+    # H(s,n) = e_minus E^- + e_plus E^+ + h_diag I, L+(s,n) = u I + e_minus
+    # E^-, L-(s,n) = v I + e_plus E^+ on chain offsets
+    @_over_n
+    def A(self, n):
         """A(s,n) = lambda_n/[n]_q tau_n(s)/tau_n' on offsets -(margin-1)..margin-1;
         the n = 0 value by the continuation of lam_ratio."""
         return self.fam.coeffs.A(n, self.t[:, 1:-1])
 
-    @_per_n
-    def u(self, n: int):
+    @_over_n
+    def u(self, n):
         """u(s,n) = A(s,n) - sigma(s)/nabla x(s) on the L+ offsets."""
-        return self.A(n)[:, self.margin - 1:] - self.son
+        return self.A(n)[..., self.margin - 1:] - self.son
 
-    @_per_n
-    def v(self, n: int):
+    @_over_n
+    def v(self, n):
         """v(s,n) = -A(s,n) + lambda_n Delta x(s-1/2) + lambda_{2n}/[2n]_q
         (x(s) - beta_n) - Theta(s)/Delta x(s) on the L- offsets."""
         t, cols = self.fam.coeffs, self._minus
         return (
-            -self.A(n)[:, :self.margin]
-            + t.lambda_n(n) * self.dxm[:, cols]
-            + t.lam_ratio(2.0 * n) * (self.x[:, cols] - t.beta(n))
+            -self.A(n)[..., :self.margin]
+            + t.lambda_n(n)[:, None, None] * self.dxm[:, cols]
+            + t.lam_ratio(2.0 * n)[:, None, None] * (self.x[:, cols] - t.beta(n)[:, None, None])
             - self.tod
         )
 
-    @_per_n
-    def h_diag(self, n: int):
+    @_over_n
+    def h_diag(self, n):
         """The I coefficient of H(s,n) on offset 0:
         -(Theta/Delta x + sigma/nabla x - lambda_n Delta x(s-1/2))."""
-        lam = self.fam.coeffs.lambda_n(n)
+        lam = self.fam.coeffs.lambda_n(n)[:, None]
         return -(self.tod[:, -1] + self.son[:, 0] - lam * self.dxm[:, self.margin])
 
-    @_per_n
-    def p(self, n: int):
+    @_over_n
+    def p(self, n):
         """P_n on every offset."""
         fam = self.fam
-        self._monic = rows = fam.monic_rows(n, self.x, self._monic)
-        return np.broadcast_to(rows[n] * fam.coeffs.a_n(n), self.x.shape)
+        self._monic = rows = fam.monic_rows(int(n.max(initial=0)), self.x, self._monic)
+        monic = np.array([np.broadcast_to(rows[k], self.x.shape) for k in n.tolist()])
+        return monic.reshape(n.shape + self.x.shape) * fam.coeffs.a_n(n)[:, None, None]
 
-    @_per_n
-    def phi(self, n: int):
+    @_over_n
+    def phi(self, n):
         """The chain function w P_n on every offset."""
         return self.w * self.p(n)
 
-    # H(s,n) = E^- coefficient E^- + E^+ coefficient E^+ + (H diagonal) I,
-    # L+(s,n) = u(s,n) I + E^- coefficient E^-, L-(s,n) = v(s,n) I + E^+
-    # coefficient E^+, on chain offsets
-    def hamiltonian(self, n: int) -> ThreePointOperator:
-        return ThreePointOperator(self.plus_side(self.e_minus),
-                                  _by_offset(self.h_diag(n)[:, None], 0),
-                                  self.minus_side(self.e_plus))
 
-    def raising(self, n: int) -> ThreePointOperator:
-        return ThreePointOperator(self.plus_side(self.e_minus), self.plus_side(self.u(n)),
-                                  _absent)
+def _cases_by_point(rep: CheckReport, g: StencilGrid, ns, residuals) -> CheckReport:
+    """One case per point and n, point outermost, from (n x point) residuals."""
+    ns = list(ns)
+    for label, row in zip(g.labels, residuals.T.tolist()):
+        rep.cases += [CaseRecord(n, label, r) for n, r in zip(ns, row)]
+    return rep
 
-    def lowering(self, n: int) -> ThreePointOperator:
-        return ThreePointOperator(_absent, self.minus_side(self.v(n)),
-                                  self.minus_side(self.e_plus))
+
+def _cases_by_n(rep: CheckReport, g: StencilGrid, ns, residuals) -> CheckReport:
+    """One case per n and point, n outermost, from (n x point) residuals."""
+    for n, row in zip(ns, residuals.tolist()):
+        rep.cases += [CaseRecord(n, label, r) for label, r in zip(g.labels, row)]
+    return rep
 
 
 @_RAISE_FP
@@ -517,24 +490,10 @@ def check_eigen(fam, ns, s_grid, tolerance: float = 1e-9) -> CheckReport:
         family=fam.name,
         tolerance=tolerance,
     )
-    return _cases_by_point(rep, StencilGrid.shared(fam, s_grid, 1), ns, _eigen_residuals)
-
-
-def _eigen_residuals(n: int, g: "StencilGrid"):
-    H = g.hamiltonian(n)
-    f = _by_offset(g.phi(n))
-    terms = (H.c_minus(0) * f(-1), H.c_zero(0) * f(0), H.c_plus(0) * f(1))
-    return rel_residual(sum(terms), terms)
-
-
-def _cases_by_point(rep: CheckReport, g: "StencilGrid", ns, residuals) -> CheckReport:
-    """One case per grid point and n, grid point outermost; residuals(n, g)
-    gives the residuals of one n at every grid point."""
-    res = {n: residuals(n, g).tolist() for n in ns}
-    for i, label in enumerate(g.labels):
-        for n in ns:
-            rep.cases.append(CaseRecord(n, label, res[n][i]))
-    return rep
+    g = StencilGrid.shared(fam, s_grid, 1)
+    f = g.phi(ns)
+    terms = (g.e_minus[:, 0] * f[..., 0], g.h_diag(ns) * f[..., 1], g.e_plus[:, 0] * f[..., 2])
+    return _cases_by_point(rep, g, ns, rel_residual(sum(terms), terms))
 
 
 def check_ttrr_phi(fam, ns, s_grid, tolerance: float = 1e-9) -> CheckReport:
@@ -550,34 +509,32 @@ def check_ttrr_phi(fam, ns, s_grid, tolerance: float = 1e-9) -> CheckReport:
         tolerance=tolerance,
     )
     g = StencilGrid.shared(fam, s_grid, 1)
-    t, x = fam.coeffs, g.x[:, 1]
-    P = lambda k: g.p(k)[:, 1] if k >= 0 else 0.0  # P_{-1} = 0
-    for n in ns:
-        terms = (
-            t.alpha(n) * P(n + 1),
-            t.gamma(n) * (P(n - 1) if n >= 1 else 0.0),
-            (t.beta(n) - x) * P(n),
-        )
-        for label, r in zip(g.labels, rel_residual(sum(terms), terms).tolist()):
-            rep.cases.append(CaseRecord(n, label, r))
-    return rep
+    t, n = fam.coeffs, np.array(ns, dtype=int)
+    ks = sorted({k for m in ns for k in (m - 1, m, m + 1) if k >= 0})
+    at = {k: i for i, k in enumerate(ks)}
+    rows = g.p(ks)[..., 1]
+    P = lambda k: rows[[at[m] for m in k.tolist()]]
+    below = np.where((n >= 1)[:, None], P(np.maximum(n - 1, 0)), 0.0)  # P_{-1} = 0
+    terms = (t.alpha(n)[:, None] * P(n + 1), t.gamma(n)[:, None] * below,
+             (t.beta(n)[:, None] - g.x[:, 1]) * P(n))
+    return _cases_by_n(rep, g, ns, rel_residual(sum(terms), terms))
 
 
-def _ladder_residuals(which: str, n: int, g: StencilGrid):
+def _ladder_residuals(which: str, ns, g: StencilGrid):
     """Residual of L+ phi_n (which "+") or L- phi_n ("-") against its
-    target at every grid point."""
-    t = g.fam.coeffs
-    f = _by_offset(g.phi(n))
+    target at every grid point, for every n in ns."""
+    t, n = g.fam.coeffs, np.array(ns, dtype=int)
+    f = g.phi(n)
     if which == "+":
-        op = g.raising(n)
-        coef = t.alpha(n) * t.lam_ratio(2.0 * n)
-        target = coef * _by_offset(g.phi(n + 1))(0)
+        diag, side, shift = g.u(n)[..., 0], g.e_minus[:, 0], 0
+        target = (t.alpha(n) * t.lam_ratio(2.0 * n))[:, None] * g.phi(n + 1)[..., 1]
     else:
-        op = g.lowering(n)
-        coef = t.gamma(n) * t.lam_ratio(2.0 * n)
-        target = coef * _by_offset(g.phi(n - 1))(0) if n >= 1 else complex(0.0)
-    got = op.apply(f, 0)
-    return rel_residual(got - target, (got, target, op.c_zero(0) * f(0)))
+        diag, side, shift = g.v(n)[..., 0], g.e_plus[:, 0], 2
+        coef = (t.gamma(n) * t.lam_ratio(2.0 * n))[:, None]
+        target = np.where((n >= 1)[:, None], coef * g.phi(np.maximum(n - 1, 0))[..., 1], 0.0)
+    own = diag * f[..., 1]
+    got = own + side * f[..., shift] if np.any(side != 0.0) else own
+    return rel_residual(got - target, (got, target, own))
 
 
 @_RAISE_FP
@@ -591,8 +548,8 @@ def check_raising(fam, ns, s_grid, tolerance: float = 1e-9) -> CheckReport:
         family=fam.name,
         tolerance=tolerance,
     )
-    return _cases_by_point(rep, StencilGrid.shared(fam, s_grid, 1), ns,
-                           lambda n, g: _ladder_residuals("+", n, g))
+    g = StencilGrid.shared(fam, s_grid, 1)
+    return _cases_by_point(rep, g, ns, _ladder_residuals("+", ns, g))
 
 
 @_RAISE_FP
@@ -604,8 +561,8 @@ def check_lowering(fam, ns, s_grid, tolerance: float = 1e-9) -> CheckReport:
         family=fam.name,
         tolerance=tolerance,
     )
-    return _cases_by_point(rep, StencilGrid.shared(fam, s_grid, 1), ns,
-                           lambda n, g: _ladder_residuals("-", n, g))
+    g = StencilGrid.shared(fam, s_grid, 1)
+    return _cases_by_point(rep, g, ns, _ladder_residuals("-", ns, g))
 
 
 @_RAISE_FP
@@ -618,12 +575,10 @@ def check_uv_shift(fam, ns, s_grid, tolerance: float = 1e-10) -> CheckReport:
         tolerance=tolerance,
     )
     g = StencilGrid.shared(fam, s_grid, 2)
-    for n in ns:
-        uu = g.plus_side(g.u(n))(1)
-        vv = g.minus_side(g.v(n + 1))(0)
-        for label, r in zip(g.labels, rel_residual(uu - vv, (uu, vv)).tolist()):
-            rep.cases.append(CaseRecord(n, label, r))
-    return rep
+    n = np.array(ns, dtype=int)
+    uu = g.plus_side(g.u(n))(1)
+    vv = g.minus_side(g.v(n + 1))(0)
+    return _cases_by_n(rep, g, ns, rel_residual(uu - vv, (uu, vv)))
 
 
 def check_h_remark(fam, ns, tolerance: float = 1e-12) -> CheckReport:
@@ -637,17 +592,25 @@ def check_h_remark(fam, ns, tolerance: float = 1e-12) -> CheckReport:
         family=fam.name,
         tolerance=tolerance,
     )
-    for n in ns:
-        a = h_plusminus(fam, n + 1)
-        b = h_minusplus(fam, n)
-        rep.cases.append(CaseRecord(n, "-", rel_residual(a - b, (a, b))))
+    n = np.array(ns, dtype=int)
+    a, b = h_plusminus(fam, n + 1), h_minusplus(fam, n)
+    rep.cases += [CaseRecord(k, "-", r) for k, r in zip(ns, rel_residual(a - b, (a, b)).tolist())]
     return rep
 
 
 @_RAISE_FP
 def check_h_s_independence(fam, ns, s_grid, tolerance: float = 1e-10) -> CheckReport:
     """The displayed brackets for h-+(n) and h+-(n) are independent of s and
-    equal the gamma/alpha closed values."""
+    equal the gamma/alpha closed values:
+
+        h-+(n) = (A(s+1) - sigma(s+1)/nabla x(s+1)) (A(s) - lambda_n Delta x(s-1/2))
+                 + A(s+1) Theta(s)/Delta x(s),
+        h+-(n) = (B(s-1) + lambda_n Delta x(s-3/2)) (B(s) + sigma(s)/nabla x(s))
+                 - B(s) Theta(s-1)/Delta x(s-1),  n >= 1,
+
+    with A = A(.,n) and B(s) = -A(s,n) + lambda_{2n}/[2n]_q (x(s) - beta_n).
+    The scale of a residual is what had to cancel, so a degenerately zero h
+    (top of a finite family) is not divided by its own noise."""
     rep = CheckReport(
         suite="h_s_independence",
         identity="s-independence of the bracket expansions of h-+ and h+-",
@@ -655,18 +618,24 @@ def check_h_s_independence(fam, ns, s_grid, tolerance: float = 1e-10) -> CheckRe
         tolerance=tolerance,
     )
     g = StencilGrid.shared(fam, s_grid, 2)
-    for n in ns:
-        hm = h_minusplus(fam, n)
-        p1, p2 = _h_bracket_mp_pieces(n, g)
-        # the scale is what had to cancel, so a degenerately zero h
-        # (top of a finite family) is not divided by its own noise
-        for label, r in zip(g.labels, rel_residual(p1 + p2 - hm, (p1, p2, hm)).tolist()):
-            rep.cases.append(CaseRecord(n, label, r, "minusplus"))
-        if n >= 1:
-            hp = h_plusminus(fam, n)
-            p1, p2 = _h_bracket_pm_pieces(n, g)
-            for label, r in zip(g.labels, rel_residual(p1 + p2 - hp, (p1, p2, hp)).tolist()):
-                rep.cases.append(CaseRecord(n, label, r, "plusminus"))
+    t, n = fam.coeffs, np.array(ns, dtype=int)
+    son, tod, dxm = g.plus_side(g.son), g.minus_side(g.tod), _by_offset(g.dxm)
+    A, hm = _by_offset(g.A(n)), h_minusplus(fam, n)[:, None]
+    p1 = (A(1) - son(1)) * (A(0) - t.lambda_n(n)[:, None] * dxm(0))
+    p2 = A(1) * tod(0)
+    minus_plus = rel_residual(p1 + p2 - hm, (p1, p2, hm)).tolist()
+    n = n[n >= 1]
+    A, xv, hp = _by_offset(g.A(n)), _by_offset(g.x), h_plusminus(fam, n)[:, None]
+    L, beta = t.lam_ratio(2.0 * n)[:, None], t.beta(n)[:, None]
+    B = lambda k: -A(k) + L * (xv(k) - beta)
+    p1 = (B(-1) + t.lambda_n(n)[:, None] * dxm(-1)) * (B(0) + son(0))
+    p2 = -B(0) * tod(-1)
+    plus_minus = iter(rel_residual(p1 + p2 - hp, (p1, p2, hp)).tolist())
+    for k, row in zip(ns, minus_plus):
+        rep.cases += [CaseRecord(k, label, r, "minusplus") for label, r in zip(g.labels, row)]
+        if k >= 1:
+            rep.cases += [CaseRecord(k, label, r, "plusminus")
+                          for label, r in zip(g.labels, next(plus_minus))]
     return rep
 
 
@@ -678,9 +647,10 @@ def check_factorization(fam, ns, s_grid, tolerance: float = 1e-9) -> CheckReport
         L-(s,n+1) L+(s,n) - h-+(n) I - u(s+1,n) H(s,n)  = 0,
         L+(s,n) L-(s,n+1) - h-+(n) I - u(s,n)  H(s,n+1) = 0.
 
-    The operators act on chain offsets of a StencilGrid, the grid point s
-    being offset 0, so each `_apply_scaled` call forms every probe at every
-    grid point at once.
+    The operators act on chain offsets of a StencilGrid (offset 0 is the
+    grid point) on (n x probe x grid point) arrays.  A residual is scaled by
+    the largest product the stencils form, the inner one's propagated
+    through the outer coefficients: where rounding noise enters.
     """
     rep = CheckReport(
         suite="factorization",
@@ -690,72 +660,52 @@ def check_factorization(fam, ns, s_grid, tolerance: float = 1e-9) -> CheckReport
         tolerance=tolerance,
     )
     g = StencilGrid.shared(fam, s_grid, 2)
-    monomials = [g.x ** j for j in range(4)]
-    for n in ns:
-        Lp, Lm = g.raising(n), g.lowering(n + 1)
-        Hn, Hn1 = g.hamiltonian(n), g.hamiltonian(n + 1)
-        h = h_minusplus(fam, n)
-        f = _by_offset(np.stack(monomials + [g.phi(n)]))  # (probe, grid point, offset)
-        tags = [f"x^{j}" for j in range(4)] + [f"phi_{n}"]
-        t1, sc1 = _apply_scaled(Lm, Lp.applied(f), 0, inner=(Lp, f))
-        t2 = h * f(0)
-        hf, schf = _apply_scaled(Hn, f, 0)
-        u1 = Lp.c_zero(1)
-        t3 = u1 * hf
-        minus_plus = abs(t1 - t2 - t3) / _largest((sc1, abs(t2), abs(u1) * schf, 1e-300))
-        t1, sc1 = _apply_scaled(Lp, Lm.applied(f), 0, inner=(Lm, f))
-        hf, schf = _apply_scaled(Hn1, f, 0)
-        u0 = Lp.c_zero(0)
-        t3 = u0 * hf
-        plus_minus = abs(t1 - t2 - t3) / _largest((sc1, abs(t2), abs(u0) * schf, 1e-300))
-        minus_plus, plus_minus = minus_plus.T.tolist(), plus_minus.T.tolist()
-        for i, label in enumerate(g.labels):
-            for j, tag in enumerate(tags):
-                rep.cases.append(CaseRecord(n, label, minus_plus[i][j], f"minus-plus {tag}"))
-                rep.cases.append(CaseRecord(n, label, plus_minus[i][j], f"plus-minus {tag}"))
+    n = np.array(ns, dtype=int)
+    monomials = np.stack([g.x ** j for j in range(4)])
+    probes = np.concatenate([np.broadcast_to(monomials, (len(n),) + monomials.shape),
+                             g.phi(n)[:, None]], axis=1)  # (n, probe, grid point, offset)
+    f = _by_offset(probes)
+    per_n = lambda a: a[:, None]  # an (n x grid point) array against the probe axis
+    u, v = g.plus_side(per_n(g.u(n))), g.minus_side(per_n(g.v(n + 1)))
+    em, ep = g.plus_side(g.e_minus), g.minus_side(g.e_plus)
+    t2 = h_minusplus(fam, n)[:, None, None] * f(0)
+
+    def apply(stencil):
+        """A stencil's value from its (coefficient, f value) terms, and its
+        largest product."""
+        terms = [c * z for c, z in stencil]
+        return sum(terms), _largest(abs(z) for z in terms)
+
+    def residual(outer, hamiltonian, u_h):
+        """|L_outer L_inner f - h f - u_h H f| over its scale; `outer` pairs
+        each coefficient of the outer stencil with the inner stencil it
+        multiplies."""
+        inner = [(c, *apply(stencil)) for c, stencil in outer]
+        t1, scale = apply([(c, z) for c, z, _ in inner])
+        scale = _largest([scale] + [abs(c) * sc for c, _, sc in inner])
+        hf, schf = hamiltonian
+        return abs(t1 - t2 - u_h * hf) / _largest((scale, abs(t2), abs(u_h) * schf, 1e-300))
+
+    # L+ f at offsets 0, 1 and L- f at offsets -1, 0 (u f + e_minus f(s-1),
+    # v f + e_plus f(s+1)); H f at offset 0 for n and n + 1
+    lp = {k: ((u(k), f(k)), (em(k), f(k - 1))) for k in (0, 1)}
+    lm = {k: ((v(k), f(k)), (ep(k), f(k + 1))) for k in (-1, 0)}
+    h_f = lambda diag: apply(((em(0), f(-1)), (diag, f(0)), (ep(0), f(1))))
+    minus_plus = residual(((v(0), lp[0]), (ep(0), lp[1])), h_f(per_n(g.h_diag(n))), u(1))
+    plus_minus = residual(((em(0), lm[-1]), (u(0), lm[0])), h_f(per_n(g.h_diag(n + 1))), u(0))
+    res = np.stack([minus_plus, plus_minus], axis=-1).transpose(0, 2, 1, 3).tolist()
+    for k, by_point in zip(ns, res):
+        tags = [f"x^{j}" for j in range(4)] + [f"phi_{k}"]
+        for label, by_probe in zip(g.labels, by_point):
+            for tag, (mp, pm) in zip(tags, by_probe):
+                rep.cases.append(CaseRecord(k, label, mp, f"minus-plus {tag}"))
+                rep.cases.append(CaseRecord(k, label, pm, f"plus-minus {tag}"))
     return rep
 
 
 def _largest(values):
     """Elementwise maximum of nonnegative numbers or arrays (0 for none)."""
     return reduce(np.maximum, values, 0.0)
-
-
-def _apply_scaled(op: ThreePointOperator, f, s, inner=None):
-    """(Op f)(s) together with the magnitude of the largest product formed,
-    i.e. the scale at which rounding noise enters the cancellation.  With
-    `inner = (InnerOp, g)`, f must be InnerOp.applied(g) and the inner
-    stencil scales are propagated through the outer coefficients.  Like
-    ThreePointOperator.apply it also takes the chain offsets of a
-    StencilGrid's operators, and is then elementwise."""
-    pieces = []
-    for shift, coef in ((-1.0, op.c_minus), (0.0, op.c_zero), (1.0, op.c_plus)):
-        cv = coef(s)
-        if not np.any(cv != 0.0):
-            continue
-        pieces.append((cv, f(s + shift), shift))
-    val = sum(cv * fv for cv, fv, _ in pieces)
-    scale = _largest(abs(cv * fv) for cv, fv, _ in pieces)
-    if inner is not None:
-        iop, g = inner
-        for cv, _, shift in pieces:
-            isc = _largest(
-                abs(ic(s + shift) * g(s + shift + ish))
-                for ish, ic in ((-1.0, iop.c_minus), (0.0, iop.c_zero), (1.0, iop.c_plus))
-            )
-            scale = _largest((scale, abs(cv) * isc))
-    return val, scale
-
-
-@_RAISE_FP
-def ladder_bootstrap(of: OrthonormalFamily, N: int, s_grid) -> dict:
-    """Solve L-(s,0) phi_0 = 0 as the ratio recurrence
-
-        phi_0(s+1) = -v(s,0) Delta x(s) phi_0(s) / sqrt(Theta(s) sigma(s+1)),
-
-    normalize phi_0 at the first grid point, then climb with the raising
-    operator.  Returns {n: {offset: value}} on the grid chain."""
-    return _bootstrap(of, N, s_grid)[0]
 
 
 def _chain(s_grid, N: int):
@@ -768,8 +718,14 @@ def _chain(s_grid, N: int):
 
 
 def _bootstrap(of: OrthonormalFamily, N: int, s_grid):
-    """The bootstrap table and the margin-1 StencilGrid on the chain points
-    s0 + lo .. s0 + max(offsets)."""
+    """Solve L-(s,0) phi_0 = 0 as the ratio recurrence
+
+        phi_0(s+1) = -v(s,0) Delta x(s) phi_0(s) / sqrt(Theta(s) sigma(s+1)),
+
+    normalize phi_0 at the first grid point, then climb with the raising
+    operator.  Returns the table {n: {chain offset: phi_n}}, the margin-1
+    StencilGrid on the chain points s0 + lo .. s0 + max(offsets) and
+    `_branch_consistent` on its points."""
     fam = of.family
     if N < 0:
         raise QKernelError("bootstrap needs N >= 0")
@@ -786,7 +742,10 @@ def _bootstrap(of: OrthonormalFamily, N: int, s_grid):
         vals.append(step * vals[-1] / r)
     # normalize at the first grid point against the direct phi_0
     i0 = offs[0] - lo
-    anchor = of.phi(0, s0) if _pointwise_branch_consistent(of, g, [i0]) else complex(1.0)
+    consistent, w = _branch_consistent(of, g)
+    anchor = complex(1.0)
+    if consistent[i0]:
+        anchor = of.phi(0, s0) if w is None else complex(of._phi(0, w[[i0]], g.x[[i0], 1])[0])
     scale = anchor / vals[i0] if vals[i0] != 0 else complex(1.0)
     cur = np.array([v * scale for v in vals])  # phi_n on the chain offsets n + lo .. hi
     table = {0: dict(zip(range(lo, hi + 1), cur.tolist()))}
@@ -794,13 +753,14 @@ def _bootstrap(of: OrthonormalFamily, N: int, s_grid):
     # is not evaluated at the first point, which may be a lattice symmetry
     # point where nabla x vanishes
     up = StencilGrid.shared(fam, g.s[1:], 1)
+    u = up.u(range(N))
     for n in range(N):
         coef = fam.coeffs.alpha(n) * fam.coeffs.lam_ratio(2.0 * n)
         dr = _d_ratio_up(fam, n)
-        val = up.u(n)[n:, 0] * cur[1:] + up.e_minus[n:, 0] * cur[:-1]
+        val = u[n, n:, 0] * cur[1:] + up.e_minus[n:, 0] * cur[:-1]
         cur = _cdiv(val, coef * dr if dr is not None else coef)
         table[n + 1] = dict(zip(range(lo + n + 1, hi + 1), cur.tolist()))
-    return table, g
+    return table, g, consistent, w
 
 
 def _phi_pointwise_ok(of: OrthonormalFamily, s) -> bool:
@@ -811,20 +771,41 @@ def _phi_pointwise_ok(of: OrthonormalFamily, s) -> bool:
     return abs(rho.imag) <= 1e-12 * abs(rho) and rho.real > 0.0
 
 
-def _pointwise_branch_consistent(of: OrthonormalFamily, g: StencilGrid, rows) -> bool:
-    """Whether the positive pointwise sqrt(rho) satisfies the same branch
-    relations as the principal-root chain at the given points of a margin-1
-    grid: needs sigma(s) >= 0 and Theta(s) >= 0 (real) across the span.
-    Where Theta < 0 (Al-Salam--Carlitz with a < 0) the chain continuation
+def _branch_consistent(of: OrthonormalFamily, g: StencilGrid):
+    """Per point of a margin-1 grid, whether the positive pointwise
+    sqrt(rho) satisfies the same branch relations as the principal-root
+    chain there: sigma(s), Theta(s) >= 0 and rho > 0, all real.  Where
+    Theta < 0 (Al-Salam--Carlitz with a < 0) the chain continuation
     alternates sign against pointwise sqrt(rho) and is the branch the
-    operators pair with."""
+    operators pair with.
+
+    rho is evaluated once, on the array of the points where sigma and Theta
+    pass; if that raises or gives a non-finite entry, point by point as
+    `_phi_pointwise_ok` does, so the verdict does not depend on the route.
+    Returns the verdicts and sqrt(rho) from the array (None after the
+    point-by-point route)."""
 
     def nonneg(z):
-        z = complex(z)
-        return abs(z.imag) <= 1e-10 * max(1.0, abs(z)) and z.real >= -1e-12 * max(1.0, abs(z))
+        scale = np.maximum(1.0, np.abs(z))
+        return (np.abs(z.imag) <= 1e-10 * scale) & (z.real >= -1e-12 * scale)
 
-    return all(_phi_pointwise_ok(of, complex(g.s[i])) and nonneg(g.sigma[i, 1])
-               and nonneg(g.theta[i, 1]) for i in rows)
+    ok = nonneg(g.sigma[:, 1]) & nonneg(g.theta[:, 1])
+    if not ok.any():
+        return ok, None
+    s = g.s[ok]
+    try:
+        with np.errstate(all="ignore"):
+            rho = np.asarray(of.rho_at_s(s), dtype=complex)
+        finite = np.isfinite(rho).all()
+    except Exception:
+        finite = False
+    if not finite:
+        ok[ok] = [_phi_pointwise_ok(of, t) for t in s.tolist()]
+        return ok, None
+    w = np.zeros(len(ok), dtype=complex)
+    w[ok] = np.sqrt(rho)
+    ok[ok] = (np.abs(rho.imag) <= 1e-12 * np.abs(rho)) & (rho.real > 0.0)
+    return ok, w
 
 
 def _d_ratio_up(fam, n: int):
@@ -852,18 +833,20 @@ def check_bootstrap(of: OrthonormalFamily, N: int, s_grid, tolerance: float = 1e
         family=fam.name,
         tolerance=tolerance,
     )
-    table, g = _bootstrap(of, N, s_grid)
+    table, g, consistent, w = _bootstrap(of, N, s_grid)
     s0, offs, lo = _chain(s_grid, N)
     rows = [k - lo for k in offs]
-    if _pointwise_branch_consistent(of, g, range(len(g.s))):
-        direct = of.phi(range(N + 1), g.s[rows])
+    if consistent.all():
+        # the pointwise phi_n, with sqrt(rho) from the consistency check
+        direct = (of.phi(range(N + 1), g.s[rows]) if w is None
+                  else of._phi(range(N + 1), w[rows], g.x[rows, 1]))
     else:
         # one chain through the grid points, anchored at s0; a link going up
         # is read at its lower point, one going down at its upper point
         theta, sigma = g.theta[None, :, 1], g.sigma[None, :, 1]
         up, down = g.roots[None, :-1, 1], g.roots[None, 1:, 0]
         w = _chain_weights(theta, sigma, up, down, g.s[None, :], -lo)[0]
-        direct = w[rows] * np.stack([g.p(n)[rows, 1] for n in range(N + 1)])
+        direct = w[rows] * g.p(range(N + 1))[:, rows, 1]
     for n in range(N + 1):
         direct_n = dict(zip(offs, direct[n].tolist()))
         got = table[n]
@@ -885,7 +868,8 @@ def check_adjoint(of: OrthonormalFamily, ns, tolerance: float = 1e-8) -> CheckRe
           = alpha_n d_{n+1}/d_n.
 
     One pass over the support: the weight is evaluated once per node, and
-    phi_k and the reduced L+ phi_n, L- phi_{n+1} once on the node array."""
+    phi_k and the reduced L+ phi_n, L- phi_{n+1} once on the (n x node)
+    array."""
     fam = of.family
     rep = CheckReport(
         suite="adjoint",
@@ -903,23 +887,34 @@ def check_adjoint(of: OrthonormalFamily, ns, tolerance: float = 1e-8) -> CheckRe
     g = StencilGrid.shared(fam, grid, 1)  # the nodes with s - 1, s + 1
     t = fam.coeffs
     w = of.sqrt_rho(g.s)
-    phi = lambda k: of._normalized(w, g.p(k)[:, 1], k)  # phi_k on the nodes
+    skipped, targets = {}, {}  # n -> why it is out of range, n -> alpha_n d_{n+1}/d_n
     for n in ns:
         if fam.n_max is not None and n + 1 > fam.n_max:
-            rep.cases.append(CaseRecord(n, "-", 0.0, "out-of-range: phi_{n+1} beyond finite family"))
+            skipped[n] = "out-of-range: phi_{n+1} beyond finite family"
             continue
         dr = _d_ratio_up(fam, n)
         if dr is None:
-            rep.cases.append(CaseRecord(n, "-", 0.0, "out-of-range: d_{n+1} vanishes"))
-            continue
-        target = t.alpha(n) * dr
+            skipped[n] = "out-of-range: d_{n+1} vanishes"
+        else:
+            targets[n] = t.alpha(n) * dr
+    if targets:
+        n = np.array(list(targets))
+        phi, phi1 = (of._normalized(w, g.p(k)[..., 1], k) for k in (n, n + 1))
         raised = of._normalized(w, _reduced("L+", n, g), n)
         lowered = of._normalized(w, _reduced("L-", n + 1, g), n + 1)
-        s1 = discrete_inner(spec, lambda _: phi(n + 1), lambda _: raised) / t.lam_ratio(2.0 * n)
-        s2 = discrete_inner(spec, lambda _: lowered, lambda _: phi(n)) / t.lam_ratio(
-            2.0 * n + 2.0)
-        rep.cases.append(CaseRecord(n, "sum1", rel_residual(s1 - target, (s1, target))))
-        rep.cases.append(CaseRecord(n, "sum2", rel_residual(s2 - target, (s2, target))))
+        s1 = _cdiv(discrete_inner(spec, lambda _: phi1, lambda _: raised), t.lam_ratio(2.0 * n))
+        s2 = _cdiv(discrete_inner(spec, lambda _: lowered, lambda _: phi),
+                   t.lam_ratio(2.0 * n + 2.0))
+        target = np.array(list(targets.values()))
+        sums = zip(rel_residual(s1 - target, (s1, target)).tolist(),
+                   rel_residual(s2 - target, (s2, target)).tolist())
+        targets = dict(zip(targets, sums))
+    for n in ns:
+        if n in skipped:
+            rep.cases.append(CaseRecord(n, "-", 0.0, skipped[n]))
+        else:
+            rep.cases += [CaseRecord(n, "sum1", targets[n][0]),
+                          CaseRecord(n, "sum2", targets[n][1])]
     return rep
 
 
@@ -937,8 +932,9 @@ def check_selfadjoint(of: OrthonormalFamily, pairs, tolerance: float = 1e-8,
     orthogonality sum to both sides and cancels; what remains exercises the
     boundary-term argument.  `drop_last` truncates the grid to break the
     boundary condition (negative control).  One pass over the support: the
-    weight, each phi_k and each H(.,n) phi_k are evaluated once on the node
-    array.  Pairs beyond a finite family are out-of-range cases."""
+    weight, each phi_k and each H(.,n) phi_k are evaluated once, on the
+    (n x k x node) array.  Pairs beyond a finite family are out-of-range
+    cases."""
     fam = of.family
     rep = CheckReport(
         suite="selfadjoint",
@@ -956,17 +952,17 @@ def check_selfadjoint(of: OrthonormalFamily, pairs, tolerance: float = 1e-8,
         grid = grid[:-drop_last]
     g = StencilGrid.shared(fam, grid, 1)  # the nodes with their neighbours s - 1, s + 1
     w = of.sqrt_rho(g.s)
-    phi, hphi = {}, {}  # phi_k, H(.,n) phi_k
+    inside = {(n, m) for n, m in pairs if fam.n_max is None or max(n, m) <= fam.n_max}
+    if inside:
+        ks = np.array(sorted({k for pair in inside for k in pair}))
+        phi = dict(zip(ks.tolist(), of._normalized(w, g.p(ks)[..., 1], ks)))
+        hphi = {(n, k): row for n in sorted({n for n, _ in inside})
+                for k, row in zip(ks.tolist(), of._normalized(w, _reduced("H", ks, g, n), ks))}
     for n, m in pairs:
-        if fam.n_max is not None and max(n, m) > fam.n_max:
+        if (n, m) not in inside:
             rep.cases.append(CaseRecord(n, f"m={m}", 0.0,
                                         "out-of-range: phi_k beyond finite family"))
             continue
-        for k in (n, m):
-            if k not in phi:
-                phi[k] = of._normalized(w, g.p(k)[:, 1], k)
-            if (n, k) not in hphi:
-                hphi[n, k] = of._normalized(w, _reduced("H", k, g, op_n=n), k)
         ta = phi[m] * hphi[n, n]
         tb = phi[n] * hphi[n, m]
         a, b = ta.sum(), tb.sum()

@@ -26,7 +26,8 @@ class CheckReport:
 
     `identity` names the relation being verified (self-describing anchor);
     verdict is pass iff max_residual <= tolerance, except suites that carry
-    status "skipped" in meta.
+    status "skipped" in meta.  max_residual scans the cases once, and again
+    only after the case list changed length or was replaced.
     """
 
     suite: str
@@ -36,10 +37,14 @@ class CheckReport:
     tolerance: float = 0.0
     wall_ms: float = 0.0
     meta: dict = field(default_factory=dict)
+    _scanned: tuple = field(default=(None, -1, 0.0), init=False, repr=False, compare=False)
 
     @property
     def max_residual(self) -> float:
-        return max((c.residual for c in self.cases), default=0.0)
+        key = (id(self.cases), len(self.cases))
+        if self._scanned[:2] != key:
+            self._scanned = (*key, max((c.residual for c in self.cases), default=0.0))
+        return self._scanned[2]
 
     @property
     def passed(self) -> bool:

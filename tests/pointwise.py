@@ -1,5 +1,11 @@
 """Point-by-point definitions, one point at a time through the scalar
-Lattice.x: sigma, Theta and tau at a point, the two-branch limit-aware
+Lattice.x: the module-level twins of the `EquationTable` entries (each on
+a table of its own), the three-point operators as objects (on points, or on the
+chain offsets of StencilGrid arrays) with the scaled stencil application
+the factorization residual is built from, sigma, Theta and tau at a
+point, the per-n products mu_k,
+A_{n,k} and the leading coefficient a_n with the generic recurrence
+coefficients built on them, monic P_n, the two-branch limit-aware
 ratios sigma/nabla x and Theta/Delta x, the polynomial raising and lowering
 relations, the ladder coefficients and operators, the difference
 quotients, k-fold forward differences and n-fold backward chains, the
@@ -20,16 +26,201 @@ from qladder.hypergeometric_core import (
     _sigma_at,
     _sigma_theta_deriv,
     _theta_at,
-    a_nk,
+    EquationTable,
     lam_ratio,
-    lam_tau_ratio,
-    lambda_n,
     rel_residual,
+    tau_k_coeffs,
     tau_tilde,
 )
-from qladder.ladder import ThreePointOperator, _absent
+from functools import reduce
+
+import numpy as np
+
+from qladder.ladder import StencilGrid, _by_offset, _reduced
 from qladder.lattice import DegenerateStepError, Lattice
-from qladder.qkernel import QKernelError, require_finite
+from qladder.qkernel import QKernelError, q_factorial, require_finite
+
+
+@dataclass(frozen=True)
+class ThreePointOperator:
+    """c_minus(s) E^- + c_zero(s) I + c_plus(s) E^+ with callable coefficients.
+
+    s is one point, or the chain offsets of a StencilGrid's arrays (see
+    `grid_hamiltonian`), whose values are arrays.  A coefficient that is zero
+    everywhere is skipped, so f is not evaluated where it would only be
+    multiplied by zero.
+    """
+
+    c_minus: object
+    c_zero: object
+    c_plus: object
+
+    def apply(self, f, s):
+        out = self.c_zero(s) * f(s)
+        cm = self.c_minus(s)
+        if np.any(cm != 0.0):
+            out = out + cm * f(s - 1.0)
+        cp = self.c_plus(s)
+        if np.any(cp != 0.0):
+            out = out + cp * f(s + 1.0)
+        return out
+
+    def applied(self, f):
+        """The function s -> (Op f)(s), for nesting operators."""
+        return lambda s: self.apply(f, s)
+
+
+def _absent(s):
+    """The coefficient of a shift an operator does not have."""
+    return 0.0
+
+
+def _largest(values):
+    """Elementwise maximum of nonnegative numbers or arrays (0 for none)."""
+    return reduce(np.maximum, values, 0.0)
+
+
+def modulus(z):
+    """|z| through numpy's complex abs, the modulus the library's stencil
+    arrays take; on a nonreal z it can round the last bit differently from
+    Python's abs, which would hide the comparison of the stencil arithmetic
+    itself behind the choice of modulus."""
+    return np.abs(z)
+
+
+def apply_scaled(op: ThreePointOperator, f, s, inner=None):
+    """(Op f)(s) together with the magnitude of the largest product formed,
+    i.e. the scale at which rounding noise enters the cancellation.  With
+    `inner = (InnerOp, g)`, f must be InnerOp.applied(g) and the inner
+    stencil scales are propagated through the outer coefficients."""
+    pieces = []
+    for shift, coef in ((-1.0, op.c_minus), (0.0, op.c_zero), (1.0, op.c_plus)):
+        cv = coef(s)
+        if not np.any(cv != 0.0):
+            continue
+        pieces.append((cv, f(s + shift), shift))
+    val = sum(cv * fv for cv, fv, _ in pieces)
+    scale = _largest(modulus(cv * fv) for cv, fv, _ in pieces)
+    if inner is not None:
+        iop, g = inner
+        for cv, _, shift in pieces:
+            isc = _largest(
+                modulus(ic(s + shift) * g(s + shift + ish))
+                for ish, ic in ((-1.0, iop.c_minus), (0.0, iop.c_zero), (1.0, iop.c_plus))
+            )
+            scale = _largest((scale, modulus(cv) * isc))
+    return val, scale
+
+
+def grid_hamiltonian(g, n: int) -> ThreePointOperator:
+    """H(s,n) on the chain offsets of a StencilGrid's arrays."""
+    return ThreePointOperator(g.plus_side(g.e_minus), _by_offset(g.h_diag(n)[:, None], 0),
+                              g.minus_side(g.e_plus))
+
+
+def grid_raising(g, n: int) -> ThreePointOperator:
+    """L+(s,n) on the chain offsets of a StencilGrid's arrays."""
+    return ThreePointOperator(g.plus_side(g.e_minus), g.plus_side(g.u(n)), _absent)
+
+
+def grid_lowering(g, n: int) -> ThreePointOperator:
+    """L-(s,n) on the chain offsets of a StencilGrid's arrays."""
+    return ThreePointOperator(_absent, g.minus_side(g.v(n)), g.minus_side(g.e_plus))
+
+
+def lam_tau_ratio(eq: EquationData, n, s):
+    """A(s,n) = lambda_n/[n]_q * tau_n(s)/tau_n', the n = 0 value by the
+    continuation of lam_ratio, on a table of its own."""
+    return EquationTable(eq).A(n, s)
+
+
+def lambda_n(eq: EquationData, n) -> complex:
+    """lambda_n = -[n]_q {alpha_q(n-1) tau~' + [n-1]_q sigma~''/2}."""
+    return EquationTable(eq).lambda_n(n)
+
+
+def b_over_a(eq: EquationData, n: int) -> complex:
+    """b_n/a_n = [n]_q tau_{n-1}(0)/tau_{n-1}' + c3 ([n]_q - n)."""
+    return EquationTable(eq).b_over_a(n)
+
+
+def beta_generic(eq: EquationData, n: int) -> complex:
+    """beta_n = b_n/a_n - b_{n+1}/a_{n+1}, the same in every normalization."""
+    return EquationTable(eq).beta_generic(n)
+
+
+def apply_reduced(of, which: str, n: int, s, op_n: int | None = None):
+    """(Op phi_n)(s) with the square roots reduced through the Pearson
+    relation, from the library's reduced stencils (`ladder._reduced`) on a
+    margin-1 StencilGrid at s, one point or an ndarray of support nodes.
+    `op_n` is the operator's eigen-parameter (defaults to the function index
+    n); only H distinguishes the two."""
+    reduced = _reduced(which, n, StencilGrid.shared(of.family, np.atleast_1d(s), 1), op_n)
+    if not isinstance(s, np.ndarray):
+        reduced = complex(reduced[0])
+    return of._normalized(of.sqrt_rho(s), reduced, n)
+
+
+def mu_k(eq: EquationData, lam, k: int) -> complex:
+    """mu_k = lambda + sum_{m=0}^{k-1} tau_m' (each summand is s-independent)."""
+    if k < 0:
+        raise QKernelError(f"mu_k needs k >= 0, got {k}")
+    total = complex(lam)
+    for m in range(k):
+        total += tau_k_coeffs(eq, float(m)).slope
+    return total
+
+
+def a_nk(eq: EquationData, n: int, k: int) -> complex:
+    """A_{n,k} = [n]_q!/[n-k]_q! prod_{m=0}^{k-1} {alpha_q(n+m-1) tau~' + [n+m-1]_q sigma~''/2}."""
+    if not 0 <= k <= n:
+        raise QKernelError(f"need 0 <= k <= n, got n={n} k={k}")
+    base = eq.base
+    out = complex(q_factorial(n, base) / q_factorial(n - k, base))
+    for m in range(k):
+        factor = -lam_ratio(eq, n + m)
+        if abs(factor) == 0.0:
+            raise QKernelError(
+                f"admissibility failure: alpha_q({n+m-1}) tau~' + [{n+m-1}]_q sigma~''/2 = 0"
+            )
+        out *= factor
+    return out
+
+
+def leading_coeff(eq: EquationData, n: int) -> complex:
+    """a_n = B_n prod_{k=0}^{n-1} {alpha_q(n+k-1) tau~' + [n+k-1]_q sigma~''/2}."""
+    out = eq.B_n(n)
+    for k in range(n):
+        factor = -lam_ratio(eq, n + k)
+        if abs(factor) == 0.0:
+            raise QKernelError(f"admissibility failure in a_{n}: zero factor at k={k}")
+        out *= factor
+    return out
+
+
+def ttrr_coeffs_generic(eq: EquationData, n: int, dn_ratio) -> tuple:
+    """Generic three-term recurrence coefficients for x P_n = alpha_n P_{n+1}
+    + beta_n P_n + gamma_n P_{n-1}:
+
+        alpha_n = a_n/a_{n+1},
+        beta_n  = b_n/a_n - b_{n+1}/a_{n+1},
+        gamma_n = (a_{n-1}/a_n) * dn_ratio,
+
+    with dn_ratio = d_n^2/d_{n-1}^2 supplied by the caller so the routine
+    never silently depends on a support choice.  gamma_0 is returned as 0.
+    """
+    alpha = leading_coeff(eq, n) / leading_coeff(eq, n + 1)
+    beta = beta_generic(eq, n)
+    if n == 0:
+        gamma = complex(0.0)
+    else:
+        gamma = leading_coeff(eq, n - 1) / leading_coeff(eq, n) * complex(dn_ratio)
+    return alpha, beta, gamma
+
+
+def pn_monic(fam, n: int, s) -> complex:
+    """Monic-normalization value P_n / a_n."""
+    return fam.pn_ttrr(n, s) / fam.coeffs.a_n(n)
 
 
 def sigma_eval(eq: EquationData, s) -> complex:
@@ -431,3 +622,177 @@ def d_n_sq_discrete(eq: EquationData, weight: WeightTable, n: int, a, b) -> comp
     return require_finite(
         sign * a_nk(eq, n, n) * eq.B_n(n) ** 2 * total, "discrete d_n^2"
     )
+
+
+def h_mp(fam, n: int) -> complex:
+    """h-+(n) = lambda_{2n}/[2n]_q lambda_{2n+2}/[2n+2]_q alpha_n gamma_{n+1},
+    from the scalar lam_ratio."""
+    t = fam.coeffs
+    lr = lambda m: lam_ratio(fam.eq, m)
+    return lr(2.0 * n) * lr(2.0 * n + 2.0) * t.alpha(n) * t.gamma(n + 1)
+
+
+def run_suite_cases(fam, suite: str, ns):
+    """`suite_cases` with the sweep `checks.run_suite` hands the suite for
+    the n range ns on the default grid."""
+    from qladder.checks import default_grid
+
+    grid, top = default_grid(fam), max(ns)
+    if suite == "uv_shift":
+        ns = range(0, top + 2)
+    elif suite == "h_remark":
+        ns = range(1, top + 2)
+    elif suite == "poly_ladder":
+        ns = range(1, top + 2)
+    elif suite == "bootstrap":
+        ns = range(min(top, 4) + 1)
+        grid = [complex(grid[0]) + k for k in range(len(grid))]
+    return suite_cases(fam, suite, list(ns), grid)
+
+
+def suite_cases(fam, suite: str, ns, grid):
+    """(n, label, residual, note) of one ladder suite, evaluated point by
+    point through the reference operators, apply_scaled, PhiChain, the
+    scalar recurrence and the scalar weight, in the suite's case order.
+    poly_ladder checks n = 1..max(ns) (and n = 0 at two points); bootstrap
+    climbs to N = max(ns) on the chain through the grid."""
+    eq, lat = fam.eq, fam.lattice
+    out = []
+    if suite in ("eigen", "raising", "lowering"):
+        for s in map(complex, grid):
+            chain = PhiChain(fam, s, -1, 1)
+            for n in ns:
+                f = chain.fn(n)
+                if suite == "eigen":
+                    H = hamiltonian(fam, n)
+                    terms = (H.c_minus(s) * f(s - 1.0), H.c_zero(s) * f(s),
+                             H.c_plus(s) * f(s + 1.0))
+                    out.append((n, f"{s:.6g}", rel_residual(sum(terms), terms), ""))
+                    continue
+                if suite == "raising":
+                    op = raising_op(fam, n)
+                    target = fam.coeffs.alpha(n) * lam_ratio(eq, 2.0 * n) * chain.fn(n + 1)(s)
+                else:
+                    op = lowering_op(fam, n)
+                    target = (fam.coeffs.gamma(n) * lam_ratio(eq, 2.0 * n) * chain.fn(n - 1)(s)
+                              if n >= 1 else 0j)
+                got = op.apply(f, s)
+                terms = (got, target, op.c_zero(s) * f(s))
+                out.append((n, f"{s:.6g}", rel_residual(got - target, terms), ""))
+    elif suite == "uv_shift":
+        for n in ns:
+            for s in map(complex, grid):
+                uu, vv = u_fn(fam, n, s + 1.0), v_fn(fam, n + 1, s)
+                out.append((n, f"{s:.6g}", rel_residual(uu - vv, (uu, vv)), ""))
+    elif suite == "h_s_independence":
+        for n in ns:
+            A = lambda t: lam_tau_ratio(eq, n, t)
+            lam, hm = lambda_n(eq, n), h_mp(fam, n)
+            for s in map(complex, grid):
+                p1 = (A(s + 1.0) - sigma_over_nabla(eq, s + 1.0)) * (A(s) - lam * lat.delta_x_mid(s))
+                p2 = A(s + 1.0) * theta_over_delta(eq, s)
+                out.append((n, f"{s:.6g}", rel_residual(p1 + p2 - hm, (p1, p2, hm)), "minusplus"))
+            if n >= 1:
+                hp, L2, beta = h_mp(fam, n - 1), lam_ratio(eq, 2.0 * n), fam.coeffs.beta(n)
+                B = lambda t: -A(t) + L2 * (lat.x(t) - beta)
+                for s in map(complex, grid):
+                    p1 = (B(s - 1.0) + lam * lat.delta_x_mid(s - 1.0)) * (
+                        B(s) + sigma_over_nabla(eq, s))
+                    p2 = -B(s) * theta_over_delta(eq, s - 1.0)
+                    out.append((n, f"{s:.6g}", rel_residual(p1 + p2 - hp, (p1, p2, hp)),
+                                "plusminus"))
+    elif suite == "factorization":
+        for n in ns:
+            Lp, Lm = raising_op(fam, n), lowering_op(fam, n + 1)
+            Hn, Hn1 = hamiltonian(fam, n), hamiltonian(fam, n + 1)
+            h = h_mp(fam, n)
+            for s in map(complex, grid):
+                chain = PhiChain(fam, s, -2, 2)
+                probes = [(f"x^{j}", lambda t, j=j: lat.x(t) ** j) for j in range(4)]
+                probes.append((f"phi_{n}", chain.fn(n)))
+                for tag, f in probes:
+                    for order, outer, inner, H, u in (
+                        ("minus-plus", Lm, Lp, Hn, u_fn(fam, n, s + 1.0)),
+                        ("plus-minus", Lp, Lm, Hn1, u_fn(fam, n, s)),
+                    ):
+                        t1, sc1 = apply_scaled(outer, inner.applied(f), s, inner=(inner, f))
+                        t2 = h * f(s)
+                        hf, schf = apply_scaled(H, f, s)
+                        scale = max(sc1, modulus(t2), modulus(u) * schf, 1e-300)
+                        out.append((n, f"{s:.6g}", modulus(t1 - t2 - u * hf) / scale,
+                                    f"{order} {tag}"))
+    elif suite == "ttrr_phi":
+        t = fam.coeffs
+        for n in ns:
+            for s in map(complex, grid):
+                P = lambda k: fam.pn_ttrr(k, s) if k >= 0 else 0.0
+                terms = (t.alpha(n) * P(n + 1), t.gamma(n) * P(n - 1),
+                         (t.beta(n) - lat.x(s)) * P(n))
+                out.append((n, f"{s:.6g}", rel_residual(sum(terms), terms), ""))
+    elif suite == "h_remark":
+        t = fam.coeffs
+        for n in ns:
+            m = n + 1  # h+-(m) = lambda_{2m-2}/[2m-2]_q lambda_{2m}/[2m]_q alpha_{m-1} gamma_m
+            a = lam_ratio(eq, 2.0 * m - 2.0) * lam_ratio(eq, 2.0 * m) * t.alpha(m - 1) * t.gamma(m)
+            b = h_mp(fam, n)
+            out.append((n, "-", rel_residual(a - b, (a, b)), ""))
+    elif suite == "poly_ladder":
+        t, pn = fam.coeffs, fam.pn_ttrr
+        for n in ns:
+            for s in grid:
+                label = f"{complex(s):.4g}"
+                out.append((n, label, check_poly_raising(eq, pn, n, s, t.alpha(n)), "raising"))
+                out.append((n, label, check_poly_lowering(eq, pn, n, s, t.beta(n), t.gamma(n)),
+                            "lowering"))
+        out += [(0, f"{complex(s):.4g}", check_poly_lowering(eq, pn, 0, s, t.beta(0), 0.0),
+                 "lowering n=0") for s in grid[:2]]
+    elif suite == "bootstrap":
+        out = _bootstrap_cases(fam, max(ns), grid)
+    else:
+        raise ValueError(f"no point-by-point reference for {suite!r}")
+    return out
+
+
+def _bootstrap_cases(fam, N: int, grid):
+    """The bootstrap suite point by point: phi_0 from the ratio recurrence of
+    L-(s,0) phi_0 = 0, normalized against the pointwise phi_0 where its
+    branch agrees with the chain's, then N raising steps, each level against
+    the direct phi_n up to one constant."""
+    from qladder.ladder import OrthonormalFamily, _d_ratio_up, _phi_pointwise_ok
+
+    of, eq, lat, t = OrthonormalFamily(fam), fam.eq, fam.lattice, fam.coeffs
+    s0 = complex(grid[0])
+    offs = [round((complex(s) - s0).real) for s in grid]
+    lo, hi = min(offs) - N, max(offs)
+    nonneg = lambda z: abs(z.imag) <= 1e-10 * max(1.0, abs(z)) and \
+        z.real >= -1e-12 * max(1.0, abs(z))
+    ok = lambda s: (_phi_pointwise_ok(of, s) and nonneg(sigma_eval(eq, s))
+                    and nonneg(theta_eval(eq, s)))
+    vals = [complex(1.0)]
+    for k in range(lo, hi):
+        s = s0 + k
+        vals.append(-v_fn(fam, 0, s) * lat.delta_x(s) * vals[-1] / sqrt_ts_plus(fam, s))
+    i0 = offs[0] - lo
+    anchor = of.phi(0, s0) if ok(s0) else complex(1.0)
+    cur = [v * (anchor / vals[i0] if vals[i0] != 0 else 1.0) for v in vals]
+    table = {0: dict(zip(range(lo, hi + 1), cur))}
+    for n in range(N):
+        coef, dr = t.alpha(n) * lam_ratio(eq, 2.0 * n), _d_ratio_up(fam, n)
+        div = coef * dr if dr is not None else coef
+        cur = [(u_fn(fam, n, s0 + k) * cur[j + 1] + e_minus(fam, s0 + k) * cur[j]) / div
+               for j, k in enumerate(range(lo + n + 1, hi + 1))]
+        table[n + 1] = dict(zip(range(lo + n + 1, hi + 1), cur))
+    if all(ok(s0 + k) for k in range(lo, hi + 1)):
+        direct = lambda n, k: of.phi(n, s0 + k)
+    else:
+        w = weight_chain(fam, s0, lo, hi)
+        direct = lambda n, k: w[k] * fam.pn_ttrr(n, s0 + k)
+    out = []
+    for n in range(N + 1):
+        d = {k: direct(n, k) for k in offs}
+        k0 = next(k for k in offs if abs(d[k]) > 1e-14)
+        const = table[n][k0] / d[k0]
+        scale = max(max(abs(v) for v in d.values()), 1e-30)
+        out += [(n, f"{s0 + k:.6g}", abs(table[n][k] - const * d[k]) / (abs(const) * scale), "")
+                for k in offs]
+    return out

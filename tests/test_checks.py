@@ -86,3 +86,16 @@ def test_readme_suite_list_is_the_table():
     listed = text[text.index("\nSuites: "):]
     listed = listed[:listed.index("or `all`")]
     assert tuple(re.findall(r"`(\w+)`", listed)) == SUITE_NAMES
+
+
+def test_max_residual_follows_the_case_list():
+    from qladder.report import CaseRecord, CheckReport
+
+    rep = CheckReport("eigen", "identity", "asc1", tolerance=1e-11)
+    assert rep.max_residual == 0.0 and rep.passed
+    rep.cases.append(CaseRecord(1, "0.5", 2e-12))
+    assert rep.max_residual == 2e-12 and rep.passed
+    rep.cases.append(CaseRecord(2, "0.5", 5e-11))
+    assert rep.max_residual == 5e-11 and not rep.passed
+    rep.cases = [CaseRecord(1, "0.5", 1e-13)]
+    assert rep.max_residual == 1e-13 and rep.passed

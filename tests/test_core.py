@@ -9,17 +9,11 @@ import pytest
 
 from qladder.hypergeometric_core import (
     EquationData,
-    a_nk,
-    b_over_a,
     lam_ratio,
-    lambda_n,
-    leading_coeff,
-    mu_k,
     pearson_weight,
     rel_residual,
     rodrigues_values,
     tau_k_coeffs,
-    ttrr_coeffs_generic,
 )
 from qladder.checks import default_grid, rodrigues_suite
 from qladder.families import make_family, reference_params
@@ -29,9 +23,14 @@ from qladder.qkernel import QBase, QKernelError, q_number
 import pointwise
 from conftest import FAMILY_NAMES, assert_matches_reference, grid_for
 from pointwise import (
+    a_nk,
+    b_over_a,
     check_poly_lowering,
     check_poly_raising,
     d_n_sq_discrete,
+    lambda_n,
+    leading_coeff,
+    mu_k,
     rho_n,
     rodrigues_eval,
     sigma_eval,
@@ -39,6 +38,7 @@ from pointwise import (
     tau_eval,
     tau_k_eval_direct,
     theta_eval,
+    ttrr_coeffs_generic,
 )
 
 

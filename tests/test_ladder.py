@@ -8,17 +8,19 @@ from qladder import ladder as L
 from qladder.families import make_family, reference_params
 import numpy as np
 
-from qladder.hypergeometric_core import (
-    lam_ratio,
-    lam_tau_ratio,
-    lambda_n,
-    rel_residual,
-)
+from qladder.hypergeometric_core import lam_ratio, rel_residual
 from qladder.lattice import Lattice
 from qladder.qkernel import QBase, QKernelError, q_number
 
 import pointwise as pw
-from pointwise import sigma_eval, sigma_over_nabla, theta_eval, theta_over_delta
+from pointwise import (
+    lam_tau_ratio,
+    lambda_n,
+    sigma_eval,
+    sigma_over_nabla,
+    theta_eval,
+    theta_over_delta,
+)
 from conftest import FAMILY_NAMES, grid_for
 
 SWEEP_NS = list(range(1, 7))
@@ -75,7 +77,7 @@ def test_phi_normalization_invariance(families):
         a_n = fam.a_n(n)
         phi_monic_route = (
             cmath.sqrt(of.rho_at_s(s))
-            * fam.pn_monic(n, s)
+            * pw.pn_monic(fam, n, s)
             / cmath.sqrt(fam.norm_sq(n) / a_n**2)
         )
         assert phi == pytest.approx(phi_monic_route, rel=1e-12)
@@ -118,7 +120,7 @@ def test_eigen_equation_sweep(families):
 def test_eigen_nondegenerate_for_wrong_index(families):
     fam = families["big_q_jacobi"]
     g = L.StencilGrid(fam, [0.25], 1)
-    H = g.hamiltonian(2)
+    H = pw.grid_hamiltonian(g, 2)
     f = L._by_offset(g.phi(4)[0])  # phi_4 is not annihilated by H(.,2)
     terms = (
         complex(H.c_minus(0)[0]) * f(-1),
@@ -135,7 +137,7 @@ def test_qdh_hamiltonian_display_coefficients(families):
     q = fam.base.q
     qn = lambda k: q_number(k, fam.base)
     grid = grid_for("q_dual_hahn", 4)
-    H = L.StencilGrid(fam, grid, 1).hamiltonian(2)
+    H = pw.grid_hamiltonian(L.StencilGrid(fam, grid, 1), 2)
     for i, s in enumerate(grid):
         cm = complex(H.c_minus(0)[i])
         want = (
@@ -165,7 +167,7 @@ def test_cqh_hamiltonian_display_coefficients(families):
     fam = families["continuous_q_hermite"]
     q = fam.base.q
     grid = grid_for("continuous_q_hermite", 4)
-    H = L.StencilGrid(fam, grid, 1).hamiltonian(1)
+    H = pw.grid_hamiltonian(L.StencilGrid(fam, grid, 1), 1)
     for i, s in enumerate(grid):
         s = complex(s)
         cm = complex(H.c_minus(0)[i])
@@ -234,7 +236,7 @@ def test_ladder_actions_sweep(families):
 def test_lowering_annihilates_phi0(families):
     fam = families["q_dual_hahn"]
     g = L.StencilGrid(fam, [1.3], 1)
-    op = g.lowering(0)
+    op = pw.grid_lowering(g, 0)
     f = L._by_offset(g.phi(0)[0])
     got = complex(op.apply(f, 0)[0])
     scale = max(abs(complex(op.c_zero(0)[0]) * f(0)), 1e-12)
@@ -248,8 +250,8 @@ def test_ladder_round_trip(families):
         g = L.StencilGrid(fam, grid_for(name, 3), 2)
         for n in (1, 3, 5):
             h = L.h_minusplus(fam, n)
-            Lp = g.raising(n)
-            Lm = g.lowering(n + 1)
+            Lp = pw.grid_raising(g, n)
+            Lm = pw.grid_lowering(g, n + 1)
             f = L._by_offset(g.phi(n))
             got = Lm.apply(Lp.applied(f), 0)
             want = h * f(0)
@@ -331,15 +333,15 @@ def test_factorization_probe_scale_invariance(families):
     fam = families["big_q_jacobi"]
     n = 2
     g = L.StencilGrid(fam, [0.25], 2)
-    Lp = g.raising(n)
-    Lm = g.lowering(n + 1)
-    Hn = g.hamiltonian(n)
+    Lp = pw.grid_raising(g, n)
+    Lm = pw.grid_lowering(g, n + 1)
+    Hn = pw.grid_hamiltonian(g, n)
     h = L.h_minusplus(fam, n)
 
     def resid(scale):
         f = L._by_offset(scale * (g.x[0] ** 2 + 0.7))
-        t1, sc1 = L._apply_scaled(Lm, Lp.applied(f), 0, inner=(Lp, f))
-        hf, schf = L._apply_scaled(Hn, f, 0)
+        t1, sc1 = pw.apply_scaled(Lm, Lp.applied(f), 0, inner=(Lp, f))
+        hf, schf = pw.apply_scaled(Hn, f, 0)
         u1 = Lp.c_zero(1)[0]
         t1, sc1, hf, schf = t1[0], sc1[0], hf[0], schf[0]
         sc = max(sc1, abs(h * f(0)), abs(u1) * schf)
@@ -369,7 +371,7 @@ def test_bootstrap_sweep(families):
 def test_bootstrap_n0_only(families):
     fam = families["q_dual_hahn"]
     of = L.OrthonormalFamily(fam)
-    table = L.ladder_bootstrap(of, 0, [1.3 + k for k in range(3)])
+    table = L._bootstrap(of, 0, [1.3 + k for k in range(3)])[0]
     assert set(table) == {0}
     # phi_0 proportional to sqrt(rho): ratios match
     vals = table[0]
@@ -441,7 +443,7 @@ def test_chain_weight_squares_to_pearson_ratio(families):
 
 
 def test_three_point_operator_application():
-    op = L.ThreePointOperator(
+    op = pw.ThreePointOperator(
         c_minus=lambda s: 2.0, c_zero=lambda s: -1.0, c_plus=lambda s: 0.5
     )
     f = lambda s: complex(s) ** 2
@@ -457,78 +459,6 @@ BATCHED_SUITES = ("eigen", "raising", "lowering", "uv_shift", "h_s_independence"
                   "factorization")
 
 
-def _scalar_suite_cases(fam, suite, ns, grid):
-    """(n, label, residual, note) of one point-local suite, evaluated point by
-    point through the reference operators of `pointwise`, _apply_scaled and
-    PhiChain, in the suite's case order."""
-    eq, lat = fam.eq, fam.lattice
-    out = []
-    if suite in ("eigen", "raising", "lowering"):
-        for s in map(complex, grid):
-            chain = pw.PhiChain(fam, s, -1, 1)
-            for n in ns:
-                f = chain.fn(n)
-                if suite == "eigen":
-                    H = pw.hamiltonian(fam, n)
-                    terms = (H.c_minus(s) * f(s - 1.0), H.c_zero(s) * f(s),
-                             H.c_plus(s) * f(s + 1.0))
-                    out.append((n, f"{s:.6g}", rel_residual(sum(terms), terms), ""))
-                    continue
-                if suite == "raising":
-                    op = pw.raising_op(fam, n)
-                    target = fam.coeffs.alpha(n) * lam_ratio(eq, 2.0 * n) * chain.fn(n + 1)(s)
-                else:
-                    op = pw.lowering_op(fam, n)
-                    target = (fam.coeffs.gamma(n) * lam_ratio(eq, 2.0 * n) * chain.fn(n - 1)(s)
-                              if n >= 1 else 0j)
-                got = op.apply(f, s)
-                terms = (got, target, op.c_zero(s) * f(s))
-                out.append((n, f"{s:.6g}", rel_residual(got - target, terms), ""))
-    elif suite == "uv_shift":
-        for n in ns:
-            for s in map(complex, grid):
-                uu, vv = pw.u_fn(fam, n, s + 1.0), pw.v_fn(fam, n + 1, s)
-                out.append((n, f"{s:.6g}", rel_residual(uu - vv, (uu, vv)), ""))
-    elif suite == "h_s_independence":
-        for n in ns:
-            A = lambda t: lam_tau_ratio(eq, n, t)
-            lam, hm = lambda_n(eq, n), L.h_minusplus(fam, n)
-            for s in map(complex, grid):
-                p1 = (A(s + 1.0) - sigma_over_nabla(eq, s + 1.0)) * (A(s) - lam * lat.delta_x_mid(s))
-                p2 = A(s + 1.0) * theta_over_delta(eq, s)
-                out.append((n, f"{s:.6g}", rel_residual(p1 + p2 - hm, (p1, p2, hm)), "minusplus"))
-            if n >= 1:
-                hp, L2, beta = L.h_plusminus(fam, n), lam_ratio(eq, 2.0 * n), fam.coeffs.beta(n)
-                B = lambda t: -A(t) + L2 * (lat.x(t) - beta)
-                for s in map(complex, grid):
-                    p1 = (B(s - 1.0) + lam * lat.delta_x_mid(s - 1.0)) * (
-                        B(s) + sigma_over_nabla(eq, s))
-                    p2 = -B(s) * theta_over_delta(eq, s - 1.0)
-                    out.append((n, f"{s:.6g}", rel_residual(p1 + p2 - hp, (p1, p2, hp)),
-                                "plusminus"))
-    else:
-        for n in ns:
-            Lp, Lm = pw.raising_op(fam, n), pw.lowering_op(fam, n + 1)
-            Hn, Hn1 = pw.hamiltonian(fam, n), pw.hamiltonian(fam, n + 1)
-            h = L.h_minusplus(fam, n)
-            for s in map(complex, grid):
-                chain = pw.PhiChain(fam, s, -2, 2)
-                probes = [(f"x^{j}", lambda t, j=j: lat.x(t) ** j) for j in range(4)]
-                probes.append((f"phi_{n}", chain.fn(n)))
-                for tag, f in probes:
-                    for order, outer, inner, H, u in (
-                        ("minus-plus", Lm, Lp, Hn, pw.u_fn(fam, n, s + 1.0)),
-                        ("plus-minus", Lp, Lm, Hn1, pw.u_fn(fam, n, s)),
-                    ):
-                        t1, sc1 = L._apply_scaled(outer, inner.applied(f), s, inner=(inner, f))
-                        t2 = h * f(s)
-                        hf, schf = L._apply_scaled(H, f, s)
-                        scale = max(sc1, abs(t2), abs(u) * schf, 1e-300)
-                        out.append((n, f"{s:.6g}", abs(t1 - t2 - u * hf) / scale,
-                                    f"{order} {tag}"))
-    return out
-
-
 @pytest.mark.parametrize("suite", BATCHED_SUITES)
 @pytest.mark.parametrize("name", FAMILY_NAMES + ("q_dual_hahn_perturbed",))
 def test_batched_suite_matches_scalar_operators(families, name, suite):
@@ -539,7 +469,7 @@ def test_batched_suite_matches_scalar_operators(families, name, suite):
     grid = grid_for(fam.name)
     ns = list(range(0, 7)) if suite == "uv_shift" else list(range(1, 6))
     got = getattr(L, f"check_{suite}")(fam, ns, grid).cases
-    want = _scalar_suite_cases(fam, suite, ns, grid)
+    want = pw.suite_cases(fam, suite, ns, grid)
     assert [(c.n, c.s, c.note) for c in got] == [(n, s, note) for n, s, _, note in want]
     worst = max(abs(c.residual - r) for c, (_, _, r, _) in zip(got, want))
     assert worst < 1e-13, (name, suite, worst)
@@ -611,8 +541,8 @@ def test_selfadjoint_matches_per_pair_scalar_sums(families, drop_last):
     grid = fam.support.grid_points[:len(fam.support.grid_points) - drop_last]
     got = L.check_selfadjoint(of, pairs, drop_last=drop_last).cases
     for (n, m), case in zip(pairs, got):
-        ta = [of.phi(m, s) * of.apply_reduced("H", n, s, op_n=n) for s in grid]
-        tb = [of.phi(n, s) * of.apply_reduced("H", m, s, op_n=n) for s in grid]
+        ta = [of.phi(m, s) * pw.apply_reduced(of, "H", n, s, op_n=n) for s in grid]
+        tb = [of.phi(n, s) * pw.apply_reduced(of, "H", m, s, op_n=n) for s in grid]
         a, b = sum(ta), sum(tb)
         scale = max(abs(a), abs(b), *map(abs, ta + tb), 1e-30)
         assert case.residual == pytest.approx(abs(a - b) / scale, rel=1e-9, abs=1e-13)
@@ -628,8 +558,8 @@ def test_selfadjoint_pairs_beyond_finite_family_out_of_range():
 
 
 def _reduced_pointwise(of, which, n, s, op_n=None):
-    """`apply_reduced` point by point from the scalar coefficient functions,
-    the form the node-array version replaced."""
+    """`pointwise.apply_reduced` point by point from the scalar coefficient
+    functions, the form the node-array version replaced."""
     fam = of.family
     eq = fam.eq
     s = complex(s)
@@ -654,8 +584,8 @@ def test_apply_reduced_on_node_arrays_matches_pointwise(families, which):
     nodes = np.array(fam.support.grid_points, dtype=complex)
     for n in range(5):
         want = [_reduced_pointwise(of, which, n, s, op_n=2) for s in nodes]
-        assert of.apply_reduced(which, n, nodes, op_n=2).tolist() == want
-        assert [of.apply_reduced(which, n, s, op_n=2) for s in nodes] == want
+        assert pw.apply_reduced(of, which, n, nodes, op_n=2).tolist() == want
+        assert [pw.apply_reduced(of, which, n, s, op_n=2) for s in nodes] == want
 
 
 def test_adjoint_one_weight_pass_matches_per_node_sums(families):

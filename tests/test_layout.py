@@ -8,7 +8,9 @@ families.py spells a family name.
 sigma, Theta and the ladder coefficients have one implementation: the
 library evaluates them on `StencilGrid` and `LatticeTable` arrays, and the
 point-by-point evaluators live in tests/pointwise.py as the reference, so
-no library module defines, imports or reads one.
+no library module defines, imports or reads one.  The same holds for the
+per-n products, monic values, closed-form accessors, module-level table
+twins and operator objects that only the tests use.
 """
 
 import ast
@@ -21,6 +23,9 @@ MODULES = sorted(SRC.glob("*.py"))
 FAMILY_STRINGS = set(families.FAMILY_NAMES) | set(families._ALIASES)
 POINTWISE_ONLY = {"sigma_eval", "theta_eval", "tau_eval", "sigma_over_nabla",
                   "theta_over_delta", "check_poly_raising", "check_poly_lowering"}
+TEST_ONLY = {"mu_k", "a_nk", "leading_coeff", "ttrr_coeffs_generic", "pn_monic",
+             "lambda_closed", "lam_tau_ratio", "ThreePointOperator",
+             "apply_scaled", "_apply_scaled", "apply_reduced", "ladder_bootstrap"}
 
 
 def _tree(path):
@@ -76,3 +81,13 @@ def test_no_module_defines_or_imports_a_pointwise_evaluator():
                 if name in POINTWISE_ONLY:
                     found.append(f"{path.name}:{getattr(node, 'lineno', '?')} {name}")
     assert not found, f"point-by-point evaluators in the library: {found}"
+
+
+def test_no_module_defines_or_reads_a_test_only_name():
+    found = []
+    for path in MODULES:
+        for node in ast.walk(_tree(path)):
+            for name in _names(node):
+                if name in TEST_ONLY:
+                    found.append(f"{path.name}:{getattr(node, 'lineno', '?')} {name}")
+    assert not found, f"test-only code in the library: {found}"
