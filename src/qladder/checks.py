@@ -336,7 +336,7 @@ def orthonormality_suite(fam, tolerance: float | None = None) -> CheckReport:
     N = 4 if kind == "discrete_grid" else 3
     if fam.n_max is not None:
         N = min(N, fam.n_max)
-    G = gram_matrix(of, N)
+    G, _ = gram_matrix(of, N)
     for n in range(N + 1):
         for m in range(n, N + 1):
             target = 1.0 if n == m else 0.0

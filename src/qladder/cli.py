@@ -25,7 +25,7 @@ from .families import (
 from .hypergeometric_core import _sigma_at, _theta_at, tau_tilde
 from .ladder import OrthonormalFamily, _phi_pointwise_ok
 from .lattice import LatticeTable
-from .orthogonality import QUADRATURE_RULE, continuous_inner_aw_converged, gram_matrix
+from .orthogonality import QUADRATURE_RULE, gram_matrix
 from .qkernel import QBase, QKernelError
 from .report import SCHEMA_ID, dumps_reports
 
@@ -361,7 +361,7 @@ def cmd_gram(cfg: RunConfig) -> int:
     fam = _build_family(cfg)
     of = OrthonormalFamily(fam)
     N = cfg.n_max
-    G = gram_matrix(of, N)
+    G, history = gram_matrix(of, N)
     off = 0.0
     diag = 0.0
     for n in range(N + 1):
@@ -384,14 +384,10 @@ def cmd_gram(cfg: RunConfig) -> int:
         "max_diag_deviation": diag,
     }
     if fam.support.kind == "continuous_interval":
-        dens = fam.closed.displays["weight_density"]
-        _, history = continuous_inner_aw_converged(
-            lambda x: fam.pn_ttrr_x(N, x), lambda x: fam.pn_ttrr_x(N, x), dens,
-            scale=abs(fam.norm_sq(N)),
-        )
+        # the Gram's own doubling loop, by its unnormalised integral of P_N^2 w
         payload["quadrature"] = {
             "rule": QUADRATURE_RULE,
-            "node_history": [[nodes, [v.real, v.imag]] for nodes, v in history],
+            "node_history": [[nodes, [v[N, N].real, v[N, N].imag]] for nodes, v in history],
         }
     _emit(json.dumps(payload), cfg.out)
     return EXIT_OK

@@ -980,10 +980,29 @@ def _aw_equation_data(a, b, c, d, base: QBase) -> EquationData:
 
 def _aw_weights(a, b, c, d, base: QBase):
     """h(x, alpha), the tabulated weight omega(x) and the positive density of
-    the Askey--Wilson measure (q-Hermite at a = b = c = d = 0)."""
+    the Askey--Wilson measure (q-Hermite at a = b = c = d = 0).
+
+    The weight and the density are the ratio of eight h-products,
+
+        h(x, 1) h(x, -1) h(x, sqrt q) h(x, -sqrt q) / (den0 h(x, a) h(x, b) h(x, c) h(x, d)),
+
+    h(x, alpha) = prod_k (1 - 2 alpha q^k x + alpha^2 q^{2k}), each product
+    taken while |alpha q^k| > 1e-17.  The table of q-power sequences holds,
+    per alpha and k, the factor constants 2 alpha q^k and alpha^2 q^{2k}
+    (alpha q^k by repeated multiplication, as `h_pair` forms it); it is
+    built on the first evaluation, so making a family costs nothing.  On an
+    ndarray x all eight products run in one loop over k on a stacked
+    (8, x.size) array, a row left as it is once its sequence has ended.  A
+    scalar x keeps the per-alpha Python loop over the same table: numpy's
+    complex loops round some products differently from Python's complex
+    arithmetic, and a scalar routed through numpy moves pearson residuals.
+    Either way each entry equals the `h_pair` products bit for bit.
+    """
     q = base.q
     kq = base.k_q
     rq = math.sqrt(q)
+    alphas = (1.0, -1.0, rq, -rq, a, b, c, d)
+    tables = []  # built on the first evaluation
 
     def h_pair(x, alpha):
         # h(x, alpha) = prod_k (1 - 2 alpha x q^k + alpha^2 q^{2k})
@@ -994,14 +1013,58 @@ def _aw_weights(a, b, c, d, base: QBase):
             aq *= q
         return out
 
+    def table():
+        """Per alpha, the list [(2 alpha q^k, alpha^2 q^{2k}), ...]; and the
+        same stacked for arrays: the rank of each alpha's row (rows by
+        falling length), the constants as (2, k, row) and, per k, the number
+        of rows whose sequence has not ended."""
+        if not tables:
+            rows = []
+            for alpha in alphas:
+                row, aq = [], complex(alpha)
+                while abs(aq) > 1e-17:
+                    row.append((2.0 * aq, aq * aq))
+                    aq *= q
+                rows.append(row)
+            order = sorted(range(len(rows)), key=lambda i: -len(rows[i]))
+            lens = np.array([len(rows[i]) for i in order])
+            consts = np.zeros((2, lens[0], len(rows)), dtype=complex)
+            for r, i in enumerate(order):
+                if rows[i]:
+                    consts[:, :lens[r], r] = np.array(rows[i]).T
+            live = np.count_nonzero(np.arange(lens[0])[:, None] < lens, axis=1).tolist()
+            tables.extend((rows, np.argsort(order).tolist(), consts, live))
+        return tables
+
+    def h_products(x):
+        rows, rank, (two_aq, aq_sq), live = table()
+        if not isinstance(x, np.ndarray):
+            out = []
+            for row in rows:
+                h = complex(1.0)
+                for c2, c0 in row:
+                    h *= 1.0 - c2 * x + c0
+                out.append(h)
+            return out
+        flat = x.reshape(-1).astype(complex)  # cast once, not at every k
+        prods = np.ones((len(rows), flat.size), dtype=complex)
+        factor = np.empty_like(prods)  # one buffer: no temporary arrays per k
+        for k, m in enumerate(live):
+            f = factor[:m]
+            np.multiply(two_aq[k, :m, None], flat, out=f)
+            np.subtract(1.0, f, out=f)
+            np.add(f, aq_sq[k, :m, None], out=f)
+            prods[:m] *= f
+        return [prods[r].reshape(x.shape) for r in rank]
+
     def h_ratio(x, den0):
-        # h(x,1) h(x,-1) h(x,sqrt q) h(x,-sqrt q) / (den0 h(x,a) h(x,b) h(x,c) h(x,d))
-        num = h_pair(x, 1.0) * h_pair(x, -1.0) * h_pair(x, rq) * h_pair(x, -rq)
-        return num / (den0 * h_pair(x, a) * h_pair(x, b) * h_pair(x, c) * h_pair(x, d))
+        h1, hm1, hrq, hmrq, ha, hb, hc, hd = h_products(x)
+        return h1 * hm1 * hrq * hmrq / (den0 * ha * hb * hc * hd)
 
     def weight(x):
         # tabulated omega(x); carries the (negative for q<1) kappa_q factor
-        x = complex(x)
+        if not isinstance(x, np.ndarray):
+            x = complex(x)
         return h_ratio(x, 2.0 * math.pi * kq * (1.0 - x * x))
 
     def weight_density(x):

@@ -48,7 +48,7 @@ from functools import cached_property, reduce, wraps
 import numpy as np
 
 from .hypergeometric_core import _limit_ratio, _sigma_at, _theta_at, rel_residual
-from .lattice import _cdiv
+from .lattice import DegenerateStepError, _cdiv
 from .orthogonality import InnerProductSpec, discrete_inner
 from .qkernel import QKernelError
 from .report import CaseRecord, CheckReport
@@ -406,13 +406,29 @@ class StencilGrid:
         """The E^- coefficient of H and L+, sqrt(Theta(s-1) sigma(s))/nabla x(s),
         on the L+ offsets."""
         m = self.margin
-        return _cdiv(self.roots[:, m - 1:2 * m - 1], self.nabla)
+        return self._over_step(self.roots[:, m - 1:2 * m - 1], self.nabla, self._plus,
+                               "nabla x")
 
     @_grid_array
     def e_plus(self):
         """The E^+ coefficient of H and L-, sqrt(Theta(s) sigma(s+1))/Delta x(s),
         on the L- offsets."""
-        return _cdiv(self.roots[:, self._minus], self.delta)
+        return self._over_step(self.roots[:, self._minus], self.delta, self._minus,
+                               "Delta x")
+
+    def _over_step(self, root, step, cols, name):
+        """root / step on the offsets `cols`.  A degenerate step raises
+        DegenerateStepError naming its point, in the words of the CLI's grid
+        check, where the division would raise a bare FloatingPointError."""
+        bad = self.fam.lattice.is_degenerate_step(step)
+        if bad.any():
+            i, k = np.argwhere(bad)[0]
+            s, t = self.s[i], self.t[i, cols][k]
+            where = "" if t == s else f" at {t:.6g} on its chain"
+            raise DegenerateStepError(f"grid point {s:.6g} is degenerate ({name} vanishes"
+                                      f"{where}); choose a grid excluding lattice symmetry "
+                                      "points")
+        return _cdiv(root, step)
 
     @_grid_array
     def w(self):

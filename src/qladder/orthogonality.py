@@ -18,7 +18,11 @@ The continuous Askey--Wilson quadrature substitutes x = cos(theta),
 where the integrand is smooth and periodic, and applies the midpoint rule
 theta_j = (j + 1/2) pi / M (Gauss--Chebyshev in x), which converges
 exponentially (Trefethen & Weideman, SIAM Review 56 (2014) 385-458); a
-node-doubling loop provides the convergence gate.
+node-doubling loop provides the convergence gate.  A continuous Gram runs
+that loop once, on the whole matrix, and hands out its history beside the
+matrix, so a report of the quadrature (the `gram` command's node history)
+describes the evaluations that made the matrix: one density evaluation per
+node count.
 """
 
 from __future__ import annotations
@@ -198,30 +202,35 @@ def _outer(v):
     return v[:, None] * v[None]
 
 
-def gram_matrix(of, N: int) -> np.ndarray:
-    """(N+1) x (N+1) matrix of inner products of the orthonormal functions
-    phi_0..phi_N of an OrthonormalFamily, using the family's support.
+def gram_matrix(of, N: int):
+    """(G, history): G is the (N+1) x (N+1) matrix of inner products of the
+    orthonormal functions phi_0..phi_N of an OrthonormalFamily, using the
+    family's support.
 
     One rule call per support: the integrand is the matrix phi_n phi_m on a
     node array (P_n P_m on the continuous support), so the weight is
     evaluated once per node, phi_0..phi_N come from one recurrence pass and
-    the matrix is symmetric by construction.
+    the matrix is symmetric by construction.  On the continuous support,
+    history is the node-doubling loop that made G, as (nodes, matrix of the
+    unnormalised integrals of P_n P_m) pairs; the sums and Jackson integrals
+    have no such loop and give an empty history.
     """
     fam = of.family
     sup = fam.support
     ns = range(N + 1)
     if sup.kind == "discrete_grid":
         spec = InnerProductSpec(fam.lattice, tuple(sup.grid_points))
-        return discrete_inner(spec, lambda s: _outer(of.phi(ns, s)), _one)
+        return discrete_inner(spec, lambda s: _outer(of.phi(ns, s)), _one), []
     if sup.kind == "jackson_integral":
-        return jackson_integral(lambda x: _outer(of.phi_point(ns, x)), sup.lo, sup.hi, fam.base)
+        return jackson_integral(lambda x: _outer(of.phi_point(ns, x)), sup.lo, sup.hi,
+                                fam.base), []
     if sup.kind == "continuous_interval":
         dd = _outer(np.array([fam.d_n(n) for n in ns]))
-        val, _ = continuous_inner_aw_converged(
+        val, history = continuous_inner_aw_converged(
             lambda x: _outer(fam.pn_stack(N, x)),
             _one,
             fam.closed.displays["weight_density"],
             scale=np.abs(dd),
         )
-        return val / dd
+        return val / dd, history
     raise QKernelError(f"no inner product available for support kind {sup.kind!r}")

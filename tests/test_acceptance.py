@@ -100,9 +100,9 @@ def test_criterion_4_eigen_equation_with_negative_control(families):
 
 def test_criterion_5_orthonormality(families):
     t0 = time.perf_counter()
-    G = gram_matrix(L.OrthonormalFamily(families["q_dual_hahn"]), 4)
+    G, _ = gram_matrix(L.OrthonormalFamily(families["q_dual_hahn"]), 4)
     qdh_err = float(np.max(np.abs(G - np.eye(5))))
-    G = gram_matrix(L.OrthonormalFamily(families["asc1"]), 3)
+    G, _ = gram_matrix(L.OrthonormalFamily(families["asc1"]), 3)
     asc1_err = float(np.max(np.abs(G - np.eye(4))))
     # norm-convention ratio (integral)/(tabulated d_n^2) constant over n
     fam = families["asc1"]
@@ -114,7 +114,7 @@ def test_criterion_5_orthonormality(families):
         )
         ratios.append(val / complex(fam.closed.d_n_sq(n)))
     spread = max(abs(r - ratios[0]) for r in ratios) / abs(ratios[0])
-    G = gram_matrix(L.OrthonormalFamily(families["askey_wilson"]), 3)
+    G, _ = gram_matrix(L.OrthonormalFamily(families["askey_wilson"]), 3)
     aw_err = float(np.max(np.abs(G - np.eye(4))))
     elapsed = time.perf_counter() - t0
     ok = qdh_err < 1e-8 and asc1_err < 1e-8 and spread < 1e-9 and aw_err < 1e-6 and elapsed < 30.0

@@ -3,11 +3,13 @@ import pathlib
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
-from qladder import cli
+from qladder import cli, families
 from qladder.cli import main
 from qladder.families import make_family, reference_params
+from qladder.orthogonality import continuous_inner_aw_converged
 from qladder.qkernel import QBase
 from qladder.report import SCHEMA_ID, report_to_dict
 
@@ -444,16 +446,41 @@ def test_check_csv_format(tmp_path):
     assert lines[1].startswith("eigen,") and ",pass," in lines[1]
 
 
-def test_gram_aw_includes_doubling_metadata(tmp_path):
+def test_gram_aw_includes_doubling_metadata(tmp_path, monkeypatch):
+    # node_history is the Gram's own doubling loop: its [N, N] entry equals a
+    # loop of its own on <P_N, P_N> with scale |d_N^2|, and the density is
+    # evaluated once per listed node count
+    calls = []
+    aw_weights = families._aw_weights
+
+    def counted_aw_weights(*args):
+        h_pair, weight, density = aw_weights(*args)
+
+        def counted(x):
+            calls.append(np.size(x))
+            return density(x)
+
+        return h_pair, weight, counted
+
+    monkeypatch.setattr(families, "_aw_weights", counted_aw_weights)
     out = tmp_path / "gaw.json"
-    rc = run_cli(["gram", "--family", "askey_wilson", "--q", "0.5",
-                  *REF_ARGS["askey_wilson"], "--n-min", "0", "--n-max", "3",
-                  "--out", str(out)])
-    assert rc == 0
-    data = json.loads(out.read_text())
-    assert data["max_offdiag"] < 1e-6
-    hist = data["quadrature"]["node_history"]
-    assert len(hist) >= 2 and hist[1][0] == 2 * hist[0][0]
+    for name in ("askey_wilson", "continuous_q_hermite"):
+        fam = make_family(name, reference_params(name), QBase(0.5))
+        for N in range(2, 7):
+            calls.clear()
+            rc = run_cli(["gram", "--family", name, "--q", "0.5", *REF_ARGS[name],
+                          "--n-min", "0", "--n-max", str(N), "--out", str(out)])
+            assert rc == 0
+            data = json.loads(out.read_text())
+            assert data["max_offdiag"] < 1e-6
+            hist = data["quadrature"]["node_history"]
+            assert len(hist) >= 2 and hist[1][0] == 2 * hist[0][0]
+            assert calls == [nodes for nodes, _ in hist], (name, N)
+            _, want = continuous_inner_aw_converged(
+                lambda x: fam.pn_ttrr_x(N, x), lambda x: fam.pn_ttrr_x(N, x),
+                fam.closed.displays["weight_density"], scale=abs(fam.norm_sq(N)),
+            )
+            assert hist == [[nodes, [v.real, v.imag]] for nodes, v in want], (name, N)
 
 
 def test_console_entry_point():

@@ -1,5 +1,6 @@
 import cmath
 import math
+import re
 from dataclasses import replace
 
 import pytest
@@ -9,7 +10,7 @@ from qladder.families import make_family, reference_params
 import numpy as np
 
 from qladder.hypergeometric_core import lam_ratio, rel_residual
-from qladder.lattice import Lattice
+from qladder.lattice import DegenerateStepError, Lattice
 from qladder.qkernel import QBase, QKernelError, q_number
 
 import pointwise as pw
@@ -531,6 +532,26 @@ def test_stencil_grid_reads_no_step_beyond_the_stencils(families):
                                    rtol=1e-12, atol=0)
     assert g.t[0, 1] == 0 and fam.lattice.is_degenerate_step(g.x[0, 1] - g.x[0, 0])
     assert L.check_factorization(fam, [1, 2], [1.0, 2.5]).max_residual < 1e-9
+
+
+def test_degenerate_step_on_the_grid_is_refused_naming_the_point():
+    # dual Hahn with c = 0: nabla x(0) = 0 and sigma(0) = 0, so the E^-
+    # coefficient sqrt(Theta(-1) sigma(0))/nabla x(0) at s = 0 has no value
+    fam = make_family("q_dual_hahn", {"a": -0.3, "b": 2.7, "c": 0.0}, QBase(0.25))
+    at_zero = re.escape("grid point 0+0j is degenerate (nabla x vanishes); "
+                        "choose a grid excluding lattice symmetry points")
+    for check in (L.check_eigen, L.check_factorization):
+        with pytest.raises(DegenerateStepError, match=at_zero):
+            check(fam, [1, 2], [0.0, 1.0, 2.0])
+    # s = 0 as a chain point of the margin-2 factorization grid at s = -1
+    with pytest.raises(DegenerateStepError,
+                       match=re.escape("grid point -1+0j is degenerate (nabla x vanishes "
+                                       "at 0+0j on its chain)")):
+        L.check_factorization(fam, [1], [-1.0, 1.0])
+    # the same step is Delta x(-1), the E^+ side's step at s = -1
+    with pytest.raises(DegenerateStepError,
+                       match=re.escape("grid point -1+0j is degenerate (Delta x vanishes);")):
+        L.check_lowering(fam, [1], [-1.0, 1.0])
 
 
 @pytest.mark.parametrize("drop_last", [0, 1])

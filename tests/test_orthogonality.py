@@ -112,26 +112,32 @@ def test_aw_quadrature_doubling_gate(families):
 
 def test_gram_dual_hahn(families):
     of = L.OrthonormalFamily(families["q_dual_hahn"])
-    G = gram_matrix(of, 4)
+    G, history = gram_matrix(of, 4)
     assert np.max(np.abs(G - np.eye(5))) < 1e-8
+    assert history == []  # a sum has no doubling loop
     assert np.allclose(G, G.T)
 
 
 def test_gram_asc1_jackson(families):
     of = L.OrthonormalFamily(families["asc1"])
-    G = gram_matrix(of, 3)
+    G, history = gram_matrix(of, 3)
     assert np.max(np.abs(G - np.eye(4))) < 1e-8
+    assert history == []
 
 
 def test_gram_aw_continuous(families):
-    of = L.OrthonormalFamily(families["askey_wilson"])
-    G = gram_matrix(of, 3)
+    fam = families["askey_wilson"]
+    G, history = gram_matrix(L.OrthonormalFamily(fam), 3)
     assert np.max(np.abs(G - np.eye(4))) < 1e-6
+    # the history is the loop that made G: its last matrix is G unnormalised
+    assert [nodes for nodes, _ in history] == [250 * 2**k for k in range(len(history))]
+    d = np.array([fam.d_n(n) for n in range(4)])
+    assert np.array_equal(G, history[-1][1] / (d[:, None] * d[None]))
 
 
 def test_gram_n_zero(families):
     of = L.OrthonormalFamily(families["q_dual_hahn"])
-    G = gram_matrix(of, 0)
+    G, _ = gram_matrix(of, 0)
     assert G.shape == (1, 1)
     assert abs(G[0, 0] - 1.0) < 1e-9
 
@@ -143,7 +149,7 @@ def test_gram_matches_per_pair_scalar_rule(families, name):
     of = L.OrthonormalFamily(fam)
     sup = fam.support
     N = 4 if sup.kind == "discrete_grid" else 3
-    G = gram_matrix(of, N)
+    G, _ = gram_matrix(of, N)
     for n in range(N + 1):
         for m in range(N + 1):
             if sup.kind == "discrete_grid":
@@ -164,7 +170,7 @@ def test_gram_matches_per_pair_scalar_rule(families, name):
 
 @pytest.mark.parametrize("name", ["askey_wilson", "continuous_q_hermite"])
 def test_gram_trigonometric_reference_near_identity(families, name):
-    G = gram_matrix(L.OrthonormalFamily(families[name]), 3)
+    G, _ = gram_matrix(L.OrthonormalFamily(families[name]), 3)
     assert np.max(np.abs(G - np.eye(4))) < 1e-13
 
 
