@@ -16,19 +16,15 @@ from .qkernel import (
     q_pochhammer_inf,
 )
 from .lattice import DegenerateStepError, Lattice
-from .hypergeometric_core import EquationData, WeightTable
+from .hypergeometric_core import EquationData
 from .families import (
     FamilyError,
     FamilySpec,
     eval_series,
     eval_ttrr,
-    family_names,
     make_family,
-    norm_sq,
     reference_params,
-    weight_at,
 )
-from .ladder import OrthonormalFamily
 
 __version__ = "0.1.0"
 
@@ -46,16 +42,11 @@ __all__ = [
     "basic_hypergeometric",
     "Lattice",
     "EquationData",
-    "WeightTable",
     "FamilyError",
     "FamilySpec",
     "make_family",
-    "family_names",
     "reference_params",
     "eval_series",
     "eval_ttrr",
-    "weight_at",
-    "norm_sq",
-    "OrthonormalFamily",
     "__version__",
 ]

@@ -18,7 +18,6 @@ from .hypergeometric_core import pearson_weight, rel_residual, rodrigues_values
 from .lattice import LatticeTable
 from .ladder import (
     _RAISE_FP,
-    OrthonormalFamily,
     StencilGrid,
     check_adjoint,
     check_bootstrap,
@@ -291,23 +290,23 @@ def pearson_suite(fam, tolerance: float = 1e-10) -> CheckReport:
         return rep
     grid = default_grid(fam)
     closed_rho = fam.kind.pearson_rho
+    # (s, rho(s+1)/rho(s)) from the Pearson weight, one ratio per grid point
     if fam.kind.complex_s:
         # one-step ratios at each theta anchor: integer chains walk x off the
         # unit circle where |x| ~ q^{-k} destroys the Taylor-form conditioning
-        pairs = [(complex(s), pearson_weight(fam.eq, s, 0, 1)) for s in grid]
+        ratios = [(s, rho[1] / rho[0])
+                  for s, rho in ((complex(s), pearson_weight(fam.eq, s, 0, 1)) for s in grid)]
     else:
         anchor = complex(grid[0])
-        table = pearson_weight(fam.eq, anchor, 0, len(grid))
-        pairs = [(anchor + k, table) for k in range(len(grid))]
-    for s, table in pairs:
-        got = table.rho(s + 1.0) / table.rho(s)
+        rho = pearson_weight(fam.eq, anchor, 0, len(grid))
+        ratios = [(anchor + k, rho[k + 1] / rho[k]) for k in range(len(grid))]
+    for s, got in ratios:
         want = closed_rho(fam, s + 1.0) / closed_rho(fam, s)
         rep.cases.append(CaseRecord(0, f"{complex(s):.4g}", rel_residual(got - want, (got, want))))
     # oracle form of the same ratio, where the family tabulates one
     oracle = fam.closed.displays.get("pearson_ratio")
     if oracle is not None:
-        for s, table in pairs:
-            got = table.rho(s + 1.0) / table.rho(s)
+        for s, got in ratios:
             want = oracle(s)
             rep.cases.append(
                 CaseRecord(0, f"{complex(s):.4g}", rel_residual(got - want, (got, want)),
@@ -332,11 +331,10 @@ def orthonormality_suite(fam, tolerance: float | None = None) -> CheckReport:
         rep.meta["status"] = "skipped"
         rep.meta["reason"] = "no orthogonality relation tabulated for this family"
         return rep
-    of = OrthonormalFamily(fam)
     N = 4 if kind == "discrete_grid" else 3
     if fam.n_max is not None:
         N = min(N, fam.n_max)
-    G, _ = gram_matrix(of, N)
+    G, _ = gram_matrix(fam, N)
     for n in range(N + 1):
         for m in range(n, N + 1):
             target = 1.0 if n == m else 0.0
@@ -437,12 +435,10 @@ _SUITES = {
     # the bootstrap recurses along one integer chain; anchor it at the first
     # grid point (theta grids are not integer-spaced in s)
     "bootstrap": lambda fam, ns, grid, **tol: check_bootstrap(
-        OrthonormalFamily(fam), min(max(ns), 4),
-        [complex(grid[0]) + k for k in range(len(grid))], **tol),
-    "adjoint": lambda fam, ns, grid, **tol: check_adjoint(
-        OrthonormalFamily(fam), list(range(0, 5)), **tol),
+        fam, min(max(ns), 4), [complex(grid[0]) + k for k in range(len(grid))], **tol),
+    "adjoint": lambda fam, ns, grid, **tol: check_adjoint(fam, list(range(0, 5)), **tol),
     "selfadjoint": lambda fam, ns, grid, **tol: check_selfadjoint(
-        OrthonormalFamily(fam), [(n, m) for n in range(5) for m in range(5)], **tol),
+        fam, [(n, m) for n in range(5) for m in range(5)], **tol),
     "poly_ladder": lambda fam, ns, grid, **tol: poly_ladder_suite(fam, max(ns) + 1, **tol),
     "pearson": lambda fam, ns, grid, **tol: pearson_suite(fam, **tol),
     "rodrigues": lambda fam, ns, grid, **tol: rodrigues_suite(fam, **tol),

@@ -9,6 +9,7 @@ error.  JSON reports carry the schema id "qladder-report/1".
 from __future__ import annotations
 
 import argparse
+import cmath
 import functools
 import json
 import sys
@@ -23,8 +24,8 @@ from .families import (
     reference_params,
 )
 from .hypergeometric_core import _sigma_at, _theta_at, tau_tilde
-from .ladder import OrthonormalFamily, _phi_pointwise_ok
-from .lattice import LatticeTable
+from .ladder import _positive_real
+from .lattice import LatticeTable, _cdiv
 from .orthogonality import QUADRATURE_RULE, gram_matrix
 from .qkernel import QBase, QKernelError
 from .report import SCHEMA_ID, dumps_reports
@@ -68,8 +69,6 @@ class RunConfig:
                                   f"known: {', '.join(SUITE_NAMES)}")
             if v <= 0:
                 raise ConfigError(f"tolerance {k!r} must be positive, got {v}")
-        if self.n_min < 0 or self.n_max < self.n_min:
-            raise ConfigError(f"need 0 <= n_min <= n_max, got {self.n_min}..{self.n_max}")
         for s in self.suites:
             if s != "all" and s not in SUITE_NAMES:
                 raise ConfigError(
@@ -256,7 +255,15 @@ def _fmt_float(v: float) -> str:
     return f"{v:.17g}"
 
 
+def _n_range(cfg: RunConfig) -> range:
+    """n_min..n_max, the orders eval and check read (gram reads only n_max)."""
+    if cfg.n_min < 0 or cfg.n_max < cfg.n_min:
+        raise ConfigError(f"need 0 <= n_min <= n_max, got {cfg.n_min}..{cfg.n_max}")
+    return range(cfg.n_min, cfg.n_max + 1)
+
+
 def cmd_eval(cfg: RunConfig) -> int:
+    ns = _n_range(cfg)
     fam = _build_family(cfg)
     eq = fam.eq
     pts = [complex(s) for s in _grid_points(fam, cfg)]
@@ -266,25 +273,24 @@ def cmd_eval(cfg: RunConfig) -> int:
          "Theta": _theta_at(eq, x, b - a)}
         for s, (a, x, b) in zip(pts, LatticeTable(fam.lattice, pts, -1, 1).x.tolist())
     ]
-    # P_n(s) for every n from one recurrence pass per grid point
+    # P_n(s) for every n from one recurrence pass, and rho(s), once per grid point
     stacks = [fam.pn_stack(cfg.n_max, fam.lattice.x_values(col["s"])) for col in columns]
-    of = OrthonormalFamily(fam)
+    for col in columns:
+        try:
+            col["rho"] = fam.rho_at_s(col["s"])
+        except (FamilyError, QKernelError, KeyError):
+            col["rho"] = None
     rows = []
-    for n in range(cfg.n_min, cfg.n_max + 1):
+    for n in ns:
         for col, stack in zip(columns, stacks):
-            s = col["s"]
-            p = stack[n]
-            try:
-                rho = of.rho_at_s(s)
-            except (FamilyError, QKernelError, KeyError):
-                rho = None
-            phi = None
-            if rho is not None and _phi_pointwise_ok(of, s):
+            rho, phi = col["rho"], None
+            # phi_n = sqrt(rho) P_n / d_n where rho is a positive real
+            if rho is not None and _positive_real(rho):
                 try:
-                    phi = of.phi(n, s)
+                    phi = _cdiv(cmath.sqrt(rho) * stack[n], fam.d_n(n))
                 except (FamilyError, QKernelError):
-                    phi = None
-            rows.append({"n": n, "P": p, "phi": phi, "rho": rho, **col})
+                    pass
+            rows.append({"n": n, "P": stack[n], "phi": phi, **col})
     if cfg.fmt == "csv":
         cols = ["n", "s", "x", "P", "phi", "rho", "sigma", "tau", "Theta"]
         lines = []
@@ -327,9 +333,9 @@ def cmd_eval(cfg: RunConfig) -> int:
 
 
 def cmd_check(cfg: RunConfig) -> int:
+    ns = [n for n in _n_range(cfg) if n >= 1]
     fam = _build_family(cfg)
     pts = _grid_points(fam, cfg)
-    ns = list(range(max(cfg.n_min, 1), cfg.n_max + 1))
     if not ns:
         raise ConfigError(f"check needs --n-max >= 1 (the suites start at n = 1), "
                           f"got {cfg.n_max}")
@@ -358,10 +364,11 @@ def cmd_check(cfg: RunConfig) -> int:
 
 
 def cmd_gram(cfg: RunConfig) -> int:
-    fam = _build_family(cfg)
-    of = OrthonormalFamily(fam)
     N = cfg.n_max
-    G, history = gram_matrix(of, N)
+    if N < 0:
+        raise ConfigError(f"gram needs --n-max >= 0, got {N}")
+    fam = _build_family(cfg)
+    G, history = gram_matrix(fam, N)
     off = 0.0
     diag = 0.0
     for n in range(N + 1):

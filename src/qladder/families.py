@@ -3,7 +3,9 @@ q-dual Hahn, Askey--Wilson and continuous q-Hermite.
 
 Each family bundles its lattice, the Taylor data of its difference equation,
 closed-form weight / norm / recurrence data, a basic-hypergeometric series
-evaluator, support description and parameter validation.
+evaluator, support description and parameter validation.  A `FamilySpec`
+owns every quantity of one family on its lattice: P_n, rho, d_n, the
+orthonormal phi_n = sqrt(rho/d_n^2) P_n and the per-n table `coeffs` (B_n).
 
 Normalization
 -------------
@@ -38,11 +40,12 @@ from functools import cached_property
 
 import numpy as np
 
-from .hypergeometric_core import EquationData, EquationTable, _entry, lam_ratio
+from .hypergeometric_core import EquationData, EquationTable, _entry
 from .lattice import Lattice, _cdiv
 from .orthogonality import InnerProductSpec, discrete_inner, jackson_integral
 from .qkernel import (
     QBase,
+    QKernelError,
     SeriesSpec,
     basic_hypergeometric,
     q_factorial,
@@ -61,21 +64,14 @@ __all__ = [
     "CoefficientTable",
     "FamilySpec",
     "make_family",
-    "family_names",
     "reference_params",
     "eval_series",
     "eval_ttrr",
-    "weight_at",
-    "norm_sq",
 ]
 
 
 class FamilyError(ValueError):
     """Invalid family name or parameter set."""
-
-
-def family_names():
-    return FAMILY_NAMES
 
 
 _CMATH_LOG = np.frompyfunc(cmath.log, 1, 1)
@@ -84,6 +80,11 @@ _CMATH_LOG = np.frompyfunc(cmath.log, 1, 1)
 def _complex(x):
     """x as a Python complex, or an ndarray of x as a complex ndarray."""
     return np.asarray(x, dtype=complex) if isinstance(x, np.ndarray) else complex(x)
+
+
+def _sqrt(z):
+    """The principal square root, elementwise for an ndarray."""
+    return np.sqrt(z) if isinstance(z, np.ndarray) else cmath.sqrt(z)
 
 
 @dataclass(frozen=True)
@@ -179,7 +180,7 @@ class _Exponential(LatticeKind):
         if isinstance(x, np.ndarray):
             # cmath's log elementwise: numpy's complex log rounds differently
             # in the last place, which the x -> s -> x round trip of
-            # `OrthonormalFamily.phi_point` carries into ill-conditioned Grams
+            # `FamilySpec.phi_point` carries into ill-conditioned Grams
             log = _CMATH_LOG(_cdiv(x - lat.c3, lat.c1)).astype(complex)
             return _cdiv(log, math.log(lat.base.q))
         return cmath.log((x - lat.c3) / lat.c1) / math.log(lat.base.q)
@@ -251,7 +252,10 @@ class CoefficientTable(EquationTable):
     @_entry
     def B(self, n: int) -> complex:
         """The Rodrigues normalization B_n = a_n / prod_{k<n} -lam_ratio(n+k)."""
-        return _B_norm(self.a_n(n), self.lam_ratio, n)
+        out = complex(self.a_n(n))
+        for k in range(n):
+            out /= -self.lam_ratio(n + k)
+        return out
 
     @_entry
     def beta(self, n: int) -> complex:
@@ -305,7 +309,7 @@ class FamilySpec:
     name: str
     params: dict
     base: QBase  # user-facing base q (0 < q < 1)
-    eq: EquationData  # canonical B(n); internal base may be 1/q (asc2)
+    eq: EquationData  # internal base may be 1/q (asc2)
     support: SupportSpec
     closed: ClosedForms
     a_n: object  # callable n -> canonical leading coefficient
@@ -446,6 +450,44 @@ class FamilySpec:
         w = self.closed.weight(point)
         return w if isinstance(point, np.ndarray) else complex(w)
 
+    def rho_at_s(self, s) -> complex:
+        """The pointwise weight rho(s) of the lattice kind, elementwise on an ndarray."""
+        return self.kind.rho_at_s(self, s)
+
+    # -- phi_n = sqrt(rho/d_n^2) P_n, on the real support where rho >= 0 ------
+    # One point or an ndarray of nodes, one weight evaluation per node; n is
+    # one index or a range, stacked on a leading axis from one recurrence pass.
+    def sqrt_rho(self, s):
+        """sqrt(rho(s)) at a point of the real support, or elementwise on an
+        ndarray of support nodes."""
+        rho = self.rho_at_s(s)
+        bad = (np.abs(rho.imag) > 1e-12 * np.abs(rho)) | (rho.real < 0.0)
+        if np.any(bad):
+            at = s[bad][0] if isinstance(s, np.ndarray) else s
+            raise QKernelError(
+                f"rho({at}) is not a nonnegative real; pointwise phi needs the "
+                "real branch (off the support the checks use chain weights)"
+            )
+        return _sqrt(rho)
+
+    def phi(self, n, s):
+        """phi_n at support points s (n an index or a range)."""
+        return self._phi(n, self.sqrt_rho(s), self.lattice.x_values(s))
+
+    def phi_point(self, n, point):
+        """phi_n at natural-coordinate points (n an index or a range; used
+        by Jackson-integral Grams)."""
+        w = _sqrt(self.weight(point))
+        return self._phi(n, w, self.lattice.x_values(self.s_from_point(point)))
+
+    def _phi(self, n, w, x):
+        """w P_n(x) / d_n, with w = sqrt(rho) at the points of x."""
+        if not isinstance(n, range):
+            return _cdiv(w * self.pn_ttrr_x(n, x), self.d_n(n))
+        P = self.pn_stack(n[-1], x)
+        d = np.array([self.d_n(k) for k in n]).reshape((-1,) + (1,) * np.ndim(x))
+        return _cdiv(w * np.asarray(P)[n.start:n.stop:n.step], d)
+
     def with_perturbation(self, name: str, delta: float) -> "FamilySpec":
         """A copy with a named closed-form coefficient shifted by delta
         (negative-control runs)."""
@@ -466,18 +508,6 @@ def _positive_q(base: QBase):
         raise FamilyError("families require 0 < q < 1 (base.q)")
 
 
-def _B_norm(a, lam, n: int) -> complex:
-    """B_n = a_n / prod_{k<n} -lam(n + k), from a = a_n and lam(m) = lam_ratio(m)."""
-    out = complex(a)
-    for k in range(n):
-        out /= -lam(n + k)
-    return out
-
-
-def _B_from_leading(eq: EquationData, a_n):
-    return lambda n: _B_norm(a_n(n), lambda m: lam_ratio(eq, m), n)
-
-
 def _require(cond: bool, param: str, message: str):
     if not cond:
         raise FamilyError(f"parameter {param!r} invalid: {message}")
@@ -495,7 +525,7 @@ def _asc_forms(a: float, base: QBase):
     q = base.q
     lat = Lattice(1.0, 0.0, 0.0, base)
     rq = math.sqrt(q)
-    eq0 = EquationData(
+    eq = EquationData(
         sigma_pp=1.0,
         sigma_p0=-(a + 1.0) / 2.0,
         sigma_00=a,
@@ -515,7 +545,7 @@ def _asc_forms(a: float, base: QBase):
         "u": lambda s, n: a * q / (1.0 - q) / lat.x(s),
         "h_mp": lambda n: a * q ** (1 - n) * (q ** (n + 1) - 1.0) / (q - 1.0) ** 2,
     }
-    return lat, replace(eq0, B=_B_from_leading(eq0, a_n)), a_n, forms, displays
+    return lat, eq, a_n, forms, displays
 
 
 def _make_asc1(params: dict, base: QBase) -> FamilySpec:
@@ -640,7 +670,7 @@ def _make_big_q_jacobi(params: dict, base: QBase) -> FamilySpec:
     _require(c < 0.0, "c", f"need c < 0, got {c}")
     lat = Lattice(1.0, 0.0, 0.0, base)
     rq = math.sqrt(q)
-    eq0 = EquationData(
+    eq = EquationData(
         sigma_pp=(1.0 + a * b * q * q) / q,
         sigma_p0=-(a * b * q + a * c * q + a + c) / 2.0,
         sigma_00=a * c * q,
@@ -649,7 +679,6 @@ def _make_big_q_jacobi(params: dict, base: QBase) -> FamilySpec:
         lattice=lat,
     )
     a_n = lambda n: complex(1.0)
-    eq = replace(eq0, B=_B_from_leading(eq0, a_n))
 
     def series(n, s):
         x = lat.x(s)
@@ -781,7 +810,7 @@ def _make_q_dual_hahn(params: dict, base: QBase) -> FamilySpec:
     def qn(k):
         return q_number(k, base)
 
-    eq0 = EquationData(
+    eq = EquationData(
         sigma_pp=kq,
         sigma_p0=(
             2.0 * qn(2.0)
@@ -814,7 +843,6 @@ def _make_q_dual_hahn(params: dict, base: QBase) -> FamilySpec:
             / q_pochhammer(q, base, n).real
         )
 
-    eq = replace(eq0, B=_B_from_leading(eq0, a_n))
     n_max = round(nb) - 1
 
     def series(n, s):
@@ -1083,16 +1111,14 @@ def _make_askey_wilson(params: dict, base: QBase) -> FamilySpec:
     _require(a != 0.0, "a", "series prefactor needs a != 0 "
                             "(use continuous_q_hermite for a=b=c=d=0)")
     q = base.q
-    eq0 = _aw_equation_data(a, b, c, d, base)
-    lat = eq0.lattice
+    eq = _aw_equation_data(a, b, c, d, base)
+    lat = eq.lattice
     abcd = a * b * c * d
     e1 = a + b + c + d
     e3 = a * b * c + a * b * d + a * c * d + b * c * d
 
     def a_n(n):
         return 2.0**n * q_pochhammer(abcd * q ** (n - 1), base, n)
-
-    eq = replace(eq0, B=_B_from_leading(eq0, a_n))
 
     def series(n, s):
         qs = lat.qs(s)
@@ -1194,13 +1220,11 @@ def _make_continuous_q_hermite(params: dict, base: QBase) -> FamilySpec:
     q = base.q
     kq = base.k_q
     # bit-for-bit the Askey-Wilson equation data at a=b=c=d=0
-    eq0 = _aw_equation_data(0.0, 0.0, 0.0, 0.0, base)
-    lat = eq0.lattice
+    eq = _aw_equation_data(0.0, 0.0, 0.0, 0.0, base)
+    lat = eq.lattice
 
     def a_n(n):
         return complex(2.0**n)
-
-    eq = replace(eq0, B=_B_from_leading(eq0, a_n))
 
     def series(n, s):
         # H_n(x|q) = e^{i n theta} 2phi0(q^{-n}, 0; -; q, q^n e^{-2 i theta})
@@ -1307,11 +1331,3 @@ def eval_series(fam: FamilySpec, n: int, point) -> complex:
 def eval_ttrr(fam: FamilySpec, n: int, point) -> complex:
     """P_n at a natural-coordinate point via the recurrence route."""
     return fam.pn_ttrr(n, fam.s_from_point(point))
-
-
-def weight_at(fam: FamilySpec, point) -> complex:
-    return fam.weight(point)
-
-
-def norm_sq(fam: FamilySpec, n: int) -> complex:
-    return fam.norm_sq(n)

@@ -4,8 +4,9 @@
         + lambda y = 0
 
 on a nonuniform lattice: sigma/tau from Taylor data, the tau_k
-coefficients, eigenvalues lambda_n, the per-n table of the equation,
-Pearson weight tables and Rodrigues evaluation (an oracle for n <= 5).
+coefficients, eigenvalues lambda_n, the per-n table of the equation, the
+Pearson weight (a plain tuple) and Rodrigues evaluation (an oracle for
+n <= 5, with B_n from the family's table, `CoefficientTable.B`).
 
 Conventions
 -----------
@@ -32,23 +33,23 @@ Python complex numbers (`_sigma_theta`), so the Pearson recurrence and the
 rho_n products read identical values, and the CLI's `eval` rows read their
 sigma, tau and Theta the same way.  There is no point-by-point sigma or
 Theta function; the tests keep one as the reference.  `sigma_tilde`,
-`tau_tilde`, `TauK.at`, `EquationTable.A` and `rel_residual` take one
-point or an ndarray (elementwise, through numpy).  Everything else here is
-scalar, except the table entries over n below.
+`tau_tilde`, `EquationTable.A` and `rel_residual` take one point or an
+ndarray (elementwise, through numpy).  Everything else here is scalar,
+except the table entries over n below.
 
 The n-dependent data (lam_ratio, lambda_n, the tau_k coefficients, b_n/a_n
 and the generic beta_n) are read from an `EquationTable`, which computes
 each entry once, when first read, through the scalar formula, so a table
 entry equals the formula's value bit for bit.  An entry read with an
-ndarray of n gives the complex ndarray of those entries, and `A` with an
-ndarray of n stacks A(s,n) on a leading n axis, so the suites take their
-per-n constants for every n at once.  A family keeps one table for all
+ndarray of n gives the complex ndarray of those entries, and `A`, read
+with an ndarray of n, stacks A(s,n) on a leading n axis, so the suites take
+their per-n constants for every n at once.  A family keeps one table for all
 its suites (`families.CoefficientTable`).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import reduce, wraps
 
 import numpy as np
@@ -59,7 +60,6 @@ from .qkernel import QBase, QKernelError, alpha_q, q_number
 __all__ = [
     "EquationData",
     "TauK",
-    "WeightTable",
     "EquationTable",
     "sigma_tilde",
     "tau_tilde",
@@ -71,21 +71,22 @@ __all__ = [
 ]
 
 RODRIGUES_MAX_ORDER = 5  # nested quotients lose ~1 digit per level in doubles
+RESIDUAL_FLOOR = 1e-12  # below it a residual is absolute, not relative
 
 
-def rel_residual(residual, terms, floor: float = 1e-12) -> float:
+def rel_residual(residual, terms) -> float:
     """|residual| divided by the largest constituent magnitude.
 
-    Falls back to the absolute residual when every term is below `floor`
-    (tolerances are relative with an absolute floor).  With an ndarray
-    residual the terms broadcast against it and the result is elementwise.
+    Falls back to the absolute residual when every term is below
+    RESIDUAL_FLOOR (tolerances are relative with an absolute floor).  With
+    an ndarray residual the terms broadcast against it, elementwise.
     """
     if isinstance(residual, np.ndarray):
         scale = reduce(np.maximum, (np.abs(t) for t in terms))
         res = np.abs(residual)
-        return np.where(scale < floor, res, res / np.maximum(scale, floor))
+        return np.where(scale < RESIDUAL_FLOOR, res, res / np.maximum(scale, RESIDUAL_FLOOR))
     scale = max((abs(t) for t in terms), default=0.0)
-    if scale < floor:
+    if scale < RESIDUAL_FLOOR:
         return abs(residual)
     return abs(residual) / scale
 
@@ -97,7 +98,7 @@ class EquationData:
     sigma~(x) = (sigma_pp/2) x^2 + sigma_p0 x + sigma_00,
     tau~(x)   = tau_p x + tau_0,
 
-    together with the lattice and the Rodrigues normalization rule B(n).
+    together with the lattice.
     """
 
     sigma_pp: complex
@@ -106,7 +107,6 @@ class EquationData:
     tau_p: complex
     tau_0: complex
     lattice: Lattice
-    B: object = field(default=None)  # callable n -> complex; None means B(n) = 1
 
     def __post_init__(self):
         if complex(self.tau_p) == 0 and complex(self.sigma_pp) == 0:
@@ -118,9 +118,6 @@ class EquationData:
     def base(self) -> QBase:
         return self.lattice.base
 
-    def B_n(self, n: int) -> complex:
-        return complex(1.0) if self.B is None else complex(self.B(n))
-
 
 @dataclass(frozen=True)
 class TauK:
@@ -129,10 +126,6 @@ class TauK:
     k: float
     slope: complex
     intercept: complex
-
-    def at(self, lattice: Lattice, s):
-        """tau_k(s) on `lattice`, through the affine coefficients."""
-        return self.slope * lattice.x_shifted(self.k, s) + self.intercept
 
 
 def sigma_tilde(eq: EquationData, xv):
@@ -250,11 +243,8 @@ class EquationTable:
         return self.b_over_a(n) - self.b_over_a(n + 1)
 
     def A(self, n, s):
-        """A(s,n) at one point or elementwise on an ndarray of s; for an
-        ndarray of n, the (n x *s.shape) stack of A(s,n)."""
-        if not isinstance(n, np.ndarray):
-            tk = self.tau(n)
-            return _cdiv(self.lam_ratio(n) * tk.at(self.eq.lattice, s), tk.slope)
+        """A(s,n) for an int ndarray of n, at one point or elementwise on an
+        ndarray of s: the (n x *s.shape) stack of A(s,n)."""
         taus = [self.tau(k) for k in n.tolist()]
         col = lambda v: np.array(v, dtype=complex).reshape((-1,) + (1,) * np.ndim(s))
         k, slope = col([tk.k for tk in taus]).real, col([tk.slope for tk in taus])
@@ -297,38 +287,11 @@ def _limit_ratio(eq: EquationData, num, step, s, sign: int):
     return out
 
 
-@dataclass(frozen=True)
-class WeightTable:
-    """Pearson weight values rho on an integer-offset grid around an anchor.
-
-    rho(anchor) = 1 under the library convention; successive values satisfy
-    rho(s+1)/rho(s) = Theta(s)/sigma(s+1).
-    """
-
-    eq: EquationData
-    anchor: complex
-    lo: int
-    hi: int
-    values: tuple
-
-    def offset_of(self, s) -> int:
-        d = complex(s) - complex(self.anchor)
-        k = round(d.real)
-        if abs(d - k) > 1e-9 or not (self.lo <= k <= self.hi):
-            raise QKernelError(
-                f"point {s} is not on the weight table grid "
-                f"[anchor{self.lo:+d} .. anchor{self.hi:+d}]"
-            )
-        return k
-
-    def rho(self, s) -> complex:
-        return self.values[self.offset_of(s) - self.lo]
-
-
-def pearson_weight(eq: EquationData, anchor, lo: int, hi: int) -> WeightTable:
+def pearson_weight(eq: EquationData, anchor, lo: int, hi: int) -> tuple:
     """Solve the Pearson equation Delta[sigma rho]/Delta x(s-1/2) = tau rho as
     a ratio recurrence on anchor+lo .. anchor+hi, normalized to
-    rho(anchor) = 1.
+    rho(anchor) = 1: the tuple of rho(anchor + k), k = lo..hi, at index
+    k - lo, so successive values satisfy rho(s+1)/rho(s) = Theta(s)/sigma(s+1).
 
     sigma may vanish only where the running weight is already zero (support
     boundaries); anywhere else a vanishing divisor raises.
@@ -337,7 +300,7 @@ def pearson_weight(eq: EquationData, anchor, lo: int, hi: int) -> WeightTable:
         raise QKernelError("weight table must contain its anchor (lo <= 0 <= hi)")
     anchor = complex(anchor)
     table = LatticeTable(eq.lattice, [anchor], 2 * lo - 1, 2 * hi + 1)
-    return _pearson_table(eq, anchor, lo, hi, *_sigma_theta(eq, table.x[0]))
+    return _pearson_table(anchor, lo, hi, *_sigma_theta(eq, table.x[0]))
 
 
 def _sigma_theta(eq: EquationData, xh):
@@ -350,7 +313,7 @@ def _sigma_theta(eq: EquationData, xh):
     return [_sigma_at(eq, x, d) for x, d in pts], [_theta_at(eq, x, d) for x, d in pts]
 
 
-def _pearson_table(eq, anchor: complex, lo: int, hi: int, sigma, theta) -> WeightTable:
+def _pearson_table(anchor: complex, lo: int, hi: int, sigma, theta) -> tuple:
     """The Pearson ratio recurrence of `pearson_weight` on sigma and Theta
     given at anchor+lo .. anchor+hi."""
     sig = lambda k: sigma[k - lo]
@@ -377,8 +340,7 @@ def _pearson_table(eq, anchor: complex, lo: int, hi: int, sigma, theta) -> Weigh
             )
         cur = cur * sig(-k) / den
         down.append(cur)
-    values = tuple(reversed(down)) + tuple(up)
-    return WeightTable(eq=eq, anchor=anchor, lo=lo, hi=hi, values=values)
+    return tuple(reversed(down)) + tuple(up)
 
 
 def rodrigues_values(eq: EquationData, anchor, count: int, n_hi: int, B):
@@ -386,7 +348,7 @@ def rodrigues_values(eq: EquationData, anchor, count: int, n_hi: int, B):
     rho_n(s) = rho(s+n) prod_{k=1}^{n} sigma(s+k), for n = 0..n_hi at the
     points s = anchor + k, k < count; rho is the Pearson weight on
     anchor - n_hi - 1 .. anchor + count + n_hi + 1 with rho(anchor) = 1.
-    B maps n to B_n (`eq.B_n`, or a family's table entry `coeffs.B`).
+    B maps n to B_n (a family's table entry `coeffs.B`).
 
     An oracle, not a production evaluator: restricted to n <= 5 because each
     nested difference quotient costs roughly a digit in doubles.  One
@@ -404,7 +366,7 @@ def rodrigues_values(eq: EquationData, anchor, count: int, n_hi: int, B):
     lo, hi = -n_hi - 1, count + n_hi + 1
     table = LatticeTable(eq.lattice, [anchor], 2 * lo - 1, 2 * hi + 1)
     sigma, theta = _sigma_theta(eq, table.x[0])
-    rho = np.array(_pearson_table(eq, anchor, lo, hi, sigma, theta).values)
+    rho = np.array(_pearson_table(anchor, lo, hi, sigma, theta))
     rho_s = rho[-lo:count - lo]
     if not rho_s.all():
         k = int(np.flatnonzero(rho_s == 0)[0])

@@ -1,6 +1,7 @@
-"""Orthonormal functions phi_n, the three-point operators H, L+, L-, the
-scalar functions u and v, factorization constants, and the identity checks
-built from them.
+"""The three-point operators H, L+, L- on the orthonormal functions phi_n,
+the scalar functions u and v, factorization constants, and the identity
+checks built from them.  phi_n itself is a quantity of the family
+(`FamilySpec.phi`): every check takes the `FamilySpec`.
 
 Operators are three-point stencils
 
@@ -35,14 +36,12 @@ keeps every square-root branch consistent with the operator coefficients;
 for positive weights it reduces to sqrt(rho) up to one overall constant.
 The identities checked here are 1-homogeneous in that constant, so chains
 may be anchored anywhere.  Orthogonality sums (mutual adjointness,
-self-adjointness, Gram matrices) instead use the closed-form weight on the
-real support, where rho >= 0 pointwise.
+self-adjointness, Gram matrices) instead use the family's closed-form
+weight on the real support, where rho >= 0 pointwise.
 """
 
 from __future__ import annotations
 
-import cmath
-from dataclasses import dataclass
 from functools import cached_property, reduce, wraps
 
 import numpy as np
@@ -54,7 +53,6 @@ from .qkernel import QKernelError
 from .report import CaseRecord, CheckReport
 
 __all__ = [
-    "OrthonormalFamily",
     "h_minusplus",
     "h_plusminus",
     "StencilGrid",
@@ -71,11 +69,6 @@ __all__ = [
     "check_selfadjoint",
     "check_branch_continuity",
 ]
-
-
-def _sqrt(z):
-    """The principal square root, elementwise for an ndarray."""
-    return np.sqrt(z) if isinstance(z, np.ndarray) else cmath.sqrt(z)
 
 
 def h_minusplus(fam, n):
@@ -95,67 +88,14 @@ def h_plusminus(fam, n):
     return h_minusplus(fam, n - 1)
 
 
-# ==========================================================================
-# orthonormal family (pointwise, closed-form weight on the real support)
-# ==========================================================================
+def _positive_real(rho):
+    """rho > 0 real to rounding, where sqrt(rho) gives phi_n; elementwise on an ndarray."""
+    return (abs(rho.imag) <= 1e-12 * abs(rho)) & (rho.real > 0.0)
 
 
-@dataclass
-class OrthonormalFamily:
-    """phi_n = sqrt(rho/d_n^2) P_n with the family's closed-form weight.
-
-    Pointwise phi values require rho >= 0 (real support); chain-based checks
-    do not go through this class.  P_n comes from the recurrence route.
-    Every method takes one point or an ndarray of support nodes, with one
-    weight evaluation per node; `phi` and `phi_point` take n as one index or
-    as a range, which stacks phi_n for n in the range on a leading axis from
-    one recurrence pass.
-    """
-
-    family: object
-
-    def rho_at_s(self, s) -> complex:
-        return self.family.kind.rho_at_s(self.family, s)
-
-    def sqrt_rho(self, s):
-        """sqrt(rho(s)) at a point of the real support, or elementwise on an
-        ndarray of support nodes."""
-        rho = self.rho_at_s(s)
-        bad = (np.abs(rho.imag) > 1e-12 * np.abs(rho)) | (rho.real < 0.0)
-        if np.any(bad):
-            at = s[bad][0] if isinstance(s, np.ndarray) else s
-            raise QKernelError(
-                f"rho({at}) is not a nonnegative real; pointwise phi needs the "
-                "real branch (off the support the checks use chain weights)"
-            )
-        return _sqrt(rho)
-
-    def phi(self, n, s):
-        """phi_n at support points s (n an index or a range)."""
-        return self._phi(n, self.sqrt_rho(s), self.family.lattice.x_values(s))
-
-    def phi_point(self, n, point):
-        """phi_n at natural-coordinate points (n an index or a range; used
-        by Jackson-integral Grams)."""
-        fam = self.family
-        w = _sqrt(fam.weight(point))
-        return self._phi(n, w, fam.lattice.x_values(fam.s_from_point(point)))
-
-    def _phi(self, n, w, x):
-        fam = self.family
-        if not isinstance(n, range):
-            return self._normalized(w, fam.pn_ttrr_x(n, x), n)
-        P = fam.pn_stack(n[-1], x)
-        d = np.array([fam.d_n(k) for k in n]).reshape((-1,) + (1,) * np.ndim(x))
-        return _cdiv(w * np.asarray(P)[n.start:n.stop:n.step], d)
-
-    def _normalized(self, w, values, n):
-        """w values / d_n, with w = sqrt(rho): phi_n from P_n, or an operator
-        applied to phi_n from its reduced stencil on P_n; for an int ndarray
-        of n, row by row."""
-        if isinstance(n, np.ndarray):
-            return _cdiv(w * values, np.array([self.family.d_n(k) for k in n.tolist()])[:, None])
-        return _cdiv(w * values, self.family.d_n(n))
+def _d_column(fam, n):
+    """d_n for an int ndarray n, as a column against the node axis."""
+    return np.array([fam.d_n(k) for k in n.tolist()])[:, None]
 
 
 def _reduced(which: str, n, g: "StencilGrid", op_n: int | None = None):
@@ -733,7 +673,7 @@ def _chain(s_grid, N: int):
     return s0, offs, min(offs) - N
 
 
-def _bootstrap(of: OrthonormalFamily, N: int, s_grid):
+def _bootstrap(fam, N: int, s_grid):
     """Solve L-(s,0) phi_0 = 0 as the ratio recurrence
 
         phi_0(s+1) = -v(s,0) Delta x(s) phi_0(s) / sqrt(Theta(s) sigma(s+1)),
@@ -742,7 +682,6 @@ def _bootstrap(of: OrthonormalFamily, N: int, s_grid):
     operator.  Returns the table {n: {chain offset: phi_n}}, the margin-1
     StencilGrid on the chain points s0 + lo .. s0 + max(offsets) and
     `_branch_consistent` on its points."""
-    fam = of.family
     if N < 0:
         raise QKernelError("bootstrap needs N >= 0")
     s0, offs, lo = _chain(s_grid, N)
@@ -758,10 +697,10 @@ def _bootstrap(of: OrthonormalFamily, N: int, s_grid):
         vals.append(step * vals[-1] / r)
     # normalize at the first grid point against the direct phi_0
     i0 = offs[0] - lo
-    consistent, w = _branch_consistent(of, g)
+    consistent, w = _branch_consistent(fam, g)
     anchor = complex(1.0)
     if consistent[i0]:
-        anchor = of.phi(0, s0) if w is None else complex(of._phi(0, w[[i0]], g.x[[i0], 1])[0])
+        anchor = fam.phi(0, s0) if w is None else complex(fam._phi(0, w[[i0]], g.x[[i0], 1])[0])
     scale = anchor / vals[i0] if vals[i0] != 0 else complex(1.0)
     cur = np.array([v * scale for v in vals])  # phi_n on the chain offsets n + lo .. hi
     table = {0: dict(zip(range(lo, hi + 1), cur.tolist()))}
@@ -779,15 +718,15 @@ def _bootstrap(of: OrthonormalFamily, N: int, s_grid):
     return table, g, consistent, w
 
 
-def _phi_pointwise_ok(of: OrthonormalFamily, s) -> bool:
+def _phi_pointwise_ok(fam, s) -> bool:
     try:
-        rho = of.rho_at_s(s)
+        rho = fam.rho_at_s(s)
     except Exception:
         return False
-    return abs(rho.imag) <= 1e-12 * abs(rho) and rho.real > 0.0
+    return _positive_real(rho)
 
 
-def _branch_consistent(of: OrthonormalFamily, g: StencilGrid):
+def _branch_consistent(fam, g: StencilGrid):
     """Per point of a margin-1 grid, whether the positive pointwise
     sqrt(rho) satisfies the same branch relations as the principal-root
     chain there: sigma(s), Theta(s) >= 0 and rho > 0, all real.  Where
@@ -811,16 +750,16 @@ def _branch_consistent(of: OrthonormalFamily, g: StencilGrid):
     s = g.s[ok]
     try:
         with np.errstate(all="ignore"):
-            rho = np.asarray(of.rho_at_s(s), dtype=complex)
+            rho = np.asarray(fam.rho_at_s(s), dtype=complex)
         finite = np.isfinite(rho).all()
     except Exception:
         finite = False
     if not finite:
-        ok[ok] = [_phi_pointwise_ok(of, t) for t in s.tolist()]
+        ok[ok] = [_phi_pointwise_ok(fam, t) for t in s.tolist()]
         return ok, None
     w = np.zeros(len(ok), dtype=complex)
     w[ok] = np.sqrt(rho)
-    ok[ok] = (np.abs(rho.imag) <= 1e-12 * np.abs(rho)) & (rho.real > 0.0)
+    ok[ok] = _positive_real(rho)
     return ok, w
 
 
@@ -837,25 +776,24 @@ def _d_ratio_up(fam, n: int):
 
 
 @_RAISE_FP
-def check_bootstrap(of: OrthonormalFamily, N: int, s_grid, tolerance: float = 1e-8) -> CheckReport:
+def check_bootstrap(fam, N: int, s_grid, tolerance: float = 1e-8) -> CheckReport:
     """Bootstrapped phi_n match direct phi_n up to one constant per level,
     fixed at the first grid point.  The direct phi_n are the pointwise ones
     where their branch agrees with the chain's, else the chain weights times
     P_n, both on the bootstrap's chain grid."""
-    fam = of.family
     rep = CheckReport(
         suite="bootstrap",
         identity="phi_0 from L-(s,0) phi_0 = 0, then phi_{n+1} from L+(s,n)",
         family=fam.name,
         tolerance=tolerance,
     )
-    table, g, consistent, w = _bootstrap(of, N, s_grid)
+    table, g, consistent, w = _bootstrap(fam, N, s_grid)
     s0, offs, lo = _chain(s_grid, N)
     rows = [k - lo for k in offs]
     if consistent.all():
         # the pointwise phi_n, with sqrt(rho) from the consistency check
-        direct = (of.phi(range(N + 1), g.s[rows]) if w is None
-                  else of._phi(range(N + 1), w[rows], g.x[rows, 1]))
+        direct = (fam.phi(range(N + 1), g.s[rows]) if w is None
+                  else fam._phi(range(N + 1), w[rows], g.x[rows, 1]))
     else:
         # one chain through the grid points, anchored at s0; a link going up
         # is read at its lower point, one going down at its upper point
@@ -876,7 +814,7 @@ def check_bootstrap(of: OrthonormalFamily, N: int, s_grid, tolerance: float = 1e
 
 
 @_RAISE_FP
-def check_adjoint(of: OrthonormalFamily, ns, tolerance: float = 1e-8) -> CheckReport:
+def check_adjoint(fam, ns, tolerance: float = 1e-8) -> CheckReport:
     """Mutual adjointness on a finite discrete support:
 
         sum phi_{n+1} [[2n]_q/lambda_{2n} L+ phi_n] Delta x(s-1/2)
@@ -886,7 +824,6 @@ def check_adjoint(of: OrthonormalFamily, ns, tolerance: float = 1e-8) -> CheckRe
     One pass over the support: the weight is evaluated once per node, and
     phi_k and the reduced L+ phi_n, L- phi_{n+1} once on the (n x node)
     array."""
-    fam = of.family
     rep = CheckReport(
         suite="adjoint",
         identity="sum phi_{n+1} [2n]_q/lambda_{2n} (L+ phi_n) dx = "
@@ -902,7 +839,7 @@ def check_adjoint(of: OrthonormalFamily, ns, tolerance: float = 1e-8) -> CheckRe
     spec = InnerProductSpec(fam.lattice, tuple(grid))
     g = StencilGrid.shared(fam, grid, 1)  # the nodes with s - 1, s + 1
     t = fam.coeffs
-    w = of.sqrt_rho(g.s)
+    w = fam.sqrt_rho(g.s)
     skipped, targets = {}, {}  # n -> why it is out of range, n -> alpha_n d_{n+1}/d_n
     for n in ns:
         if fam.n_max is not None and n + 1 > fam.n_max:
@@ -915,9 +852,10 @@ def check_adjoint(of: OrthonormalFamily, ns, tolerance: float = 1e-8) -> CheckRe
             targets[n] = t.alpha(n) * dr
     if targets:
         n = np.array(list(targets))
-        phi, phi1 = (of._normalized(w, g.p(k)[..., 1], k) for k in (n, n + 1))
-        raised = of._normalized(w, _reduced("L+", n, g), n)
-        lowered = of._normalized(w, _reduced("L-", n + 1, g), n + 1)
+        d, d1 = _d_column(fam, n), _d_column(fam, n + 1)
+        phi, phi1 = _cdiv(w * g.p(n)[..., 1], d), _cdiv(w * g.p(n + 1)[..., 1], d1)
+        raised = _cdiv(w * _reduced("L+", n, g), d)
+        lowered = _cdiv(w * _reduced("L-", n + 1, g), d1)
         s1 = _cdiv(discrete_inner(spec, lambda _: phi1, lambda _: raised), t.lam_ratio(2.0 * n))
         s2 = _cdiv(discrete_inner(spec, lambda _: lowered, lambda _: phi),
                    t.lam_ratio(2.0 * n + 2.0))
@@ -935,7 +873,7 @@ def check_adjoint(of: OrthonormalFamily, ns, tolerance: float = 1e-8) -> CheckRe
 
 
 @_RAISE_FP
-def check_selfadjoint(of: OrthonormalFamily, pairs, tolerance: float = 1e-8,
+def check_selfadjoint(fam, pairs, tolerance: float = 1e-8,
                       drop_last: int = 0) -> CheckReport:
     """Self-adjointness of the eigenvalue operator on the discrete support:
 
@@ -951,7 +889,6 @@ def check_selfadjoint(of: OrthonormalFamily, pairs, tolerance: float = 1e-8,
     weight, each phi_k and each H(.,n) phi_k are evaluated once, on the
     (n x k x node) array.  Pairs beyond a finite family are out-of-range
     cases."""
-    fam = of.family
     rep = CheckReport(
         suite="selfadjoint",
         identity="sum phi_m (H(.,n) phi_n) = sum phi_n (H(.,n) phi_m)"
@@ -967,13 +904,14 @@ def check_selfadjoint(of: OrthonormalFamily, pairs, tolerance: float = 1e-8,
     if drop_last:
         grid = grid[:-drop_last]
     g = StencilGrid.shared(fam, grid, 1)  # the nodes with their neighbours s - 1, s + 1
-    w = of.sqrt_rho(g.s)
+    w = fam.sqrt_rho(g.s)
     inside = {(n, m) for n, m in pairs if fam.n_max is None or max(n, m) <= fam.n_max}
     if inside:
         ks = np.array(sorted({k for pair in inside for k in pair}))
-        phi = dict(zip(ks.tolist(), of._normalized(w, g.p(ks)[..., 1], ks)))
+        d = _d_column(fam, ks)
+        phi = dict(zip(ks.tolist(), _cdiv(w * g.p(ks)[..., 1], d)))
         hphi = {(n, k): row for n in sorted({n for n, _ in inside})
-                for k, row in zip(ks.tolist(), of._normalized(w, _reduced("H", ks, g, n), ks))}
+                for k, row in zip(ks.tolist(), _cdiv(w * _reduced("H", ks, g, n), d))}
     for n, m in pairs:
         if (n, m) not in inside:
             rep.cases.append(CaseRecord(n, f"m={m}", 0.0,

@@ -44,7 +44,10 @@ __all__ = [
 ]
 
 JACKSON_NODE_CAP = 10**4
+JACKSON_TOL = 1e-15  # a Jackson term below it (relative to the running sum, or 1) is small
 QUADRATURE_RULE = "midpoint in theta (Gauss-Chebyshev in x) with node doubling"
+# the node-doubling loop: first node count, settling tolerance, doublings allowed
+QUADRATURE_START_NODES, QUADRATURE_REL_TOL, QUADRATURE_MAX_DOUBLINGS = 250, 1e-9, 4
 
 
 @dataclass(frozen=True)
@@ -82,17 +85,17 @@ def _first(mask):
     return np.where(mask.any(axis=-1), mask.argmax(axis=-1), mask.shape[-1])
 
 
-def _jackson_block(q: float, tol: float) -> int:
+def _jackson_block(q: float) -> int:
     """Nodes in the first block: a bounded integrand's terms take about
-    log(tol)/log(q) nodes to fall below tol, and then 4 must settle."""
-    return min(math.ceil(math.log(tol) / math.log(q)) + 4, JACKSON_NODE_CAP)
+    log(JACKSON_TOL)/log(q) nodes to fall below it, and then 4 must settle."""
+    return min(math.ceil(math.log(JACKSON_TOL) / math.log(q)) + 4, JACKSON_NODE_CAP)
 
 
-def _jackson_zero_to(f, z, base: QBase, tol: float):
+def _jackson_zero_to(f, z, base: QBase):
     if z == 0:
         return complex(0.0)
-    q = base.q
-    start, done, size = complex(z), 0, _jackson_block(q, tol)
+    q, tol = base.q, JACKSON_TOL
+    start, done, size = complex(z), 0, _jackson_block(q)
     shape = None  # entry shape of the integrand, known after the first block
     while done < JACKSON_NODE_CAP:
         size = min(size, JACKSON_NODE_CAP - done)
@@ -141,14 +144,14 @@ def _jackson_zero_to(f, z, base: QBase, tol: float):
     )
 
 
-def jackson_integral(f, z1, z2, base: QBase, tol: float = 1e-15):
+def jackson_integral(f, z1, z2, base: QBase):
     """int_{z1}^{z2} f(t) d_q t = int_0^{z2} - int_0^{z1}, each as the
     displayed node series, elementwise for array values; every entry must
-    settle for 4 consecutive nodes.  f is called on arrays of nodes, a block
-    at a time.  Requires 0 < q < 1."""
+    settle for 4 consecutive nodes below JACKSON_TOL.  f is called on arrays
+    of nodes, a block at a time.  Requires 0 < q < 1."""
     if not base.allows_infinite_products:
         raise QKernelError(f"Jackson integral requires q < 1, got q={base.q}")
-    return _jackson_zero_to(f, z2, base, tol) - _jackson_zero_to(f, z1, base, tol)
+    return _jackson_zero_to(f, z2, base) - _jackson_zero_to(f, z1, base)
 
 
 def continuous_inner_aw(f, g, weight_density, nodes: int = 2000):
@@ -169,32 +172,30 @@ def continuous_inner_aw(f, g, weight_density, nodes: int = 2000):
     return _scalar_or_array((f(x) * g(x) * weight_density(x) * w).sum(axis=-1))
 
 
-def continuous_inner_aw_converged(f, g, weight_density, start_nodes: int = 250,
-                                  rel_tol: float = 1e-9, max_doublings: int = 4,
-                                  scale=1.0):
-    """Node-doubling convergence loop around `continuous_inner_aw`.
+def continuous_inner_aw_converged(f, g, weight_density, scale=1.0):
+    """Node-doubling convergence loop around `continuous_inner_aw`, from
+    QUADRATURE_START_NODES nodes.
 
-    Settles when doubling changes every entry by less than rel_tol relative
-    to max(|value|, scale); `scale` (a scalar or an array matching the
-    value) supplies the natural magnitude for entries whose true value is 0
-    (off-diagonal Gram entries).  Returns (value, history) with history the
-    list of (nodes, value) visited; raises NonConvergedError when doubling
-    never settles.
+    Settles when doubling changes every entry by less than
+    QUADRATURE_REL_TOL relative to max(|value|, scale); `scale` (a scalar or
+    an array matching the value) supplies the natural magnitude for entries
+    whose true value is 0 (off-diagonal Gram entries).  Returns (value,
+    history) with history the list of (nodes, value) visited; raises
+    NonConvergedError when QUADRATURE_MAX_DOUBLINGS doublings never settle.
     """
-    nodes = start_nodes
+    nodes = QUADRATURE_START_NODES
     prev = continuous_inner_aw(f, g, weight_density, nodes)
     history = [(nodes, prev)]
-    for _ in range(max_doublings):
+    for _ in range(QUADRATURE_MAX_DOUBLINGS):
         nodes *= 2
         cur = continuous_inner_aw(f, g, weight_density, nodes)
         history.append((nodes, cur))
-        bound = rel_tol * np.maximum(np.maximum(np.abs(cur), np.abs(scale)), 1e-30)
+        bound = QUADRATURE_REL_TOL * np.maximum(np.maximum(np.abs(cur), np.abs(scale)), 1e-30)
         if np.all(np.abs(cur - prev) <= bound):
             return cur, history
         prev = cur
-    raise NonConvergedError(
-        f"quadrature did not settle to {rel_tol} after {max_doublings} doublings"
-    )
+    raise NonConvergedError(f"quadrature did not settle to {QUADRATURE_REL_TOL} after "
+                            f"{QUADRATURE_MAX_DOUBLINGS} doublings")
 
 
 def _outer(v):
@@ -202,10 +203,10 @@ def _outer(v):
     return v[:, None] * v[None]
 
 
-def gram_matrix(of, N: int):
+def gram_matrix(fam, N: int):
     """(G, history): G is the (N+1) x (N+1) matrix of inner products of the
-    orthonormal functions phi_0..phi_N of an OrthonormalFamily, using the
-    family's support.
+    orthonormal functions phi_0..phi_N of a family (`FamilySpec.phi`), using
+    the family's support.
 
     One rule call per support: the integrand is the matrix phi_n phi_m on a
     node array (P_n P_m on the continuous support), so the weight is
@@ -215,14 +216,13 @@ def gram_matrix(of, N: int):
     unnormalised integrals of P_n P_m) pairs; the sums and Jackson integrals
     have no such loop and give an empty history.
     """
-    fam = of.family
     sup = fam.support
     ns = range(N + 1)
     if sup.kind == "discrete_grid":
         spec = InnerProductSpec(fam.lattice, tuple(sup.grid_points))
-        return discrete_inner(spec, lambda s: _outer(of.phi(ns, s)), _one), []
+        return discrete_inner(spec, lambda s: _outer(fam.phi(ns, s)), _one), []
     if sup.kind == "jackson_integral":
-        return jackson_integral(lambda x: _outer(of.phi_point(ns, x)), sup.lo, sup.hi,
+        return jackson_integral(lambda x: _outer(fam.phi_point(ns, x)), sup.lo, sup.hi,
                                 fam.base), []
     if sup.kind == "continuous_interval":
         dd = _outer(np.array([fam.d_n(n) for n in ns]))

@@ -22,7 +22,6 @@ from dataclasses import dataclass
 from qladder.hypergeometric_core import (
     RODRIGUES_MAX_ORDER,
     EquationData,
-    WeightTable,
     _sigma_at,
     _sigma_theta_deriv,
     _theta_at,
@@ -37,7 +36,7 @@ from functools import reduce
 import numpy as np
 
 from qladder.ladder import StencilGrid, _by_offset, _reduced
-from qladder.lattice import DegenerateStepError, Lattice
+from qladder.lattice import DegenerateStepError, Lattice, _cdiv
 from qladder.qkernel import QKernelError, q_factorial, require_finite
 
 
@@ -130,8 +129,10 @@ def grid_lowering(g, n: int) -> ThreePointOperator:
 
 def lam_tau_ratio(eq: EquationData, n, s):
     """A(s,n) = lambda_n/[n]_q * tau_n(s)/tau_n', the n = 0 value by the
-    continuation of lam_ratio, on a table of its own."""
-    return EquationTable(eq).A(n, s)
+    continuation of lam_ratio, with tau_n(s) from its affine coefficients."""
+    tk = tau_k_coeffs(eq, float(n))
+    tau_n = tk.slope * eq.lattice.x_shifted(tk.k, s) + tk.intercept
+    return _cdiv(lam_ratio(eq, n) * tau_n, tk.slope)
 
 
 def lambda_n(eq: EquationData, n) -> complex:
@@ -149,16 +150,16 @@ def beta_generic(eq: EquationData, n: int) -> complex:
     return EquationTable(eq).beta_generic(n)
 
 
-def apply_reduced(of, which: str, n: int, s, op_n: int | None = None):
+def apply_reduced(fam, which: str, n: int, s, op_n: int | None = None):
     """(Op phi_n)(s) with the square roots reduced through the Pearson
     relation, from the library's reduced stencils (`ladder._reduced`) on a
     margin-1 StencilGrid at s, one point or an ndarray of support nodes.
     `op_n` is the operator's eigen-parameter (defaults to the function index
     n); only H distinguishes the two."""
-    reduced = _reduced(which, n, StencilGrid.shared(of.family, np.atleast_1d(s), 1), op_n)
+    reduced = _reduced(which, n, StencilGrid.shared(fam, np.atleast_1d(s), 1), op_n)
     if not isinstance(s, np.ndarray):
         reduced = complex(reduced[0])
-    return of._normalized(of.sqrt_rho(s), reduced, n)
+    return _cdiv(fam.sqrt_rho(s) * reduced, fam.d_n(n))
 
 
 def mu_k(eq: EquationData, lam, k: int) -> complex:
@@ -187,9 +188,10 @@ def a_nk(eq: EquationData, n: int, k: int) -> complex:
     return out
 
 
-def leading_coeff(eq: EquationData, n: int) -> complex:
-    """a_n = B_n prod_{k=0}^{n-1} {alpha_q(n+k-1) tau~' + [n+k-1]_q sigma~''/2}."""
-    out = eq.B_n(n)
+def leading_coeff(eq: EquationData, n: int, B) -> complex:
+    """a_n = B_n prod_{k=0}^{n-1} {alpha_q(n+k-1) tau~' + [n+k-1]_q sigma~''/2},
+    with B mapping n to B_n (a family's `coeffs.B`)."""
+    out = complex(B(n))
     for k in range(n):
         factor = -lam_ratio(eq, n + k)
         if abs(factor) == 0.0:
@@ -198,7 +200,7 @@ def leading_coeff(eq: EquationData, n: int) -> complex:
     return out
 
 
-def ttrr_coeffs_generic(eq: EquationData, n: int, dn_ratio) -> tuple:
+def ttrr_coeffs_generic(eq: EquationData, n: int, dn_ratio, B) -> tuple:
     """Generic three-term recurrence coefficients for x P_n = alpha_n P_{n+1}
     + beta_n P_n + gamma_n P_{n-1}:
 
@@ -207,14 +209,15 @@ def ttrr_coeffs_generic(eq: EquationData, n: int, dn_ratio) -> tuple:
         gamma_n = (a_{n-1}/a_n) * dn_ratio,
 
     with dn_ratio = d_n^2/d_{n-1}^2 supplied by the caller so the routine
-    never silently depends on a support choice.  gamma_0 is returned as 0.
+    never silently depends on a support choice, and a_n from the
+    normalization B (`leading_coeff`).  gamma_0 is returned as 0.
     """
-    alpha = leading_coeff(eq, n) / leading_coeff(eq, n + 1)
+    alpha = leading_coeff(eq, n, B) / leading_coeff(eq, n + 1, B)
     beta = beta_generic(eq, n)
     if n == 0:
         gamma = complex(0.0)
     else:
-        gamma = leading_coeff(eq, n - 1) / leading_coeff(eq, n) * complex(dn_ratio)
+        gamma = leading_coeff(eq, n - 1, B) / leading_coeff(eq, n, B) * complex(dn_ratio)
     return alpha, beta, gamma
 
 
@@ -522,11 +525,12 @@ def tau_k_eval_direct(eq: EquationData, k: int, s) -> complex:
     return num / denom
 
 
-def pearson_weight(eq: EquationData, anchor, lo: int, hi: int) -> WeightTable:
-    """The Pearson table of `hypergeometric_core.pearson_weight`, point by
+def pearson_weight(eq: EquationData, anchor, lo: int, hi: int) -> tuple:
+    """The Pearson weight of `hypergeometric_core.pearson_weight`, point by
     point through sigma_eval and theta_eval: the Pearson equation
     Delta[sigma rho]/Delta x(s-1/2) = tau rho as a ratio recurrence on
-    anchor+lo .. anchor+hi, normalized to rho(anchor) = 1.
+    anchor+lo .. anchor+hi, normalized to rho(anchor) = 1; the tuple of
+    rho(anchor + k) at index k - lo.
 
     sigma may vanish only where the running weight is already zero (support
     boundaries); anywhere else a vanishing divisor raises.
@@ -558,22 +562,38 @@ def pearson_weight(eq: EquationData, anchor, lo: int, hi: int) -> WeightTable:
             )
         cur = cur * sigma_eval(eq, s) / den
         down.append(cur)
-    values = tuple(reversed(down)) + tuple(up)
-    return WeightTable(eq=eq, anchor=anchor, lo=lo, hi=hi, values=values)
+    return tuple(reversed(down)) + tuple(up)
 
 
-def rho_n(eq: EquationData, weight: WeightTable, n: int, s) -> complex:
-    """rho_n(s) = rho(s+n) prod_{k=1}^{n} sigma(s+k)."""
+def weight_fn(values, anchor, lo: int):
+    """rho as a function on the points anchor + k of a Pearson weight
+    sequence (`values[k - lo]`); a point off that chain raises."""
+    anchor = complex(anchor)
+
+    def rho(s):
+        d = complex(s) - anchor
+        k = round(d.real)
+        if abs(d - k) > 1e-9 or not 0 <= k - lo < len(values):
+            raise QKernelError(f"point {s} is not on the weight's chain")
+        return values[k - lo]
+
+    return rho
+
+
+def rho_n(eq: EquationData, rho, n: int, s) -> complex:
+    """rho_n(s) = rho(s+n) prod_{k=1}^{n} sigma(s+k), rho a function of s
+    (`weight_fn`)."""
     if n < 0:
         raise QKernelError(f"rho_n needs n >= 0, got {n}")
-    out = weight.rho(complex(s) + n)
+    out = rho(complex(s) + n)
     for k in range(1, n + 1):
         out *= sigma_eval(eq, complex(s) + k)
     return out
 
 
-def rodrigues_eval(eq: EquationData, weight: WeightTable, n: int, s) -> complex:
-    """P_n(x(s)) = B_n / rho(s) * nabla^{(n)} rho_n(s).
+def rodrigues_eval(eq: EquationData, rho, n: int, s, B) -> complex:
+    """P_n(x(s)) = B_n / rho(s) * nabla^{(n)} rho_n(s), rho a function of s
+    (`weight_fn`) and B mapping n to B_n (a family's `coeffs.B`).
 
     An oracle, not a production evaluator: restricted to n <= 5 because each
     nested difference quotient costs roughly a digit in doubles.
@@ -584,21 +604,21 @@ def rodrigues_eval(eq: EquationData, weight: WeightTable, n: int, s) -> complex:
         raise QKernelError(
             f"Rodrigues evaluation is an oracle restricted to n <= {RODRIGUES_MAX_ORDER}"
         )
-    rho_s = weight.rho(s)
+    rho_s = rho(s)
     if abs(rho_s) == 0.0:
         raise QKernelError(f"rho({s}) = 0: Rodrigues quotient undefined")
     if n == 0:
-        return eq.B_n(0)
-    f = GridFunction(eq.lattice, lambda u: rho_n(eq, weight, n, u))
-    return eq.B_n(n) / rho_s * nfold_backward_chain(f, n, s)
+        return complex(B(0))
+    f = GridFunction(eq.lattice, lambda u: rho_n(eq, rho, n, u))
+    return complex(B(n)) / rho_s * nfold_backward_chain(f, n, s)
 
 
-def d_n_sq_discrete(eq: EquationData, weight: WeightTable, n: int, a, b) -> complex:
+def d_n_sq_discrete(eq: EquationData, rho, n: int, a, b, B) -> complex:
     """d_n^2 = (-1)^n A_{n,n} B_n^2 sum_{s=a}^{b-n-1} rho_n(s) Delta x_n(s-1/2),
 
     on the finite grid s = a, a+1, ..., b-1 with the boundary conditions
     sigma(a) = 0 and sigma(b) rho(b) = 0 (violations raise, never silently
-    proceed).
+    proceed); rho is a function of s (`weight_fn`) and B maps n to B_n.
     """
     a = complex(a)
     b = complex(b)
@@ -609,18 +629,18 @@ def d_n_sq_discrete(eq: EquationData, weight: WeightTable, n: int, a, b) -> comp
     scale = max(abs(sigma_eval(eq, a + j)) for j in range(length + 1)) + 1e-300
     if abs(sigma_eval(eq, a)) > 1e-10 * scale:
         raise QKernelError(f"boundary condition sigma(a)=0 violated at a={a}")
-    if abs(sigma_eval(eq, b) * weight.rho(b)) > 1e-10 * scale:
+    if abs(sigma_eval(eq, b) * rho(b)) > 1e-10 * scale:
         raise QKernelError(f"boundary condition sigma(b) rho(b)=0 violated at b={b}")
     lat = eq.lattice
     total = complex(0.0)
     for j in range(length - n):
         s = a + j
-        total += rho_n(eq, weight, n, s) * (
+        total += rho_n(eq, rho, n, s) * (
             lat.x_shifted(n, s + 0.5) - lat.x_shifted(n, s - 0.5)
         )
     sign = -1.0 if n % 2 else 1.0
     return require_finite(
-        sign * a_nk(eq, n, n) * eq.B_n(n) ** 2 * total, "discrete d_n^2"
+        sign * a_nk(eq, n, n) * complex(B(n)) ** 2 * total, "discrete d_n^2"
     )
 
 
@@ -758,22 +778,22 @@ def _bootstrap_cases(fam, N: int, grid):
     L-(s,0) phi_0 = 0, normalized against the pointwise phi_0 where its
     branch agrees with the chain's, then N raising steps, each level against
     the direct phi_n up to one constant."""
-    from qladder.ladder import OrthonormalFamily, _d_ratio_up, _phi_pointwise_ok
+    from qladder.ladder import _d_ratio_up, _phi_pointwise_ok
 
-    of, eq, lat, t = OrthonormalFamily(fam), fam.eq, fam.lattice, fam.coeffs
+    eq, lat, t = fam.eq, fam.lattice, fam.coeffs
     s0 = complex(grid[0])
     offs = [round((complex(s) - s0).real) for s in grid]
     lo, hi = min(offs) - N, max(offs)
     nonneg = lambda z: abs(z.imag) <= 1e-10 * max(1.0, abs(z)) and \
         z.real >= -1e-12 * max(1.0, abs(z))
-    ok = lambda s: (_phi_pointwise_ok(of, s) and nonneg(sigma_eval(eq, s))
+    ok = lambda s: (_phi_pointwise_ok(fam, s) and nonneg(sigma_eval(eq, s))
                     and nonneg(theta_eval(eq, s)))
     vals = [complex(1.0)]
     for k in range(lo, hi):
         s = s0 + k
         vals.append(-v_fn(fam, 0, s) * lat.delta_x(s) * vals[-1] / sqrt_ts_plus(fam, s))
     i0 = offs[0] - lo
-    anchor = of.phi(0, s0) if ok(s0) else complex(1.0)
+    anchor = fam.phi(0, s0) if ok(s0) else complex(1.0)
     cur = [v * (anchor / vals[i0] if vals[i0] != 0 else 1.0) for v in vals]
     table = {0: dict(zip(range(lo, hi + 1), cur))}
     for n in range(N):
@@ -783,7 +803,7 @@ def _bootstrap_cases(fam, N: int, grid):
                for j, k in enumerate(range(lo + n + 1, hi + 1))]
         table[n + 1] = dict(zip(range(lo + n + 1, hi + 1), cur))
     if all(ok(s0 + k) for k in range(lo, hi + 1)):
-        direct = lambda n, k: of.phi(n, s0 + k)
+        direct = lambda n, k: fam.phi(n, s0 + k)
     else:
         w = weight_chain(fam, s0, lo, hi)
         direct = lambda n, k: w[k] * fam.pn_ttrr(n, s0 + k)

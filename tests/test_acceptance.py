@@ -59,7 +59,7 @@ def test_criterion_2_ladder_actions_and_bootstrap(families):
         grid = grid_for(name)
         if name in ("askey_wilson", "continuous_q_hermite"):
             grid = [grid[0] + k for k in range(5)]
-        rep = L.check_bootstrap(L.OrthonormalFamily(fam), 4, grid)
+        rep = L.check_bootstrap(fam, 4, grid)
         worst_boot = max(worst_boot, rep.max_residual)
     _report(
         "criterion 2 (ladder actions + bootstrap)",
@@ -100,9 +100,9 @@ def test_criterion_4_eigen_equation_with_negative_control(families):
 
 def test_criterion_5_orthonormality(families):
     t0 = time.perf_counter()
-    G, _ = gram_matrix(L.OrthonormalFamily(families["q_dual_hahn"]), 4)
+    G, _ = gram_matrix(families["q_dual_hahn"], 4)
     qdh_err = float(np.max(np.abs(G - np.eye(5))))
-    G, _ = gram_matrix(L.OrthonormalFamily(families["asc1"]), 3)
+    G, _ = gram_matrix(families["asc1"], 3)
     asc1_err = float(np.max(np.abs(G - np.eye(4))))
     # norm-convention ratio (integral)/(tabulated d_n^2) constant over n
     fam = families["asc1"]
@@ -114,7 +114,7 @@ def test_criterion_5_orthonormality(families):
         )
         ratios.append(val / complex(fam.closed.d_n_sq(n)))
     spread = max(abs(r - ratios[0]) for r in ratios) / abs(ratios[0])
-    G, _ = gram_matrix(L.OrthonormalFamily(families["askey_wilson"]), 3)
+    G, _ = gram_matrix(families["askey_wilson"], 3)
     aw_err = float(np.max(np.abs(G - np.eye(4))))
     elapsed = time.perf_counter() - t0
     ok = qdh_err < 1e-8 and asc1_err < 1e-8 and spread < 1e-9 and aw_err < 1e-6 and elapsed < 30.0
@@ -143,11 +143,11 @@ def test_criterion_6_concordance_with_errata(families):
             bqj_norm_record = bool({"d_n_sq_ratio", "d_0_sq_anchor"} & recorded)
         mismatched = set()
         for n in range(0, 9):
+            generic = ttrr_coeffs_generic(fam.eq, n, 1.0, fam.coeffs.B)
             pairs = {
                 "lambda_n": (complex(fam.closed.lambda_n(n)), lam_general(fam.eq, n)),
-                "alpha_n": (fam.coeffs.alpha(n), ttrr_coeffs_generic(fam.eq, n, 1.0)[0]),
-                "beta_n": (complex(fam.closed.beta_n(n)),
-                           ttrr_coeffs_generic(fam.eq, n, 1.0)[1]),
+                "alpha_n": (fam.coeffs.alpha(n), generic[0]),
+                "beta_n": (complex(fam.closed.beta_n(n)), generic[1]),
                 "tau_n_slope": (complex(fam.closed.tau_slope(n)),
                                 tau_k_coeffs(fam.eq, float(n)).slope),
                 "tau_n_intercept": (complex(fam.closed.tau_intercept(n)),
@@ -221,11 +221,11 @@ def test_criterion_8_rodrigues_oracle(families):
 
 
 def test_criterion_9_adjointness(families):
-    of = L.OrthonormalFamily(families["q_dual_hahn"])
-    adj = L.check_adjoint(of, list(range(0, 5)))
+    fam = families["q_dual_hahn"]
+    adj = L.check_adjoint(fam, list(range(0, 5)))
     pairs = [(n, m) for n in range(5) for m in range(5)]
-    sa = L.check_selfadjoint(of, pairs)
-    broken = L.check_selfadjoint(of, [(0, 2), (1, 3), (0, 4)], drop_last=1)
+    sa = L.check_selfadjoint(fam, pairs)
+    broken = L.check_selfadjoint(fam, [(0, 2), (1, 3), (0, 4)], drop_last=1)
     ok = adj.max_residual < 1e-8 and sa.max_residual < 1e-8 and broken.max_residual > 1e-3
     _report(
         "criterion 9 (mutual adjointness + self-adjointness, dual Hahn)",

@@ -389,6 +389,36 @@ def test_gram_n_zero(tmp_path):
     assert abs(data["matrix"][0][0][0] - 1.0) < 1e-9
 
 
+def test_gram_reads_only_n_max(tmp_path, capsys):
+    # gram never reads n_min, so the default n_min = 1 does not reject --n-max 0
+    out = tmp_path / "g0.json"
+    assert run_cli(["gram", "--family", "asc1", *REF_ARGS["asc1"], "--n-max", "0",
+                    "--out", str(out)]) == 0
+    data = json.loads(out.read_text())
+    assert data["N"] == 0 and len(data["matrix"]) == 1
+    assert abs(data["matrix"][0][0][0] - 1.0) < 1e-8
+    assert run_cli(["gram", "--family", "asc1", *REF_ARGS["asc1"], "--n-max", "-1"]) == 2
+    assert "gram needs --n-max >= 0, got -1" in capsys.readouterr().err
+
+
+def test_eval_evaluates_the_weight_once_per_grid_point(tmp_path, monkeypatch):
+    fam = make_family("asc1", reference_params("asc1"), QBase(0.5))
+    kind = type(fam.kind)
+    rho_at_s, calls = kind.rho_at_s, []
+
+    def counted(self, family, s):
+        calls.append(s)
+        return rho_at_s(self, family, s)
+
+    monkeypatch.setattr(kind, "rho_at_s", counted)
+    out = tmp_path / "e.json"
+    assert run_cli(["eval", "--family", "asc1", *REF_ARGS["asc1"], "--q", "0.5",
+                    "--out", str(out)]) == 0
+    rows = json.loads(out.read_text())["rows"]
+    assert len(rows) == 25  # n = 1..5 at the 5 points of the default grid
+    assert len(calls) == 5 and all(row["phi"] is not None for row in rows)
+
+
 def test_grid_parse_errors_exit_2(capsys):
     rc = run_cli(["check", "--family", "asc1", "--q", "0.5", *REF_ARGS["asc1"],
                   "--suite", "eigen", "--grid", "0.25:4.25"])

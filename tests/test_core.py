@@ -38,6 +38,7 @@ from pointwise import (
     tau_eval,
     tau_k_eval_direct,
     theta_eval,
+    weight_fn,
     ttrr_coeffs_generic,
 )
 
@@ -100,7 +101,8 @@ def test_tau_k_dual_route(families):
         fam = families[name]
         for k in range(0, 7):
             for s in grid_for(name, 5):
-                via_affine = tau_k_coeffs(fam.eq, float(k)).at(fam.lattice, s)
+                tk = tau_k_coeffs(fam.eq, float(k))
+                via_affine = tk.slope * fam.lattice.x_shifted(tk.k, s) + tk.intercept
                 direct = tau_k_eval_direct(fam.eq, k, s)
                 assert rel_residual(via_affine - direct, (via_affine, direct)) < 1e-11, (
                     name, k, s)
@@ -173,24 +175,22 @@ def test_pearson_difference_equation_satisfied(families):
     # the defining first-order equation sigma(s+1) rho(s+1) - sigma(s) rho(s)
     # = tau(s) rho(s) Delta x(s-1/2) holds across the table
     fam = families["big_q_jacobi"]
-    table = pearson_weight(fam.eq, 0.25, -2, 5)
+    rho = pearson_weight(fam.eq, 0.25, -2, 5)  # rho(0.25 + k) at index k + 2
     for k in range(-2, 5):
         s = 0.25 + k
-        lhs = sigma_eval(fam.eq, s + 1.0) * table.rho(s + 1.0) - sigma_eval(
-            fam.eq, s
-        ) * table.rho(s)
-        rhs = tau_eval(fam.eq, s) * table.rho(s) * fam.lattice.delta_x_mid(s)
+        lhs = sigma_eval(fam.eq, s + 1.0) * rho[k + 3] - sigma_eval(fam.eq, s) * rho[k + 2]
+        rhs = tau_eval(fam.eq, s) * rho[k + 2] * fam.lattice.delta_x_mid(s)
         assert rel_residual(lhs - rhs, (lhs, rhs)) < 1e-13
 
 
 def test_pearson_weight_asc1_oracle(families):
     fam = families["asc1"]
     q, a = 0.5, fam.params["a"]
-    table = pearson_weight(fam.eq, 0.25, 0, 5)
+    rho = pearson_weight(fam.eq, 0.25, 0, 5)
     for k in range(5):
         s = 0.25 + k
         x = fam.lattice.x(s)
-        got = table.rho(s + 1.0) / table.rho(s)
+        got = rho[k + 1] / rho[k]
         want = 1.0 / ((1.0 - q * x) * (1.0 - q * x / a))
         assert got == pytest.approx(want, rel=1e-12)
 
@@ -198,9 +198,9 @@ def test_pearson_weight_asc1_oracle(families):
 def test_pearson_weight_qdh_closed(families):
     fam = families["q_dual_hahn"]
     a = fam.params["a"]
-    table = pearson_weight(fam.eq, a, 0, 5)
+    rho = pearson_weight(fam.eq, a, 0, 5)
     for k in range(1, 6):
-        got = table.rho(a + k) / table.rho(a)
+        got = rho[k] / rho[0]
         want = fam.weight(a + k) / fam.weight(a)
         assert rel_residual(got - want, (got, want)) < 1e-10
 
@@ -214,80 +214,81 @@ def test_pearson_weight_interior_zero_raises(families):
 
 def test_rho_n(families):
     fam = families["big_q_jacobi"]
-    table = pearson_weight(fam.eq, 0.25, 0, 8)
+    values = pearson_weight(fam.eq, 0.25, 0, 8)
+    rho = weight_fn(values, 0.25, 0)
     s = 0.25
-    assert rho_n(fam.eq, table, 0, s) == pytest.approx(table.rho(s))
+    assert rho_n(fam.eq, rho, 0, s) == pytest.approx(values[0])
     # rho_n(s) = rho_{n-1}(s+1) sigma(s+1), exact as evaluated
     for n in range(1, 4):
-        lhs = rho_n(fam.eq, table, n, s)
-        rhs = rho_n(fam.eq, table, n - 1, s + 1.0) * sigma_eval(fam.eq, s + 1.0)
+        lhs = rho_n(fam.eq, rho, n, s)
+        rhs = rho_n(fam.eq, rho, n - 1, s + 1.0) * sigma_eval(fam.eq, s + 1.0)
         assert lhs == pytest.approx(rhs, rel=1e-14)
-    want = table.rho(s + 2) * sigma_eval(fam.eq, s + 1.0) * sigma_eval(fam.eq, s + 2.0)
-    assert rho_n(fam.eq, table, 2, s) == pytest.approx(want, rel=1e-14)
+    want = values[2] * sigma_eval(fam.eq, s + 1.0) * sigma_eval(fam.eq, s + 2.0)
+    assert rho_n(fam.eq, rho, 2, s) == pytest.approx(want, rel=1e-14)
 
 
 def test_rodrigues_low_orders(families):
     fam = families["big_q_jacobi"]
-    table = pearson_weight(fam.eq, 0.25, -7, 12)
+    rho, B = weight_fn(pearson_weight(fam.eq, 0.25, -7, 12), 0.25, -7), fam.coeffs.B
     # n = 0 is B_0
-    assert rodrigues_eval(fam.eq, table, 0, 0.25) == pytest.approx(fam.eq.B_n(0))
+    assert rodrigues_eval(fam.eq, rho, 0, 0.25, B) == pytest.approx(B(0))
     # n = 1: B_1 tau(s) in the monic normalization B_1 = 1/tau~'
     for k in (0, 2):
         s = 0.25 + k
-        got = rodrigues_eval(fam.eq, table, 1, s)
-        want = fam.eq.B_n(1) * tau_eval(fam.eq, s)
+        got = rodrigues_eval(fam.eq, rho, 1, s, B)
+        want = B(1) * tau_eval(fam.eq, s)
         assert got == pytest.approx(want, rel=1e-12)
 
 
 def test_rodrigues_matches_series(families):
     fam = families["asc1"]
-    table = pearson_weight(fam.eq, 0.25, -7, 12)
+    rho = weight_fn(pearson_weight(fam.eq, 0.25, -7, 12), 0.25, -7)
     for n in (2, 3):
         for k in range(5):
             s = 0.25 + k
-            got = rodrigues_eval(fam.eq, table, n, s)
+            got = rodrigues_eval(fam.eq, rho, n, s, fam.coeffs.B)
             want = fam.pn_series(n, s)
             assert rel_residual(got - want, (got, want)) < 1e-9
 
 
 def test_rodrigues_order_cap(families):
     fam = families["asc1"]
-    table = pearson_weight(fam.eq, 0.25, -8, 14)
+    rho = weight_fn(pearson_weight(fam.eq, 0.25, -8, 14), 0.25, -8)
     with pytest.raises(QKernelError, match="oracle"):
-        rodrigues_eval(fam.eq, table, 6, 0.25)
+        rodrigues_eval(fam.eq, rho, 6, 0.25, fam.coeffs.B)
 
 
 def test_ttrr_generic_monic_alpha_is_one(families):
     # with the monic B convention a_n = 1, so alpha_n = a_n/a_{n+1} = 1
     fam = families["asc1"]
     for n in range(0, 8):
-        al, _, _ = ttrr_coeffs_generic(fam.eq, n, 1.0)
+        al, _, _ = ttrr_coeffs_generic(fam.eq, n, 1.0, fam.coeffs.B)
         assert al == pytest.approx(1.0, rel=1e-12)
 
 
 def test_leading_coeff_b_scaling(families):
-    from dataclasses import replace
-
     fam = families["big_q_jacobi"]
-    eq2 = replace(fam.eq, B=lambda n: 7.0 * fam.eq.B_n(n))
+    B, B7 = fam.coeffs.B, lambda n: 7.0 * fam.coeffs.B(n)
     for n in range(1, 5):
-        assert leading_coeff(eq2, n) == pytest.approx(7.0 * leading_coeff(fam.eq, n), rel=1e-13)
+        assert leading_coeff(fam.eq, n, B7) == pytest.approx(7.0 * leading_coeff(fam.eq, n, B),
+                                                             rel=1e-13)
 
 
 def test_d_n_sq_discrete(families):
     fam = families["q_dual_hahn"]
     a, b = fam.params["a"], fam.params["b"]
-    table = pearson_weight(fam.eq, a, 0, int(b - a) + 6)
+    values = pearson_weight(fam.eq, a, 0, int(b - a) + 6)
+    rho, B = weight_fn(values, a, 0), fam.coeffs.B
     lat = fam.lattice
     # n = 0 reduces to B_0^2 sum rho Delta x(s-1/2)
-    want0 = sum(table.rho(a + j) * lat.delta_x_mid(a + j) for j in range(int(b - a)))
-    got0 = d_n_sq_discrete(fam.eq, table, 0, a, b)
-    assert got0 == pytest.approx(want0 * fam.eq.B_n(0) ** 2, rel=1e-12)
+    want0 = sum(values[j] * lat.delta_x_mid(a + j) for j in range(int(b - a)))
+    got0 = d_n_sq_discrete(fam.eq, rho, 0, a, b, B)
+    assert got0 == pytest.approx(want0 * B(0) ** 2, rel=1e-12)
     # positivity and agreement with the direct orthogonality sums up to the
     # table normalization rho(a) = 1 (an n-independent constant)
     const = None
     for n in range(0, 5):
-        val = d_n_sq_discrete(fam.eq, table, n, a, b)
+        val = d_n_sq_discrete(fam.eq, rho, n, a, b, B)
         assert val.real > 0.0
         direct = fam.norm_sq(n)
         ratio = val / direct
@@ -299,9 +300,9 @@ def test_d_n_sq_discrete(families):
 def test_d_n_sq_discrete_boundary_guard(families):
     fam = families["q_dual_hahn"]
     a, b = fam.params["a"], fam.params["b"]
-    table = pearson_weight(fam.eq, a, 0, int(b - a) + 6)
+    rho = weight_fn(pearson_weight(fam.eq, a, 0, int(b - a) + 6), a, 0)
     with pytest.raises(QKernelError, match="boundary"):
-        d_n_sq_discrete(fam.eq, table, 1, a + 0.5, b + 0.5)
+        d_n_sq_discrete(fam.eq, rho, 1, a + 0.5, b + 0.5, fam.coeffs.B)
 
 
 def test_poly_raising_lowering_all_families(families):
@@ -332,15 +333,6 @@ def test_poly_relations_scale_invariant_in_B(families):
         r1 = check_poly_raising(fam.eq, pn, n, s, fam.coeffs.alpha(n))
         r2 = check_poly_raising(fam.eq, pn_scaled, n, s, fam.coeffs.alpha(n))
         assert abs(r1 - r2) < 1e-12
-
-
-def test_weight_table_off_grid_point_rejected(families):
-    fam = families["big_q_jacobi"]
-    table = pearson_weight(fam.eq, 0.25, 0, 4)
-    with pytest.raises(QKernelError, match="grid"):
-        table.rho(0.75)
-    with pytest.raises(QKernelError, match="grid"):
-        table.rho(0.25 + 9)
 
 
 def test_require_finite_guard():
@@ -397,12 +389,12 @@ def test_pearson_weight_matches_pointwise(name, q):
     fam = make_family(name, reference_params(name), QBase(q))
     anchor = complex(default_grid(fam)[0])
     try:
-        want = pointwise.pearson_weight(fam.eq, anchor, -6, 11).values
+        want = pointwise.pearson_weight(fam.eq, anchor, -6, 11)
     except QKernelError as e:
         with pytest.raises(QKernelError, match=re.escape(str(e))):
             pearson_weight(fam.eq, anchor, -6, 11)
         return
-    for got, ref in zip(pearson_weight(fam.eq, anchor, -6, 11).values, want):
+    for got, ref in zip(pearson_weight(fam.eq, anchor, -6, 11), want, strict=True):
         assert_matches_reference(got, ref, name)
 
 
@@ -411,10 +403,12 @@ def _pointwise_rodrigues_residuals(fam, n_hi=5):
     Pearson table against pn_ttrr, with the constant fit at the first point."""
     grid = default_grid(fam)
     anchor = complex(grid[0])
-    table = pointwise.pearson_weight(fam.eq, anchor, -n_hi - 1, len(grid) + n_hi + 1)
+    rho = weight_fn(pointwise.pearson_weight(fam.eq, anchor, -n_hi - 1, len(grid) + n_hi + 1),
+                    anchor, -n_hi - 1)
     out = []
     for n in range(n_hi + 1):
-        pairs = [(rodrigues_eval(fam.eq, table, n, anchor + k), fam.pn_ttrr(n, anchor + k))
+        pairs = [(rodrigues_eval(fam.eq, rho, n, anchor + k, fam.coeffs.B),
+                  fam.pn_ttrr(n, anchor + k))
                  for k in range(len(grid))]
         fit = next(rod / ref for rod, ref in pairs if abs(ref) > 1e-12)
         out += [abs(rod - fit * ref) / max(abs(rod), abs(fit * ref), 1e-12) for rod, ref in pairs]
@@ -428,16 +422,16 @@ def test_rodrigues_table_matches_pointwise(name, q):
     grid = default_grid(fam)
     anchor = complex(grid[0])
     try:
-        table = pointwise.pearson_weight(fam.eq, anchor, -6, len(grid) + 6)
+        rho = weight_fn(pointwise.pearson_weight(fam.eq, anchor, -6, len(grid) + 6), anchor, -6)
     except QKernelError as e:  # q-Hermite at q = 0.2: sigma = 0 inside the span
         with pytest.raises(QKernelError, match=re.escape(str(e))):
-            rodrigues_values(fam.eq, anchor, len(grid), 5, fam.eq.B_n)
+            rodrigues_values(fam.eq, anchor, len(grid), 5, fam.coeffs.B)
         return
-    got, x = rodrigues_values(fam.eq, anchor, len(grid), 5, fam.eq.B_n)
+    got, x = rodrigues_values(fam.eq, anchor, len(grid), 5, fam.coeffs.B)
     for k in range(len(grid)):
         assert x[k] == fam.lattice.x(anchor + k)
         for n in range(6):
-            want = rodrigues_eval(fam.eq, table, n, anchor + k)
+            want = rodrigues_eval(fam.eq, rho, n, anchor + k, fam.coeffs.B)
             assert_matches_reference(complex(got[n, k]), want, name)
     residuals = [c.residual for c in rodrigues_suite(fam).cases]
     for got_r, want_r in zip(residuals, _pointwise_rodrigues_residuals(fam), strict=True):
@@ -446,4 +440,4 @@ def test_rodrigues_table_matches_pointwise(name, q):
 
 def test_rodrigues_values_order_cap(families):
     with pytest.raises(QKernelError, match="oracle"):
-        rodrigues_values(families["asc1"].eq, 0.25, 5, 6, families["asc1"].eq.B_n)
+        rodrigues_values(families["asc1"].eq, 0.25, 5, 6, families["asc1"].coeffs.B)

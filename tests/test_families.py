@@ -11,9 +11,7 @@ from qladder.families import (
     eval_series,
     eval_ttrr,
     make_family,
-    norm_sq,
     reference_params,
-    weight_at,
 )
 from qladder.hypergeometric_core import rel_residual, tau_k_coeffs
 from qladder.orthogonality import jackson_integral
@@ -145,7 +143,7 @@ def test_ttrr_closed_matches_generic(families):
     for name in FAMILY_NAMES:
         fam = families[name]
         for n in range(0, 9):
-            alpha_gen, beta_gen, _ = ttrr_coeffs_generic(fam.eq, n, 1.0)
+            alpha_gen, beta_gen, _ = ttrr_coeffs_generic(fam.eq, n, 1.0, fam.coeffs.B)
             # canonical alpha = a_n/a_{n+1} equals the generic leading ratio
             assert rel_residual(
                 fam.coeffs.alpha(n) - alpha_gen, (alpha_gen,)
@@ -165,7 +163,7 @@ def test_beta_generic_where_the_display_is_a_recorded_erratum(families):
         fam = families[name]
         for n in range(0, 5):
             gen = beta_generic(fam.eq, n)
-            assert gen == ttrr_coeffs_generic(fam.eq, n, 1.0)[1]
+            assert gen == ttrr_coeffs_generic(fam.eq, n, 1.0, fam.coeffs.B)[1]
             want = gen if name in generic else complex(fam.closed.beta_n(n))
             assert fam.coeffs.beta(n) == want, (name, n)
 
@@ -190,7 +188,7 @@ def test_qdh_displayed_beta_is_erratum(families):
     mismatch = 0
     for n in range(0, 8):
         disp = complex(fam.closed.beta_n(n))
-        gen = ttrr_coeffs_generic(fam.eq, n, 1.0)[1]
+        gen = ttrr_coeffs_generic(fam.eq, n, 1.0, fam.coeffs.B)[1]
         assert beta_variant(n) == pytest.approx(gen, rel=1e-11)
         if abs(disp - gen) > 1e-9 * max(abs(disp), abs(gen)):
             mismatch += 1
@@ -288,16 +286,16 @@ def test_weight_positive_on_supports(families):
     q = asc1.base.q
     # Jackson nodes of [a, 1]: q^k and a q^k
     for k in range(0, 12):
-        assert weight_at(asc1, q**k).real > 0.0
-        assert weight_at(asc1, asc1.params["a"] * q**k).real > 0.0
+        assert asc1.weight(q**k).real > 0.0
+        assert asc1.weight(asc1.params["a"] * q**k).real > 0.0
     qdh = families["q_dual_hahn"]
     for s in qdh.support.grid_points:
-        assert weight_at(qdh, s).real > 0.0
+        assert qdh.weight(s).real > 0.0
 
 
 def test_asc2_weight_unavailable(families):
     with pytest.raises(FamilyError, match="Pearson"):
-        weight_at(families["asc2"], 0.5)
+        families["asc2"].weight(0.5)
 
 
 def test_aw_weight_at_zero_reduces_to_h_products(families):
@@ -310,14 +308,14 @@ def test_aw_weight_at_zero_reduces_to_h_products(families):
         / (2 * math.pi * fam.base.k_q * (1 - x * x)
            * h(x, 0.3) * h(x, 0.3) * h(x, 0.3) * h(x, 0.3))
     )
-    assert weight_at(fam, 0.0) == pytest.approx(want, rel=1e-13)
+    assert fam.weight(0.0) == pytest.approx(want, rel=1e-13)
     # at a=b=c=d=0 only the numerator h-factors survive
     cqh = families["continuous_q_hermite"]
     want0 = (
         h(x, 1.0) * h(x, -1.0) * h(x, math.sqrt(q)) * h(x, -math.sqrt(q))
         / (2 * math.pi * fam.base.k_q)
     )
-    assert weight_at(cqh, 0.0) == pytest.approx(want0, rel=1e-13)
+    assert cqh.weight(0.0) == pytest.approx(want0, rel=1e-13)
 
 
 def test_asc1_norms_match_jackson_integrals(families):
@@ -327,7 +325,7 @@ def test_asc1_norms_match_jackson_integrals(families):
         direct = jackson_integral(
             lambda x, n=n: fam.pn_ttrr_x(n, x) ** 2 * fam.weight(x), a, 1.0, fam.base
         )
-        assert rel_residual(direct - norm_sq(fam, n), (direct,)) < 1e-10
+        assert rel_residual(direct - fam.norm_sq(n), (direct,)) < 1e-10
 
 
 def test_bqj_tabulated_norm_is_erratum(families):
@@ -346,7 +344,7 @@ def test_bqj_tabulated_norm_is_erratum(families):
 def test_qdh_norm_out_of_range(families):
     fam = families["q_dual_hahn"]
     with pytest.raises(FamilyError, match="finite family"):
-        norm_sq(fam, 7)
+        fam.norm_sq(7)
 
 
 def test_perturbation_roundtrip(families):

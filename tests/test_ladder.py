@@ -10,7 +10,7 @@ from qladder.families import make_family, reference_params
 import numpy as np
 
 from qladder.hypergeometric_core import lam_ratio, rel_residual
-from qladder.lattice import DegenerateStepError, Lattice
+from qladder.lattice import DegenerateStepError, Lattice, _cdiv
 from qladder.qkernel import QBase, QKernelError, q_number
 
 import pointwise as pw
@@ -70,14 +70,13 @@ def test_phi_normalization_invariance(families):
     # phi is unchanged when P is scaled by kappa and d_n^2 by kappa^2:
     # evaluate through the monic accessors
     fam = families["askey_wilson"]
-    of = L.OrthonormalFamily(fam)
     theta0 = 1.1
     s = fam.s_from_point(theta0)
     for n in (1, 3):
-        phi = of.phi(n, s)
+        phi = fam.phi(n, s)
         a_n = fam.a_n(n)
         phi_monic_route = (
-            cmath.sqrt(of.rho_at_s(s))
+            cmath.sqrt(fam.rho_at_s(s))
             * pw.pn_monic(fam, n, s)
             / cmath.sqrt(fam.norm_sq(n) / a_n**2)
         )
@@ -91,7 +90,6 @@ def test_asc1_phi_matches_tabulated_display(families):
         q_pochhammer_multi
 
     fam = families["asc1"]
-    of = L.OrthonormalFamily(fam)
     a, q, base = fam.params["a"], fam.base.q, fam.base
     for n in range(0, 4):
         for s in (0.25, 1.25, 2.25):
@@ -107,7 +105,7 @@ def test_asc1_phi_matches_tabulated_display(families):
                    * q_pochhammer_multi((q, a, q / a), base))
             )
             disp = pref * series
-            got = of.phi(n, fam.s_from_point(x))
+            got = fam.phi(n, fam.s_from_point(x))
             assert got == pytest.approx(disp, rel=1e-10), (n, s)
 
 
@@ -360,40 +358,36 @@ def test_factorization_beta_sensitivity(families):
 def test_bootstrap_sweep(families):
     for name in FAMILY_NAMES:
         fam = families[name]
-        of = L.OrthonormalFamily(fam)
         grid = grid_for(name)
         if name in ("askey_wilson", "continuous_q_hermite"):
             # bootstrap recurses along an integer chain from one theta anchor
             grid = [grid[0] + k for k in range(5)]
-        rep = L.check_bootstrap(of, 4, grid)
+        rep = L.check_bootstrap(fam, 4, grid)
         assert rep.max_residual < 1e-8, (name, rep.max_residual)
 
 
 def test_bootstrap_n0_only(families):
     fam = families["q_dual_hahn"]
-    of = L.OrthonormalFamily(fam)
-    table = L._bootstrap(of, 0, [1.3 + k for k in range(3)])[0]
+    table = L._bootstrap(fam, 0, [1.3 + k for k in range(3)])[0]
     assert set(table) == {0}
     # phi_0 proportional to sqrt(rho): ratios match
     vals = table[0]
     for k in (0, 1):
         got = vals[k + 1] / vals[k]
-        want = of.phi(0, 1.3 + k + 1) / of.phi(0, 1.3 + k)
+        want = fam.phi(0, 1.3 + k + 1) / fam.phi(0, 1.3 + k)
         assert got == pytest.approx(want, rel=1e-11)
 
 
 def test_adjoint_sums(families):
     fam = families["q_dual_hahn"]
-    of = L.OrthonormalFamily(fam)
-    rep = L.check_adjoint(of, list(range(0, 5)))
+    rep = L.check_adjoint(fam, list(range(0, 5)))
     assert rep.max_residual < 1e-8
     notes = [c.note for c in rep.cases if c.note]
     assert any("out-of-range" in t for t in notes)  # n = 4 needs phi_5
 
 
 def test_adjoint_skipped_for_continuous_support(families):
-    of = L.OrthonormalFamily(families["askey_wilson"])
-    rep = L.check_adjoint(of, [0, 1])
+    rep = L.check_adjoint(families["askey_wilson"], [0, 1])
     assert rep.meta.get("status") == "skipped"
     assert rep.passed
 
@@ -403,26 +397,24 @@ def test_adjoint_invariant_under_weight_rescale(families):
     w0 = fam.closed.weight
     scaled_closed = replace(fam.closed, weight=lambda s: 9.0 * w0(s))
     fam9 = replace(fam, closed=scaled_closed, _cache={})
-    r1 = L.check_adjoint(L.OrthonormalFamily(fam), [0, 1, 2])
-    r9 = L.check_adjoint(L.OrthonormalFamily(fam9), [0, 1, 2])
+    r1 = L.check_adjoint(fam, [0, 1, 2])
+    r9 = L.check_adjoint(fam9, [0, 1, 2])
     assert r9.max_residual < 1e-8
     # phi itself is invariant (norms rescale with the weight)
-    of, of9 = L.OrthonormalFamily(fam), L.OrthonormalFamily(fam9)
     for n in (0, 2):
-        assert of9.phi(n, 2.0) == pytest.approx(of.phi(n, 2.0), rel=1e-11)
+        assert fam9.phi(n, 2.0) == pytest.approx(fam.phi(n, 2.0), rel=1e-11)
 
 
 def test_selfadjoint(families):
     fam = families["q_dual_hahn"]
-    of = L.OrthonormalFamily(fam)
     pairs = [(n, m) for n in range(5) for m in range(5)]
-    rep = L.check_selfadjoint(of, pairs)
+    rep = L.check_selfadjoint(fam, pairs)
     assert rep.max_residual < 1e-8
     # n = m identically equal
-    same = L.check_selfadjoint(of, [(2, 2)])
+    same = L.check_selfadjoint(fam, [(2, 2)])
     assert same.max_residual == 0.0
     # boundary-truncation negative control
-    broken = L.check_selfadjoint(of, [(0, 2), (1, 3), (0, 4)], drop_last=1)
+    broken = L.check_selfadjoint(fam, [(0, 2), (1, 3), (0, 4)], drop_last=1)
     assert broken.max_residual > 1e-3
 
 
@@ -557,13 +549,12 @@ def test_degenerate_step_on_the_grid_is_refused_naming_the_point():
 @pytest.mark.parametrize("drop_last", [0, 1])
 def test_selfadjoint_matches_per_pair_scalar_sums(families, drop_last):
     fam = families["q_dual_hahn"]
-    of = L.OrthonormalFamily(fam)
     pairs = [(n, m) for n in range(5) for m in range(5)]
     grid = fam.support.grid_points[:len(fam.support.grid_points) - drop_last]
-    got = L.check_selfadjoint(of, pairs, drop_last=drop_last).cases
+    got = L.check_selfadjoint(fam, pairs, drop_last=drop_last).cases
     for (n, m), case in zip(pairs, got):
-        ta = [of.phi(m, s) * pw.apply_reduced(of, "H", n, s, op_n=n) for s in grid]
-        tb = [of.phi(n, s) * pw.apply_reduced(of, "H", m, s, op_n=n) for s in grid]
+        ta = [fam.phi(m, s) * pw.apply_reduced(fam, "H", n, s, op_n=n) for s in grid]
+        tb = [fam.phi(n, s) * pw.apply_reduced(fam, "H", m, s, op_n=n) for s in grid]
         a, b = sum(ta), sum(tb)
         scale = max(abs(a), abs(b), *map(abs, ta + tb), 1e-30)
         assert case.residual == pytest.approx(abs(a - b) / scale, rel=1e-9, abs=1e-13)
@@ -572,16 +563,15 @@ def test_selfadjoint_matches_per_pair_scalar_sums(families, drop_last):
 def test_selfadjoint_pairs_beyond_finite_family_out_of_range():
     fam = make_family("q_dual_hahn", {"a": 0.5, "b": 3.5, "c": 0.3}, QBase(0.5))
     assert fam.n_max == 2
-    rep = L.check_selfadjoint(L.OrthonormalFamily(fam), [(n, m) for n in range(5) for m in range(5)])
+    rep = L.check_selfadjoint(fam, [(n, m) for n in range(5) for m in range(5)])
     skipped = [c for c in rep.cases if c.note.startswith("out-of-range")]
     assert len(skipped) == 25 - 9 and all(max(c.n, int(c.s[2:])) > 2 for c in skipped)
     assert rep.passed and rep.max_residual < 1e-8
 
 
-def _reduced_pointwise(of, which, n, s, op_n=None):
+def _reduced_pointwise(fam, which, n, s, op_n=None):
     """`pointwise.apply_reduced` point by point from the scalar coefficient
     functions, the form the node-array version replaced."""
-    fam = of.family
     eq = fam.eq
     s = complex(s)
     son, tod = sigma_over_nabla(eq, s), theta_over_delta(eq, s)
@@ -594,19 +584,18 @@ def _reduced_pointwise(of, which, n, s, op_n=None):
         diag = pw.h_diag_at(lambda_n(eq, n if op_n is None else op_n), son, tod,
                             fam.lattice.delta_x_mid(s))
         reduced = pw.reduced_h_at(son, tod, diag, P(s - 1.0), P(s), P(s + 1.0))
-    return of._normalized(of.sqrt_rho(s), reduced, n)
+    return _cdiv(fam.sqrt_rho(s) * reduced, fam.d_n(n))
 
 
 @pytest.mark.parametrize("which", ["L+", "L-", "H"])
 def test_apply_reduced_on_node_arrays_matches_pointwise(families, which):
     # the support starts at s = a = 0, the removable 0/0 of sigma/nabla x
     fam = families["q_dual_hahn"]
-    of = L.OrthonormalFamily(fam)
     nodes = np.array(fam.support.grid_points, dtype=complex)
     for n in range(5):
-        want = [_reduced_pointwise(of, which, n, s, op_n=2) for s in nodes]
-        assert pw.apply_reduced(of, which, n, nodes, op_n=2).tolist() == want
-        assert [pw.apply_reduced(of, which, n, s, op_n=2) for s in nodes] == want
+        want = [_reduced_pointwise(fam, which, n, s, op_n=2) for s in nodes]
+        assert pw.apply_reduced(fam, which, n, nodes, op_n=2).tolist() == want
+        assert [pw.apply_reduced(fam, which, n, s, op_n=2) for s in nodes] == want
 
 
 def test_adjoint_one_weight_pass_matches_per_node_sums(families):
@@ -618,16 +607,15 @@ def test_adjoint_one_weight_pass_matches_per_node_sums(families):
     for n in range(fam.n_max + 1):
         fam.d_n(n)
     calls.clear()
-    of = L.OrthonormalFamily(fam)
-    rep = L.check_adjoint(of, list(range(5)))
+    rep = L.check_adjoint(fam, list(range(5)))
     grid = fam.support.grid_points
     assert calls == [len(grid)]  # one weight evaluation, on the node array
     cases = iter(rep.cases)
     for n in range(fam.n_max):
         target = fam.coeffs.alpha(n) * fam.d_n(n + 1) / fam.d_n(n)
-        s1 = sum(of.phi(n + 1, s) * _reduced_pointwise(of, "L+", n, s)
+        s1 = sum(fam.phi(n + 1, s) * _reduced_pointwise(fam, "L+", n, s)
                  * fam.lattice.delta_x_mid(s) for s in grid) / lam_ratio(fam.eq, 2.0 * n)
-        s2 = sum(_reduced_pointwise(of, "L-", n + 1, s) * of.phi(n, s)
+        s2 = sum(_reduced_pointwise(fam, "L-", n + 1, s) * fam.phi(n, s)
                  * fam.lattice.delta_x_mid(s) for s in grid) / lam_ratio(fam.eq, 2.0 * n + 2.0)
         for label, total in (("sum1", s1), ("sum2", s2)):
             case = next(cases)
@@ -637,14 +625,13 @@ def test_adjoint_one_weight_pass_matches_per_node_sums(families):
 
 def test_phi_range_stacks_single_phis(families):
     fam = families["q_dual_hahn"]
-    of = L.OrthonormalFamily(fam)
     nodes = np.array(fam.support.grid_points, dtype=complex)
-    stacked = of.phi(range(5), nodes)
+    stacked = fam.phi(range(5), nodes)
     assert stacked.shape == (5, len(nodes))
     for n in range(5):
-        assert stacked[n].tolist() == [of.phi(n, s) for s in nodes]
-        assert of.phi(n, nodes).tolist() == stacked[n].tolist()
-    asc1 = L.OrthonormalFamily(families["asc1"])
+        assert stacked[n].tolist() == [fam.phi(n, s) for s in nodes]
+        assert fam.phi(n, nodes).tolist() == stacked[n].tolist()
+    asc1 = families["asc1"]
     x = np.linspace(-1.0, 1.0, 8)  # the Jackson support [a, 1] = [-1, 1]
     assert asc1.phi_point(range(4), x).tolist() == [[asc1.phi_point(n, t) for t in x]
                                                     for n in range(4)]

@@ -11,6 +11,10 @@ point-by-point evaluators live in tests/pointwise.py as the reference, so
 no library module defines, imports or reads one.  The same holds for the
 per-n products, monic values, closed-form accessors, module-level table
 twins and operator objects that only the tests use.
+
+Each quantity has one owner: phi_n lives on `FamilySpec`, B_n is the
+family's table entry `coeffs.B` and the Pearson weight is a plain sequence,
+so the wrappers and second routes they replaced stay out of the library.
 """
 
 import ast
@@ -26,6 +30,8 @@ POINTWISE_ONLY = {"sigma_eval", "theta_eval", "tau_eval", "sigma_over_nabla",
 TEST_ONLY = {"mu_k", "a_nk", "leading_coeff", "ttrr_coeffs_generic", "pn_monic",
              "lambda_closed", "lam_tau_ratio", "ThreePointOperator",
              "apply_scaled", "_apply_scaled", "apply_reduced", "ladder_bootstrap"}
+REMOVED = {"OrthonormalFamily", "WeightTable", "B_n", "_B_from_leading", "weight_at",
+           "family_names"}
 
 
 def _tree(path):
@@ -91,3 +97,13 @@ def test_no_module_defines_or_reads_a_test_only_name():
                 if name in TEST_ONLY:
                     found.append(f"{path.name}:{getattr(node, 'lineno', '?')} {name}")
     assert not found, f"test-only code in the library: {found}"
+
+
+def test_no_module_defines_or_reads_a_removed_route():
+    found = []
+    for path in MODULES:
+        for node in ast.walk(_tree(path)):
+            for name in _names(node):
+                if name in REMOVED:
+                    found.append(f"{path.name}:{getattr(node, 'lineno', '?')} {name}")
+    assert not found, f"removed wrappers or second routes in the library: {found}"

@@ -47,10 +47,9 @@ def test_identity_chain_other_configs(name, params, q):
 def test_dual_hahn_noninteger_boundary_grid():
     # a = 0.5 shifts the grid off the lattice symmetry point entirely
     fam = make_family("q_dual_hahn", {"a": 0.5, "b": 4.5, "c": -0.75}, QBase(0.35))
-    of = L.OrthonormalFamily(fam)
-    rep = L.check_adjoint(of, list(range(0, 4)))
+    rep = L.check_adjoint(fam, list(range(0, 4)))
     assert rep.max_residual < 1e-8
-    rep = L.check_selfadjoint(of, [(n, m) for n in range(4) for m in range(4)])
+    rep = L.check_selfadjoint(fam, [(n, m) for n in range(4) for m in range(4)])
     assert rep.max_residual < 1e-8
 
 
@@ -70,8 +69,7 @@ def test_shift_identity_random_lattices(q, c1, c2, c3):
 
 def test_bootstrap_other_config():
     fam = make_family("big_q_jacobi", {"a": 0.8, "b": 0.3, "c": -1.2}, QBase(0.6))
-    of = L.OrthonormalFamily(fam)
-    rep = L.check_bootstrap(of, 4, grid_for("big_q_jacobi"))
+    rep = L.check_bootstrap(fam, 4, grid_for("big_q_jacobi"))
     assert rep.max_residual < 1e-8
 
 
