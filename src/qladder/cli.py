@@ -367,6 +367,8 @@ def cmd_gram(cfg: RunConfig) -> int:
     N = cfg.n_max
     if N < 0:
         raise ConfigError(f"gram needs --n-max >= 0, got {N}")
+    if cfg.fmt != "json":
+        raise ConfigError(f"gram writes JSON only, got format {cfg.fmt!r}")
     fam = _build_family(cfg)
     G, history = gram_matrix(fam, N)
     off = 0.0
@@ -418,30 +420,34 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = p.add_subparsers(dest="command", required=True)
 
-    def common(sp, with_suites=False):
+    def command(name, help, grid=True, suites=False):
+        """A subcommand with the flags it reads (a config file may name keys a
+        command does not read, so one file serves every command)."""
+        sp = sub.add_parser(name, help=help)
         sp.add_argument("--config", help="key=value or JSON config file")
         sp.add_argument("--family", help=f"one of: {', '.join(FAMILY_NAMES)}")
         sp.add_argument("--param", action="append", metavar="k=v",
                         help="family parameter (repeatable)")
         sp.add_argument("--q", type=float, help="base q in (0,1)")
-        sp.add_argument("--n-min", type=int, dest="n_min")
         sp.add_argument("--n-max", type=int, dest="n_max")
-        sp.add_argument("--grid", help="start:stop:count (s, or theta for the "
-                                       "trigonometric lattice)")
-        sp.add_argument("--tol", action="append", metavar="suite=value",
-                        help="tolerance override (repeatable)")
         sp.add_argument("--format", choices=("json", "csv"))
         sp.add_argument("--out", help="write output to PATH instead of stdout")
-        if with_suites:
+        if grid:
+            sp.add_argument("--n-min", type=int, dest="n_min")
+            sp.add_argument("--grid", help="start:stop:count (s, or theta for the "
+                                           "trigonometric lattice)")
+        if suites:
+            sp.add_argument("--tol", action="append", metavar="suite=value",
+                            help="tolerance override (repeatable)")
             sp.add_argument("--suite", action="append",
                             help=f"suite name or 'all' (repeatable); known: "
                                  f"{', '.join(SUITE_NAMES)}")
             sp.add_argument("--perturb", nargs=2, metavar=("NAME", "DELTA"),
                             help="perturb a closed-form coefficient (negative control)")
 
-    common(sub.add_parser("eval", help="tabulate P_n, phi_n, rho, sigma, tau, Theta"))
-    common(sub.add_parser("check", help="run identity suites"), with_suites=True)
-    common(sub.add_parser("gram", help="Gram matrix of phi_0..phi_N"))
+    command("eval", "tabulate P_n, phi_n, rho, sigma, tau, Theta")
+    command("check", "run identity suites", suites=True)
+    command("gram", "Gram matrix of phi_0..phi_N (JSON)", grid=False)
     sub.add_parser("list-families", help="list family names and reference parameters")
     return p
 

@@ -42,7 +42,8 @@ import numpy as np
 
 from .hypergeometric_core import EquationData, EquationTable, _entry
 from .lattice import Lattice, _cdiv
-from .orthogonality import InnerProductSpec, discrete_inner, jackson_integral
+from .orthogonality import InnerProductSpec, _one, _outer, discrete_inner, jackson_integral
+from .orthogonality import continuous_inner_aw_converged
 from .qkernel import (
     QBase,
     QKernelError,
@@ -74,17 +75,9 @@ class FamilyError(ValueError):
     """Invalid family name or parameter set."""
 
 
-_CMATH_LOG = np.frompyfunc(cmath.log, 1, 1)
-
-
 def _complex(x):
     """x as a Python complex, or an ndarray of x as a complex ndarray."""
     return np.asarray(x, dtype=complex) if isinstance(x, np.ndarray) else complex(x)
-
-
-def _sqrt(z):
-    """The principal square root, elementwise for an ndarray."""
-    return np.sqrt(z) if isinstance(z, np.ndarray) else cmath.sqrt(z)
 
 
 @dataclass(frozen=True)
@@ -138,17 +131,17 @@ class ClosedForms:
 
 class LatticeKind:
     """The shape of x(s) = c1 q^s + c2 q^{-s} + c3, read off the coefficients
-    by `lattice_kind`, and every decision that depends on it: how a point in
-    the natural coordinate or a `--grid` value maps to s, the default check
-    grid, the pointwise weight rho(s), the closed-form rho of the Pearson
-    suite, and whether s is complex.  The base class is the quadratic kind
-    (real s, weight tabulated in s)."""
+    by `lattice_kind`, and every decision that depends on it: how one point
+    (not a Jackson node: `FamilySpec.p_gram` stays at x) or a `--grid` value
+    maps to s, the default check grid, the pointwise weight rho(s), the
+    closed-form rho of the Pearson suite, and whether s is complex.  The
+    base class is the quadratic kind (real s, weight tabulated in s)."""
 
     complex_s = False  # s = i theta / ln q: one-step Pearson ratios, branch checks
     grid_start = 0.3
 
     def s_from_point(self, fam, point) -> complex:
-        return _complex(point)
+        return complex(point)
 
     def s_from_grid_value(self, fam, value) -> complex:
         return complex(value)
@@ -174,16 +167,9 @@ class _Exponential(LatticeKind):
 
     def s_from_point(self, fam, point) -> complex:
         lat = fam.lattice
-        x = _complex(point)
-        if np.any(x == lat.c3):
+        if point == lat.c3:
             raise FamilyError(f"x = {lat.c3:g} is not on the exponential lattice")
-        if isinstance(x, np.ndarray):
-            # cmath's log elementwise: numpy's complex log rounds differently
-            # in the last place, which the x -> s -> x round trip of
-            # `FamilySpec.phi_point` carries into ill-conditioned Grams
-            log = _CMATH_LOG(_cdiv(x - lat.c3, lat.c1)).astype(complex)
-            return _cdiv(log, math.log(lat.base.q))
-        return cmath.log((x - lat.c3) / lat.c1) / math.log(lat.base.q)
+        return cmath.log((complex(point) - lat.c3) / lat.c1) / math.log(lat.base.q)
 
     def rho_at_s(self, fam, s) -> complex:
         return fam.weight(fam.lattice.x_values(s))
@@ -300,8 +286,9 @@ class FamilySpec:
 
     Immutable after construction; evaluators are pure.  The private cache
     only memoizes idempotent derived values: the per-n table `coeffs`, the
-    norms and the stencil grids of the suites (`ladder.StencilGrid.shared`),
-    so concurrent use is safe: a race at worst recomputes the same values.
+    norms, the measure's integrals (`p_gram`) and the suites' stencil grids
+    (`ladder.StencilGrid.shared`), so concurrent use is safe: a race at worst
+    recomputes the same values.
     A copy made by `with_perturbation` or `replace(fam, ..., _cache={})`
     starts with an empty cache.
     """
@@ -415,20 +402,14 @@ class FamilySpec:
                 out *= self.coeffs.gamma(k) / self.coeffs.alpha(k - 1)
             return out
         if self.norm_source == "discrete_sum":
-            # one weight pass gives every norm of the finite family
-            top = max(n, self.n_max or 0)
-            spec = InnerProductSpec(self.lattice, tuple(self.support.grid_points))
-            sums = discrete_inner(
-                spec, lambda s: self.pn_stack(top, self.lattice.x_values(s)) ** 2, self.weight
-            )
-            for k in range(top + 1):
-                self._cache[("dsq", k)] = complex(sums[k])
-            return self._cache[("dsq", n)]
+            # every norm of the finite family: the diagonal of one sum (the Gram's)
+            return complex(self.p_gram(max(n, self.n_max or 0))[0][n, n])
         raise FamilyError(f"unknown norm source {self.norm_source!r}")
 
     def _norm_anchor(self) -> complex:
         """d_0^2 of the ratio route: the Jackson integral of the weight over a
-        Jackson support, else the closed d_0^2."""
+        Jackson support (settling against the floor 1: `p_gram` needs the
+        norms first), else the closed d_0^2."""
         key = ("d0",)
         if key not in self._cache:
             sup = self.support
@@ -437,6 +418,35 @@ class FamilySpec:
             else:
                 self._cache[key] = self.coeffs.d_n_sq(0)
         return self._cache[key]
+
+    def p_gram(self, N: int):
+        """(M, history): the read-only M[n, m] = int P_n P_m w over the
+        support, n, m <= N, from one rule call on outer(P_0..P_N) w, kept per
+        N.  Only here does the support kind choose the rule: the sum over the
+        grid s, the Jackson integral at the node x itself or the quadrature
+        against the density, these two settling against |d_n d_m|.  history
+        is the quadrature's node-doubling loop, as (nodes, matrix) pairs, or []."""
+        key = ("p_gram", N)
+        if key in self._cache:
+            return self._cache[key]
+        sup, history = self.support, []
+        outer_p = lambda x: _outer(self.pn_stack(N, x))
+        if sup.kind == "discrete_grid":
+            spec = InnerProductSpec(self.lattice, tuple(sup.grid_points))
+            M = discrete_inner(spec, lambda s: outer_p(self.lattice.x_values(s)), self.weight)
+        elif sup.kind not in ("jackson_integral", "continuous_interval"):
+            raise QKernelError(f"no inner product available for support kind {sup.kind!r}")
+        else:
+            scale = np.abs(_outer(np.array([self.d_n(n) for n in range(N + 1)])))
+            if sup.kind == "jackson_integral":
+                M = jackson_integral(lambda x: outer_p(x) * self.weight(x), sup.lo, sup.hi,
+                                     self.base, scale=scale)
+            else:
+                M, history = continuous_inner_aw_converged(
+                    outer_p, _one, self.closed.displays["weight_density"], scale=scale)
+        M.setflags(write=False)
+        self._cache[key] = M, history
+        return M, history
 
     # -- weight -------------------------------------------------------------
     def weight(self, point) -> complex:
@@ -468,17 +478,11 @@ class FamilySpec:
                 f"rho({at}) is not a nonnegative real; pointwise phi needs the "
                 "real branch (off the support the checks use chain weights)"
             )
-        return _sqrt(rho)
+        return np.sqrt(rho) if isinstance(rho, np.ndarray) else cmath.sqrt(rho)
 
     def phi(self, n, s):
         """phi_n at support points s (n an index or a range)."""
         return self._phi(n, self.sqrt_rho(s), self.lattice.x_values(s))
-
-    def phi_point(self, n, point):
-        """phi_n at natural-coordinate points (n an index or a range; used
-        by Jackson-integral Grams)."""
-        w = _sqrt(self.weight(point))
-        return self._phi(n, w, self.lattice.x_values(self.s_from_point(point)))
 
     def _phi(self, n, w, x):
         """w P_n(x) / d_n, with w = sqrt(rho) at the points of x."""

@@ -4,8 +4,9 @@ quadrature on [-1, 1] for the Askey--Wilson measure; Gram matrices.
 Every rule makes one pass over its support and calls its integrands on node
 arrays: an integrand returns a scalar or an array whose last axis runs over
 the nodes (its leading axes over n, or over pairs (n, m)), and the rule
-returns the matching array of inner products.  A Gram matrix therefore
-evaluates the weight once per node and phi_0..phi_N in one recurrence pass.
+returns the matching array of inner products.  A family integrates its
+measure once per N (`FamilySpec.p_gram(N)`, the integrals of P_n P_m w),
+and the Gram matrix, the discrete-sum norms and the convention ratio read it.
 
 Discrete sums use the node weights Delta x(s - 1/2); the Jackson integral is
 
@@ -13,7 +14,8 @@ Discrete sums use the node weights Delta x(s - 1/2); the Jackson integral is
 
 (Gasper & Rahman, Basic Hypergeometric Series, 2nd ed., 2004, section 1.11),
 summed in blocks of nodes; each entry stops at its own 4th consecutive node
-whose term is below tolerance, as a node-by-node sum would (node cap 10^4).
+whose term is below tolerance relative to max(|running sum|, scale), as a
+node-by-node sum would (node cap 10^4).
 The continuous Askey--Wilson quadrature substitutes x = cos(theta),
 where the integrand is smooth and periodic, and applies the midpoint rule
 theta_j = (j + 1/2) pi / M (Gauss--Chebyshev in x), which converges
@@ -44,7 +46,7 @@ __all__ = [
 ]
 
 JACKSON_NODE_CAP = 10**4
-JACKSON_TOL = 1e-15  # a Jackson term below it (relative to the running sum, or 1) is small
+JACKSON_TOL = 1e-15  # a Jackson term below it (relative to the running sum, or scale) is small
 QUADRATURE_RULE = "midpoint in theta (Gauss-Chebyshev in x) with node doubling"
 # the node-doubling loop: first node count, settling tolerance, doublings allowed
 QUADRATURE_START_NODES, QUADRATURE_REL_TOL, QUADRATURE_MAX_DOUBLINGS = 250, 1e-9, 4
@@ -69,12 +71,15 @@ def _one(_):
 def discrete_inner(spec: InnerProductSpec, f, g):
     """sum_i f(s_i) g(s_i) Delta x(s_i - 1/2), elementwise for array values.
 
-    f and g are called once, on the array of all nodes.  Callers supply f, g
-    already including the sqrt(rho) factors when the summands are
-    orthonormal functions.  An empty grid sums to 0.
+    f and g are called once, on the array of all nodes.  An empty grid sums
+    to 0; a term that is not finite raises QKernelError naming its node.
     """
     s = np.array(spec.nodes, dtype=complex)
-    terms = np.asarray(f(s) * g(s) * spec.lattice.delta_x_mid(s), dtype=complex)
+    with np.errstate(all="ignore"):  # a term that is not finite is refused below
+        terms = np.asarray(f(s) * g(s) * spec.lattice.delta_x_mid(s), dtype=complex)
+    bad = ~np.isfinite(terms).all(axis=tuple(range(terms.ndim - 1)))  # per node
+    if bad.any():
+        raise QKernelError(f"discrete sum term is not finite at node s = {s[bad.argmax()]:g}")
     # a running sum from 0 in node order: the rounding of a node-by-node sum
     return _scalar_or_array(np.cumsum(np.insert(terms, 0, 0.0, axis=-1), axis=-1)[..., -1])
 
@@ -91,7 +96,7 @@ def _jackson_block(q: float) -> int:
     return min(math.ceil(math.log(JACKSON_TOL) / math.log(q)) + 4, JACKSON_NODE_CAP)
 
 
-def _jackson_zero_to(f, z, base: QBase):
+def _jackson_zero_to(f, z, base: QBase, scale):
     if z == 0:
         return complex(0.0)
     q, tol = base.q, JACKSON_TOL
@@ -112,10 +117,11 @@ def _jackson_zero_to(f, z, base: QBase):
                 settled = np.zeros(total.shape, dtype=int)  # carried settled nodes
                 value = np.empty(total.shape, dtype=complex)
                 live = np.ones(total.shape, dtype=bool)
+                floor = np.broadcast_to(np.abs(scale), shape).reshape(-1, 1)
             terms = terms.reshape(-1, size)
             # running sums seeded with the carried ones: the node-by-node rounding
             sums = np.cumsum(np.concatenate([total[:, None], terms], axis=1), axis=1)[:, 1:]
-            small = np.abs(terms) <= tol * np.maximum(np.abs(sums), 1.0)
+            small = np.abs(terms) <= tol * np.maximum(np.abs(sums), floor)
         # an entry stops at its 4th consecutive small term, counting the
         # small terms that ended the previous block
         carried = settled[:, None] > np.arange(2, -1, -1)
@@ -144,14 +150,16 @@ def _jackson_zero_to(f, z, base: QBase):
     )
 
 
-def jackson_integral(f, z1, z2, base: QBase):
+def jackson_integral(f, z1, z2, base: QBase, scale=1.0):
     """int_{z1}^{z2} f(t) d_q t = int_0^{z2} - int_0^{z1}, each as the
-    displayed node series, elementwise for array values; every entry must
-    settle for 4 consecutive nodes below JACKSON_TOL.  f is called on arrays
-    of nodes, a block at a time.  Requires 0 < q < 1."""
+    displayed node series, elementwise for array values.  An entry settles
+    at 4 consecutive terms of at most JACKSON_TOL max(|running sum|, scale);
+    `scale` is its natural magnitude, as in `continuous_inner_aw_converged`
+    (the default 1 stops an entry far below 1 too early).  f is called on
+    node arrays, a block at a time.  Requires 0 < q < 1."""
     if not base.allows_infinite_products:
         raise QKernelError(f"Jackson integral requires q < 1, got q={base.q}")
-    return _jackson_zero_to(f, z2, base) - _jackson_zero_to(f, z1, base)
+    return _jackson_zero_to(f, z2, base, scale) - _jackson_zero_to(f, z1, base, scale)
 
 
 def continuous_inner_aw(f, g, weight_density, nodes: int = 2000):
@@ -205,32 +213,10 @@ def _outer(v):
 
 def gram_matrix(fam, N: int):
     """(G, history): G is the (N+1) x (N+1) matrix of inner products of the
-    orthonormal functions phi_0..phi_N of a family (`FamilySpec.phi`), using
-    the family's support.
-
-    One rule call per support: the integrand is the matrix phi_n phi_m on a
-    node array (P_n P_m on the continuous support), so the weight is
-    evaluated once per node, phi_0..phi_N come from one recurrence pass and
-    the matrix is symmetric by construction.  On the continuous support,
-    history is the node-doubling loop that made G, as (nodes, matrix of the
-    unnormalised integrals of P_n P_m) pairs; the sums and Jackson integrals
-    have no such loop and give an empty history.
+    orthonormal functions phi_0..phi_N of a family: the integrals of
+    P_n P_m w over its support divided by d_n d_m.  history is that of
+    `FamilySpec.p_gram`: the continuous quadrature's node-doubling loop, as
+    (nodes, unnormalised matrix) pairs, or [] for sums and Jackson integrals.
     """
-    sup = fam.support
-    ns = range(N + 1)
-    if sup.kind == "discrete_grid":
-        spec = InnerProductSpec(fam.lattice, tuple(sup.grid_points))
-        return discrete_inner(spec, lambda s: _outer(fam.phi(ns, s)), _one), []
-    if sup.kind == "jackson_integral":
-        return jackson_integral(lambda x: _outer(fam.phi_point(ns, x)), sup.lo, sup.hi,
-                                fam.base), []
-    if sup.kind == "continuous_interval":
-        dd = _outer(np.array([fam.d_n(n) for n in ns]))
-        val, history = continuous_inner_aw_converged(
-            lambda x: _outer(fam.pn_stack(N, x)),
-            _one,
-            fam.closed.displays["weight_density"],
-            scale=np.abs(dd),
-        )
-        return val / dd, history
-    raise QKernelError(f"no inner product available for support kind {sup.kind!r}")
+    M, history = fam.p_gram(N)
+    return M / _outer(np.array([fam.d_n(n) for n in range(N + 1)])), history

@@ -381,8 +381,7 @@ def test_gram_command(tmp_path):
 def test_gram_n_zero(tmp_path):
     out = tmp_path / "g0.json"
     rc = run_cli(["gram", "--family", "q_dual_hahn", "--q", "0.5",
-                  *REF_ARGS["q_dual_hahn"], "--n-min", "0", "--n-max", "0",
-                  "--out", str(out)])
+                  *REF_ARGS["q_dual_hahn"], "--n-max", "0", "--out", str(out)])
     assert rc == 0
     data = json.loads(out.read_text())
     assert len(data["matrix"]) == 1
@@ -399,6 +398,54 @@ def test_gram_reads_only_n_max(tmp_path, capsys):
     assert abs(data["matrix"][0][0][0] - 1.0) < 1e-8
     assert run_cli(["gram", "--family", "asc1", *REF_ARGS["asc1"], "--n-max", "-1"]) == 2
     assert "gram needs --n-max >= 0, got -1" in capsys.readouterr().err
+
+
+def test_commands_refuse_the_flags_they_do_not_read(tmp_path, capsys):
+    qdh = ["--family", "q_dual_hahn", *REF_ARGS["q_dual_hahn"], "--n-max", "1"]
+    for argv in (["gram", *qdh, "--format", "csv"], ["gram", *qdh, "--grid", "0:1:3"],
+                 ["gram", *qdh, "--tol", "eigen=1e-3"], ["gram", *qdh, "--n-min", "0"],
+                 ["eval", *qdh, "--tol", "eigen=1e-3"]):
+        assert run_cli(argv) == 2, argv
+        assert capsys.readouterr().err.count("error:") == 1
+    # gram writes JSON only, whichever source names csv
+    cfg = tmp_path / "g.cfg"
+    cfg.write_text("format=csv\n")
+    assert run_cli(["gram", *qdh, "--config", str(cfg)]) == 2
+    assert capsys.readouterr().err == "error: gram writes JSON only, got format 'csv'\n"
+    # keys a command does not read stay accepted in a config file shared by
+    # the commands (suite=all, grid, n_min, tolerances)
+    cfg.write_text("suite=all\ngrid=0:1:3\nn_min=0\ntol.eigen=1e-3\nformat=json\n")
+    assert run_cli(["gram", *qdh, "--config", str(cfg)]) == 0
+    assert json.loads(capsys.readouterr().out)["N"] == 1
+    shared = pathlib.Path(__file__).resolve().parent.parent / "examples"
+    assert run_cli(["gram", "--config", str(shared / "q_dual_hahn_reference.cfg"),
+                    "--n-max", "4"]) == 0
+
+
+def test_gram_refuses_a_discrete_sum_through_a_weight_pole(capsys):
+    # a >= -1/2 is admissible, but the weight has a pole at s = a = -1/2
+    assert run_cli(["gram", "--family", "q_dual_hahn", "--param", "a=-0.5", "--param",
+                    "b=4.5", "--param", "c=0.3", "--q", "0.5", "--n-max", "3"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: discrete sum term is not finite at node s = -0.5+0j\n"
+
+
+@pytest.mark.parametrize("name, q, params, bound", [
+    ("asc1", 0.10693629904792491, {"a": -2.265421624643717}, 1e-8),
+    ("big_q_jacobi", 0.2609449383151756,
+     {"a": 0.0028222212121253865, "b": 3.718021655364905, "c": -2.131197126520494}, 2e-3),
+])
+def test_jackson_gram_evaluates_p_n_at_the_node_itself(tmp_path, name, q, params, bound):
+    # P_n at the Jackson node x, not at x -> s -> x, and every entry settled
+    # against |d_n d_m|: the parent read 4.4e-8 (asc1) and 5.3e-3 (big q-Jacobi)
+    out = tmp_path / "g.json"
+    argv = ["gram", "--family", name, "--q", repr(q), "--n-max", "6", "--out", str(out)]
+    for k, v in params.items():
+        argv += ["--param", f"{k}={v!r}"]
+    assert run_cli(argv) == 0
+    data = json.loads(out.read_text())
+    assert max(data["max_offdiag"], data["max_diag_deviation"]) < bound
 
 
 def test_eval_evaluates_the_weight_once_per_grid_point(tmp_path, monkeypatch):
@@ -499,7 +546,7 @@ def test_gram_aw_includes_doubling_metadata(tmp_path, monkeypatch):
         for N in range(2, 7):
             calls.clear()
             rc = run_cli(["gram", "--family", name, "--q", "0.5", *REF_ARGS[name],
-                          "--n-min", "0", "--n-max", str(N), "--out", str(out)])
+                          "--n-max", str(N), "--out", str(out)])
             assert rc == 0
             data = json.loads(out.read_text())
             assert data["max_offdiag"] < 1e-6

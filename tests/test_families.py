@@ -415,14 +415,11 @@ def test_aw_stacked_h_products_equal_h_pair_bit_for_bit(name, params, q):
         assert fam.weight(t) == _h_products(h, t, q, params, 2.0 * math.pi * kq * (1.0 - t * t))
 
 
-def test_s_from_point_on_arrays_equals_scalar(families):
-    # the Jackson Grams map nodes x -> s -> x; the array map is cmath's
-    fam = families["asc1"]
-    x = np.linspace(-1.0, 1.0, 400).astype(complex)  # numpy's log differs on some
-    got = fam.s_from_point(x)
-    assert got.tobytes() == np.array([fam.s_from_point(t) for t in x]).tobytes()
+def test_s_from_point_refuses_the_lattice_constant(families):
+    fam = families["asc1"]  # x = q^s: c3 = 0 is no lattice point
+    assert fam.lattice.x(fam.s_from_point(0.5)) == pytest.approx(0.5, rel=1e-15)
     with pytest.raises(FamilyError, match="not on the exponential lattice"):
-        fam.s_from_point(np.array([0.5, 0.0]))
+        fam.s_from_point(0.0)
 
 
 def test_pn_stack_rows_equal_single_recurrences(families):

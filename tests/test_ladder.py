@@ -631,7 +631,3 @@ def test_phi_range_stacks_single_phis(families):
     for n in range(5):
         assert stacked[n].tolist() == [fam.phi(n, s) for s in nodes]
         assert fam.phi(n, nodes).tolist() == stacked[n].tolist()
-    asc1 = families["asc1"]
-    x = np.linspace(-1.0, 1.0, 8)  # the Jackson support [a, 1] = [-1, 1]
-    assert asc1.phi_point(range(4), x).tolist() == [[asc1.phi_point(n, t) for t in x]
-                                                    for n in range(4)]

@@ -4,11 +4,13 @@ import warnings
 import numpy as np
 import pytest
 
-from qladder.families import make_family
+from qladder.checks import run_suite
+from qladder.families import FamilySpec, make_family, reference_params
 from qladder.orthogonality import (
     JACKSON_NODE_CAP,
     InnerProductSpec,
     _jackson_block,
+    _one,
     continuous_inner_aw,
     continuous_inner_aw_converged,
     discrete_inner,
@@ -27,6 +29,16 @@ def test_discrete_inner_phi_normalization(families):
     assert v00 == pytest.approx(1.0, abs=1e-9)
     v01 = discrete_inner(spec, lambda s: fam.phi(0, s), lambda s: fam.phi(1, s))
     assert abs(v01) < 1e-8
+
+
+def test_discrete_inner_refuses_a_term_that_is_not_finite():
+    # the q-dual Hahn weight has a pole at s = a = -1/2, the grid's first node
+    fam = make_family("q_dual_hahn", {"a": -0.5, "b": 4.5, "c": 0.3}, QBase(0.5))
+    with pytest.raises(QKernelError, match=r"not finite at node s = -0\.5\+0j"):
+        gram_matrix(fam, 3)
+    spec = InnerProductSpec(fam.lattice, (0.5, 1.5, 2.5))
+    with pytest.raises(QKernelError, match=r"at node s = 1\.5\+0j"):
+        discrete_inner(spec, lambda s: np.array([[1.0, np.inf, np.nan]] * 2), _one)
 
 
 def test_discrete_inner_empty_grid(families):
@@ -150,8 +162,11 @@ def test_gram_matches_per_pair_scalar_rule(families, name):
                 spec = InnerProductSpec(fam.lattice, tuple(sup.grid_points))
                 want = discrete_inner(spec, lambda s: fam.phi(n, s), lambda s: fam.phi(m, s))
             elif sup.kind == "jackson_integral":
-                want = jackson_integral(lambda x: fam.phi_point(n, x) * fam.phi_point(m, x),
-                                        sup.lo, sup.hi, fam.base)
+                dd = fam.d_n(n) * fam.d_n(m)
+                want = jackson_integral(
+                    lambda x: fam.pn_ttrr_x(n, x) * fam.pn_ttrr_x(m, x) * fam.weight(x),
+                    sup.lo, sup.hi, fam.base, scale=abs(dd),
+                ) / dd
             else:
                 dd = fam.d_n(n) * fam.d_n(m)
                 val, _ = continuous_inner_aw_converged(
@@ -160,6 +175,48 @@ def test_gram_matches_per_pair_scalar_rule(families, name):
                 )
                 want = val / dd
             assert abs(G[n, m] - want) < 1e-13, (n, m)
+
+
+def test_jackson_scale_is_the_magnitude_an_entry_settles_against(base):
+    # terms of a 1e-12-sized integrand fall below JACKSON_TOL * 1 long before
+    # the sum is exact; with scale 1e-12 they settle against 1e-12 instead
+    f = lambda t: 1.0 / (1.0 + t * t)
+    want = jackson_integral(f, 0.2, 1.0, base)
+    got = jackson_integral(lambda t: 1e-12 * f(t), 0.2, 1.0, base, scale=1e-12)
+    assert abs(got - 1e-12 * want) <= 2e-15 * abs(1e-12 * want)
+    coarse = jackson_integral(lambda t: 1e-12 * f(t), 0.2, 1.0, base)
+    assert abs(coarse - 1e-12 * want) > 1e-6 * abs(1e-12 * want)
+    # a scale array matches the value entrywise; the default is the floor 1
+    pair = jackson_integral(lambda t: np.array([1e-12 * f(t), f(t)]), 0.2, 1.0, base,
+                            scale=np.array([1e-12, 1.0]))
+    assert pair.tolist() == [got, want]
+
+
+def test_p_gram_is_one_rule_call_per_n_kept_by_the_family(base):
+    # the measure is integrated once per N: the Gram, the discrete-sum norms
+    # and the convention ratio read the same matrix
+    calls = []
+    weight = FamilySpec.weight
+
+    def counted(self, x):
+        calls.append(np.size(x))
+        return weight(self, x)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(FamilySpec, "weight", counted)
+        # q-dual Hahn at N = n_max: the norms and the Gram share one sum
+        fam = make_family("q_dual_hahn", reference_params("q_dual_hahn"), base)
+        G, _ = gram_matrix(fam, fam.n_max)
+        assert calls == [len(fam.support.grid_points)]
+        M, history = fam.p_gram(fam.n_max)
+        assert history == [] and not M.flags.writeable
+        assert [fam.norm_sq(n) for n in range(fam.n_max + 1)] == np.diag(M).tolist()
+        # asc1: the orthonormality suite's Gram and convention ratio share
+        # one Jackson integral (two blocks of nodes)
+        calls.clear()
+        fam = make_family("asc1", reference_params("asc1"), base)
+        assert run_suite(fam, "orthonormality").passed
+        assert calls == [54, 54]
 
 
 @pytest.mark.parametrize("name", ["askey_wilson", "continuous_q_hermite"])
