@@ -2,15 +2,14 @@
 core checks and the CLI, including the closed-form-vs-general concordance
 suite that emits suspected-erratum records.
 
-Every suite returns a CheckReport.  A suite is one row of `_SUITES`: its
-name (the `--suite` vocabulary, `SUITE_NAMES` in `--suite all` order) and
-the sweep run_suite hands its suite function.  Its default tolerance is the
-`tolerance=` default of that function.
+Every suite returns a CheckReport, made by `report.suite`: a suite function
+is a body that adds cases and meta, under an `@suite(name, identity,
+tolerance)` line that holds its identity and its default tolerance.  A suite
+is one row of `_SUITES`: its name (the `--suite` vocabulary, `SUITE_NAMES` in
+`--suite all` order) and the sweep run_suite hands its suite function.
 """
 
 from __future__ import annotations
-
-import time
 
 import numpy as np
 
@@ -36,7 +35,7 @@ from .ladder import (
 )
 from .orthogonality import QUADRATURE_RULE, gram_matrix
 from .qkernel import QKernelError, q_factorial, q_number
-from .report import CaseRecord, CheckReport
+from .report import CaseRecord, CheckReport, Skipped, suite
 
 __all__ = [
     "SUITE_NAMES",
@@ -57,24 +56,20 @@ def default_grid(fam, count: int = 5):
     return fam.kind.default_grid(fam, count)
 
 
-def concordance_suite(fam, n_hi: int = 8, tolerance: float = 1e-9) -> CheckReport:
+@suite("concordance", "tabulated closed forms vs the general difference-equation machinery",
+       1e-9)
+def concordance_suite(rep, fam, n_hi: int = 8):
     """Closed tabulated data vs the general machinery: eigenvalues, tau_n data,
     recurrence coefficients, norm ratios and anchors, and the secondary
     displayed expressions (u, h, Hamiltonian terms).  Mismatches become
     suspected-erratum records in meta['errata']; the suite passes when every
     compared quantity either matches or is recorded."""
-    rep = CheckReport(
-        suite="concordance",
-        identity="tabulated closed forms vs the general difference-equation machinery",
-        family=fam.name,
-        tolerance=tolerance,
-    )
     t = fam.coeffs
     errata: list = []
     grid = default_grid(fam)
     notes = fam.closed.notes
 
-    def compare(quantity, label, got, expect, tol=tolerance, detail=""):
+    def compare(quantity, label, got, expect, tol=rep.tolerance, detail=""):
         got = complex(got)
         expect = complex(expect)
         err = abs(got - expect)
@@ -129,11 +124,10 @@ def concordance_suite(fam, n_hi: int = 8, tolerance: float = 1e-9) -> CheckRepor
     for n in range(0, ncap + 1):
         for s, want in zip(pts, stack[n]):
             compare("series_vs_ttrr", f"n={n},s={complex(s):.4g}", fam.pn_series(n, s),
-                    want, max(tolerance, 1e-10))
+                    want, max(rep.tolerance, 1e-10))
 
     _compare_displays(fam, grid, compare)
     rep.meta["errata"] = errata
-    return rep
 
 
 @_RAISE_FP
@@ -170,18 +164,14 @@ def _compare_displays(fam, grid, compare):
                     complex(displays["ham_cplus"](s)) ** 2, ep ** 2)
 
 
-def difference_calculus_suite(fam, n_hi: int = 6, tolerance: float = 1e-10) -> CheckReport:
+@suite("difference_calculus",
+       "Delta^{(n-1)} x^n = [n]_q! x_{n-1}(s) + c3 [n-1]_q! (n - [n]_q); "
+       "Delta^{(k)} x^n has leading term [n]_q!/[n-k]_q! x_k^{n-k}", 1e-10)
+def difference_calculus_suite(rep, fam, n_hi: int = 6):
     """Difference-calculus identities on the family's lattice: the exact
     (n-1)-fold form of x^n, the leading-term statement for k-fold
     differences (checked through divided differences), and the shift
     identity x_k(s+1) = x_{k+2}(s)."""
-    rep = CheckReport(
-        suite="difference_calculus",
-        identity="Delta^{(n-1)} x^n = [n]_q! x_{n-1}(s) + c3 [n-1]_q! (n - [n]_q); "
-        "Delta^{(k)} x^n has leading term [n]_q!/[n-k]_q! x_k^{n-k}",
-        family=fam.name,
-        tolerance=tolerance,
-    )
     lat = fam.lattice
     base = fam.eq.base
     fact = [q_factorial(n, base) for n in range(n_hi + 1)]
@@ -234,7 +224,6 @@ def difference_calculus_suite(fam, n_hi: int = 6, tolerance: float = 1e-10) -> C
             CaseRecord(0, f"k={k},s={s:.4g}", rel_residual(av - bv, (av, bv)),
                        "x_k(s+1) = x_{k+2}(s)")
         )
-    return rep
 
 
 def _divided_difference(xs, ys):
@@ -245,16 +234,12 @@ def _divided_difference(xs, ys):
     return coeffs[0]
 
 
-def rodrigues_suite(fam, n_hi: int = 5, tolerance: float = 1e-9) -> CheckReport:
+@suite("rodrigues",
+       "B_n/rho(s) nabla^{(n)} rho_n(s) equals P_n up to an s-independent constant", 1e-9)
+def rodrigues_suite(rep, fam, n_hi: int = 5):
     """Rodrigues evaluation equals the recurrence route times an
     s-independent constant (fit at one point, checked at four others).
     With the family's normalization rule B_n, the constant is 1."""
-    rep = CheckReport(
-        suite="rodrigues",
-        identity="B_n/rho(s) nabla^{(n)} rho_n(s) equals P_n up to an s-independent constant",
-        family=fam.name,
-        tolerance=tolerance,
-    )
     grid = default_grid(fam)
     rods, x = rodrigues_values(fam.eq, grid[0], len(grid), n_hi, fam.coeffs.B)
     refs = fam.pn_stack(n_hi, x)
@@ -269,25 +254,18 @@ def rodrigues_suite(fam, n_hi: int = 5, tolerance: float = 1e-9) -> CheckReport:
                 CaseRecord(n, f"{complex(s):.4g}", abs(rod - fit * ref) / scale)
             )
         rep.meta.setdefault("fitted_constants", {})[str(n)] = [fit.real, fit.imag]
-    return rep
 
 
-def pearson_suite(fam, tolerance: float = 1e-10) -> CheckReport:
+@suite("pearson",
+       "rho(s+1)/rho(s) = Theta(s)/sigma(s+1) reproduces the closed-form weight", 1e-10)
+def pearson_suite(rep, fam):
     """Pearson-table weight ratios against the tabulated closed-form weight.
 
     On the quadratic trigonometric lattice the lattice weight is
     omega(x(s)) * Delta x(s-1/2); on exponential lattices it is omega(x(s));
     on the dual-Hahn lattice the tabulated rho(s) is used directly."""
-    rep = CheckReport(
-        suite="pearson",
-        identity="rho(s+1)/rho(s) = Theta(s)/sigma(s+1) reproduces the closed-form weight",
-        family=fam.name,
-        tolerance=tolerance,
-    )
     if fam.closed.weight is None:
-        rep.meta["status"] = "skipped"
-        rep.meta["reason"] = "no closed-form weight tabulated"
-        return rep
+        raise Skipped("no closed-form weight tabulated")
     grid = default_grid(fam)
     closed_rho = fam.kind.pearson_rho
     # (s, rho(s+1)/rho(s)) from the Pearson weight, one ratio per grid point
@@ -312,25 +290,19 @@ def pearson_suite(fam, tolerance: float = 1e-10) -> CheckReport:
                 CaseRecord(0, f"{complex(s):.4g}", rel_residual(got - want, (got, want)),
                            fam.closed.notes.get("pearson_ratio", "oracle"))
             )
-    return rep
 
 
-def orthonormality_suite(fam, tolerance: float | None = None) -> CheckReport:
+@suite("orthonormality", "Gram matrix of phi_0..phi_N equals the identity", None)
+def orthonormality_suite(rep, fam):
     """Gram matrix of phi_0..phi_N on the family's support; for the Jackson
     support the norm-convention ratio (integral)/(tabulated d_n^2) is
-    reported and must be n-independent."""
+    reported and must be n-independent.  The default tolerance depends on
+    the support: 1e-6 on the continuous interval, 1e-8 otherwise."""
     kind = fam.support.kind
-    tol = tolerance if tolerance is not None else (1e-6 if kind == "continuous_interval" else 1e-8)
-    rep = CheckReport(
-        suite="orthonormality",
-        identity="Gram matrix of phi_0..phi_N equals the identity",
-        family=fam.name,
-        tolerance=tol,
-    )
+    if rep.tolerance is None:
+        rep.tolerance = 1e-6 if kind == "continuous_interval" else 1e-8
     if kind == "none":
-        rep.meta["status"] = "skipped"
-        rep.meta["reason"] = "no orthogonality relation tabulated for this family"
-        return rep
+        raise Skipped("no orthogonality relation tabulated for this family")
     N = 4 if kind == "discrete_grid" else 3
     if fam.n_max is not None:
         N = min(N, fam.n_max)
@@ -351,11 +323,14 @@ def orthonormality_suite(fam, tolerance: float | None = None) -> CheckReport:
                                     "(integral)/(tabulated d_n^2) constant over n"))
     if kind == "continuous_interval":
         rep.meta["quadrature"] = QUADRATURE_RULE
-    return rep
 
 
+@suite("poly_ladder",
+       "sigma nabla P_n/nabla x = lambda_n/[n]_q tau_n/tau_n' P_n "
+       "- alpha_n lambda_{2n}/[2n]_q P_{n+1};  Theta Delta P_n/Delta x = "
+       "gamma_n lambda_{2n}/[2n]_q P_{n-1} + [...] P_n", 1e-10)
 @_RAISE_FP
-def poly_ladder_suite(fam, n_hi: int = 6, tolerance: float = 1e-10) -> CheckReport:
+def poly_ladder_suite(rep, fam, n_hi: int = 6):
     """The polynomial-level raising and lowering relations, canonical
     normalization, at every point of the default grid at once.  The
     coefficients sigma/nabla x, Theta/Delta x, A(s,n), x and Delta x(s-1/2)
@@ -364,14 +339,6 @@ def poly_ladder_suite(fam, n_hi: int = 6, tolerance: float = 1e-10) -> CheckRepo
     alternating-sign series terms of size q^{-n(n-1)/2} make the series
     route lose digits from n ~ 6); the series-vs-recurrence tie happens in
     the concordance suite."""
-    rep = CheckReport(
-        suite="poly_ladder",
-        identity="sigma nabla P_n/nabla x = lambda_n/[n]_q tau_n/tau_n' P_n "
-        "- alpha_n lambda_{2n}/[2n]_q P_{n+1};  Theta Delta P_n/Delta x = "
-        "gamma_n lambda_{2n}/[2n]_q P_{n-1} + [...] P_n",
-        family=fam.name,
-        tolerance=tolerance,
-    )
     t = fam.coeffs
     grid = default_grid(fam)
     g = StencilGrid.shared(fam, grid, 1)
@@ -398,21 +365,16 @@ def poly_ladder_suite(fam, n_hi: int = 6, tolerance: float = 1e-10) -> CheckRepo
     # n = 0 lowering consistency with P_{-1} = 0
     for label, r in zip(labels[:2], down[0]):
         rep.cases.append(CaseRecord(0, label, r, "lowering n=0"))
-    return rep
 
 
-def _branch_continuity_skip(fam, tolerance: float = 0.2) -> CheckReport:
-    """The branch_continuity report on a real lattice coordinate, where no
-    square-root branch can flip: skipped, at check_branch_continuity's 0.2."""
-    return CheckReport(suite="branch_continuity",
-                       identity="branch continuity along the theta grid",
-                       family=fam.name, tolerance=tolerance,
-                       meta={"status": "skipped", "reason": "real lattice coordinate"})
+@suite("branch_continuity", "branch continuity along the theta grid", 0.2)
+def _branch_continuity_skip(rep, fam):
+    raise Skipped("real lattice coordinate")  # no square-root branch can flip
 
 
 # The suites in `--suite all` order.  A row maps run_suite's (family, ns, grid)
 # onto its suite function, and passes `tolerance=` only when the caller
-# overrides it, so each default lives in the suite function's signature.
+# overrides it, so each default lives in the suite's `@suite` line.
 # Rows look the suite functions up in this module's globals at call time, so
 # rebinding one of them (a tracer, a test) reaches the dispatch.
 _SUITES = {
@@ -449,21 +411,13 @@ SUITE_NAMES = tuple(_SUITES)
 
 def run_suite(fam, suite: str, ns=None, s_grid=None, tolerances=None) -> CheckReport:
     """Run one named suite with default sweeps and its default tolerance
-    unless overridden.  An ArithmeticError (a vanishing lattice step, an
-    overflow, an invalid operation) is raised again, of the same class, with
-    the suite named."""
+    unless overridden."""
     if suite not in _SUITES:
         raise QKernelError(f"unknown suite {suite!r}; known: {', '.join(SUITE_NAMES)}")
     tol = {"tolerance": tolerances[suite]} if tolerances and suite in tolerances else {}
     ns = list(ns) if ns is not None else list(range(1, 6))
     grid = list(s_grid) if s_grid is not None else default_grid(fam)
-    t0 = time.perf_counter()
-    try:
-        rep = _SUITES[suite](fam, ns, grid, **tol)
-    except ArithmeticError as e:
-        raise type(e)(f"{suite}: {e}") from e
-    rep.wall_ms = (time.perf_counter() - t0) * 1e3
-    return rep
+    return _SUITES[suite](fam, ns, grid, **tol)
 
 
 def run_suites(fam, suites, ns=None, s_grid=None, tolerances=None):

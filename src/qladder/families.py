@@ -93,7 +93,6 @@ class SupportSpec:
     kind: str
     lo: float = 0.0
     hi: float = 0.0
-    note: str = ""
 
     @property
     def grid_points(self):
@@ -109,7 +108,7 @@ class SupportSpec:
 class ClosedForms:
     """Tabulated closed forms for one family (callables; None if not tabulated).
 
-    alpha_n/beta_n/gamma_n are the monic-recurrence displays; d_n_sq is in the
+    beta_n/gamma_n are the monic-recurrence displays; d_n_sq is in the
     family's canonical normalization.  `displays` carries secondary displayed
     expressions (u(s,n), the factorization constant, Hamiltonian coefficients,
     an oracle Pearson ratio) for the concordance and Pearson comparisons;
@@ -122,7 +121,6 @@ class ClosedForms:
     gamma_n: object
     tau_slope: object
     tau_intercept: object
-    alpha_n: object = None  # defaults to 1 (monic display)
     d_n_sq: object = None
     weight: object = None
     displays: dict = field(default_factory=dict)
@@ -616,7 +614,7 @@ def _make_asc1(params: dict, base: QBase) -> FamilySpec:
         params={"a": a},
         base=base,
         eq=eq,
-        support=SupportSpec("jackson_integral", a, 1.0, "d_q x on [a, 1]"),
+        support=SupportSpec("jackson_integral", a, 1.0),
         closed=closed,
         a_n=a_n,
         series_fn=series,
@@ -657,7 +655,7 @@ def _make_asc2(params: dict, base: QBase) -> FamilySpec:
         params={"a": a},
         base=base,
         eq=eq,
-        support=SupportSpec("none", note="no orthogonality relation tabulated"),
+        support=SupportSpec("none"),
         closed=ClosedForms(**forms, d_n_sq=d_n_sq, weight=None, displays=displays),
         a_n=a_n,
         series_fn=series,
@@ -789,7 +787,7 @@ def _make_big_q_jacobi(params: dict, base: QBase) -> FamilySpec:
         params={"a": a, "b": b, "c": c},
         base=base,
         eq=eq,
-        support=SupportSpec("jackson_integral", c * q, a * q, "d_q x on [cq, aq]"),
+        support=SupportSpec("jackson_integral", c * q, a * q),
         closed=closed,
         a_n=a_n,
         series_fn=series,
@@ -982,7 +980,7 @@ def _make_q_dual_hahn(params: dict, base: QBase) -> FamilySpec:
         params={"a": a, "b": b, "c": c},
         base=base,
         eq=eq,
-        support=SupportSpec("discrete_grid", a, b, "s = a..b-1, weights Delta x(s-1/2)"),
+        support=SupportSpec("discrete_grid", a, b),
         closed=closed,
         a_n=a_n,
         series_fn=series,
@@ -1011,8 +1009,8 @@ def _aw_equation_data(a, b, c, d, base: QBase) -> EquationData:
 
 
 def _aw_weights(a, b, c, d, base: QBase):
-    """h(x, alpha), the tabulated weight omega(x) and the positive density of
-    the Askey--Wilson measure (q-Hermite at a = b = c = d = 0).
+    """The tabulated weight omega(x) and the positive density of the
+    Askey--Wilson measure (q-Hermite at a = b = c = d = 0).
 
     The weight and the density are the ratio of eight h-products,
 
@@ -1021,29 +1019,21 @@ def _aw_weights(a, b, c, d, base: QBase):
     h(x, alpha) = prod_k (1 - 2 alpha q^k x + alpha^2 q^{2k}), each product
     taken while |alpha q^k| > 1e-17.  The table of q-power sequences holds,
     per alpha and k, the factor constants 2 alpha q^k and alpha^2 q^{2k}
-    (alpha q^k by repeated multiplication, as `h_pair` forms it); it is
-    built on the first evaluation, so making a family costs nothing.  On an
-    ndarray x all eight products run in one loop over k on a stacked
-    (8, x.size) array, a row left as it is once its sequence has ended.  A
-    scalar x keeps the per-alpha Python loop over the same table: numpy's
-    complex loops round some products differently from Python's complex
-    arithmetic, and a scalar routed through numpy moves pearson residuals.
-    Either way each entry equals the `h_pair` products bit for bit.
+    (alpha q^k by repeated multiplication); it is built on the first
+    evaluation, so making a family costs nothing.  On an ndarray x all eight
+    products run in one loop over k on a stacked (8, x.size) array, a row
+    left as it is once its sequence has ended.  A scalar x keeps the
+    per-alpha Python loop over the same table: numpy's complex loops round
+    some products differently from Python's complex arithmetic, and a scalar
+    routed through numpy moves pearson residuals.  Either way each entry
+    equals, bit for bit, the product of the factors in k order, one
+    h(x, alpha) at a time.
     """
     q = base.q
     kq = base.k_q
     rq = math.sqrt(q)
     alphas = (1.0, -1.0, rq, -rq, a, b, c, d)
     tables = []  # built on the first evaluation
-
-    def h_pair(x, alpha):
-        # h(x, alpha) = prod_k (1 - 2 alpha x q^k + alpha^2 q^{2k})
-        out = complex(1.0)
-        aq = complex(alpha)
-        while abs(aq) > 1e-17:
-            out *= 1.0 - 2.0 * aq * x + aq * aq
-            aq *= q
-        return out
 
     def table():
         """Per alpha, the list [(2 alpha q^k, alpha^2 q^{2k}), ...]; and the
@@ -1105,7 +1095,7 @@ def _aw_weights(a, b, c, d, base: QBase):
         x may be an array of nodes."""
         return h_ratio(x, 2.0 * math.pi)
 
-    return h_pair, weight, weight_density
+    return weight, weight_density
 
 
 def _make_askey_wilson(params: dict, base: QBase) -> FamilySpec:
@@ -1156,7 +1146,7 @@ def _make_askey_wilson(params: dict, base: QBase) -> FamilySpec:
             / ((1 - abcd * q ** (2 * n - 2)) * (1 - abcd * q ** (2 * n - 1)))
         )
 
-    h_pair, weight, weight_density = _aw_weights(a, b, c, d, base)
+    weight, weight_density = _aw_weights(a, b, c, d, base)
 
     def d_n_sq(n):
         num = q_pochhammer(abcd * q ** (n - 1), base, n) * q_pochhammer_inf(
@@ -1200,7 +1190,6 @@ def _make_askey_wilson(params: dict, base: QBase) -> FamilySpec:
             "u": u_display,
             "h_mp": lambda n: D_coef(2 * n) * D_coef(2 * n + 2) * C_n(n + 1) * A_n(n) / 4.0,
             "weight_density": weight_density,
-            "h_pair": h_pair,
         },
         notes={"u_display": "displayed u(s,n) disagrees with the general route "
                             "(the sigma/nabla-x term is off by a factor 2)"},
@@ -1210,8 +1199,7 @@ def _make_askey_wilson(params: dict, base: QBase) -> FamilySpec:
         params={"a": a, "b": b, "c": c, "d": d},
         base=base,
         eq=eq,
-        support=SupportSpec("continuous_interval", -1.0, 1.0,
-                            "weight * sqrt(1-x^2) * kappa_q dx on [-1, 1]"),
+        support=SupportSpec("continuous_interval", -1.0, 1.0),
         closed=closed,
         a_n=a_n,
         series_fn=series,
@@ -1241,7 +1229,7 @@ def _make_continuous_q_hermite(params: dict, base: QBase) -> FamilySpec:
         )
         return qs**n * basic_hypergeometric(spec, base)
 
-    _, weight, weight_density = _aw_weights(0.0, 0.0, 0.0, 0.0, base)
+    weight, weight_density = _aw_weights(0.0, 0.0, 0.0, 0.0, base)
 
     def h_pm_display(n):
         # as tabulated (suspected erratum, see notes)
@@ -1269,8 +1257,7 @@ def _make_continuous_q_hermite(params: dict, base: QBase) -> FamilySpec:
         params={},
         base=base,
         eq=eq,
-        support=SupportSpec("continuous_interval", -1.0, 1.0,
-                            "weight * sqrt(1-x^2) * kappa_q dx on [-1, 1]"),
+        support=SupportSpec("continuous_interval", -1.0, 1.0),
         closed=closed,
         a_n=a_n,
         series_fn=series,

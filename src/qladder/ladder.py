@@ -50,7 +50,7 @@ from .hypergeometric_core import _limit_ratio, _sigma_at, _theta_at, rel_residua
 from .lattice import DegenerateStepError, _cdiv
 from .orthogonality import InnerProductSpec, discrete_inner
 from .qkernel import QKernelError
-from .report import CaseRecord, CheckReport
+from .report import CaseRecord, Skipped, suite
 
 __all__ = [
     "h_minusplus",
@@ -422,48 +422,37 @@ class StencilGrid:
         return self.w * self.p(n)
 
 
-def _cases_by_point(rep: CheckReport, g: StencilGrid, ns, residuals) -> CheckReport:
+def _cases_by_point(rep, g: StencilGrid, ns, residuals):
     """One case per point and n, point outermost, from (n x point) residuals."""
     ns = list(ns)
     for label, row in zip(g.labels, residuals.T.tolist()):
         rep.cases += [CaseRecord(n, label, r) for n, r in zip(ns, row)]
-    return rep
 
 
-def _cases_by_n(rep: CheckReport, g: StencilGrid, ns, residuals) -> CheckReport:
+def _cases_by_n(rep, g: StencilGrid, ns, residuals):
     """One case per n and point, n outermost, from (n x point) residuals."""
     for n, row in zip(ns, residuals.tolist()):
         rep.cases += [CaseRecord(n, label, r) for label, r in zip(g.labels, row)]
-    return rep
 
 
+@suite("eigen", "H(s,n) phi_n(s) = 0 (symmetric-form difference equation)", 1e-9)
 @_RAISE_FP
-def check_eigen(fam, ns, s_grid, tolerance: float = 1e-9) -> CheckReport:
+def check_eigen(rep, fam, ns, s_grid):
     """H(s,n) phi_n(s) = 0 at every grid point, for each n in ns."""
-    rep = CheckReport(
-        suite="eigen",
-        identity="H(s,n) phi_n(s) = 0 (symmetric-form difference equation)",
-        family=fam.name,
-        tolerance=tolerance,
-    )
     g = StencilGrid.shared(fam, s_grid, 1)
     f = g.phi(ns)
     terms = (g.e_minus[:, 0] * f[..., 0], g.h_diag(ns) * f[..., 1], g.e_plus[:, 0] * f[..., 2])
-    return _cases_by_point(rep, g, ns, rel_residual(sum(terms), terms))
+    _cases_by_point(rep, g, ns, rel_residual(sum(terms), terms))
 
 
-def check_ttrr_phi(fam, ns, s_grid, tolerance: float = 1e-9) -> CheckReport:
+@suite("ttrr_phi",
+       "alpha_n d_{n+1}/d_n phi_{n+1} + gamma_n d_{n-1}/d_n phi_{n-1}"
+       " + (beta_n - x) phi_n = 0", 1e-9)
+def check_ttrr_phi(rep, fam, ns, s_grid):
     """alpha_n (d_{n+1}/d_n) phi_{n+1} + gamma_n (d_{n-1}/d_n) phi_{n-1}
     + (beta_n - x) phi_n = 0; the norm ratios cancel against the phi
     normalizations, so the check runs on chain functions.  P_0..P_{n+1} come
     from the recurrence pass of the margin-1 grid on the points."""
-    rep = CheckReport(
-        suite="ttrr_phi",
-        identity="alpha_n d_{n+1}/d_n phi_{n+1} + gamma_n d_{n-1}/d_n phi_{n-1}"
-        " + (beta_n - x) phi_n = 0",
-        family=fam.name,
-        tolerance=tolerance,
-    )
     g = StencilGrid.shared(fam, s_grid, 1)
     t, n = fam.coeffs, np.array(ns, dtype=int)
     ks = sorted({k for m in ns for k in (m - 1, m, m + 1) if k >= 0})
@@ -473,7 +462,7 @@ def check_ttrr_phi(fam, ns, s_grid, tolerance: float = 1e-9) -> CheckReport:
     below = np.where((n >= 1)[:, None], P(np.maximum(n - 1, 0)), 0.0)  # P_{-1} = 0
     terms = (t.alpha(n)[:, None] * P(n + 1), t.gamma(n)[:, None] * below,
              (t.beta(n)[:, None] - g.x[:, 1]) * P(n))
-    return _cases_by_n(rep, g, ns, rel_residual(sum(terms), terms))
+    _cases_by_n(rep, g, ns, rel_residual(sum(terms), terms))
 
 
 def _ladder_residuals(which: str, ns, g: StencilGrid):
@@ -493,69 +482,49 @@ def _ladder_residuals(which: str, ns, g: StencilGrid):
     return rel_residual(got - target, (got, target, own))
 
 
+@suite("raising", "L+(s,n) phi_n = alpha_n lambda_{2n}/[2n]_q d_{n+1}/d_n phi_{n+1}", 1e-9)
 @_RAISE_FP
-def check_raising(fam, ns, s_grid, tolerance: float = 1e-9) -> CheckReport:
+def check_raising(rep, fam, ns, s_grid):
     """L+(s,n) phi_n = alpha_n lambda_{2n}/[2n]_q (d_{n+1}/d_n) phi_{n+1};
     the d-ratio enters in its cancelled form (valid at the top of finite
     families where d_{n+1} = 0)."""
-    rep = CheckReport(
-        suite="raising",
-        identity="L+(s,n) phi_n = alpha_n lambda_{2n}/[2n]_q d_{n+1}/d_n phi_{n+1}",
-        family=fam.name,
-        tolerance=tolerance,
-    )
     g = StencilGrid.shared(fam, s_grid, 1)
-    return _cases_by_point(rep, g, ns, _ladder_residuals("+", ns, g))
+    _cases_by_point(rep, g, ns, _ladder_residuals("+", ns, g))
 
 
+@suite("lowering", "L-(s,n) phi_n = gamma_n lambda_{2n}/[2n]_q d_{n-1}/d_n phi_{n-1}", 1e-9)
 @_RAISE_FP
-def check_lowering(fam, ns, s_grid, tolerance: float = 1e-9) -> CheckReport:
+def check_lowering(rep, fam, ns, s_grid):
     """L-(s,n) phi_n = gamma_n lambda_{2n}/[2n]_q (d_{n-1}/d_n) phi_{n-1}."""
-    rep = CheckReport(
-        suite="lowering",
-        identity="L-(s,n) phi_n = gamma_n lambda_{2n}/[2n]_q d_{n-1}/d_n phi_{n-1}",
-        family=fam.name,
-        tolerance=tolerance,
-    )
     g = StencilGrid.shared(fam, s_grid, 1)
-    return _cases_by_point(rep, g, ns, _ladder_residuals("-", ns, g))
+    _cases_by_point(rep, g, ns, _ladder_residuals("-", ns, g))
 
 
+@suite("uv_shift", "u(s+1,n) = v(s,n+1)", 1e-10)
 @_RAISE_FP
-def check_uv_shift(fam, ns, s_grid, tolerance: float = 1e-10) -> CheckReport:
+def check_uv_shift(rep, fam, ns, s_grid):
     """u(s+1,n) = v(s,n+1) (equivalently u(s+1,n-1) = v(s,n))."""
-    rep = CheckReport(
-        suite="uv_shift",
-        identity="u(s+1,n) = v(s,n+1)",
-        family=fam.name,
-        tolerance=tolerance,
-    )
     g = StencilGrid.shared(fam, s_grid, 2)
     n = np.array(ns, dtype=int)
     uu = g.plus_side(g.u(n))(1)
     vv = g.minus_side(g.v(n + 1))(0)
-    return _cases_by_n(rep, g, ns, rel_residual(uu - vv, (uu, vv)))
+    _cases_by_n(rep, g, ns, rel_residual(uu - vv, (uu, vv)))
 
 
-def check_h_remark(fam, ns, tolerance: float = 1e-12) -> CheckReport:
+@suite("h_remark", "h+-(n+1) = h-+(n)", 1e-12)
+def check_h_remark(rep, fam, ns):
     """h_plusminus(n+1) = h_minusplus(n).  The closed form has one copy, and
     h_plusminus(n+1) is h_minusplus(n), so this is the index identity of
     that closed form and its residual is exactly 0; check_h_s_independence
     tests h-+ and h+- against their bracket expansions."""
-    rep = CheckReport(
-        suite="h_remark",
-        identity="h+-(n+1) = h-+(n)",
-        family=fam.name,
-        tolerance=tolerance,
-    )
     n = np.array(ns, dtype=int)
     a, b = h_plusminus(fam, n + 1), h_minusplus(fam, n)
     rep.cases += [CaseRecord(k, "-", r) for k, r in zip(ns, rel_residual(a - b, (a, b)).tolist())]
-    return rep
 
 
+@suite("h_s_independence", "s-independence of the bracket expansions of h-+ and h+-", 1e-10)
 @_RAISE_FP
-def check_h_s_independence(fam, ns, s_grid, tolerance: float = 1e-10) -> CheckReport:
+def check_h_s_independence(rep, fam, ns, s_grid):
     """The displayed brackets for h-+(n) and h+-(n) are independent of s and
     equal the gamma/alpha closed values:
 
@@ -567,12 +536,6 @@ def check_h_s_independence(fam, ns, s_grid, tolerance: float = 1e-10) -> CheckRe
     with A = A(.,n) and B(s) = -A(s,n) + lambda_{2n}/[2n]_q (x(s) - beta_n).
     The scale of a residual is what had to cancel, so a degenerately zero h
     (top of a finite family) is not divided by its own noise."""
-    rep = CheckReport(
-        suite="h_s_independence",
-        identity="s-independence of the bracket expansions of h-+ and h+-",
-        family=fam.name,
-        tolerance=tolerance,
-    )
     g = StencilGrid.shared(fam, s_grid, 2)
     t, n = fam.coeffs, np.array(ns, dtype=int)
     son, tod, dxm = g.plus_side(g.son), g.minus_side(g.tod), _by_offset(g.dxm)
@@ -592,11 +555,13 @@ def check_h_s_independence(fam, ns, s_grid, tolerance: float = 1e-10) -> CheckRe
         if k >= 1:
             rep.cases += [CaseRecord(k, label, r, "plusminus")
                           for label, r in zip(g.labels, next(plus_minus))]
-    return rep
 
 
+@suite("factorization",
+       "u(s+1,n) H(s,n) = L-(s,n+1) L+(s,n) - h(n) I  and  "
+       "u(s,n) H(s,n+1) = L+(s,n) L-(s,n+1) - h(n) I", 1e-9)
 @_RAISE_FP
-def check_factorization(fam, ns, s_grid, tolerance: float = 1e-9) -> CheckReport:
+def check_factorization(rep, fam, ns, s_grid):
     """Both factorizations on probe functions (monomials x^j, j <= 3, plus
     the chain phi_n):
 
@@ -608,13 +573,6 @@ def check_factorization(fam, ns, s_grid, tolerance: float = 1e-9) -> CheckReport
     the largest product the stencils form, the inner one's propagated
     through the outer coefficients: where rounding noise enters.
     """
-    rep = CheckReport(
-        suite="factorization",
-        identity="u(s+1,n) H(s,n) = L-(s,n+1) L+(s,n) - h(n) I  and  "
-        "u(s,n) H(s,n+1) = L+(s,n) L-(s,n+1) - h(n) I",
-        family=fam.name,
-        tolerance=tolerance,
-    )
     g = StencilGrid.shared(fam, s_grid, 2)
     n = np.array(ns, dtype=int)
     monomials = np.stack([g.x ** j for j in range(4)])
@@ -656,7 +614,6 @@ def check_factorization(fam, ns, s_grid, tolerance: float = 1e-9) -> CheckReport
             for tag, (mp, pm) in zip(tags, by_probe):
                 rep.cases.append(CaseRecord(k, label, mp, f"minus-plus {tag}"))
                 rep.cases.append(CaseRecord(k, label, pm, f"plus-minus {tag}"))
-    return rep
 
 
 def _largest(values):
@@ -775,18 +732,13 @@ def _d_ratio_up(fam, n: int):
     return hi / lo
 
 
+@suite("bootstrap", "phi_0 from L-(s,0) phi_0 = 0, then phi_{n+1} from L+(s,n)", 1e-8)
 @_RAISE_FP
-def check_bootstrap(fam, N: int, s_grid, tolerance: float = 1e-8) -> CheckReport:
+def check_bootstrap(rep, fam, N: int, s_grid):
     """Bootstrapped phi_n match direct phi_n up to one constant per level,
     fixed at the first grid point.  The direct phi_n are the pointwise ones
     where their branch agrees with the chain's, else the chain weights times
     P_n, both on the bootstrap's chain grid."""
-    rep = CheckReport(
-        suite="bootstrap",
-        identity="phi_0 from L-(s,0) phi_0 = 0, then phi_{n+1} from L+(s,n)",
-        family=fam.name,
-        tolerance=tolerance,
-    )
     table, g, consistent, w = _bootstrap(fam, N, s_grid)
     s0, offs, lo = _chain(s_grid, N)
     rows = [k - lo for k in offs]
@@ -810,11 +762,13 @@ def check_bootstrap(fam, N: int, s_grid, tolerance: float = 1e-8) -> CheckReport
         for k in offs:
             rep.cases.append(CaseRecord(
                 n, f"{s0 + k:.6g}", abs(got[k] - const * direct_n[k]) / (abs(const) * scale)))
-    return rep
 
 
+@suite("adjoint",
+       "sum phi_{n+1} [2n]_q/lambda_{2n} (L+ phi_n) dx = "
+       "sum ([2n+2]_q/lambda_{2n+2} L- phi_{n+1}) phi_n dx = alpha_n d_{n+1}/d_n", 1e-8)
 @_RAISE_FP
-def check_adjoint(fam, ns, tolerance: float = 1e-8) -> CheckReport:
+def check_adjoint(rep, fam, ns):
     """Mutual adjointness on a finite discrete support:
 
         sum phi_{n+1} [[2n]_q/lambda_{2n} L+ phi_n] Delta x(s-1/2)
@@ -824,17 +778,8 @@ def check_adjoint(fam, ns, tolerance: float = 1e-8) -> CheckReport:
     One pass over the support: the weight is evaluated once per node, and
     phi_k and the reduced L+ phi_n, L- phi_{n+1} once on the (n x node)
     array."""
-    rep = CheckReport(
-        suite="adjoint",
-        identity="sum phi_{n+1} [2n]_q/lambda_{2n} (L+ phi_n) dx = "
-        "sum ([2n+2]_q/lambda_{2n+2} L- phi_{n+1}) phi_n dx = alpha_n d_{n+1}/d_n",
-        family=fam.name,
-        tolerance=tolerance,
-    )
     if fam.support.kind != "discrete_grid":
-        rep.meta["status"] = "skipped"
-        rep.meta["reason"] = f"support kind {fam.support.kind!r} has no discrete sum"
-        return rep
+        raise Skipped(f"support kind {fam.support.kind!r} has no discrete sum")
     grid = fam.support.grid_points
     spec = InnerProductSpec(fam.lattice, tuple(grid))
     g = StencilGrid.shared(fam, grid, 1)  # the nodes with s - 1, s + 1
@@ -869,12 +814,13 @@ def check_adjoint(fam, ns, tolerance: float = 1e-8) -> CheckReport:
         else:
             rep.cases += [CaseRecord(n, "sum1", targets[n][0]),
                           CaseRecord(n, "sum2", targets[n][1])]
-    return rep
 
 
+@suite("selfadjoint",
+       "sum phi_m (H(.,n) phi_n) = sum phi_n (H(.,n) phi_m)"
+       " (eigenvalue operator -H/Delta x(s-1/2) self-adjoint)", 1e-8)
 @_RAISE_FP
-def check_selfadjoint(fam, pairs, tolerance: float = 1e-8,
-                      drop_last: int = 0) -> CheckReport:
+def check_selfadjoint(rep, fam, pairs, *, drop_last: int = 0):
     """Self-adjointness of the eigenvalue operator on the discrete support:
 
         sum phi_m (H(.,n) phi_n)(s) = sum phi_n (H(.,n) phi_m)(s).
@@ -889,17 +835,8 @@ def check_selfadjoint(fam, pairs, tolerance: float = 1e-8,
     weight, each phi_k and each H(.,n) phi_k are evaluated once, on the
     (n x k x node) array.  Pairs beyond a finite family are out-of-range
     cases."""
-    rep = CheckReport(
-        suite="selfadjoint",
-        identity="sum phi_m (H(.,n) phi_n) = sum phi_n (H(.,n) phi_m)"
-        " (eigenvalue operator -H/Delta x(s-1/2) self-adjoint)",
-        family=fam.name,
-        tolerance=tolerance,
-    )
     if fam.support.kind != "discrete_grid":
-        rep.meta["status"] = "skipped"
-        rep.meta["reason"] = f"support kind {fam.support.kind!r} has no discrete sum"
-        return rep
+        raise Skipped(f"support kind {fam.support.kind!r} has no discrete sum")
     grid = fam.support.grid_points
     if drop_last:
         grid = grid[:-drop_last]
@@ -923,22 +860,16 @@ def check_selfadjoint(fam, pairs, tolerance: float = 1e-8,
         terms_scale = max(np.max(np.abs(ta), initial=0.0), np.max(np.abs(tb), initial=0.0))
         scale = max(abs(a), abs(b), terms_scale, 1e-30)
         rep.cases.append(CaseRecord(n, f"m={m}", float(abs(a - b) / scale)))
-    return rep
 
 
+@suite("branch_continuity",
+       "sqrt(Theta sigma) operator coefficients vary continuously along the grid", 0.2)
 @_RAISE_FP
-def check_branch_continuity(fam, s_grid, tolerance: float = 0.2) -> CheckReport:
+def check_branch_continuity(rep, fam, s_grid):
     """Continuity of the principal-root operator coefficients along the grid
     (detects branch flips on complex lattice coordinates)."""
-    rep = CheckReport(
-        suite="branch_continuity",
-        identity="sqrt(Theta sigma) operator coefficients vary continuously along the grid",
-        family=fam.name,
-        tolerance=tolerance,
-    )
     g = StencilGrid.shared(fam, s_grid, 1)
     vals = g.roots[:, 1].tolist()  # sqrt(Theta(s) sigma(s+1))
     for i in range(1, len(vals)):
         scale = max(abs(vals[i]), abs(vals[i - 1]), 1e-30)
         rep.cases.append(CaseRecord(0, g.labels[i], abs(vals[i] - vals[i - 1]) / scale))
-    return rep

@@ -1,11 +1,15 @@
-"""Structured results of identity-check suites and their JSON schema."""
+"""Structured results of identity-check suites, their JSON schema, and the
+one maker of a suite's report (`suite`)."""
 
 from __future__ import annotations
 
+import inspect
 import json
+import time
 from dataclasses import dataclass, field
+from functools import wraps
 
-__all__ = ["SCHEMA_ID", "CaseRecord", "CheckReport", "report_to_dict"]
+__all__ = ["SCHEMA_ID", "CaseRecord", "CheckReport", "Skipped", "suite", "report_to_dict"]
 
 SCHEMA_ID = "qladder-report/1"
 
@@ -51,6 +55,53 @@ class CheckReport:
         if self.meta.get("status") == "skipped":
             return True
         return self.max_residual <= self.tolerance
+
+
+class Skipped(Exception):
+    """Raised by a suite body where its identity does not apply to the
+    family; the text is the reason the report carries."""
+
+
+def suite(name: str, identity: str, tolerance):
+    """Make a suite from a body `fn(rep, fam, ...)` that only adds cases and
+    meta to `rep`.
+
+    The suite takes the body's parameters after `rep`, with `tolerance`
+    (default `tolerance`) inserted before the body's keyword-only ones, or
+    last.  It builds the CheckReport of `name`, `identity` and `fam.name` at
+    the caller's tolerance, runs the body, marks the report skipped with the
+    text of a `Skipped` the body raises, and sets `wall_ms`.  An
+    ArithmeticError (a vanishing lattice step, an overflow, an invalid
+    operation) is raised again, of the same class, with the suite named."""
+
+    def make(body):
+        params = list(inspect.signature(body).parameters.values())[1:]
+        at = next((i for i, p in enumerate(params) if p.kind is p.KEYWORD_ONLY), len(params))
+        params.insert(at, inspect.Parameter(
+            "tolerance", inspect.Parameter.POSITIONAL_OR_KEYWORD, default=tolerance,
+            annotation="float" if tolerance is not None else "float | None"))
+        sig = inspect.Signature([p.replace(kind=p.POSITIONAL_OR_KEYWORD) for p in params],
+                                return_annotation="CheckReport")
+
+        @wraps(body)
+        def run(*args, **kwargs):
+            kwargs = sig.bind(*args, **kwargs).arguments
+            rep = CheckReport(name, identity, kwargs["fam"].name,
+                              tolerance=kwargs.pop("tolerance", tolerance))
+            t0 = time.perf_counter()
+            try:
+                body(rep, **kwargs)
+            except Skipped as e:
+                rep.meta.update(status="skipped", reason=str(e))
+            except ArithmeticError as e:
+                raise type(e)(f"{name}: {e}") from e
+            rep.wall_ms = (time.perf_counter() - t0) * 1e3
+            return rep
+
+        run.__signature__ = sig
+        return run
+
+    return make
 
 
 def report_to_dict(rep: CheckReport) -> dict:

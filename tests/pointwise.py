@@ -9,8 +9,8 @@ coefficients built on them, monic P_n, the two-branch limit-aware
 ratios sigma/nabla x and Theta/Delta x, the polynomial raising and lowering
 relations, the ladder coefficients and operators, the difference
 quotients, k-fold forward differences and n-fold backward chains, the
-Pearson recurrence, rho_n, the Rodrigues formula, the direct tau_k quotient
-and the discrete squared norms.  The library has no point-by-point
+Pearson recurrence, rho_n, the Rodrigues formula, the direct tau_k quotient,
+the discrete squared norms and the Askey--Wilson h-product.  The library has no point-by-point
 evaluator: it evaluates sigma, Theta and the ladder coefficients on
 `ladder.StencilGrid` arrays, and x on `lattice.LatticeTable`s, whose folds
 give the difference calculus.  The tests keep these as the reference the
@@ -642,6 +642,18 @@ def d_n_sq_discrete(eq: EquationData, rho, n: int, a, b, B) -> complex:
     return require_finite(
         sign * a_nk(eq, n, n) * complex(B(n)) ** 2 * total, "discrete d_n^2"
     )
+
+
+def h_pair(x, alpha, q):
+    """h(x, alpha) = prod_k (1 - 2 alpha x q^k + alpha^2 q^{2k}), the
+    Askey--Wilson h-product, taken while |alpha q^k| > 1e-17 with alpha q^k
+    formed by repeated multiplication; x is a point or an array."""
+    out = complex(1.0)
+    aq = complex(alpha)
+    while abs(aq) > 1e-17:
+        out *= 1.0 - 2.0 * aq * x + aq * aq
+        aq *= q
+    return out
 
 
 def h_mp(fam, n: int) -> complex:

@@ -531,13 +531,13 @@ def test_gram_aw_includes_doubling_metadata(tmp_path, monkeypatch):
     aw_weights = families._aw_weights
 
     def counted_aw_weights(*args):
-        h_pair, weight, density = aw_weights(*args)
+        weight, density = aw_weights(*args)
 
         def counted(x):
             calls.append(np.size(x))
             return density(x)
 
-        return h_pair, weight, counted
+        return weight, counted
 
     monkeypatch.setattr(families, "_aw_weights", counted_aw_weights)
     out = tmp_path / "gaw.json"

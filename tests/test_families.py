@@ -18,7 +18,7 @@ from qladder.orthogonality import jackson_integral
 from qladder.qkernel import QBase
 
 from conftest import FAMILY_NAMES, grid_for
-from pointwise import beta_generic, lambda_n, pn_monic, ttrr_coeffs_generic
+from pointwise import beta_generic, h_pair, lambda_n, pn_monic, ttrr_coeffs_generic
 
 
 # ------------------------- construction and validation ---------------------
@@ -301,7 +301,7 @@ def test_asc2_weight_unavailable(families):
 def test_aw_weight_at_zero_reduces_to_h_products(families):
     fam = families["askey_wilson"]
     q = fam.base.q
-    h = fam.closed.displays["h_pair"]
+    h = lambda x, alpha: h_pair(x, alpha, q)
     x = 0.0
     want = (
         h(x, 1.0) * h(x, -1.0) * h(x, math.sqrt(q)) * h(x, -math.sqrt(q))
@@ -381,12 +381,13 @@ def test_weight_on_node_arrays_equals_scalar_bit_for_bit(name, params):
     assert got.tobytes() == np.array([fam.weight(p) for p in pts]).tobytes()
 
 
-def _h_products(h, x, q, params, den0):
+def _h_products(x, q, params, den0):
     """The Askey--Wilson ratio of eight h-products, one `h_pair` call each."""
     rq = math.sqrt(q)
-    num = h(x, 1.0) * h(x, -1.0) * h(x, rq) * h(x, -rq)
+    h = lambda alpha: h_pair(x, alpha, q)
+    num = h(1.0) * h(-1.0) * h(rq) * h(-rq)
     a, b, c, d = (params.get(k, 0.0) for k in "abcd")
-    return num / (den0 * h(x, a) * h(x, b) * h(x, c) * h(x, d))
+    return num / (den0 * h(a) * h(b) * h(c) * h(d))
 
 
 @pytest.mark.parametrize("q", [0.1, 0.5, 0.9])
@@ -397,22 +398,19 @@ def _h_products(h, x, q, params, den0):
 ])
 def test_aw_stacked_h_products_equal_h_pair_bit_for_bit(name, params, q):
     fam = make_family(name, params, QBase(q))
-    # h(x, alpha) depends on q alone: the Askey--Wilson display serves both families
-    h = make_family("askey_wilson", {"a": 0.3, "b": 0.3, "c": 0.3, "d": 0.3},
-                    QBase(q)).closed.displays["h_pair"]
     dens = fam.closed.displays["weight_density"]
     kq = fam.base.k_q
     for M in (250, 500, 1000, 2000):
         x = np.cos((np.arange(M) + 0.5) * (math.pi / M))  # the quadrature's nodes
-        want = _h_products(h, x, q, params, 2.0 * math.pi)
+        want = _h_products(x, q, params, 2.0 * math.pi)
         assert dens(x).tobytes() == want.tobytes()
-        want = _h_products(h, x, q, params, 2.0 * math.pi * kq * (1.0 - x * x))
+        want = _h_products(x, q, params, 2.0 * math.pi * kq * (1.0 - x * x))
         assert fam.weight(x).tobytes() == want.tobytes()
     # scalars keep the Python loop: the values of one h_pair loop per alpha
     for t in (0.0, 0.37, -0.91, complex(0.2, -0.3)):
-        assert dens(t) == _h_products(h, t, q, params, 2.0 * math.pi)
+        assert dens(t) == _h_products(t, q, params, 2.0 * math.pi)
         t = complex(t)
-        assert fam.weight(t) == _h_products(h, t, q, params, 2.0 * math.pi * kq * (1.0 - t * t))
+        assert fam.weight(t) == _h_products(t, q, params, 2.0 * math.pi * kq * (1.0 - t * t))
 
 
 def test_s_from_point_refuses_the_lattice_constant(families):

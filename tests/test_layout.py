@@ -15,6 +15,9 @@ twins and operator objects that only the tests use.
 Each quantity has one owner: phi_n lives on `FamilySpec`, B_n is the
 family's table entry `coeffs.B` and the Pearson weight is a plain sequence,
 so the wrappers and second routes they replaced stay out of the library.
+
+A suite's report has one maker, `report.suite`: the suite modules neither
+build a CheckReport nor mark one skipped.
 """
 
 import ast
@@ -29,7 +32,7 @@ POINTWISE_ONLY = {"sigma_eval", "theta_eval", "tau_eval", "sigma_over_nabla",
                   "theta_over_delta", "check_poly_raising", "check_poly_lowering"}
 TEST_ONLY = {"mu_k", "a_nk", "leading_coeff", "ttrr_coeffs_generic", "pn_monic",
              "lambda_closed", "lam_tau_ratio", "ThreePointOperator",
-             "apply_scaled", "_apply_scaled", "apply_reduced", "ladder_bootstrap"}
+             "apply_scaled", "_apply_scaled", "apply_reduced", "ladder_bootstrap", "h_pair"}
 REMOVED = {"OrthonormalFamily", "WeightTable", "B_n", "_B_from_leading", "weight_at",
            "family_names", "phi_point", "_CMATH_LOG"}
 
@@ -107,3 +110,15 @@ def test_no_module_defines_or_reads_a_removed_route():
                 if name in REMOVED:
                     found.append(f"{path.name}:{getattr(node, 'lineno', '?')} {name}")
     assert not found, f"removed wrappers or second routes in the library: {found}"
+
+
+def test_suite_modules_leave_the_report_to_its_maker():
+    found = []
+    for path in (SRC / "ladder.py", SRC / "checks.py"):
+        for node in ast.walk(_tree(path)):
+            if isinstance(node, ast.Call) and "CheckReport" in _names(node.func):
+                found.append(f"{path.name}:{node.lineno} CheckReport(")
+            if (isinstance(node, ast.Constant) and node.value == "status"
+                    or isinstance(node, ast.keyword) and node.arg == "status"):
+                found.append(f"{path.name}:{node.lineno} status")
+    assert not found, f"reports made or marked outside report.suite: {found}"
