@@ -34,9 +34,10 @@ reported as suspected errata; the evaluators use the validated route:
 from __future__ import annotations
 
 import cmath
+import itertools
 import math
 from dataclasses import dataclass, field, replace
-from functools import cached_property
+from functools import cache, cached_property
 
 import numpy as np
 
@@ -407,15 +408,33 @@ class FamilySpec:
     def _norm_anchor(self) -> complex:
         """d_0^2 of the ratio route: the Jackson integral of the weight over a
         Jackson support (settling against the floor 1: `p_gram` needs the
-        norms first), else the closed d_0^2."""
+        norms first), from the node weights `p_gram` reads too, else the
+        closed d_0^2."""
         key = ("d0",)
         if key not in self._cache:
             sup = self.support
             if sup.kind == "jackson_integral":
-                self._cache[key] = jackson_integral(self.weight, sup.lo, sup.hi, self.base)
+                self._cache[key] = jackson_integral(self._jackson_weight(), sup.lo, sup.hi,
+                                                    self.base)
             else:
                 self._cache[key] = self.coeffs.d_n_sq(0)
         return self._cache[key]
+
+    def _jackson_weight(self):
+        """The weight as one Jackson sweep over the support meets it: called
+        once per node block, in the sweep's order.  The blocks depend only on
+        q and the support's endpoints, so block i is evaluated once per
+        family, kept in the cache under its place in the sweep, and read by
+        every later sweep (the d_0^2 anchor, `p_gram` for each N)."""
+        order = itertools.count()
+
+        def weight(x):
+            key = ("jackson_weight", next(order))
+            if key not in self._cache:
+                self._cache[key] = self.weight(x)
+            return self._cache[key]
+
+        return weight
 
     def p_gram(self, N: int):
         """(M, history): the read-only M[n, m] = int P_n P_m w over the
@@ -437,8 +456,9 @@ class FamilySpec:
         else:
             scale = np.abs(_outer(np.array([self.d_n(n) for n in range(N + 1)])))
             if sup.kind == "jackson_integral":
-                M = jackson_integral(lambda x: outer_p(x) * self.weight(x), sup.lo, sup.hi,
-                                     self.base, scale=scale)
+                w = self._jackson_weight()
+                M = jackson_integral(lambda x: outer_p(x) * w(x), sup.lo, sup.hi, self.base,
+                                     scale=scale)
             else:
                 M, history = continuous_inner_aw_converged(
                     outer_p, _one, self.closed.displays["weight_density"], scale=scale)
@@ -571,15 +591,18 @@ def _make_asc1(params: dict, base: QBase) -> FamilySpec:
 
     def weight(x):
         x = _complex(x)
-        return q_pochhammer_inf(q * x, base) * q_pochhammer_inf(_cdiv(q * x, a), base)
+        return q_pochhammer_multi((q * x, _cdiv(q * x, a)), base)
+
+    @cache
+    def const():
+        return q_pochhammer_multi((q, a, q / a), base)
 
     def d_n_sq(n):
-        const = q_pochhammer_multi((q, a, q / a), base)
         return (
             (-a) ** n
             * (1.0 - q)
             * q_pochhammer(q, base, n)
-            * const
+            * const()
             * q ** (n * (n - 1) / 2.0)
         )
 
@@ -718,22 +741,23 @@ def _make_big_q_jacobi(params: dict, base: QBase) -> FamilySpec:
 
     def weight(x):
         x = _complex(x)
-        return _cdiv(
-            q_pochhammer_inf(_cdiv(x, a), base) * q_pochhammer_inf(_cdiv(x, c), base),
-            q_pochhammer_inf(x, base) * q_pochhammer_inf(_cdiv(b * x, c), base),
-        )
+        return _cdiv(q_pochhammer_multi((_cdiv(x, a), _cdiv(x, c)), base),
+                     q_pochhammer_multi((x, _cdiv(b * x, c)), base))
 
-    def d_n_sq_tab(n):
-        # as tabulated (suspected erratum: the (a b q^{n+1};q)_n factor is
-        # repeated and the n-independent prefactor does not match the
-        # orthogonality integral); kept for the concordance comparison only
-        pre = (
+    @cache
+    def d_sq_prefactor():
+        return (
             a
             * q
             * (1 - q)
             * q_pochhammer_multi((q, c / a, a * q / c, a * b * q * q), base)
             / q_pochhammer_multi((a * q, b * q, c * q, a * b * q / c), base)
         )
+
+    def d_n_sq_tab(n):
+        # as tabulated (suspected erratum: the (a b q^{n+1};q)_n factor is
+        # repeated and the n-independent prefactor does not match the
+        # orthogonality integral); kept for the concordance comparison only
         num = (
             (1 - a * b * q)
             * q_pochhammer_multi((q, b * q, a * b * q / c), base, n)
@@ -744,7 +768,7 @@ def _make_big_q_jacobi(params: dict, base: QBase) -> FamilySpec:
             q_pochhammer(a * b * q, base, n)
             * q_pochhammer(a * b * q ** (n + 1), base, n) ** 2
         )
-        return pre * num / den
+        return d_sq_prefactor() * num / den
 
     def D_n(n):
         return (
@@ -870,6 +894,8 @@ def _make_q_dual_hahn(params: dict, base: QBase) -> FamilySpec:
         )
         return pre * basic_hypergeometric(spec, base)
 
+    qq_inf = q_pochhammer_inf(q, base)  # (q;q)_inf
+
     def weight(s):
         s = _complex(s)
         pre = _cdiv(
@@ -885,7 +911,7 @@ def _make_q_dual_hahn(params: dict, base: QBase) -> FamilySpec:
             ),
             base,
         )
-        den = q_pochhammer_inf(q, base) ** 2 * q_pochhammer_multi(
+        den = qq_inf**2 * q_pochhammer_multi(
             (base.pow(s + a + 1.0), base.pow(s + c + 1.0)), base
         )
         return _cdiv(pre * num, den)
@@ -930,7 +956,7 @@ def _make_q_dual_hahn(params: dict, base: QBase) -> FamilySpec:
             * q_pochhammer_multi((base.pow(b - c - n), base.pow(b - a - n)), base)
             / (
                 q_factorial(n, base)
-                * q_pochhammer_multi((q, base.pow(a + c + n + 1.0)), base)
+                * (qq_inf * q_pochhammer_inf(base.pow(a + c + n + 1.0), base))
             )
         )
 

@@ -13,8 +13,10 @@ Discrete sums use the node weights Delta x(s - 1/2); the Jackson integral is
     int_0^z f(t) d_q t = z (1-q) sum_{k>=0} f(z q^k) q^k,   0 < q < 1,
 
 (Gasper & Rahman, Basic Hypergeometric Series, 2nd ed., 2004, section 1.11),
-summed in blocks of nodes; each entry stops at its own 4th consecutive node
-whose term is below tolerance relative to max(|running sum|, scale), as a
+summed in blocks of nodes, one sweep for both endpoints of int_{z1}^{z2}:
+each block holds the nodes of z1 and z2 and the integrand is called once on
+it.  Each entry at each endpoint stops at its own 4th consecutive node whose
+term is below tolerance relative to max(|running sum|, scale), as a
 node-by-node sum would (node cap 10^4).
 The continuous Askey--Wilson quadrature substitutes x = cos(theta),
 where the integrand is smooth and periodic, and applies the midpoint rule
@@ -96,20 +98,22 @@ def _jackson_block(q: float) -> int:
     return min(math.ceil(math.log(JACKSON_TOL) / math.log(q)) + 4, JACKSON_NODE_CAP)
 
 
-def _jackson_zero_to(f, z, base: QBase, scale):
-    if z == 0:
-        return complex(0.0)
+def _jackson_zero_to(f, zs, base: QBase, scale):
+    """int_0^z f(t) d_q t for each endpoint z of the 1-d array zs (none 0), in
+    one sweep: each block of nodes z q^k is one (endpoints, size) array, and f
+    is called once on it.  Every (entry, endpoint) keeps its own running sum,
+    settled count and stop.  Returns the values with the endpoints last."""
     q, tol = base.q, JACKSON_TOL
-    start, done, size = complex(z), 0, _jackson_block(q)
-    shape = None  # entry shape of the integrand, known after the first block
+    start, done, size = zs, 0, _jackson_block(q)
+    shape = None  # entry shape (endpoints last), known after the first block
     while done < JACKSON_NODE_CAP:
         size = min(size, JACKSON_NODE_CAP - done)
         # nodes past an entry's stop are evaluated but never read: whatever
         # they give must neither raise nor warn
         with np.errstate(all="ignore"):
-            steps = np.full(size, q, dtype=complex)
-            steps[0] = start
-            nodes = np.cumprod(steps)  # z q^k by repeated multiplication
+            steps = np.full((len(zs), size), q, dtype=complex)
+            steps[:, 0] = start
+            nodes = np.cumprod(steps, axis=1)  # z q^k by repeated multiplication
             terms = np.asarray(f(nodes) * nodes, dtype=complex)
             if shape is None:
                 shape = terms.shape[:-1]
@@ -117,7 +121,7 @@ def _jackson_zero_to(f, z, base: QBase, scale):
                 settled = np.zeros(total.shape, dtype=int)  # carried settled nodes
                 value = np.empty(total.shape, dtype=complex)
                 live = np.ones(total.shape, dtype=bool)
-                floor = np.broadcast_to(np.abs(scale), shape).reshape(-1, 1)
+                floor = np.broadcast_to(np.abs(np.asarray(scale))[..., None], shape).reshape(-1, 1)
             terms = terms.reshape(-1, size)
             # running sums seeded with the carried ones: the node-by-node rounding
             sums = np.cumsum(np.concatenate([total[:, None], terms], axis=1), axis=1)[:, 1:]
@@ -128,21 +132,22 @@ def _jackson_zero_to(f, z, base: QBase, scale):
         ext = np.concatenate([carried, small], axis=1)
         stop = _first(ext[:, :-3] & ext[:, 1:-2] & ext[:, 2:-1] & ext[:, 3:])
         bad = _first(~np.isfinite(sums))
-        hit = live & (bad < size) & (bad <= stop)
-        if hit.any():
-            j = bad[hit].min()
+        hit = np.flatnonzero(live & (bad < size) & (bad <= stop))
+        if hit.size:
+            row = hit[bad[hit].argmin()]  # rows run over (entry, endpoint)
+            j, node = bad[row], complex(nodes[row % len(zs), bad[row]])
             raise NonConvergedError(
-                f"Jackson integrand is not finite near node {complex(nodes[j]):.3e} "
+                f"Jackson integrand is not finite near node {node:.3e} "
                 f"(partial sum overflowed after {done + j + 1} nodes)"
             )
         ends = live & (stop < size)
         value[ends] = sums[ends, stop[ends]]
         live &= ~ends
         if not live.any():
-            return _scalar_or_array((1.0 - q) * value.reshape(shape))
+            return (1.0 - q) * value.reshape(shape)
         total = sums[:, -1]
         settled = np.where(small.all(axis=1), settled + size, np.argmin(small[:, ::-1], axis=1))
-        start = nodes[-1] * q
+        start = nodes[:, -1] * q
         done += size
         size *= 2
     raise NonConvergedError(
@@ -152,14 +157,20 @@ def _jackson_zero_to(f, z, base: QBase, scale):
 
 def jackson_integral(f, z1, z2, base: QBase, scale=1.0):
     """int_{z1}^{z2} f(t) d_q t = int_0^{z2} - int_0^{z1}, each as the
-    displayed node series, elementwise for array values.  An entry settles
-    at 4 consecutive terms of at most JACKSON_TOL max(|running sum|, scale);
-    `scale` is its natural magnitude, as in `continuous_inner_aw_converged`
-    (the default 1 stops an entry far below 1 too early).  f is called on
-    node arrays, a block at a time.  Requires 0 < q < 1."""
+    displayed node series, elementwise for array values, from one sweep over
+    the nodes of both endpoints.  An entry settles at 4 consecutive terms of
+    at most JACKSON_TOL max(|running sum|, scale); `scale` is its natural
+    magnitude, as in `continuous_inner_aw_converged` (the default 1 stops an
+    entry far below 1 too early; 0 settles against the running sum alone).
+    f is called on (endpoints, size) node arrays, once per block of nodes,
+    and must work elementwise.  Requires 0 < q < 1."""
     if not base.allows_infinite_products:
         raise QKernelError(f"Jackson integral requires q < 1, got q={base.q}")
-    return _jackson_zero_to(f, z2, base, scale) - _jackson_zero_to(f, z1, base, scale)
+    zs = [complex(z) for z in (z1, z2) if z != 0]
+    values = list(np.moveaxis(_jackson_zero_to(f, np.array(zs), base, scale), -1, 0)) if zs else []
+    lo = values.pop(0) if z1 != 0 else complex(0.0)
+    hi = values.pop(0) if z2 != 0 else complex(0.0)
+    return _scalar_or_array(hi - lo)
 
 
 def continuous_inner_aw(f, g, weight_density, nodes: int = 2000):

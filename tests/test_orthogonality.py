@@ -199,7 +199,7 @@ def test_p_gram_is_one_rule_call_per_n_kept_by_the_family(base):
     weight = FamilySpec.weight
 
     def counted(self, x):
-        calls.append(np.size(x))
+        calls.append(np.shape(x))
         return weight(self, x)
 
     with pytest.MonkeyPatch.context() as mp:
@@ -207,16 +207,17 @@ def test_p_gram_is_one_rule_call_per_n_kept_by_the_family(base):
         # q-dual Hahn at N = n_max: the norms and the Gram share one sum
         fam = make_family("q_dual_hahn", reference_params("q_dual_hahn"), base)
         G, _ = gram_matrix(fam, fam.n_max)
-        assert calls == [len(fam.support.grid_points)]
+        assert calls == [(len(fam.support.grid_points),)]
         M, history = fam.p_gram(fam.n_max)
         assert history == [] and not M.flags.writeable
         assert [fam.norm_sq(n) for n in range(fam.n_max + 1)] == np.diag(M).tolist()
         # asc1: the orthonormality suite's Gram and convention ratio share
-        # one Jackson integral (two blocks of nodes)
+        # one Jackson integral, one sweep over both endpoints (one block of
+        # 54 nodes each)
         calls.clear()
         fam = make_family("asc1", reference_params("asc1"), base)
         assert run_suite(fam, "orthonormality").passed
-        assert calls == [54, 54]
+        assert calls == [(2, 54)]
 
 
 @pytest.mark.parametrize("name", ["askey_wilson", "continuous_q_hermite"])
@@ -367,6 +368,63 @@ def test_jackson_non_finite_partial_sum_equals_node_by_node():
     table = _first_small_at(q, [10, 40], 200)
     table[0, 20] = np.inf
     assert _same_outcome(_by_node_index(z, q, table), z, base).tolist() == [13, 43]
+
+
+def _by_endpoint(z1, z2, q, lo, hi):
+    """An integrand that reads table lo on the node orbit of z1 < 0 and hi on
+    that of z2 > 0 (see `_by_node_index`)."""
+    f1, f2 = _by_node_index(z1, q, lo), _by_node_index(z2, q, hi)
+    return lambda t: np.where(np.real(t) < 0, f1(t), f2(t))
+
+
+def test_jackson_one_sweep_equals_the_difference_of_two():
+    # both endpoints in one sweep: each (entry, endpoint) keeps its own sum
+    # and stop, so the value is that of two sweeps from 0, bit for bit
+    q, z1, z2 = 0.9, -0.35, 0.7
+    base = QBase(q)
+    f = lambda t: 1.0 / (1.0 + t * t)
+    want = jackson_integral(f, 0.0, z2, base) - jackson_integral(f, 0.0, z1, base)
+    assert np.asarray(jackson_integral(f, z1, z2, base)).tobytes() == np.asarray(want).tobytes()
+    # a vector integrand whose entries settle in other blocks at each endpoint
+    B = _jackson_block(q)
+    f = _by_endpoint(z1, z2, q, _first_small_at(q, [5, B + 2, 2 * B], 4 * B),
+                     _first_small_at(q, [B - 1, 3, 3 * B + 5], 4 * B))
+    want = jackson_integral(f, 0.0, z2, base) - jackson_integral(f, 0.0, z1, base)
+    got = jackson_integral(f, z1, z2, base)
+    assert got.shape == (3,) and got.tobytes() == want.tobytes()
+
+
+def test_jackson_overflow_at_one_endpoint_names_its_node():
+    q, z1, z2 = 0.5, -0.35, 0.7
+    base = QBase(q)
+    lo = _first_small_at(q, [40], 200)
+    lo[0, 20] = np.inf
+    f = _by_endpoint(z1, z2, q, lo, _first_small_at(q, [60], 200))
+    with pytest.raises(NonConvergedError) as alone:
+        jackson_integral(f, 0.0, z1, base)
+    node = r"near node -3\.338e-07\+0\.000e\+00j .* after 21 nodes"  # z1 q^20
+    with pytest.raises(NonConvergedError, match=node) as both:
+        jackson_integral(f, z1, z2, base)
+    assert str(both.value) == str(alone.value)
+
+
+def test_big_q_jacobi_weighs_each_jackson_node_once(base):
+    # the d_0^2 anchor and the Grams for every N read one set of node weights
+    nodes = []
+    weight = FamilySpec.weight
+
+    def recorded(self, x):
+        nodes.append(np.ravel(x))
+        return weight(self, x)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(FamilySpec, "weight", recorded)
+        fam = make_family("big_q_jacobi", reference_params("big_q_jacobi"), base)
+        [fam.norm_sq(n) for n in range(5)]
+        gram_matrix(fam, 4)
+        gram_matrix(fam, 2)
+    seen = np.concatenate(nodes)
+    assert len(seen) and len(np.unique(seen)) == len(seen)
 
 
 def test_jackson_node_cap_equals_node_by_node():

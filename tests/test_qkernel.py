@@ -17,6 +17,7 @@ from qladder.qkernel import (
     q_number,
     q_pochhammer,
     q_pochhammer_inf,
+    q_pochhammer_multi,
 )
 
 B25 = QBase(0.25)
@@ -139,6 +140,38 @@ def test_q_pochhammer_inf_array_non_finite_errors():
     # a non-finite argument never truncates
     with pytest.raises(NonConvergedError):
         q_pochhammer_inf(np.array([0.5, np.nan]), base)
+
+
+@pytest.mark.parametrize("q", [0.5, 0.1, 0.83])
+def test_q_pochhammer_multi_array_is_one_stacked_pass_equal_to_scalars(q, monkeypatch):
+    # a scalar parameter broadcasts against the arrays; every entry is the
+    # product, from 1 in parameter order, of the scalar (a_i;q)_inf
+    import qladder.qkernel as qk
+
+    base = QBase(q)
+    x = np.array([[0.3, -2.7, 1e-17], [0.0, 5.0, -0.999]])
+    values = (x, 0.45, -3.0 * x, np.array([1.5, -0.2, 8.0]))
+    passes = []
+    array_pass = qk._q_pochhammer_inf_array
+    monkeypatch.setattr(qk, "_q_pochhammer_inf_array",
+                        lambda a, *rest: passes.append(a.shape) or array_pass(a, *rest))
+    got = q_pochhammer_multi(values, base)
+    assert passes == [(4, 2, 3)] and got.shape == x.shape
+    want = np.ones(x.shape, dtype=complex)
+    for index in np.ndindex(x.shape):
+        out = complex(1.0)
+        for v in values:
+            out *= q_pochhammer_inf(float(np.broadcast_to(v, x.shape)[index]), base)
+        want[index] = out
+    assert _bits(got) == _bits(want)
+
+
+def test_q_pochhammer_multi_array_non_finite_errors():
+    base = QBase(0.5)
+    with pytest.raises(NonConvergedError):
+        q_pochhammer_multi((np.array([0.5, 0.25]), np.nan), base)
+    with pytest.raises(QKernelError, match="not finite"):
+        q_pochhammer_multi((np.array([0.5, 0.25]), 1e200), base)
 
 
 def test_qbase_pow_array_equals_scalar():
