@@ -407,15 +407,16 @@ class FamilySpec:
 
     def _norm_anchor(self) -> complex:
         """d_0^2 of the ratio route: the Jackson integral of the weight over a
-        Jackson support (settling against the floor 1: `p_gram` needs the
-        norms first), from the node weights `p_gram` reads too, else the
-        closed d_0^2."""
+        Jackson support, from the node weights `p_gram` reads too, else the
+        closed d_0^2.  The integral settles on its own running sum (scale 0):
+        its magnitude is what it computes, and a floor of 1 would stop it
+        early where d_0^2 << 1."""
         key = ("d0",)
         if key not in self._cache:
             sup = self.support
             if sup.kind == "jackson_integral":
                 self._cache[key] = jackson_integral(self._jackson_weight(), sup.lo, sup.hi,
-                                                    self.base)
+                                                    self.base, scale=0.0)
             else:
                 self._cache[key] = self.coeffs.d_n_sq(0)
         return self._cache[key]

@@ -427,6 +427,14 @@ def test_big_q_jacobi_weighs_each_jackson_node_once(base):
     assert len(seen) and len(np.unique(seen)) == len(seen)
 
 
+def test_big_q_jacobi_anchor_settles_on_its_own_sum():
+    # d_0^2 = 8.9e-10 on a support of width 2e-9: against a floor of 1 the
+    # anchor stopped early and every norm of the ratio route was off by 1.3e-7
+    fam = make_family("big_q_jacobi", {"a": 1e-9, "b": 0.5, "c": -1e-9}, QBase(0.5))
+    G, _ = gram_matrix(fam, 3)
+    assert np.max(np.abs(np.diag(G) - 1.0)) <= 1e-13
+
+
 def test_jackson_node_cap_equals_node_by_node():
     # terms of size 1 never settle; q = 0.99 keeps the 10^4 nodes finite
     q, z = 0.99, 1.0
