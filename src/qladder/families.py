@@ -406,11 +406,9 @@ class FamilySpec:
         raise FamilyError(f"unknown norm source {self.norm_source!r}")
 
     def _norm_anchor(self) -> complex:
-        """d_0^2 of the ratio route: the Jackson integral of the weight over a
-        Jackson support, from the node weights `p_gram` reads too, else the
-        closed d_0^2.  The integral settles on its own running sum (scale 0):
-        its magnitude is what it computes, and a floor of 1 would stop it
-        early where d_0^2 << 1."""
+        """d_0^2 of the ratio route: the Jackson integral of the node weights
+        `p_gram` reads too, settling on its own running sum (a floor of 1
+        stops it early where d_0^2 << 1), else the closed d_0^2."""
         key = ("d0",)
         if key not in self._cache:
             sup = self.support
@@ -422,11 +420,9 @@ class FamilySpec:
         return self._cache[key]
 
     def _jackson_weight(self):
-        """The weight as one Jackson sweep over the support meets it: called
-        once per node block, in the sweep's order.  The blocks depend only on
-        q and the support's endpoints, so block i is evaluated once per
-        family, kept in the cache under its place in the sweep, and read by
-        every later sweep (the d_0^2 anchor, `p_gram` for each N)."""
+        """The weight for one Jackson sweep over the support, called once per
+        node block in the sweep's order.  The blocks depend only on q and the
+        support, so block i is evaluated once per family and cached as such."""
         order = itertools.count()
 
         def weight(x):
@@ -594,9 +590,7 @@ def _make_asc1(params: dict, base: QBase) -> FamilySpec:
         x = _complex(x)
         return q_pochhammer_multi((q * x, _cdiv(q * x, a)), base)
 
-    @cache
-    def const():
-        return q_pochhammer_multi((q, a, q / a), base)
+    const = cache(lambda: q_pochhammer_multi((q, a, q / a), base))
 
     def d_n_sq(n):
         return (
@@ -745,15 +739,9 @@ def _make_big_q_jacobi(params: dict, base: QBase) -> FamilySpec:
         return _cdiv(q_pochhammer_multi((_cdiv(x, a), _cdiv(x, c)), base),
                      q_pochhammer_multi((x, _cdiv(b * x, c)), base))
 
-    @cache
-    def d_sq_prefactor():
-        return (
-            a
-            * q
-            * (1 - q)
-            * q_pochhammer_multi((q, c / a, a * q / c, a * b * q * q), base)
-            / q_pochhammer_multi((a * q, b * q, c * q, a * b * q / c), base)
-        )
+    d_sq_prefactor = cache(lambda: a * q * (1 - q)
+                           * q_pochhammer_multi((q, c / a, a * q / c, a * b * q * q), base)
+                           / q_pochhammer_multi((a * q, b * q, c * q, a * b * q / c), base))
 
     def d_n_sq_tab(n):
         # as tabulated (suspected erratum: the (a b q^{n+1};q)_n factor is

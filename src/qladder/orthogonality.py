@@ -13,11 +13,10 @@ Discrete sums use the node weights Delta x(s - 1/2); the Jackson integral is
     int_0^z f(t) d_q t = z (1-q) sum_{k>=0} f(z q^k) q^k,   0 < q < 1,
 
 (Gasper & Rahman, Basic Hypergeometric Series, 2nd ed., 2004, section 1.11),
-summed in blocks of nodes, one sweep for both endpoints of int_{z1}^{z2}:
-each block holds the nodes of z1 and z2 and the integrand is called once on
-it.  Each entry at each endpoint stops at its own 4th consecutive node whose
-term is below tolerance relative to max(|running sum|, scale), as a
-node-by-node sum would (node cap 10^4).
+summed in blocks of nodes, one sweep of blocks for both endpoints of
+int_{z1}^{z2}; each entry at each endpoint stops at its own 4th consecutive
+node whose term is below tolerance relative to max(|running sum|, scale), as
+a node-by-node sum would (node cap 10^4).
 The continuous Askey--Wilson quadrature substitutes x = cos(theta),
 where the integrand is smooth and periodic, and applies the midpoint rule
 theta_j = (j + 1/2) pi / M (Gauss--Chebyshev in x), which converges
@@ -99,10 +98,9 @@ def _jackson_block(q: float) -> int:
 
 
 def _jackson_zero_to(f, zs, base: QBase, scale):
-    """int_0^z f(t) d_q t for each endpoint z of the 1-d array zs (none 0), in
-    one sweep: each block of nodes z q^k is one (endpoints, size) array, and f
-    is called once on it.  Every (entry, endpoint) keeps its own running sum,
-    settled count and stop.  Returns the values with the endpoints last."""
+    """int_0^z f(t) d_q t for each z != 0 of the 1-d array zs, endpoints last:
+    f is called once per (endpoints, size) block of nodes z q^k, and every
+    (entry, endpoint) keeps its own running sum, settled count and stop."""
     q, tol = base.q, JACKSON_TOL
     start, done, size = zs, 0, _jackson_block(q)
     shape = None  # entry shape (endpoints last), known after the first block
@@ -157,19 +155,17 @@ def _jackson_zero_to(f, zs, base: QBase, scale):
 
 def jackson_integral(f, z1, z2, base: QBase, scale=1.0):
     """int_{z1}^{z2} f(t) d_q t = int_0^{z2} - int_0^{z1}, each as the
-    displayed node series, elementwise for array values, from one sweep over
-    the nodes of both endpoints.  An entry settles at 4 consecutive terms of
-    at most JACKSON_TOL max(|running sum|, scale); `scale` is its natural
-    magnitude, as in `continuous_inner_aw_converged` (the default 1 stops an
-    entry far below 1 too early; 0 settles against the running sum alone).
-    f is called on (endpoints, size) node arrays, once per block of nodes,
-    and must work elementwise.  Requires 0 < q < 1."""
+    displayed node series, elementwise for array values.  An entry settles
+    at 4 consecutive terms of at most JACKSON_TOL max(|running sum|, scale);
+    `scale` is its natural magnitude, as in `continuous_inner_aw_converged`
+    (the default 1 stops an entry far below 1 too early, 0 settles on the
+    running sum alone).  One sweep serves both endpoints: f is called once
+    per block, on an (endpoints, size) node array.  Requires 0 < q < 1."""
     if not base.allows_infinite_products:
         raise QKernelError(f"Jackson integral requires q < 1, got q={base.q}")
     zs = [complex(z) for z in (z1, z2) if z != 0]
     values = list(np.moveaxis(_jackson_zero_to(f, np.array(zs), base, scale), -1, 0)) if zs else []
-    lo = values.pop(0) if z1 != 0 else complex(0.0)
-    hi = values.pop(0) if z2 != 0 else complex(0.0)
+    lo, hi = (values.pop(0) if z != 0 else complex(0.0) for z in (z1, z2))
     return _scalar_or_array(hi - lo)
 
 

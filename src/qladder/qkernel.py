@@ -18,9 +18,8 @@ is evaluated once per node array.  The array product repeats the scalar's
 factor sequence: a q^k by repeated multiplication, the factors multiplied
 left to right from 1, each element truncated at its own first |a q^k| < tol,
 so on real arguments every entry equals the scalar value bit for bit.
-`q_pochhammer_multi` with an ndarray parameter stacks its parameters
-(scalars broadcast) into one array product and multiplies the rows in
-parameter order from 1, as the scalar route multiplies its factors.
+`q_pochhammer_multi` stacks its parameters (scalars broadcast) into one array
+product and multiplies the rows from 1 in order, as the scalar route does.
 """
 
 from __future__ import annotations
@@ -218,9 +217,8 @@ def _q_pochhammer_inf_array(a, q: float, tol: float):
 
 
 def q_pochhammer_multi(values, base: QBase, k=None, tol: float = 1e-16):
-    """(a_1,...,a_p;q)_k = prod_i (a_i;q)_k; k=None means the infinite product.
-    With an ndarray among the a_i, the infinite products are one array pass
-    over the broadcast parameters stacked (see the module contract)."""
+    """(a_1,...,a_p;q)_k = prod_i (a_i;q)_k; k=None means the infinite product,
+    one array pass over the stacked a_i when one is an ndarray (see above)."""
     if k is None and any(isinstance(a, np.ndarray) for a in values):
         factors = q_pochhammer_inf(np.stack(np.broadcast_arrays(*values)), base, tol)
     else:
