@@ -285,9 +285,9 @@ class FamilySpec:
 
     Immutable after construction; evaluators are pure.  The private cache
     only memoizes idempotent derived values: the per-n table `coeffs`, the
-    norms, the measure's integrals (`p_gram`) and the suites' stencil grids
-    (`ladder.StencilGrid.shared`), so concurrent use is safe: a race at worst
-    recomputes the same values.
+    norms, the measure's integrals (`p_gram`), the Jackson node weights and
+    the suites' stencil grids (`ladder.StencilGrid.shared`), so concurrent
+    use is safe: a race at worst recomputes the same values.
     A copy made by `with_perturbation` or `replace(fam, ..., _cache={})`
     starts with an empty cache.
     """
@@ -406,9 +406,9 @@ class FamilySpec:
         raise FamilyError(f"unknown norm source {self.norm_source!r}")
 
     def _norm_anchor(self) -> complex:
-        """d_0^2 of the ratio route: the Jackson integral of the node weights
-        `p_gram` reads too, settling on its own running sum (a floor of 1
-        stops it early where d_0^2 << 1), else the closed d_0^2."""
+        """d_0^2 of the ratio route: on a Jackson support the integral of the
+        node weights `p_gram` reads too, settled on its own running sum (a
+        floor of 1 stops it early where d_0^2 << 1); else the closed d_0^2."""
         key = ("d0",)
         if key not in self._cache:
             sup = self.support

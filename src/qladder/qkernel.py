@@ -218,7 +218,7 @@ def _q_pochhammer_inf_array(a, q: float, tol: float):
 
 def q_pochhammer_multi(values, base: QBase, k=None, tol: float = 1e-16):
     """(a_1,...,a_p;q)_k = prod_i (a_i;q)_k; k=None means the infinite product,
-    one array pass over the stacked a_i when one is an ndarray (see above)."""
+    one array pass over the stacked a_i when one is an ndarray (module contract)."""
     if k is None and any(isinstance(a, np.ndarray) for a in values):
         factors = q_pochhammer_inf(np.stack(np.broadcast_arrays(*values)), base, tol)
     else:
