@@ -2,18 +2,19 @@
 core checks and the CLI, including the closed-form-vs-general concordance
 suite that emits suspected-erratum records.
 
-Every suite returns a CheckReport, made by `report.suite`: a suite function
-is a body that adds cases and meta, under an `@suite(name, identity,
-tolerance)` line that holds its identity and its default tolerance.  A suite
-is one row of `_SUITES`: its name (the `--suite` vocabulary, `SUITE_NAMES` in
-`--suite all` order) and the sweep run_suite hands its suite function.
+Every suite is `suite(fam, ns, s_grid, tolerance=<its default>)`, made by
+`report.suite` from a body that adds cases and meta, under an `@suite(name,
+identity, tolerance)` line that holds its identity and default tolerance.
+The body derives the n values and points it checks from the request
+(ns, s_grid) by the one rule its docstring states (N = max(ns)), or says why
+its sweep is fixed.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .hypergeometric_core import pearson_weight, rel_residual, rodrigues_values
+from .hypergeometric_core import RODRIGUES_MAX_ORDER, pearson_weight, rel_residual, rodrigues_values
 from .lattice import LatticeTable
 from .ladder import (
     _RAISE_FP,
@@ -58,13 +59,15 @@ def default_grid(fam, count: int = 5):
 
 @suite("concordance", "tabulated closed forms vs the general difference-equation machinery",
        1e-9)
-def concordance_suite(rep, fam, n_hi: int = 8):
+def concordance_suite(rep, fam, ns, s_grid):
     """Closed tabulated data vs the general machinery: eigenvalues, tau_n data,
     recurrence coefficients, norm ratios and anchors, and the secondary
     displayed expressions (u, h, Hamiltonian terms).  Mismatches become
     suspected-erratum records in meta['errata']; the suite passes when every
-    compared quantity either matches or is recorded."""
-    t = fam.coeffs
+    compared quantity either matches or is recorded.  Sweep: fixed (n <= 8,
+    the series at the family's series points, the displays on the default
+    grid): the tables are compared at the entries the errata name."""
+    t, n_hi = fam.coeffs, 8
     errata: list = []
     grid = default_grid(fam)
     notes = fam.closed.notes
@@ -167,12 +170,13 @@ def _compare_displays(fam, grid, compare):
 @suite("difference_calculus",
        "Delta^{(n-1)} x^n = [n]_q! x_{n-1}(s) + c3 [n-1]_q! (n - [n]_q); "
        "Delta^{(k)} x^n has leading term [n]_q!/[n-k]_q! x_k^{n-k}", 1e-10)
-def difference_calculus_suite(rep, fam, n_hi: int = 6):
+def difference_calculus_suite(rep, fam, ns, s_grid):
     """Difference-calculus identities on the family's lattice: the exact
     (n-1)-fold form of x^n, the leading-term statement for k-fold
     differences (checked through divided differences), and the shift
-    identity x_k(s+1) = x_{k+2}(s)."""
-    lat = fam.lattice
+    identity x_k(s+1) = x_{k+2}(s).  Sweep: n <= N+1 on its own 3 default
+    points (on the trigonometric lattice, s_grid[:3] would move the default run)."""
+    lat, n_hi = fam.lattice, max(ns) + 1
     base = fam.eq.base
     fact = [q_factorial(n, base) for n in range(n_hi + 1)]
     pts = [complex(s) for s in default_grid(fam, 3)]
@@ -236,48 +240,47 @@ def _divided_difference(xs, ys):
 
 @suite("rodrigues",
        "B_n/rho(s) nabla^{(n)} rho_n(s) equals P_n up to an s-independent constant", 1e-9)
-def rodrigues_suite(rep, fam, n_hi: int = 5):
+def rodrigues_suite(rep, fam, ns, s_grid):
     """Rodrigues evaluation equals the recurrence route times an
-    s-independent constant (fit at one point, checked at four others).
-    With the family's normalization rule B_n, the constant is 1."""
-    grid = default_grid(fam)
-    rods, x = rodrigues_values(fam.eq, grid[0], len(grid), n_hi, fam.coeffs.B)
+    s-independent constant (fit at one point, checked at the others).
+    With the family's normalization rule B_n, the constant is 1.  Sweep:
+    n = 0..min(N, RODRIGUES_MAX_ORDER) on the chain s_grid[0] + k, k < len(s_grid)."""
+    n_hi, s0 = min(max(ns), RODRIGUES_MAX_ORDER), complex(s_grid[0])
+    rods, x = rodrigues_values(fam.eq, s0, len(s_grid), n_hi, fam.coeffs.B)
     refs = fam.pn_stack(n_hi, x)
     for n in range(0, n_hi + 1):
         pairs = list(zip(rods[n].tolist(), refs[n].tolist()))
         fit = next((rod / ref for rod, ref in pairs if abs(ref) > 1e-12), None)
         if fit is None:
             raise QKernelError("all reference values vanish; cannot fit constant")
-        for (rod, ref), s in zip(pairs, grid):
+        for k, (rod, ref) in enumerate(pairs):
             scale = max(abs(rod), abs(fit * ref), 1e-12)
-            rep.cases.append(
-                CaseRecord(n, f"{complex(s):.4g}", abs(rod - fit * ref) / scale)
-            )
+            rep.cases.append(CaseRecord(n, f"{s0 + k:.4g}", abs(rod - fit * ref) / scale))
         rep.meta.setdefault("fitted_constants", {})[str(n)] = [fit.real, fit.imag]
 
 
 @suite("pearson",
        "rho(s+1)/rho(s) = Theta(s)/sigma(s+1) reproduces the closed-form weight", 1e-10)
-def pearson_suite(rep, fam):
+def pearson_suite(rep, fam, ns, s_grid):
     """Pearson-table weight ratios against the tabulated closed-form weight.
 
     On the quadratic trigonometric lattice the lattice weight is
     omega(x(s)) * Delta x(s-1/2); on exponential lattices it is omega(x(s));
-    on the dual-Hahn lattice the tabulated rho(s) is used directly."""
+    on the dual-Hahn lattice the tabulated rho(s) is used directly.  Sweep:
+    s_grid; on a real lattice the chain s_grid[0] + k, k < len(s_grid)."""
     if fam.closed.weight is None:
         raise Skipped("no closed-form weight tabulated")
-    grid = default_grid(fam)
     closed_rho = fam.kind.pearson_rho
     # (s, rho(s+1)/rho(s)) from the Pearson weight, one ratio per grid point
     if fam.kind.complex_s:
         # one-step ratios at each theta anchor: integer chains walk x off the
         # unit circle where |x| ~ q^{-k} destroys the Taylor-form conditioning
         ratios = [(s, rho[1] / rho[0])
-                  for s, rho in ((complex(s), pearson_weight(fam.eq, s, 0, 1)) for s in grid)]
+                  for s, rho in ((complex(s), pearson_weight(fam.eq, s, 0, 1)) for s in s_grid)]
     else:
-        anchor = complex(grid[0])
-        rho = pearson_weight(fam.eq, anchor, 0, len(grid))
-        ratios = [(anchor + k, rho[k + 1] / rho[k]) for k in range(len(grid))]
+        anchor = complex(s_grid[0])
+        rho = pearson_weight(fam.eq, anchor, 0, len(s_grid))
+        ratios = [(anchor + k, rho[k + 1] / rho[k]) for k in range(len(s_grid))]
     for s, got in ratios:
         want = closed_rho(fam, s + 1.0) / closed_rho(fam, s)
         rep.cases.append(CaseRecord(0, f"{complex(s):.4g}", rel_residual(got - want, (got, want))))
@@ -293,11 +296,13 @@ def pearson_suite(rep, fam):
 
 
 @suite("orthonormality", "Gram matrix of phi_0..phi_N equals the identity", None)
-def orthonormality_suite(rep, fam):
+def orthonormality_suite(rep, fam, ns, s_grid):
     """Gram matrix of phi_0..phi_N on the family's support; for the Jackson
     support the norm-convention ratio (integral)/(tabulated d_n^2) is
     reported and must be n-independent.  The default tolerance depends on
-    the support: 1e-6 on the continuous interval, 1e-8 otherwise."""
+    the support: 1e-6 on the continuous interval, 1e-8 otherwise.  Sweep:
+    fixed, N = 3 (4 on a discrete support) capped at n_max, in meta['N']: at
+    small q the Gram loses digits with N, which it cannot yet tell from a fail."""
     kind = fam.support.kind
     if rep.tolerance is None:
         rep.tolerance = 1e-6 if kind == "continuous_interval" else 1e-8
@@ -330,18 +335,17 @@ def orthonormality_suite(rep, fam):
        "- alpha_n lambda_{2n}/[2n]_q P_{n+1};  Theta Delta P_n/Delta x = "
        "gamma_n lambda_{2n}/[2n]_q P_{n-1} + [...] P_n", 1e-10)
 @_RAISE_FP
-def poly_ladder_suite(rep, fam, n_hi: int = 6):
+def poly_ladder_suite(rep, fam, ns, s_grid):
     """The polynomial-level raising and lowering relations, canonical
-    normalization, at every point of the default grid at once.  The
+    normalization, at every point of s_grid at once.  The
     coefficients sigma/nabla x, Theta/Delta x, A(s,n), x and Delta x(s-1/2)
     come from the shared margin-1 StencilGrid, and P_0..P_{n_hi+1} on its
     offsets -1, 0, 1 from its recurrence pass (the well-conditioned evaluator;
     alternating-sign series terms of size q^{-n(n-1)/2} make the series
     route lose digits from n ~ 6); the series-vs-recurrence tie happens in
-    the concordance suite."""
-    t = fam.coeffs
-    grid = default_grid(fam)
-    g = StencilGrid.shared(fam, grid, 1)
+    the concordance suite.  Sweep: n = 0..N+1 on s_grid (n = 0 at two points)."""
+    t, n_hi = fam.coeffs, max(ns) + 1
+    g = StencilGrid.shared(fam, s_grid, 1)
     P = g.p(range(n_hi + 2))  # P[k][:, 1 + j] = P_k(s + j)
     n = np.arange(n_hi + 1)
     son, tod, x, dxm = g.son[:, 0], g.tod[:, 0], g.x[:, 1], g.dxm[:, 1]
@@ -357,7 +361,7 @@ def poly_ladder_suite(rep, fam, n_hi: int = 6):
     low = np.where(n[:, None] >= 1, (t.gamma(n)[:, None] * L) * P[np.maximum(n - 1, 0), :, 1], 0.0)
     mid = (A - t.lambda_n(n)[:, None] * dxm - L * (x - t.beta(n)[:, None])) * Pn[..., 1]
     down = rel_residual(lhs - (low + mid), (lhs, low, mid)).tolist()
-    labels = [f"{complex(s):.4g}" for s in grid]
+    labels = [f"{complex(s):.4g}" for s in s_grid]
     for k in range(1, n_hi + 1):
         for label, r_up, r_down in zip(labels, up[k - 1], down[k]):
             rep.cases.append(CaseRecord(k, label, r_up, "raising"))
@@ -367,57 +371,28 @@ def poly_ladder_suite(rep, fam, n_hi: int = 6):
         rep.cases.append(CaseRecord(0, label, r, "lowering n=0"))
 
 
-@suite("branch_continuity", "branch continuity along the theta grid", 0.2)
-def _branch_continuity_skip(rep, fam):
-    raise Skipped("real lattice coordinate")  # no square-root branch can flip
-
-
-# The suites in `--suite all` order.  A row maps run_suite's (family, ns, grid)
-# onto its suite function, and passes `tolerance=` only when the caller
-# overrides it, so each default lives in the suite's `@suite` line.
-# Rows look the suite functions up in this module's globals at call time, so
-# rebinding one of them (a tracer, a test) reaches the dispatch.
-_SUITES = {
-    "eigen": lambda fam, ns, grid, **tol: check_eigen(fam, ns, grid, **tol),
-    "ttrr_phi": lambda fam, ns, grid, **tol: check_ttrr_phi(fam, ns, grid, **tol),
-    "raising": lambda fam, ns, grid, **tol: check_raising(fam, ns, grid, **tol),
-    "lowering": lambda fam, ns, grid, **tol: check_lowering(fam, ns, grid, **tol),
-    "uv_shift": lambda fam, ns, grid, **tol: check_uv_shift(
-        fam, list(range(0, max(ns) + 2)), grid, **tol),
-    "h_remark": lambda fam, ns, grid, **tol: check_h_remark(
-        fam, list(range(1, max(ns) + 2)), **tol),
-    "h_s_independence": lambda fam, ns, grid, **tol: check_h_s_independence(
-        fam, ns, grid, **tol),
-    "factorization": lambda fam, ns, grid, **tol: check_factorization(fam, ns, grid, **tol),
-    # the bootstrap recurses along one integer chain; anchor it at the first
-    # grid point (theta grids are not integer-spaced in s)
-    "bootstrap": lambda fam, ns, grid, **tol: check_bootstrap(
-        fam, min(max(ns), 4), [complex(grid[0]) + k for k in range(len(grid))], **tol),
-    "adjoint": lambda fam, ns, grid, **tol: check_adjoint(fam, list(range(0, 5)), **tol),
-    "selfadjoint": lambda fam, ns, grid, **tol: check_selfadjoint(
-        fam, [(n, m) for n in range(5) for m in range(5)], **tol),
-    "poly_ladder": lambda fam, ns, grid, **tol: poly_ladder_suite(fam, max(ns) + 1, **tol),
-    "pearson": lambda fam, ns, grid, **tol: pearson_suite(fam, **tol),
-    "rodrigues": lambda fam, ns, grid, **tol: rodrigues_suite(fam, **tol),
-    "orthonormality": lambda fam, ns, grid, **tol: orthonormality_suite(fam, **tol),
-    "concordance": lambda fam, ns, grid, **tol: concordance_suite(fam, **tol),
-    "difference_calculus": lambda fam, ns, grid, **tol: difference_calculus_suite(fam, **tol),
-    "branch_continuity": lambda fam, ns, grid, **tol: (
-        check_branch_continuity(fam, fam.kind.theta_grid(fam, 200), **tol)
-        if fam.kind.complex_s else _branch_continuity_skip(fam, **tol)),
-}
-SUITE_NAMES = tuple(_SUITES)
+# The suites in `--suite all` order.  Suite `name` is the function
+# `check_<name>` (from ladder) or `<name>_suite` (this module), looked up in
+# this module's globals at call time, so rebinding one (a tracer, a test)
+# reaches the dispatch.
+SUITE_NAMES = _SUITES = (
+    "eigen", "ttrr_phi", "raising", "lowering", "uv_shift", "h_remark", "h_s_independence",
+    "factorization", "bootstrap", "adjoint", "selfadjoint", "poly_ladder", "pearson",
+    "rodrigues", "orthonormality", "concordance", "difference_calculus", "branch_continuity",
+)
 
 
 def run_suite(fam, suite: str, ns=None, s_grid=None, tolerances=None) -> CheckReport:
-    """Run one named suite with default sweeps and its default tolerance
-    unless overridden."""
+    """Run one named suite on the request (ns, s_grid), by default n = 1..5
+    on `default_grid(fam)`, at its default tolerance unless `tolerances`
+    overrides it."""
     if suite not in _SUITES:
         raise QKernelError(f"unknown suite {suite!r}; known: {', '.join(SUITE_NAMES)}")
     tol = {"tolerance": tolerances[suite]} if tolerances and suite in tolerances else {}
     ns = list(ns) if ns is not None else list(range(1, 6))
     grid = list(s_grid) if s_grid is not None else default_grid(fam)
-    return _SUITES[suite](fam, ns, grid, **tol)
+    run = globals().get(f"check_{suite}") or globals()[f"{suite}_suite"]
+    return run(fam, ns, grid, **tol)
 
 
 def run_suites(fam, suites, ns=None, s_grid=None, tolerances=None):

@@ -438,7 +438,7 @@ def _cases_by_n(rep, g: StencilGrid, ns, residuals):
 @suite("eigen", "H(s,n) phi_n(s) = 0 (symmetric-form difference equation)", 1e-9)
 @_RAISE_FP
 def check_eigen(rep, fam, ns, s_grid):
-    """H(s,n) phi_n(s) = 0 at every grid point, for each n in ns."""
+    """H(s,n) phi_n(s) = 0.  Sweep: ns on s_grid."""
     g = StencilGrid.shared(fam, s_grid, 1)
     f = g.phi(ns)
     terms = (g.e_minus[:, 0] * f[..., 0], g.h_diag(ns) * f[..., 1], g.e_plus[:, 0] * f[..., 2])
@@ -452,7 +452,7 @@ def check_ttrr_phi(rep, fam, ns, s_grid):
     """alpha_n (d_{n+1}/d_n) phi_{n+1} + gamma_n (d_{n-1}/d_n) phi_{n-1}
     + (beta_n - x) phi_n = 0; the norm ratios cancel against the phi
     normalizations, so the check runs on chain functions.  P_0..P_{n+1} come
-    from the recurrence pass of the margin-1 grid on the points."""
+    from the recurrence pass of the margin-1 grid.  Sweep: ns on s_grid."""
     g = StencilGrid.shared(fam, s_grid, 1)
     t, n = fam.coeffs, np.array(ns, dtype=int)
     ks = sorted({k for m in ns for k in (m - 1, m, m + 1) if k >= 0})
@@ -487,7 +487,7 @@ def _ladder_residuals(which: str, ns, g: StencilGrid):
 def check_raising(rep, fam, ns, s_grid):
     """L+(s,n) phi_n = alpha_n lambda_{2n}/[2n]_q (d_{n+1}/d_n) phi_{n+1};
     the d-ratio enters in its cancelled form (valid at the top of finite
-    families where d_{n+1} = 0)."""
+    families where d_{n+1} = 0).  Sweep: ns on s_grid."""
     g = StencilGrid.shared(fam, s_grid, 1)
     _cases_by_point(rep, g, ns, _ladder_residuals("+", ns, g))
 
@@ -495,7 +495,8 @@ def check_raising(rep, fam, ns, s_grid):
 @suite("lowering", "L-(s,n) phi_n = gamma_n lambda_{2n}/[2n]_q d_{n-1}/d_n phi_{n-1}", 1e-9)
 @_RAISE_FP
 def check_lowering(rep, fam, ns, s_grid):
-    """L-(s,n) phi_n = gamma_n lambda_{2n}/[2n]_q (d_{n-1}/d_n) phi_{n-1}."""
+    """L-(s,n) phi_n = gamma_n lambda_{2n}/[2n]_q (d_{n-1}/d_n) phi_{n-1}.
+    Sweep: ns on s_grid."""
     g = StencilGrid.shared(fam, s_grid, 1)
     _cases_by_point(rep, g, ns, _ladder_residuals("-", ns, g))
 
@@ -503,8 +504,10 @@ def check_lowering(rep, fam, ns, s_grid):
 @suite("uv_shift", "u(s+1,n) = v(s,n+1)", 1e-10)
 @_RAISE_FP
 def check_uv_shift(rep, fam, ns, s_grid):
-    """u(s+1,n) = v(s,n+1) (equivalently u(s+1,n-1) = v(s,n))."""
+    """u(s+1,n) = v(s,n+1) (equivalently u(s+1,n-1) = v(s,n)).  Sweep:
+    n = 0..N+1 on s_grid."""
     g = StencilGrid.shared(fam, s_grid, 2)
+    ns = range(max(ns) + 2)
     n = np.array(ns, dtype=int)
     uu = g.plus_side(g.u(n))(1)
     vv = g.minus_side(g.v(n + 1))(0)
@@ -512,11 +515,13 @@ def check_uv_shift(rep, fam, ns, s_grid):
 
 
 @suite("h_remark", "h+-(n+1) = h-+(n)", 1e-12)
-def check_h_remark(rep, fam, ns):
+def check_h_remark(rep, fam, ns, s_grid):
     """h_plusminus(n+1) = h_minusplus(n).  The closed form has one copy, and
     h_plusminus(n+1) is h_minusplus(n), so this is the index identity of
     that closed form and its residual is exactly 0; check_h_s_independence
-    tests h-+ and h+- against their bracket expansions."""
+    tests h-+ and h+- against their bracket expansions.  Sweep: n = 1..N+1;
+    no points."""
+    ns = range(1, max(ns) + 2)
     n = np.array(ns, dtype=int)
     a, b = h_plusminus(fam, n + 1), h_minusplus(fam, n)
     rep.cases += [CaseRecord(k, "-", r) for k, r in zip(ns, rel_residual(a - b, (a, b)).tolist())]
@@ -535,7 +540,8 @@ def check_h_s_independence(rep, fam, ns, s_grid):
 
     with A = A(.,n) and B(s) = -A(s,n) + lambda_{2n}/[2n]_q (x(s) - beta_n).
     The scale of a residual is what had to cancel, so a degenerately zero h
-    (top of a finite family) is not divided by its own noise."""
+    (top of a finite family) is not divided by its own noise.  Sweep: ns on
+    s_grid."""
     g = StencilGrid.shared(fam, s_grid, 2)
     t, n = fam.coeffs, np.array(ns, dtype=int)
     son, tod, dxm = g.plus_side(g.son), g.minus_side(g.tod), _by_offset(g.dxm)
@@ -571,7 +577,8 @@ def check_factorization(rep, fam, ns, s_grid):
     The operators act on chain offsets of a StencilGrid (offset 0 is the
     grid point) on (n x probe x grid point) arrays.  A residual is scaled by
     the largest product the stencils form, the inner one's propagated
-    through the outer coefficients: where rounding noise enters.
+    through the outer coefficients: where rounding noise enters.  Sweep: ns
+    on s_grid.
     """
     g = StencilGrid.shared(fam, s_grid, 2)
     n = np.array(ns, dtype=int)
@@ -621,28 +628,18 @@ def _largest(values):
     return reduce(np.maximum, values, 0.0)
 
 
-def _chain(s_grid, N: int):
-    """The bootstrap chain of a grid: its anchor s0 = s_grid[0], the offsets
-    of the grid points from s0 and the first chain offset (the raising climb
-    consumes one left point per level)."""
-    s0 = complex(s_grid[0])
-    offs = [round((complex(s) - s0).real) for s in s_grid]
-    return s0, offs, min(offs) - N
-
-
-def _bootstrap(fam, N: int, s_grid):
+def _bootstrap(fam, N: int, s0: complex, count: int):
     """Solve L-(s,0) phi_0 = 0 as the ratio recurrence
 
         phi_0(s+1) = -v(s,0) Delta x(s) phi_0(s) / sqrt(Theta(s) sigma(s+1)),
 
-    normalize phi_0 at the first grid point, then climb with the raising
-    operator.  Returns the table {n: {chain offset: phi_n}}, the margin-1
-    StencilGrid on the chain points s0 + lo .. s0 + max(offsets) and
-    `_branch_consistent` on its points."""
+    normalize phi_0 at s0, then climb N levels with the raising operator,
+    each consuming one chain point on the left.  Returns the table
+    {n: {chain offset: phi_n}}, the margin-1 StencilGrid on the chain points
+    s0 - N .. s0 + count - 1 and `_branch_consistent` on its points."""
     if N < 0:
         raise QKernelError("bootstrap needs N >= 0")
-    s0, offs, lo = _chain(s_grid, N)
-    hi = max(offs)
+    lo, hi = -N, count - 1
     g = StencilGrid.shared(fam, [s0 + k for k in range(lo, hi + 1)], 1)
     # phi_0 from L-(s,0) phi_0 = 0 at every chain point but the last
     root = g.roots[:-1, 1]  # sqrt(Theta(s) sigma(s+1))
@@ -652,8 +649,8 @@ def _bootstrap(fam, N: int, s_grid):
     vals = [complex(1.0)]
     for step, r in zip((-g.v(0)[:-1, 0] * g.delta[:-1, 0]).tolist(), root.tolist()):
         vals.append(step * vals[-1] / r)
-    # normalize at the first grid point against the direct phi_0
-    i0 = offs[0] - lo
+    # normalize at s0 against the direct phi_0
+    i0 = -lo
     consistent, w = _branch_consistent(fam, g)
     anchor = complex(1.0)
     if consistent[i0]:
@@ -734,14 +731,17 @@ def _d_ratio_up(fam, n: int):
 
 @suite("bootstrap", "phi_0 from L-(s,0) phi_0 = 0, then phi_{n+1} from L+(s,n)", 1e-8)
 @_RAISE_FP
-def check_bootstrap(rep, fam, N: int, s_grid):
+def check_bootstrap(rep, fam, ns, s_grid):
     """Bootstrapped phi_n match direct phi_n up to one constant per level,
-    fixed at the first grid point.  The direct phi_n are the pointwise ones
-    where their branch agrees with the chain's, else the chain weights times
-    P_n, both on the bootstrap's chain grid."""
-    table, g, consistent, w = _bootstrap(fam, N, s_grid)
-    s0, offs, lo = _chain(s_grid, N)
-    rows = [k - lo for k in offs]
+    fixed at the chain's first point.  The direct phi_n are the pointwise
+    ones where their branch agrees with the chain's, else the chain weights
+    times P_n, both on the bootstrap's chain grid.  Sweep: levels
+    n = 0..min(N, 4) on the chain s_grid[0] + k, k < len(s_grid); each level
+    costs digits (q-Hermite at q = 0.2 is off by 2e-4 at level 5)."""
+    N, s0 = min(max(ns), 4), complex(s_grid[0])
+    offs = range(len(s_grid))
+    table, g, consistent, w = _bootstrap(fam, N, s0, len(s_grid))
+    rows = [k + N for k in offs]
     if consistent.all():
         # the pointwise phi_n, with sqrt(rho) from the consistency check
         direct = (fam.phi(range(N + 1), g.s[rows]) if w is None
@@ -751,7 +751,7 @@ def check_bootstrap(rep, fam, N: int, s_grid):
         # is read at its lower point, one going down at its upper point
         theta, sigma = g.theta[None, :, 1], g.sigma[None, :, 1]
         up, down = g.roots[None, :-1, 1], g.roots[None, 1:, 0]
-        w = _chain_weights(theta, sigma, up, down, g.s[None, :], -lo)[0]
+        w = _chain_weights(theta, sigma, up, down, g.s[None, :], N)[0]
         direct = w[rows] * g.p(range(N + 1))[:, rows, 1]
     for n in range(N + 1):
         direct_n = dict(zip(offs, direct[n].tolist()))
@@ -768,7 +768,7 @@ def check_bootstrap(rep, fam, N: int, s_grid):
        "sum phi_{n+1} [2n]_q/lambda_{2n} (L+ phi_n) dx = "
        "sum ([2n+2]_q/lambda_{2n+2} L- phi_{n+1}) phi_n dx = alpha_n d_{n+1}/d_n", 1e-8)
 @_RAISE_FP
-def check_adjoint(rep, fam, ns):
+def check_adjoint(rep, fam, ns, s_grid):
     """Mutual adjointness on a finite discrete support:
 
         sum phi_{n+1} [[2n]_q/lambda_{2n} L+ phi_n] Delta x(s-1/2)
@@ -777,9 +777,10 @@ def check_adjoint(rep, fam, ns):
 
     One pass over the support: the weight is evaluated once per node, and
     phi_k and the reduced L+ phi_n, L- phi_{n+1} once on the (n x node)
-    array."""
+    array.  Sweep: n = 0..N-1 over the whole support (s_grid is not read)."""
     if fam.support.kind != "discrete_grid":
         raise Skipped(f"support kind {fam.support.kind!r} has no discrete sum")
+    ns = range(max(ns))
     grid = fam.support.grid_points
     spec = InnerProductSpec(fam.lattice, tuple(grid))
     g = StencilGrid.shared(fam, grid, 1)  # the nodes with s - 1, s + 1
@@ -820,7 +821,7 @@ def check_adjoint(rep, fam, ns):
        "sum phi_m (H(.,n) phi_n) = sum phi_n (H(.,n) phi_m)"
        " (eigenvalue operator -H/Delta x(s-1/2) self-adjoint)", 1e-8)
 @_RAISE_FP
-def check_selfadjoint(rep, fam, pairs, *, drop_last: int = 0):
+def check_selfadjoint(rep, fam, ns, s_grid):
     """Self-adjointness of the eigenvalue operator on the discrete support:
 
         sum phi_m (H(.,n) phi_n)(s) = sum phi_n (H(.,n) phi_m)(s).
@@ -830,32 +831,30 @@ def check_selfadjoint(rep, fam, pairs, *, drop_last: int = 0):
     product; the weight cancels against the operator normalization, leaving
     plain sums of H applications.  The lambda_n term contributes the same
     orthogonality sum to both sides and cancels; what remains exercises the
-    boundary-term argument.  `drop_last` truncates the grid to break the
-    boundary condition (negative control).  One pass over the support: the
-    weight, each phi_k and each H(.,n) phi_k are evaluated once, on the
-    (n x k x node) array.  Pairs beyond a finite family are out-of-range
-    cases."""
+    boundary-term argument (a support cut short breaks it).  One pass over
+    the support: the weight, each phi_k and each H(.,n) phi_k are evaluated
+    once, on the (n x k x node) array.  Pairs beyond a finite family are
+    out-of-range cases.  Sweep: n, m = 0..N-1 over the whole support (s_grid
+    is not read)."""
     if fam.support.kind != "discrete_grid":
         raise Skipped(f"support kind {fam.support.kind!r} has no discrete sum")
-    grid = fam.support.grid_points
-    if drop_last:
-        grid = grid[:-drop_last]
-    g = StencilGrid.shared(fam, grid, 1)  # the nodes with their neighbours s - 1, s + 1
+    N = max(ns)
+    top = N if fam.n_max is None else min(N, fam.n_max + 1)  # phi_k exists for k < top
+    g = StencilGrid.shared(fam, fam.support.grid_points, 1)  # the nodes with s - 1, s + 1
     w = fam.sqrt_rho(g.s)
-    inside = {(n, m) for n, m in pairs if fam.n_max is None or max(n, m) <= fam.n_max}
-    if inside:
-        ks = np.array(sorted({k for pair in inside for k in pair}))
+    if top:
+        ks = np.arange(top)
         d = _d_column(fam, ks)
-        phi = dict(zip(ks.tolist(), _cdiv(w * g.p(ks)[..., 1], d)))
-        hphi = {(n, k): row for n in sorted({n for n, _ in inside})
-                for k, row in zip(ks.tolist(), _cdiv(w * _reduced("H", ks, g, n), d))}
-    for n, m in pairs:
-        if (n, m) not in inside:
+        phi = _cdiv(w * g.p(ks)[..., 1], d)
+        g.h_diag(ks)  # the H diagonal of every operator n in one pass
+        hphi = [_cdiv(w * _reduced("H", ks, g, n), d) for n in range(top)]  # [n][k]
+    for n, m in ((n, m) for n in range(N) for m in range(N)):
+        if max(n, m) >= top:
             rep.cases.append(CaseRecord(n, f"m={m}", 0.0,
                                         "out-of-range: phi_k beyond finite family"))
             continue
-        ta = phi[m] * hphi[n, n]
-        tb = phi[n] * hphi[n, m]
+        ta = phi[m] * hphi[n][n]
+        tb = phi[n] * hphi[n][m]
         a, b = ta.sum(), tb.sum()
         terms_scale = max(np.max(np.abs(ta), initial=0.0), np.max(np.abs(tb), initial=0.0))
         scale = max(abs(a), abs(b), terms_scale, 1e-30)
@@ -865,10 +864,14 @@ def check_selfadjoint(rep, fam, pairs, *, drop_last: int = 0):
 @suite("branch_continuity",
        "sqrt(Theta sigma) operator coefficients vary continuously along the grid", 0.2)
 @_RAISE_FP
-def check_branch_continuity(rep, fam, s_grid):
+def check_branch_continuity(rep, fam, ns, s_grid):
     """Continuity of the principal-root operator coefficients along the grid
-    (detects branch flips on complex lattice coordinates)."""
-    g = StencilGrid.shared(fam, s_grid, 1)
+    (detects branch flips on complex lattice coordinates; a real one is
+    skipped).  Sweep: fixed, a 200-point theta grid, as a flip shows only
+    between close neighbours."""
+    if not fam.kind.complex_s:
+        raise Skipped("real lattice coordinate")
+    g = StencilGrid.shared(fam, fam.kind.theta_grid(fam, 200), 1)
     vals = g.roots[:, 1].tolist()  # sqrt(Theta(s) sigma(s+1))
     for i in range(1, len(vals)):
         scale = max(abs(vals[i]), abs(vals[i - 1]), 1e-30)

@@ -3,11 +3,10 @@ one maker of a suite's report (`suite`)."""
 
 from __future__ import annotations
 
-import inspect
 import json
 import time
 from dataclasses import dataclass, field
-from functools import wraps
+from functools import update_wrapper
 
 __all__ = ["SCHEMA_ID", "CaseRecord", "CheckReport", "Skipped", "suite", "report_to_dict"]
 
@@ -63,34 +62,23 @@ class Skipped(Exception):
 
 
 def suite(name: str, identity: str, tolerance):
-    """Make a suite from a body `fn(rep, fam, ...)` that only adds cases and
-    meta to `rep`.
+    """Make the suite `(fam, ns, s_grid, tolerance=tolerance)` from a body
+    `fn(rep, fam, ns, s_grid)` that only adds cases and meta to `rep`.
 
-    The suite takes the body's parameters after `rep`, with `tolerance`
-    (default `tolerance`) inserted before the body's keyword-only ones, or
-    last.  It builds the CheckReport of `name`, `identity` and `fam.name` at
-    the caller's tolerance, runs the body, marks the report skipped with the
-    text of a `Skipped` the body raises, and sets `wall_ms`.  An
-    ArithmeticError (a vanishing lattice step, an overflow, an invalid
+    The body derives the n values and points it checks from the request
+    (ns, s_grid) by the rule its docstring states.  The suite builds the
+    CheckReport of `name`, `identity` and `fam.name` at the caller's
+    tolerance, runs the body, marks the report skipped with the text of a
+    `Skipped` the body raises, and sets `wall_ms` to the body's run time.
+    An ArithmeticError (a vanishing lattice step, an overflow, an invalid
     operation) is raised again, of the same class, with the suite named."""
 
     def make(body):
-        params = list(inspect.signature(body).parameters.values())[1:]
-        at = next((i for i, p in enumerate(params) if p.kind is p.KEYWORD_ONLY), len(params))
-        params.insert(at, inspect.Parameter(
-            "tolerance", inspect.Parameter.POSITIONAL_OR_KEYWORD, default=tolerance,
-            annotation="float" if tolerance is not None else "float | None"))
-        sig = inspect.Signature([p.replace(kind=p.POSITIONAL_OR_KEYWORD) for p in params],
-                                return_annotation="CheckReport")
-
-        @wraps(body)
-        def run(*args, **kwargs):
-            kwargs = sig.bind(*args, **kwargs).arguments
-            rep = CheckReport(name, identity, kwargs["fam"].name,
-                              tolerance=kwargs.pop("tolerance", tolerance))
+        def run(fam, ns, s_grid, tolerance=tolerance):
+            rep = CheckReport(name, identity, fam.name, tolerance=tolerance)
             t0 = time.perf_counter()
             try:
-                body(rep, **kwargs)
+                body(rep, fam, ns, s_grid)
             except Skipped as e:
                 rep.meta.update(status="skipped", reason=str(e))
             except ArithmeticError as e:
@@ -98,7 +86,8 @@ def suite(name: str, identity: str, tolerance):
             rep.wall_ms = (time.perf_counter() - t0) * 1e3
             return rep
 
-        run.__signature__ = sig
+        update_wrapper(run, body)
+        del run.__wrapped__  # the suite's signature is run's, not the body's
         return run
 
     return make

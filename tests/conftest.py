@@ -1,8 +1,9 @@
 import math
+from dataclasses import replace
 
 import pytest
 
-from qladder.families import make_family, reference_params
+from qladder.families import SupportSpec, make_family, reference_params
 from qladder.qkernel import QBase
 
 REFERENCE_Q = 0.5
@@ -50,3 +51,19 @@ def assert_matches_reference(got, want, name):
         assert got == want
     else:
         assert abs(got - want) <= max(1e-14, 0.01 * abs(want)), (got, want)
+
+
+def worst_at(rep, ns):
+    """The largest residual of a report's cases at the n in ns: where a
+    suite's sweep is wider than ns, only the n a caller asked for meet its
+    bound."""
+    ns = set(ns)
+    return max((c.residual for c in rep.cases if c.n in ns), default=0.0)
+
+
+def truncated(fam):
+    """fam with its discrete support one node short: the sums of the
+    self-adjointness check lose their boundary condition (a negative
+    control)."""
+    sup = fam.support
+    return replace(fam, support=SupportSpec("discrete_grid", sup.lo, sup.hi - 1), _cache={})

@@ -14,14 +14,19 @@ import numpy as np
 import pytest
 
 from qladder import ladder as L
-from qladder.checks import concordance_suite, difference_calculus_suite, rodrigues_suite
+from qladder.checks import (
+    concordance_suite,
+    default_grid,
+    difference_calculus_suite,
+    rodrigues_suite,
+)
 from qladder.cli import main as cli_main
 from qladder.families import reference_params
 from qladder.hypergeometric_core import rel_residual
 from qladder.orthogonality import gram_matrix, jackson_integral
 from qladder.report import SCHEMA_ID
 
-from conftest import FAMILY_NAMES, grid_for
+from conftest import FAMILY_NAMES, grid_for, truncated
 from pointwise import ttrr_coeffs_generic
 
 SWEEP_NS = list(range(1, 6))
@@ -56,10 +61,7 @@ def test_criterion_2_ladder_actions_and_bootstrap(families):
     worst_boot = 0.0
     for name in FAMILY_NAMES:
         fam = families[name]
-        grid = grid_for(name)
-        if name in ("askey_wilson", "continuous_q_hermite"):
-            grid = [grid[0] + k for k in range(5)]
-        rep = L.check_bootstrap(fam, 4, grid)
+        rep = L.check_bootstrap(fam, [4], grid_for(name))  # the chain grid[0] + k
         worst_boot = max(worst_boot, rep.max_residual)
     _report(
         "criterion 2 (ladder actions + bootstrap)",
@@ -74,10 +76,9 @@ def test_criterion_3_shift_identity_and_h_remark(families):
     worst_h = 0.0
     for name in FAMILY_NAMES:
         fam = families[name]
-        worst_uv = max(
-            worst_uv, L.check_uv_shift(fam, list(range(0, 7)), grid_for(name)).max_residual
-        )
-        worst_h = max(worst_h, L.check_h_remark(fam, list(range(1, 8))).max_residual)
+        # n = 0..6 and n = 1..7
+        worst_uv = max(worst_uv, L.check_uv_shift(fam, SWEEP_NS, grid_for(name)).max_residual)
+        worst_h = max(worst_h, L.check_h_remark(fam, [6], grid_for(name)).max_residual)
     _report(
         "criterion 3 (u(s+1,n) = v(s,n+1); h+-(n+1) = h-+(n))",
         worst_uv < 1e-10 and worst_h < 1e-12,
@@ -136,7 +137,7 @@ def test_criterion_6_concordance_with_errata(families):
     bqj_norm_record = False
     for name in FAMILY_NAMES:
         fam = families[name]
-        rep = concordance_suite(fam)
+        rep = concordance_suite(fam, SWEEP_NS, grid_for(name))
         records = rep.meta["errata"]
         recorded = {e["quantity"] for e in records}
         if name == "big_q_jacobi":
@@ -199,7 +200,7 @@ def test_criterion_6_concordance_with_errata(families):
 def test_criterion_7_difference_calculus(families):
     worst = 0.0
     for name in ("asc1", "askey_wilson"):  # linear exponential + trigonometric
-        rep = difference_calculus_suite(families[name], n_hi=6)
+        rep = difference_calculus_suite(families[name], SWEEP_NS, grid_for(name))  # n <= 6
         worst = max(worst, rep.max_residual)
     _report(
         "criterion 7 (difference-calculus identities on two lattices)",
@@ -211,7 +212,8 @@ def test_criterion_7_difference_calculus(families):
 def test_criterion_8_rodrigues_oracle(families):
     worst = 0.0
     for name in FAMILY_NAMES:
-        rep = rodrigues_suite(families[name], n_hi=5)
+        fam = families[name]
+        rep = rodrigues_suite(fam, SWEEP_NS, default_grid(fam))  # n <= 5
         worst = max(worst, rep.max_residual)
     _report(
         "criterion 8 (Rodrigues oracle vs recurrence route)",
@@ -222,16 +224,18 @@ def test_criterion_8_rodrigues_oracle(families):
 
 def test_criterion_9_adjointness(families):
     fam = families["q_dual_hahn"]
-    adj = L.check_adjoint(fam, list(range(0, 5)))
-    pairs = [(n, m) for n in range(5) for m in range(5)]
-    sa = L.check_selfadjoint(fam, pairs)
-    broken = L.check_selfadjoint(fam, [(0, 2), (1, 3), (0, 4)], drop_last=1)
-    ok = adj.max_residual < 1e-8 and sa.max_residual < 1e-8 and broken.max_residual > 1e-3
+    grid = grid_for("q_dual_hahn")
+    adj = L.check_adjoint(fam, SWEEP_NS, grid)  # n = 0..4
+    sa = L.check_selfadjoint(fam, SWEEP_NS, grid)  # n, m = 0..4
+    cut = L.check_selfadjoint(truncated(fam), SWEEP_NS, grid)
+    broken = max(c.residual for c in cut.cases if (c.n, c.s) in {(0, "m=2"), (1, "m=3"),
+                                                                 (0, "m=4")})
+    ok = adj.max_residual < 1e-8 and sa.max_residual < 1e-8 and broken > 1e-3
     _report(
         "criterion 9 (mutual adjointness + self-adjointness, dual Hahn)",
         ok,
         f"adjoint {adj.max_residual:.3e}, self-adjoint {sa.max_residual:.3e} "
-        f"(tol 1e-8); truncated-boundary control {broken.max_residual:.3e} (> 1e-3)",
+        f"(tol 1e-8); truncated-boundary control {broken:.3e} (> 1e-3)",
     )
 
 

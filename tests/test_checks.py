@@ -1,5 +1,6 @@
 """The suite table and the report header: names, order, identities, default
-tolerances, timing, skips and errors, and dispatch."""
+tolerances, timing, skips and errors, dispatch, and the sweep each suite
+derives from a request."""
 
 import inspect
 import pathlib
@@ -18,8 +19,7 @@ README = pathlib.Path(__file__).resolve().parent.parent / "README.md"
 
 # each suite's default tolerance and identity, as the suite reports them at
 # the reference q-dual Hahn config (discrete support: orthonormality takes
-# 1e-8; a real lattice: branch_continuity reports its skip at 0.2, under the
-# skip's own identity)
+# 1e-8; a real lattice: branch_continuity reports its skip at 0.2)
 DEFAULT_TOLERANCE = {
     "eigen": (1e-9, "H(s,n) phi_n(s) = 0 (symmetric-form difference equation)"),
     "ttrr_phi": (1e-9, "alpha_n d_{n+1}/d_n phi_{n+1} + gamma_n d_{n-1}/d_n phi_{n-1}"
@@ -47,7 +47,8 @@ DEFAULT_TOLERANCE = {
     "difference_calculus": (1e-10, "Delta^{(n-1)} x^n = [n]_q! x_{n-1}(s) + c3 [n-1]_q! "
                                    "(n - [n]_q); Delta^{(k)} x^n has leading term "
                                    "[n]_q!/[n-k]_q! x_k^{n-k}"),
-    "branch_continuity": (0.2, "branch continuity along the theta grid"),
+    "branch_continuity": (0.2, "sqrt(Theta sigma) operator coefficients vary continuously "
+                               "along the grid"),
 }
 
 
@@ -82,7 +83,7 @@ def test_defaults_on_the_trigonometric_lattice(families):
 def test_a_direct_call_times_its_suite_and_reports_a_skip(families):
     fam = families["q_dual_hahn"]
     assert check_eigen(fam, [1, 2], default_grid(fam)).wall_ms > 0
-    rep = check_adjoint(families["asc1"], [0, 1])
+    rep = check_adjoint(families["asc1"], [1, 2], default_grid(families["asc1"]))
     assert rep.wall_ms > 0 and rep.cases == []
     assert rep.meta == {"status": "skipped",
                         "reason": "support kind 'jackson_integral' has no discrete sum"}
@@ -100,17 +101,18 @@ def test_a_direct_call_names_its_suite_in_an_arithmetic_error():
 
 
 def test_a_suite_takes_its_body_parameters_and_the_tolerance():
-    def params(fn):
-        return [(p.name, p.default) for p in inspect.signature(fn).parameters.values()]
-
-    empty = inspect.Parameter.empty
-    assert params(check_eigen) == [("fam", empty), ("ns", empty), ("s_grid", empty),
-                                   ("tolerance", 1e-9)]
-    assert params(check_selfadjoint) == [("fam", empty), ("pairs", empty),
-                                         ("tolerance", 1e-8), ("drop_last", 0)]
-    assert params(checks.orthonormality_suite) == [("fam", empty), ("tolerance", None)]
-    assert check_selfadjoint(make_family("q_dual_hahn", reference_params("q_dual_hahn"),
-                                         QBase(0.5)), [(0, 1)], 1e-3, 1).tolerance == 1e-3
+    # every suite is (fam, ns, s_grid, tolerance=<its default>); orthonormality's
+    # default is None, which picks the default of the family's support
+    empty, kind = inspect.Parameter.empty, inspect.Parameter.POSITIONAL_OR_KEYWORD
+    for suite in SUITE_NAMES:
+        default = None if suite == "orthonormality" else DEFAULT_TOLERANCE[suite][0]
+        fn = getattr(checks, f"check_{suite}", None) or getattr(checks, f"{suite}_suite")
+        params = inspect.signature(fn).parameters.values()
+        assert [(p.name, p.kind, p.default) for p in params] == [
+            ("fam", kind, empty), ("ns", kind, empty), ("s_grid", kind, empty),
+            ("tolerance", kind, default)], suite
+    fam = make_family("q_dual_hahn", reference_params("q_dual_hahn"), QBase(0.5))
+    assert check_selfadjoint(fam, [2], default_grid(fam), 1e-3).tolerance == 1e-3
 
 
 def test_unknown_suite_raises_naming_the_known_suites(families):
@@ -121,12 +123,84 @@ def test_unknown_suite_raises_naming_the_known_suites(families):
 def test_rows_read_the_suite_functions_at_call_time(families, monkeypatch):
     calls = []
     monkeypatch.setattr(checks, "rodrigues_suite",
-                        lambda fam, **tol: calls.append(tol) or checks.CheckReport(
+                        lambda fam, ns, s_grid, **tol: calls.append(tol) or checks.CheckReport(
                             suite="rodrigues", identity="stub", family=fam.name,
                             tolerance=tol.get("tolerance", 1.0)))
     assert run_suite(families["asc1"], "rodrigues").identity == "stub"
     run_suite(families["asc1"], "rodrigues", tolerances={"rodrigues": 1e-3})
     assert calls == [{}, {"tolerance": 1e-3}]
+
+
+# the request of the sweep contract: n = 2, 3 on 3 points that are no
+# default grid and, on a real lattice, not integer-spaced
+REQUEST_NS = [2, 3]
+REQUEST_VALUES = (0.4, 1.5, 2.6)  # s, or theta on the trigonometric lattice
+
+
+def _sweep_rule(suite, fam, grid):
+    """(n values, points) the suite's docstring rule derives from the
+    request, N = 3; no points where the case labels carry none."""
+    N = max(REQUEST_NS)
+    chain = [complex(grid[0]) + k for k in range(len(grid))]
+    rules = {
+        "uv_shift": (range(0, N + 2), grid),
+        "h_remark": (range(1, N + 2), ()),
+        "bootstrap": (range(0, min(N, 4) + 1), chain),
+        "adjoint": (range(0, N), ()),
+        "selfadjoint": (range(0, N), ()),
+        "poly_ladder": (range(0, N + 2), grid),
+        "pearson": ([0], grid if fam.kind.complex_s else chain),
+        "rodrigues": (range(0, N + 1), chain),
+        "difference_calculus": (range(0, N + 2), default_grid(fam, 3)),
+    }
+    ns, points = rules.get(suite, (REQUEST_NS, grid))
+    return set(ns), [complex(p) for p in points]
+
+
+def _labelled_points(rep):
+    points = []
+    for c in rep.cases:
+        try:
+            points.append(complex(c.s))
+        except ValueError:  # "m=2", "sum1", "k=1", "-": no point
+            pass
+    return points
+
+
+@pytest.mark.parametrize("suite", SUITE_NAMES)
+def test_a_suite_checks_the_sweep_its_docstring_derives(families, suite):
+    ran = []
+    for name in ("q_dual_hahn", "askey_wilson"):
+        fam = families[name]
+        grid = [fam.kind.s_from_grid_value(fam, v) for v in REQUEST_VALUES]
+        rep = run_suite(fam, suite, ns=REQUEST_NS, s_grid=grid)
+        if rep.meta.get("status") == "skipped":
+            assert rep.cases == []
+            continue
+        ran.append(name)
+        cases = {(c.n, c.s) for c in rep.cases}
+        if suite in ("concordance", "orthonormality", "branch_continuity"):
+            # a fixed sweep: the request changes nothing
+            assert cases == {(c.n, c.s) for c in run_suite(fam, suite).cases}, name
+            continue
+        ns, points = _sweep_rule(suite, fam, grid)
+        assert {n for n, _ in cases} == ns, name
+        got = set(_labelled_points(rep))
+        assert len(got) == len(points), (name, got, points)
+        for p in points:
+            assert any(abs(g - p) <= 1e-3 * max(1.0, abs(p)) for g in got), (name, p, got)
+    assert ran
+
+
+def test_rodrigues_labels_the_chain_points_it_evaluates(families):
+    # the Rodrigues differences run on the chain grid[0] + k; on the
+    # trigonometric lattice those are not the grid's points
+    fam = families["askey_wilson"]
+    grid = default_grid(fam)
+    rep = run_suite(fam, "rodrigues")
+    want = [f"{complex(grid[0]) + k:.4g}" for k in range(len(grid))]
+    assert [c.s for c in rep.cases if c.n == 0] == want
+    assert {c.s for c in rep.cases} == set(want)
 
 
 def test_readme_suite_list_is_the_table():

@@ -22,7 +22,7 @@ from pointwise import (
     theta_eval,
     theta_over_delta,
 )
-from conftest import FAMILY_NAMES, grid_for
+from conftest import FAMILY_NAMES, grid_for, truncated
 
 SWEEP_NS = list(range(1, 7))
 
@@ -213,7 +213,7 @@ def test_u_closed_forms(families):
 def test_uv_shift_sweep(families):
     for name in FAMILY_NAMES:
         fam = families[name]
-        rep = L.check_uv_shift(fam, list(range(0, 7)), grid_for(name))
+        rep = L.check_uv_shift(fam, range(1, 6), grid_for(name))  # n = 0..6
         assert rep.max_residual < 1e-10, (name, rep.max_residual)
         # the equivalent form u(s+1, n-1) = v(s, n)
         g = L.StencilGrid(fam, grid_for(name, 3), 2)
@@ -289,7 +289,7 @@ def test_h_closed_values(families):
 def test_h_remark_and_s_independence(families):
     for name in FAMILY_NAMES:
         fam = families[name]
-        rep = L.check_h_remark(fam, list(range(1, 8)))
+        rep = L.check_h_remark(fam, [6], grid_for(name))  # n = 1..7
         assert rep.max_residual < 1e-12, name
         rep = L.check_h_s_independence(fam, SWEEP_NS, grid_for(name))
         assert rep.max_residual < 1e-10, (name, rep.max_residual)
@@ -308,7 +308,8 @@ def test_h_remark_is_the_index_identity_of_one_closed_form(q):
                 want = (lam_ratio(fam.eq, 2.0 * n - 2.0) * lam_ratio(fam.eq, 2.0 * n)
                         * fam.coeffs.alpha(n - 1) * fam.coeffs.gamma(n))
                 assert L.h_plusminus(fam, n) == want, (name, q, n)
-            assert L.check_h_remark(fam, list(range(1, top))).max_residual == 0.0, (name, q)
+            rep = L.check_h_remark(fam, [top - 2], grid_for(name))  # n = 1..top-1
+            assert rep.max_residual == 0.0, (name, q)
 
 
 def test_cqh_h_pm_display_off_by_q_squared(families):
@@ -358,17 +359,14 @@ def test_factorization_beta_sensitivity(families):
 def test_bootstrap_sweep(families):
     for name in FAMILY_NAMES:
         fam = families[name]
-        grid = grid_for(name)
-        if name in ("askey_wilson", "continuous_q_hermite"):
-            # bootstrap recurses along an integer chain from one theta anchor
-            grid = [grid[0] + k for k in range(5)]
-        rep = L.check_bootstrap(fam, 4, grid)
+        # bootstrap recurses along the integer chain grid[0] + k
+        rep = L.check_bootstrap(fam, [4], grid_for(name))
         assert rep.max_residual < 1e-8, (name, rep.max_residual)
 
 
 def test_bootstrap_n0_only(families):
     fam = families["q_dual_hahn"]
-    table = L._bootstrap(fam, 0, [1.3 + k for k in range(3)])[0]
+    table = L._bootstrap(fam, 0, 1.3, 3)[0]
     assert set(table) == {0}
     # phi_0 proportional to sqrt(rho): ratios match
     vals = table[0]
@@ -380,14 +378,14 @@ def test_bootstrap_n0_only(families):
 
 def test_adjoint_sums(families):
     fam = families["q_dual_hahn"]
-    rep = L.check_adjoint(fam, list(range(0, 5)))
+    rep = L.check_adjoint(fam, range(1, 6), grid_for("q_dual_hahn"))  # n = 0..4
     assert rep.max_residual < 1e-8
     notes = [c.note for c in rep.cases if c.note]
     assert any("out-of-range" in t for t in notes)  # n = 4 needs phi_5
 
 
 def test_adjoint_skipped_for_continuous_support(families):
-    rep = L.check_adjoint(families["askey_wilson"], [0, 1])
+    rep = L.check_adjoint(families["askey_wilson"], [2], grid_for("askey_wilson"))
     assert rep.meta.get("status") == "skipped"
     assert rep.passed
 
@@ -397,8 +395,8 @@ def test_adjoint_invariant_under_weight_rescale(families):
     w0 = fam.closed.weight
     scaled_closed = replace(fam.closed, weight=lambda s: 9.0 * w0(s))
     fam9 = replace(fam, closed=scaled_closed, _cache={})
-    r1 = L.check_adjoint(fam, [0, 1, 2])
-    r9 = L.check_adjoint(fam9, [0, 1, 2])
+    r1 = L.check_adjoint(fam, [3], grid_for("q_dual_hahn"))  # n = 0..2
+    r9 = L.check_adjoint(fam9, [3], grid_for("q_dual_hahn"))
     assert r9.max_residual < 1e-8
     # phi itself is invariant (norms rescale with the weight)
     for n in (0, 2):
@@ -406,22 +404,22 @@ def test_adjoint_invariant_under_weight_rescale(families):
 
 
 def test_selfadjoint(families):
-    fam = families["q_dual_hahn"]
-    pairs = [(n, m) for n in range(5) for m in range(5)]
-    rep = L.check_selfadjoint(fam, pairs)
+    fam, grid = families["q_dual_hahn"], grid_for("q_dual_hahn")
+    rep = L.check_selfadjoint(fam, range(1, 6), grid)  # n, m = 0..4
     assert rep.max_residual < 1e-8
     # n = m identically equal
-    same = L.check_selfadjoint(fam, [(2, 2)])
-    assert same.max_residual == 0.0
+    same = L.check_selfadjoint(fam, [3], grid)
+    assert [c.residual for c in same.cases if (c.n, c.s) == (2, "m=2")] == [0.0]
     # boundary-truncation negative control
-    broken = L.check_selfadjoint(fam, [(0, 2), (1, 3), (0, 4)], drop_last=1)
-    assert broken.max_residual > 1e-3
+    broken = L.check_selfadjoint(truncated(fam), range(1, 6), grid)
+    assert max(c.residual for c in broken.cases
+               if (c.n, c.s) in {(0, "m=2"), (1, "m=3"), (0, "m=4")}) > 1e-3
 
 
 def test_branch_continuity_aw(families):
     fam = families["askey_wilson"]
-    rep = L.check_branch_continuity(fam, fam.kind.theta_grid(fam, 200))
-    assert rep.max_residual < 0.2
+    rep = L.check_branch_continuity(fam, SWEEP_NS, grid_for("askey_wilson"))
+    assert len(rep.cases) == 199 and rep.max_residual < 0.2  # the 200-point theta grid
 
 
 def test_chain_weight_squares_to_pearson_ratio(families):
@@ -460,9 +458,9 @@ def test_batched_suite_matches_scalar_operators(families, name, suite):
     else:  # the negative control (beta + 1e-3): residuals far from rounding level
         fam = families["q_dual_hahn"].with_perturbation("beta", 1e-3)
     grid = grid_for(fam.name)
-    ns = list(range(0, 7)) if suite == "uv_shift" else list(range(1, 6))
+    ns = list(range(1, 6))
     got = getattr(L, f"check_{suite}")(fam, ns, grid).cases
-    want = pw.suite_cases(fam, suite, ns, grid)
+    want = pw.suite_cases(fam, suite, range(0, 7) if suite == "uv_shift" else ns, grid)
     assert [(c.n, c.s, c.note) for c in got] == [(n, s, note) for n, s, _, note in want]
     worst = max(abs(c.residual - r) for c, (_, _, r, _) in zip(got, want))
     assert worst < 1e-13, (name, suite, worst)
@@ -548,10 +546,10 @@ def test_degenerate_step_on_the_grid_is_refused_naming_the_point():
 
 @pytest.mark.parametrize("drop_last", [0, 1])
 def test_selfadjoint_matches_per_pair_scalar_sums(families, drop_last):
-    fam = families["q_dual_hahn"]
+    fam = truncated(families["q_dual_hahn"]) if drop_last else families["q_dual_hahn"]
     pairs = [(n, m) for n in range(5) for m in range(5)]
-    grid = fam.support.grid_points[:len(fam.support.grid_points) - drop_last]
-    got = L.check_selfadjoint(fam, pairs, drop_last=drop_last).cases
+    grid = fam.support.grid_points
+    got = L.check_selfadjoint(fam, range(1, 6), grid_for("q_dual_hahn")).cases
     for (n, m), case in zip(pairs, got):
         ta = [fam.phi(m, s) * pw.apply_reduced(fam, "H", n, s, op_n=n) for s in grid]
         tb = [fam.phi(n, s) * pw.apply_reduced(fam, "H", m, s, op_n=n) for s in grid]
@@ -563,7 +561,7 @@ def test_selfadjoint_matches_per_pair_scalar_sums(families, drop_last):
 def test_selfadjoint_pairs_beyond_finite_family_out_of_range():
     fam = make_family("q_dual_hahn", {"a": 0.5, "b": 3.5, "c": 0.3}, QBase(0.5))
     assert fam.n_max == 2
-    rep = L.check_selfadjoint(fam, [(n, m) for n in range(5) for m in range(5)])
+    rep = L.check_selfadjoint(fam, [5], grid_for("q_dual_hahn"))  # n, m = 0..4
     skipped = [c for c in rep.cases if c.note.startswith("out-of-range")]
     assert len(skipped) == 25 - 9 and all(max(c.n, int(c.s[2:])) > 2 for c in skipped)
     assert rep.passed and rep.max_residual < 1e-8
@@ -607,7 +605,7 @@ def test_adjoint_one_weight_pass_matches_per_node_sums(families):
     for n in range(fam.n_max + 1):
         fam.d_n(n)
     calls.clear()
-    rep = L.check_adjoint(fam, list(range(5)))
+    rep = L.check_adjoint(fam, [5], grid_for("q_dual_hahn"))  # n = 0..4
     grid = fam.support.grid_points
     assert calls == [len(grid)]  # one weight evaluation, on the node array
     cases = iter(rep.cases)
