@@ -55,6 +55,7 @@ from .qkernel import (
     q_pochhammer,
     q_pochhammer_inf,
     q_pochhammer_multi,
+    q_pochhammer_orbit,
 )
 
 __all__ = [
@@ -124,6 +125,7 @@ class ClosedForms:
     tau_intercept: object
     d_n_sq: object = None
     weight: object = None
+    weight_factors: tuple = ()  # the weight prod (g(x);q)_inf^p as pairs (g, p = +-1)
     displays: dict = field(default_factory=dict)
     notes: dict = field(default_factory=dict)
 
@@ -421,14 +423,17 @@ class FamilySpec:
 
     def _jackson_weight(self):
         """The weight for one Jackson sweep over the support, called once per
-        node block in the sweep's order.  The blocks depend only on q and the
-        support, so block i is evaluated once per family and cached as such."""
-        order = itertools.count()
+        (endpoints, size) node block in the sweep's order: each weight factor
+        is one `q_pochhammer_orbit` from its argument at the block's first node.
+        The blocks depend only on q, so block i is cached once per family."""
+        order, factors = itertools.count(), self.closed.weight_factors
 
         def weight(x):
             key = ("jackson_weight", next(order))
             if key not in self._cache:
-                self._cache[key] = self.weight(x)
+                runs = q_pochhammer_orbit(np.stack([g(x[:, 0]) for g, _ in factors]),
+                                          self.base, x.shape[-1])
+                self._cache[key] = np.prod(runs ** [[[p]] for _, p in factors], axis=0)  # p = +-1
             return self._cache[key]
 
         return weight
@@ -567,6 +572,17 @@ def _asc_forms(a: float, base: QBase):
     return lat, eq, a_n, forms, displays
 
 
+def _pochhammer_weight(factors, base: QBase):
+    """The weight prod (g(x);q)_inf^p over the pairs (g, p = +-1) of `factors`, at
+    a point or elementwise: numerator and denominator each one `q_pochhammer_multi`."""
+    def weight(x):
+        x = _complex(x)
+        num, den = ([g(x) for g, p in factors if p == sign] for sign in (1, -1))
+        w = q_pochhammer_multi(num, base)
+        return _cdiv(w, q_pochhammer_multi(den, base)) if den else w
+    return weight
+
+
 def _make_asc1(params: dict, base: QBase) -> FamilySpec:
     a = float(params["a"])
     _require(a != 0.0, "a", "must be nonzero (weight support [a,1] degenerates)")
@@ -586,10 +602,7 @@ def _make_asc1(params: dict, base: QBase) -> FamilySpec:
         )
         return pre * basic_hypergeometric(spec, base)
 
-    def weight(x):
-        x = _complex(x)
-        return q_pochhammer_multi((q * x, _cdiv(q * x, a)), base)
-
+    weight_factors = ((lambda x: q * x, 1), (lambda x: _cdiv(q * x, a), 1))
     const = cache(lambda: q_pochhammer_multi((q, a, q / a), base))
 
     def d_n_sq(n):
@@ -619,7 +632,8 @@ def _make_asc1(params: dict, base: QBase) -> FamilySpec:
     closed = ClosedForms(
         **forms,
         d_n_sq=d_n_sq,
-        weight=weight,
+        weight=_pochhammer_weight(weight_factors, base),
+        weight_factors=weight_factors,
         displays={**displays, "ham_i": ham_i_display, "pearson_ratio": pearson_ratio},
         notes={
             "hamiltonian_i_display": "displayed identity-term of the three-point "
@@ -734,10 +748,8 @@ def _make_big_q_jacobi(params: dict, base: QBase) -> FamilySpec:
             / ((1 - a * b * q ** (2 * n)) * (1 - a * b * q ** (2 * n + 1)))
         )
 
-    def weight(x):
-        x = _complex(x)
-        return _cdiv(q_pochhammer_multi((_cdiv(x, a), _cdiv(x, c)), base),
-                     q_pochhammer_multi((x, _cdiv(b * x, c)), base))
+    weight_factors = ((lambda x: _cdiv(x, a), 1), (lambda x: _cdiv(x, c), 1),
+                      (lambda x: x, -1), (lambda x: _cdiv(b * x, c), -1))
 
     d_sq_prefactor = cache(lambda: a * q * (1 - q)
                            * q_pochhammer_multi((q, c / a, a * q / c, a * b * q * q), base)
@@ -790,7 +802,8 @@ def _make_big_q_jacobi(params: dict, base: QBase) -> FamilySpec:
         * (a * (b * q ** (1 + n) - 1.0) + c * (a * q ** (1 + n) - 1.0))
         / (1 - q),
         d_n_sq=d_n_sq_tab,
-        weight=weight,
+        weight=_pochhammer_weight(weight_factors, base),
+        weight_factors=weight_factors,
         displays={"u": u_display, "h_mp": h_mp_display},
         notes={"d_0_sq_anchor": "tabulated norm prefactor disagrees with the direct "
                                 "orthogonality integral of the weight"},

@@ -16,7 +16,8 @@ Discrete sums use the node weights Delta x(s - 1/2); the Jackson integral is
 summed in blocks of nodes, one sweep of blocks for both endpoints of
 int_{z1}^{z2}; each entry at each endpoint stops at its own 4th consecutive
 node whose term is below tolerance relative to max(|running sum|, scale), as
-a node-by-node sum would (node cap 10^4).
+a node-by-node sum would (node cap 10^4).  The first block is sized for Gram
+entries, which settle against |d_n d_m|, so a Gram is typically one f call.
 The continuous Askey--Wilson quadrature substitutes x = cos(theta),
 where the integrand is smooth and periodic, and applies the midpoint rule
 theta_j = (j + 1/2) pi / M (Gauss--Chebyshev in x), which converges
@@ -92,9 +93,10 @@ def _first(mask):
 
 
 def _jackson_block(q: float) -> int:
-    """Nodes in the first block: a bounded integrand's terms take about
-    log(JACKSON_TOL)/log(q) nodes to fall below it, and then 4 must settle."""
-    return min(math.ceil(math.log(JACKSON_TOL) / math.log(q)) + 4, JACKSON_NODE_CAP)
+    """Nodes in the first block: a Gram entry's terms take about 2 log(JACKSON_TOL)/log(q)
+    nodes to fall below JACKSON_TOL |d_n d_m| (|d_n d_m| reaches 1e-23), then 4 settle.
+    Where an entry stops does not depend on the blocks, only the calls it takes."""
+    return min(math.ceil(2.0 * math.log(JACKSON_TOL) / math.log(q)) + 4, JACKSON_NODE_CAP)
 
 
 def _jackson_zero_to(f, zs, base: QBase, scale):

@@ -15,11 +15,13 @@ Scalars go through `math`/`cmath` and return a Python complex (or float).
 `QBase.pow`, `q_pochhammer_inf` and `q_pochhammer_multi` (infinite products)
 also take an ndarray and work elementwise through numpy, so a closed weight
 is evaluated once per node array.  The array product repeats the scalar's
-factor sequence: a q^k by repeated multiplication, the factors multiplied
-left to right from 1, each element truncated at its own first |a q^k| < tol,
-so on real arguments every entry equals the scalar value bit for bit.
-`q_pochhammer_multi` stacks its parameters (scalars broadcast) into one array
-product and multiplies the rows from 1 in order, as the scalar route does.
+factor sequence: a q^k by repeated multiplication, each element's own factors
+(those before its first |a q^k| < tol) multiplied left to right from 1, so
+every entry equals the scalar value bit for bit.  `q_pochhammer_multi` stacks
+its parameters (scalars broadcast) into one array product and multiplies the
+rows from 1 in order, as the scalar route does.  `q_pochhammer_orbit` gives
+(a q^k;q)_inf at all the nodes a q^k of one run as its suffix products, equal
+to the scalar values up to rounding.
 """
 
 from __future__ import annotations
@@ -40,6 +42,7 @@ __all__ = [
     "q_factorial",
     "q_pochhammer",
     "q_pochhammer_inf",
+    "q_pochhammer_orbit",
     "q_pochhammer_multi",
     "basic_hypergeometric",
     "require_finite",
@@ -48,6 +51,7 @@ __all__ = [
 # Hard cap on infinite-product factors; geometric decay for q < 1 means this
 # is never reached for sane inputs.
 _MAX_INF_FACTORS = 10**6
+_NOT_TRUNCATED = f"(a;q)_inf did not truncate within {_MAX_INF_FACTORS} factors"
 # (factor x element) entries of one block of an array infinite product; bounds
 # the memory of a block, not the number of factors
 _BLOCK_ENTRIES = 1 << 16
@@ -159,9 +163,7 @@ def q_pochhammer_inf(a, base: QBase, tol: float = 1e-16):
     `a` may be an ndarray (elementwise, see the module contract).
     """
     if not base.allows_infinite_products:
-        raise QKernelError(
-            f"infinite product requires q<1, got q={base.q}"
-        )
+        raise QKernelError(f"infinite product requires q<1, got q={base.q}")
     if tol <= 0.0:
         raise QKernelError("tolerance must be positive")
     if isinstance(a, np.ndarray):
@@ -175,45 +177,57 @@ def q_pochhammer_inf(a, base: QBase, tol: float = 1e-16):
         if out == 0.0:
             return out
         aq *= base.q
-    raise NonConvergedError(
-        f"(a;q)_inf did not truncate within {_MAX_INF_FACTORS} factors"
-    )
+    raise NonConvergedError(_NOT_TRUNCATED)
+
+
+def q_pochhammer_orbit(a, base: QBase, size: int, tol: float = 1e-16):
+    """(a q^k;q)_infty for k = 0..size-1 on a new last axis, elementwise in `a`:
+    the suffix products of the run of factors 1 - a q^m, cut at the scalar
+    loop's first |a q^m| < tol.  The factors past the last node are one
+    `q_pochhammer_inf`, which refuses what it refuses."""
+    with np.errstate(all="ignore"):  # a non-finite a or product raises below
+        steps = np.full((size,) + np.shape(a), base.q, dtype=complex)
+        steps[0] = a
+        powers = np.cumprod(steps, axis=0)  # a q^m: the scalar's aq *= q
+        past = q_pochhammer_inf(powers[-1:] * base.q, base, tol)
+        factors = np.where(np.abs(powers) >= tol, 1.0 - powers, 1.0)  # |a q^m| falls with m
+        out = np.cumprod(np.concatenate([past, factors[::-1]]), axis=0)[:0:-1]
+    if not np.isfinite(out).all():
+        raise QKernelError(f"(a;q)_inf is not finite: {complex(out[~np.isfinite(out)][0])!r}")
+    return np.moveaxis(out, 0, -1)
 
 
 def _q_pochhammer_inf_array(a, q: float, tol: float):
-    """`q_pochhammer_inf` elementwise on an ndarray, in blocks of factors."""
-    aq = np.array(a, dtype=complex)
+    """`q_pochhammer_inf` elementwise on an ndarray, in blocks of factors over
+    the elements still live: each element multiplies its own factors only,
+    those before its first |a q^k| < tol, into its product so far."""
+    aq = np.array(a, dtype=complex).ravel()
     if not np.isfinite(aq).all():  # the scalar loop runs to the factor cap
-        raise NonConvergedError(
-            f"(a;q)_inf did not truncate within {_MAX_INF_FACTORS} factors"
-        )
+        raise NonConvergedError(_NOT_TRUNCATED)
     out = np.ones(aq.shape, dtype=complex)
-    live = np.abs(aq) >= tol  # elements still multiplying factors in
-    so_far = np.ones((1,) + aq.shape, dtype=bool)  # the product so far takes part
-    done = 0
+    live, done = np.arange(aq.size), 0  # elements that may still take factors
     with np.errstate(over="ignore", invalid="ignore"):  # non-finite raises below
-        while live.any():
+        while live.size and (top := np.abs(aq[live]).max()) >= tol:
             if done >= _MAX_INF_FACTORS:
-                raise NonConvergedError(
-                    f"(a;q)_inf did not truncate within {_MAX_INF_FACTORS} factors"
-                )
+                raise NonConvergedError(_NOT_TRUNCATED)
             # enough factors for the largest live element, within the budget
-            need = math.ceil(math.log(tol / np.abs(aq[live]).max()) / math.log(q)) + 1
-            rows = max(1, min(need, _MAX_INF_FACTORS - done, _BLOCK_ENTRIES // aq.size))
-            steps = np.full((rows,) + aq.shape, q, dtype=complex)
-            steps[0] = aq
-            powers = np.cumprod(steps, axis=0)  # a q^k: the scalar's aq *= q
-            run = live & np.logical_and.accumulate(np.abs(powers) >= tol, axis=0)
-            # left to right from the product so far, each element to its own stop
-            out = np.multiply.reduce(np.concatenate([out[None], 1.0 - powers]), axis=0,
-                                     where=np.concatenate([so_far, run]))
-            aq = powers[-1] * q
-            live = run[-1] & (np.abs(aq) >= tol)
-            done += rows
-    bad = ~np.isfinite(out)
-    if bad.any():
-        raise QKernelError(f"(a;q)_inf is not finite: {complex(out[bad][0])!r}")
-    return out
+            need = math.ceil(math.log(tol / top) / math.log(q)) + 1
+            rows = max(1, min(need, _MAX_INF_FACTORS - done, _BLOCK_ENTRIES // live.size))
+            steps = np.full((live.size, rows + 2), q, dtype=complex)
+            steps[:, 0] = aq[live]
+            powers = np.cumprod(steps, axis=1)  # a q^k: the scalar's aq *= q
+            run = np.logical_and.accumulate(np.abs(powers[:, :-1]) >= tol, axis=1)
+            # row e: its product so far, then 1 - a q^k, k < rows, reduced over its own
+            np.subtract(1.0, powers[:, :rows], out=steps[:, 1:-1])
+            steps[:, 0] = out[live]
+            bounds = np.repeat(np.arange(0, steps.size, rows + 2), 2)
+            bounds[1::2] += 1 + run[:, :-1].sum(axis=1)
+            out[live] = np.multiply.reduceat(steps.ravel(), bounds)[::2]
+            aq[live] = powers[:, rows]
+            live, done = live[run[:, -1]], done + rows
+    if not np.isfinite(out).all():
+        raise QKernelError(f"(a;q)_inf is not finite: {complex(out[~np.isfinite(out)][0])!r}")
+    return out.reshape(np.shape(a))
 
 
 def q_pochhammer_multi(values, base: QBase, k=None, tol: float = 1e-16):

@@ -14,8 +14,9 @@ from qladder.families import (
     reference_params,
 )
 from qladder.hypergeometric_core import rel_residual, tau_k_coeffs
+from qladder.lattice import _cdiv
 from qladder.orthogonality import jackson_integral
-from qladder.qkernel import QBase
+from qladder.qkernel import QBase, q_pochhammer_multi
 
 from conftest import FAMILY_NAMES, grid_for
 from pointwise import beta_generic, h_pair, lambda_n, pn_monic, ttrr_coeffs_generic
@@ -379,6 +380,24 @@ def test_weight_on_node_arrays_equals_scalar_bit_for_bit(name, params):
     pts = _support_points(fam)
     got = fam.weight(pts)
     assert got.tobytes() == np.array([fam.weight(p) for p in pts]).tobytes()
+
+
+@pytest.mark.parametrize("name, params", [
+    ("asc1", {"a": -2.345}), ("big_q_jacobi", {"a": 0.73, "b": 1.9, "c": -1.37}),
+])
+def test_jackson_weight_from_its_factors_equals_the_displayed_products(name, params):
+    # the weight built from `weight_factors`, at one point and on an array,
+    # equals the displayed q-products evaluated as written, bit for bit
+    base = QBase(0.37)
+    q, fam = base.q, make_family(name, params, base)
+    a, b, c = (params.get(k) for k in "abc")
+    for x in (_support_points(fam), complex(_support_points(fam)[3])):
+        if name == "asc1":
+            want = q_pochhammer_multi((q * x, _cdiv(q * x, a)), base)
+        else:
+            want = _cdiv(q_pochhammer_multi((_cdiv(x, a), _cdiv(x, c)), base),
+                         q_pochhammer_multi((x, _cdiv(b * x, c)), base))
+        assert np.asarray(fam.weight(x)).tobytes() == np.asarray(want).tobytes()
 
 
 def _h_products(x, q, params, den0):

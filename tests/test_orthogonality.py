@@ -4,6 +4,8 @@ import warnings
 import numpy as np
 import pytest
 
+from qladder import families as families_module
+from qladder import orthogonality
 from qladder.checks import run_suite
 from qladder.families import FamilySpec, make_family, reference_params
 from qladder.orthogonality import (
@@ -11,6 +13,7 @@ from qladder.orthogonality import (
     InnerProductSpec,
     _jackson_block,
     _one,
+    _outer,
     continuous_inner_aw,
     continuous_inner_aw_converged,
     discrete_inner,
@@ -196,14 +199,19 @@ def test_p_gram_is_one_rule_call_per_n_kept_by_the_family(base):
     # the measure is integrated once per N: the Gram, the discrete-sum norms
     # and the convention ratio read the same matrix
     calls = []
-    weight = FamilySpec.weight
+    weight, orbit = FamilySpec.weight, families_module.q_pochhammer_orbit
 
     def counted(self, x):
         calls.append(np.shape(x))
         return weight(self, x)
 
+    def orbit_counted(a, base, size):
+        calls.append((a.shape, size))
+        return orbit(a, base, size)
+
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(FamilySpec, "weight", counted)
+        mp.setattr(families_module, "q_pochhammer_orbit", orbit_counted)
         # q-dual Hahn at N = n_max: the norms and the Gram share one sum
         fam = make_family("q_dual_hahn", reference_params("q_dual_hahn"), base)
         G, _ = gram_matrix(fam, fam.n_max)
@@ -212,12 +220,12 @@ def test_p_gram_is_one_rule_call_per_n_kept_by_the_family(base):
         assert history == [] and not M.flags.writeable
         assert [fam.norm_sq(n) for n in range(fam.n_max + 1)] == np.diag(M).tolist()
         # asc1: the orthonormality suite's Gram and convention ratio share
-        # one Jackson integral, one sweep over both endpoints (one block of
-        # 54 nodes each)
+        # one Jackson integral, one sweep over both endpoints in one block,
+        # whose weights are one run per factor (2) and endpoint (2)
         calls.clear()
         fam = make_family("asc1", reference_params("asc1"), base)
         assert run_suite(fam, "orthonormality").passed
-        assert calls == [(2, 54)]
+        assert calls == [((2, 2), _jackson_block(base.q))]
 
 
 @pytest.mark.parametrize("name", ["askey_wilson", "continuous_q_hermite"])
@@ -409,22 +417,64 @@ def test_jackson_overflow_at_one_endpoint_names_its_node():
 
 
 def test_big_q_jacobi_weighs_each_jackson_node_once(base):
-    # the d_0^2 anchor and the Grams for every N read one set of node weights
-    nodes = []
-    weight = FamilySpec.weight
+    # the d_0^2 anchor and the Grams for every N read one set of node
+    # weights: one run of factors per factor (4) and endpoint (2) of the one
+    # block, and no pointwise weight
+    runs = []
+    orbit = families_module.q_pochhammer_orbit
 
-    def recorded(self, x):
-        nodes.append(np.ravel(x))
-        return weight(self, x)
+    def recorded(a, base, size):
+        runs.append((a.shape, size))
+        return orbit(a, base, size)
 
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(FamilySpec, "weight", recorded)
+        mp.setattr(families_module, "q_pochhammer_orbit", recorded)
+        mp.setattr(FamilySpec, "weight", None)
         fam = make_family("big_q_jacobi", reference_params("big_q_jacobi"), base)
         [fam.norm_sq(n) for n in range(5)]
         gram_matrix(fam, 4)
         gram_matrix(fam, 2)
-    seen = np.concatenate(nodes)
-    assert len(seen) and len(np.unique(seen)) == len(seen)
+    assert runs == [((4, 2), _jackson_block(base.q))]
+
+
+@pytest.mark.parametrize("name", ["asc1", "big_q_jacobi"])
+def test_jackson_gram_bytes_do_not_depend_on_the_blocks(name):
+    # where an entry stops does not depend on how the nodes are blocked; the
+    # Gram integrand takes the pointwise weight, which no block boundary moves
+    base = QBase(0.8)
+    fam = make_family(name, reference_params(name), base)
+    d = np.abs(np.array([fam.d_n(n) for n in range(5)]))
+    f, scale = lambda x: _outer(fam.pn_stack(4, x)) * fam.weight(x), np.outer(d, d)
+    sup, default = fam.support, orthogonality._jackson_block
+    got = []
+    for block in (lambda q: 5, default, lambda q: 3 * default(q)):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(orthogonality, "_jackson_block", block)
+            got.append(jackson_integral(f, sup.lo, sup.hi, base, scale=scale).tobytes())
+    assert got[0] == got[1] == got[2]
+
+
+@pytest.mark.parametrize("q", [0.2, 0.5, 0.8])
+def test_reference_jackson_grams_make_one_integrand_call_per_integral(q):
+    calls = []
+    integral = families_module.jackson_integral
+
+    def counted(f, *args, **kw):
+        calls.append(0)
+
+        def g(x):
+            calls[-1] += 1
+            return f(x)
+
+        return integral(g, *args, **kw)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(families_module, "jackson_integral", counted)
+        for name in ("asc1", "big_q_jacobi"):
+            # N = 6: d_6^2 reads 5e-11 (asc1) and 5e-24 (big q-Jacobi) at q = 0.2,
+            # so a first block sized for terms of size 1 stops short
+            gram_matrix(make_family(name, reference_params(name), QBase(q)), 6)
+    assert calls == [1, 1, 1]  # asc1's Gram; big q-Jacobi's d_0^2 anchor and Gram
 
 
 def test_big_q_jacobi_anchor_settles_on_its_own_sum():

@@ -18,6 +18,7 @@ from qladder.qkernel import (
     q_pochhammer,
     q_pochhammer_inf,
     q_pochhammer_multi,
+    q_pochhammer_orbit,
 )
 
 B25 = QBase(0.25)
@@ -111,14 +112,15 @@ def _bits(values):
 
 @pytest.mark.parametrize("q", [0.5, 0.1, 0.83])
 def test_q_pochhammer_inf_array_equals_scalar_bit_for_bit(q):
-    # mixed truncation lengths in one array, |a| < tol, a = 0 and, at q = 1/2,
-    # the zero factor of a = q^-3; the 2-d shape is kept
+    # mixed truncation lengths in one array, |a| < tol, a = 0, complex a and,
+    # at q = 1/2, the zero factor of a = q^-3; the 2-d shape is kept
     base = QBase(q)
     a = np.array([[0.3, -2.7, 1e-17, 0.0, 5.0, 123.4],
-                  [-0.999, 1e-3, 8.0, -40.0, 0.75, 1e-15]])
+                  [-0.999, 1e-3, 8.0, -40.0, 0.75, 1e-15],
+                  [0.37 - 0.2j, -2.5 + 1.25j, 1e-3 + 0.7j, -0.05 - 0.04j, 6.0 + 0.5j, 0.9j]])
     got = q_pochhammer_inf(a, base)
     assert got.shape == a.shape
-    assert _bits(got) == _bits([[q_pochhammer_inf(float(v), base) for v in row] for row in a])
+    assert _bits(got) == _bits([[q_pochhammer_inf(complex(v), base) for v in row] for row in a])
     if q == 0.5:
         assert got[1, 2] == 0.0
 
@@ -172,6 +174,35 @@ def test_q_pochhammer_multi_array_non_finite_errors():
         q_pochhammer_multi((np.array([0.5, 0.25]), np.nan), base)
     with pytest.raises(QKernelError, match="not finite"):
         q_pochhammer_multi((np.array([0.5, 0.25]), 1e200), base)
+
+
+@pytest.mark.parametrize("q", [0.05, 0.5, 0.9])
+def test_q_pochhammer_orbit_equals_each_node_product(q):
+    # (a q^k;q)_inf at the nodes a q^k of one run; a = 1 is big q-Jacobi's
+    # (x/c;q)_inf at x = c, whose first factor vanishes; 40 at q = 0.9 needs
+    # a run longer than the nodes, 1e-17 none at all
+    base, size = QBase(q), 60
+    a = np.array([[1.0, 0.37 - 0.2j, -2.5], [40.0, -0.999, 1e-17]])
+    got = q_pochhammer_orbit(a, base, size)
+    assert got.shape == a.shape + (size,) and got[0, 0, 0] == 0.0
+    for index in np.ndindex(a.shape):
+        node = complex(a[index])
+        for k in range(size):
+            want = q_pochhammer_inf(node, base)
+            assert abs(got[index + (k,)] - want) <= 1e-14 * abs(want)
+            node *= q
+
+
+def test_q_pochhammer_orbit_refuses_what_the_product_refuses():
+    with pytest.raises(QKernelError, match="q<1"):
+        q_pochhammer_orbit(np.array([0.5]), QBase(1.1), 4)
+    with pytest.raises(NonConvergedError):
+        q_pochhammer_orbit(np.array([0.5, np.inf]), B50, 4)
+    with pytest.raises(QKernelError, match="not finite"):
+        q_pochhammer_orbit(np.array([0.5, 1e200]), B50, 4)
+    # past the factor cap: 1 - 1e-7 needs about 4e8 factors
+    with pytest.raises(NonConvergedError, match="within"):
+        q_pochhammer_orbit(np.array([1.0]), QBase(1.0 - 1e-7), 3)
 
 
 def test_qbase_pow_array_equals_scalar():
