@@ -125,7 +125,8 @@ class ClosedForms:
     tau_intercept: object
     d_n_sq: object = None
     weight: object = None
-    weight_factors: tuple = ()  # the weight prod (g(x);q)_inf^p as pairs (g, p = +-1)
+    # the weight prod (g(x);q)_inf^p as pairs (g, p = +-1), each g(q x) = q g(x)
+    weight_factors: tuple = ()
     displays: dict = field(default_factory=dict)
     notes: dict = field(default_factory=dict)
 
@@ -423,17 +424,17 @@ class FamilySpec:
 
     def _jackson_weight(self):
         """The weight for one Jackson sweep over the support, called once per
-        (endpoints, size) node block in the sweep's order: each weight factor
-        is one `q_pochhammer_orbit` from its argument at the block's first node.
-        The blocks depend only on q, so block i is cached once per family."""
+        (endpoints, size) node block in the sweep's order: one `q_pochhammer_orbit`
+        per factor from the block's first node, combined as the pointwise weight.
+        Blocks depend only on q, so block i is cached once per family; where a
+        block starts moves the last bits of its weights, not where an entry stops."""
         order, factors = itertools.count(), self.closed.weight_factors
 
         def weight(x):
             key = ("jackson_weight", next(order))
             if key not in self._cache:
-                runs = q_pochhammer_orbit(np.stack([g(x[:, 0]) for g, _ in factors]),
-                                          self.base, x.shape[-1])
-                self._cache[key] = np.prod(runs ** [[[p]] for _, p in factors], axis=0)  # p = +-1
+                orbits = lambda v: np.prod(q_pochhammer_orbit(v, self.base, x.shape[-1]), 0)
+                self._cache[key] = _pochhammer_quotient(factors, orbits)(x[:, 0])
             return self._cache[key]
 
         return weight
@@ -572,14 +573,14 @@ def _asc_forms(a: float, base: QBase):
     return lat, eq, a_n, forms, displays
 
 
-def _pochhammer_weight(factors, base: QBase):
-    """The weight prod (g(x);q)_inf^p over the pairs (g, p = +-1) of `factors`, at
-    a point or elementwise: numerator and denominator each one `q_pochhammer_multi`."""
+def _pochhammer_quotient(factors, products):
+    """x -> prod (g(x);q)_inf^p over the pairs (g, p = +-1) of `factors`: products(args)
+    multiplies the (a;q)_inf of the numerator's arguments, then the denominator's; one `_cdiv`."""
     def weight(x):
         x = _complex(x)
         num, den = ([g(x) for g, p in factors if p == sign] for sign in (1, -1))
-        w = q_pochhammer_multi(num, base)
-        return _cdiv(w, q_pochhammer_multi(den, base)) if den else w
+        w = products(num)
+        return _cdiv(w, products(den)) if den else w
     return weight
 
 
@@ -632,7 +633,7 @@ def _make_asc1(params: dict, base: QBase) -> FamilySpec:
     closed = ClosedForms(
         **forms,
         d_n_sq=d_n_sq,
-        weight=_pochhammer_weight(weight_factors, base),
+        weight=_pochhammer_quotient(weight_factors, lambda v: q_pochhammer_multi(v, base)),
         weight_factors=weight_factors,
         displays={**displays, "ham_i": ham_i_display, "pearson_ratio": pearson_ratio},
         notes={
@@ -802,7 +803,7 @@ def _make_big_q_jacobi(params: dict, base: QBase) -> FamilySpec:
         * (a * (b * q ** (1 + n) - 1.0) + c * (a * q ** (1 + n) - 1.0))
         / (1 - q),
         d_n_sq=d_n_sq_tab,
-        weight=_pochhammer_weight(weight_factors, base),
+        weight=_pochhammer_quotient(weight_factors, lambda v: q_pochhammer_multi(v, base)),
         weight_factors=weight_factors,
         displays={"u": u_display, "h_mp": h_mp_display},
         notes={"d_0_sq_anchor": "tabulated norm prefactor disagrees with the direct "

@@ -95,7 +95,7 @@ def _first(mask):
 def _jackson_block(q: float) -> int:
     """Nodes in the first block: a Gram entry's terms take about 2 log(JACKSON_TOL)/log(q)
     nodes to fall below JACKSON_TOL |d_n d_m| (|d_n d_m| reaches 1e-23), then 4 settle.
-    Where an entry stops does not depend on the blocks, only the calls it takes."""
+    Stops do not depend on the blocks for a given f; a family's node weights do (last bits)."""
     return min(math.ceil(2.0 * math.log(JACKSON_TOL) / math.log(q)) + 4, JACKSON_NODE_CAP)
 
 

@@ -19,9 +19,8 @@ factor sequence: a q^k by repeated multiplication, each element's own factors
 (those before its first |a q^k| < tol) multiplied left to right from 1, so
 every entry equals the scalar value bit for bit.  `q_pochhammer_multi` stacks
 its parameters (scalars broadcast) into one array product and multiplies the
-rows from 1 in order, as the scalar route does.  `q_pochhammer_orbit` gives
-(a q^k;q)_inf at all the nodes a q^k of one run as its suffix products, equal
-to the scalar values up to rounding.
+rows from 1 in order, as the scalar route does.  `q_pochhammer_orbit` (the
+suffix products of one run of factors) equals the scalar up to rounding.
 """
 
 from __future__ import annotations
@@ -52,6 +51,7 @@ __all__ = [
 # is never reached for sane inputs.
 _MAX_INF_FACTORS = 10**6
 _NOT_TRUNCATED = f"(a;q)_inf did not truncate within {_MAX_INF_FACTORS} factors"
+_INF_TOL = 1e-16  # an infinite product stops at its first |a q^k| below it
 # (factor x element) entries of one block of an array infinite product; bounds
 # the memory of a block, not the number of factors
 _BLOCK_ENTRIES = 1 << 16
@@ -155,7 +155,7 @@ def q_pochhammer(a, base: QBase, k: int):
     return out
 
 
-def q_pochhammer_inf(a, base: QBase, tol: float = 1e-16):
+def q_pochhammer_inf(a, base: QBase, tol: float = _INF_TOL):
     """(a;q)_infty = prod_{k>=0} (1 - a q^k), truncated once |a q^K| < tol.
 
     Requires 0 < q < 1.  The truncation criterion is factor distance from 1;
@@ -180,17 +180,17 @@ def q_pochhammer_inf(a, base: QBase, tol: float = 1e-16):
     raise NonConvergedError(_NOT_TRUNCATED)
 
 
-def q_pochhammer_orbit(a, base: QBase, size: int, tol: float = 1e-16):
+def q_pochhammer_orbit(a, base: QBase, size: int):
     """(a q^k;q)_infty for k = 0..size-1 on a new last axis, elementwise in `a`:
-    the suffix products of the run of factors 1 - a q^m, cut at the scalar
-    loop's first |a q^m| < tol.  The factors past the last node are one
+    the suffix products of the run of factors 1 - a q^m, cut where
+    `q_pochhammer_inf` cuts by default.  The factors past the last node are one
     `q_pochhammer_inf`, which refuses what it refuses."""
     with np.errstate(all="ignore"):  # a non-finite a or product raises below
         steps = np.full((size,) + np.shape(a), base.q, dtype=complex)
         steps[0] = a
         powers = np.cumprod(steps, axis=0)  # a q^m: the scalar's aq *= q
-        past = q_pochhammer_inf(powers[-1:] * base.q, base, tol)
-        factors = np.where(np.abs(powers) >= tol, 1.0 - powers, 1.0)  # |a q^m| falls with m
+        past = q_pochhammer_inf(powers[-1:] * base.q, base)
+        factors = np.where(np.abs(powers) >= _INF_TOL, 1.0 - powers, 1.0)  # |a q^m| falls with m
         out = np.cumprod(np.concatenate([past, factors[::-1]]), axis=0)[:0:-1]
     if not np.isfinite(out).all():
         raise QKernelError(f"(a;q)_inf is not finite: {complex(out[~np.isfinite(out)][0])!r}")
@@ -230,7 +230,7 @@ def _q_pochhammer_inf_array(a, q: float, tol: float):
     return out.reshape(np.shape(a))
 
 
-def q_pochhammer_multi(values, base: QBase, k=None, tol: float = 1e-16):
+def q_pochhammer_multi(values, base: QBase, k=None, tol: float = _INF_TOL):
     """(a_1,...,a_p;q)_k = prod_i (a_i;q)_k; k=None means the infinite product,
     one array pass over the stacked a_i when one is an ndarray (module contract)."""
     if k is None and any(isinstance(a, np.ndarray) for a in values):

@@ -206,7 +206,7 @@ def test_p_gram_is_one_rule_call_per_n_kept_by_the_family(base):
         return weight(self, x)
 
     def orbit_counted(a, base, size):
-        calls.append((a.shape, size))
+        calls.append((np.shape(a), size))
         return orbit(a, base, size)
 
     with pytest.MonkeyPatch.context() as mp:
@@ -418,13 +418,14 @@ def test_jackson_overflow_at_one_endpoint_names_its_node():
 
 def test_big_q_jacobi_weighs_each_jackson_node_once(base):
     # the d_0^2 anchor and the Grams for every N read one set of node
-    # weights: one run of factors per factor (4) and endpoint (2) of the one
-    # block, and no pointwise weight
+    # weights: one run of factors per factor and endpoint of the one block,
+    # for the numerator (2 factors) and the denominator (2), and no
+    # pointwise weight
     runs = []
     orbit = families_module.q_pochhammer_orbit
 
     def recorded(a, base, size):
-        runs.append((a.shape, size))
+        runs.append((np.shape(a), size))
         return orbit(a, base, size)
 
     with pytest.MonkeyPatch.context() as mp:
@@ -434,7 +435,25 @@ def test_big_q_jacobi_weighs_each_jackson_node_once(base):
         [fam.norm_sq(n) for n in range(5)]
         gram_matrix(fam, 4)
         gram_matrix(fam, 2)
-    assert runs == [((4, 2), _jackson_block(base.q))]
+    assert runs == [((2, 2), _jackson_block(base.q))] * 2
+
+
+@pytest.mark.parametrize("q", [0.2, 0.5, 0.9])
+@pytest.mark.parametrize("name", ["asc1", "big_q_jacobi"])
+def test_jackson_weight_blocks_equal_the_pointwise_weight(name, q):
+    # the block weights continue each factor from the block's first node; in
+    # the sweep's first and second block they equal the pointwise weight
+    base = QBase(q)
+    fam = make_family(name, reference_params(name), base)
+    sup, weight, size = fam.support, fam._jackson_weight(), _jackson_block(q)
+    start = np.array([complex(sup.lo), complex(sup.hi)])
+    for n in (size, 2 * size):
+        steps = np.full((2, n), q, dtype=complex)
+        steps[:, 0] = start
+        nodes = np.cumprod(steps, axis=1)  # z q^k as the sweep forms them
+        got, want = weight(nodes), fam.weight(nodes)
+        assert np.all(np.abs(got - want) <= 1e-14 * np.abs(want))
+        start = nodes[:, -1] * q
 
 
 @pytest.mark.parametrize("name", ["asc1", "big_q_jacobi"])
