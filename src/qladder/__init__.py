@@ -7,7 +7,6 @@ from .qkernel import (
     NonConvergedError,
     QBase,
     QKernelError,
-    SeriesSpec,
     alpha_q,
     basic_hypergeometric,
     q_factorial,
@@ -33,7 +32,6 @@ __all__ = [
     "QKernelError",
     "NonConvergedError",
     "DegenerateStepError",
-    "SeriesSpec",
     "q_number",
     "alpha_q",
     "q_factorial",

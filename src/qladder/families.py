@@ -48,7 +48,6 @@ from .orthogonality import continuous_inner_aw_converged
 from .qkernel import (
     QBase,
     QKernelError,
-    SeriesSpec,
     basic_hypergeometric,
     q_factorial,
     q_number,
@@ -588,6 +587,10 @@ def _make_asc1(params: dict, base: QBase) -> FamilySpec:
     a = float(params["a"])
     _require(a != 0.0, "a", "must be nonzero (weight support [a,1] degenerates)")
     q = base.q
+    if a > 0.0:  # at a = q^k the Jackson sums over [0, 1] and [0, a] cancel: d_0^2 = 0
+        k = round(math.log(a) / math.log(q))
+        _require(abs(a - q**k) > 1e-12 * a, "a", f"a = q^{k} makes the measure on "
+                 f"[a, 1] vanish: (q, a, q/a; q)_inf = 0")
     lat, eq, a_n, forms, displays = _asc_forms(a, base)
 
     def series(n, s):
@@ -595,13 +598,7 @@ def _make_asc1(params: dict, base: QBase) -> FamilySpec:
         if x == 0:
             raise FamilyError("series evaluator needs x != 0 (it uses 1/x)")
         pre = (-a) ** n * q ** (n * (n - 1) / 2.0)
-        spec = SeriesSpec(
-            upper=(base.pow(float(-n)), 1.0 / x),
-            lower=(0.0,),
-            z=q * x / a,
-            terminate_at=n,
-        )
-        return pre * basic_hypergeometric(spec, base)
+        return pre * basic_hypergeometric(n, (1.0 / x,), (0.0,), q * x / a, base)
 
     weight_factors = ((lambda x: q * x, 1), (lambda x: _cdiv(q * x, a), 1))
     const = cache(lambda: q_pochhammer_multi((q, a, q / a), base))
@@ -669,13 +666,7 @@ def _make_asc2(params: dict, base: QBase) -> FamilySpec:
         # the user's base q (terminating, so no q>1 products are needed)
         x = lat.x(s)
         pre = (-a) ** n * q ** (-n * (n - 1) / 2.0)
-        spec = SeriesSpec(
-            upper=(base.pow(float(-n)), x),
-            lower=(),
-            z=base.pow(float(n)) / a,
-            terminate_at=n,
-        )
-        return pre * basic_hypergeometric(spec, base)
+        return pre * basic_hypergeometric(n, (x,), (), base.pow(float(n)) / a, base)
 
     def d_n_sq(n):
         # reduced norm: the n-independent (q~, a, q~/a; q~)_inf constant of the
@@ -722,13 +713,7 @@ def _make_big_q_jacobi(params: dict, base: QBase) -> FamilySpec:
             * q_pochhammer(c * q, base, n)
             / q_pochhammer(a * b * q ** (n + 1), base, n)
         )
-        spec = SeriesSpec(
-            upper=(base.pow(float(-n)), a * b * q ** (n + 1), x),
-            lower=(a * q, c * q),
-            z=q,
-            terminate_at=n,
-        )
-        return pre * basic_hypergeometric(spec, base)
+        return pre * basic_hypergeometric(n, (a * b * q ** (n + 1), x), (a * q, c * q), q, base)
 
     def A_n(n):
         return (
@@ -885,17 +870,9 @@ def _make_q_dual_hahn(params: dict, base: QBase) -> FamilySpec:
             q_pochhammer(q ** (a - b + 1), base, n)
             * q_pochhammer(q ** (a + c + 1), base, n)
         ) / (q ** (n / 2.0 * (3 * a - b + c + 1 + n)) * kq**n * q_pochhammer(q, base, n))
-        spec = SeriesSpec(
-            upper=(
-                base.pow(float(-n)),
-                cmath.exp((a - s) * math.log(q)),
-                cmath.exp((a + s + 1.0) * math.log(q)),
-            ),
-            lower=(q ** (a - b + 1), q ** (a + c + 1)),
-            z=q,
-            terminate_at=n,
-        )
-        return pre * basic_hypergeometric(spec, base)
+        upper = (cmath.exp((a - s) * math.log(q)), cmath.exp((a + s + 1.0) * math.log(q)))
+        lower = (q ** (a - b + 1), q ** (a + c + 1))
+        return pre * basic_hypergeometric(n, upper, lower, q, base)
 
     qq_inf = q_pochhammer_inf(q, base)  # (q;q)_inf
 
@@ -1148,13 +1125,8 @@ def _make_askey_wilson(params: dict, base: QBase) -> FamilySpec:
         pre = (
             q_pochhammer_multi((a * b, a * c, a * d), base, n) / a**n
         )
-        spec = SeriesSpec(
-            upper=(base.pow(float(-n)), abcd * q ** (n - 1), a / qs, a * qs),
-            lower=(a * b, a * c, a * d),
-            z=q,
-            terminate_at=n,
-        )
-        return pre * basic_hypergeometric(spec, base)
+        upper = (abcd * q ** (n - 1), a / qs, a * qs)
+        return pre * basic_hypergeometric(n, upper, (a * b, a * c, a * d), q, base)
 
     def A_n(n):
         return (
@@ -1250,13 +1222,7 @@ def _make_continuous_q_hermite(params: dict, base: QBase) -> FamilySpec:
     def series(n, s):
         # H_n(x|q) = e^{i n theta} 2phi0(q^{-n}, 0; -; q, q^n e^{-2 i theta})
         qs = lat.qs(s)
-        spec = SeriesSpec(
-            upper=(base.pow(float(-n)), 0.0),
-            lower=(),
-            z=base.pow(float(n)) / qs**2,
-            terminate_at=n,
-        )
-        return qs**n * basic_hypergeometric(spec, base)
+        return qs**n * basic_hypergeometric(n, (0.0,), (), base.pow(float(n)) / qs**2, base)
 
     weight, weight_density = _aw_weights(0.0, 0.0, 0.0, 0.0, base)
 

@@ -1,5 +1,5 @@
 """Scalar q-arithmetic: q-numbers, q-factorials, q-Pochhammer symbols and
-basic hypergeometric series.
+terminating basic hypergeometric series.
 
 Everything here works over complex double precision.  The base q is a real
 number with q > 0 and q != 1; infinite products additionally require q < 1.
@@ -8,6 +8,9 @@ Symmetric q-numbers
     [k]_q = (q^{k/2} - q^{-k/2}) / (q^{1/2} - q^{-1/2})
 
 are the primitive (real or complex k), not a special-cased integer version.
+The series are the terminating _r phi_s(q^{-n}, ...; q, z) of the families'
+polynomials: exactly n + 1 terms, no convergence test.  An infinite product
+stops at its first factor with |a q^k| < `_INF_TOL`, a module constant.
 
 Scalar/array contract
 ---------------------
@@ -16,7 +19,7 @@ Scalars go through `math`/`cmath` and return a Python complex (or float).
 also take an ndarray and work elementwise through numpy, so a closed weight
 is evaluated once per node array.  The array product repeats the scalar's
 factor sequence: a q^k by repeated multiplication, each element's own factors
-(those before its first |a q^k| < tol) multiplied left to right from 1, so
+(those before its first |a q^k| < _INF_TOL) multiplied left to right from 1, so
 every entry equals the scalar value bit for bit.  `q_pochhammer_multi` stacks
 its parameters (scalars broadcast) into one array product and multiplies the
 rows from 1 in order, as the scalar route does.  `q_pochhammer_orbit` (the
@@ -27,7 +30,7 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -35,7 +38,6 @@ __all__ = [
     "QKernelError",
     "NonConvergedError",
     "QBase",
-    "SeriesSpec",
     "q_number",
     "alpha_q",
     "q_factorial",
@@ -62,7 +64,7 @@ class QKernelError(ValueError):
 
 
 class NonConvergedError(QKernelError):
-    """A truncated series or product failed to settle within its budget."""
+    """A truncated product or quadrature failed to settle within its budget."""
 
 
 def require_finite(value, what="value"):
@@ -155,8 +157,8 @@ def q_pochhammer(a, base: QBase, k: int):
     return out
 
 
-def q_pochhammer_inf(a, base: QBase, tol: float = _INF_TOL):
-    """(a;q)_infty = prod_{k>=0} (1 - a q^k), truncated once |a q^K| < tol.
+def q_pochhammer_inf(a, base: QBase):
+    """(a;q)_infty = prod_{k>=0} (1 - a q^k), truncated once |a q^K| < _INF_TOL.
 
     Requires 0 < q < 1.  The truncation criterion is factor distance from 1;
     the dropped tail multiplies the result by 1 + O(|a| q^K / (1-q)).
@@ -164,14 +166,12 @@ def q_pochhammer_inf(a, base: QBase, tol: float = _INF_TOL):
     """
     if not base.allows_infinite_products:
         raise QKernelError(f"infinite product requires q<1, got q={base.q}")
-    if tol <= 0.0:
-        raise QKernelError("tolerance must be positive")
     if isinstance(a, np.ndarray):
-        return _q_pochhammer_inf_array(a, base.q, tol)
+        return _q_pochhammer_inf_array(a, base.q)
     out = complex(1.0)
     aq = complex(a)
     for _ in range(_MAX_INF_FACTORS):
-        if abs(aq) < tol:
+        if abs(aq) < _INF_TOL:
             return require_finite(out, "(a;q)_inf")
         out *= 1.0 - aq
         if out == 0.0:
@@ -183,7 +183,7 @@ def q_pochhammer_inf(a, base: QBase, tol: float = _INF_TOL):
 def q_pochhammer_orbit(a, base: QBase, size: int):
     """(a q^k;q)_infty for k = 0..size-1 on a new last axis, elementwise in `a`:
     the suffix products of the run of factors 1 - a q^m, cut where
-    `q_pochhammer_inf` cuts by default.  The factors past the last node are one
+    `q_pochhammer_inf` cuts.  The factors past the last node are one
     `q_pochhammer_inf`, which refuses what it refuses."""
     with np.errstate(all="ignore"):  # a non-finite a or product raises below
         steps = np.full((size,) + np.shape(a), base.q, dtype=complex)
@@ -197,26 +197,26 @@ def q_pochhammer_orbit(a, base: QBase, size: int):
     return np.moveaxis(out, 0, -1)
 
 
-def _q_pochhammer_inf_array(a, q: float, tol: float):
+def _q_pochhammer_inf_array(a, q: float):
     """`q_pochhammer_inf` elementwise on an ndarray, in blocks of factors over
     the elements still live: each element multiplies its own factors only,
-    those before its first |a q^k| < tol, into its product so far."""
+    those before its first |a q^k| < _INF_TOL, into its product so far."""
     aq = np.array(a, dtype=complex).ravel()
     if not np.isfinite(aq).all():  # the scalar loop runs to the factor cap
         raise NonConvergedError(_NOT_TRUNCATED)
     out = np.ones(aq.shape, dtype=complex)
     live, done = np.arange(aq.size), 0  # elements that may still take factors
     with np.errstate(over="ignore", invalid="ignore"):  # non-finite raises below
-        while live.size and (top := np.abs(aq[live]).max()) >= tol:
+        while live.size and (top := np.abs(aq[live]).max()) >= _INF_TOL:
             if done >= _MAX_INF_FACTORS:
                 raise NonConvergedError(_NOT_TRUNCATED)
             # enough factors for the largest live element, within the budget
-            need = math.ceil(math.log(tol / top) / math.log(q)) + 1
+            need = math.ceil(math.log(_INF_TOL / top) / math.log(q)) + 1
             rows = max(1, min(need, _MAX_INF_FACTORS - done, _BLOCK_ENTRIES // live.size))
             steps = np.full((live.size, rows + 2), q, dtype=complex)
             steps[:, 0] = aq[live]
             powers = np.cumprod(steps, axis=1)  # a q^k: the scalar's aq *= q
-            run = np.logical_and.accumulate(np.abs(powers[:, :-1]) >= tol, axis=1)
+            run = np.logical_and.accumulate(np.abs(powers[:, :-1]) >= _INF_TOL, axis=1)
             # row e: its product so far, then 1 - a q^k, k < rows, reduced over its own
             np.subtract(1.0, powers[:, :rows], out=steps[:, 1:-1])
             steps[:, 0] = out[live]
@@ -230,13 +230,13 @@ def _q_pochhammer_inf_array(a, q: float, tol: float):
     return out.reshape(np.shape(a))
 
 
-def q_pochhammer_multi(values, base: QBase, k=None, tol: float = _INF_TOL):
+def q_pochhammer_multi(values, base: QBase, k=None):
     """(a_1,...,a_p;q)_k = prod_i (a_i;q)_k; k=None means the infinite product,
     one array pass over the stacked a_i when one is an ndarray (module contract)."""
     if k is None and any(isinstance(a, np.ndarray) for a in values):
-        factors = q_pochhammer_inf(np.stack(np.broadcast_arrays(*values)), base, tol)
+        factors = q_pochhammer_inf(np.stack(np.broadcast_arrays(*values)), base)
     else:
-        factors = (q_pochhammer_inf(a, base, tol) if k is None else q_pochhammer(a, base, k)
+        factors = (q_pochhammer_inf(a, base) if k is None else q_pochhammer(a, base, k)
                    for a in values)
     out = complex(1.0)
     for f in factors:
@@ -244,74 +244,23 @@ def q_pochhammer_multi(values, base: QBase, k=None, tol: float = _INF_TOL):
     return out
 
 
-@dataclass(frozen=True)
-class SeriesSpec:
-    """Parameters of a basic hypergeometric series _r phi_p.
+def basic_hypergeometric(n: int, upper, lower, z, base: QBase):
+    """The terminating series _r phi_s(q^{-n}, a_1..a_{r-1}; b_1..b_s; q, z).
 
-    upper: numerator parameters a_1..a_r
-    lower: denominator parameters b_1..b_p
-    z:     argument
-    terminate_at: optional known truncation order n (some upper parameter is
-        q^{-n}); when set, exactly n+1 terms are summed, which avoids
-        fuzzy detection of the vanishing Pochhammer factor.
+    `upper` holds the numerator parameters after q^{-n}, which is formed here.
+    Exactly the n + 1 terms k = 0..n are summed; the k-th carries the standard
+    extra factor [(-1)^k q^{k(k-1)/2}]^{s-r+1}.  A lower parameter at q^{-k}
+    with k < n divides by zero and raises.
     """
-
-    upper: tuple
-    lower: tuple
-    z: complex
-    terminate_at: int | None = field(default=None)
-
-
-def _detect_termination(spec: SeriesSpec, base: QBase, max_terms: int) -> int | None:
-    """Smallest m < max_terms with some upper parameter equal to q^{-m}."""
-    best = None
-    lq = math.log(base.q)
-    for a in spec.upper:
-        az = complex(a)
-        if az == 0.0 or az.real <= 0.0 or abs(az.imag) > 1e-12 * abs(az):
-            continue
-        m = -math.log(abs(az)) / lq
-        mi = round(m)
-        if mi < 0 or mi >= max_terms:
-            continue
-        if abs(az - base.pow(float(-mi))) <= 1e-9 * abs(az):
-            best = mi if best is None else min(best, mi)
-    return best
-
-
-def basic_hypergeometric(spec: SeriesSpec, base: QBase, max_terms: int = 2000):
-    """Evaluate _r phi_p(a_1..a_r; b_1..b_p; q, z).
-
-    The k-th term carries the standard extra factor
-    [(-1)^k q^{k(k-1)/2}]^{p-r+1}.  Terminating series (an upper parameter of
-    the form q^{-n}) are summed exactly; otherwise partial sums must converge
-    before `max_terms` or NonConvergedError is raised.
-    """
-    if max_terms <= 0:
-        raise QKernelError("max_terms must be positive")
-    r = len(spec.upper)
-    p = len(spec.lower)
-    sign_power = p - r + 1
-
-    stop = spec.terminate_at
-    if stop is None:
-        stop = _detect_termination(spec, base, max_terms)
-    if stop is not None and stop >= max_terms:
-        raise NonConvergedError(
-            f"series terminates at {stop} but max_terms={max_terms}"
-        )
-
-    upper = [complex(a) for a in spec.upper]
-    lower = [complex(b) for b in spec.lower]
-    z = complex(spec.z)
+    upper = [complex(base.pow(float(-n)))] + [complex(a) for a in upper]
+    lower = [complex(b) for b in lower]
+    z = complex(z)
+    sign_power = len(lower) - len(upper) + 1
 
     total = complex(1.0)
     term = complex(1.0)
     qk = 1.0  # q^k
-    small_streak = 0
-    for k in range(max_terms):
-        if stop is not None and k >= stop:
-            return require_finite(total, "basic hypergeometric series")
+    for k in range(n):
         num = complex(1.0)
         for a in upper:
             num *= 1.0 - a * qk
@@ -328,19 +277,5 @@ def basic_hypergeometric(spec: SeriesSpec, base: QBase, max_terms: int = 2000):
             ratio *= (-qk) ** sign_power
         term = term * ratio
         total += term
-        if stop is None:
-            if num == 0.0:
-                return require_finite(total, "basic hypergeometric series")
-            scale = max(abs(total), 1.0)
-            if abs(term) <= 1e-15 * scale:
-                small_streak += 1
-                if small_streak >= 3:
-                    return require_finite(total, "basic hypergeometric series")
-            else:
-                small_streak = 0
         qk *= base.q
-    if stop is not None:
-        return require_finite(total, "basic hypergeometric series")
-    raise NonConvergedError(
-        f"series did not converge within {max_terms} terms (|term|={abs(term):.3e})"
-    )
+    return require_finite(total, "basic hypergeometric series")

@@ -400,6 +400,25 @@ def test_gram_reads_only_n_max(tmp_path, capsys):
     assert "gram needs --n-max >= 0, got -1" in capsys.readouterr().err
 
 
+def test_gram_refuses_asc1_where_its_measure_vanishes(capsys):
+    assert run_cli(["gram", "--family", "asc1", "--param", "a=0.5", "--q", "0.5",
+                    "--n-max", "2"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.startswith("error: parameter 'a' invalid")
+
+
+def test_gram_maxima_carry_a_nan_entry(monkeypatch, capsys):
+    G = np.eye(3, dtype=complex)
+    for nan_at, key in (((0, 1), "max_offdiag"), ((2, 2), "max_diag_deviation")):
+        bad = G.copy()
+        bad[nan_at] = complex("nan")
+        monkeypatch.setattr(cli, "gram_matrix", lambda fam, N, bad=bad: (bad, []))
+        assert run_cli(["gram", "--family", "asc1", *REF_ARGS["asc1"], "--n-max", "2"]) == 0
+        data = json.loads(capsys.readouterr().out)
+        other = ({"max_offdiag", "max_diag_deviation"} - {key}).pop()
+        assert np.isnan(data[key]) and data[other] == 0.0
+
+
 def test_commands_refuse_the_flags_they_do_not_read(tmp_path, capsys):
     qdh = ["--family", "q_dual_hahn", *REF_ARGS["q_dual_hahn"], "--n-max", "1"]
     for argv in (["gram", *qdh, "--format", "csv"], ["gram", *qdh, "--grid", "0:1:3"],

@@ -60,6 +60,18 @@ def test_bqj_constraints(base):
         make_family("big_q_jacobi", {"a": 3.0, "b": 0.5, "c": -0.5}, base)
 
 
+@pytest.mark.parametrize("q", [0.5, 0.3])
+def test_asc1_refuses_a_at_a_power_of_q(q):
+    # at a = q^k, (a;q)_inf or (q/a;q)_inf is 0: the Jackson sums over [0, 1] and
+    # [0, a] cancel and d_0^2 = 0, so the Gram would be M / 0
+    for k in (-1, 0, 1, 2, 3):
+        for a in (q**k, q**k * (1.0 + 5e-13)):
+            with pytest.raises(FamilyError, match=f"'a'.*a = q\\^{k} "):
+                make_family("asc1", {"a": a}, QBase(q))
+        make_family("asc1", {"a": q**k * (1.0 + 1e-9)}, QBase(q))
+        make_family("asc1", {"a": -(q**k)}, QBase(q))
+
+
 def test_q_range_guard():
     with pytest.raises(FamilyError, match="0 < q < 1"):
         make_family("asc1", {"a": -1.0}, QBase(1.5))

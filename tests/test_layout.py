@@ -34,7 +34,7 @@ TEST_ONLY = {"mu_k", "a_nk", "leading_coeff", "ttrr_coeffs_generic", "pn_monic",
              "lambda_closed", "lam_tau_ratio", "ThreePointOperator",
              "apply_scaled", "_apply_scaled", "apply_reduced", "ladder_bootstrap", "h_pair"}
 REMOVED = {"OrthonormalFamily", "WeightTable", "B_n", "_B_from_leading", "weight_at",
-           "family_names", "phi_point", "_CMATH_LOG"}
+           "family_names", "phi_point", "_CMATH_LOG", "SeriesSpec", "_detect_termination"}
 
 
 def _tree(path):

@@ -10,7 +10,6 @@ from qladder.qkernel import (
     NonConvergedError,
     QBase,
     QKernelError,
-    SeriesSpec,
     alpha_q,
     basic_hypergeometric,
     q_factorial,
@@ -100,7 +99,7 @@ def test_q_pochhammer_recurrence_exact(base, a, k):
 
 
 def test_q_pochhammer_inf_against_truncation():
-    val = q_pochhammer_inf(0.5, B50, tol=1e-15)
+    val = q_pochhammer_inf(0.5, B50)
     oracle = q_pochhammer(0.5, B50, 50)
     assert abs(val - oracle) <= 1e-12 * abs(oracle)
     assert q_pochhammer_inf(0.0, B50) == 1.0
@@ -216,67 +215,94 @@ def test_q_pochhammer_inf_requires_q_below_one():
         q_pochhammer_inf(0.5, QBase(1.1))
 
 
-def test_series_upper_parameter_one_gives_single_term():
-    # (1;q)_k = 0 for k >= 1, so only the k = 0 term survives
-    spec = SeriesSpec(upper=(1.0, 0.3), lower=(0.7,), z=0.9)
-    assert basic_hypergeometric(spec, B50) == pytest.approx(1.0)
-
-
 def test_series_n_zero_terminates_to_one():
-    spec = SeriesSpec(upper=(1.0,), lower=(), z=2.7, terminate_at=0)
-    assert basic_hypergeometric(spec, B50) == pytest.approx(1.0)
+    assert basic_hypergeometric(0, (), (), 2.7, B50) == 1.0
 
 
 def test_series_two_term_hand_expansion():
     # 1phi0 with upper q^{-1}: 1 + (1 - q^{-1}) z / (1 - q)
     q = 0.5
     z = 0.7
-    spec = SeriesSpec(upper=(1.0 / q,), lower=(), z=z)
     want = 1 + (1 - 1 / q) * z / (1 - q)
-    assert basic_hypergeometric(spec, B50) == pytest.approx(want, rel=1e-14)
-
-
-@given(st.integers(min_value=1, max_value=8), st.floats(min_value=-2, max_value=2))
-@settings(max_examples=40)
-def test_series_terminating_invariant_under_max_terms(n, z):
-    q = 0.5
-    spec = SeriesSpec(upper=(q**-n, 0.3), lower=(0.2,), z=complex(z), terminate_at=n)
-    a = basic_hypergeometric(spec, B50, max_terms=n + 1)
-    b = basic_hypergeometric(spec, B50, max_terms=4000)
-    assert abs(a - b) <= 1e-12 * max(1.0, abs(a))
-
-
-def test_series_termination_autodetected():
-    q = 0.5
-    explicit = basic_hypergeometric(
-        SeriesSpec(upper=(q**-3, 0.3), lower=(0.2,), z=0.4, terminate_at=3), B50
-    )
-    detected = basic_hypergeometric(
-        SeriesSpec(upper=(q**-3, 0.3), lower=(0.2,), z=0.4), B50
-    )
-    assert detected == pytest.approx(explicit, rel=1e-13)
+    assert basic_hypergeometric(1, (), (), z, B50) == pytest.approx(want, rel=1e-14)
 
 
 def test_series_lower_parameter_guard():
     q = 0.5
-    # lower parameter q^{-2} hits zero in the denominator at k = 2
-    spec = SeriesSpec(upper=(0.3,), lower=(q**-2,), z=0.4)
+    # lower parameter q^{-2} hits zero in the denominator at k = 2 < n
     with pytest.raises(QKernelError, match="division by zero"):
-        basic_hypergeometric(spec, B50, max_terms=50)
+        basic_hypergeometric(5, (0.3,), (q**-2,), 0.4, B50)
 
 
-def test_series_nonterminating_convergent():
-    # 1phi0(a; -; q, z) converges for |z| < 1
-    spec = SeriesSpec(upper=(0.3,), lower=(), z=0.25)
-    val = basic_hypergeometric(spec, B50, max_terms=500)
-    brute = sum(
-        (q_pochhammer(0.3, B50, k) / q_pochhammer(0.5, B50, k)) * 0.25**k
-        for k in range(200)
-    )
-    assert val == pytest.approx(brute, rel=1e-12)
+# Closed forms of terminating series (Gasper & Rahman, Basic Hypergeometric
+# Series, 2nd ed., appendix II), checked against products written out here
+# rather than through qkernel.
+
+def _poch(a, q, k):
+    return math.prod(1.0 - a * q**j for j in range(k))
 
 
-def test_series_nonconvergence_raises():
-    spec = SeriesSpec(upper=(0.3,), lower=(), z=1.5)
-    with pytest.raises(NonConvergedError):
-        basic_hypergeometric(spec, B50, max_terms=60)
+def _series_terms(n, upper, lower, z, q):
+    """|term k| of _r phi_s(q^{-n}, upper; lower; q, z), k = 0..n."""
+    upper = (q**-n,) + tuple(upper)
+    power = len(lower) - len(upper) + 1
+    return [abs(math.prod(_poch(a, q, k) for a in upper)
+                / math.prod(_poch(b, q, k) for b in (q,) + tuple(lower))
+                * z**k * ((-1) ** k * q ** (k * (k - 1) / 2)) ** power)
+            for k in range(n + 1)]
+
+
+def _closed_form_cases(seed, count=300):
+    rng = np.random.default_rng(seed)
+    for _ in range(count):
+        q = rng.uniform(0.05, 0.95)
+        n = int(rng.integers(0, 11))
+        params = rng.uniform(0.2, 3.0, size=3) * rng.choice([-1.0, 1.0], size=3)
+        yield q, n, params
+
+
+def _worst_relative_to_terms(cases):
+    """The largest and the median |series - closed form| / sum of |terms|."""
+    errors = [abs(got - want) / math.fsum(terms) for got, want, terms in cases]
+    return max(errors), float(np.median(errors))
+
+
+def test_series_q_chu_vandermonde():
+    # II.6: 2phi1(q^{-n}, b; c; q, q) = (c/b;q)_n / (c;q)_n b^n
+    cases = []
+    for q, n, (b, c, _) in _closed_form_cases(1):
+        want = _poch(c / b, q, n) / _poch(c, q, n) * b**n
+        got = basic_hypergeometric(n, (b,), (c,), q, QBase(q))
+        cases.append((got, want, _series_terms(n, (b,), (c,), q, q)))
+    worst, median = _worst_relative_to_terms(cases)
+    assert worst <= 1e-13 and median <= 1e-15
+
+
+def test_series_q_pfaff_saalschutz():
+    # II.12: 3phi2(q^{-n}, a, b; c, a b q^{1-n}/c; q, q)
+    #        = (c/a, c/b;q)_n / (c, c/(a b);q)_n
+    cases = []
+    for q, n, (a, b, c) in _closed_form_cases(2):
+        lower = (c, a * b * q ** (1 - n) / c)
+        want = (_poch(c / a, q, n) * _poch(c / b, q, n)
+                / (_poch(c, q, n) * _poch(c / (a * b), q, n)))
+        got = basic_hypergeometric(n, (a, b), lower, q, QBase(q))
+        cases.append((got, want, _series_terms(n, (a, b), lower, q, q)))
+    worst, median = _worst_relative_to_terms(cases)
+    assert worst <= 1e-13 and median <= 1e-15
+
+
+def test_series_q_hermite_is_the_q_binomial_sum():
+    # the 2phi0 case (s - r + 1 = -1): H_n(cos theta|q) = sum_k [n k]_q e^{i(n-2k) theta}
+    from qladder.families import eval_series, make_family
+
+    rng = np.random.default_rng(3)
+    cases = []
+    for _ in range(200):
+        q, n, theta = rng.uniform(0.05, 0.95), int(rng.integers(0, 11)), rng.uniform(0.0, math.pi)
+        binomials = [_poch(q, q, n) / (_poch(q, q, k) * _poch(q, q, n - k)) for k in range(n + 1)]
+        want = sum(c * cmath.exp(1j * (n - 2 * k) * theta) for k, c in enumerate(binomials))
+        got = eval_series(make_family("continuous_q_hermite", {}, QBase(q)), n, theta)
+        cases.append((got, want, binomials))
+    worst, median = _worst_relative_to_terms(cases)
+    assert worst <= 1e-13 and median <= 1e-15
