@@ -18,9 +18,9 @@ Scalars go through `math`/`cmath` and return a Python complex (or float).
 `QBase.pow`, `q_pochhammer_inf` and `q_pochhammer_multi` (infinite products)
 also take an ndarray and work elementwise through numpy, so a closed weight
 is evaluated once per node array.  The array product repeats the scalar's
-factor sequence: a q^k by repeated multiplication, each element's own factors
-(those before its first |a q^k| < _INF_TOL) multiplied left to right from 1, so
-every entry equals the scalar value bit for bit.  `q_pochhammer_multi` stacks
+factor sequence: a q^k by repeated multiplication, each element's own
+factors (those before its first |a q^k| < _INF_TOL) multiplied left to right
+from 1, so every entry equals the scalar value bit for bit.  `q_pochhammer_multi` stacks
 its parameters (scalars broadcast) into one array product and multiplies the
 rows from 1 in order, as the scalar route does.  `q_pochhammer_orbit` (the
 suffix products of one run of factors) equals the scalar up to rounding.
