@@ -270,29 +270,30 @@ def cmd_eval(cfg: RunConfig) -> int:
     eq = fam.eq
     pts = [complex(s) for s in _grid_points(fam, cfg)]
     # x at s - 1/2, s, s + 1/2: x, sigma, tau and Theta once per grid point
+    xh = LatticeTable(fam.lattice, pts, -1, 1).x
     columns = [
         {"s": s, "x": x, "sigma": _sigma_at(eq, x, b - a), "tau": tau_tilde(eq, x),
          "Theta": _theta_at(eq, x, b - a)}
-        for s, (a, x, b) in zip(pts, LatticeTable(fam.lattice, pts, -1, 1).x.tolist())
+        for s, (a, x, b) in zip(pts, xh.tolist())
     ]
-    # P_n(s) for every n from one recurrence pass, and rho(s), once per grid point
-    stacks = [fam.pn_stack(cfg.n_max, fam.lattice.x_values(col["s"])) for col in columns]
+    # P_0..P_N from one recurrence pass; rho point by point, null where it raises
+    stack = fam.pn_stack(cfg.n_max, xh[:, 1]).tolist()
     for col in columns:
         try:
-            col["rho"] = fam.rho_at_s(col["s"])
+            col["rho"] = complex(fam.rho_at_s(np.array([col["s"]]))[0])
         except (FamilyError, QKernelError, KeyError):
             col["rho"] = None
     rows = []
     for n in ns:
-        for col, stack in zip(columns, stacks):
+        for col, P in zip(columns, stack[n]):
             rho, phi = col["rho"], None
             # phi_n = sqrt(rho) P_n / d_n where rho is a positive real
             if rho is not None and _positive_real(rho):
                 try:
-                    phi = _cdiv(cmath.sqrt(rho) * stack[n], fam.d_n(n))
+                    phi = _cdiv(cmath.sqrt(rho) * P, fam.d_n(n))
                 except (FamilyError, QKernelError):
                     pass
-            rows.append({"n": n, "P": stack[n], "phi": phi, **col})
+            rows.append({"n": n, "P": P, "phi": phi, **col})
     if cfg.fmt == "csv":
         cols = ["n", "s", "x", "P", "phi", "rho", "sigma", "tau", "Theta"]
         lines = []

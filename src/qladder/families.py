@@ -6,6 +6,8 @@ closed-form weight / norm / recurrence data, a basic-hypergeometric series
 evaluator, support description and parameter validation.  A `FamilySpec`
 owns every quantity of one family on its lattice: P_n, rho, d_n, the
 orthonormal phi_n = sqrt(rho/d_n^2) P_n and the per-n table `coeffs` (B_n).
+The weight, rho, phi_n and P_n by the recurrence take a 1-d ndarray of
+points (one point is a one-element array); `eval_ttrr` wraps one point.
 
 Normalization
 -------------
@@ -74,11 +76,6 @@ __all__ = [
 
 class FamilyError(ValueError):
     """Invalid family name or parameter set."""
-
-
-def _complex(x):
-    """x as a Python complex, or an ndarray of x as a complex ndarray."""
-    return np.asarray(x, dtype=complex) if isinstance(x, np.ndarray) else complex(x)
 
 
 @dataclass(frozen=True)
@@ -151,13 +148,13 @@ class LatticeKind:
         """Nondegenerate default check grid."""
         return [self.grid_start + k for k in range(count)]
 
-    def rho_at_s(self, fam, s) -> complex:
-        """Pointwise weight, nonnegative on the real support (elementwise on
-        an ndarray of s)."""
+    def rho_at_s(self, fam, s):
+        """Pointwise weight at the points of the 1-d ndarray s, nonnegative
+        on the real support."""
         return fam.weight(s)
 
-    def pearson_rho(self, fam, s) -> complex:
-        """Closed-form rho(s) whose ratios the Pearson table reproduces."""
+    def pearson_rho(self, fam, s):
+        """Closed-form rho at the points of s whose ratios the Pearson table reproduces."""
         return self.rho_at_s(fam, s)
 
 
@@ -172,7 +169,7 @@ class _Exponential(LatticeKind):
             raise FamilyError(f"x = {lat.c3:g} is not on the exponential lattice")
         return cmath.log((complex(point) - lat.c3) / lat.c1) / math.log(lat.base.q)
 
-    def rho_at_s(self, fam, s) -> complex:
+    def rho_at_s(self, fam, s):
         return fam.weight(fam.lattice.x_values(s))
 
 
@@ -195,11 +192,11 @@ class _Trigonometric(LatticeKind):
     def default_grid(self, fam, count: int) -> list:
         return self.theta_grid(fam, count, count + 1)
 
-    def rho_at_s(self, fam, s) -> complex:
+    def rho_at_s(self, fam, s):
         return fam.closed.displays["weight_density"](fam.lattice.x_values(s))
 
-    def pearson_rho(self, fam, s) -> complex:
-        return fam.weight(fam.lattice.x(s)) * fam.lattice.delta_x_mid(s)
+    def pearson_rho(self, fam, s):
+        return fam.weight(fam.lattice.x_values(s)) * fam.lattice.delta_x_mid(s)
 
 
 QUADRATIC, EXPONENTIAL, TRIGONOMETRIC = LatticeKind(), _Exponential(), _Trigonometric()
@@ -331,28 +328,13 @@ class FamilySpec:
             return complex(0.0)
         return self.series_fn(n, s)
 
-    def pn_ttrr(self, n: int, s) -> complex:
-        """Canonical value of P_n via the (stable) three-term recurrence, at
-        one point or elementwise on an ndarray of s."""
-        return self.pn_ttrr_x(n, self.lattice.x_values(s))
-
-    def pn_ttrr_x(self, n: int, x) -> complex:
-        """Recurrence route directly in the polynomial variable x (a number,
-        or an array of x values evaluated elementwise): row n of the stacked
-        recurrence."""
-        if n < 0:
-            return complex(0.0)
-        return self.monic_rows(n, x)[n] * self.coeffs.a_n(n)
-
     def pn_stack(self, N: int, x):
-        """P_0..P_N (canonical) at x from one pass of the recurrence: a list
-        of N+1 Python complex numbers at one x, an (N+1, *x.shape) ndarray
-        for an ndarray of x."""
+        """P_0..P_N (canonical) at the points of the ndarray x from one pass
+        of the (stable) three-term recurrence, the recurrence route of P_n:
+        an (N+1, *x.shape) ndarray.  `eval_ttrr` wraps it for one point."""
         a_n = self.coeffs.a_n
-        rows = [p * a_n(k) for k, p in enumerate(self.monic_rows(N, x))]
-        if isinstance(x, np.ndarray):
-            return np.stack([np.broadcast_to(p, x.shape) for p in rows])
-        return rows
+        return np.stack([np.broadcast_to(p * a_n(k), x.shape)
+                         for k, p in enumerate(self.monic_rows(N, x))])
 
     def monic_rows(self, N: int, x, rows=()) -> list:
         """Monic P_0..P_N (at least) at x by the three-term recurrence,
@@ -415,8 +397,8 @@ class FamilySpec:
         if key not in self._cache:
             sup = self.support
             if sup.kind == "jackson_integral":
-                self._cache[key] = jackson_integral(self._jackson_weight(), sup.lo, sup.hi,
-                                                    self.base, scale=0.0)
+                self._cache[key] = complex(jackson_integral(self._jackson_weight(), sup.lo,
+                                                            sup.hi, self.base, scale=0.0))
             else:
                 self._cache[key] = self.coeffs.d_n_sq(0)
         return self._cache[key]
@@ -469,48 +451,45 @@ class FamilySpec:
         return M, history
 
     # -- weight -------------------------------------------------------------
-    def weight(self, point) -> complex:
-        """Closed-form weight at a natural-coordinate point (dual Hahn: at s),
-        or elementwise on an ndarray of points."""
+    def weight(self, points):
+        """Closed-form weight at the natural-coordinate points (dual Hahn: at
+        s) of a 1-d ndarray."""
         if self.closed.weight is None:
             raise FamilyError(
                 f"{self.name}: no closed-form weight is tabulated; "
                 "use the Pearson table instead"
             )
-        w = self.closed.weight(point)
-        return w if isinstance(point, np.ndarray) else complex(w)
+        return self.closed.weight(points)
 
-    def rho_at_s(self, s) -> complex:
-        """The pointwise weight rho(s) of the lattice kind, elementwise on an ndarray."""
+    def rho_at_s(self, s):
+        """The pointwise weight rho of the lattice kind at the points of the 1-d ndarray s."""
         return self.kind.rho_at_s(self, s)
 
     # -- phi_n = sqrt(rho/d_n^2) P_n, on the real support where rho >= 0 ------
-    # One point or an ndarray of nodes, one weight evaluation per node; n is
-    # one index or a range, stacked on a leading axis from one recurrence pass.
+    # On a 1-d ndarray of nodes, one weight evaluation per node; n is one
+    # index or a range, stacked on a leading axis from one recurrence pass.
     def sqrt_rho(self, s):
-        """sqrt(rho(s)) at a point of the real support, or elementwise on an
-        ndarray of support nodes."""
+        """sqrt(rho) at the points of a 1-d ndarray s of the real support."""
         rho = self.rho_at_s(s)
         bad = (np.abs(rho.imag) > 1e-12 * np.abs(rho)) | (rho.real < 0.0)
         if np.any(bad):
-            at = s[bad][0] if isinstance(s, np.ndarray) else s
             raise QKernelError(
-                f"rho({at}) is not a nonnegative real; pointwise phi needs the "
+                f"rho({s[bad][0]}) is not a nonnegative real; pointwise phi needs the "
                 "real branch (off the support the checks use chain weights)"
             )
-        return np.sqrt(rho) if isinstance(rho, np.ndarray) else cmath.sqrt(rho)
+        return np.sqrt(rho)
 
     def phi(self, n, s):
-        """phi_n at support points s (n an index or a range)."""
+        """phi_n at the support points of the 1-d ndarray s (n an index or a range)."""
         return self._phi(n, self.sqrt_rho(s), self.lattice.x_values(s))
 
     def _phi(self, n, w, x):
-        """w P_n(x) / d_n, with w = sqrt(rho) at the points of x."""
-        if not isinstance(n, range):
-            return _cdiv(w * self.pn_ttrr_x(n, x), self.d_n(n))
-        P = self.pn_stack(n[-1], x)
-        d = np.array([self.d_n(k) for k in n]).reshape((-1,) + (1,) * np.ndim(x))
-        return _cdiv(w * np.asarray(P)[n.start:n.stop:n.step], d)
+        """w P_n(x) / d_n, with w = sqrt(rho) at the points of the 1-d ndarray x;
+        for a range n, stacked on a leading axis."""
+        ns = n if isinstance(n, range) else range(n, n + 1)
+        P = self.pn_stack(ns[-1], x)[ns.start:ns.stop:ns.step]
+        phi = _cdiv(w * P, np.array([self.d_n(k) for k in ns])[:, None])
+        return phi if isinstance(n, range) else phi[0]
 
     def with_perturbation(self, name: str, delta: float) -> "FamilySpec":
         """A copy with a named closed-form coefficient shifted by delta
@@ -576,7 +555,7 @@ def _pochhammer_quotient(factors, products):
     """x -> prod (g(x);q)_inf^p over the pairs (g, p = +-1) of `factors`: products(args)
     multiplies the (a;q)_inf of the numerator's arguments, then the denominator's; one `_cdiv`."""
     def weight(x):
-        x = _complex(x)
+        x = np.asarray(x, dtype=complex)
         num, den = ([g(x) for g, p in factors if p == sign] for sign in (1, -1))
         w = products(num)
         return _cdiv(w, products(den)) if den else w
@@ -877,7 +856,7 @@ def _make_q_dual_hahn(params: dict, base: QBase) -> FamilySpec:
     qq_inf = q_pochhammer_inf(q, base)  # (q;q)_inf
 
     def weight(s):
-        s = _complex(s)
+        s = np.asarray(s, dtype=complex)
         pre = _cdiv(
             base.pow(((b - 1.0) ** 2 - (2.0 * s - 1.0) * (a + c)) / 2.0),
             (1.0 - q) ** (2 * (a + c - b) + 1),
@@ -1026,14 +1005,12 @@ def _aw_weights(a, b, c, d, base: QBase):
     taken while |alpha q^k| > 1e-17.  The table of q-power sequences holds,
     per alpha and k, the factor constants 2 alpha q^k and alpha^2 q^{2k}
     (alpha q^k by repeated multiplication); it is built on the first
-    evaluation, so making a family costs nothing.  On an ndarray x all eight
-    products run in one loop over k on a stacked (8, x.size) array, a row
-    left as it is once its sequence has ended.  A scalar x keeps the
-    per-alpha Python loop over the same table: numpy's complex loops round
-    some products differently from Python's complex arithmetic, and a scalar
-    routed through numpy moves pearson residuals.  Either way each entry
-    equals, bit for bit, the product of the factors in k order, one
-    h(x, alpha) at a time.
+    evaluation, so making a family costs nothing.  x is an ndarray (one point
+    is a one-element array): all eight products run in one loop over k on a
+    stacked (8, x.size) array, a row left as it is once its sequence has
+    ended, so each entry is the product of its own factors in k order.
+    numpy's complex multiply rounds some products differently from Python's,
+    so these values can differ in the last bits from a Python-complex loop.
     """
     q = base.q
     kq = base.k_q
@@ -1042,10 +1019,9 @@ def _aw_weights(a, b, c, d, base: QBase):
     tables = []  # built on the first evaluation
 
     def table():
-        """Per alpha, the list [(2 alpha q^k, alpha^2 q^{2k}), ...]; and the
-        same stacked for arrays: the rank of each alpha's row (rows by
-        falling length), the constants as (2, k, row) and, per k, the number
-        of rows whose sequence has not ended."""
+        """The rank of each alpha's row (rows by falling length), the
+        constants (2 alpha q^k, alpha^2 q^{2k}) as (2, k, row) and, per k,
+        the number of rows whose sequence has not ended."""
         if not tables:
             rows = []
             for alpha in alphas:
@@ -1061,21 +1037,13 @@ def _aw_weights(a, b, c, d, base: QBase):
                 if rows[i]:
                     consts[:, :lens[r], r] = np.array(rows[i]).T
             live = np.count_nonzero(np.arange(lens[0])[:, None] < lens, axis=1).tolist()
-            tables.extend((rows, np.argsort(order).tolist(), consts, live))
+            tables.extend((np.argsort(order).tolist(), consts, live))
         return tables
 
     def h_products(x):
-        rows, rank, (two_aq, aq_sq), live = table()
-        if not isinstance(x, np.ndarray):
-            out = []
-            for row in rows:
-                h = complex(1.0)
-                for c2, c0 in row:
-                    h *= 1.0 - c2 * x + c0
-                out.append(h)
-            return out
+        rank, (two_aq, aq_sq), live = table()
         flat = x.reshape(-1).astype(complex)  # cast once, not at every k
-        prods = np.ones((len(rows), flat.size), dtype=complex)
+        prods = np.ones((len(rank), flat.size), dtype=complex)
         factor = np.empty_like(prods)  # one buffer: no temporary arrays per k
         for k, m in enumerate(live):
             f = factor[:m]
@@ -1091,14 +1059,12 @@ def _aw_weights(a, b, c, d, base: QBase):
 
     def weight(x):
         # tabulated omega(x); carries the (negative for q<1) kappa_q factor
-        if not isinstance(x, np.ndarray):
-            x = complex(x)
         return h_ratio(x, 2.0 * math.pi * kq * (1.0 - x * x))
 
     def weight_density(x):
         """Positive density w(x)/(2 pi) with the measure folded in:
-        integral of p_n p_m weight_density / sqrt(1-x^2) dx = delta d_n^2.
-        x may be an array of nodes."""
+        integral of p_n p_m weight_density / sqrt(1-x^2) dx = delta d_n^2,
+        at the nodes of the ndarray x."""
         return h_ratio(x, 2.0 * math.pi)
 
     return weight, weight_density
@@ -1316,4 +1282,7 @@ def eval_series(fam: FamilySpec, n: int, point) -> complex:
 
 def eval_ttrr(fam: FamilySpec, n: int, point) -> complex:
     """P_n at a natural-coordinate point via the recurrence route."""
-    return fam.pn_ttrr(n, fam.s_from_point(point))
+    if n < 0:
+        return complex(0.0)
+    x = np.array([fam.lattice.x(fam.s_from_point(point))])
+    return complex(fam.pn_stack(n, x)[n, 0])

@@ -34,8 +34,10 @@ rho_n products read identical values, and the CLI's `eval` rows read their
 sigma, tau and Theta the same way.  There is no point-by-point sigma or
 Theta function; the tests keep one as the reference.  `sigma_tilde`,
 `tau_tilde`, `EquationTable.A` and `rel_residual` take one point or an
-ndarray (elementwise, through numpy).  Everything else here is scalar,
-except the table entries over n below.
+ndarray (elementwise, through numpy).  `rel_residual` keeps its scalar
+branch: numpy's complex abs differs from Python's on about a third of
+random operands, so a scalar residual routed through numpy would move.
+Everything else here is scalar, except the table entries over n below.
 
 The n-dependent data (lam_ratio, lambda_n, the tau_k coefficients, b_n/a_n
 and the generic beta_n) are read from an `EquationTable`, which computes

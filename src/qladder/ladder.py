@@ -652,9 +652,7 @@ def _bootstrap(fam, N: int, s0: complex, count: int):
     # normalize at s0 against the direct phi_0
     i0 = -lo
     consistent, w = _branch_consistent(fam, g)
-    anchor = complex(1.0)
-    if consistent[i0]:
-        anchor = fam.phi(0, s0) if w is None else complex(fam._phi(0, w[[i0]], g.x[[i0], 1])[0])
+    anchor = complex(fam._phi(0, w[[i0]], g.x[[i0], 1])[0]) if consistent[i0] else complex(1.0)
     scale = anchor / vals[i0] if vals[i0] != 0 else complex(1.0)
     cur = np.array([v * scale for v in vals])  # phi_n on the chain offsets n + lo .. hi
     table = {0: dict(zip(range(lo, hi + 1), cur.tolist()))}
@@ -672,12 +670,15 @@ def _bootstrap(fam, N: int, s0: complex, count: int):
     return table, g, consistent, w
 
 
-def _phi_pointwise_ok(fam, s) -> bool:
+def _rho_or_nan(fam, s):
+    """rho at the points of the 1-d ndarray s in one call; where that raises,
+    point by point on one-element arrays, NaN at a point where it raises."""
     try:
-        rho = fam.rho_at_s(s)
-    except Exception:
-        return False
-    return _positive_real(rho)
+        with np.errstate(all="ignore"):
+            return fam.rho_at_s(s)
+    except (ValueError, ArithmeticError):
+        return (np.concatenate([_rho_or_nan(fam, t) for t in np.split(s, len(s))]) if len(s) > 1
+                else np.full(1, np.nan, dtype=complex))
 
 
 def _branch_consistent(fam, g: StencilGrid):
@@ -688,32 +689,21 @@ def _branch_consistent(fam, g: StencilGrid):
     alternates sign against pointwise sqrt(rho) and is the branch the
     operators pair with.
 
-    rho is evaluated once, on the array of the points where sigma and Theta
-    pass; if that raises or gives a non-finite entry, point by point as
-    `_phi_pointwise_ok` does, so the verdict does not depend on the route.
-    Returns the verdicts and sqrt(rho) from the array (None after the
-    point-by-point route)."""
+    rho is evaluated on the array of the points where sigma and Theta pass
+    (`_rho_or_nan`: NaN, so not consistent, at a point where it raises).
+    Returns the verdicts and sqrt(rho) (0 where sigma or Theta fail)."""
 
     def nonneg(z):
         scale = np.maximum(1.0, np.abs(z))
         return (np.abs(z.imag) <= 1e-10 * scale) & (z.real >= -1e-12 * scale)
 
     ok = nonneg(g.sigma[:, 1]) & nonneg(g.theta[:, 1])
-    if not ok.any():
-        return ok, None
-    s = g.s[ok]
-    try:
-        with np.errstate(all="ignore"):
-            rho = np.asarray(fam.rho_at_s(s), dtype=complex)
-        finite = np.isfinite(rho).all()
-    except Exception:
-        finite = False
-    if not finite:
-        ok[ok] = [_phi_pointwise_ok(fam, t) for t in s.tolist()]
-        return ok, None
     w = np.zeros(len(ok), dtype=complex)
-    w[ok] = np.sqrt(rho)
-    ok[ok] = _positive_real(rho)
+    if ok.any():
+        rho = _rho_or_nan(fam, g.s[ok])
+        with np.errstate(all="ignore"):
+            w[ok] = np.sqrt(rho)
+        ok[ok] = _positive_real(rho)
     return ok, w
 
 
@@ -722,7 +712,7 @@ def _d_ratio_up(fam, n: int):
     try:
         lo = fam.d_n(n)
         hi = fam.d_n(n + 1)
-    except Exception:
+    except (ValueError, ArithmeticError):
         return None
     if lo == 0 or hi == 0:
         return None
@@ -744,8 +734,7 @@ def check_bootstrap(rep, fam, ns, s_grid):
     rows = [k + N for k in offs]
     if consistent.all():
         # the pointwise phi_n, with sqrt(rho) from the consistency check
-        direct = (fam.phi(range(N + 1), g.s[rows]) if w is None
-                  else fam._phi(range(N + 1), w[rows], g.x[rows, 1]))
+        direct = fam._phi(range(N + 1), w[rows], g.x[rows, 1])
     else:
         # one chain through the grid points, anchored at s0; a link going up
         # is read at its lower point, one going down at its upper point

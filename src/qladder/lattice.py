@@ -17,10 +17,13 @@ Scalar/array contract
 take one point (through `cmath`, returning a Python complex, or a bool) or
 an ndarray of points (through numpy, elementwise).
 `x` and `x_values` share one formula; array evaluation enters through
-`x_values`, never through `x`.  Quotients of complex arrays go through
-`_cdiv`, which rounds as Python's complex division does, so an array entry
-equals the scalar value bit for bit on real-valued data (numpy's own
-complex division multiplies by a rounded reciprocal).
+`x_values`, never through `x` (the benchmark's tracer keys `x` calls by
+complex(s)).  Quotients of complex arrays go through `_cdiv`, which rounds
+as Python's complex division does, so an array entry equals the scalar value
+bit for bit on real-valued data (numpy's own complex division multiplies by
+a rounded reciprocal); two numbers keep Python's division.  The families'
+pointwise quantities (weight, rho, phi_n, P_n) take arrays only; a point is
+a one-element array.
 
 `LatticeTable` is the difference calculus of a suite: x(s + h/2) for its
 rows s (grid points or nodes) and a range of integer h.  Its x values come

@@ -4,7 +4,8 @@ quadrature on [-1, 1] for the Askey--Wilson measure; Gram matrices.
 Every rule makes one pass over its support and calls its integrands on node
 arrays: an integrand returns a scalar or an array whose last axis runs over
 the nodes (its leading axes over n, or over pairs (n, m)), and the rule
-returns the matching array of inner products.  A family integrates its
+returns the matching ndarray of inner products, 0-d for a scalar integrand
+(a caller that wants a number takes complex() of it).  A family integrates its
 measure once per N (`FamilySpec.p_gram(N)`, the integrals of P_n P_m w),
 and the Gram matrix, the discrete-sum norms and the convention ratio read it.
 
@@ -62,16 +63,12 @@ class InnerProductSpec:
     nodes: tuple
 
 
-def _scalar_or_array(value):
-    return complex(value) if np.ndim(value) == 0 else value
-
-
 def _one(_):
     return 1.0
 
 
 def discrete_inner(spec: InnerProductSpec, f, g):
-    """sum_i f(s_i) g(s_i) Delta x(s_i - 1/2), elementwise for array values.
+    """sum_i f(s_i) g(s_i) Delta x(s_i - 1/2) as an ndarray (0-d for scalar terms).
 
     f and g are called once, on the array of all nodes.  An empty grid sums
     to 0; a term that is not finite raises QKernelError naming its node.
@@ -83,7 +80,7 @@ def discrete_inner(spec: InnerProductSpec, f, g):
     if bad.any():
         raise QKernelError(f"discrete sum term is not finite at node s = {s[bad.argmax()]:g}")
     # a running sum from 0 in node order: the rounding of a node-by-node sum
-    return _scalar_or_array(np.cumsum(np.insert(terms, 0, 0.0, axis=-1), axis=-1)[..., -1])
+    return np.cumsum(np.insert(terms, 0, 0.0, axis=-1), axis=-1)[..., -1]
 
 
 def _first(mask):
@@ -157,7 +154,8 @@ def _jackson_zero_to(f, zs, base: QBase, scale):
 
 def jackson_integral(f, z1, z2, base: QBase, scale=1.0):
     """int_{z1}^{z2} f(t) d_q t = int_0^{z2} - int_0^{z1}, each as the
-    displayed node series, elementwise for array values.  An entry settles
+    displayed node series, as an ndarray of the integrand's leading shape
+    (0-d for a scalar integrand).  An entry settles
     at 4 consecutive terms of at most JACKSON_TOL max(|running sum|, scale);
     `scale` is its natural magnitude, as in `continuous_inner_aw_converged`
     (the default 1 stops an entry far below 1 too early, 0 settles on the
@@ -168,7 +166,7 @@ def jackson_integral(f, z1, z2, base: QBase, scale=1.0):
     zs = [complex(z) for z in (z1, z2) if z != 0]
     values = list(np.moveaxis(_jackson_zero_to(f, np.array(zs), base, scale), -1, 0)) if zs else []
     lo, hi = (values.pop(0) if z != 0 else complex(0.0) for z in (z1, z2))
-    return _scalar_or_array(hi - lo)
+    return np.asarray(hi - lo)
 
 
 def continuous_inner_aw(f, g, weight_density, nodes: int = 2000):
@@ -179,14 +177,15 @@ def continuous_inner_aw(f, g, weight_density, nodes: int = 2000):
     computed as the midpoint rule in theta (x = cos theta), where the
     integrand is smooth and periodic.  f, g and `weight_density` are called
     once, on the array of all nodes, and return arrays whose last axis runs
-    over the nodes (or scalars); the result has the remaining shape.
+    over the nodes (or scalars); the result is the ndarray of the remaining
+    shape (0-d for scalars).
     `weight_density` must already include any 1/(2 pi) normalization.
     """
     if nodes < 2:
         raise QKernelError("quadrature needs at least 2 nodes")
     x = np.cos((np.arange(nodes) + 0.5) * (math.pi / nodes))
     w = np.full(nodes, math.pi / nodes)
-    return _scalar_or_array((f(x) * g(x) * weight_density(x) * w).sum(axis=-1))
+    return np.asarray((f(x) * g(x) * weight_density(x) * w).sum(axis=-1))
 
 
 def continuous_inner_aw_converged(f, g, weight_density, scale=1.0):

@@ -8,6 +8,8 @@ import time
 from dataclasses import dataclass, field
 from functools import update_wrapper
 
+import numpy as np
+
 __all__ = ["SCHEMA_ID", "CaseRecord", "CheckReport", "Skipped", "suite", "report_to_dict"]
 
 SCHEMA_ID = "qladder-report/1"
@@ -30,7 +32,8 @@ class CheckReport:
     `identity` names the relation being verified (self-describing anchor);
     verdict is pass iff max_residual <= tolerance, except suites that carry
     status "skipped" in meta.  max_residual scans the cases once, and again
-    only after the case list changed length or was replaced.
+    only after the case list changed length or was replaced; a NaN case makes
+    it NaN, so the report fails.
     """
 
     suite: str
@@ -46,7 +49,8 @@ class CheckReport:
     def max_residual(self) -> float:
         key = (id(self.cases), len(self.cases))
         if self._scanned[:2] != key:
-            self._scanned = (*key, max((c.residual for c in self.cases), default=0.0))
+            top = np.max([c.residual for c in self.cases], initial=0.0)  # keeps a NaN
+            self._scanned = (*key, float(top))
         return self._scanned[2]
 
     @property

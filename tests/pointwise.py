@@ -5,15 +5,16 @@ chain offsets of StencilGrid arrays) with the scaled stencil application
 the factorization residual is built from, sigma, Theta and tau at a
 point, the per-n products mu_k,
 A_{n,k} and the leading coefficient a_n with the generic recurrence
-coefficients built on them, monic P_n, the two-branch limit-aware
+coefficients built on them, P_n by the recurrence in Python complex
+arithmetic and phi_n at one point, monic P_n, the two-branch limit-aware
 ratios sigma/nabla x and Theta/Delta x, the polynomial raising and lowering
 relations, the ladder coefficients and operators, the difference
 quotients, k-fold forward differences and n-fold backward chains, the
 Pearson recurrence, rho_n, the Rodrigues formula, the direct tau_k quotient,
 the discrete squared norms and the Askey--Wilson h-product.  The library has no point-by-point
 evaluator: it evaluates sigma, Theta and the ladder coefficients on
-`ladder.StencilGrid` arrays, and x on `lattice.LatticeTable`s, whose folds
-give the difference calculus.  The tests keep these as the reference the
+`ladder.StencilGrid` arrays, x on `lattice.LatticeTable`s, whose folds
+give the difference calculus, and P_n, rho and phi_n on arrays of points.  The tests keep these as the reference the
 library is compared against."""
 
 import cmath
@@ -156,10 +157,10 @@ def apply_reduced(fam, which: str, n: int, s, op_n: int | None = None):
     margin-1 StencilGrid at s, one point or an ndarray of support nodes.
     `op_n` is the operator's eigen-parameter (defaults to the function index
     n); only H distinguishes the two."""
-    reduced = _reduced(which, n, StencilGrid.shared(fam, np.atleast_1d(s), 1), op_n)
-    if not isinstance(s, np.ndarray):
-        reduced = complex(reduced[0])
-    return _cdiv(fam.sqrt_rho(s) * reduced, fam.d_n(n))
+    nodes = np.atleast_1d(s)
+    reduced = _reduced(which, n, StencilGrid.shared(fam, nodes, 1), op_n)
+    out = _cdiv(fam.sqrt_rho(nodes) * reduced, fam.d_n(n))
+    return out if isinstance(s, np.ndarray) else complex(out[0])
 
 
 def mu_k(eq: EquationData, lam, k: int) -> complex:
@@ -221,9 +222,48 @@ def ttrr_coeffs_generic(eq: EquationData, n: int, dn_ratio, B) -> tuple:
     return alpha, beta, gamma
 
 
+def pn(fam, n: int, s) -> complex:
+    """Canonical P_n at one point s by the three-term recurrence (`pn_x`)."""
+    return pn_x(fam, n, fam.lattice.x(s))
+
+
+def pn_x(fam, n: int, x) -> complex:
+    """Canonical P_n at one value x by the three-term recurrence, in Python
+    complex arithmetic from the family's table (the library's recurrence,
+    `FamilySpec.pn_stack`, runs on arrays); 0 for n < 0."""
+    if n < 0:
+        return complex(0.0)
+    x, t = complex(x), fam.coeffs
+    pm, p = complex(0.0), complex(1.0)  # monic P_{k-1}, P_k
+    for k in range(n):
+        pm, p = p, (x - t.beta(k)) * p - t.gamma_monic(k) * pm
+    return p * t.a_n(n)
+
+
+def rho_at(fam, s) -> complex:
+    """The family's pointwise rho at one point s, as a one-element array."""
+    return complex(fam.rho_at_s(np.array([complex(s)]))[0])
+
+
+def phi_ok(fam, s) -> bool:
+    """Whether rho(s) is a positive real, so phi_n(s) = sqrt(rho) P_n / d_n
+    is the pointwise phi; False where rho raises."""
+    try:
+        with np.errstate(all="ignore"):
+            rho = rho_at(fam, s)
+    except (ValueError, ArithmeticError):
+        return False
+    return abs(rho.imag) <= 1e-12 * abs(rho) and rho.real > 0.0
+
+
+def phi(fam, n: int, s) -> complex:
+    """phi_n = sqrt(rho) P_n / d_n at one support point, in Python complex arithmetic."""
+    return cmath.sqrt(rho_at(fam, s)) * pn(fam, n, s) / fam.d_n(n)
+
+
 def pn_monic(fam, n: int, s) -> complex:
     """Monic-normalization value P_n / a_n."""
-    return fam.pn_ttrr(n, s) / fam.coeffs.a_n(n)
+    return pn(fam, n, s) / fam.coeffs.a_n(n)
 
 
 def sigma_eval(eq: EquationData, s) -> complex:
@@ -413,7 +453,7 @@ class PhiChain:
             k = round(d.real)
             if abs(d - k) > 1e-8 or not self.lo <= k <= self.hi:
                 raise QKernelError(f"point {s} is not on the chain")
-            return self.w[k] * self.fam.pn_ttrr(n, s)
+            return self.w[k] * pn(self.fam, n, s)
 
         return f
 
@@ -757,7 +797,7 @@ def suite_cases(fam, suite: str, ns, grid):
         t = fam.coeffs
         for n in ns:
             for s in map(complex, grid):
-                P = lambda k: fam.pn_ttrr(k, s) if k >= 0 else 0.0
+                P = lambda k: pn(fam, k, s) if k >= 0 else 0.0
                 terms = (t.alpha(n) * P(n + 1), t.gamma(n) * P(n - 1),
                          (t.beta(n) - lat.x(s)) * P(n))
                 out.append((n, f"{s:.6g}", rel_residual(sum(terms), terms), ""))
@@ -769,14 +809,14 @@ def suite_cases(fam, suite: str, ns, grid):
             b = h_mp(fam, n)
             out.append((n, "-", rel_residual(a - b, (a, b)), ""))
     elif suite == "poly_ladder":
-        t, pn = fam.coeffs, fam.pn_ttrr
+        t, pn_fn = fam.coeffs, lambda k, s: pn(fam, k, s)
         for n in ns:
             for s in grid:
                 label = f"{complex(s):.4g}"
-                out.append((n, label, check_poly_raising(eq, pn, n, s, t.alpha(n)), "raising"))
-                out.append((n, label, check_poly_lowering(eq, pn, n, s, t.beta(n), t.gamma(n)),
+                out.append((n, label, check_poly_raising(eq, pn_fn, n, s, t.alpha(n)), "raising"))
+                out.append((n, label, check_poly_lowering(eq, pn_fn, n, s, t.beta(n), t.gamma(n)),
                             "lowering"))
-        out += [(0, f"{complex(s):.4g}", check_poly_lowering(eq, pn, 0, s, t.beta(0), 0.0),
+        out += [(0, f"{complex(s):.4g}", check_poly_lowering(eq, pn_fn, 0, s, t.beta(0), 0.0),
                  "lowering n=0") for s in grid[:2]]
     elif suite == "bootstrap":
         out = _bootstrap_cases(fam, max(ns), grid)
@@ -790,7 +830,7 @@ def _bootstrap_cases(fam, N: int, grid):
     L-(s,0) phi_0 = 0, normalized against the pointwise phi_0 where its
     branch agrees with the chain's, then N raising steps, each level against
     the direct phi_n up to one constant."""
-    from qladder.ladder import _d_ratio_up, _phi_pointwise_ok
+    from qladder.ladder import _d_ratio_up
 
     eq, lat, t = fam.eq, fam.lattice, fam.coeffs
     s0 = complex(grid[0])
@@ -798,14 +838,14 @@ def _bootstrap_cases(fam, N: int, grid):
     lo, hi = min(offs) - N, max(offs)
     nonneg = lambda z: abs(z.imag) <= 1e-10 * max(1.0, abs(z)) and \
         z.real >= -1e-12 * max(1.0, abs(z))
-    ok = lambda s: (_phi_pointwise_ok(fam, s) and nonneg(sigma_eval(eq, s))
+    ok = lambda s: (phi_ok(fam, s) and nonneg(sigma_eval(eq, s))
                     and nonneg(theta_eval(eq, s)))
     vals = [complex(1.0)]
     for k in range(lo, hi):
         s = s0 + k
         vals.append(-v_fn(fam, 0, s) * lat.delta_x(s) * vals[-1] / sqrt_ts_plus(fam, s))
     i0 = offs[0] - lo
-    anchor = fam.phi(0, s0) if ok(s0) else complex(1.0)
+    anchor = phi(fam, 0, s0) if ok(s0) else complex(1.0)
     cur = [v * (anchor / vals[i0] if vals[i0] != 0 else 1.0) for v in vals]
     table = {0: dict(zip(range(lo, hi + 1), cur))}
     for n in range(N):
@@ -815,10 +855,10 @@ def _bootstrap_cases(fam, N: int, grid):
                for j, k in enumerate(range(lo + n + 1, hi + 1))]
         table[n + 1] = dict(zip(range(lo + n + 1, hi + 1), cur))
     if all(ok(s0 + k) for k in range(lo, hi + 1)):
-        direct = lambda n, k: fam.phi(n, s0 + k)
+        direct = lambda n, k: phi(fam, n, s0 + k)
     else:
         w = weight_chain(fam, s0, lo, hi)
-        direct = lambda n, k: w[k] * fam.pn_ttrr(n, s0 + k)
+        direct = lambda n, k: w[k] * pn(fam, n, s0 + k)
     out = []
     for n in range(N + 1):
         d = {k: direct(n, k) for k in offs}

@@ -110,7 +110,7 @@ def test_criterion_5_orthonormality(families):
     ratios = []
     for n in range(4):
         val = jackson_integral(
-            lambda x, n=n: fam.pn_ttrr_x(n, x) ** 2 * fam.weight(x),
+            lambda x, n=n: fam.pn_stack(n, x)[n] ** 2 * fam.weight(x),
             fam.support.lo, fam.support.hi, fam.base,
         )
         ratios.append(val / complex(fam.closed.d_n_sq(n)))

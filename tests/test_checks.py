@@ -3,17 +3,20 @@ tolerances, timing, skips and errors, dispatch, and the sweep each suite
 derives from a request."""
 
 import inspect
+import math
 import pathlib
 import re
 
+import numpy as np
 import pytest
 
 from qladder import checks
-from qladder.checks import SUITE_NAMES, default_grid, run_suite
-from qladder.families import make_family, reference_params
+from qladder.checks import SUITE_NAMES, default_grid, run_suite, run_suites
+from qladder.families import FAMILY_NAMES, make_family, reference_params
 from qladder.ladder import check_adjoint, check_eigen, check_selfadjoint
-from qladder.lattice import DegenerateStepError
+from qladder.lattice import DegenerateStepError, Lattice
 from qladder.qkernel import QBase, QKernelError
+from qladder.report import CaseRecord, CheckReport, report_to_dict
 
 README = pathlib.Path(__file__).resolve().parent.parent / "README.md"
 
@@ -211,8 +214,6 @@ def test_readme_suite_list_is_the_table():
 
 
 def test_max_residual_follows_the_case_list():
-    from qladder.report import CaseRecord, CheckReport
-
     rep = CheckReport("eigen", "identity", "asc1", tolerance=1e-11)
     assert rep.max_residual == 0.0 and rep.passed
     rep.cases.append(CaseRecord(1, "0.5", 2e-12))
@@ -221,3 +222,56 @@ def test_max_residual_follows_the_case_list():
     assert rep.max_residual == 5e-11 and not rep.passed
     rep.cases = [CaseRecord(1, "0.5", 1e-13)]
     assert rep.max_residual == 1e-13 and rep.passed
+
+
+def test_a_nan_case_makes_the_maximum_nan_and_the_report_fail():
+    # Python's max keeps 1e-16 against a NaN that is not the first case
+    rep = CheckReport("eigen", "identity", "asc1", tolerance=1e-11,
+                      cases=[CaseRecord(1, "0.5", 1e-16), CaseRecord(2, "1.5", math.nan)])
+    assert math.isnan(rep.max_residual) and not rep.passed
+    assert report_to_dict(rep)["verdict"] == "fail"
+
+
+def test_a_programming_error_in_rho_leaves_the_bootstrap(monkeypatch):
+    # only a refused point (ValueError, ArithmeticError) reads "not branch
+    # consistent"; a TypeError is a fault of the program and propagates
+    fam = make_family("q_dual_hahn", reference_params("q_dual_hahn"), QBase(0.5))
+
+    def broken(self, family, s):
+        raise TypeError("rho is broken")
+
+    monkeypatch.setattr(type(fam.kind), "rho_at_s", broken)
+    with pytest.raises(TypeError, match="rho is broken"):
+        run_suite(fam, "bootstrap")
+
+
+@pytest.mark.parametrize("name", ["asc1", "q_dual_hahn", "askey_wilson"])
+def test_pearson_reads_the_closed_rho_in_one_call(name, monkeypatch):
+    # every s of the 5-point default grid and every s + 1, in one array
+    fam = make_family(name, reference_params(name), QBase(0.5))
+    kind, calls = type(fam.kind), []
+    pearson_rho = kind.pearson_rho
+
+    def counted(self, family, s):
+        calls.append(np.shape(s))
+        return pearson_rho(self, family, s)
+
+    monkeypatch.setattr(kind, "pearson_rho", counted)
+    assert run_suite(fam, "pearson").passed
+    assert calls == [(10,)]
+
+
+@pytest.mark.parametrize("name", FAMILY_NAMES)
+def test_no_suite_passes_an_array_to_lattice_x(name, monkeypatch):
+    # arrays of points go through Lattice.x_values; Lattice.x takes one point
+    fam = make_family(name, reference_params(name), QBase(0.5))
+    x, arrays = Lattice.x, []
+
+    def guarded(self, s):
+        if isinstance(s, np.ndarray):
+            arrays.append(s.shape)
+        return x(self, s)
+
+    monkeypatch.setattr(Lattice, "x", guarded)
+    run_suites(fam, "all")
+    assert arrays == []

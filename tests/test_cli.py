@@ -573,7 +573,7 @@ def test_gram_aw_includes_doubling_metadata(tmp_path, monkeypatch):
             assert len(hist) >= 2 and hist[1][0] == 2 * hist[0][0]
             assert calls == [nodes for nodes, _ in hist], (name, N)
             _, want = continuous_inner_aw_converged(
-                lambda x: fam.pn_ttrr_x(N, x), lambda x: fam.pn_ttrr_x(N, x),
+                lambda x: fam.pn_stack(N, x)[N], lambda x: fam.pn_stack(N, x)[N],
                 fam.closed.displays["weight_density"], scale=abs(fam.norm_sq(N)),
             )
             assert hist == [[nodes, [v.real, v.imag]] for nodes, v in want], (name, N)

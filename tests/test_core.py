@@ -5,6 +5,7 @@ import cmath
 import math
 import re
 
+import numpy as np
 import pytest
 
 from qladder.hypergeometric_core import (
@@ -201,7 +202,8 @@ def test_pearson_weight_qdh_closed(families):
     rho = pearson_weight(fam.eq, a, 0, 5)
     for k in range(1, 6):
         got = rho[k] / rho[0]
-        want = fam.weight(a + k) / fam.weight(a)
+        w = fam.weight(np.array([a + k, a], dtype=complex))
+        want = w[0] / w[1]
         assert rel_residual(got - want, (got, want)) < 1e-10
 
 
@@ -308,7 +310,7 @@ def test_d_n_sq_discrete_boundary_guard(families):
 def test_poly_raising_lowering_all_families(families):
     for name in FAMILY_NAMES:
         fam = families[name]
-        pn = lambda k, s: fam.pn_ttrr(k, s)
+        pn = lambda k, s: pointwise.pn(fam, k, s)
         for n in range(1, 7):
             for s in grid_for(name, 5):
                 r = check_poly_raising(fam.eq, pn, n, s, fam.coeffs.alpha(n))
@@ -326,8 +328,8 @@ def test_poly_relations_scale_invariant_in_B(families):
     # rescaling the polynomial normalization leaves relative residuals
     # unchanged: the relations are 1-homogeneous in P
     fam = families["asc1"]
-    pn = lambda k, s: fam.pn_ttrr(k, s)
-    pn_scaled = lambda k, s: 1e3 * fam.pn_ttrr(k, s)
+    pn = lambda k, s: pointwise.pn(fam, k, s)
+    pn_scaled = lambda k, s: 1e3 * pointwise.pn(fam, k, s)
     for n in (1, 3):
         s = 0.25
         r1 = check_poly_raising(fam.eq, pn, n, s, fam.coeffs.alpha(n))
@@ -365,7 +367,7 @@ def test_poly_ladder_suite_equals_per_evaluation_recurrence(families):
 
     for name in FAMILY_NAMES:
         fam = families[name]
-        pn = lambda k, s: fam.pn_ttrr(k, s)
+        pn = lambda k, s: pointwise.pn(fam, k, s)
         grid = default_grid(fam)
         want = []
         for n in range(1, 7):
@@ -400,7 +402,7 @@ def test_pearson_weight_matches_pointwise(name, q):
 
 def _pointwise_rodrigues_residuals(fam, n_hi=5):
     """The rodrigues suite point by point: rodrigues_eval on the pointwise
-    Pearson table against pn_ttrr, with the constant fit at the first point."""
+    Pearson table against the scalar recurrence (`pointwise.pn`), with the constant fit at the first point."""
     grid = default_grid(fam)
     anchor = complex(grid[0])
     rho = weight_fn(pointwise.pearson_weight(fam.eq, anchor, -n_hi - 1, len(grid) + n_hi + 1),
@@ -408,7 +410,7 @@ def _pointwise_rodrigues_residuals(fam, n_hi=5):
     out = []
     for n in range(n_hi + 1):
         pairs = [(rodrigues_eval(fam.eq, rho, n, anchor + k, fam.coeffs.B),
-                  fam.pn_ttrr(n, anchor + k))
+                  pointwise.pn(fam, n, anchor + k))
                  for k in range(len(grid))]
         fit = next(rod / ref for rod, ref in pairs if abs(ref) > 1e-12)
         out += [abs(rod - fit * ref) / max(abs(rod), abs(fit * ref), 1e-12) for rod, ref in pairs]

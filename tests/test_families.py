@@ -19,7 +19,7 @@ from qladder.orthogonality import jackson_integral
 from qladder.qkernel import QBase, q_pochhammer_multi
 
 from conftest import FAMILY_NAMES, grid_for
-from pointwise import beta_generic, h_pair, lambda_n, pn_monic, ttrr_coeffs_generic
+from pointwise import beta_generic, h_pair, lambda_n, pn, pn_monic, pn_x, ttrr_coeffs_generic
 
 
 # ------------------------- construction and validation ---------------------
@@ -240,7 +240,7 @@ def test_dual_route_agreement(families):
         for n in range(0, top + 1):
             for s in fam.series_points:
                 a = fam.pn_series(n, s)
-                b = fam.pn_ttrr(n, s)
+                b = pn(fam, n, s)
                 assert rel_residual(a - b, (a, b)) < 1e-10, (name, n, s)
 
 
@@ -253,7 +253,7 @@ def test_eval_wrappers_natural_coordinates(families):
     x = math.cos(theta)
     s = aw.s_from_point(theta)
     assert aw.lattice.x(s) == pytest.approx(x, abs=1e-14)
-    assert eval_ttrr(aw, 2, theta) == pytest.approx(aw.pn_ttrr(2, s), rel=1e-13)
+    assert eval_ttrr(aw, 2, theta) == pytest.approx(pn(aw, 2, s), rel=1e-13)
 
 
 def test_asc1_p1_monic(families):
@@ -288,7 +288,8 @@ def test_pn_monic_accessor(families):
     fam = families["askey_wilson"]
     s = grid_for("askey_wilson", 1)[0]
     for n in (1, 3):
-        assert pn_monic(fam, n, s) * fam.a_n(n) == pytest.approx(fam.pn_ttrr(n, s), rel=1e-13)
+        got = fam.pn_stack(n, np.array([fam.lattice.x(s)]))[n, 0]
+        assert pn_monic(fam, n, s) * fam.a_n(n) == pytest.approx(got, rel=1e-13)
 
 
 # ------------------------- weights and norms --------------------------------
@@ -298,17 +299,15 @@ def test_weight_positive_on_supports(families):
     asc1 = families["asc1"]
     q = asc1.base.q
     # Jackson nodes of [a, 1]: q^k and a q^k
-    for k in range(0, 12):
-        assert asc1.weight(q**k).real > 0.0
-        assert asc1.weight(asc1.params["a"] * q**k).real > 0.0
+    nodes = np.array([z * q**k for z in (1.0, asc1.params["a"]) for k in range(12)])
+    assert (asc1.weight(nodes).real > 0.0).all()
     qdh = families["q_dual_hahn"]
-    for s in qdh.support.grid_points:
-        assert qdh.weight(s).real > 0.0
+    assert (qdh.weight(np.array(qdh.support.grid_points, dtype=complex)).real > 0.0).all()
 
 
 def test_asc2_weight_unavailable(families):
     with pytest.raises(FamilyError, match="Pearson"):
-        families["asc2"].weight(0.5)
+        families["asc2"].weight(np.array([0.5]))
 
 
 def test_aw_weight_at_zero_reduces_to_h_products(families):
@@ -321,14 +320,14 @@ def test_aw_weight_at_zero_reduces_to_h_products(families):
         / (2 * math.pi * fam.base.k_q * (1 - x * x)
            * h(x, 0.3) * h(x, 0.3) * h(x, 0.3) * h(x, 0.3))
     )
-    assert fam.weight(0.0) == pytest.approx(want, rel=1e-13)
+    assert fam.weight(np.zeros(1))[0] == pytest.approx(want, rel=1e-13)
     # at a=b=c=d=0 only the numerator h-factors survive
     cqh = families["continuous_q_hermite"]
     want0 = (
         h(x, 1.0) * h(x, -1.0) * h(x, math.sqrt(q)) * h(x, -math.sqrt(q))
         / (2 * math.pi * fam.base.k_q)
     )
-    assert cqh.weight(0.0) == pytest.approx(want0, rel=1e-13)
+    assert cqh.weight(np.zeros(1))[0] == pytest.approx(want0, rel=1e-13)
 
 
 def test_asc1_norms_match_jackson_integrals(families):
@@ -336,7 +335,7 @@ def test_asc1_norms_match_jackson_integrals(families):
     a = fam.params["a"]
     for n in range(0, 4):
         direct = jackson_integral(
-            lambda x, n=n: fam.pn_ttrr_x(n, x) ** 2 * fam.weight(x), a, 1.0, fam.base
+            lambda x, n=n: fam.pn_stack(n, x)[n] ** 2 * fam.weight(x), a, 1.0, fam.base
         )
         assert rel_residual(direct - fam.norm_sq(n), (direct,)) < 1e-10
 
@@ -390,26 +389,29 @@ def _support_points(fam):
 def test_weight_on_node_arrays_equals_scalar_bit_for_bit(name, params):
     fam = make_family(name, params, QBase(0.37))
     pts = _support_points(fam)
-    got = fam.weight(pts)
-    assert got.tobytes() == np.array([fam.weight(p) for p in pts]).tobytes()
+    got = fam.weight(pts)  # the whole node array against each node alone
+    assert got.tobytes() == np.concatenate([fam.weight(pts[i:i + 1])
+                                            for i in range(len(pts))]).tobytes()
 
 
 @pytest.mark.parametrize("name, params", [
     ("asc1", {"a": -2.345}), ("big_q_jacobi", {"a": 0.73, "b": 1.9, "c": -1.37}),
 ])
 def test_jackson_weight_from_its_factors_equals_the_displayed_products(name, params):
-    # the weight built from `weight_factors`, at one point and on an array,
-    # equals the displayed q-products evaluated as written, bit for bit
+    # the weight built from `weight_factors`, on a one-element array and on
+    # an array, equals the displayed q-products evaluated as written, at the
+    # point in Python complex arithmetic and on the array, bit for bit
     base = QBase(0.37)
     q, fam = base.q, make_family(name, params, base)
     a, b, c = (params.get(k) for k in "abc")
-    for x in (_support_points(fam), complex(_support_points(fam)[3])):
+    pts = _support_points(fam)
+    for x, got in ((pts, fam.weight(pts)), (complex(pts[3]), fam.weight(pts[3:4])[0])):
         if name == "asc1":
             want = q_pochhammer_multi((q * x, _cdiv(q * x, a)), base)
         else:
             want = _cdiv(q_pochhammer_multi((_cdiv(x, a), _cdiv(x, c)), base),
                          q_pochhammer_multi((x, _cdiv(b * x, c)), base))
-        assert np.asarray(fam.weight(x)).tobytes() == np.asarray(want).tobytes()
+        assert np.asarray(got).tobytes() == np.asarray(want).tobytes()
 
 
 def _h_products(x, q, params, den0):
@@ -437,11 +439,6 @@ def test_aw_stacked_h_products_equal_h_pair_bit_for_bit(name, params, q):
         assert dens(x).tobytes() == want.tobytes()
         want = _h_products(x, q, params, 2.0 * math.pi * kq * (1.0 - x * x))
         assert fam.weight(x).tobytes() == want.tobytes()
-    # scalars keep the Python loop: the values of one h_pair loop per alpha
-    for t in (0.0, 0.37, -0.91, complex(0.2, -0.3)):
-        assert dens(t) == _h_products(t, q, params, 2.0 * math.pi)
-        t = complex(t)
-        assert fam.weight(t) == _h_products(t, q, params, 2.0 * math.pi * kq * (1.0 - t * t))
 
 
 def test_s_from_point_refuses_the_lattice_constant(families):
@@ -456,9 +453,8 @@ def test_pn_stack_rows_equal_single_recurrences(families):
     for fam in families.values():
         stack = fam.pn_stack(6, x)
         assert stack.shape == (7, 4)
-        assert fam.pn_stack(6, 0.37) == [fam.pn_ttrr_x(n, 0.37) for n in range(7)]
-        for n in range(7):
-            assert stack[n].tolist() == np.broadcast_to(fam.pn_ttrr_x(n, x), x.shape).tolist()
+        for n in range(7):  # real x: the scalar recurrence's values, bit for bit
+            assert stack[n].tolist() == [pn_x(fam, n, v) for v in x.tolist()]
 
 
 def test_discrete_sum_norms_from_one_weight_pass(families):
@@ -466,6 +462,6 @@ def test_discrete_sum_norms_from_one_weight_pass(families):
     fresh = make_family(fam.name, fam.params, fam.base)
     grid = fam.support.grid_points
     for n in range(fam.n_max + 1):
-        direct = sum(fam.pn_ttrr(n, s) ** 2 * fam.weight(s) * fam.lattice.delta_x_mid(s)
-                     for s in grid)
+        direct = sum(pn(fam, n, s) ** 2 * complex(fam.weight(np.array([complex(s)]))[0])
+                     * fam.lattice.delta_x_mid(s) for s in grid)
         assert abs(fresh.norm_sq(n) - direct) <= 1e-15 * abs(direct)

@@ -13,8 +13,9 @@ per-n products, monic values, closed-form accessors, module-level table
 twins and operator objects that only the tests use.
 
 Each quantity has one owner: phi_n lives on `FamilySpec`, B_n is the
-family's table entry `coeffs.B` and the Pearson weight is a plain sequence,
-so the wrappers and second routes they replaced stay out of the library.
+family's table entry `coeffs.B`, the Pearson weight is a plain sequence and
+P_n by the recurrence is `FamilySpec.pn_stack` on arrays, so the wrappers,
+scalar forks and second routes they replaced stay out of the library.
 
 A suite's report has one maker, `report.suite`: the suite modules neither
 build a CheckReport nor mark one skipped.
@@ -34,7 +35,8 @@ TEST_ONLY = {"mu_k", "a_nk", "leading_coeff", "ttrr_coeffs_generic", "pn_monic",
              "lambda_closed", "lam_tau_ratio", "ThreePointOperator",
              "apply_scaled", "_apply_scaled", "apply_reduced", "ladder_bootstrap", "h_pair"}
 REMOVED = {"OrthonormalFamily", "WeightTable", "B_n", "_B_from_leading", "weight_at",
-           "family_names", "phi_point", "_CMATH_LOG", "SeriesSpec", "_detect_termination"}
+           "family_names", "phi_point", "_CMATH_LOG", "SeriesSpec", "_detect_termination",
+           "pn_ttrr", "pn_ttrr_x", "_complex", "_scalar_or_array", "_phi_pointwise_ok"}
 
 
 def _tree(path):

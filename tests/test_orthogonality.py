@@ -23,6 +23,7 @@ from qladder.orthogonality import (
 from qladder.qkernel import NonConvergedError, QBase, QKernelError
 
 from conftest import grid_for
+from pointwise import phi as phi_at
 
 
 def test_discrete_inner_phi_normalization(families):
@@ -88,7 +89,7 @@ def test_asc1_jackson_orthogonality(families):
     for n in range(0, 4):
         for m in range(0, 4):
             val = jackson_integral(
-                lambda x: fam.pn_ttrr_x(n, x) * fam.pn_ttrr_x(m, x) * fam.weight(x),
+                lambda x: fam.pn_stack(n, x)[n] * fam.pn_stack(m, x)[m] * fam.weight(x),
                 a, 1.0, fam.base,
             )
             if n == m:
@@ -102,11 +103,11 @@ def test_aw_quadrature_norm_and_orthogonality(families):
     fam = families["askey_wilson"]
     dens = fam.closed.displays["weight_density"]
     val = continuous_inner_aw(
-        lambda x: fam.pn_ttrr_x(0, x), lambda x: fam.pn_ttrr_x(0, x), dens, nodes=2000
+        lambda x: fam.pn_stack(0, x)[0], lambda x: fam.pn_stack(0, x)[0], dens, nodes=2000
     )
     assert abs(val - fam.norm_sq(0)) < 1e-7 * abs(fam.norm_sq(0))
     v01 = continuous_inner_aw(
-        lambda x: fam.pn_ttrr_x(0, x), lambda x: fam.pn_ttrr_x(1, x), dens, nodes=2000
+        lambda x: fam.pn_stack(0, x)[0], lambda x: fam.pn_stack(1, x)[1], dens, nodes=2000
     )
     assert abs(v01) < 1e-7 * abs(fam.d_n(0) * fam.d_n(1))
 
@@ -115,7 +116,7 @@ def test_aw_quadrature_doubling_gate(families):
     fam = families["askey_wilson"]
     dens = fam.closed.displays["weight_density"]
     val, history = continuous_inner_aw_converged(
-        lambda x: fam.pn_ttrr_x(1, x), lambda x: fam.pn_ttrr_x(1, x), dens,
+        lambda x: fam.pn_stack(1, x)[1], lambda x: fam.pn_stack(1, x)[1], dens,
         scale=abs(fam.norm_sq(1)),
     )
     assert abs(val - fam.norm_sq(1)) < 1e-9 * abs(fam.norm_sq(1))
@@ -167,13 +168,13 @@ def test_gram_matches_per_pair_scalar_rule(families, name):
             elif sup.kind == "jackson_integral":
                 dd = fam.d_n(n) * fam.d_n(m)
                 want = jackson_integral(
-                    lambda x: fam.pn_ttrr_x(n, x) * fam.pn_ttrr_x(m, x) * fam.weight(x),
+                    lambda x: fam.pn_stack(n, x)[n] * fam.pn_stack(m, x)[m] * fam.weight(x),
                     sup.lo, sup.hi, fam.base, scale=abs(dd),
                 ) / dd
             else:
                 dd = fam.d_n(n) * fam.d_n(m)
                 val, _ = continuous_inner_aw_converged(
-                    lambda x: fam.pn_ttrr_x(n, x), lambda x: fam.pn_ttrr_x(m, x),
+                    lambda x: fam.pn_stack(n, x)[n], lambda x: fam.pn_stack(m, x)[m],
                     fam.closed.displays["weight_density"], scale=abs(dd),
                 )
                 want = val / dd
@@ -345,7 +346,7 @@ def test_discrete_inner_equals_node_by_node_sum():
     for n in range(4):
         want = complex(0.0)
         for s in nodes:
-            want += fam.phi(n, s) * fam.phi(n, s) * fam.lattice.delta_x_mid(s)
+            want += phi_at(fam, n, s) * phi_at(fam, n, s) * fam.lattice.delta_x_mid(s)
         assert got[n] == want
 
 
