@@ -276,11 +276,13 @@ def cmd_eval(cfg: RunConfig) -> int:
          "Theta": _theta_at(eq, x, b - a)}
         for s, (a, x, b) in zip(pts, xh.tolist())
     ]
-    # P_0..P_N from one recurrence pass; rho point by point, null where it raises
+    # P_0..P_N from one recurrence pass; rho point by point, null where the family
+    # refuses the point (a division by zero raises, as in Python's arithmetic)
     stack = fam.pn_stack(cfg.n_max, xh[:, 1]).tolist()
     for col in columns:
         try:
-            col["rho"] = complex(fam.rho_at_s(np.array([col["s"]]))[0])
+            with np.errstate(divide="raise", invalid="raise"):
+                col["rho"] = complex(fam.rho_at_s(np.array([col["s"]]))[0])
         except (FamilyError, QKernelError, KeyError):
             col["rho"] = None
     rows = []

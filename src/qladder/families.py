@@ -6,8 +6,7 @@ closed-form weight / norm / recurrence data, a basic-hypergeometric series
 evaluator, support description and parameter validation.  A `FamilySpec`
 owns every quantity of one family on its lattice: P_n, rho, d_n, the
 orthonormal phi_n = sqrt(rho/d_n^2) P_n and the per-n table `coeffs` (B_n).
-The weight, rho, phi_n and P_n by the recurrence take a 1-d ndarray of
-points (one point is a one-element array); `eval_ttrr` wraps one point.
+Its weight, rho, phi_n and recurrence P_n take 1-d arrays of points only.
 
 Normalization
 -------------

@@ -62,19 +62,37 @@ def test_eval_json_schema(tmp_path):
 @pytest.mark.parametrize("name", list(REF_ARGS))
 def test_eval_columns_equal_pointwise_reference(tmp_path, name, q):
     # x, sigma, tau and Theta of every row, bit for bit, against their
-    # point-by-point definitions
+    # point-by-point definitions; P (one recurrence pass over the grid), rho
+    # (on one-element arrays) and phi against the scalar reference, bit for
+    # bit on a real lattice (numpy's complex products round differently)
     out = tmp_path / "e.json"
     assert run_cli(["eval", "--family", name, *REF_ARGS[name], "--q", str(q),
                     "--n-min", "0", "--n-max", "2", "--out", str(out)]) == 0
     rows = json.loads(out.read_text())["rows"]
     assert len(rows) == 15
-    eq = make_family(name, reference_params(name), QBase(q)).eq
+    fam = make_family(name, reference_params(name), QBase(q))
+    eq = fam.eq
     for row in rows:
-        s = complex(*row["s"])
+        s, n = complex(*row["s"]), row["n"]
         for col, want in (("x", eq.lattice.x(s)), ("sigma", pointwise.sigma_eval(eq, s)),
                           ("tau", pointwise.tau_eval(eq, s)),
                           ("Theta", pointwise.theta_eval(eq, s))):
             assert row[col] == [want.real, want.imag], (col, s)
+        want = {"P": pointwise.pn(fam, n, s)}
+        if pointwise.phi_ok(fam, s):
+            want.update(rho=pointwise.rho_at(fam, s), phi=pointwise.phi(fam, n, s))
+        for col, w in want.items():
+            got = complex(*row[col])
+            assert got == w or fam.kind.complex_s and abs(got - w) <= 1e-15 * abs(w), (col, s)
+
+
+def test_eval_refuses_a_weight_pole_on_its_grid(capsys):
+    # q-dual Hahn's weight divides by (q^{s+a+1};q)_inf, which vanishes at
+    # s = -a - 1: a division by zero, exit 2, not a NaN row
+    rc = run_cli(["eval", "--family", "q_dual_hahn", "--param", "a=0.2", "--param", "b=5.2",
+                  "--param", "c=0.3", "--q", "0.5", "--grid=-1.2:0.8:3", "--n-max", "1"])
+    assert rc == 2
+    assert capsys.readouterr().err.startswith("error:")
 
 
 def test_unknown_family_exits_2(capsys):

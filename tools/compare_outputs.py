@@ -1,6 +1,6 @@
 """Compare what `qladder.cli.main` prints between two source trees.
 
-    python tools/compare_outputs.py SRC_A SRC_B [--keep DIR]
+    python tools/compare_outputs.py SRC_A SRC_B
 
 SRC_A and SRC_B are directories that hold the `qladder` package (a
 checkout's `src`).  One fixed set of command lines runs through `cli.main`
@@ -224,10 +224,6 @@ def _family(argv) -> str:
     return argv[argv.index("--family") + 1] if "--family" in argv else "?"
 
 
-def _fmt(v: float) -> str:
-    return "-" if math.isnan(v) else f"{v:.2e}"
-
-
 def compare(index_a: list, index_b: list) -> int:
     """Print the differing runs and the largest moves; return how many runs differ."""
     by_a = {tuple(r["argv"]): r for r in index_a}
@@ -249,7 +245,7 @@ def compare(index_a: list, index_b: list) -> int:
     if worst:
         print(f"\n{'family':22s} {'quantity':44s} {'moves':>6s} {'max abs':>9s} {'max rel':>9s}")
         for (fam, tag), (count, dist, rel) in sorted(worst.items()):
-            print(f"{fam:22s} {tag:44s} {count:6d} {_fmt(dist):>9s} {_fmt(rel):>9s}")
+            print(f"{fam:22s} {tag:44s} {count:6d} {dist:9.2e} {rel:9.2e}")
     print(f"\nruns: {len(by_a)} in A, {len(by_b)} in B; differing: {differing}; "
           f"in one tree only: {len(only)}")
     return differing + len(only)
@@ -259,22 +255,19 @@ def main(argv=None) -> int:
     p = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     p.add_argument("src_a")
     p.add_argument("src_b")
-    p.add_argument("--keep", help="write each tree's run index here instead of a temporary directory")
     p.add_argument("--worker", action="store_true", help=argparse.SUPPRESS)
     args = p.parse_args(argv)
     if args.worker:  # src_a is the tree, src_b the output directory
         run_tree(args.src_a, args.src_b)
         return 0
     with tempfile.TemporaryDirectory() as tmp:
-        base = args.keep or tmp
         indexes = []
         for tag, src in (("a", args.src_a), ("b", args.src_b)):
-            outdir = os.path.join(base, tag)
-            os.makedirs(outdir, exist_ok=True)
+            outdir = os.path.join(tmp, tag)
+            os.makedirs(outdir)
             env = {k: v for k, v in os.environ.items() if k != "PYTHONPATH"}
-            subprocess.run([sys.executable, os.path.abspath(__file__), "--worker", os.path.abspath(src),
-                            outdir],
-                           check=True, env=env, cwd=outdir)
+            subprocess.run([sys.executable, os.path.abspath(__file__), "--worker",
+                            os.path.abspath(src), outdir], check=True, env=env, cwd=outdir)
             with open(os.path.join(outdir, "index.json"), encoding="utf-8") as fh:
                 indexes.append(json.load(fh))
     return 1 if compare(*indexes) else 0
