@@ -80,8 +80,8 @@ def run_set() -> list:
 
 def run_tree(src: str, outdir: str):
     """Run the run set against the package in `src`; write each run's
-    outputs to `outdir` and the index of runs to `outdir/index.json`."""
-    sys.dont_write_bytecode = True
+    outputs to `outdir` and the index of runs to `outdir/index.json`.
+    Runs in a process of its own per tree (see `main`)."""
     sys.path[:0] = [os.path.abspath(src), os.path.join(ROOT, "perfbench")]
     from qladder import cli
 
@@ -255,19 +255,19 @@ def main(argv=None) -> int:
     p = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     p.add_argument("src_a")
     p.add_argument("src_b")
-    p.add_argument("--worker", action="store_true", help=argparse.SUPPRESS)
     args = p.parse_args(argv)
-    if args.worker:  # src_a is the tree, src_b the output directory
-        run_tree(args.src_a, args.src_b)
-        return 0
+    # each tree in a fresh interpreter that sees only this directory, the
+    # tree and perfbench/, and compiles nothing to disk
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.abspath(__file__)),
+               PYTHONDONTWRITEBYTECODE="1")
     with tempfile.TemporaryDirectory() as tmp:
         indexes = []
         for tag, src in (("a", args.src_a), ("b", args.src_b)):
             outdir = os.path.join(tmp, tag)
             os.makedirs(outdir)
-            env = {k: v for k, v in os.environ.items() if k != "PYTHONPATH"}
-            subprocess.run([sys.executable, os.path.abspath(__file__), "--worker",
-                            os.path.abspath(src), outdir], check=True, env=env, cwd=outdir)
+            subprocess.run([sys.executable, "-c", "import sys, compare_outputs; "
+                            "compare_outputs.run_tree(*sys.argv[1:])", os.path.abspath(src),
+                            outdir], check=True, env=env, cwd=outdir)
             with open(os.path.join(outdir, "index.json"), encoding="utf-8") as fh:
                 indexes.append(json.load(fh))
     return 1 if compare(*indexes) else 0
