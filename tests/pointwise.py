@@ -11,11 +11,12 @@ ratios sigma/nabla x and Theta/Delta x, the polynomial raising and lowering
 relations, the ladder coefficients and operators, the difference
 quotients, k-fold forward differences and n-fold backward chains, the
 Pearson recurrence, rho_n, the Rodrigues formula, the direct tau_k quotient,
-the discrete squared norms and the Askey--Wilson h-product.  The library has no point-by-point
-evaluator: it evaluates sigma, Theta and the ladder coefficients on
-`ladder.StencilGrid` arrays, x on `lattice.LatticeTable`s, whose folds
-give the difference calculus, and P_n, rho and phi_n on arrays of points.  The tests keep these as the reference the
-library is compared against."""
+the discrete squared norms and the Askey--Wilson h-product.  The library
+has no point-by-point evaluator: it evaluates sigma, Theta and the ladder
+coefficients on `ladder.StencilGrid` arrays, x on `lattice.LatticeTable`s,
+whose folds give the difference calculus, and P_n, rho and phi_n on arrays
+of points.  The tests keep these as the reference the library is compared
+against."""
 
 import cmath
 from dataclasses import dataclass

@@ -24,7 +24,8 @@ def _report(residual, verdict="pass", wall_ms=1.5):
 def test_wall_ms_is_masked_in_json_and_in_the_check_csv():
     assert co._mask(_report(1e-16, wall_ms=1.5)) == co._mask(_report(1e-16, wall_ms=72.25))
     json.loads(co._mask(_report(1e-16)))  # still JSON
-    csv_a = "suite,identity,family,max_residual,tolerance,verdict,wall_ms\npearson,x,f,1,2,pass,3.5\n"
+    csv_a = ("suite,identity,family,max_residual,tolerance,verdict,wall_ms\n"
+             "pearson,x,f,1,2,pass,3.5\n")
     assert co._mask(csv_a) == co._mask(csv_a.replace("3.5", "9.0"))
     assert co._mask(csv_a) != co._mask(csv_a.replace("pass", "fail"))
 

@@ -402,7 +402,8 @@ def test_pearson_weight_matches_pointwise(name, q):
 
 def _pointwise_rodrigues_residuals(fam, n_hi=5):
     """The rodrigues suite point by point: rodrigues_eval on the pointwise
-    Pearson table against the scalar recurrence (`pointwise.pn`), with the constant fit at the first point."""
+    Pearson table against the scalar recurrence (`pointwise.pn`), with the
+    constant fit at the first point."""
     grid = default_grid(fam)
     anchor = complex(grid[0])
     rho = weight_fn(pointwise.pearson_weight(fam.eq, anchor, -n_hi - 1, len(grid) + n_hi + 1),
