@@ -277,13 +277,13 @@ def cmd_eval(cfg: RunConfig) -> int:
         for s, (a, x, b) in zip(pts, xh.tolist())
     ]
     # P_0..P_N from one recurrence pass; rho point by point, null where the family
-    # refuses the point (a division by zero raises, as in Python's arithmetic)
+    # refuses the point or the weight has a pole there (numpy raises on the division)
     stack = fam.pn_stack(cfg.n_max, xh[:, 1]).tolist()
     for col in columns:
         try:
             with np.errstate(divide="raise", invalid="raise"):
                 col["rho"] = complex(fam.rho_at_s(np.array([col["s"]]))[0])
-        except (FamilyError, QKernelError, KeyError):
+        except (FamilyError, QKernelError, KeyError, ArithmeticError):
             col["rho"] = None
     rows = []
     for n in ns:

@@ -425,7 +425,7 @@ class FamilySpec:
         N.  Only here does the support kind choose the rule: the sum over the
         grid s, the Jackson integral at the node x itself or the quadrature
         against the density, these two settling against |d_n d_m|.  history
-        is the quadrature's node-doubling loop, as (nodes, matrix) pairs, or []."""
+        is the quadrature's node-doubling loop, as (panels, matrix) pairs, or []."""
         key = ("p_gram", N)
         if key in self._cache:
             return self._cache[key]

@@ -20,14 +20,15 @@ node whose term is below tolerance relative to max(|running sum|, scale), as
 a node-by-node sum would (node cap 10^4).  The first block is sized for Gram
 entries, which settle against |d_n d_m|, so a Gram is typically one f call.
 The continuous Askey--Wilson quadrature substitutes x = cos(theta),
-where the integrand is smooth and periodic, and applies the midpoint rule
-theta_j = (j + 1/2) pi / M (Gauss--Chebyshev in x), which converges
-exponentially (Trefethen & Weideman, SIAM Review 56 (2014) 385-458); a
-node-doubling loop provides the convergence gate.  A continuous Gram runs
-that loop once, on the whole matrix, and hands out its history beside the
-matrix, so a report of the quadrature (the `gram` command's node history)
-describes the evaluations that made the matrix: one density evaluation per
-node count.
+where the integrand is smooth and periodic, and applies the trapezoidal rule
+theta_j = j pi / M, j = 0..M, half weight at both ends (Gauss--Chebyshev--
+Lobatto in x), which converges exponentially (Trefethen & Weideman, SIAM
+Review 56 (2014) 385-458).  Its nodes nest under doubling, so the
+convergence gate evaluates each node once: one call on the 2M + 1 nodes of
+the first two levels, then one call on the M new midpoints per doubling.  A
+continuous Gram runs that loop once, on the whole matrix, and hands out its
+history beside the matrix, so a report of the quadrature (the `gram`
+command's node history) describes the evaluations that made the matrix.
 """
 
 from __future__ import annotations
@@ -50,8 +51,8 @@ __all__ = [
 
 JACKSON_NODE_CAP = 10**4
 JACKSON_TOL = 1e-15  # a Jackson term below it (relative to the running sum, or scale) is small
-QUADRATURE_RULE = "midpoint in theta (Gauss-Chebyshev in x) with node doubling"
-# the node-doubling loop: first node count, settling tolerance, doublings allowed
+QUADRATURE_RULE = "trapezoid in theta (Gauss-Chebyshev-Lobatto in x) with nested node doubling"
+# the node-doubling loop: first panel count, settling tolerance, doublings allowed
 QUADRATURE_START_NODES, QUADRATURE_REL_TOL, QUADRATURE_MAX_DOUBLINGS = 250, 1e-9, 4
 
 
@@ -169,47 +170,74 @@ def jackson_integral(f, z1, z2, base: QBase, scale=1.0):
     return np.asarray(hi - lo)
 
 
+def _aw_values(f, g, weight_density, theta):
+    """f g weight_density at x = cos(theta) for the 1-d array theta, node axis
+    last; a value that is not finite raises NonConvergedError naming its node."""
+    x = np.cos(theta)
+    with np.errstate(all="ignore"):  # a value that is not finite is refused below
+        v = np.asarray(f(x) * g(x) * weight_density(x))
+        total = v.sum()
+    if not np.isfinite(total):  # the total is finite where every value is
+        bad = ~np.isfinite(v).all(axis=tuple(range(v.ndim - 1)))  # per node
+        if bad.any():
+            raise NonConvergedError(
+                f"quadrature integrand is not finite at node x = {x[bad.argmax()]:g}")
+    return np.broadcast_to(v, np.broadcast_shapes(v.shape, x.shape))
+
+
+def _panel_sum(v):
+    """The trapezoid sum of equispaced values (node axis last), before the step."""
+    return (v[..., 0] + v[..., -1]) / 2 + v[..., 1:-1].sum(axis=-1)
+
+
 def continuous_inner_aw(f, g, weight_density, nodes: int = 2000):
     """Quadrature of f g over x in (-1, 1) against the density:
 
         int f(x) g(x) weight_density(x) / sqrt(1-x^2) dx
 
-    computed as the midpoint rule in theta (x = cos theta), where the
-    integrand is smooth and periodic.  f, g and `weight_density` are called
-    once, on the array of all nodes, and return arrays whose last axis runs
-    over the nodes (or scalars); the result is the ndarray of the remaining
-    shape (0-d for scalars).
-    `weight_density` must already include any 1/(2 pi) normalization.
+    computed as the trapezoidal rule in theta (x = cos theta) on `nodes`
+    panels, theta_j = j pi / nodes for j = 0..nodes, where the integrand is
+    smooth and periodic.  f, g and `weight_density` are called once, on the
+    array of all nodes, and return arrays whose last axis runs over the nodes
+    (or scalars); the result is the ndarray of the remaining shape (0-d for
+    scalars).  `weight_density` must already include any 1/(2 pi)
+    normalization.
     """
-    if nodes < 2:
-        raise QKernelError("quadrature needs at least 2 nodes")
-    x = np.cos((np.arange(nodes) + 0.5) * (math.pi / nodes))
-    w = np.full(nodes, math.pi / nodes)
-    return np.asarray((f(x) * g(x) * weight_density(x) * w).sum(axis=-1))
+    if nodes < 1:
+        raise QKernelError("quadrature needs at least 1 panel")
+    v = _aw_values(f, g, weight_density, np.arange(nodes + 1) * (math.pi / nodes))
+    return np.asarray(_panel_sum(v) * (math.pi / nodes))
 
 
 def continuous_inner_aw_converged(f, g, weight_density, scale=1.0):
-    """Node-doubling convergence loop around `continuous_inner_aw`, from
-    QUADRATURE_START_NODES nodes.
+    """Nested node-doubling loop of the rule of `continuous_inner_aw`, from
+    QUADRATURE_START_NODES panels.
 
-    Settles when doubling changes every entry by less than
-    QUADRATURE_REL_TOL relative to max(|value|, scale); `scale` (a scalar or
-    an array matching the value) supplies the natural magnitude for entries
+    Each node is evaluated once: the first call of f, g and the density covers
+    the 2M + 1 nodes of the first two levels (M panels read from the
+    even-indexed values), and each further doubling evaluates only the M new
+    midpoints, in one call.  Settles when doubling changes every entry by less
+    than QUADRATURE_REL_TOL relative to max(|value|, scale); `scale` (a scalar
+    or an array matching the value) supplies the natural magnitude for entries
     whose true value is 0 (off-diagonal Gram entries).  Returns (value,
-    history) with history the list of (nodes, value) visited; raises
+    history) with history the list of (panels, value) visited; raises
     NonConvergedError when QUADRATURE_MAX_DOUBLINGS doublings never settle.
     """
-    nodes = QUADRATURE_START_NODES
-    prev = continuous_inner_aw(f, g, weight_density, nodes)
-    history = [(nodes, prev)]
-    for _ in range(QUADRATURE_MAX_DOUBLINGS):
-        nodes *= 2
-        cur = continuous_inner_aw(f, g, weight_density, nodes)
-        history.append((nodes, cur))
+    panels = QUADRATURE_START_NODES
+    v = _aw_values(f, g, weight_density, np.arange(2 * panels + 1) * (math.pi / (2 * panels)))
+    total, mids = _panel_sum(v[..., ::2]), v[..., 1::2]
+    history = [(panels, np.asarray(total * (math.pi / panels)))]
+    for doubling in range(QUADRATURE_MAX_DOUBLINGS):
+        if doubling:
+            mids = _aw_values(f, g, weight_density, (np.arange(panels) + 0.5) * (math.pi / panels))
+        prev = history[-1][1]
+        total = total + mids.sum(axis=-1)
+        panels *= 2
+        cur = np.asarray(total * (math.pi / panels))
+        history.append((panels, cur))
         bound = QUADRATURE_REL_TOL * np.maximum(np.maximum(np.abs(cur), np.abs(scale)), 1e-30)
         if np.all(np.abs(cur - prev) <= bound):
             return cur, history
-        prev = cur
     raise NonConvergedError(f"quadrature did not settle to {QUADRATURE_REL_TOL} after "
                             f"{QUADRATURE_MAX_DOUBLINGS} doublings")
 
@@ -224,7 +252,7 @@ def gram_matrix(fam, N: int):
     orthonormal functions phi_0..phi_N of a family: the integrals of
     P_n P_m w over its support divided by d_n d_m.  history is that of
     `FamilySpec.p_gram`: the continuous quadrature's node-doubling loop, as
-    (nodes, unnormalised matrix) pairs, or [] for sums and Jackson integrals.
+    (panels, unnormalised matrix) pairs, or [] for sums and Jackson integrals.
     """
     M, history = fam.p_gram(N)
     return M / _outer(np.array([fam.d_n(n) for n in range(N + 1)])), history

@@ -86,13 +86,23 @@ def test_eval_columns_equal_pointwise_reference(tmp_path, name, q):
             assert got == w or fam.kind.complex_s and abs(got - w) <= 1e-15 * abs(w), (col, s)
 
 
-def test_eval_refuses_a_weight_pole_on_its_grid(capsys):
+def test_eval_keeps_its_table_at_a_weight_pole(tmp_path):
     # q-dual Hahn's weight divides by (q^{s+a+1};q)_inf, which vanishes at
-    # s = -a - 1: a division by zero, exit 2, not a NaN row
-    rc = run_cli(["eval", "--family", "q_dual_hahn", "--param", "a=0.2", "--param", "b=5.2",
-                  "--param", "c=0.3", "--q", "0.5", "--grid=-1.2:0.8:3", "--n-max", "1"])
-    assert rc == 2
-    assert capsys.readouterr().err.startswith("error:")
+    # s = -a - 1 = -1.2: that point reads rho and phi null, not NaN, and the
+    # other points keep the values of a grid without the pole (whose s
+    # differs in the last bit)
+    qdh = ["--family", "q_dual_hahn", "--param", "a=0.2", "--param", "b=5.2",
+           "--param", "c=0.3", "--q", "0.5", "--n-max", "2"]
+    out, ref = tmp_path / "pole.json", tmp_path / "ref.json"
+    assert run_cli(["eval", *qdh, "--grid=-1.2:0.8:3", "--out", str(out)]) == 0
+    assert run_cli(["eval", *qdh, "--grid=-0.2:0.8:2", "--out", str(ref)]) == 0
+    rows = json.loads(out.read_text())["rows"]
+    pole = [r for r in rows if r["s"] == [-1.2, 0.0]]
+    assert len(pole) == 2 and all(r["rho"] is None and r["phi"] is None for r in pole)
+    rest = [r for r in rows if r["s"] != [-1.2, 0.0]]
+    drop_s = lambda rs: [{k: v for k, v in r.items() if k != "s"} for r in rs]
+    assert drop_s(rest) == drop_s(json.loads(ref.read_text())["rows"])
+    assert all(r["rho"] is not None and r["phi"] is not None for r in rest)
 
 
 def test_unknown_family_exits_2(capsys):
@@ -562,8 +572,9 @@ def test_check_csv_format(tmp_path):
 
 def test_gram_aw_includes_doubling_metadata(tmp_path, monkeypatch):
     # node_history is the Gram's own doubling loop: its [N, N] entry equals a
-    # loop of its own on <P_N, P_N> with scale |d_N^2|, and the density is
-    # evaluated once per listed node count
+    # loop of its own on <P_N, P_N> with scale |d_N^2|.  The levels nest: the
+    # density is called once on the 2M + 1 nodes of the first two levels, then
+    # once on the M new midpoints per further level, and no node twice
     calls = []
     aw_weights = families._aw_weights
 
@@ -571,7 +582,7 @@ def test_gram_aw_includes_doubling_metadata(tmp_path, monkeypatch):
         weight, density = aw_weights(*args)
 
         def counted(x):
-            calls.append(np.size(x))
+            calls.append(np.array(x))
             return density(x)
 
         return weight, counted
@@ -588,8 +599,12 @@ def test_gram_aw_includes_doubling_metadata(tmp_path, monkeypatch):
             data = json.loads(out.read_text())
             assert data["max_offdiag"] < 1e-6
             hist = data["quadrature"]["node_history"]
-            assert len(hist) >= 2 and hist[1][0] == 2 * hist[0][0]
-            assert calls == [nodes for nodes, _ in hist], (name, N)
+            panels = [p for p, _ in hist]
+            assert len(panels) >= 2 and panels == [panels[0] * 2**k for k in range(len(panels))]
+            assert [x.size for x in calls] == [2 * panels[0] + 1] + [p // 2 for p in panels[2:]]
+            x = np.sort(np.concatenate(calls))
+            finest = np.sort(np.cos(np.arange(panels[-1] + 1) * (np.pi / panels[-1])))
+            assert np.abs(x - finest).max() <= 1e-15, (name, N)  # each node once
             _, want = continuous_inner_aw_converged(
                 lambda x: fam.pn_stack(N, x)[N], lambda x: fam.pn_stack(N, x)[N],
                 fam.closed.displays["weight_density"], scale=abs(fam.norm_sq(N)),

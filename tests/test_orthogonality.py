@@ -260,6 +260,49 @@ def test_continuous_vector_integrand_unsettled_entry_raises():
         )
 
 
+
+def test_continuous_non_finite_node_value_is_refused_by_name_without_warning():
+    # the closed rule evaluates x = 1, where 1/sqrt(1-x) divides by zero
+    one = lambda x: 1.0
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NonConvergedError, match=r"not finite at node x = 1$"):
+            continuous_inner_aw_converged(lambda x: 1.0 / np.sqrt(1.0 - x), one, one)
+        with pytest.raises(NonConvergedError, match=r"not finite at node x = -1$"):
+            continuous_inner_aw(lambda x: np.log(1.0 + x), one, one, nodes=4)
+
+
+def test_continuous_gram_past_two_levels_evaluates_each_node_once(monkeypatch):
+    # this Askey--Wilson measure (a = 0.98) needs a third level: the density is
+    # called on the 501 nodes of levels 250 and 500, then on the 500 midpoints
+    calls = []
+    aw_weights = families_module._aw_weights
+
+    def counted_aw_weights(*args):
+        weight, density = aw_weights(*args)
+        return weight, lambda x: calls.append(x.size) or density(x)
+
+    monkeypatch.setattr(families_module, "_aw_weights", counted_aw_weights)
+    fam = make_family("askey_wilson", {"a": 0.98, "b": 0.5, "c": 0.1, "d": -0.2}, QBase(0.5))
+    N = 3
+    G, history = gram_matrix(fam, N)
+    assert [p for p, _ in history] == [250, 500, 1000]
+    assert calls == [501, 500]
+    # each nested level is the trapezoid on its own panels, to rounding
+    outer_p = lambda x: _outer(fam.pn_stack(N, x))
+    for panels, value in history:
+        direct = continuous_inner_aw(outer_p, _one, fam.closed.displays["weight_density"], panels)
+        assert np.abs(value - direct).max() <= 1e-15 * np.abs(direct).max(), panels
+    for n in range(N + 1):
+        for m in range(N + 1):
+            dd = fam.d_n(n) * fam.d_n(m)
+            val, _ = continuous_inner_aw_converged(
+                lambda x: fam.pn_stack(n, x)[n], lambda x: fam.pn_stack(m, x)[m],
+                fam.closed.displays["weight_density"], scale=abs(dd),
+            )
+            assert abs(G[n, m] - val / dd) < 1e-13, (n, m)
+
+
 # -- the Jackson rule against its node-by-node form ---------------------------
 
 
