@@ -260,7 +260,6 @@ def test_continuous_vector_integrand_unsettled_entry_raises():
         )
 
 
-
 def test_continuous_non_finite_node_value_is_refused_by_name_without_warning():
     # the closed rule evaluates x = 1, where 1/sqrt(1-x) divides by zero
     one = lambda x: 1.0
