@@ -177,7 +177,7 @@ def _aw_values(f, g, weight_density, theta):
     with np.errstate(all="ignore"):  # a value that is not finite is refused below
         v = np.asarray(f(x) * g(x) * weight_density(x))
         total = v.sum()
-    if not np.isfinite(total):  # the total is finite where every value is
+    if not np.isfinite(total):  # a finite total has only finite values
         bad = ~np.isfinite(v).all(axis=tuple(range(v.ndim - 1)))  # per node
         if bad.any():
             raise NonConvergedError(
