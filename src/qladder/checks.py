@@ -90,9 +90,9 @@ def concordance_suite(rep, fam, ns, s_grid):
     for n in range(0, 11):
         compare("lambda_n", f"n={n}", fam.closed.lambda_n(n), t.lambda_n(n))
     for n in range(0, n_hi + 1):
-        tk = t.tau(n)
-        compare("tau_n_slope", f"n={n}", fam.closed.tau_slope(n), tk.slope)
-        compare("tau_n_intercept", f"n={n}", fam.closed.tau_intercept(n), tk.intercept)
+        slope, intercept = t.tau(n)
+        compare("tau_n_slope", f"n={n}", fam.closed.tau_slope(n), slope)
+        compare("tau_n_intercept", f"n={n}", fam.closed.tau_intercept(n), intercept)
 
     # beta display vs the generic route (monic normalization)
     for n in range(0, n_hi + 1):
@@ -350,7 +350,7 @@ def poly_ladder_suite(rep, fam, ns, s_grid):
     P = g.p(range(n_hi + 2))  # P[k][:, 1 + j] = P_k(s + j)
     n = np.arange(n_hi + 1)
     son, tod, x, dxm = g.son[:, 0], g.tod[:, 0], g.x[:, 1], g.dxm[:, 1]
-    A, Pn, L = g.A(n)[..., 0], P[n], t.lam_ratio(2.0 * n)[:, None]
+    A, Pn, L = g.A(n)[..., 0], P[n], t.lam_ratio(2 * n)[:, None]
     # raising, n >= 1: sigma nabla P_n/nabla x - (A P_n - alpha_n lambda_2n/[2n]_q P_{n+1})
     lhs = son * (Pn[1:, :, 1] - Pn[1:, :, 0])
     t1 = A[1:] * Pn[1:, :, 1]

@@ -42,7 +42,7 @@ from functools import cache, cached_property
 
 import numpy as np
 
-from .hypergeometric_core import EquationData, EquationTable, _entry
+from .hypergeometric_core import EquationData, EquationTable, _column
 from .lattice import Lattice, _cdiv
 from .orthogonality import InnerProductSpec, _one, _outer, discrete_inner, jackson_integral
 from .orthogonality import continuous_inner_aw_converged
@@ -212,14 +212,15 @@ def lattice_kind(lat: Lattice) -> LatticeKind:
 
 
 class CoefficientTable(EquationTable):
-    """The per-n table of one family: the entries of its equation's table
-    (lam_ratio, lambda_n, tau_n', tau_n(0), b_n/a_n, generic beta_n) and the
-    family's a_n, B_n, validated beta_n, monic gamma_n, canonical alpha_n and
-    gamma_n and tabulated d_n^2, each computed once, when first read, by the
-    scalar formula it replaces, so every value is the one that formula gives.
-    Entries are Python numbers and frozen `TauK`s, so no reader can change
-    one.  The table lives in the family's private cache: `with_perturbation`
-    and `replace(fam, ..., _cache={})` give a copy a table of its own."""
+    """The per-n table of one family, as columns over n: the columns of its
+    equation's table (lam_ratio, lambda_n, (tau_n', tau_n(0)), b_n/a_n,
+    generic beta_n) and the family's a_n, B_n, validated beta_n, monic
+    gamma_n, canonical alpha_n and gamma_n, tabulated d_n^2 and validated
+    norm_sq and d_n, each entry computed once, when first read, by the scalar
+    formula it replaces, so every value is the one that formula gives.
+    Entries are Python numbers and tuples, so no reader can change one.  The
+    table lives in the family's private cache: `with_perturbation` and
+    `replace(fam, ..., _cache={})` give a copy a table of its own."""
 
     def __init__(self, fam: "FamilySpec"):
         super().__init__(fam.eq)
@@ -227,12 +228,12 @@ class CoefficientTable(EquationTable):
         self._beta_shift = complex(fam.perturb.get("beta", 0.0))
         self._gamma_shift = complex(fam.perturb.get("gamma", 0.0))
 
-    @_entry
+    @_column
     def a_n(self, n: int):
         """The canonical leading coefficient, as the family's a_n gives it."""
         return self.fam.a_n(n)
 
-    @_entry
+    @_column
     def B(self, n: int) -> complex:
         """The Rodrigues normalization B_n = a_n / prod_{k<n} -lam_ratio(n+k)."""
         out = complex(self.a_n(n))
@@ -240,7 +241,7 @@ class CoefficientTable(EquationTable):
             out /= -self.lam_ratio(n + k)
         return out
 
-    @_entry
+    @_column
     def beta(self, n: int) -> complex:
         """beta_n, the same in the monic and the canonical normalization: the
         generic route where the tabulated display is a recorded suspected
@@ -252,28 +253,43 @@ class CoefficientTable(EquationTable):
             val = complex(fam.closed.beta_n(n))
         return val + self._beta_shift
 
-    @_entry
+    @_column
     def gamma_monic(self, n: int) -> complex:
         if n == 0:
             return complex(0.0)
         return complex(self.fam.closed.gamma_n(n)) + self._gamma_shift
 
-    @_entry
+    @_column
     def alpha(self, n: int) -> complex:
         """Canonical alpha_n = a_n / a_{n+1}."""
         return self.a_n(n) / self.a_n(n + 1)
 
-    @_entry
+    @_column
     def gamma(self, n: int) -> complex:
         """Canonical gamma_n = gamma_n^monic * a_n / a_{n-1}."""
         if n == 0:
             return complex(0.0)
         return self.gamma_monic(n) * self.a_n(n) / self.a_n(n - 1)
 
-    @_entry
+    @_column
     def d_n_sq(self, n: int) -> complex:
         """The tabulated d_n^2 (canonical normalization)."""
         return complex(self.fam.closed.d_n_sq(n))
+
+    @_column
+    def norm_sq(self, n: int) -> complex:
+        """The validated squared norm of canonical P_n (source per the
+        family's `norm_source`); undefined beyond a finite family."""
+        fam = self.fam
+        if fam.n_max is not None and n > fam.n_max:
+            raise FamilyError(f"{fam.name}: norm undefined beyond the finite family "
+                              f"(n_max={fam.n_max})")
+        return fam._compute_norm_sq(n)
+
+    @_column
+    def d_n(self, n: int) -> complex:
+        """The principal square root of norm_sq, kept so ratios stay consistent."""
+        return cmath.sqrt(self.norm_sq(n))
 
 
 @dataclass(frozen=True)
@@ -282,10 +298,10 @@ class FamilySpec:
     series evaluator + support + validated recurrence/norm routes.
 
     Immutable after construction; evaluators are pure.  The private cache
-    only memoizes idempotent derived values: the per-n table `coeffs`, the
-    norms, the measure's integrals (`p_gram`), the Jackson node weights and
-    the suites' stencil grids (`ladder.StencilGrid.shared`), so concurrent
-    use is safe: a race at worst recomputes the same values.
+    only memoizes idempotent derived values: the per-n table `coeffs`, which
+    holds the norms, the measure's integrals (`p_gram`), the Jackson node
+    weights and the suites' stencil grids (`ladder.StencilGrid.shared`), so
+    concurrent use is safe: a race at worst recomputes the same values.
     A copy made by `with_perturbation` or `replace(fam, ..., _cache={})`
     starts with an empty cache.
     """
@@ -331,19 +347,18 @@ class FamilySpec:
         """P_0..P_N (canonical) at the points of the ndarray x from one pass
         of the (stable) three-term recurrence, the recurrence route of P_n:
         an (N+1, *x.shape) ndarray.  `eval_ttrr` wraps it for one point."""
-        a_n = self.coeffs.a_n
-        return np.stack([np.broadcast_to(p * a_n(k), x.shape)
-                         for k, p in enumerate(self.monic_rows(N, x))])
+        rows = zip(self.monic_rows(N, x), self.coeffs.a_n(range(N + 1)))
+        return np.stack([np.broadcast_to(p * a, x.shape) for p, a in rows])
 
     def monic_rows(self, N: int, x, rows=()) -> list:
-        """Monic P_0..P_N (at least) at x by the three-term recurrence,
-        continued from `rows`, monic P_0..P_k at the same x from an earlier
-        call, when given."""
-        t = self.coeffs
+        """Monic P_0..P_N (at least) at x by the three-term recurrence on
+        the beta and gamma_monic columns, continued from `rows`, monic
+        P_0..P_k at the same x from an earlier call, when given."""
+        beta, gamma = self.coeffs.beta(range(N)), self.coeffs.gamma_monic(range(N))
         rows = list(rows) or [complex(1.0)]  # monic P_0
         for k in range(len(rows) - 1, N):
             pm = rows[k - 1] if k else complex(0.0)  # monic P_{k-1}
-            rows.append((x - t.beta(k)) * rows[k] - t.gamma_monic(k) * pm)
+            rows.append((x - beta[k]) * rows[k] - gamma[k] * pm)
         return rows
 
     # -- the per-n table ------------------------------------------------------
@@ -356,23 +371,13 @@ class FamilySpec:
         return table
 
     # -- norms --------------------------------------------------------------
-    def norm_sq(self, n: int) -> complex:
-        """Validated squared norm of canonical P_n (source per `norm_source`)."""
-        if self.n_max is not None and n > self.n_max:
-            raise FamilyError(
-                f"{self.name}: norm undefined beyond the finite family (n_max={self.n_max})"
-            )
-        key = ("dsq", n)
-        if key not in self._cache:
-            self._cache[key] = self._compute_norm_sq(n)
-        return self._cache[key]
+    def norm_sq(self, n):
+        """Validated squared norms of canonical P_n: the table's column."""
+        return self.coeffs.norm_sq(n)
 
-    def d_n(self, n: int) -> complex:
-        """Principal square root of norm_sq, cached so ratios stay consistent."""
-        key = ("d", n)
-        if key not in self._cache:
-            self._cache[key] = cmath.sqrt(self.norm_sq(n))
-        return self._cache[key]
+    def d_n(self, n):
+        """d_n = sqrt(norm_sq): the table's column."""
+        return self.coeffs.d_n(n)
 
     def _compute_norm_sq(self, n: int) -> complex:
         if self.norm_source == "closed":
@@ -437,7 +442,7 @@ class FamilySpec:
         elif sup.kind not in ("jackson_integral", "continuous_interval"):
             raise QKernelError(f"no inner product available for support kind {sup.kind!r}")
         else:
-            scale = np.abs(_outer(np.array([self.d_n(n) for n in range(N + 1)])))
+            scale = np.abs(_outer(self.d_n(range(N + 1))))
             if sup.kind == "jackson_integral":
                 w = self._jackson_weight()
                 M = jackson_integral(lambda x: outer_p(x) * w(x), sup.lo, sup.hi, self.base,
@@ -487,7 +492,7 @@ class FamilySpec:
         for a range n, stacked on a leading axis."""
         ns = n if isinstance(n, range) else range(n, n + 1)
         P = self.pn_stack(ns[-1], x)[ns.start:ns.stop:ns.step]
-        phi = _cdiv(w * P, np.array([self.d_n(k) for k in ns])[:, None])
+        phi = _cdiv(w * P, self.d_n(ns)[:, None])
         return phi if isinstance(n, range) else phi[0]
 
     def with_perturbation(self, name: str, delta: float) -> "FamilySpec":

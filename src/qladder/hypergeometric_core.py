@@ -40,17 +40,20 @@ random operands, so a scalar residual routed through numpy would move.
 Everything else here is scalar, except the table entries over n below.
 
 The n-dependent data (lam_ratio, lambda_n, the tau_k coefficients, b_n/a_n
-and the generic beta_n) are read from an `EquationTable`, which computes
-each entry once, when first read, through the scalar formula, so a table
-entry equals the formula's value bit for bit.  An entry read with an
-ndarray of n gives the complex ndarray of those entries, and `A`, read
-with an ndarray of n, stacks A(s,n) on a leading n axis, so the suites take
-their per-n constants for every n at once.  A family keeps one table for all
-its suites (`families.CoefficientTable`).
+and the generic beta_n) are columns over n = 0, 1, ... of an
+`EquationTable`, each entry computed once through its scalar formula, so it
+equals the formula's value bit for bit.  `_column` is the one store of
+per-n data: the family's table (`families.CoefficientTable`, with the
+recurrence data and the norms) and the stencil grid's arrays over n
+(`ladder.StencilGrid`) use it too.  A column read with an int gives one
+row (a Python number for a table entry), with a sequence of n the complex
+ndarray of those rows; `A` stacks A(s,n) on a leading n axis, so the suites
+take their per-n constants for every n at once.
 """
 
 from __future__ import annotations
 
+from collections import defaultdict
 from dataclasses import dataclass
 from functools import reduce, wraps
 
@@ -182,75 +185,87 @@ def lam_ratio(eq: EquationData, n) -> complex:
     )
 
 
-def _entry(fn):
-    """A table entry: fn(table, n), computed once per argument, when first
-    read (an int and the equal float are one argument).  Read with an
-    ndarray of n, it gives the read-only complex ndarray of the entries of
-    those n, kept for the next read with the same n."""
+def _column(fn):
+    """A quantity over n = 0, 1, ..., a list of rows in `obj._columns` (a
+    defaultdict(list)) grown to the largest n read by one
+    `obj._compute(fn, ns)` call for the n not yet held; fn must not read its
+    own column.  An int n reads its row as stored, a sequence or an int
+    ndarray of n those rows stacked as a complex ndarray; n < 0 raises
+    IndexError."""
+    name = fn.__name__
+
+    def held(self, lo, hi):  # the column, holding rows lo..hi
+        if lo < 0:
+            raise IndexError(f"{name} has no row n = {lo}: n counts from 0")
+        col = self._columns[name]
+        if hi >= len(col):
+            col += self._compute(fn, range(len(col), hi + 1))
+        return col
 
     @wraps(fn)
     def read(self, n):
-        if isinstance(n, np.ndarray):
-            key = (fn, n.dtype.str, n.shape, n.tobytes())
-            if key not in self._memo:
-                entries = np.array([read(self, k) for k in n.tolist()], dtype=complex)
-                entries.flags.writeable = False  # shared by every reader of the table
-                self._memo[key] = entries
-            return self._memo[key]
-        key = (fn, n)
-        memo = self._memo
-        if key not in memo:
-            memo[key] = fn(self, n)
-        return memo[key]
+        if isinstance(n, (int, np.integer)):
+            col = self._columns[name]
+            return col[n] if 0 <= n < len(col) else held(self, n, n)[n]
+        ns = n.tolist() if isinstance(n, np.ndarray) else list(n)
+        if not ns:  # no rows, in the shape of row 0
+            return np.empty((0, *np.shape(held(self, 0, 0)[0])), dtype=complex)
+        col = held(self, min(ns), max(ns))
+        return np.array([col[k] for k in ns], dtype=complex)
 
     return read
 
 
 class EquationTable:
-    """The n-dependent data of one equation, each entry computed once, when
-    first read, by its scalar formula: lam_ratio, lambda_n, the tau_k
-    coefficients, b_n/a_n and the generic beta_n.  `A` reads its lam_ratio
-    and tau_n entries.  A family's table (`families.CoefficientTable`)
-    extends it with the family's own per-n data."""
+    """The n-dependent data of one equation, as columns over n: lam_ratio,
+    lambda_n, the tau_k coefficients, b_n/a_n and the generic beta_n.  Each
+    entry is computed once, when first read, by its scalar formula, so it
+    equals the formula's value bit for bit.  `A` reads its lam_ratio and
+    tau_n columns.  A family's table (`families.CoefficientTable`) extends it
+    with the family's own per-n data."""
 
     def __init__(self, eq: EquationData):
         self.eq = eq
-        self._memo = {}
+        self._columns = defaultdict(list)
 
-    @_entry
+    def _compute(self, fn, ns):
+        """fn's entries for the n in ns, one scalar formula call each."""
+        return [fn(self, n) for n in ns]
+
+    @_column
     def lam_ratio(self, n) -> complex:
         return lam_ratio(self.eq, n)
 
-    @_entry
+    @_column
     def lambda_n(self, n) -> complex:
         return q_number(float(n), self.eq.base) * self.lam_ratio(n)
 
-    @_entry
-    def tau(self, k) -> TauK:
-        """The affine data of tau_k (tau_k' = slope, tau_k(0) = intercept)."""
-        return tau_k_coeffs(self.eq, float(k))
+    @_column
+    def tau(self, k) -> tuple:
+        """(tau_k', tau_k(0)), the affine data of tau_k."""
+        tk = tau_k_coeffs(self.eq, float(k))
+        return tk.slope, tk.intercept
 
-    @_entry
+    @_column
     def b_over_a(self, n: int) -> complex:
         if n == 0:
             return complex(0.0)
-        tk = self.tau(n - 1)
-        if abs(tk.slope) == 0.0:
+        slope, intercept = self.tau(n - 1)
+        if abs(slope) == 0.0:
             raise QKernelError(f"tau_{n-1}' = 0: b_n/a_n undefined")
         qn = q_number(float(n), self.eq.base)
-        return qn * tk.intercept / tk.slope + complex(self.eq.lattice.c3) * (qn - n)
+        return qn * intercept / slope + complex(self.eq.lattice.c3) * (qn - n)
 
-    @_entry
+    @_column
     def beta_generic(self, n: int) -> complex:
         return self.b_over_a(n) - self.b_over_a(n + 1)
 
     def A(self, n, s):
         """A(s,n) for an int ndarray of n, at one point or elementwise on an
         ndarray of s: the (n x *s.shape) stack of A(s,n)."""
-        taus = [self.tau(k) for k in n.tolist()]
-        col = lambda v: np.array(v, dtype=complex).reshape((-1,) + (1,) * np.ndim(s))
-        k, slope = col([tk.k for tk in taus]).real, col([tk.slope for tk in taus])
-        at = slope * self.eq.lattice.x_shifted(k, s) + col([tk.intercept for tk in taus])
+        col = lambda v: v.reshape((-1,) + (1,) * np.ndim(s))
+        slope, intercept = (col(v) for v in self.tau(n).T)
+        at = slope * self.eq.lattice.x_shifted(col(n), s) + intercept
         return _cdiv(col(self.lam_ratio(n)) * at, slope)
 
 

@@ -19,10 +19,10 @@ E^- and E^+ coefficients, u, v, the H diagonal and the chain weights on
 suite that needs the coefficients at a few points takes a grid on them
 from `StencilGrid.shared`, which keeps one grid per family and distinct
 (points, margin), so the suites of one run share them.  The n-dependent
-pieces (A(s,n), u, v, the H diagonal, P_n and w P_n) are arrays over n as
-well, so a suite forms the residuals of every n it checks with a fixed
-number of array operations; their constants come from the family's per-n
-table (`FamilySpec.coeffs`), read as arrays over n.  Quotients of those
+pieces (A(s,n), u, v, the H diagonal, P_n and w P_n) are columns over n,
+like the family's per-n table (`FamilySpec.coeffs`) their constants come
+from, so a suite reads every n it checks as one array and forms their
+residuals with a fixed number of array operations.  Quotients of those
 arrays round as Python's complex division does (`lattice._cdiv`).
 
 phi values used by residual checks are built along integer chains
@@ -42,11 +42,12 @@ weight on the real support, where rho >= 0 pointwise.
 
 from __future__ import annotations
 
+from collections import defaultdict
 from functools import cached_property, reduce, wraps
 
 import numpy as np
 
-from .hypergeometric_core import _limit_ratio, _sigma_at, _theta_at, rel_residual
+from .hypergeometric_core import _column, _limit_ratio, _sigma_at, _theta_at, rel_residual
 from .lattice import DegenerateStepError, _cdiv
 from .orthogonality import InnerProductSpec, discrete_inner
 from .qkernel import QKernelError
@@ -76,7 +77,7 @@ def h_minusplus(fam, n):
     lambda_{2n}/[2n]_q * lambda_{2n+2}/[2n+2]_q * alpha_n gamma_{n+1}, for
     one n or elementwise on an int ndarray of n."""
     t = fam.coeffs
-    return t.lam_ratio(2.0 * n) * t.lam_ratio(2.0 * n + 2.0) * t.alpha(n) * t.gamma(n + 1)
+    return t.lam_ratio(2 * n) * t.lam_ratio(2 * n + 2) * t.alpha(n) * t.gamma(n + 1)
 
 
 def h_plusminus(fam, n):
@@ -91,11 +92,6 @@ def h_plusminus(fam, n):
 def _positive_real(rho):
     """rho > 0 real to rounding, where sqrt(rho) gives phi_n; elementwise on an ndarray."""
     return (abs(rho.imag) <= 1e-12 * abs(rho)) & (rho.real > 0.0)
-
-
-def _d_column(fam, n):
-    """d_n for an int ndarray n, as a column against the node axis."""
-    return np.array([fam.d_n(k) for k in n.tolist()])[:, None]
 
 
 def _reduced(which: str, n, g: "StencilGrid", op_n: int | None = None):
@@ -188,38 +184,6 @@ def _grid_array(fn):
     return cached_property(wraps(fn)(_RAISE_FP(lambda self: _frozen(fn(self)))))
 
 
-def _over_n(fn):
-    """A StencilGrid array over n.  `g.A(n)` for one n is the array of that
-    n; `g.A(ns)` for a sequence of n stacks the arrays of those n on a
-    leading n axis.  fn(g, n) computes the rows of an int ndarray n in one
-    pass; a read computes the n not read before in one `_compute` call and
-    appends their rows to the kept ones."""
-    name = fn.__name__
-
-    @wraps(fn)
-    def read(self, n):
-        one = isinstance(n, (int, np.integer))
-        ns = [int(n)] if one else n.tolist() if isinstance(n, np.ndarray) else list(n)
-        at = self._at.setdefault(name, {})
-        new = sorted({k for k in ns if k not in at})
-        if new or not ns:
-            rows = self._compute(fn, np.array(new, dtype=int))
-            if not ns:
-                return rows
-            if at:
-                rows = np.concatenate([self._memo[name], rows])
-            at.update(zip(new, range(len(at), len(at) + len(new))))
-            self._memo[name] = _frozen(rows)
-        rows, idx = self._memo[name], [at[k] for k in ns]
-        if idx == list(range(idx[0], idx[0] + len(idx))):
-            rows = rows[idx[0]:idx[0] + len(idx)]
-        else:
-            rows = _frozen(rows[idx])
-        return rows[0] if one else rows
-
-    return read
-
-
 class StencilGrid:
     """The coefficients of H, L+ and L- on one check grid, each piece
     computed once, when first needed.
@@ -238,11 +202,13 @@ class StencilGrid:
     half-integer offsets as well.
 
     A(s,n), u, v, the H diagonal, P_n and the chain function w P_n are
-    arrays over n too (`_over_n`): a suite reads every n it checks at once,
-    as (n x grid point x offset).  Each n is computed once, when a suite
-    first reads it, so a grid raises under _RAISE_FP only at an n a suite
-    asked for.  P_0..P_n come from one recurrence pass on x, continued when
-    a higher n is first read; the constants from the family's per-n table.
+    columns over n too (`hypergeometric_core._column`): one n reads its
+    row, and a suite reads every n it checks at once, stacked as (n x grid
+    point x offset).  A column grows to the largest n read in one
+    coefficient-array computation, under _RAISE_FP, so a grid raises only at
+    an n at or below one a suite asked for.  P_0..P_n come from one
+    recurrence pass on x, continued when a higher n is first read; the
+    constants from the family's per-n table.
 
     The suites take their grids from `StencilGrid.shared`, one per family
     and distinct (points, margin), so suites on the same points and margin
@@ -268,8 +234,7 @@ class StencilGrid:
         self._x_half = _frozen(fam.lattice.x_values(self.s[:, None] + half))
         self.t = _frozen(self.s[:, None] + np.arange(-margin, margin + 1))
         self.x = self._x_half[:, 1::2]
-        self._memo = {}  # name -> the rows over n computed so far
-        self._at = {}  # name -> {n: its row}
+        self._columns = defaultdict(list)  # name -> its rows over n = 0, 1, .. so far
         self._monic = ()  # monic P_0, P_1, .. on x, as far as read
         m = margin
         self._plus = slice(m, 2 * m)  # columns of the L+ offsets 0..m-1
@@ -287,9 +252,9 @@ class StencilGrid:
         return grid
 
     @_RAISE_FP
-    def _compute(self, fn, n):
-        """fn's rows for the int ndarray n: one coefficient-array computation."""
-        return fn(self, n)
+    def _compute(self, fn, ns):
+        """fn's rows for the n in ns, read-only: one coefficient-array computation."""
+        return list(_frozen(fn(self, np.array(ns))))
 
     def plus_side(self, a):
         """An L+-side array as a function of the offset."""
@@ -378,18 +343,18 @@ class StencilGrid:
 
     # H(s,n) = e_minus E^- + e_plus E^+ + h_diag I, L+(s,n) = u I + e_minus
     # E^-, L-(s,n) = v I + e_plus E^+ on chain offsets
-    @_over_n
+    @_column
     def A(self, n):
         """A(s,n) = lambda_n/[n]_q tau_n(s)/tau_n' on offsets -(margin-1)..margin-1;
         the n = 0 value by the continuation of lam_ratio."""
         return self.fam.coeffs.A(n, self.t[:, 1:-1])
 
-    @_over_n
+    @_column
     def u(self, n):
         """u(s,n) = A(s,n) - sigma(s)/nabla x(s) on the L+ offsets."""
         return self.A(n)[..., self.margin - 1:] - self.son
 
-    @_over_n
+    @_column
     def v(self, n):
         """v(s,n) = -A(s,n) + lambda_n Delta x(s-1/2) + lambda_{2n}/[2n]_q
         (x(s) - beta_n) - Theta(s)/Delta x(s) on the L- offsets."""
@@ -397,26 +362,26 @@ class StencilGrid:
         return (
             -self.A(n)[..., :self.margin]
             + t.lambda_n(n)[:, None, None] * self.dxm[:, cols]
-            + t.lam_ratio(2.0 * n)[:, None, None] * (self.x[:, cols] - t.beta(n)[:, None, None])
+            + t.lam_ratio(2 * n)[:, None, None] * (self.x[:, cols] - t.beta(n)[:, None, None])
             - self.tod
         )
 
-    @_over_n
+    @_column
     def h_diag(self, n):
         """The I coefficient of H(s,n) on offset 0:
         -(Theta/Delta x + sigma/nabla x - lambda_n Delta x(s-1/2))."""
         lam = self.fam.coeffs.lambda_n(n)[:, None]
         return -(self.tod[:, -1] + self.son[:, 0] - lam * self.dxm[:, self.margin])
 
-    @_over_n
+    @_column
     def p(self, n):
         """P_n on every offset."""
         fam = self.fam
-        self._monic = rows = fam.monic_rows(int(n.max(initial=0)), self.x, self._monic)
+        self._monic = rows = fam.monic_rows(int(n[-1]), self.x, self._monic)
         monic = np.array([np.broadcast_to(rows[k], self.x.shape) for k in n.tolist()])
-        return monic.reshape(n.shape + self.x.shape) * fam.coeffs.a_n(n)[:, None, None]
+        return monic * fam.coeffs.a_n(n)[:, None, None]
 
-    @_over_n
+    @_column
     def phi(self, n):
         """The chain function w P_n on every offset."""
         return self.w * self.p(n)
@@ -455,10 +420,7 @@ def check_ttrr_phi(rep, fam, ns, s_grid):
     from the recurrence pass of the margin-1 grid.  Sweep: ns on s_grid."""
     g = StencilGrid.shared(fam, s_grid, 1)
     t, n = fam.coeffs, np.array(ns, dtype=int)
-    ks = sorted({k for m in ns for k in (m - 1, m, m + 1) if k >= 0})
-    at = {k: i for i, k in enumerate(ks)}
-    rows = g.p(ks)[..., 1]
-    P = lambda k: rows[[at[m] for m in k.tolist()]]
+    P = lambda k: g.p(k)[..., 1]
     below = np.where((n >= 1)[:, None], P(np.maximum(n - 1, 0)), 0.0)  # P_{-1} = 0
     terms = (t.alpha(n)[:, None] * P(n + 1), t.gamma(n)[:, None] * below,
              (t.beta(n)[:, None] - g.x[:, 1]) * P(n))
@@ -472,10 +434,10 @@ def _ladder_residuals(which: str, ns, g: StencilGrid):
     f = g.phi(n)
     if which == "+":
         diag, side, shift = g.u(n)[..., 0], g.e_minus[:, 0], 0
-        target = (t.alpha(n) * t.lam_ratio(2.0 * n))[:, None] * g.phi(n + 1)[..., 1]
+        target = (t.alpha(n) * t.lam_ratio(2 * n))[:, None] * g.phi(n + 1)[..., 1]
     else:
         diag, side, shift = g.v(n)[..., 0], g.e_plus[:, 0], 2
-        coef = (t.gamma(n) * t.lam_ratio(2.0 * n))[:, None]
+        coef = (t.gamma(n) * t.lam_ratio(2 * n))[:, None]
         target = np.where((n >= 1)[:, None], coef * g.phi(np.maximum(n - 1, 0))[..., 1], 0.0)
     own = diag * f[..., 1]
     got = own + side * f[..., shift] if np.any(side != 0.0) else own
@@ -551,7 +513,7 @@ def check_h_s_independence(rep, fam, ns, s_grid):
     minus_plus = rel_residual(p1 + p2 - hm, (p1, p2, hm)).tolist()
     n = n[n >= 1]
     A, xv, hp = _by_offset(g.A(n)), _by_offset(g.x), h_plusminus(fam, n)[:, None]
-    L, beta = t.lam_ratio(2.0 * n)[:, None], t.beta(n)[:, None]
+    L, beta = t.lam_ratio(2 * n)[:, None], t.beta(n)[:, None]
     B = lambda k: -A(k) + L * (xv(k) - beta)
     p1 = (B(-1) + t.lambda_n(n)[:, None] * dxm(-1)) * (B(0) + son(0))
     p2 = -B(0) * tod(-1)
@@ -662,7 +624,7 @@ def _bootstrap(fam, N: int, s0: complex, count: int):
     up = StencilGrid.shared(fam, g.s[1:], 1)
     u = up.u(range(N))
     for n in range(N):
-        coef = fam.coeffs.alpha(n) * fam.coeffs.lam_ratio(2.0 * n)
+        coef = fam.coeffs.alpha(n) * fam.coeffs.lam_ratio(2 * n)
         dr = _d_ratio_up(fam, n)
         val = u[n, n:, 0] * cur[1:] + up.e_minus[n:, 0] * cur[:-1]
         cur = _cdiv(val, coef * dr if dr is not None else coef)
@@ -787,13 +749,12 @@ def check_adjoint(rep, fam, ns, s_grid):
             targets[n] = t.alpha(n) * dr
     if targets:
         n = np.array(list(targets))
-        d, d1 = _d_column(fam, n), _d_column(fam, n + 1)
+        d, d1 = fam.d_n(n)[:, None], fam.d_n(n + 1)[:, None]
         phi, phi1 = _cdiv(w * g.p(n)[..., 1], d), _cdiv(w * g.p(n + 1)[..., 1], d1)
         raised = _cdiv(w * _reduced("L+", n, g), d)
         lowered = _cdiv(w * _reduced("L-", n + 1, g), d1)
-        s1 = _cdiv(discrete_inner(spec, lambda _: phi1, lambda _: raised), t.lam_ratio(2.0 * n))
-        s2 = _cdiv(discrete_inner(spec, lambda _: lowered, lambda _: phi),
-                   t.lam_ratio(2.0 * n + 2.0))
+        s1 = _cdiv(discrete_inner(spec, lambda _: phi1, lambda _: raised), t.lam_ratio(2 * n))
+        s2 = _cdiv(discrete_inner(spec, lambda _: lowered, lambda _: phi), t.lam_ratio(2 * n + 2))
         target = np.array(list(targets.values()))
         sums = zip(rel_residual(s1 - target, (s1, target)).tolist(),
                    rel_residual(s2 - target, (s2, target)).tolist())
@@ -833,7 +794,7 @@ def check_selfadjoint(rep, fam, ns, s_grid):
     w = fam.sqrt_rho(g.s)
     if top:
         ks = np.arange(top)
-        d = _d_column(fam, ks)
+        d = fam.d_n(ks)[:, None]
         phi = _cdiv(w * g.p(ks)[..., 1], d)
         g.h_diag(ks)  # the H diagonal of every operator n in one pass
         hphi = [_cdiv(w * _reduced("H", ks, g, n), d) for n in range(top)]  # [n][k]

@@ -255,4 +255,4 @@ def gram_matrix(fam, N: int):
     (panels, unnormalised matrix) pairs, or [] for sums and Jackson integrals.
     """
     M, history = fam.p_gram(N)
-    return M / _outer(np.array([fam.d_n(n) for n in range(N + 1)])), history
+    return M / _outer(fam.d_n(range(N + 1))), history

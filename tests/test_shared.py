@@ -14,7 +14,7 @@ import pytest
 
 from qladder import checks, families, hypergeometric_core, ladder
 from qladder.checks import SUITE_NAMES, default_grid, run_suite, run_suites
-from qladder.families import make_family, reference_params
+from qladder.families import FamilyError, make_family, reference_params
 from qladder.ladder import StencilGrid
 from qladder.qkernel import QBase
 from qladder.report import report_to_dict
@@ -54,8 +54,8 @@ def test_shared_grid_arrays_are_read_only():
     run_suites(fam, "all")
     grids = _grids(fam)
     assert grids
-    arrays = [v for g in grids for v in (*vars(g).values(), *g._memo.values())
-              if isinstance(v, np.ndarray)]
+    arrays = [v for g in grids for v in vars(g).values() if isinstance(v, np.ndarray)]
+    arrays += [row for g in grids for col in g._columns.values() for row in col]
     assert len(arrays) > 20
     assert not any(a.flags.writeable for a in arrays)
     g = StencilGrid.shared(fam, default_grid(fam), 1)
@@ -81,7 +81,7 @@ def test_perturbed_copy_has_its_own_table_and_grids():
         assert pert.coeffs.beta(n) != fam.coeffs.beta(n)
         # beta_n enters v(s,n) as -lambda_{2n}/[2n]_q beta_n
         shift = g1.v(n) - g0.v(n)
-        np.testing.assert_allclose(shift, -t.lam_ratio(2.0 * n) * 1e-3, rtol=1e-6)
+        np.testing.assert_allclose(shift, -t.lam_ratio(2 * n) * 1e-3, rtol=1e-6)
         # and the recurrence: P_1 = x - beta_0 moves by -1e-3 (monic)
         x = g0.x
         assert not np.array_equal(pert.pn_stack(n, x)[n], fam.pn_stack(n, x)[n])
@@ -101,7 +101,7 @@ def _counter(fn, counts, key):
 @pytest.mark.parametrize("name", FAMILY_NAMES)
 def test_each_shared_quantity_is_evaluated_once(name, monkeypatch):
     counts = {k: collections.Counter() for k in
-              ("lam_ratio", "tau_k_coeffs", "gamma_n", "d_n_sq", "a_n", "grid")}
+              ("lam_ratio", "tau_k_coeffs", "gamma_n", "d_n_sq", "a_n", "norm_sq", "grid")}
     for module in (hypergeometric_core, families, ladder, checks):
         for fn in ("lam_ratio", "tau_k_coeffs"):
             if hasattr(module, fn):
@@ -114,6 +114,8 @@ def test_each_shared_quantity_is_evaluated_once(name, monkeypatch):
         build(self, fam, s_grid, margin)
 
     monkeypatch.setattr(StencilGrid, "__init__", counted_build)
+    monkeypatch.setattr(families.FamilySpec, "_compute_norm_sq", _counter(
+        families.FamilySpec._compute_norm_sq, counts["norm_sq"], lambda a: a[1]))
     fam = _fresh(name)
     one = lambda a: a[0]
     closed = replace(fam.closed, gamma_n=_counter(fam.closed.gamma_n, counts["gamma_n"], one),
@@ -124,3 +126,71 @@ def test_each_shared_quantity_is_evaluated_once(name, monkeypatch):
         assert counter, what
         assert max(counter.values()) == 1, (what, counter.most_common(3))
     assert len(_grids(fam)) == len(counts["grid"])
+
+
+def test_the_families_cover_every_norm_route():
+    """So the once-per-n count of `_compute_norm_sq` above covers all three routes."""
+    routes = {_fresh(name).norm_source for name in FAMILY_NAMES}
+    assert routes == {"closed", "ratio", "discrete_sum"}
+
+
+def _columns(fam):
+    t = fam.coeffs
+    return {"lam_ratio": t.lam_ratio, "lambda_n": t.lambda_n, "b_over_a": t.b_over_a,
+            "beta_generic": t.beta_generic, "a_n": t.a_n, "B": t.B, "beta": t.beta,
+            "gamma_monic": t.gamma_monic, "alpha": t.alpha, "gamma": t.gamma,
+            "norm_sq": fam.norm_sq, "d_n": fam.d_n}
+
+
+@pytest.mark.parametrize("name", FAMILY_NAMES)
+def test_a_column_reads_python_numbers_and_the_same_bits_as_an_array(name):
+    """One n reads a Python number, never a numpy scalar (Python and numpy
+    divide complex numbers differently, so scalar arithmetic on a numpy
+    scalar could move); an array read, on a table that grows in one step,
+    equals the scalar reads on a table grown one n at a time, bit for bit."""
+    ns = range(5)
+    one_by_one, at_once = _columns(_fresh(name)), _columns(_fresh(name))
+    for what, read in one_by_one.items():
+        scalars = [read(n) for n in ns]
+        assert all(type(v) in (float, complex) for v in scalars), (what, scalars)
+        got = at_once[what](np.array(ns)[::-1])[::-1]
+        assert got.dtype == complex
+        assert repr([complex(v) for v in scalars]) == repr(got.tolist()), what
+    t, fresh = _fresh(name).coeffs, _fresh(name).coeffs
+    rows = [t.tau(k) for k in ns]
+    assert all(type(v) is complex for row in rows for v in row)
+    assert repr(rows) == repr([tuple(row) for row in fresh.tau(list(ns)).tolist()])
+
+
+def test_grid_column_reads_a_stored_row_or_the_rows_stacked():
+    fam = _fresh("asc1")
+    g = StencilGrid.shared(fam, default_grid(fam), 1)
+    stacked = g.p([3, 1, 3])
+    assert g.p(3) is g._columns["p"][3]
+    for row, n in zip(stacked, (3, 1, 3)):
+        assert np.array_equal(row, g.p(n))
+    assert stacked.dtype == complex and stacked.shape == (3,) + g.x.shape
+
+
+def test_a_negative_n_is_refused():
+    """The table, the norms and the grid have no row below n = 0 (P_{-1}
+    would read P_0, gamma_{-1} and d_{-1} a value of no formula)."""
+    asc1, qdh = _fresh("asc1"), _fresh("q_dual_hahn")
+    g = StencilGrid.shared(asc1, default_grid(asc1), 1)
+    reads = (lambda: asc1.coeffs.gamma(-1), lambda: g.p(np.array([-1])), lambda: g.u(-1),
+             lambda: qdh.d_n(-1), lambda: qdh.norm_sq([0, -1]), lambda: qdh.coeffs.beta(-1))
+    for read in reads:
+        with pytest.raises(IndexError):
+            read()
+
+
+def test_a_norm_beyond_a_finite_family_raises_and_keeps_its_column():
+    fam = _fresh("q_dual_hahn")
+    top = fam.n_max
+    lower = fam.d_n(range(top)).tolist()
+    for _ in range(2):
+        with pytest.raises(FamilyError, match="beyond the finite family"):
+            fam.d_n(top + 1)
+    assert repr(fam.d_n(range(top)).tolist()) == repr(lower)
+    assert repr(fam.d_n(range(top + 1)).tolist()) == repr(
+        _fresh("q_dual_hahn").d_n(range(top + 1)).tolist())
