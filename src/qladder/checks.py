@@ -221,8 +221,8 @@ def difference_calculus_suite(rep, fam, ns, s_grid):
             )
     # shift identity (exact), each side through its own argument
     shifts = [(k, s) for k in (0.0, 1.0, 0.5, 2.5) for s in pts]
-    a = table.at(np.array([s + 1.0 + k / 2.0 for k, s in shifts])).tolist()  # x_k(s+1)
-    b = table.at(np.array([s + (k + 2.0) / 2.0 for k, s in shifts])).tolist()  # x_{k+2}(s)
+    a = lat.x_values(np.array([s + 1.0 + k / 2.0 for k, s in shifts])).tolist()  # x_k(s+1)
+    b = lat.x_values(np.array([s + (k + 2.0) / 2.0 for k, s in shifts])).tolist()  # x_{k+2}(s)
     for (k, s), av, bv in zip(shifts, a, b):
         rep.cases.append(
             CaseRecord(0, f"k={k},s={s:.4g}", rel_residual(av - bv, (av, bv)),

@@ -12,6 +12,7 @@ import argparse
 import cmath
 import functools
 import json
+import math
 import sys
 from dataclasses import dataclass, field
 
@@ -157,7 +158,7 @@ def _apply(cfg: RunConfig, entries):
                 suites.append(val)
             elif key.startswith(("param.", "tol.")):
                 table, _, name = key.partition(".")
-                (cfg.params if table == "param" else cfg.tolerances)[name] = float(val)
+                (cfg.params if table == "param" else cfg.tolerances)[name] = _finite(val)
             elif key in _KEYS:
                 attr, parse = _KEYS[key]
                 setattr(cfg, attr, parse(val))
@@ -171,15 +172,19 @@ def _apply(cfg: RunConfig, entries):
         cfg.suites = suites
 
 
+def _finite(text: str) -> float:
+    """The number a flag or config value spells; nan and inf are refused."""
+    val = float(text)
+    if not math.isfinite(val):
+        raise ValueError(f"not a finite number: {text!r}")
+    return val
+
+
 def _parse_grid_token(tok: str) -> tuple:
     parts = tok.split(":")
     if len(parts) != 3:
         raise ConfigError(f"field 'grid' must be start:stop:count, got {tok!r}")
-    try:
-        start, stop = float(parts[0]), float(parts[1])
-        count = int(parts[2])
-    except ValueError:
-        raise ConfigError(f"field 'grid': non-numeric entry in {tok!r}") from None
+    start, stop, count = _finite(parts[0]), _finite(parts[1]), int(parts[2])
     if count < 1:
         raise ConfigError("field 'grid': count must be >= 1")
     return (start, stop, count)
@@ -187,13 +192,13 @@ def _parse_grid_token(tok: str) -> tuple:
 
 def _parse_perturb(tok: str) -> tuple:
     name, _, delta = tok.partition(":")
-    return (name.strip(), float(delta))
+    return (name.strip(), _finite(delta))
 
 
 # the one-valued keys of a config source: key -> (RunConfig field, parser)
 _KEYS = {
     "family": ("family", str),
-    "q": ("q", float),
+    "q": ("q", _finite),
     "grid": ("grid", _parse_grid_token),
     "n_min": ("n_min", int),
     "n_max": ("n_max", int),

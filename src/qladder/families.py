@@ -1074,15 +1074,13 @@ def _aw_weights(a, b, c, d, base: QBase):
     return weight, weight_density
 
 
-def _make_askey_wilson(params: dict, base: QBase) -> FamilySpec:
-    a, b, c, d = (float(params[k]) for k in ("a", "b", "c", "d"))
-    for nm, v in (("a", a), ("b", b), ("c", c), ("d", d)):
-        _require(abs(v) < 1.0, nm, f"need |{nm}| < 1 for real orthogonality, got {v}")
-    _require(a != 0.0, "a", "series prefactor needs a != 0 "
-                            "(use continuous_q_hermite for a=b=c=d=0)")
+def _aw_forms(a, b, c, d, base: QBase):
+    """What the Askey--Wilson polynomials share with the continuous
+    q-Hermite ones, which are them at a = b = c = d = 0: the equation data,
+    a_n and the closed forms lambda_n, tau_n', tau_n(0), d_n^2 and the
+    weight, with the positive density as a display.  Returns (eq, a_n,
+    ClosedForms fields, displays)."""
     q = base.q
-    eq = _aw_equation_data(a, b, c, d, base)
-    lat = eq.lattice
     abcd = a * b * c * d
     e1 = a + b + c + d
     e3 = a * b * c + a * b * d + a * c * d + b * c * d
@@ -1090,11 +1088,40 @@ def _make_askey_wilson(params: dict, base: QBase) -> FamilySpec:
     def a_n(n):
         return 2.0**n * q_pochhammer(abcd * q ** (n - 1), base, n)
 
+    def d_n_sq(n):
+        num = q_pochhammer(abcd * q ** (n - 1), base, n) * q_pochhammer_inf(
+            abcd * q ** (2 * n), base)
+        pairs = (a * b, a * c, a * d, b * c, b * d, c * d)
+        return num / q_pochhammer_multi((base.pow(float(n + 1)), *(p * q**n for p in pairs)), base)
+
+    weight, weight_density = _aw_weights(a, b, c, d, base)
+    forms = {
+        "lambda_n": lambda n: 4.0 * base.pow(float(-n + 1)) * (1 - q**n)
+        * (1 - abcd * q ** (n - 1)),
+        "tau_slope": lambda n: 4.0 * base.pow(float(-n)) * (q - 1) * (1 - abcd * q ** (2 * n)),
+        "tau_intercept": lambda n: 2.0 * (q - 1) * (-e1 + e3 * q**n) * base.pow(-n / 2.0),
+        "d_n_sq": d_n_sq,
+        "weight": weight,
+    }
+    return _aw_equation_data(a, b, c, d, base), a_n, forms, {"weight_density": weight_density}
+
+
+def _make_askey_wilson(params: dict, base: QBase) -> FamilySpec:
+    a, b, c, d = (float(params[k]) for k in ("a", "b", "c", "d"))
+    for nm, v in (("a", a), ("b", b), ("c", c), ("d", d)):
+        _require(abs(v) < 1.0, nm, f"need |{nm}| < 1 for real orthogonality, got {v}")
+    _require(a != 0.0, "a", "series prefactor needs a != 0 "
+                            "(use continuous_q_hermite for a=b=c=d=0)")
+    q = base.q
+    eq, a_n, forms, displays = _aw_forms(a, b, c, d, base)
+    lat = eq.lattice
+    abcd = a * b * c * d
+    e1 = a + b + c + d
+    e3 = a * b * c + a * b * d + a * c * d + b * c * d
+
     def series(n, s):
         qs = lat.qs(s)
-        pre = (
-            q_pochhammer_multi((a * b, a * c, a * d), base, n) / a**n
-        )
+        pre = q_pochhammer_multi((a * b, a * c, a * d), base, n) / a**n
         upper = (abcd * q ** (n - 1), a / qs, a * qs)
         return pre * basic_hypergeometric(n, upper, (a * b, a * c, a * d), q, base)
 
@@ -1117,26 +1144,6 @@ def _make_askey_wilson(params: dict, base: QBase) -> FamilySpec:
             / ((1 - abcd * q ** (2 * n - 2)) * (1 - abcd * q ** (2 * n - 1)))
         )
 
-    weight, weight_density = _aw_weights(a, b, c, d, base)
-
-    def d_n_sq(n):
-        num = q_pochhammer(abcd * q ** (n - 1), base, n) * q_pochhammer_inf(
-            abcd * q ** (2 * n), base
-        )
-        den = q_pochhammer_multi(
-            (
-                base.pow(float(n + 1)),
-                a * b * q**n,
-                a * c * q**n,
-                a * d * q**n,
-                b * c * q**n,
-                b * d * q**n,
-                c * d * q**n,
-            ),
-            base,
-        )
-        return num / den
-
     def D_coef(n):
         return -4.0 * base.pow(-n / 2.0 + 0.5) * (q - 1) * (1 - abcd * q ** (n - 1))
 
@@ -1150,17 +1157,13 @@ def _make_askey_wilson(params: dict, base: QBase) -> FamilySpec:
         return D_coef(n) * (lat.x(s + n / 2.0) + En) + qs**-2 * math.sqrt(q) * prod / t
 
     closed = ClosedForms(
-        lambda_n=lambda n: 4.0 * base.pow(float(-n + 1)) * (1 - q**n) * (1 - abcd * q ** (n - 1)),
+        **forms,
         beta_n=lambda n: (a + 1.0 / a - (A_n(n) + C_n(n))) / 2.0,
         gamma_n=lambda n: C_n(n) * A_n(n - 1) / 4.0,
-        tau_slope=lambda n: 4.0 * base.pow(float(-n)) * (q - 1) * (1 - abcd * q ** (2 * n)),
-        tau_intercept=lambda n: 2.0 * (q - 1) * (-e1 + e3 * q**n) * base.pow(-n / 2.0),
-        d_n_sq=d_n_sq,
-        weight=weight,
         displays={
+            **displays,
             "u": u_display,
             "h_mp": lambda n: D_coef(2 * n) * D_coef(2 * n + 2) * C_n(n + 1) * A_n(n) / 4.0,
-            "weight_density": weight_density,
         },
         notes={"u_display": "displayed u(s,n) disagrees with the general route "
                             "(the sigma/nabla-x term is off by a factor 2)"},
@@ -1182,35 +1185,27 @@ def _make_askey_wilson(params: dict, base: QBase) -> FamilySpec:
 def _make_continuous_q_hermite(params: dict, base: QBase) -> FamilySpec:
     q = base.q
     kq = base.k_q
-    # bit-for-bit the Askey-Wilson equation data at a=b=c=d=0
-    eq = _aw_equation_data(0.0, 0.0, 0.0, 0.0, base)
+    # the Askey-Wilson forms at a=b=c=d=0, bit for bit; beta_n and gamma_n
+    # are its own, as the Askey-Wilson ones divide by a (a removable a/a)
+    eq, a_n, forms, displays = _aw_forms(0.0, 0.0, 0.0, 0.0, base)
     lat = eq.lattice
-
-    def a_n(n):
-        return complex(2.0**n)
 
     def series(n, s):
         # H_n(x|q) = e^{i n theta} 2phi0(q^{-n}, 0; -; q, q^n e^{-2 i theta})
         qs = lat.qs(s)
         return qs**n * basic_hypergeometric(n, (0.0,), (), base.pow(float(n)) / qs**2, base)
 
-    weight, weight_density = _aw_weights(0.0, 0.0, 0.0, 0.0, base)
-
     def h_pm_display(n):
         # as tabulated (suspected erratum, see notes)
         return 4.0 * kq**2 * base.pow(float(-2 * n + 1)) * (1 - q**n)
 
     closed = ClosedForms(
-        lambda_n=lambda n: 4.0 * base.pow(float(-n + 1)) * (1 - q**n),
+        **forms,
         beta_n=lambda n: 0.0,
         gamma_n=lambda n: (1.0 - q**n) / 4.0,
-        tau_slope=lambda n: 4.0 * base.pow(float(-n)) * (q - 1),
-        tau_intercept=lambda n: 0.0,
-        d_n_sq=lambda n: 1.0 / q_pochhammer_inf(base.pow(float(n + 1)), base),
-        weight=weight,
         displays={
+            **displays,
             "h_pm": h_pm_display,
-            "weight_density": weight_density,
             "ham_cminus": lambda s: 2.0 * base.pow(1.5) / q_number(2.0 * complex(s) - 1.0, base),
             "ham_cplus": lambda s: 2.0 * base.pow(1.5) / q_number(2.0 * complex(s) + 1.0, base),
         },

@@ -23,16 +23,17 @@ Scalar/array contract
 ---------------------
 sigma and Theta have one formula each, `_sigma_at` and `_theta_at`: from x
 and Delta x(s-1/2), given as numbers or as ndarrays, never from a point s.
-Two containers hand them x.  `ladder.StencilGrid`, the one implementation
+The x they are given comes from a `lattice.LatticeTable`, one array call
+per table, and is handed on two ways.  `ladder.StencilGrid`, the one implementation
 of the operator coefficients and of the polynomial ladder relations, passes
 arrays, and takes sigma/nabla x and Theta/Delta x from `_limit_ratio`,
 which evaluates the removable 0/0 entries one by one through the analytic
-limit.  `lattice.LatticeTable` gives x once per distinct point: the
-Pearson tables and the Rodrigues values read sigma and Theta from it as
-Python complex numbers (`_sigma_theta`), so the Pearson recurrence and the
-rho_n products read identical values, and the CLI's `eval` rows read their
-sigma, tau and Theta the same way.  There is no point-by-point sigma or
-Theta function; the tests keep one as the reference.  `sigma_tilde`,
+limit.  The Pearson tables and the Rodrigues values read sigma and Theta
+as Python complex numbers, once per point (`_sigma_theta`, which says why),
+so the Pearson recurrence and the rho_n products read identical values,
+and the CLI's `eval` rows read their sigma, tau and Theta the same way.
+There is no sigma or Theta function of a point s; the tests keep one as
+the reference.  `sigma_tilde`,
 `tau_tilde`, `EquationTable.A` and `rel_residual` take one point or an
 ndarray (elementwise, through numpy).  `rel_residual` keeps its scalar
 branch: numpy's complex abs differs from Python's on about a third of
@@ -323,8 +324,12 @@ def pearson_weight(eq: EquationData, anchor, lo: int, hi: int) -> tuple:
 def _sigma_theta(eq: EquationData, xh):
     """sigma and Theta as lists of Python complex numbers, at the points of
     x values `xh` on consecutive half-integer offsets that start half a step
-    below the first point: `_sigma_at` and `_theta_at` on Python complex
-    numbers, once per point."""
+    below the first point: `_sigma_at` and `_theta_at` once per point.
+    Scalar for a measured reason: on arrays, numpy's complex arithmetic moves
+    53 Askey--Wilson and q-Hermite runs of `tools/compare_outputs.py` (pearson
+    residuals by up to 4.5e-14) and turns three q-Hermite check_sweep draws
+    (q = 0.120, 0.175, 0.215) from exit 1 into exit 2 at the Pearson
+    recurrence's sigma = 0 guard."""
     xh = xh.tolist()
     pts = [(x, b - a) for a, x, b in zip(xh[:-2:2], xh[1::2], xh[2::2])]
     return [_sigma_at(eq, x, d) for x, d in pts], [_theta_at(eq, x, d) for x, d in pts]

@@ -48,7 +48,7 @@ from functools import cached_property, reduce, wraps
 import numpy as np
 
 from .hypergeometric_core import _column, _limit_ratio, _sigma_at, _theta_at, rel_residual
-from .lattice import DegenerateStepError, _cdiv
+from .lattice import DegenerateStepError, LatticeTable, _cdiv
 from .orthogonality import InnerProductSpec, discrete_inner
 from .qkernel import QKernelError
 from .report import CaseRecord, Skipped, suite
@@ -198,8 +198,8 @@ class StencilGrid:
     limit, `e_minus`, `u`) on offsets 0..margin-1, the L- side (`delta`,
     `tod` = Theta/Delta x, `e_plus`, `v`) on -(margin-1)..0, A(s,n) on
     -(margin-1)..margin-1 and the H diagonal on offset 0.  `plus_side` and
-    `minus_side` index the two sides by offset.  x is evaluated once, on the
-    half-integer offsets as well.
+    `minus_side` index the two sides by offset.  x is one `LatticeTable`, on
+    the half-integer offsets as well.
 
     A(s,n), u, v, the H diagonal, P_n and the chain function w P_n are
     columns over n too (`hypergeometric_core._column`): one n reads its
@@ -230,8 +230,7 @@ class StencilGrid:
         pts = [complex(s) for s in s_grid]
         self.s = _frozen(np.array(pts, dtype=complex))
         self.labels = tuple(f"{s:.6g}" for s in pts)  # case label of each grid point
-        half = np.arange(-2 * margin - 1, 2 * margin + 2) / 2.0
-        self._x_half = _frozen(fam.lattice.x_values(self.s[:, None] + half))
+        self._x_half = _frozen(LatticeTable(fam.lattice, pts, -2 * margin - 1, 2 * margin + 1).x)
         self.t = _frozen(self.s[:, None] + np.arange(-margin, margin + 1))
         self.x = self._x_half[:, 1::2]
         self._columns = defaultdict(list)  # name -> its rows over n = 0, 1, .. so far

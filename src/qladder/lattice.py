@@ -25,18 +25,19 @@ a rounded reciprocal); two numbers keep Python's division.  The families'
 pointwise quantities (weight, rho, phi_n, P_n) take arrays only; a point is
 a one-element array.
 
-`LatticeTable` is the difference calculus of a suite: x(s + h/2) for its
-rows s (grid points or nodes) and a range of integer h.  Its x values come
-from the scalar formula, once per distinct point, so each equals
-`Lattice.x` at that point; numpy's exp rounds differently, and a guard
-such as the Pearson recurrence's sigma = 0 test can flip on that last bit.
-Only the folds are arrays.  `forward` (k-fold forward differences) and
-`backward` (n-fold backward chains) take values on integer offsets of the
-rows, stacked over any further lanes (n, the chain's end point), and
-return every depth, so all lanes share one quotient per fold level.  A step
-is tested for degeneracy only where some lane reads it, which is where a
-point-by-point fold would divide by it; the quotients no lane reads are
-formed with floating-point errors ignored and never read.
+`LatticeTable` is the library's one x table: x(s + h/2) for its rows s
+(grid points or nodes) and a range of integer h, in one `x_values` call
+that raises on overflow, invalid and divide (an `ArithmeticError`, as cmath
+raises).  Array `x_values` equals `Lattice.x` bit for bit (all six
+lattices, q = 0.05 to 0.95, 2520 points each), so a guard that reads the
+last bit of x, such as the Pearson sigma = 0 test, reads the same value.
+`forward` (k-fold forward differences) and `backward` (n-fold backward
+chains) take values on integer offsets of the rows, stacked over any
+further lanes (n, the chain's end point), and return every depth, so all
+lanes share one quotient per fold level.  A step is tested for degeneracy
+only where some lane reads it, which is where a point-by-point fold would
+divide by it; the quotients no lane reads are formed with floating-point
+errors ignored and never read.
 """
 
 from __future__ import annotations
@@ -151,27 +152,19 @@ class Lattice:
 
 class LatticeTable:
     """x(s + h/2) for the rows s of one suite and h = h_lo..h_hi, as
-    `x[r, h - h_lo]`.
+    `x[r, h - h_lo]`, in one `x_values` call.
 
-    Each distinct point is evaluated once, through the scalar formula, and
-    `at` evaluates further points through the same memo.  `forward` and
-    `backward` fold values given on integer offsets of the rows: each fold
-    level is one `_cdiv` over the whole stack, every depth is returned, and a
-    step is tested for degeneracy only where some lane reads it.
+    `forward` and `backward` fold values given on integer offsets of the
+    rows: each fold level is one `_cdiv` over the whole stack, every depth is
+    returned, and a step is tested for degeneracy only where some lane reads it.
     """
 
     def __init__(self, lattice: Lattice, rows, h_lo: int, h_hi: int):
         self.lattice = lattice
         self.rows = np.array([complex(s) for s in rows], dtype=complex)
         self.h_lo = h_lo
-        self._memo = {}
-        self.x = self.at(self.rows[:, None] + np.arange(h_lo, h_hi + 1) / 2.0)
-
-    def at(self, s):
-        """x at an ndarray of points, each distinct point evaluated once."""
-        memo, x = self._memo, self.lattice.x_values
-        vals = [memo[p] if p in memo else memo.setdefault(p, x(p)) for p in s.ravel().tolist()]
-        return np.array(vals, dtype=complex).reshape(s.shape)
+        with np.errstate(over="raise", invalid="raise", divide="raise"):
+            self.x = lattice.x_values(self.rows[:, None] + np.arange(h_lo, h_hi + 1) / 2.0)
 
     def forward(self, f, depth):
         """k-fold forward differences

@@ -1,4 +1,5 @@
 import json
+import math
 import pathlib
 import subprocess
 import sys
@@ -340,6 +341,49 @@ def test_config_json_non_numeric_value_exits_2(tmp_path, capsys, fields):
     assert run_cli(["check", "--config", str(cfg)]) == 2
     err = capsys.readouterr().err
     assert err.startswith(f"error: {cfg}: field ") and "'x'" in err
+
+
+@pytest.mark.parametrize("argv, field", [
+    (["check", "--suite", "eigen", "--tol", "eigen=nan"], "tol.eigen"),
+    (["check", "--suite", "eigen", "--tol", "eigen=inf"], "tol.eigen"),
+    (["check", "--suite", "eigen", "--param", "a=nan"], "param.a"),
+    (["check", "--suite", "eigen", "--perturb", "beta", "nan"], "perturb"),
+    (["gram", "--param", "a=inf"], "param.a"),
+    (["eval", "--grid", "nan:1:2"], "grid"),
+    (["eval", "--grid", "0.3:-inf:2"], "grid"),
+    (["eval", "--q", "nan"], "q"),
+])
+def test_a_non_finite_flag_exits_2_naming_its_field(tmp_path, capsys, argv, field):
+    out = tmp_path / "o.txt"
+    argv = [argv[0], "--family", "asc1", "--param", "a=-1", *argv[1:], "--out", str(out)]
+    assert run_cli(argv) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: ") and f"field '{field}'" in err[0]
+    assert "not a finite number" in err[0] and not out.exists()
+
+
+@pytest.mark.parametrize("line, fields, field", [
+    ("q=inf", {"q": math.inf}, "q"),
+    ("param.a=-inf", {"params": {"a": -math.inf}}, "param.a"),
+    ("tol.eigen=nan", {"tolerances": {"eigen": math.nan}}, "tol.eigen"),
+    ("grid=0.3:nan:3", {"grid": [0.3, math.nan, 3]}, "grid"),
+    ("perturb=gamma:inf", {"perturb": ["gamma", math.inf]}, "perturb"),
+])
+@pytest.mark.parametrize("source", ["key=value", "json"])
+def test_a_non_finite_config_value_exits_2_naming_its_field(tmp_path, capsys, line, fields,
+                                                            field, source):
+    if source == "key=value":
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"family=asc1\nq=0.5\nparam.a=-1\nsuite=eigen\n{line}\n")
+    else:  # json.dumps spells nan and inf NaN and Infinity, which json.loads reads
+        cfg = tmp_path / "run.json"
+        cfg.write_text(json.dumps({"family": "asc1", "q": 0.5, "params": {"a": -1.0},
+                                   "suites": ["eigen"], **fields}))
+    out = tmp_path / "o.json"
+    assert run_cli(["check", "--config", str(cfg), "--out", str(out)]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith(f"error: {cfg}") and f"field '{field}'" in err[0]
+    assert "not a finite number" in err[0] and not out.exists()
 
 
 @pytest.mark.parametrize("grid, message", [([0.3, 2.5], "start:stop:count"),

@@ -400,6 +400,24 @@ def test_pearson_weight_matches_pointwise(name, q):
         assert_matches_reference(got, ref, name)
 
 
+@pytest.mark.parametrize("q", [0.2, 0.5, 0.8])
+@pytest.mark.parametrize("name", ["askey_wilson", "continuous_q_hermite"])
+def test_pearson_weight_on_the_trigonometric_lattice_is_pointwise_bit_for_bit(name, q):
+    # assert_matches_reference allows 1% here; sigma and Theta in Python
+    # complex arithmetic (_sigma_theta) keep every entry of the table exact
+    fam = make_family(name, reference_params(name), QBase(q))
+    checked = 0
+    for anchor in default_grid(fam, 7):
+        for lo, hi in ((0, 1), (-6, 11)):
+            try:
+                want = pointwise.pearson_weight(fam.eq, anchor, lo, hi)
+            except QKernelError:
+                continue
+            assert pearson_weight(fam.eq, anchor, lo, hi) == want, (anchor, lo, hi)
+            checked += 1
+    assert checked >= 7
+
+
 def _pointwise_rodrigues_residuals(fam, n_hi=5):
     """The rodrigues suite point by point: rodrigues_eval on the pointwise
     Pearson table against the scalar recurrence (`pointwise.pn`), with the
