@@ -1088,10 +1088,11 @@ def _aw_forms(a, b, c, d, base: QBase):
     def a_n(n):
         return 2.0**n * q_pochhammer(abcd * q ** (n - 1), base, n)
 
+    pairs = [p for p in (a * b, a * c, a * d, b * c, b * d, c * d) if p]  # (0; q)_inf = 1
+
     def d_n_sq(n):
         num = q_pochhammer(abcd * q ** (n - 1), base, n) * q_pochhammer_inf(
             abcd * q ** (2 * n), base)
-        pairs = (a * b, a * c, a * d, b * c, b * d, c * d)
         return num / q_pochhammer_multi((base.pow(float(n + 1)), *(p * q**n for p in pairs)), base)
 
     weight, weight_density = _aw_weights(a, b, c, d, base)
