@@ -24,16 +24,16 @@ Scalar/array contract
 sigma and Theta have one formula each, `_sigma_at` and `_theta_at`: from x
 and Delta x(s-1/2), given as numbers or as ndarrays, never from a point s.
 The x they are given comes from a `lattice.LatticeTable`, one array call
-per table, and is handed on two ways.  `ladder.StencilGrid`, the one implementation
-of the operator coefficients and of the polynomial ladder relations, passes
-arrays, and takes sigma/nabla x and Theta/Delta x from `_limit_ratio`,
-which evaluates the removable 0/0 entries one by one through the analytic
-limit.  The Pearson tables and the Rodrigues values read sigma and Theta
-as Python complex numbers, once per point (`_sigma_theta`, which says why),
-so the Pearson recurrence and the rho_n products read identical values,
-and the CLI's `eval` rows read their sigma, tau and Theta the same way.
-There is no sigma or Theta function of a point s; the tests keep one as
-the reference.  `sigma_tilde`,
+per table, and is handed on two ways.  `ladder.StencilGrid`, the one
+implementation of the operator coefficients and of the polynomial ladder
+relations, passes arrays, and takes sigma/nabla x and Theta/Delta x from
+`_limit_ratio`, which evaluates the removable 0/0 entries one by one
+through the analytic limit.  The Pearson tables and the Rodrigues values
+read sigma and Theta as Python complex numbers, once per point
+(`_sigma_theta`, which says why), so the Pearson recurrence and the rho_n
+products read identical values, and the CLI's `eval` rows read their
+sigma, tau and Theta the same way.  There is no sigma or Theta function of
+a point s; the tests keep one as the reference.  `sigma_tilde`,
 `tau_tilde`, `EquationTable.A` and `rel_residual` take one point or an
 ndarray (elementwise, through numpy).  `rel_residual` keeps its scalar
 branch: numpy's complex abs differs from Python's on about a third of
