@@ -429,14 +429,19 @@ class FamilySpec:
         support, n, m <= N, from one rule call on outer(P_0..P_N) w, kept per
         N.  Only here does the support kind choose the rule: the sum over the
         grid s, the Jackson integral at the node x itself or the quadrature
-        against the density, these two settling against |d_n d_m|.  history
-        is the quadrature's node-doubling loop, as (panels, matrix) pairs, or []."""
+        against the density, these two settling against |d_n d_m|.  A finite
+        family sums once, at n_max (its norms read that sum): below n_max M
+        is its leading block, each entry summed alone, so bit for bit the
+        same.  history is the quadrature's node-doubling loop, as (panels,
+        matrix) pairs, or []."""
         key = ("p_gram", N)
         if key in self._cache:
             return self._cache[key]
         sup, history = self.support, []
         outer_p = lambda x: _outer(self.pn_stack(N, x))
-        if sup.kind == "discrete_grid":
+        if sup.kind == "discrete_grid" and N < (self.n_max or 0):
+            M = self.p_gram(self.n_max)[0][:N + 1, :N + 1]
+        elif sup.kind == "discrete_grid":
             spec = InnerProductSpec(self.lattice, tuple(sup.grid_points))
             M = discrete_inner(spec, lambda s: outer_p(self.lattice.x_values(s)), self.weight)
         elif sup.kind not in ("jackson_integral", "continuous_interval"):
@@ -1008,8 +1013,9 @@ def _aw_weights(a, b, c, d, base: QBase):
     h(x, alpha) = prod_k (1 - 2 alpha q^k x + alpha^2 q^{2k}), each product
     taken while |alpha q^k| > 1e-17.  The table of q-power sequences holds,
     per alpha and k, the factor constants 2 alpha q^k and alpha^2 q^{2k}
-    (alpha q^k by repeated multiplication); it is built on the first
-    evaluation, so making a family costs nothing.  x is an ndarray (one point
+    (alpha q^k by repeated multiplication, one cumprod over the eight
+    alphas); it is built in one array pass on the first evaluation, so
+    making a family costs nothing.  x is an ndarray (one point
     is a one-element array): all eight products run in one loop over k on a
     stacked (8, x.size) array, a row left as it is once its sequence has
     ended, so each entry is the product of its own factors in k order.
@@ -1027,20 +1033,16 @@ def _aw_weights(a, b, c, d, base: QBase):
         constants (2 alpha q^k, alpha^2 q^{2k}) as (2, k, row) and, per k,
         the number of rows whose sequence has not ended."""
         if not tables:
-            rows = []
-            for alpha in alphas:
-                row, aq = [], complex(alpha)
-                while abs(aq) > 1e-17:
-                    row.append((2.0 * aq, aq * aq))
-                    aq *= q
-                rows.append(row)
-            order = sorted(range(len(rows)), key=lambda i: -len(rows[i]))
-            lens = np.array([len(rows[i]) for i in order])
-            consts = np.zeros((2, lens[0], len(rows)), dtype=complex)
-            for r, i in enumerate(order):
-                if rows[i]:
-                    consts[:, :lens[r], r] = np.array(rows[i]).T
-            live = np.count_nonzero(np.arange(lens[0])[:, None] < lens, axis=1).tolist()
+            # steps enough for the largest |alpha| (>= 1) to fall below 1e-17
+            top = max(abs(alpha) for alpha in alphas)
+            size = math.ceil(math.log(1e-17 / top) / math.log(q)) + 2
+            steps = np.full((size, len(alphas)), q, dtype=complex)
+            steps[0] = alphas
+            aq = np.cumprod(steps, axis=0)  # alpha q^k by repeated multiplication
+            lens = np.argmin(np.abs(aq) > 1e-17, axis=0)  # each row's first k at or below
+            order = np.argsort(-lens, kind="stable")  # rows by falling length
+            consts = np.stack([2.0 * aq, aq * aq])[:, :lens.max(), order]  # read up to lens
+            live = np.count_nonzero(np.arange(lens.max())[:, None] < lens, axis=1).tolist()
             tables.extend((np.argsort(order).tolist(), consts, live))
         return tables
 

@@ -25,7 +25,9 @@ theta_j = j pi / M, j = 0..M, half weight at both ends (Gauss--Chebyshev--
 Lobatto in x), which converges exponentially (Trefethen & Weideman, SIAM
 Review 56 (2014) 385-458).  Its nodes nest under doubling, so the
 convergence gate evaluates each node once: one call on the 2M + 1 nodes of
-the first two levels, then one call on the M new midpoints per doubling.  A
+the first two levels, then one call on the new midpoints per doubling.  The
+loop starts coarse (M = 32) and doubles up to 4096 panels, so a Gram stops
+at the coarsest level that settles (64 panels for most measures).  A
 continuous Gram runs that loop once, on the whole matrix, and hands out its
 history beside the matrix, so a report of the quadrature (the `gram`
 command's node history) describes the evaluations that made the matrix.
@@ -53,7 +55,7 @@ JACKSON_NODE_CAP = 10**4
 JACKSON_TOL = 1e-15  # a Jackson term below it (relative to the running sum, or scale) is small
 QUADRATURE_RULE = "trapezoid in theta (Gauss-Chebyshev-Lobatto in x) with nested node doubling"
 # the node-doubling loop: first panel count, settling tolerance, doublings allowed
-QUADRATURE_START_NODES, QUADRATURE_REL_TOL, QUADRATURE_MAX_DOUBLINGS = 250, 1e-9, 4
+QUADRATURE_START_NODES, QUADRATURE_REL_TOL, QUADRATURE_MAX_DOUBLINGS = 32, 1e-9, 7
 
 
 @dataclass(frozen=True)
@@ -215,13 +217,17 @@ def continuous_inner_aw_converged(f, g, weight_density, scale=1.0):
 
     Each node is evaluated once: the first call of f, g and the density covers
     the 2M + 1 nodes of the first two levels (M panels read from the
-    even-indexed values), and each further doubling evaluates only the M new
-    midpoints, in one call.  Settles when doubling changes every entry by less
-    than QUADRATURE_REL_TOL relative to max(|value|, scale); `scale` (a scalar
-    or an array matching the value) supplies the natural magnitude for entries
-    whose true value is 0 (off-diagonal Gram entries).  Returns (value,
-    history) with history the list of (panels, value) visited; raises
-    NonConvergedError when QUADRATURE_MAX_DOUBLINGS doublings never settle.
+    even-indexed values), and each further doubling from P panels evaluates
+    only the P new midpoints, in one call.  Settles when doubling changes
+    every entry by less than QUADRATURE_REL_TOL relative to max(|value|,
+    scale); `scale` (a scalar or an array matching the value) supplies the
+    natural magnitude for entries whose true value is 0 (off-diagonal Gram
+    entries).  The trapezoid converges exponentially here, so the loop stops
+    at the first level whose doubling settles, from M = 32 to at most
+    32 * 2^7 = 4096 panels.  Returns (value, history) with history the list
+    of (panels, value) visited; raises NonConvergedError when
+    QUADRATURE_MAX_DOUBLINGS doublings never settle, naming the finest panel
+    count and the largest relative change between its last two levels.
     """
     panels = QUADRATURE_START_NODES
     v = _aw_values(f, g, weight_density, np.arange(2 * panels + 1) * (math.pi / (2 * panels)))
@@ -235,11 +241,12 @@ def continuous_inner_aw_converged(f, g, weight_density, scale=1.0):
         panels *= 2
         cur = np.asarray(total * (math.pi / panels))
         history.append((panels, cur))
-        bound = QUADRATURE_REL_TOL * np.maximum(np.maximum(np.abs(cur), np.abs(scale)), 1e-30)
-        if np.all(np.abs(cur - prev) <= bound):
+        floor = np.maximum(np.maximum(np.abs(cur), np.abs(scale)), 1e-30)
+        if np.all(np.abs(cur - prev) <= QUADRATURE_REL_TOL * floor):
             return cur, history
     raise NonConvergedError(f"quadrature did not settle to {QUADRATURE_REL_TOL} after "
-                            f"{QUADRATURE_MAX_DOUBLINGS} doublings")
+                            f"{QUADRATURE_MAX_DOUBLINGS} doublings ({panels} panels; largest "
+                            f"change {np.max(np.abs(cur - prev) / floor):.1e})")
 
 
 def _outer(v):

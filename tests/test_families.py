@@ -423,7 +423,7 @@ def _h_products(x, q, params, den0):
     return num / (den0 * h(a) * h(b) * h(c) * h(d))
 
 
-@pytest.mark.parametrize("q", [0.1, 0.5, 0.9])
+@pytest.mark.parametrize("q", [0.1, 0.5, 0.9, 0.95])  # 0.95: the longest q-power table
 @pytest.mark.parametrize("name, params", [
     ("askey_wilson", {"a": 0.3, "b": 0.3, "c": 0.3, "d": 0.3}),
     ("askey_wilson", {"a": -0.62, "b": 0.45, "c": -0.17, "d": 0.81}),
@@ -433,7 +433,7 @@ def test_aw_stacked_h_products_equal_h_pair_bit_for_bit(name, params, q):
     fam = make_family(name, params, QBase(q))
     dens = fam.closed.displays["weight_density"]
     kq = fam.base.k_q
-    for M in (250, 500, 1000, 2000):
+    for M in (32, 64, 250, 500, 1000, 2000):
         x = np.cos((np.arange(M) + 0.5) * (math.pi / M))  # the quadrature's nodes
         want = _h_products(x, q, params, 2.0 * math.pi)
         assert dens(x).tobytes() == want.tobytes()

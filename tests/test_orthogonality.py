@@ -10,6 +10,8 @@ from qladder.checks import run_suite
 from qladder.families import FamilySpec, make_family, reference_params
 from qladder.orthogonality import (
     JACKSON_NODE_CAP,
+    QUADRATURE_MAX_DOUBLINGS,
+    QUADRATURE_START_NODES,
     InnerProductSpec,
     _jackson_block,
     _one,
@@ -142,7 +144,8 @@ def test_gram_aw_continuous(families):
     G, history = gram_matrix(fam, 3)
     assert np.max(np.abs(G - np.eye(4))) < 1e-6
     # the history is the loop that made G: its last matrix is G unnormalised
-    assert [nodes for nodes, _ in history] == [250 * 2**k for k in range(len(history))]
+    start = QUADRATURE_START_NODES
+    assert [nodes for nodes, _ in history] == [start * 2**k for k in range(len(history))]
     d = np.array([fam.d_n(n) for n in range(4)])
     assert np.array_equal(G, history[-1][1] / (d[:, None] * d[None]))
 
@@ -220,6 +223,22 @@ def test_p_gram_is_one_rule_call_per_n_kept_by_the_family(base):
         M, history = fam.p_gram(fam.n_max)
         assert history == [] and not M.flags.writeable
         assert [fam.norm_sq(n) for n in range(fam.n_max + 1)] == np.diag(M).tolist()
+        # below n_max the Gram is the leading block of that one sum
+        calls.clear()
+        fam = make_family("q_dual_hahn", reference_params("q_dual_hahn"), base)
+        N = fam.n_max - 2
+        G, _ = gram_matrix(fam, N)
+        norms = [fam.norm_sq(n) for n in range(fam.n_max + 1)]
+        assert calls == [(len(fam.support.grid_points),)]
+        block, history = fam.p_gram(N)
+        assert history == [] and not block.flags.writeable
+        assert block.tobytes() == fam.p_gram(fam.n_max)[0][:N + 1, :N + 1].tobytes()
+        assert norms[:N + 1] == np.diag(block).tolist()
+        # each entry is summed alone: the block is the sum at N itself
+        spec = InnerProductSpec(fam.lattice, tuple(fam.support.grid_points))
+        at_n = discrete_inner(spec, lambda s: _outer(fam.pn_stack(N, fam.lattice.x_values(s))),
+                              fam.weight)
+        assert block.tobytes() == at_n.tobytes()
         # asc1: the orthonormality suite's Gram and convention ratio share
         # one Jackson integral, one sweep over both endpoints in one block,
         # whose weights are one run per factor (2) and endpoint (2)
@@ -227,6 +246,25 @@ def test_p_gram_is_one_rule_call_per_n_kept_by_the_family(base):
         fam = make_family("asc1", reference_params("asc1"), base)
         assert run_suite(fam, "orthonormality").passed
         assert calls == [((2, 2), _jackson_block(base.q))]
+
+
+@pytest.mark.parametrize("N", [3, 10])
+@pytest.mark.parametrize("q", [0.1, 0.5, 0.9])
+@pytest.mark.parametrize("name, params", [
+    ("askey_wilson", None),  # the reference parameters
+    ("askey_wilson", {"a": -0.62, "b": 0.45, "c": -0.17, "d": 0.81}),
+    ("askey_wilson", {"a": 0.98, "b": 0.5, "c": 0.1, "d": -0.2}),
+    ("continuous_q_hermite", {}),
+])
+def test_converged_continuous_gram_matches_a_fine_trapezoid(name, params, q, N):
+    # wherever the node-doubling loop stops, its matrix is the 8192-panel
+    # trapezoid's to 1e-14 relative to |d_n d_m|
+    fam = make_family(name, reference_params(name) if params is None else params, QBase(q))
+    G, _ = gram_matrix(fam, N)
+    fine = continuous_inner_aw(lambda x: _outer(fam.pn_stack(N, x)), _one,
+                               fam.closed.displays["weight_density"], 8192)
+    dd = _outer(fam.d_n(range(N + 1)))
+    assert np.max(np.abs(G * dd - fine) / np.abs(dd)) <= 1e-14
 
 
 @pytest.mark.parametrize("name", ["askey_wilson", "continuous_q_hermite"])
@@ -253,11 +291,17 @@ def test_continuous_vector_integrand_unsettled_entry_raises():
     one = lambda x: 1.0
     continuous_inner_aw_converged(smooth, one, one)  # settles on its own
     # 1/sqrt(1-x) has a non-integrable 1/theta singularity: its entry grows
-    # by about sqrt(2) ln 2 per doubling and never settles
-    with pytest.raises(NonConvergedError):
-        continuous_inner_aw_converged(
-            lambda x: np.array([smooth(x), 1.0 / np.sqrt(1.0 - x)]), one, one
-        )
+    # by about sqrt(2) ln 2 per doubling and never settles.  (It is read as 1
+    # at the node x = 1, where it is not finite.)  The error names the finest
+    # level and the largest relative change between the last two
+    singular = lambda x: 1.0 / np.sqrt(1.0 - x + (x == 1.0))
+    finest = QUADRATURE_START_NODES * 2**QUADRATURE_MAX_DOUBLINGS
+    prev, cur = (continuous_inner_aw(singular, one, one, m) for m in (finest // 2, finest))
+    with pytest.raises(NonConvergedError, match=rf"after {QUADRATURE_MAX_DOUBLINGS} doublings "
+                       rf"\({finest} panels; largest change (\S+)\)$") as err:
+        continuous_inner_aw_converged(lambda x: np.array([smooth(x), singular(x)]), one, one)
+    change = float(str(err.value).rsplit(" ", 1)[1][:-1])
+    assert change == pytest.approx(abs(cur - prev) / abs(cur), rel=0.05)  # 2 digits
 
 
 def test_continuous_non_finite_node_value_is_refused_by_name_without_warning():
@@ -272,8 +316,9 @@ def test_continuous_non_finite_node_value_is_refused_by_name_without_warning():
 
 
 def test_continuous_gram_past_two_levels_evaluates_each_node_once(monkeypatch):
-    # this Askey--Wilson measure (a = 0.98) needs a third level: the density is
-    # called on the 501 nodes of levels 250 and 500, then on the 500 midpoints
+    # this Askey--Wilson measure (a = 0.98) needs more than two levels: the
+    # density is called on the 2M + 1 nodes of the first two levels (M the
+    # start panels), then on the new midpoints of each further level
     calls = []
     aw_weights = families_module._aw_weights
 
@@ -285,8 +330,10 @@ def test_continuous_gram_past_two_levels_evaluates_each_node_once(monkeypatch):
     fam = make_family("askey_wilson", {"a": 0.98, "b": 0.5, "c": 0.1, "d": -0.2}, QBase(0.5))
     N = 3
     G, history = gram_matrix(fam, N)
-    assert [p for p, _ in history] == [250, 500, 1000]
-    assert calls == [501, 500]
+    start = QUADRATURE_START_NODES
+    levels = [p for p, _ in history]
+    assert len(levels) > 2 and levels == [start * 2**k for k in range(len(levels))]
+    assert calls == [2 * start + 1, *levels[1:-1]] and sum(calls) == levels[-1] + 1
     # each nested level is the trapezoid on its own panels, to rounding
     outer_p = lambda x: _outer(fam.pn_stack(N, x))
     for panels, value in history:
