@@ -1041,7 +1041,7 @@ def _aw_weights(a, b, c, d, base: QBase):
             aq = np.cumprod(steps, axis=0)  # alpha q^k by repeated multiplication
             lens = np.argmin(np.abs(aq) > 1e-17, axis=0)  # each row's first k at or below
             order = np.argsort(-lens, kind="stable")  # rows by falling length
-            consts = np.stack([2.0 * aq, aq * aq])[:, :lens.max(), order]  # read up to lens
+            consts = np.stack([2.0 * aq, aq * aq])[:, :lens.max(), order]  # read below lens
             live = np.count_nonzero(np.arange(lens.max())[:, None] < lens, axis=1).tolist()
             tables.extend((np.argsort(order).tolist(), consts, live))
         return tables
