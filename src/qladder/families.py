@@ -35,7 +35,6 @@ reported as suspected errata; the evaluators use the validated route:
 from __future__ import annotations
 
 import cmath
-import itertools
 import math
 from dataclasses import dataclass, field, replace
 from functools import cache, cached_property
@@ -401,28 +400,22 @@ class FamilySpec:
         if key not in self._cache:
             sup = self.support
             if sup.kind == "jackson_integral":
-                self._cache[key] = complex(jackson_integral(self._jackson_weight(), sup.lo,
+                self._cache[key] = complex(jackson_integral(self._jackson_weight, sup.lo,
                                                             sup.hi, self.base, scale=0.0))
             else:
                 self._cache[key] = self.coeffs.d_n_sq(0)
         return self._cache[key]
 
-    def _jackson_weight(self):
-        """The weight for one Jackson sweep over the support, called once per
-        (endpoints, size) node block in the sweep's order: one `q_pochhammer_orbit`
-        per factor from the block's first node, combined as the pointwise weight.
-        Blocks depend only on q, so block i is cached once per family; where a
-        block starts moves the last bits of its weights, not where an entry stops."""
-        order, factors = itertools.count(), self.closed.weight_factors
-
-        def weight(x):
-            key = ("jackson_weight", next(order))
-            if key not in self._cache:
-                orbits = lambda v: np.prod(q_pochhammer_orbit(v, self.base, x.shape[-1]), 0)
-                self._cache[key] = _pochhammer_quotient(factors, orbits)(x[:, 0])
-            return self._cache[key]
-
-        return weight
+    def _jackson_weight(self, x):
+        """The weight at the (endpoints, size) nodes x of a Jackson pass: one
+        `q_pochhammer_orbit` per factor from the endpoints x[:, 0], combined
+        as the pointwise weight.  Every pass starts at the endpoints, so its
+        weights are cached per size."""
+        key = ("jackson_weight", x.shape)
+        if key not in self._cache:
+            orbits = lambda v: np.prod(q_pochhammer_orbit(v, self.base, x.shape[-1]), 0)
+            self._cache[key] = _pochhammer_quotient(self.closed.weight_factors, orbits)(x[:, 0])
+        return self._cache[key]
 
     def p_gram(self, N: int):
         """(M, history): the read-only M[n, m] = int P_n P_m w over the
@@ -449,9 +442,8 @@ class FamilySpec:
         else:
             scale = np.abs(_outer(self.d_n(range(N + 1))))
             if sup.kind == "jackson_integral":
-                w = self._jackson_weight()
-                M = jackson_integral(lambda x: outer_p(x) * w(x), sup.lo, sup.hi, self.base,
-                                     scale=scale)
+                M = jackson_integral(lambda x: outer_p(x) * self._jackson_weight(x), sup.lo,
+                                     sup.hi, self.base, scale=scale)
             else:
                 M, history = continuous_inner_aw_converged(
                     outer_p, _one, self.closed.displays["weight_density"], scale=scale)
@@ -1026,25 +1018,23 @@ def _aw_weights(a, b, c, d, base: QBase):
     kq = base.k_q
     rq = math.sqrt(q)
     alphas = (1.0, -1.0, rq, -rq, a, b, c, d)
-    tables = []  # built on the first evaluation
 
+    @cache  # built on the first evaluation
     def table():
         """The rank of each alpha's row (rows by falling length), the
         constants (2 alpha q^k, alpha^2 q^{2k}) as (2, k, row) and, per k,
         the number of rows whose sequence has not ended."""
-        if not tables:
-            # steps enough for the largest |alpha| (>= 1) to fall below 1e-17
-            top = max(abs(alpha) for alpha in alphas)
-            size = math.ceil(math.log(1e-17 / top) / math.log(q)) + 2
-            steps = np.full((size, len(alphas)), q, dtype=complex)
-            steps[0] = alphas
-            aq = np.cumprod(steps, axis=0)  # alpha q^k by repeated multiplication
-            lens = np.argmin(np.abs(aq) > 1e-17, axis=0)  # each row's first k at or below
-            order = np.argsort(-lens, kind="stable")  # rows by falling length
-            consts = np.stack([2.0 * aq, aq * aq])[:, :lens.max(), order]  # read below lens
-            live = np.count_nonzero(np.arange(lens.max())[:, None] < lens, axis=1).tolist()
-            tables.extend((np.argsort(order).tolist(), consts, live))
-        return tables
+        # steps enough for the largest |alpha| (>= 1) to fall below 1e-17
+        top = max(abs(alpha) for alpha in alphas)
+        size = math.ceil(math.log(1e-17 / top) / math.log(q)) + 2
+        steps = np.full((size, len(alphas)), q, dtype=complex)
+        steps[0] = alphas
+        aq = np.cumprod(steps, axis=0)  # alpha q^k by repeated multiplication
+        lens = np.argmin(np.abs(aq) > 1e-17, axis=0)  # each row's first k at or below
+        order = np.argsort(-lens, kind="stable")  # rows by falling length
+        consts = np.stack([2.0 * aq, aq * aq])[:, :lens.max(), order]  # read below lens
+        live = np.count_nonzero(np.arange(lens.max())[:, None] < lens, axis=1).tolist()
+        return np.argsort(order).tolist(), consts, live
 
     def h_products(x):
         rank, (two_aq, aq_sq), live = table()

@@ -14,11 +14,13 @@ Discrete sums use the node weights Delta x(s - 1/2); the Jackson integral is
     int_0^z f(t) d_q t = z (1-q) sum_{k>=0} f(z q^k) q^k,   0 < q < 1,
 
 (Gasper & Rahman, Basic Hypergeometric Series, 2nd ed., 2004, section 1.11),
-summed in blocks of nodes, one sweep of blocks for both endpoints of
+summed in passes from the endpoints, one sweep for both endpoints of
 int_{z1}^{z2}; each entry at each endpoint stops at its own 4th consecutive
 node whose term is below tolerance relative to max(|running sum|, scale), as
-a node-by-node sum would (node cap 10^4).  The first block is sized for Gram
-entries, which settle against |d_n d_m|, so a Gram is typically one f call.
+a node-by-node sum would.  The first pass is sized for Gram entries, which
+settle against |d_n d_m|, so a Gram is typically one f call; a sweep that
+has not settled runs again from the endpoints on twice the nodes (node cap
+10^4).
 The continuous Askey--Wilson quadrature substitutes x = cos(theta),
 where the integrand is smooth and periodic, and applies the trapezoidal rule
 theta_j = j pi / M, j = 0..M, half weight at both ends (Gauss--Chebyshev--
@@ -93,66 +95,49 @@ def _first(mask):
 
 
 def _jackson_block(q: float) -> int:
-    """Nodes in the first block: a Gram entry's terms take about 2 log(JACKSON_TOL)/log(q)
-    nodes to fall below JACKSON_TOL |d_n d_m| (|d_n d_m| reaches 1e-23), then 4 settle.
-    Stops do not depend on the blocks for a given f; a family's node weights do (last bits)."""
+    """Nodes in the first pass: a Gram entry's terms take about 2 log(JACKSON_TOL)/log(q)
+    nodes to fall below JACKSON_TOL |d_n d_m| (|d_n d_m| reaches 1e-23), then 4 settle."""
     return min(math.ceil(2.0 * math.log(JACKSON_TOL) / math.log(q)) + 4, JACKSON_NODE_CAP)
 
 
 def _jackson_zero_to(f, zs, base: QBase, scale):
     """int_0^z f(t) d_q t for each z != 0 of the 1-d array zs, endpoints last:
-    f is called once per (endpoints, size) block of nodes z q^k, and every
-    (entry, endpoint) keeps its own running sum, settled count and stop."""
-    q, tol = base.q, JACKSON_TOL
-    start, done, size = zs, 0, _jackson_block(q)
-    shape = None  # entry shape (endpoints last), known after the first block
-    while done < JACKSON_NODE_CAP:
-        size = min(size, JACKSON_NODE_CAP - done)
+    a pass calls f once on the (endpoints, size) nodes z q^k, k < size, and
+    every (entry, endpoint) stops at its own 4th consecutive small term.  While
+    one has not stopped, the next pass starts again from the endpoints on
+    twice the nodes, up to JACKSON_NODE_CAP."""
+    q, size = base.q, _jackson_block(base.q)
+    while True:
         # nodes past an entry's stop are evaluated but never read: whatever
         # they give must neither raise nor warn
         with np.errstate(all="ignore"):
             steps = np.full((len(zs), size), q, dtype=complex)
-            steps[:, 0] = start
+            steps[:, 0] = zs
             nodes = np.cumprod(steps, axis=1)  # z q^k by repeated multiplication
             terms = np.asarray(f(nodes) * nodes, dtype=complex)
-            if shape is None:
-                shape = terms.shape[:-1]
-                total = np.zeros(math.prod(shape), dtype=complex)  # carried sums
-                settled = np.zeros(total.shape, dtype=int)  # carried settled nodes
-                value = np.empty(total.shape, dtype=complex)
-                live = np.ones(total.shape, dtype=bool)
-                floor = np.broadcast_to(np.abs(np.asarray(scale))[..., None], shape).reshape(-1, 1)
-            terms = terms.reshape(-1, size)
-            # running sums seeded with the carried ones: the node-by-node rounding
-            sums = np.cumsum(np.concatenate([total[:, None], terms], axis=1), axis=1)[:, 1:]
-            small = np.abs(terms) <= tol * np.maximum(np.abs(sums), floor)
-        # an entry stops at its 4th consecutive small term, counting the
-        # small terms that ended the previous block
-        carried = settled[:, None] > np.arange(2, -1, -1)
-        ext = np.concatenate([carried, small], axis=1)
-        stop = _first(ext[:, :-3] & ext[:, 1:-2] & ext[:, 2:-1] & ext[:, 3:])
+            shape, terms = terms.shape[:-1], terms.reshape(-1, size)
+            floor = np.broadcast_to(np.abs(np.asarray(scale))[..., None], shape).reshape(-1, 1)
+            # running sums from a 0 column in node order: the node-by-node rounding
+            sums = np.cumsum(np.concatenate([np.zeros((len(terms), 1)), terms], axis=1),
+                             axis=1)[:, 1:]
+            small = np.abs(terms) <= JACKSON_TOL * np.maximum(np.abs(sums), floor)
+        # an entry stops at its 4th consecutive small term (size where it does not)
+        stop = _first(small[:, :-3] & small[:, 1:-2] & small[:, 2:-1] & small[:, 3:]) + 3
         bad = _first(~np.isfinite(sums))
-        hit = np.flatnonzero(live & (bad < size) & (bad <= stop))
+        hit = np.flatnonzero((bad < size) & (bad <= stop))
         if hit.size:
             row = hit[bad[hit].argmin()]  # rows run over (entry, endpoint)
-            j, node = bad[row], complex(nodes[row % len(zs), bad[row]])
+            node = complex(nodes[row % len(zs), bad[row]])
             raise NonConvergedError(
                 f"Jackson integrand is not finite near node {node:.3e} "
-                f"(partial sum overflowed after {done + j + 1} nodes)"
+                f"(partial sum overflowed after {bad[row] + 1} nodes)"
             )
-        ends = live & (stop < size)
-        value[ends] = sums[ends, stop[ends]]
-        live &= ~ends
-        if not live.any():
-            return (1.0 - q) * value.reshape(shape)
-        total = sums[:, -1]
-        settled = np.where(small.all(axis=1), settled + size, np.argmin(small[:, ::-1], axis=1))
-        start = nodes[:, -1] * q
-        done += size
-        size *= 2
-    raise NonConvergedError(
-        f"Jackson integral tail did not decay below {tol} within {JACKSON_NODE_CAP} nodes"
-    )
+        if (stop < size).all():
+            return (1.0 - q) * sums[np.arange(len(sums)), stop].reshape(shape)
+        if size == JACKSON_NODE_CAP:
+            raise NonConvergedError(f"Jackson integral tail did not decay below {JACKSON_TOL} "
+                                    f"within {JACKSON_NODE_CAP} nodes")
+        size = min(2 * size, JACKSON_NODE_CAP)
 
 
 def jackson_integral(f, z1, z2, base: QBase, scale=1.0):
@@ -163,7 +148,8 @@ def jackson_integral(f, z1, z2, base: QBase, scale=1.0):
     `scale` is its natural magnitude, as in `continuous_inner_aw_converged`
     (the default 1 stops an entry far below 1 too early, 0 settles on the
     running sum alone).  One sweep serves both endpoints: f is called once
-    per block, on an (endpoints, size) node array.  Requires 0 < q < 1."""
+    per pass, on an (endpoints, size) node array from the endpoints.
+    Requires 0 < q < 1."""
     if not base.allows_infinite_products:
         raise QKernelError(f"Jackson integral requires q < 1, got q={base.q}")
     zs = [complex(z) for z in (z1, z2) if z != 0]

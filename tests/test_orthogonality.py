@@ -444,8 +444,9 @@ def test_jackson_blocks_equal_node_by_node_across_block_boundaries():
     base = QBase(q)
     B = _jackson_block(q)
     # entries stop on their 4th small node: inside the first block, on its
-    # last node, and 1, 2 or 3 nodes into the second with the settled count
-    # carried over; a reset just before the boundary; one in the third block
+    # last node, and 1, 2 or 3 nodes into the second with the run of small
+    # nodes begun in the first; a reset just before the boundary; one in the
+    # third block
     firsts = [5, B - 4, B - 3, B - 2, B - 1, B, B + 2, B + 7, 3 * B - 2]
     gaps = [(6, B - 2), (6, B - 1)]  # two small nodes, a big one at B, then small
     table = _first_small_at(q, firsts, 4 * B, gaps)
@@ -531,19 +532,38 @@ def test_big_q_jacobi_weighs_each_jackson_node_once(base):
 @pytest.mark.parametrize("q", [0.2, 0.5, 0.9])
 @pytest.mark.parametrize("name", ["asc1", "big_q_jacobi"])
 def test_jackson_weight_blocks_equal_the_pointwise_weight(name, q):
-    # the block weights continue each factor from the block's first node; in
-    # the sweep's first and second block they equal the pointwise weight
+    # a pass's weights run each factor from the endpoints: in passes of B and
+    # 2B nodes they equal the pointwise weight
     base = QBase(q)
     fam = make_family(name, reference_params(name), base)
-    sup, weight, size = fam.support, fam._jackson_weight(), _jackson_block(q)
-    start = np.array([complex(sup.lo), complex(sup.hi)])
+    sup, size = fam.support, _jackson_block(q)
     for n in (size, 2 * size):
         steps = np.full((2, n), q, dtype=complex)
-        steps[:, 0] = start
+        steps[:, 0] = [complex(sup.lo), complex(sup.hi)]
         nodes = np.cumprod(steps, axis=1)  # z q^k as the sweep forms them
-        got, want = weight(nodes), fam.weight(nodes)
+        got, want = fam._jackson_weight(nodes), fam.weight(nodes)
         assert np.all(np.abs(got - want) <= 1e-14 * np.abs(want))
-        start = nodes[:, -1] * q
+
+
+@pytest.mark.parametrize("q", [0.2, 0.5, 0.8])
+@pytest.mark.parametrize("name", ["asc1", "big_q_jacobi"])
+def test_jackson_gram_over_several_passes(name, q, monkeypatch):
+    # with 5 nodes in the first pass the Gram takes several passes, each
+    # from the endpoints, and reads the default first pass's Gram
+    N, first_nodes = 4, []
+    G = gram_matrix(make_family(name, reference_params(name), QBase(q)), N)[0]
+    integral = families_module.jackson_integral
+
+    def recorded(f, *args, **kw):
+        return integral(lambda x: first_nodes.append(x[:, 0].copy()) or f(x), *args, **kw)
+
+    monkeypatch.setattr(orthogonality, "_jackson_block", lambda q: 5)
+    monkeypatch.setattr(families_module, "jackson_integral", recorded)
+    fam = make_family(name, reference_params(name), QBase(q))
+    got = gram_matrix(fam, N)[0]
+    assert len(first_nodes) > 2
+    assert all(z.tolist() == [fam.support.lo, fam.support.hi] for z in first_nodes)
+    assert np.max(np.abs(got - G)) <= 1e-14
 
 
 @pytest.mark.parametrize("name", ["asc1", "big_q_jacobi"])
