@@ -111,7 +111,7 @@ def concordance_suite(rep, fam, ns, s_grid):
 
     # where the validated norm comes from the orthogonality measure (Jackson
     # integral or discrete sum), the tabulated anchor d_0^2 is compared to it
-    if fam.norm_source != "closed" and fam.support.kind != "none":
+    if fam.norm_source != "closed" and fam.support is not None:
         compare("d_0_sq_anchor", "n=0", t.d_n_sq(0), fam.norm_sq(0), 1e-8)
 
     # recurrence route vs series route; the points are chosen where the
@@ -298,27 +298,24 @@ def pearson_suite(rep, fam, ns, s_grid):
 
 @suite("orthonormality", "Gram matrix of phi_0..phi_N equals the identity", None)
 def orthonormality_suite(rep, fam, ns, s_grid):
-    """Gram matrix of phi_0..phi_N on the family's support; for the Jackson
-    support the norm-convention ratio (integral)/(tabulated d_n^2) is
-    reported and must be n-independent.  The default tolerance depends on
-    the support: 1e-6 on the continuous interval, 1e-8 otherwise.  Sweep:
-    fixed, N = 3 (4 on a discrete support) capped at n_max, in meta['N']: at
+    """Gram matrix of phi_0..phi_N on the family's measure; on the Jackson
+    integral the norm-convention ratio (integral)/(tabulated d_n^2) is
+    reported and must be n-independent.  The lattice kind gives the default
+    tolerance, 1e-6 on the continuous interval, 1e-8 otherwise, and the sweep:
+    fixed, N = 3 (4 on a discrete grid) capped at n_max, in meta['N']: at
     small q the Gram loses digits with N, which it cannot yet tell from a fail."""
-    kind = fam.support.kind
     if rep.tolerance is None:
-        rep.tolerance = 1e-6 if kind == "continuous_interval" else 1e-8
-    if kind == "none":
+        rep.tolerance = fam.kind.gram_tolerance
+    if fam.support is None:
         raise Skipped("no orthogonality relation tabulated for this family")
-    N = 4 if kind == "discrete_grid" else 3
-    if fam.n_max is not None:
-        N = min(N, fam.n_max)
-    G, _ = gram_matrix(fam, N)
+    N = fam.kind.gram_order if fam.n_max is None else min(fam.kind.gram_order, fam.n_max)
+    G, history = gram_matrix(fam, N)
     for n in range(N + 1):
         for m in range(n, N + 1):
             target = 1.0 if n == m else 0.0
             rep.cases.append(CaseRecord(n, f"m={m}", abs(G[n, m] - target)))
     rep.meta["N"] = N
-    if kind == "jackson_integral" and fam.norm_source == "closed":
+    if fam.kind.norm_convention and fam.norm_source == "closed":
         # the tabulated d_n^2 is the validated norm: its ratio to the
         # Jackson integral (the diagonal of the Gram's) must not depend on n
         ratios = np.diag(fam.p_gram(N)[0]) / fam.coeffs.d_n_sq(np.arange(N + 1))
@@ -327,7 +324,7 @@ def orthonormality_suite(rep, fam, ns, s_grid):
         rep.meta["norm_convention_spread"] = spread
         rep.cases.append(CaseRecord(0, "convention-ratio spread", spread,
                                     "(integral)/(tabulated d_n^2) constant over n"))
-    if kind == "continuous_interval":
+    if history:
         rep.meta["quadrature"] = QUADRATURE_RULE
 
 

@@ -390,12 +390,12 @@ def cmd_gram(cfg: RunConfig) -> int:
         "params": fam.params,
         "q": cfg.q,
         "N": N,
-        "support": fam.support.kind,
+        "support": fam.support_label,
         "matrix": [[[G[n, m].real, G[n, m].imag] for m in range(N + 1)] for n in range(N + 1)],
         "max_offdiag": float(np.where(on, 0.0, dev).max()),
         "max_diag_deviation": float(dev[on].max()),
     }
-    if fam.support.kind == "continuous_interval":
+    if history:
         # the Gram's own doubling loop, by its unnormalised integral of P_N^2 w
         payload["quadrature"] = {
             "rule": QUADRATURE_RULE,

@@ -61,7 +61,6 @@ __all__ = [
     "FamilyError",
     "LatticeKind",
     "lattice_kind",
-    "SupportSpec",
     "ClosedForms",
     "CoefficientTable",
     "FamilySpec",
@@ -74,30 +73,6 @@ __all__ = [
 
 class FamilyError(ValueError):
     """Invalid family name or parameter set."""
-
-
-@dataclass(frozen=True)
-class SupportSpec:
-    """Where the orthogonality lives.
-
-    kind: "discrete_grid"        -> s = a, a+1, ..., b-1, weights Delta x(s-1/2)
-          "jackson_integral"     -> integral from z1 to z2 in the Jackson sense
-          "continuous_interval"  -> x in (lo, hi) with the family's measure
-          "none"                 -> no orthogonality shipped for this family
-    """
-
-    kind: str
-    lo: float = 0.0
-    hi: float = 0.0
-
-    @property
-    def grid_points(self):
-        if self.kind != "discrete_grid":
-            raise FamilyError(f"support kind {self.kind!r} has no discrete grid")
-        length = round(self.hi - self.lo)
-        if abs(self.hi - self.lo - length) > 1e-9 or length < 1:
-            raise FamilyError("discrete grid must have integer length b-a >= 1")
-        return [self.lo + k for k in range(length)]
 
 
 @dataclass(frozen=True)
@@ -131,10 +106,17 @@ class LatticeKind:
     (not a Jackson node: `FamilySpec.p_gram` stays at x) or a `--grid` value
     maps to s, the default check grid, the pointwise weight rho(s), the
     closed-form rho of the Pearson suite, and whether s is complex.  The
-    base class is the quadratic kind (real s, weight tabulated in s)."""
+    measure is one sum over the lattice, sum rho(s) Delta x(s - 1/2)
+    (Nikiforov, Suslov & Uvarov, 1991), between the family's bounds: a grid
+    sum, a Jackson integral or an integral in theta as x(s) makes it, so the
+    kind also chooses `p_gram`'s rule, the ratio route's d_0^2, the report
+    label, the orthonormality defaults and the nodes of the discrete sums.
+    The base class is the quadratic kind (real s, weight tabulated in s)."""
 
     complex_s = False  # s = i theta / ln q: one-step Pearson ratios, branch checks
     grid_start = 0.3
+    # the measure's report label, orthonormality's defaults and its convention ratio
+    label, gram_tolerance, gram_order, norm_convention = "discrete_grid", 1e-8, 4, False
 
     def s_from_point(self, fam, point) -> complex:
         return complex(point)
@@ -155,11 +137,30 @@ class LatticeKind:
         """Closed-form rho at the points of s whose ratios the Pearson table reproduces."""
         return self.rho_at_s(fam, s)
 
+    def sum_nodes(self, fam):
+        """The grid s = lo, ..., hi - 1 the measure sums over (None off the quadratic kind)."""
+        lo, hi = fam.support
+        length = round(hi - lo)
+        if abs(hi - lo - length) > 1e-9 or length < 1:
+            raise FamilyError("discrete grid must have integer length b-a >= 1")
+        return [lo + k for k in range(length)]
+
+    def p_gram(self, fam, N: int, outer_p):
+        """The rule of `FamilySpec.p_gram` on its outer(P_0..P_N) at x: (M, history)."""
+        if N < (fam.n_max or 0):
+            return fam.p_gram(fam.n_max)[0][:N + 1, :N + 1], []
+        spec = InnerProductSpec(fam.lattice, tuple(self.sum_nodes(fam)))
+        return discrete_inner(spec, lambda s: outer_p(fam.lattice.x_values(s)), fam.weight), []
+
+    def norm_anchor(self, fam) -> complex:
+        return fam.coeffs.d_n_sq(0)
+
 
 class _Exponential(LatticeKind):
     """c2 = 0: the natural coordinate is x = c1 q^s + c3, the weight a function of x."""
 
     grid_start = 0.25
+    label, gram_order, norm_convention = "jackson_integral", 3, True
 
     def s_from_point(self, fam, point) -> complex:
         lat = fam.lattice
@@ -170,17 +171,33 @@ class _Exponential(LatticeKind):
     def rho_at_s(self, fam, s):
         return fam.weight(fam.lattice.x_values(s))
 
+    def sum_nodes(self, fam):
+        return None
+
+    def p_gram(self, fam, N: int, outer_p):
+        return jackson_integral(lambda x: outer_p(x) * fam._jackson_weight(x), *fam.support,
+                                fam.base, scale=np.abs(_outer(fam.d_n(range(N + 1))))), []
+
+    def norm_anchor(self, fam) -> complex:
+        """Within bounds, the integral of the node weights `p_gram` reads too, settled
+        on its own running sum (a floor of 1 stops it early where d_0^2 << 1)."""
+        if fam.support is None:
+            return super().norm_anchor(fam)
+        return complex(jackson_integral(fam._jackson_weight, *fam.support, fam.base, scale=0.0))
+
 
 class _Trigonometric(LatticeKind):
     """c1 = c2, c3 = 0 with q^s = e^{i theta}: points and `--grid` values are
-    theta, and rho is the density on x in [-1, 1]."""
+    theta, rho is the density on x in [-1, 1], and the measure its quadrature."""
 
     complex_s = True
+    label, gram_tolerance, gram_order = "continuous_interval", 1e-6, 3
 
     def s_from_point(self, fam, theta) -> complex:
         return complex(0.0, 1.0) * complex(theta) / math.log(fam.lattice.base.q)
 
     s_from_grid_value = s_from_point
+    sum_nodes = _Exponential.sum_nodes
 
     def theta_grid(self, fam, count: int, parts: int | None = None) -> list:
         """s at theta = (j + 1/2) pi / parts, j < count (parts defaults to count)."""
@@ -195,6 +212,10 @@ class _Trigonometric(LatticeKind):
 
     def pearson_rho(self, fam, s):
         return fam.weight(fam.lattice.x_values(s)) * fam.lattice.delta_x_mid(s)
+
+    def p_gram(self, fam, N: int, outer_p):
+        return continuous_inner_aw_converged(outer_p, _one, fam.closed.displays["weight_density"],
+                                             scale=np.abs(_outer(fam.d_n(range(N + 1)))))
 
 
 QUADRATIC, EXPONENTIAL, TRIGONOMETRIC = LatticeKind(), _Exponential(), _Trigonometric()
@@ -309,7 +330,7 @@ class FamilySpec:
     params: dict
     base: QBase  # user-facing base q (0 < q < 1)
     eq: EquationData  # internal base may be 1/q (asc2)
-    support: SupportSpec
+    support: tuple | None  # the measure's bounds (lo, hi); None where none ships
     closed: ClosedForms
     a_n: object  # callable n -> canonical leading coefficient
     series_fn: object  # callable (n, s) -> canonical value at lattice coordinate s
@@ -329,6 +350,11 @@ class FamilySpec:
     @cached_property
     def kind(self) -> LatticeKind:
         return lattice_kind(self.lattice)
+
+    @property
+    def support_label(self) -> str:
+        """The measure as reports name it: the lattice kind's, or "none" without bounds."""
+        return "none" if self.support is None else self.kind.label
 
     def s_from_point(self, point) -> complex:
         """Map the family's natural coordinate to the lattice coordinate s."""
@@ -383,7 +409,7 @@ class FamilySpec:
             return self.coeffs.d_n_sq(n)
         if self.norm_source == "ratio":
             # d_n^2 = d_0^2 prod_{k<=n} gamma_k/alpha_{k-1} (canonical)
-            out = self._norm_anchor()
+            out = self._norm_anchor
             for k in range(1, n + 1):
                 out *= self.coeffs.gamma(k) / self.coeffs.alpha(k - 1)
             return out
@@ -392,19 +418,10 @@ class FamilySpec:
             return complex(self.p_gram(max(n, self.n_max or 0))[0][n, n])
         raise FamilyError(f"unknown norm source {self.norm_source!r}")
 
+    @cached_property
     def _norm_anchor(self) -> complex:
-        """d_0^2 of the ratio route: on a Jackson support the integral of the
-        node weights `p_gram` reads too, settled on its own running sum (a
-        floor of 1 stops it early where d_0^2 << 1); else the closed d_0^2."""
-        key = ("d0",)
-        if key not in self._cache:
-            sup = self.support
-            if sup.kind == "jackson_integral":
-                self._cache[key] = complex(jackson_integral(self._jackson_weight, sup.lo,
-                                                            sup.hi, self.base, scale=0.0))
-            else:
-                self._cache[key] = self.coeffs.d_n_sq(0)
-        return self._cache[key]
+        """d_0^2 of the ratio route, as the lattice kind takes it."""
+        return self.kind.norm_anchor(self)
 
     def _jackson_weight(self, x):
         """The weight at the (endpoints, size) nodes x of a Jackson pass: one
@@ -419,37 +436,20 @@ class FamilySpec:
 
     def p_gram(self, N: int):
         """(M, history): the read-only M[n, m] = int P_n P_m w over the
-        support, n, m <= N, from one rule call on outer(P_0..P_N) w, kept per
-        N.  Only here does the support kind choose the rule: the sum over the
-        grid s, the Jackson integral at the node x itself or the quadrature
-        against the density, these two settling against |d_n d_m|.  A finite
-        family sums once, at n_max (its norms read that sum): below n_max M
-        is its leading block, each entry summed alone, so bit for bit the
-        same.  history is the quadrature's node-doubling loop, as (panels,
-        matrix) pairs, or []."""
+        measure, n, m <= N, from one call of the lattice kind's rule on
+        outer(P_0..P_N) w, kept per N: the grid sum (a finite family sums once,
+        at n_max, and reads its leading block below), the Jackson integral at
+        the node x itself or the quadrature against the density, these two
+        settling against |d_n d_m|.  history is the quadrature's node-doubling
+        loop, as (panels, matrix) pairs, or []."""
         key = ("p_gram", N)
-        if key in self._cache:
-            return self._cache[key]
-        sup, history = self.support, []
-        outer_p = lambda x: _outer(self.pn_stack(N, x))
-        if sup.kind == "discrete_grid" and N < (self.n_max or 0):
-            M = self.p_gram(self.n_max)[0][:N + 1, :N + 1]
-        elif sup.kind == "discrete_grid":
-            spec = InnerProductSpec(self.lattice, tuple(sup.grid_points))
-            M = discrete_inner(spec, lambda s: outer_p(self.lattice.x_values(s)), self.weight)
-        elif sup.kind not in ("jackson_integral", "continuous_interval"):
-            raise QKernelError(f"no inner product available for support kind {sup.kind!r}")
-        else:
-            scale = np.abs(_outer(self.d_n(range(N + 1))))
-            if sup.kind == "jackson_integral":
-                M = jackson_integral(lambda x: outer_p(x) * self._jackson_weight(x), sup.lo,
-                                     sup.hi, self.base, scale=scale)
-            else:
-                M, history = continuous_inner_aw_converged(
-                    outer_p, _one, self.closed.displays["weight_density"], scale=scale)
-        M.setflags(write=False)
-        self._cache[key] = M, history
-        return M, history
+        if key not in self._cache:
+            if self.support is None:
+                raise QKernelError("no inner product available for support kind 'none'")
+            M, history = self.kind.p_gram(self, N, lambda x: _outer(self.pn_stack(N, x)))
+            M.setflags(write=False)
+            self._cache[key] = M, history
+        return self._cache[key]
 
     # -- weight -------------------------------------------------------------
     def weight(self, points):
@@ -624,7 +624,7 @@ def _make_asc1(params: dict, base: QBase) -> FamilySpec:
         params={"a": a},
         base=base,
         eq=eq,
-        support=SupportSpec("jackson_integral", a, 1.0),
+        support=(a, 1.0),
         closed=closed,
         a_n=a_n,
         series_fn=series,
@@ -659,7 +659,7 @@ def _make_asc2(params: dict, base: QBase) -> FamilySpec:
         params={"a": a},
         base=base,
         eq=eq,
-        support=SupportSpec("none"),
+        support=None,
         closed=ClosedForms(**forms, d_n_sq=d_n_sq, weight=None, displays=displays),
         a_n=a_n,
         series_fn=series,
@@ -779,7 +779,7 @@ def _make_big_q_jacobi(params: dict, base: QBase) -> FamilySpec:
         params={"a": a, "b": b, "c": c},
         base=base,
         eq=eq,
-        support=SupportSpec("jackson_integral", c * q, a * q),
+        support=(c * q, a * q),
         closed=closed,
         a_n=a_n,
         series_fn=series,
@@ -966,7 +966,7 @@ def _make_q_dual_hahn(params: dict, base: QBase) -> FamilySpec:
         params={"a": a, "b": b, "c": c},
         base=base,
         eq=eq,
-        support=SupportSpec("discrete_grid", a, b),
+        support=(a, b),
         closed=closed,
         a_n=a_n,
         series_fn=series,
@@ -1166,7 +1166,7 @@ def _make_askey_wilson(params: dict, base: QBase) -> FamilySpec:
         params={"a": a, "b": b, "c": c, "d": d},
         base=base,
         eq=eq,
-        support=SupportSpec("continuous_interval", -1.0, 1.0),
+        support=(-1.0, 1.0),
         closed=closed,
         a_n=a_n,
         series_fn=series,
@@ -1210,7 +1210,7 @@ def _make_continuous_q_hermite(params: dict, base: QBase) -> FamilySpec:
         params={},
         base=base,
         eq=eq,
-        support=SupportSpec("continuous_interval", -1.0, 1.0),
+        support=(-1.0, 1.0),
         closed=closed,
         a_n=a_n,
         series_fn=series,

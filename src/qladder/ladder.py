@@ -728,10 +728,10 @@ def check_adjoint(rep, fam, ns, s_grid):
     One pass over the support: the weight is evaluated once per node, and
     phi_k and the reduced L+ phi_n, L- phi_{n+1} once on the (n x node)
     array.  Sweep: n = 0..N-1 over the whole support (s_grid is not read)."""
-    if fam.support.kind != "discrete_grid":
-        raise Skipped(f"support kind {fam.support.kind!r} has no discrete sum")
+    grid = fam.kind.sum_nodes(fam)
+    if grid is None:
+        raise Skipped(f"support kind {fam.support_label!r} has no discrete sum")
     ns = range(max(ns))
-    grid = fam.support.grid_points
     spec = InnerProductSpec(fam.lattice, tuple(grid))
     g = StencilGrid.shared(fam, grid, 1)  # the nodes with s - 1, s + 1
     t = fam.coeffs
@@ -785,11 +785,12 @@ def check_selfadjoint(rep, fam, ns, s_grid):
     once, on the (n x k x node) array.  Pairs beyond a finite family are
     out-of-range cases.  Sweep: n, m = 0..N-1 over the whole support (s_grid
     is not read)."""
-    if fam.support.kind != "discrete_grid":
-        raise Skipped(f"support kind {fam.support.kind!r} has no discrete sum")
+    grid = fam.kind.sum_nodes(fam)
+    if grid is None:
+        raise Skipped(f"support kind {fam.support_label!r} has no discrete sum")
     N = max(ns)
     top = N if fam.n_max is None else min(N, fam.n_max + 1)  # phi_k exists for k < top
-    g = StencilGrid.shared(fam, fam.support.grid_points, 1)  # the nodes with s - 1, s + 1
+    g = StencilGrid.shared(fam, grid, 1)  # the nodes with s - 1, s + 1
     w = fam.sqrt_rho(g.s)
     if top:
         ks = np.arange(top)

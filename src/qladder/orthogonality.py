@@ -5,9 +5,9 @@ Every rule makes one pass over its support and calls its integrands on node
 arrays: an integrand returns a scalar or an array whose last axis runs over
 the nodes (its leading axes over n, or over pairs (n, m)), and the rule
 returns the matching ndarray of inner products, 0-d for a scalar integrand
-(a caller that wants a number takes complex() of it).  A family integrates its
-measure once per N (`FamilySpec.p_gram(N)`, the integrals of P_n P_m w),
-and the Gram matrix, the discrete-sum norms and the convention ratio read it.
+(a caller that wants a number takes complex() of it).  A family integrates
+its measure once per N, by its lattice kind's rule (`FamilySpec.p_gram`), and
+the Gram matrix, the discrete-sum norms and the convention ratio read it.
 
 Discrete sums use the node weights Delta x(s - 1/2); the Jackson integral is
 
@@ -84,8 +84,12 @@ def discrete_inner(spec: InnerProductSpec, f, g):
     bad = ~np.isfinite(terms).all(axis=tuple(range(terms.ndim - 1)))  # per node
     if bad.any():
         raise QKernelError(f"discrete sum term is not finite at node s = {s[bad.argmax()]:g}")
-    # a running sum from 0 in node order: the rounding of a node-by-node sum
-    return np.cumsum(np.insert(terms, 0, 0.0, axis=-1), axis=-1)[..., -1]
+    return _running_sums(terms)[..., -1]
+
+
+def _running_sums(terms):
+    """Running sums from a 0 column along the node axis: a node-by-node sum's rounding."""
+    return np.cumsum(np.concatenate([np.zeros((*terms.shape[:-1], 1)), terms], axis=-1), axis=-1)
 
 
 def _first(mask):
@@ -117,9 +121,7 @@ def _jackson_zero_to(f, zs, base: QBase, scale):
             terms = np.asarray(f(nodes) * nodes, dtype=complex)
             shape, terms = terms.shape[:-1], terms.reshape(-1, size)
             floor = np.broadcast_to(np.abs(np.asarray(scale))[..., None], shape).reshape(-1, 1)
-            # running sums from a 0 column in node order: the node-by-node rounding
-            sums = np.cumsum(np.concatenate([np.zeros((len(terms), 1)), terms], axis=1),
-                             axis=1)[:, 1:]
+            sums = _running_sums(terms)[:, 1:]
             small = np.abs(terms) <= JACKSON_TOL * np.maximum(np.abs(sums), floor)
         # an entry stops at its 4th consecutive small term (size where it does not)
         stop = _first(small[:, :-3] & small[:, 1:-2] & small[:, 2:-1] & small[:, 3:]) + 3

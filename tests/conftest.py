@@ -3,7 +3,7 @@ from dataclasses import replace
 
 import pytest
 
-from qladder.families import SupportSpec, make_family, reference_params
+from qladder.families import make_family, reference_params
 from qladder.qkernel import QBase
 
 REFERENCE_Q = 0.5
@@ -65,5 +65,5 @@ def truncated(fam):
     """fam with its discrete support one node short: the sums of the
     self-adjointness check lose their boundary condition (a negative
     control)."""
-    sup = fam.support
-    return replace(fam, support=SupportSpec("discrete_grid", sup.lo, sup.hi - 1), _cache={})
+    lo, hi = fam.support
+    return replace(fam, support=(lo, hi - 1), _cache={})

@@ -111,7 +111,7 @@ def test_criterion_5_orthonormality(families):
     for n in range(4):
         val = jackson_integral(
             lambda x, n=n: fam.pn_stack(n, x)[n] ** 2 * fam.weight(x),
-            fam.support.lo, fam.support.hi, fam.base,
+            *fam.support, fam.base,
         )
         ratios.append(val / complex(fam.closed.d_n_sq(n)))
     spread = max(abs(r - ratios[0]) for r in ratios) / abs(ratios[0])

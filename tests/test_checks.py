@@ -83,13 +83,38 @@ def test_defaults_on_the_trigonometric_lattice(families):
     assert (rep.tolerance, "status" in rep.meta, len(rep.cases)) == (0.2, False, 199)
 
 
-def test_a_direct_call_times_its_suite_and_reports_a_skip(families):
+@pytest.mark.parametrize("check", [check_adjoint, check_selfadjoint])
+@pytest.mark.parametrize("name, label", [("asc1", "jackson_integral"),
+                                         ("askey_wilson", "continuous_interval"),
+                                         ("asc2", "none")])
+def test_a_direct_call_times_its_suite_and_reports_a_skip(families, check, name, label):
+    # only the quadratic kind's measure is a grid sum; the skip names the
+    # measure by its label, "none" where the family ships no bounds
     fam = families["q_dual_hahn"]
     assert check_eigen(fam, [1, 2], default_grid(fam)).wall_ms > 0
-    rep = check_adjoint(families["asc1"], [1, 2], default_grid(families["asc1"]))
+    rep = check(families[name], [1, 2], default_grid(families[name]))
     assert rep.wall_ms > 0 and rep.cases == []
     assert rep.meta == {"status": "skipped",
-                        "reason": "support kind 'jackson_integral' has no discrete sum"}
+                        "reason": f"support kind '{label}' has no discrete sum"}
+
+
+@pytest.mark.parametrize("name, params, tolerance, N", [
+    ("q_dual_hahn", None, 1e-8, 4),  # n_max = 4
+    ("q_dual_hahn", {"a": 0.0, "b": 7.0, "c": 0.25}, 1e-8, 4),  # n_max = 6: the kind's 4
+    ("q_dual_hahn", {"a": 0.0, "b": 3.0, "c": 0.25}, 1e-8, 2),  # capped at n_max = 2
+    ("asc1", None, 1e-8, 3),
+    ("big_q_jacobi", None, 1e-8, 3),
+    ("askey_wilson", None, 1e-6, 3),
+    ("continuous_q_hermite", None, 1e-6, 3),
+    ("asc2", None, 1e-8, None),  # no bounds: skipped at the exponential kind's default
+])
+def test_orthonormality_defaults_are_the_lattice_kinds(name, params, tolerance, N):
+    fam = make_family(name, params or reference_params(name), QBase(0.5))
+    rep = run_suite(fam, "orthonormality")
+    assert (rep.tolerance, rep.meta.get("N")) == (tolerance, N)
+    assert ("quadrature" in rep.meta) == (tolerance == 1e-6)
+    assert ("norm_convention_ratio" in rep.meta) == (name == "asc1")
+    assert rep.meta.get("status") == ("skipped" if N is None else None)
 
 
 def test_a_direct_call_names_its_suite_in_an_arithmetic_error():

@@ -450,6 +450,26 @@ def test_gram_command(tmp_path):
     assert len(data["matrix"]) == 5
 
 
+@pytest.mark.parametrize("name, label", [
+    ("asc1", "jackson_integral"), ("big_q_jacobi", "jackson_integral"),
+    ("q_dual_hahn", "discrete_grid"), ("askey_wilson", "continuous_interval"),
+    ("continuous_q_hermite", "continuous_interval"), ("asc2", "none"),
+])
+def test_gram_names_the_measure_of_its_lattice_kind(tmp_path, capsys, name, label):
+    # the support label is the lattice kind's; a quadrature block comes with
+    # the continuous rule's history; asc2 ships no bounds, so no inner product
+    out = tmp_path / "g.json"
+    rc = run_cli(["gram", "--family", name, *REF_ARGS[name], "--n-max", "3", "--out", str(out)])
+    if label == "none":
+        assert rc == 2 and not out.exists()
+        assert capsys.readouterr().err == (
+            "error: no inner product available for support kind 'none'\n")
+        return
+    data = json.loads(out.read_text())
+    assert rc == 0 and data["support"] == label
+    assert ("quadrature" in data) == (label == "continuous_interval")
+
+
 def test_gram_n_zero(tmp_path):
     out = tmp_path / "g0.json"
     rc = run_cli(["gram", "--family", "q_dual_hahn", "--q", "0.5",

@@ -546,7 +546,7 @@ def test_degenerate_step_on_the_grid_is_refused_naming_the_point():
 def test_selfadjoint_matches_per_pair_scalar_sums(families, drop_last):
     fam = truncated(families["q_dual_hahn"]) if drop_last else families["q_dual_hahn"]
     pairs = [(n, m) for n in range(5) for m in range(5)]
-    grid = fam.support.grid_points
+    grid = fam.kind.sum_nodes(fam)
     got = L.check_selfadjoint(fam, range(1, 6), grid_for("q_dual_hahn")).cases
     for (n, m), case in zip(pairs, got):
         ta = [pw.phi(fam, m, s) * pw.apply_reduced(fam, "H", n, s, op_n=n) for s in grid]
@@ -587,7 +587,7 @@ def _reduced_pointwise(fam, which, n, s, op_n=None):
 def test_apply_reduced_on_node_arrays_matches_pointwise(families, which):
     # the support starts at s = a = 0, the removable 0/0 of sigma/nabla x
     fam = families["q_dual_hahn"]
-    nodes = np.array(fam.support.grid_points, dtype=complex)
+    nodes = np.array(fam.kind.sum_nodes(fam), dtype=complex)
     for n in range(5):
         want = [_reduced_pointwise(fam, which, n, s, op_n=2) for s in nodes]
         assert pw.apply_reduced(fam, which, n, nodes, op_n=2).tolist() == want
@@ -604,7 +604,7 @@ def test_adjoint_one_weight_pass_matches_per_node_sums(families):
         fam.d_n(n)
     calls.clear()
     rep = L.check_adjoint(fam, [5], grid_for("q_dual_hahn"))  # n = 0..4
-    grid = fam.support.grid_points
+    grid = fam.kind.sum_nodes(fam)
     assert calls == [len(grid)]  # one weight evaluation, on the node array
     cases = iter(rep.cases)
     for n in range(fam.n_max):
@@ -621,7 +621,7 @@ def test_adjoint_one_weight_pass_matches_per_node_sums(families):
 
 def test_phi_range_stacks_single_phis(families):
     fam = families["q_dual_hahn"]
-    nodes = np.array(fam.support.grid_points, dtype=complex)
+    nodes = np.array(fam.kind.sum_nodes(fam), dtype=complex)
     stacked = fam.phi(range(5), nodes)
     assert stacked.shape == (5, len(nodes))
     for n in range(5):

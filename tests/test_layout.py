@@ -19,6 +19,10 @@ scalar forks and second routes they replaced stay out of the library.
 
 A suite's report has one maker, `report.suite`: the suite modules neither
 build a CheckReport nor mark one skipped.
+
+The lattice kind owns the measure: a family gives only its bounds, so no
+module but families.py spells a measure's label, and none reads a support
+kind (`.support.kind`).
 """
 
 import ast
@@ -37,7 +41,8 @@ TEST_ONLY = {"mu_k", "a_nk", "leading_coeff", "ttrr_coeffs_generic", "pn_monic",
 REMOVED = {"OrthonormalFamily", "WeightTable", "B_n", "_B_from_leading", "weight_at",
            "family_names", "phi_point", "_CMATH_LOG", "SeriesSpec", "_detect_termination",
            "pn_ttrr", "pn_ttrr_x", "_complex", "_scalar_or_array", "_phi_pointwise_ok",
-           "_over_n", "_d_column", "_entry", "_memo"}
+           "_over_n", "_d_column", "_entry", "_memo", "SupportSpec"}
+SUPPORT_LABELS = {"discrete_grid", "jackson_integral", "continuous_interval"}
 
 
 def _tree(path):
@@ -125,3 +130,21 @@ def test_suite_modules_leave_the_report_to_its_maker():
                     or isinstance(node, ast.keyword) and node.arg == "status"):
                 found.append(f"{path.name}:{node.lineno} status")
     assert not found, f"reports made or marked outside report.suite: {found}"
+
+
+def test_measure_labels_spelled_only_in_families_module():
+    found = []
+    for path in MODULES:
+        tree = _tree(path)
+        # `__all__` names the function jackson_integral, not the label
+        exports = {id(c) for node in tree.body if isinstance(node, ast.Assign)
+                   and any(getattr(t, "id", None) == "__all__" for t in node.targets)
+                   for c in ast.walk(node.value)}
+        for node in ast.walk(tree):
+            if (path.name != "families.py" and isinstance(node, ast.Constant)
+                    and node.value in SUPPORT_LABELS and id(node) not in exports):
+                found.append(f"{path.name}:{node.lineno} {node.value!r}")
+            if (isinstance(node, ast.Attribute) and node.attr == "kind"
+                    and isinstance(node.value, ast.Attribute) and node.value.attr == "support"):
+                found.append(f"{path.name}:{node.lineno} .support.kind")
+    assert not found, f"support kinds read outside the lattice kind: {found}"

@@ -30,7 +30,7 @@ from pointwise import phi as phi_at
 
 def test_discrete_inner_phi_normalization(families):
     fam = families["q_dual_hahn"]
-    spec = InnerProductSpec(fam.lattice, tuple(fam.support.grid_points))
+    spec = InnerProductSpec(fam.lattice, tuple(fam.kind.sum_nodes(fam)))
     v00 = discrete_inner(spec, lambda s: fam.phi(0, s), lambda s: fam.phi(0, s))
     assert v00 == pytest.approx(1.0, abs=1e-9)
     v01 = discrete_inner(spec, lambda s: fam.phi(0, s), lambda s: fam.phi(1, s))
@@ -160,19 +160,19 @@ def test_gram_n_zero(families):
 def test_gram_matches_per_pair_scalar_rule(families, name):
     # one rule call per support must equal the rule called once per (n, m)
     fam = families[name]
-    sup = fam.support
-    N = 4 if sup.kind == "discrete_grid" else 3
+    kind = fam.support_label
+    N = 4 if kind == "discrete_grid" else 3
     G, _ = gram_matrix(fam, N)
     for n in range(N + 1):
         for m in range(N + 1):
-            if sup.kind == "discrete_grid":
-                spec = InnerProductSpec(fam.lattice, tuple(sup.grid_points))
+            if kind == "discrete_grid":
+                spec = InnerProductSpec(fam.lattice, tuple(fam.kind.sum_nodes(fam)))
                 want = discrete_inner(spec, lambda s: fam.phi(n, s), lambda s: fam.phi(m, s))
-            elif sup.kind == "jackson_integral":
+            elif kind == "jackson_integral":
                 dd = fam.d_n(n) * fam.d_n(m)
                 want = jackson_integral(
                     lambda x: fam.pn_stack(n, x)[n] * fam.pn_stack(m, x)[m] * fam.weight(x),
-                    sup.lo, sup.hi, fam.base, scale=abs(dd),
+                    *fam.support, fam.base, scale=abs(dd),
                 ) / dd
             else:
                 dd = fam.d_n(n) * fam.d_n(m)
@@ -219,7 +219,7 @@ def test_p_gram_is_one_rule_call_per_n_kept_by_the_family(base):
         # q-dual Hahn at N = n_max: the norms and the Gram share one sum
         fam = make_family("q_dual_hahn", reference_params("q_dual_hahn"), base)
         G, _ = gram_matrix(fam, fam.n_max)
-        assert calls == [(len(fam.support.grid_points),)]
+        assert calls == [(len(fam.kind.sum_nodes(fam)),)]
         M, history = fam.p_gram(fam.n_max)
         assert history == [] and not M.flags.writeable
         assert [fam.norm_sq(n) for n in range(fam.n_max + 1)] == np.diag(M).tolist()
@@ -229,13 +229,13 @@ def test_p_gram_is_one_rule_call_per_n_kept_by_the_family(base):
         N = fam.n_max - 2
         G, _ = gram_matrix(fam, N)
         norms = [fam.norm_sq(n) for n in range(fam.n_max + 1)]
-        assert calls == [(len(fam.support.grid_points),)]
+        assert calls == [(len(fam.kind.sum_nodes(fam)),)]
         block, history = fam.p_gram(N)
         assert history == [] and not block.flags.writeable
         assert block.tobytes() == fam.p_gram(fam.n_max)[0][:N + 1, :N + 1].tobytes()
         assert norms[:N + 1] == np.diag(block).tolist()
         # each entry is summed alone: the block is the sum at N itself
-        spec = InnerProductSpec(fam.lattice, tuple(fam.support.grid_points))
+        spec = InnerProductSpec(fam.lattice, tuple(fam.kind.sum_nodes(fam)))
         at_n = discrete_inner(spec, lambda s: _outer(fam.pn_stack(N, fam.lattice.x_values(s))),
                               fam.weight)
         assert block.tobytes() == at_n.tobytes()
@@ -429,7 +429,7 @@ def _same_outcome(f, z, base):
 def test_discrete_inner_equals_node_by_node_sum():
     # 12 nodes: a pairwise summation would round differently
     fam = make_family("q_dual_hahn", {"a": 0.0, "b": 12.0, "c": 0.25}, QBase(0.5))
-    nodes = fam.support.grid_points
+    nodes = fam.kind.sum_nodes(fam)
     got = discrete_inner(InnerProductSpec(fam.lattice, tuple(nodes)),
                          lambda s: fam.phi(range(4), s), lambda s: fam.phi(range(4), s))
     for n in range(4):
@@ -536,10 +536,10 @@ def test_jackson_weight_blocks_equal_the_pointwise_weight(name, q):
     # 2B nodes they equal the pointwise weight
     base = QBase(q)
     fam = make_family(name, reference_params(name), base)
-    sup, size = fam.support, _jackson_block(q)
+    (lo, hi), size = fam.support, _jackson_block(q)
     for n in (size, 2 * size):
         steps = np.full((2, n), q, dtype=complex)
-        steps[:, 0] = [complex(sup.lo), complex(sup.hi)]
+        steps[:, 0] = [complex(lo), complex(hi)]
         nodes = np.cumprod(steps, axis=1)  # z q^k as the sweep forms them
         got, want = fam._jackson_weight(nodes), fam.weight(nodes)
         assert np.all(np.abs(got - want) <= 1e-14 * np.abs(want))
@@ -562,7 +562,7 @@ def test_jackson_gram_over_several_passes(name, q, monkeypatch):
     fam = make_family(name, reference_params(name), QBase(q))
     got = gram_matrix(fam, N)[0]
     assert len(first_nodes) > 2
-    assert all(z.tolist() == [fam.support.lo, fam.support.hi] for z in first_nodes)
+    assert all(z.tolist() == list(fam.support) for z in first_nodes)
     assert np.max(np.abs(got - G)) <= 1e-14
 
 
@@ -574,12 +574,12 @@ def test_jackson_gram_bytes_do_not_depend_on_the_blocks(name):
     fam = make_family(name, reference_params(name), base)
     d = np.abs(np.array([fam.d_n(n) for n in range(5)]))
     f, scale = lambda x: _outer(fam.pn_stack(4, x)) * fam.weight(x), np.outer(d, d)
-    sup, default = fam.support, orthogonality._jackson_block
+    (lo, hi), default = fam.support, orthogonality._jackson_block
     got = []
     for block in (lambda q: 5, default, lambda q: 3 * default(q)):
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(orthogonality, "_jackson_block", block)
-            got.append(jackson_integral(f, sup.lo, sup.hi, base, scale=scale).tobytes())
+            got.append(jackson_integral(f, lo, hi, base, scale=scale).tobytes())
     assert got[0] == got[1] == got[2]
 
 
