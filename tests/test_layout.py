@@ -41,7 +41,8 @@ TEST_ONLY = {"mu_k", "a_nk", "leading_coeff", "ttrr_coeffs_generic", "pn_monic",
 REMOVED = {"OrthonormalFamily", "WeightTable", "B_n", "_B_from_leading", "weight_at",
            "family_names", "phi_point", "_CMATH_LOG", "SeriesSpec", "_detect_termination",
            "pn_ttrr", "pn_ttrr_x", "_complex", "_scalar_or_array", "_phi_pointwise_ok",
-           "_over_n", "_d_column", "_entry", "_memo", "SupportSpec"}
+           "_over_n", "_d_column", "_entry", "_memo", "SupportSpec", "norm_source",
+           "_compute_norm_sq"}
 SUPPORT_LABELS = {"discrete_grid", "jackson_integral", "continuous_interval"}
 
 

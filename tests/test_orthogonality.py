@@ -200,7 +200,7 @@ def test_jackson_scale_is_the_magnitude_an_entry_settles_against(base):
 
 
 def test_p_gram_is_one_rule_call_per_n_kept_by_the_family(base):
-    # the measure is integrated once per N: the Gram, the discrete-sum norms
+    # the measure is integrated once per N: the Gram, the norms' anchor d_0^2
     # and the convention ratio read the same matrix
     calls = []
     weight, orbit = FamilySpec.weight, families_module.q_pochhammer_orbit
@@ -216,13 +216,13 @@ def test_p_gram_is_one_rule_call_per_n_kept_by_the_family(base):
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(FamilySpec, "weight", counted)
         mp.setattr(families_module, "q_pochhammer_orbit", orbit_counted)
-        # q-dual Hahn at N = n_max: the norms and the Gram share one sum
+        # q-dual Hahn at N = n_max: the norms' anchor and the Gram share one sum
         fam = make_family("q_dual_hahn", reference_params("q_dual_hahn"), base)
         G, _ = gram_matrix(fam, fam.n_max)
         assert calls == [(len(fam.kind.sum_nodes(fam)),)]
         M, history = fam.p_gram(fam.n_max)
         assert history == [] and not M.flags.writeable
-        assert [fam.norm_sq(n) for n in range(fam.n_max + 1)] == np.diag(M).tolist()
+        assert fam.norm_sq(0) == M[0, 0]
         # below n_max the Gram is the leading block of that one sum
         calls.clear()
         fam = make_family("q_dual_hahn", reference_params("q_dual_hahn"), base)
@@ -233,7 +233,7 @@ def test_p_gram_is_one_rule_call_per_n_kept_by_the_family(base):
         block, history = fam.p_gram(N)
         assert history == [] and not block.flags.writeable
         assert block.tobytes() == fam.p_gram(fam.n_max)[0][:N + 1, :N + 1].tobytes()
-        assert norms[:N + 1] == np.diag(block).tolist()
+        assert norms[0] == block[0, 0]
         # each entry is summed alone: the block is the sum at N itself
         spec = InnerProductSpec(fam.lattice, tuple(fam.kind.sum_nodes(fam)))
         at_n = discrete_inner(spec, lambda s: _outer(fam.pn_stack(N, fam.lattice.x_values(s))),
@@ -246,6 +246,19 @@ def test_p_gram_is_one_rule_call_per_n_kept_by_the_family(base):
         fam = make_family("asc1", reference_params("asc1"), base)
         assert run_suite(fam, "orthonormality").passed
         assert calls == [((2, 2), _jackson_block(base.q))]
+
+
+def test_q_dual_hahn_gram_diagonal_checks_the_recurrence_data(base):
+    # only d_0^2 comes from the sum the Gram divides by; d_n^2, n >= 1, from
+    # gamma_n/alpha_{n-1}, so a perturbed recurrence moves the diagonal off 1
+    fam = make_family("q_dual_hahn", reference_params("q_dual_hahn"), base)
+
+    def diag_dev(f):
+        return float(np.max(np.abs(np.diag(gram_matrix(f, f.n_max)[0]) - 1.0)))
+
+    assert diag_dev(fam) <= 1e-13
+    for target in ("gamma", "beta"):
+        assert diag_dev(fam.with_perturbation(target, 1e-3)) >= 1e-4, target
 
 
 @pytest.mark.parametrize("N", [3, 10])

@@ -114,8 +114,15 @@ def test_each_shared_quantity_is_evaluated_once(name, monkeypatch):
         build(self, fam, s_grid, margin)
 
     monkeypatch.setattr(StencilGrid, "__init__", counted_build)
-    monkeypatch.setattr(families.FamilySpec, "_compute_norm_sq", _counter(
-        families.FamilySpec._compute_norm_sq, counts["norm_sq"], lambda a: a[1]))
+    compute = families.CoefficientTable._compute
+
+    def counted_compute(self, fn, ns):  # the norm_sq rows, counted per n
+        ns = list(ns)
+        if fn.__name__ == "norm_sq":
+            counts["norm_sq"].update(ns)
+        return compute(self, fn, ns)
+
+    monkeypatch.setattr(families.CoefficientTable, "_compute", counted_compute)
     fam = _fresh(name)
     one = lambda a: a[0]
     closed = replace(fam.closed, gamma_n=_counter(fam.closed.gamma_n, counts["gamma_n"], one),
@@ -129,9 +136,10 @@ def test_each_shared_quantity_is_evaluated_once(name, monkeypatch):
 
 
 def test_the_families_cover_every_norm_route():
-    """So the once-per-n count of `_compute_norm_sq` above covers all three routes."""
-    routes = {_fresh(name).norm_source for name in FAMILY_NAMES}
-    assert routes == {"closed", "ratio", "discrete_sum"}
+    """So the once-per-n count of the `norm_sq` rows above covers both routes."""
+    tabulated = {name for name in FAMILY_NAMES if _fresh(name).tabulated_norms}
+    assert tabulated == {"asc1", "asc2", "askey_wilson", "continuous_q_hermite"}
+    assert set(FAMILY_NAMES) - tabulated == {"big_q_jacobi", "q_dual_hahn"}
 
 
 def _columns(fam):
