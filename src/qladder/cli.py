@@ -1,6 +1,7 @@
 """Command-line harness: build families from flags or a config file,
 evaluate polynomials and functions over grids, run identity suites, and emit
-machine-readable reports.
+machine-readable reports.  A `--grid` is checked on the steps of one
+`LatticeTable`; `eval` reads x from one, and rho and phi_n from the family.
 
 Exit status: 0 = all pass, 1 = at least one suite failed, 2 = config/usage
 error.  JSON reports carry the schema id "qladder-report/1".
@@ -9,7 +10,6 @@ error.  JSON reports carry the schema id "qladder-report/1".
 from __future__ import annotations
 
 import argparse
-import cmath
 import functools
 import json
 import math
@@ -27,8 +27,7 @@ from .families import (
     reference_params,
 )
 from .hypergeometric_core import _sigma_at, _theta_at, tau_tilde
-from .ladder import _positive_real
-from .lattice import LatticeTable, _cdiv
+from .lattice import LatticeTable
 from .orthogonality import QUADRATURE_RULE, gram_matrix
 from .qkernel import QBase, QKernelError
 from .report import SCHEMA_ID, dumps_reports
@@ -77,6 +76,9 @@ class RunConfig:
                 raise ConfigError(
                     f"unknown suite {s!r}; known: all, {', '.join(SUITE_NAMES)}"
                 )
+        if "all" in self.suites and len(self.suites) > 1:
+            raise ConfigError(f"suite 'all' runs every suite and takes no other suite "
+                              f"name; got {', '.join(self.suites)}")
         if self.fmt not in ("json", "csv"):
             raise ConfigError(f"field 'format' must be json or csv, got {self.fmt!r}")
 
@@ -236,15 +238,17 @@ def _grid_points(fam, cfg: RunConfig):
         start + (stop - start) * j / (count - 1) for j in range(count)
     ]
     pts = [fam.kind.s_from_grid_value(fam, v) for v in vals]
-    lat = fam.lattice
-    for p in pts:
-        for step, nm in ((lat.delta_x(p), "Delta x"), (lat.nabla_x(p), "nabla x"),
-                         (lat.delta_x_mid(p), "Delta x(s-1/2)")):
-            if lat.is_degenerate_step(step):
-                raise ConfigError(
-                    f"grid point {p:.6g} is degenerate ({nm} vanishes); "
-                    "choose a grid excluding lattice symmetry points"
-                )
+    # x(s + h/2), h = -2..2: Delta x, nabla x and Delta x(s-1/2) at every point
+    x = LatticeTable(fam.lattice, pts, -2, 2).x
+    steps = np.stack([x[:, 4] - x[:, 2], x[:, 2] - x[:, 0], x[:, 3] - x[:, 1]], axis=1)
+    bad = np.argwhere(fam.lattice.is_degenerate_step(steps))
+    if len(bad):
+        p, k = bad[0]
+        raise ConfigError(
+            f"grid point {pts[p]:.6g} is degenerate "
+            f"({('Delta x', 'nabla x', 'Delta x(s-1/2)')[k]} vanishes); "
+            "choose a grid excluding lattice symmetry points"
+        )
     return pts
 
 
@@ -273,34 +277,29 @@ def cmd_eval(cfg: RunConfig) -> int:
     ns = _n_range(cfg)
     fam = _build_family(cfg)
     eq = fam.eq
-    pts = [complex(s) for s in _grid_points(fam, cfg)]
-    # x at s - 1/2, s, s + 1/2: x, sigma, tau and Theta once per grid point
+    pts = np.array([complex(s) for s in _grid_points(fam, cfg)])
+    # x at s - 1/2, s, s + 1/2: x, sigma, tau and Theta once per grid point;
+    # rho in one call, null where the family refuses the point (a weight pole)
     xh = LatticeTable(fam.lattice, pts, -1, 1).x
+    rho = fam.rho_at_s(pts)
     columns = [
         {"s": s, "x": x, "sigma": _sigma_at(eq, x, b - a), "tau": tau_tilde(eq, x),
-         "Theta": _theta_at(eq, x, b - a)}
-        for s, (a, x, b) in zip(pts, xh.tolist())
+         "Theta": _theta_at(eq, x, b - a), "rho": None if refused else r}
+        for s, (a, x, b), r, refused in zip(pts.tolist(), xh.tolist(), rho.tolist(),
+                                            np.isnan(rho).tolist())
     ]
-    # P_0..P_N from one recurrence pass; rho point by point, null where the family
-    # refuses the point or the weight has a pole there (numpy raises on the division)
-    stack = fam.pn_stack(cfg.n_max, xh[:, 1]).tolist()
-    for col in columns:
-        try:
-            with np.errstate(divide="raise", invalid="raise"):
-                col["rho"] = complex(fam.rho_at_s(np.array([col["s"]]))[0])
-        except (FamilyError, QKernelError, KeyError, ArithmeticError):
-            col["rho"] = None
+    # P_0..P_N from one recurrence pass; phi_n = sqrt(rho) P_n / d_n where rho is
+    # a positive real and d_n exists
+    stack = fam.pn_stack(cfg.n_max, xh[:, 1])
+    ok, w = fam.positive_sqrt_rho(rho)
     rows = []
     for n in ns:
-        for col, P in zip(columns, stack[n]):
-            rho, phi = col["rho"], None
-            # phi_n = sqrt(rho) P_n / d_n where rho is a positive real
-            if rho is not None and _positive_real(rho):
-                try:
-                    phi = _cdiv(cmath.sqrt(rho) * P, fam.d_n(n))
-                except (FamilyError, QKernelError):
-                    pass
-            rows.append({"n": n, "P": P, "phi": phi, **col})
+        try:
+            phi = fam._phi(n, w, stack[n]).tolist()
+        except (FamilyError, QKernelError):
+            phi = [None] * len(pts)
+        for col, P, f, good in zip(columns, stack[n].tolist(), phi, ok.tolist()):
+            rows.append({"n": n, "P": P, "phi": f if good else None, **col})
     if cfg.fmt == "csv":
         cols = ["n", "s", "x", "P", "phi", "rho", "sigma", "tau", "Theta"]
         lines = []

@@ -463,16 +463,28 @@ class FamilySpec:
         return self.closed.weight(points)
 
     def rho_at_s(self, s):
-        """The pointwise weight rho of the lattice kind at the points of the 1-d ndarray s."""
-        return self.kind.rho_at_s(self, s)
+        """The pointwise weight rho of the lattice kind at the points of the 1-d
+        ndarray s, in one call under divide and invalid = raise; where that
+        raises ValueError or ArithmeticError, point by point on one-element
+        arrays, NaN at a point the weight refuses (a pole, a point off its
+        domain).  Any other exception is a fault of the program and propagates."""
+        try:
+            with np.errstate(divide="raise", invalid="raise"):
+                return self.kind.rho_at_s(self, s)
+        except (ValueError, ArithmeticError):
+            if len(s) > 1:
+                return np.concatenate([self.rho_at_s(t) for t in np.split(s, len(s))])
+            return np.full(1, np.nan, dtype=complex)
 
     # -- phi_n = sqrt(rho/d_n^2) P_n, on the real support where rho >= 0 ------
     # On a 1-d ndarray of nodes, one weight evaluation per node; n is one
     # index or a range, stacked on a leading axis from one recurrence pass.
     def sqrt_rho(self, s):
-        """sqrt(rho) at the points of a 1-d ndarray s of the real support."""
+        """sqrt(rho) at the points of a 1-d ndarray s of the real support,
+        where rho is a nonnegative real; a point where it is not, or where
+        the weight is refused (NaN), raises naming the point."""
         rho = self.rho_at_s(s)
-        bad = (np.abs(rho.imag) > 1e-12 * np.abs(rho)) | (rho.real < 0.0)
+        bad = ~((np.abs(rho.imag) <= 1e-12 * np.abs(rho)) & (rho.real >= 0.0))
         if np.any(bad):
             raise QKernelError(
                 f"rho({s[bad][0]}) is not a nonnegative real; pointwise phi needs the "
@@ -480,17 +492,26 @@ class FamilySpec:
             )
         return np.sqrt(rho)
 
+    def positive_sqrt_rho(self, rho):
+        """(ok, w) for rho from `rho_at_s`: ok where rho is a positive real to
+        rounding (a refused point's NaN is not), where w = sqrt(rho) gives
+        phi_n; w is 0 elsewhere."""
+        ok = (np.abs(rho.imag) <= 1e-12 * np.abs(rho)) & (rho.real > 0.0)
+        return ok, np.sqrt(np.where(ok, rho, 0.0))
+
     def phi(self, n, s):
         """phi_n at the support points of the 1-d ndarray s (n an index or a range)."""
-        return self._phi(n, self.sqrt_rho(s), self.lattice.x_values(s))
-
-    def _phi(self, n, w, x):
-        """w P_n(x) / d_n, with w = sqrt(rho) at the points of the 1-d ndarray x;
-        for a range n, stacked on a leading axis."""
         ns = n if isinstance(n, range) else range(n, n + 1)
-        P = self.pn_stack(ns[-1], x)[ns.start:ns.stop:ns.step]
-        phi = _cdiv(w * P, self.d_n(ns)[:, None])
+        P = self.pn_stack(ns[-1], self.lattice.x_values(s))[ns.start:ns.stop:ns.step]
+        phi = self._phi(ns, self.sqrt_rho(s), P)
         return phi if isinstance(n, range) else phi[0]
+
+    def _phi(self, n, w, values):
+        """phi_n = w values / d_n with w = sqrt(rho): `values` are P_n, or an
+        operator's stencil on P_n, at the points of w; for a range or an int
+        ndarray n, stacked on a leading axis."""
+        d = self.d_n(n)
+        return _cdiv(w * values, d[:, None] if isinstance(d, np.ndarray) else d)
 
     def with_perturbation(self, name: str, delta: float) -> "FamilySpec":
         """A copy with a named closed-form coefficient shifted by delta

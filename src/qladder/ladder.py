@@ -37,7 +37,10 @@ for positive weights it reduces to sqrt(rho) up to one overall constant.
 The identities checked here are 1-homogeneous in that constant, so chains
 may be anchored anywhere.  Orthogonality sums (mutual adjointness,
 self-adjointness, Gram matrices) instead use the family's closed-form
-weight on the real support, where rho >= 0 pointwise.
+weight on the real support, where rho >= 0 pointwise: rho, sqrt(rho) and
+phi_n = sqrt(rho) P_n / d_n come from the `FamilySpec` (`rho_at_s`,
+`sqrt_rho`, `positive_sqrt_rho`, `_phi`), which this module never forms
+itself.
 """
 
 from __future__ import annotations
@@ -87,11 +90,6 @@ def h_plusminus(fam, n):
     if np.any(np.asarray(n) < 1):
         raise QKernelError("h_plusminus needs n >= 1")
     return h_minusplus(fam, n - 1)
-
-
-def _positive_real(rho):
-    """rho > 0 real to rounding, where sqrt(rho) gives phi_n; elementwise on an ndarray."""
-    return (abs(rho.imag) <= 1e-12 * abs(rho)) & (rho.real > 0.0)
 
 
 def _reduced(which: str, n, g: "StencilGrid", op_n: int | None = None):
@@ -613,7 +611,7 @@ def _bootstrap(fam, N: int, s0: complex, count: int):
     # normalize at s0 against the direct phi_0
     i0 = -lo
     consistent, w = _branch_consistent(fam, g)
-    anchor = complex(fam._phi(0, w[[i0]], g.x[[i0], 1])[0]) if consistent[i0] else complex(1.0)
+    anchor = complex(fam._phi(0, w[[i0]], g.p(0)[[i0], 1])[0]) if consistent[i0] else complex(1.0)
     scale = anchor / vals[i0] if vals[i0] != 0 else complex(1.0)
     cur = np.array([v * scale for v in vals])  # phi_n on the chain offsets n + lo .. hi
     table = {0: dict(zip(range(lo, hi + 1), cur.tolist()))}
@@ -631,17 +629,6 @@ def _bootstrap(fam, N: int, s0: complex, count: int):
     return table, g, consistent, w
 
 
-def _rho_or_nan(fam, s):
-    """rho at the points of the 1-d ndarray s in one call; where that raises,
-    point by point on one-element arrays, NaN at a point where it raises."""
-    try:
-        with np.errstate(all="ignore"):
-            return fam.rho_at_s(s)
-    except (ValueError, ArithmeticError):
-        return (np.concatenate([_rho_or_nan(fam, t) for t in np.split(s, len(s))]) if len(s) > 1
-                else np.full(1, np.nan, dtype=complex))
-
-
 def _branch_consistent(fam, g: StencilGrid):
     """Per point of a margin-1 grid, whether the positive pointwise
     sqrt(rho) satisfies the same branch relations as the principal-root
@@ -650,9 +637,9 @@ def _branch_consistent(fam, g: StencilGrid):
     alternates sign against pointwise sqrt(rho) and is the branch the
     operators pair with.
 
-    rho is evaluated on the array of the points where sigma and Theta pass
-    (`_rho_or_nan`: NaN, so not consistent, at a point where it raises).
-    Returns the verdicts and sqrt(rho) (0 where sigma or Theta fail)."""
+    rho is read on the array of the points where sigma and Theta pass (a
+    point the weight refuses is not consistent).  Returns the verdicts and
+    sqrt(rho) where they hold (0 elsewhere)."""
 
     def nonneg(z):
         scale = np.maximum(1.0, np.abs(z))
@@ -661,10 +648,8 @@ def _branch_consistent(fam, g: StencilGrid):
     ok = nonneg(g.sigma[:, 1]) & nonneg(g.theta[:, 1])
     w = np.zeros(len(ok), dtype=complex)
     if ok.any():
-        rho = _rho_or_nan(fam, g.s[ok])
-        with np.errstate(all="ignore"):
-            w[ok] = np.sqrt(rho)
-        ok[ok] = _positive_real(rho)
+        positive, w[ok] = fam.positive_sqrt_rho(fam.rho_at_s(g.s[ok]))
+        ok[ok] = positive
     return ok, w
 
 
@@ -695,7 +680,7 @@ def check_bootstrap(rep, fam, ns, s_grid):
     rows = [k + N for k in offs]
     if consistent.all():
         # the pointwise phi_n, with sqrt(rho) from the consistency check
-        direct = fam._phi(range(N + 1), w[rows], g.x[rows, 1])
+        direct = fam._phi(range(N + 1), w[rows], g.p(range(N + 1))[:, rows, 1])
     else:
         # one chain through the grid points, anchored at s0; a link going up
         # is read at its lower point, one going down at its upper point
@@ -714,6 +699,17 @@ def check_bootstrap(rep, fam, ns, s_grid):
                 n, f"{s0 + k:.6g}", abs(got[k] - const * direct_n[k]) / (abs(const) * scale)))
 
 
+def _support_grid(fam):
+    """(nodes, g, w): the nodes of the discrete support, the margin-1
+    StencilGrid on them (s - 1, s, s + 1) and sqrt(rho) there; Skipped where
+    the lattice kind has no discrete sum."""
+    grid = fam.kind.sum_nodes(fam)
+    if grid is None:
+        raise Skipped(f"support kind {fam.support_label!r} has no discrete sum")
+    g = StencilGrid.shared(fam, grid, 1)
+    return grid, g, fam.sqrt_rho(g.s)
+
+
 @suite("adjoint",
        "sum phi_{n+1} [2n]_q/lambda_{2n} (L+ phi_n) dx = "
        "sum ([2n+2]_q/lambda_{2n+2} L- phi_{n+1}) phi_n dx = alpha_n d_{n+1}/d_n", 1e-8)
@@ -728,14 +724,10 @@ def check_adjoint(rep, fam, ns, s_grid):
     One pass over the support: the weight is evaluated once per node, and
     phi_k and the reduced L+ phi_n, L- phi_{n+1} once on the (n x node)
     array.  Sweep: n = 0..N-1 over the whole support (s_grid is not read)."""
-    grid = fam.kind.sum_nodes(fam)
-    if grid is None:
-        raise Skipped(f"support kind {fam.support_label!r} has no discrete sum")
+    grid, g, w = _support_grid(fam)
     ns = range(max(ns))
     spec = InnerProductSpec(fam.lattice, tuple(grid))
-    g = StencilGrid.shared(fam, grid, 1)  # the nodes with s - 1, s + 1
     t = fam.coeffs
-    w = fam.sqrt_rho(g.s)
     skipped, targets = {}, {}  # n -> why it is out of range, n -> alpha_n d_{n+1}/d_n
     for n in ns:
         if fam.n_max is not None and n + 1 > fam.n_max:
@@ -748,10 +740,9 @@ def check_adjoint(rep, fam, ns, s_grid):
             targets[n] = t.alpha(n) * dr
     if targets:
         n = np.array(list(targets))
-        d, d1 = fam.d_n(n)[:, None], fam.d_n(n + 1)[:, None]
-        phi, phi1 = _cdiv(w * g.p(n)[..., 1], d), _cdiv(w * g.p(n + 1)[..., 1], d1)
-        raised = _cdiv(w * _reduced("L+", n, g), d)
-        lowered = _cdiv(w * _reduced("L-", n + 1, g), d1)
+        phi, phi1 = fam._phi(n, w, g.p(n)[..., 1]), fam._phi(n + 1, w, g.p(n + 1)[..., 1])
+        raised = fam._phi(n, w, _reduced("L+", n, g))
+        lowered = fam._phi(n + 1, w, _reduced("L-", n + 1, g))
         s1 = _cdiv(discrete_inner(spec, lambda _: phi1, lambda _: raised), t.lam_ratio(2 * n))
         s2 = _cdiv(discrete_inner(spec, lambda _: lowered, lambda _: phi), t.lam_ratio(2 * n + 2))
         target = np.array(list(targets.values()))
@@ -785,19 +776,14 @@ def check_selfadjoint(rep, fam, ns, s_grid):
     once, on the (n x k x node) array.  Pairs beyond a finite family are
     out-of-range cases.  Sweep: n, m = 0..N-1 over the whole support (s_grid
     is not read)."""
-    grid = fam.kind.sum_nodes(fam)
-    if grid is None:
-        raise Skipped(f"support kind {fam.support_label!r} has no discrete sum")
+    _, g, w = _support_grid(fam)
     N = max(ns)
     top = N if fam.n_max is None else min(N, fam.n_max + 1)  # phi_k exists for k < top
-    g = StencilGrid.shared(fam, grid, 1)  # the nodes with s - 1, s + 1
-    w = fam.sqrt_rho(g.s)
     if top:
         ks = np.arange(top)
-        d = fam.d_n(ks)[:, None]
-        phi = _cdiv(w * g.p(ks)[..., 1], d)
+        phi = fam._phi(ks, w, g.p(ks)[..., 1])
         g.h_diag(ks)  # the H diagonal of every operator n in one pass
-        hphi = [_cdiv(w * _reduced("H", ks, g, n), d) for n in range(top)]  # [n][k]
+        hphi = [fam._phi(ks, w, _reduced("H", ks, g, n)) for n in range(top)]  # [n][k]
     for n, m in ((n, m) for n in range(N) for m in range(N)):
         if max(n, m) >= top:
             rep.cases.append(CaseRecord(n, f"m={m}", 0.0,

@@ -13,9 +13,9 @@ removable 0/0 limit use the analytic s-derivative `x_deriv`.
 Scalar/array contract
 ---------------------
 `Lattice.x` takes one point and returns a Python complex.  `x_values`, `qs`,
-`x_shifted`, `delta_x_mid`, `delta_x`, `nabla_x` and `is_degenerate_step`
-take one point (through `cmath`, returning a Python complex, or a bool) or
-an ndarray of points (through numpy, elementwise).
+`x_shifted`, `delta_x_mid` and `is_degenerate_step` take one point (through
+`cmath`, returning a Python complex, or a bool) or an ndarray of points
+(through numpy, elementwise).
 `x` and `x_values` share one formula; array evaluation enters through
 `x_values`, never through `x` (the benchmark's tracer keys `x` calls by
 complex(s)).  Quotients of complex arrays go through `_cdiv`, which rounds
@@ -28,7 +28,7 @@ a one-element array.
 `LatticeTable` is the library's one x table: x(s + h/2) for its rows s
 (grid points or nodes) and a range of integer h, in one `x_values` call
 that raises on overflow, invalid and divide (an `ArithmeticError`, as cmath
-raises).  Array `x_values` equals `Lattice.x` bit for bit (all six
+raises); the unit steps Delta x and nabla x are differences of its columns.  Array `x_values` equals `Lattice.x` bit for bit (all six
 lattices, q = 0.05 to 0.95, 2520 points each), so a guard that reads the
 last bit of x, such as the Pearson sigma = 0 test, reads the same value.
 `forward` (k-fold forward differences) and `backward` (n-fold backward
@@ -130,14 +130,6 @@ class Lattice:
     def delta_x_mid(self, s):
         """Delta x(s - 1/2) = x(s + 1/2) - x(s - 1/2)."""
         return self.x_values(s + 0.5) - self.x_values(s - 0.5)
-
-    def delta_x(self, s):
-        """Delta x(s) = x(s+1) - x(s)."""
-        return self.x_values(s + 1.0) - self.x_values(s)
-
-    def nabla_x(self, s):
-        """nabla x(s) = x(s) - x(s-1)."""
-        return self.x_values(s) - self.x_values(s - 1.0)
 
     def step_scale(self) -> float:
         """Magnitude scale used to decide whether a step is degenerate."""

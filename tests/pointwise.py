@@ -6,8 +6,9 @@ the factorization residual is built from, sigma, Theta and tau at a
 point, the per-n products mu_k,
 A_{n,k} and the leading coefficient a_n with the generic recurrence
 coefficients built on them, P_n by the recurrence in Python complex
-arithmetic and phi_n at one point, monic P_n, the two-branch limit-aware
-ratios sigma/nabla x and Theta/Delta x, the polynomial raising and lowering
+arithmetic and phi_n at one point, monic P_n, the unit steps Delta x and
+nabla x at one point, the two-branch limit-aware ratios sigma/nabla x and
+Theta/Delta x, the polynomial raising and lowering
 relations, the ladder coefficients and operators, the difference
 quotients, k-fold forward differences and n-fold backward chains, the
 Pearson recurrence, rho_n, the Rodrigues formula, the direct tau_k quotient,
@@ -267,6 +268,16 @@ def pn_monic(fam, n: int, s) -> complex:
     return pn(fam, n, s) / fam.coeffs.a_n(n)
 
 
+def delta_x(lat: Lattice, s) -> complex:
+    """Delta x(s) = x(s+1) - x(s) at one point."""
+    return lat.x_values(s + 1.0) - lat.x_values(s)
+
+
+def nabla_x(lat: Lattice, s) -> complex:
+    """nabla x(s) = x(s) - x(s-1) at one point."""
+    return lat.x_values(s) - lat.x_values(s - 1.0)
+
+
 def sigma_eval(eq: EquationData, s) -> complex:
     """sigma(s) at one point."""
     return _sigma_at(eq, eq.lattice.x(s), eq.lattice.delta_x_mid(s))
@@ -285,7 +296,7 @@ def tau_eval(eq: EquationData, s) -> complex:
 def sigma_over_nabla(eq: EquationData, s) -> complex:
     """sigma(s)/nabla x(s), with the exact derivative ratio at removable 0/0."""
     lat = eq.lattice
-    step = lat.nabla_x(s)
+    step = nabla_x(lat, s)
     if lat.is_degenerate_step(step):
         dstep = lat.x_deriv(s) - lat.x_deriv(complex(s) - 1.0)
         if lat.is_degenerate_step(dstep):
@@ -297,7 +308,7 @@ def sigma_over_nabla(eq: EquationData, s) -> complex:
 def theta_over_delta(eq: EquationData, s) -> complex:
     """Theta(s)/Delta x(s), with the exact derivative ratio at removable 0/0."""
     lat = eq.lattice
-    step = lat.delta_x(s)
+    step = delta_x(lat, s)
     if lat.is_degenerate_step(step):
         dstep = lat.x_deriv(complex(s) + 1.0) - lat.x_deriv(s)
         if lat.is_degenerate_step(dstep):
@@ -360,12 +371,12 @@ def sqrt_ts_plus(fam, s) -> complex:
 
 def e_minus(fam, s) -> complex:
     """The E^- coefficient of H and L+: sqrt(Theta(s-1) sigma(s))/nabla x(s)."""
-    return sqrt_ts_minus(fam, s) / fam.eq.lattice.nabla_x(s)
+    return sqrt_ts_minus(fam, s) / nabla_x(fam.eq.lattice, s)
 
 
 def e_plus(fam, s) -> complex:
     """The E^+ coefficient of H and L-: sqrt(Theta(s) sigma(s+1))/Delta x(s)."""
-    return sqrt_ts_plus(fam, s) / fam.eq.lattice.delta_x(s)
+    return sqrt_ts_plus(fam, s) / delta_x(fam.eq.lattice, s)
 
 
 def u_fn(fam, n: int, s):
@@ -479,14 +490,14 @@ def _checked_step(lat: Lattice, value, what: str):
 def forward_diff(f: GridFunction, s) -> complex:
     """(f(s+1) - f(s)) / (x(s+1) - x(s))."""
     lat = f.lattice
-    step = _checked_step(lat, lat.delta_x(s), f"Delta x({s})")
+    step = _checked_step(lat, delta_x(lat, s), f"Delta x({s})")
     return (f(complex(s) + 1.0) - f(s)) / step
 
 
 def backward_diff(f: GridFunction, s) -> complex:
     """(f(s) - f(s-1)) / (x(s) - x(s-1))."""
     lat = f.lattice
-    step = _checked_step(lat, lat.nabla_x(s), f"nabla x({s})")
+    step = _checked_step(lat, nabla_x(lat, s), f"nabla x({s})")
     return (f(s) - f(complex(s) - 1.0)) / step
 
 
@@ -844,7 +855,7 @@ def _bootstrap_cases(fam, N: int, grid):
     vals = [complex(1.0)]
     for k in range(lo, hi):
         s = s0 + k
-        vals.append(-v_fn(fam, 0, s) * lat.delta_x(s) * vals[-1] / sqrt_ts_plus(fam, s))
+        vals.append(-v_fn(fam, 0, s) * delta_x(lat, s) * vals[-1] / sqrt_ts_plus(fam, s))
     i0 = offs[0] - lo
     anchor = phi(fam, 0, s0) if ok(s0) else complex(1.0)
     cur = [v * (anchor / vals[i0] if vals[i0] != 0 else 1.0) for v in vals]

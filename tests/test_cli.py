@@ -11,7 +11,7 @@ from qladder import cli, families
 from qladder.cli import main
 from qladder.families import make_family, reference_params
 from qladder.orthogonality import continuous_inner_aw_converged
-from qladder.qkernel import QBase
+from qladder.qkernel import QBase, QKernelError
 from qladder.report import SCHEMA_ID, report_to_dict
 
 import pointwise
@@ -87,6 +87,27 @@ def test_eval_columns_equal_pointwise_reference(tmp_path, name, q):
             assert got == w or fam.kind.complex_s and abs(got - w) <= 1e-15 * abs(w), (col, s)
 
 
+@pytest.mark.parametrize("name", ["asc1", "big_q_jacobi", "q_dual_hahn"])
+def test_eval_phi_is_the_family_phi(tmp_path, name):
+    # eval's phi column is FamilySpec.phi, bit for bit, at every point of the
+    # default grid; it is null where FamilySpec.phi refuses the point (big
+    # q-Jacobi's first point, x = 0.84, lies off its support and rho < 0 there)
+    out = tmp_path / "e.json"
+    assert run_cli(["eval", "--family", name, *REF_ARGS[name], "--q", "0.5",
+                    "--n-min", "0", "--n-max", "3", "--out", str(out)]) == 0
+    rows = json.loads(out.read_text())["rows"]
+    fam = make_family(name, reference_params(name), QBase(0.5))
+    assert len(rows) == 20 and sum(row["phi"] is not None for row in rows) >= 16
+    for row in rows:
+        s = np.array([complex(*row["s"])])
+        if row["phi"] is None:
+            with pytest.raises(QKernelError, match="not a nonnegative real"):
+                fam.phi(row["n"], s)
+        else:
+            want = fam.phi(row["n"], s)[0]
+            assert row["phi"] == [want.real, want.imag], (row["n"], row["s"])
+
+
 def test_eval_keeps_its_table_at_a_weight_pole(tmp_path):
     # q-dual Hahn's weight divides by (q^{s+a+1};q)_inf, which vanishes at
     # s = -a - 1 = -1.2: that point reads rho and phi null, not NaN, and the
@@ -119,12 +140,21 @@ def test_constraint_violation_exits_2_naming_parameter(capsys):
     assert "'a'" in err and "a < b-1" in err
 
 
-def test_degenerate_grid_rejected(capsys):
-    rc = run_cli(["check", "--family", "q_dual_hahn", "--param", "a=0", "--param",
-                  "b=5", "--param", "c=0.25", "--q", "0.5", "--suite", "eigen",
-                  "--grid", "0:4:5"])
+@pytest.mark.parametrize("grid, point, step", [
+    ("0:4:5", "0+0j", "nabla x"),
+    ("-1:1:3", "-1+0j", "Delta x"),
+    ("-0.5:0.5:2", "-0.5+0j", "Delta x(s-1/2)"),
+])
+def test_degenerate_grid_rejected(capsys, grid, point, step):
+    # the q-dual Hahn reference lattice is symmetric about s = -1/2: the first
+    # point with a vanishing step is named, with the first step that vanishes
+    rc = run_cli(["check", "--family", "q_dual_hahn", *REF_ARGS["q_dual_hahn"], "--q", "0.5",
+                  "--suite", "eigen", f"--grid={grid}"])
     assert rc == 2
-    assert "degenerate" in capsys.readouterr().err
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (f"error: grid point {point} is degenerate ({step} vanishes); "
+                            "choose a grid excluding lattice symmetry points\n")
 
 
 # q-dual Hahn with a = 0.7, grid s = 1, 2, 3: chains through s = 1 reach the
@@ -559,7 +589,7 @@ def test_jackson_gram_evaluates_p_n_at_the_node_itself(tmp_path, name, q, params
     assert max(data["max_offdiag"], data["max_diag_deviation"]) < bound
 
 
-def test_eval_evaluates_the_weight_once_per_grid_point(tmp_path, monkeypatch):
+def test_eval_reads_the_weight_once_for_the_grid(tmp_path, monkeypatch):
     fam = make_family("asc1", reference_params("asc1"), QBase(0.5))
     kind = type(fam.kind)
     rho_at_s, calls = kind.rho_at_s, []
@@ -574,7 +604,8 @@ def test_eval_evaluates_the_weight_once_per_grid_point(tmp_path, monkeypatch):
                     "--out", str(out)]) == 0
     rows = json.loads(out.read_text())["rows"]
     assert len(rows) == 25  # n = 1..5 at the 5 points of the default grid
-    assert len(calls) == 5 and all(row["phi"] is not None for row in rows)
+    assert len(calls) == 1 and all(row["phi"] is not None for row in rows)
+    assert calls[0].tolist() == [0.25, 1.25, 2.25, 3.25, 4.25]
 
 
 def test_grid_parse_errors_exit_2(capsys):
@@ -589,6 +620,16 @@ def test_grid_parse_errors_exit_2(capsys):
                   "--suite", "nosuchsuite"])
     assert rc == 2
     assert "unknown suite" in capsys.readouterr().err
+
+
+def test_suite_all_takes_no_other_suite_name(capsys):
+    rc = run_cli(["check", "--family", "asc1", "--q", "0.5", *REF_ARGS["asc1"],
+                  "--suite", "eigen", "--suite", "all"])
+    assert rc == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == ("error: suite 'all' runs every suite and takes no other suite "
+                            "name; got eigen, all\n")
 
 
 def test_single_point_grid(tmp_path, capsys):

@@ -16,7 +16,7 @@ from qladder.families import (
 from qladder.hypergeometric_core import rel_residual, tau_k_coeffs
 from qladder.lattice import _cdiv
 from qladder.orthogonality import jackson_integral
-from qladder.qkernel import QBase, q_pochhammer_multi
+from qladder.qkernel import QBase, QKernelError, q_pochhammer_multi
 
 from conftest import FAMILY_NAMES, grid_for
 from pointwise import beta_generic, h_pair, lambda_n, pn, pn_monic, pn_x, ttrr_coeffs_generic
@@ -254,6 +254,17 @@ def test_eval_wrappers_natural_coordinates(families):
     s = aw.s_from_point(theta)
     assert aw.lattice.x(s) == pytest.approx(x, abs=1e-14)
     assert eval_ttrr(aw, 2, theta) == pytest.approx(pn(aw, 2, s), rel=1e-13)
+    # the quadratic kind's natural coordinate is s: both routes agree on the
+    # support and between its points, for every n of the finite family, to
+    # 1e-12 of P_n's largest value there (P_4(4) = 0.63 is small against
+    # |P_4(0)| = 2248; the routes differ there by 1.6e-10 of its own value)
+    qdh = families["q_dual_hahn"]
+    points = [*qdh.kind.sum_nodes(qdh), 1.3]
+    for n in range(qdh.n_max + 1):
+        series = [eval_series(qdh, n, p) for p in points]
+        ttrr = [eval_ttrr(qdh, n, p) for p in points]
+        gap = max(abs(a - b) for a, b in zip(series, ttrr))
+        assert gap <= 1e-12 * max(map(abs, series)), n
 
 
 def test_asc1_p1_monic(families):
@@ -468,3 +479,15 @@ def test_discrete_sum_norms_from_one_weight_pass(families):
     for n in range(1, fam.n_max + 1):
         want *= t.gamma(n) / t.alpha(n - 1)
         assert fresh.norm_sq(n) == want
+
+
+def test_rho_reads_nan_at_a_weight_pole_and_sqrt_rho_names_it():
+    # q-dual Hahn's weight divides by (q^{s+a+1};q)_inf, which vanishes at
+    # s = -a - 1 = -1.2: rho reads NaN there and the weight at the other
+    # points, and sqrt_rho refuses the point by name
+    fam = make_family("q_dual_hahn", {"a": 0.2, "b": 5.2, "c": 0.3}, QBase(0.5))
+    s = np.array([-1.2, 0.8, 1.8])
+    rho = fam.rho_at_s(s)
+    assert np.isnan(rho[0]) and rho[1:].tolist() == fam.rho_at_s(s[1:]).tolist()
+    with pytest.raises(QKernelError, match=r"rho\(-1\.2\) is not a nonnegative real"):
+        fam.sqrt_rho(s)

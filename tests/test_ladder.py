@@ -62,7 +62,7 @@ def test_theta_sigma_product_matches_aw_display_squared(families):
         s = complex(s)
         lhs = theta_eval(fam.eq, s) * sigma_eval(fam.eq, s + 1.0)
         t = q_number(2.0 * s + 1.0, fam.base)
-        rhs = (2.0 * q**1.5 / t) ** 2 * G_sq(s + 1.0) * fam.lattice.delta_x(s) ** 2
+        rhs = (2.0 * q**1.5 / t) ** 2 * G_sq(s + 1.0) * pw.delta_x(fam.lattice, s) ** 2
         assert rel_residual(lhs - rhs, (lhs, rhs)) < 1e-11
 
 

@@ -18,8 +18,10 @@ from conftest import FAMILY_NAMES, assert_matches_reference
 from pointwise import (
     GridFunction,
     backward_diff,
+    delta_x,
     forward_diff,
     kfold_forward_diff,
+    nabla_x,
     nfold_backward_chain,
 )
 
@@ -64,7 +66,7 @@ def test_delta_x_mid():
     want = B.q**s * (math.sqrt(B.q) - 1 / math.sqrt(B.q))
     assert EXP.delta_x_mid(s) == pytest.approx(want, rel=1e-14)
     # equals the unit step of the shifted lattice
-    assert EXP.delta_x_mid(s + 0.5) == pytest.approx(EXP.delta_x(s), rel=1e-14)
+    assert EXP.delta_x_mid(s + 0.5) == pytest.approx(delta_x(EXP, s), rel=1e-14)
     # theta = 0 on the trigonometric lattice is the flagged degenerate point
     assert abs(AW.delta_x_mid(theta_point(0.0))) < 1e-15
 
@@ -232,7 +234,7 @@ QDH = make_family("q_dual_hahn", reference_params("q_dual_hahn"), QBase(0.5)).la
 
 
 def test_forward_fold_raises_only_where_a_read_step_vanishes():
-    assert QDH.is_degenerate_step(QDH.nabla_x(0.0))
+    assert QDH.is_degenerate_step(nabla_x(QDH, 0.0))
     f = GridFunction(QDH, lambda s: QDH.x(s) ** 3)
     vals = np.array([[f(-2.0 + j) for j in range(4)]])
     table = LatticeTable(QDH, [-2.0], 0, 8)
