@@ -15,7 +15,7 @@ from __future__ import annotations
 import numpy as np
 
 from .hypergeometric_core import RODRIGUES_MAX_ORDER, pearson_weight, rel_residual, rodrigues_values
-from .lattice import LatticeTable, _cdiv
+from .lattice import LatticeTable
 from .ladder import (
     _RAISE_FP,
     StencilGrid,
@@ -35,7 +35,7 @@ from .ladder import (
     h_plusminus,
 )
 from .orthogonality import QUADRATURE_RULE, gram_matrix
-from .qkernel import QKernelError, q_factorial, q_number
+from .qkernel import QKernelError, _cdiv, q_factorial, q_number
 from .report import CaseRecord, CheckReport, Skipped, suite
 
 __all__ = [
@@ -72,62 +72,66 @@ def concordance_suite(rep, fam, ns, s_grid):
     grid = default_grid(fam)
     notes = fam.closed.notes
 
-    def compare(quantity, label, got, expect, tol=rep.tolerance, detail=""):
-        got = complex(got)
-        expect = complex(expect)
-        err = abs(got - expect)
-        rel = err / max(abs(got), abs(expect), 1e-12)
-        # a mismatch is recorded as a suspected erratum; the record, not
-        # silence, is the pass condition, so every case carries residual 0
-        rep.cases.append(CaseRecord(0, label, 0.0, quantity))
-        if not (err <= 1e-12 or rel <= tol):
-            errata.append({
-                "family": rep.family, "quantity": quantity, "case": label, "rel_dev": rel,
-                "detail": notes.get(quantity, detail)
-                or f"tabulated {got:.9g} vs general {expect:.9g}",
-            })
+    def compare(rows, tol=rep.tolerance, detail=""):
+        """One case per row (quantity, label, got, expected), in row order: a
+        mismatch is recorded as a suspected erratum; the record, not
+        silence, is the pass condition, so every case carries residual 0."""
+        rep.cases.extend(CaseRecord(0, label, 0.0, quantity) for quantity, label, _, _ in rows)
+        for quantity, label, got, expect in rows:
+            got, expect = complex(got), complex(expect)
+            err = abs(got - expect)
+            rel = err / max(abs(got), abs(expect), 1e-12)
+            if not (err <= 1e-12 or rel <= tol):
+                errata.append({
+                    "family": rep.family, "quantity": quantity, "case": label, "rel_dev": rel,
+                    "detail": notes.get(quantity, detail)
+                    or f"tabulated {got:.9g} vs general {expect:.9g}",
+                })
 
-    for n in range(0, 11):
-        compare("lambda_n", f"n={n}", fam.closed.lambda_n(n), t.lambda_n(n))
+    compare([("lambda_n", f"n={n}", fam.closed.lambda_n(n), t.lambda_n(n)) for n in range(0, 11)])
+    rows = []
     for n in range(0, n_hi + 1):
         slope, intercept = t.tau(n)
-        compare("tau_n_slope", f"n={n}", fam.closed.tau_slope(n), slope)
-        compare("tau_n_intercept", f"n={n}", fam.closed.tau_intercept(n), intercept)
+        rows += [("tau_n_slope", f"n={n}", fam.closed.tau_slope(n), slope),
+                 ("tau_n_intercept", f"n={n}", fam.closed.tau_intercept(n), intercept)]
+    compare(rows)
 
     # beta display vs the generic route (monic normalization)
-    for n in range(0, n_hi + 1):
-        compare("beta_n", f"n={n}", fam.closed.beta_n(n), t.beta_generic(n))
+    compare([("beta_n", f"n={n}", fam.closed.beta_n(n), t.beta_generic(n))
+             for n in range(0, n_hi + 1)])
 
     # tabulated d_n^2 ratio vs gamma_n/alpha_{n-1} (canonical normalization)
     if fam.closed.d_n_sq is not None:
+        rows = []
         for n in range(1, n_hi + 1):
             try:
                 tab_ratio = t.d_n_sq(n) / t.d_n_sq(n - 1)
             except (ValueError, ArithmeticError):
                 break
-            compare("d_n_sq_ratio", f"n={n}", tab_ratio, t.gamma(n) / t.alpha(n - 1),
-                    detail="tabulated squared-norm ratio is inconsistent with the "
-                    "recurrence coefficients gamma_n/alpha_{n-1}")
+            rows.append(("d_n_sq_ratio", f"n={n}", tab_ratio, t.gamma(n) / t.alpha(n - 1)))
+        compare(rows, detail="tabulated squared-norm ratio is inconsistent with the "
+                "recurrence coefficients gamma_n/alpha_{n-1}")
 
     # where the validated norm takes its anchor from the orthogonality measure
     # (Jackson integral or discrete sum), the tabulated d_0^2 is compared to it
     if not fam.tabulated_norms:
-        compare("d_0_sq_anchor", "n=0", t.d_n_sq(0), fam.norm_sq(0), 1e-8)
+        compare([("d_0_sq_anchor", "n=0", t.d_n_sq(0), fam.norm_sq(0))], 1e-8)
 
     # recurrence route vs series route; the points are chosen where the
     # alternating series is well conditioned (terms of size q^{-n(n-1)/2}
     # must not dwarf the value), which for the exponential lattices means
     # |x| above the support scale and for the trigonometric one x off the
     # orthogonality interval -- the polynomial identity holds everywhere.
-    # One recurrence pass gives P_0..P_ncap at every point; the series runs
-    # once per (n, point).
+    # One recurrence pass gives P_0..P_ncap at every point, one series pass
+    # every (n, point).
     ncap = min(10, fam.n_max) if fam.n_max is not None else 10
-    pts = fam.series_points
-    stack = fam.pn_stack(ncap, fam.lattice.x_values(np.array(pts, dtype=complex))).tolist()
-    for n in range(0, ncap + 1):
-        for s, want in zip(pts, stack[n]):
-            compare("series_vs_ttrr", f"n={n},s={complex(s):.4g}", fam.pn_series(n, s),
-                    want, max(rep.tolerance, 1e-10))
+    pts = np.array(fam.series_points, dtype=complex)
+    stack = fam.pn_stack(ncap, fam.lattice.x_values(pts)).tolist()
+    series = fam.pn_series(np.arange(ncap + 1)[:, None], pts).tolist()
+    compare([("series_vs_ttrr", f"n={n},s={s:.4g}", got, want)
+             for n in range(0, ncap + 1)
+             for s, got, want in zip(pts.tolist(), series[n], stack[n])],
+            max(rep.tolerance, 1e-10))
 
     _compare_displays(fam, grid, compare)
     rep.meta["errata"] = errata
@@ -144,27 +148,27 @@ def _compare_displays(fam, grid, compare):
     grid = grid[:3]
     labels = [f"{complex(s):.4g}" for s in grid]
     if "u" in displays:
-        for n, us in zip(range(1, 4), g.u(range(1, 4))[:, :3, 0].tolist()):
-            for s, label, u in zip(grid, labels, us):
-                compare("u_display", f"n={n},s={label}", displays["u"](s, n), u)
-    if "h_mp" in displays:
-        for n in range(1, 5):
-            compare("h_mp_display", f"n={n}", displays["h_mp"](n), h_minusplus(fam, n))
-    if "h_pm" in displays:
-        for n in range(1, 5):
-            compare("h_pm_display", f"n={n}", displays["h_pm"](n), h_plusminus(fam, n))
+        us = g.u(range(1, 4))[:, :3, 0].tolist()
+        compare([("u_display", f"n={n},s={label}", displays["u"](s, n), u)
+                 for n, row in zip(range(1, 4), us) for s, label, u in zip(grid, labels, row)])
+    for key, general in (("h_mp", h_minusplus), ("h_pm", h_plusminus)):
+        if key in displays:
+            compare([(f"{key}_display", f"n={n}", displays[key](n), general(fam, n))
+                     for n in range(1, 5)])
     if "ham_i" in displays:
-        for n, hs in zip(range(1, 3), g.h_diag(range(1, 3))[:, :3].tolist()):
-            for s, label, h in zip(grid, labels, hs):
-                compare("hamiltonian_i_display", f"n={n},s={label}", displays["ham_i"](s, n), h)
+        hs = g.h_diag(range(1, 3))[:, :3].tolist()
+        compare([("hamiltonian_i_display", f"n={n},s={label}", displays["ham_i"](s, n), h)
+                 for n, row in zip(range(1, 3), hs) for s, label, h in zip(grid, labels, row)])
     if "ham_cminus" in displays:
         # squared comparison of displayed E-+ coefficients (branch-free)
+        rows = []
         for s, label, em, ep in zip(grid, labels, g.e_minus[:3, 0].tolist(),
                                     g.e_plus[:3, 0].tolist()):
-            compare("hamiltonian_cminus_sq", f"s={label}",
-                    complex(displays["ham_cminus"](s)) ** 2, em ** 2)
-            compare("hamiltonian_cplus_sq", f"s={label}",
-                    complex(displays["ham_cplus"](s)) ** 2, ep ** 2)
+            rows += [("hamiltonian_cminus_sq", f"s={label}",
+                      complex(displays["ham_cminus"](s)) ** 2, em ** 2),
+                     ("hamiltonian_cplus_sq", f"s={label}",
+                      complex(displays["ham_cplus"](s)) ** 2, ep ** 2)]
+        compare(rows)
 
 
 @suite("difference_calculus",
@@ -242,9 +246,12 @@ def _divided_difference(xs, ys):
        "B_n/rho(s) nabla^{(n)} rho_n(s) equals P_n up to an s-independent constant", 1e-9)
 def rodrigues_suite(rep, fam, ns, s_grid):
     """Rodrigues evaluation equals the recurrence route times an
-    s-independent constant (fit at one point, checked at the others).
-    With the family's normalization rule B_n, the constant is 1.  Sweep:
-    n = 0..min(N, RODRIGUES_MAX_ORDER) on the chain s_grid[0] + k, k < len(s_grid)."""
+    s-independent constant (fit at one point, checked at the others;
+    skipped on a one-point grid).  With the family's normalization rule B_n,
+    the constant is 1.  Sweep: n = 0..min(N, RODRIGUES_MAX_ORDER) on the
+    chain s_grid[0] + k, k < len(s_grid)."""
+    if len(s_grid) < 2:
+        raise Skipped("one grid point: the constant fit there leaves no point to check")
     n_hi, s0 = min(max(ns), RODRIGUES_MAX_ORDER), complex(s_grid[0])
     rods, x = rodrigues_values(fam.eq, s0, len(s_grid), n_hi, fam.coeffs.B)
     refs = fam.pn_stack(n_hi, x)

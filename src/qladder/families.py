@@ -44,12 +44,13 @@ from functools import cache, cached_property
 import numpy as np
 
 from .hypergeometric_core import EquationData, EquationTable, _column
-from .lattice import Lattice, _cdiv
+from .lattice import Lattice
 from .orthogonality import InnerProductSpec, _one, _outer, discrete_inner, jackson_integral
 from .orthogonality import continuous_inner_aw_converged
 from .qkernel import (
     QBase,
     QKernelError,
+    _cdiv,
     basic_hypergeometric,
     q_factorial,
     q_number,
@@ -342,7 +343,7 @@ class FamilySpec:
     support: tuple | None  # the measure's bounds (lo, hi); None where none ships
     closed: ClosedForms
     a_n: object  # callable n -> canonical leading coefficient
-    series_fn: object  # callable (n, s) -> canonical value at lattice coordinate s
+    series_fn: object  # callable (int ndarray n, ndarray s) -> canonical P_n(s), broadcast
     n_max: int | None = None  # highest n of the orthogonal family (None = infinite)
     # lattice coordinates where the series route is well conditioned up to
     # n = 10 (n_max for a finite family): the concordance series-vs-ttrr points
@@ -369,12 +370,16 @@ class FamilySpec:
         return self.kind.s_from_point(self, point)
 
     # -- polynomial evaluation --------------------------------------------
-    def pn_series(self, n: int, s) -> complex:
-        """Canonical-normalization value of P_n at lattice coordinate s via the
-        basic-hypergeometric representation."""
+    def pn_series(self, n, s):
+        """Canonical P_n at lattice coordinate s via the basic-hypergeometric
+        representation: `series_fn` on the int ndarray n >= 0 and the ndarray
+        s (an n column and an s row: every (n, point) in one pass); an int n
+        and one point read one entry of it, 0 for n < 0."""
+        if isinstance(n, np.ndarray):
+            return self.series_fn(n, np.asarray(s, dtype=complex))
         if n < 0:
             return complex(0.0)
-        return self.series_fn(n, s)
+        return complex(self.series_fn(np.array([[n]]), np.array([s], dtype=complex))[0, 0])
 
     def pn_stack(self, N: int, x):
         """P_0..P_N (canonical) at the points of the ndarray x from one pass
@@ -538,6 +543,11 @@ def _require(cond: bool, param: str, message: str):
         raise FamilyError(f"parameter {param!r} invalid: {message}")
 
 
+def _each_n(f, n):
+    """f(k) at each int k of the ndarray n, in n's shape: a series' scalar factors over n."""
+    return np.array([f(k) for k in n.ravel().tolist()], dtype=complex).reshape(n.shape)
+
+
 def _series_points(start: float, step: float) -> tuple:
     return tuple(start + step * j for j in range(7))
 
@@ -595,11 +605,11 @@ def _make_asc1(params: dict, base: QBase) -> FamilySpec:
     lat, eq, a_n, forms, displays = _asc_forms(a, base)
 
     def series(n, s):
-        x = lat.x(s)
-        if x == 0:
+        x = lat.x_values(s)
+        if (x == 0).any():
             raise FamilyError("series evaluator needs x != 0 (it uses 1/x)")
-        pre = (-a) ** n * q ** (n * (n - 1) / 2.0)
-        return pre * basic_hypergeometric(n, (1.0 / x,), (0.0,), q * x / a, base)
+        pre = _each_n(lambda k: (-a) ** k * q ** (k * (k - 1) / 2.0), n)
+        return pre * basic_hypergeometric(n, (_cdiv(1.0, x),), (0.0,), _cdiv(q * x, a), base)
 
     weight_factors = ((lambda x: q * x, 1), (lambda x: _cdiv(q * x, a), 1))
     const = cache(lambda: q_pochhammer_multi((q, a, q / a), base))
@@ -664,9 +674,9 @@ def _make_asc2(params: dict, base: QBase) -> FamilySpec:
     def series(n, s):
         # V_n^{(a)}(x; q) = U_n^{(a)}(x; 1/q), evaluated as the 2phi0 form in
         # the user's base q (terminating, so no q>1 products are needed)
-        x = lat.x(s)
-        pre = (-a) ** n * q ** (-n * (n - 1) / 2.0)
-        return pre * basic_hypergeometric(n, (x,), (), base.pow(float(n)) / a, base)
+        pre = _each_n(lambda k: (-a) ** k * q ** (-k * (k - 1) / 2.0), n)
+        z = _each_n(lambda k: base.pow(float(k)) / a, n)
+        return pre * basic_hypergeometric(n, (lat.x_values(s),), (), z, base)
 
     def d_n_sq(n):
         # reduced norm: the n-independent (q~, a, q~/a; q~)_inf constant of the
@@ -706,13 +716,10 @@ def _make_big_q_jacobi(params: dict, base: QBase) -> FamilySpec:
     a_n = lambda n: complex(1.0)
 
     def series(n, s):
-        x = lat.x(s)
-        pre = (
-            q_pochhammer(a * q, base, n)
-            * q_pochhammer(c * q, base, n)
-            / q_pochhammer(a * b * q ** (n + 1), base, n)
-        )
-        return pre * basic_hypergeometric(n, (a * b * q ** (n + 1), x), (a * q, c * q), q, base)
+        abq = _each_n(lambda k: a * b * q ** (k + 1), n)
+        pre = _cdiv(q_pochhammer(a * q, base, n) * q_pochhammer(c * q, base, n),
+                    q_pochhammer(abq, base, n))
+        return pre * basic_hypergeometric(n, (abq, lat.x_values(s)), (a * q, c * q), q, base)
 
     def A_n(n):
         return (
@@ -858,17 +865,16 @@ def _make_q_dual_hahn(params: dict, base: QBase) -> FamilySpec:
     n_max = round(nb) - 1
 
     def series(n, s):
-        if n > n_max:
+        if (n > n_max).any():
             raise FamilyError(
-                f"q_dual_hahn series is undefined for n={n} > n_max={n_max}: "
+                f"q_dual_hahn series is undefined for n={n[n > n_max][0]} > n_max={n_max}: "
                 f"the lower parameter q^(a-b+1) truncates the family"
             )
-        s = complex(s)
-        pre = (-1.0) ** n * (
-            q_pochhammer(q ** (a - b + 1), base, n)
-            * q_pochhammer(q ** (a + c + 1), base, n)
-        ) / (q ** (n / 2.0 * (3 * a - b + c + 1 + n)) * kq**n * q_pochhammer(q, base, n))
-        upper = (cmath.exp((a - s) * math.log(q)), cmath.exp((a + s + 1.0) * math.log(q)))
+        num = _each_n(lambda k: (-1.0) ** k, n) * (q_pochhammer(q ** (a - b + 1), base, n)
+                                                   * q_pochhammer(q ** (a + c + 1), base, n))
+        scale = _each_n(lambda k: q ** (k / 2.0 * (3 * a - b + c + 1 + k)) * kq**k, n)
+        pre = _cdiv(num, scale * q_pochhammer(q, base, n))
+        upper = (np.exp((a - s) * math.log(q)), np.exp((a + s + 1.0) * math.log(q)))
         lower = (q ** (a - b + 1), q ** (a + c + 1))
         return pre * basic_hypergeometric(n, upper, lower, q, base)
 
@@ -1131,8 +1137,8 @@ def _make_askey_wilson(params: dict, base: QBase) -> FamilySpec:
 
     def series(n, s):
         qs = lat.qs(s)
-        pre = q_pochhammer_multi((a * b, a * c, a * d), base, n) / a**n
-        upper = (abcd * q ** (n - 1), a / qs, a * qs)
+        pre = _cdiv(q_pochhammer_multi((a * b, a * c, a * d), base, n), _each_n(lambda k: a**k, n))
+        upper = (_each_n(lambda k: abcd * q ** (k - 1), n), _cdiv(a, qs), a * qs)
         return pre * basic_hypergeometric(n, upper, (a * b, a * c, a * d), q, base)
 
     def A_n(n):
@@ -1202,7 +1208,8 @@ def _make_continuous_q_hermite(params: dict, base: QBase) -> FamilySpec:
     def series(n, s):
         # H_n(x|q) = e^{i n theta} 2phi0(q^{-n}, 0; -; q, q^n e^{-2 i theta})
         qs = lat.qs(s)
-        return qs**n * basic_hypergeometric(n, (0.0,), (), base.pow(float(n)) / qs**2, base)
+        z = _cdiv(_each_n(lambda k: base.pow(float(k)), n), qs**2)
+        return qs**n * basic_hypergeometric(n, (0.0,), (), z, base)
 
     def h_pm_display(n):
         # as tabulated (suspected erratum, see notes)

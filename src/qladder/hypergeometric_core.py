@@ -60,8 +60,8 @@ from functools import reduce, wraps
 
 import numpy as np
 
-from .lattice import DegenerateStepError, Lattice, LatticeTable, _cdiv
-from .qkernel import QBase, QKernelError, alpha_q, q_number
+from .lattice import DegenerateStepError, Lattice, LatticeTable
+from .qkernel import QBase, QKernelError, _cdiv, alpha_q, q_number
 
 __all__ = [
     "EquationData",

@@ -23,7 +23,7 @@ pieces (A(s,n), u, v, the H diagonal, P_n and w P_n) are columns over n,
 like the family's per-n table (`FamilySpec.coeffs`) their constants come
 from, so a suite reads every n it checks as one array and forms their
 residuals with a fixed number of array operations.  Quotients of those
-arrays round as Python's complex division does (`lattice._cdiv`).
+arrays round as Python's complex division does (`qkernel._cdiv`).
 
 phi values used by residual checks are built along integer chains
 s0 + k by the Pearson-consistent recurrence
@@ -51,9 +51,9 @@ from functools import cached_property, reduce, wraps
 import numpy as np
 
 from .hypergeometric_core import _column, _limit_ratio, _sigma_at, _theta_at, rel_residual
-from .lattice import DegenerateStepError, LatticeTable, _cdiv
+from .lattice import DegenerateStepError, LatticeTable
 from .orthogonality import InnerProductSpec, discrete_inner
-from .qkernel import QKernelError
+from .qkernel import QKernelError, _cdiv
 from .report import CaseRecord, Skipped, suite
 
 __all__ = [
@@ -669,11 +669,14 @@ def _d_ratio_up(fam, n: int):
 @_RAISE_FP
 def check_bootstrap(rep, fam, ns, s_grid):
     """Bootstrapped phi_n match direct phi_n up to one constant per level,
-    fixed at the chain's first point.  The direct phi_n are the pointwise
-    ones where their branch agrees with the chain's, else the chain weights
-    times P_n, both on the bootstrap's chain grid.  Sweep: levels
+    fixed at the chain's first point (so skipped on a one-point grid).  The
+    direct phi_n are the pointwise ones where their branch agrees with the
+    chain's, else the chain weights times P_n, both on the bootstrap's chain
+    grid.  Sweep: levels
     n = 0..min(N, 4) on the chain s_grid[0] + k, k < len(s_grid); each level
     costs digits (q-Hermite at q = 0.2 is off by 2e-4 at level 5)."""
+    if len(s_grid) < 2:
+        raise Skipped("one grid point: the constant fit there leaves no point to check")
     N, s0 = min(max(ns), 4), complex(s_grid[0])
     offs = range(len(s_grid))
     table, g, consistent, w = _bootstrap(fam, N, s0, len(s_grid))

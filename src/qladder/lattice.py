@@ -18,10 +18,10 @@ Scalar/array contract
 (through numpy, elementwise).
 `x` and `x_values` share one formula; array evaluation enters through
 `x_values`, never through `x` (the benchmark's tracer keys `x` calls by
-complex(s)).  Quotients of complex arrays go through `_cdiv`, which rounds
-as Python's complex division does, so an array entry equals the scalar value
-bit for bit on real-valued data (numpy's own complex division multiplies by
-a rounded reciprocal); two numbers keep Python's division.  The families'
+complex(s)).  Quotients of complex arrays go through `qkernel._cdiv`, which
+rounds as Python's complex division does, so an array entry equals the
+scalar value bit for bit on real-valued data (numpy's own complex division
+multiplies by a rounded reciprocal); two numbers keep Python's division.  The families'
 pointwise quantities (weight, rho, phi_n, P_n) take arrays only; a point is
 a one-element array.
 
@@ -48,46 +48,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .qkernel import QBase, QKernelError
+from .qkernel import QBase, QKernelError, _cdiv
 
 __all__ = ["DegenerateStepError", "Lattice", "LatticeTable"]
 
 
 class DegenerateStepError(ArithmeticError):
     """A lattice difference step vanished where a quotient needed it."""
-
-
-def _cdiv(a, b):
-    """a / b; elementwise when either is an ndarray, with the operation
-    order of Python's complex division (Smith's method: divide through by
-    the larger part of b)."""
-    if not isinstance(b, np.ndarray):
-        if not isinstance(a, np.ndarray):
-            return a / b
-        b = complex(b)
-        by_real = all_real = abs(b.real) >= abs(b.imag)
-        no_real = not all_real
-    else:
-        by_real = np.abs(b.real) >= np.abs(b.imag)
-        all_real = by_real.all()
-        no_real = not all_real and not by_real.any()
-    a = np.asarray(a, dtype=complex)
-    ar, ai, br, bi = a.real, a.imag, b.real, b.imag
-    if all_real:
-        p, q, u, v = br, bi, ar, ai
-    elif no_real:
-        p, q, u, v = bi, br, ai, ar
-    else:
-        p, q = np.where(by_real, br, bi), np.where(by_real, bi, br)
-        u, v = np.where(by_real, ar, ai), np.where(by_real, ai, ar)
-    ratio = q / p
-    denom = p + q * ratio
-    uq = u * ratio
-    out = np.empty(np.broadcast(a, b).shape, dtype=complex)
-    out.real = (u + v * ratio) / denom
-    out.imag = (v - uq if all_real else uq - v if no_real
-                else np.where(by_real, v - uq, uq - v)) / denom
-    return out
 
 
 @dataclass(frozen=True)

@@ -7,6 +7,7 @@ import json
 import time
 from dataclasses import dataclass, field
 from functools import update_wrapper
+from typing import NamedTuple
 
 import numpy as np
 
@@ -15,9 +16,8 @@ __all__ = ["SCHEMA_ID", "CaseRecord", "CheckReport", "Skipped", "suite", "report
 SCHEMA_ID = "qladder-report/1"
 
 
-@dataclass(frozen=True)
-class CaseRecord:
-    """One residual sample: which n, which point, how large."""
+class CaseRecord(NamedTuple):
+    """One residual sample: which n, which point, how large (immutable)."""
 
     n: int
     s: str
@@ -108,8 +108,8 @@ def report_to_dict(rep: CheckReport) -> dict:
         "verdict": "pass" if rep.passed else "fail",
         "wall_ms": round(rep.wall_ms, 3),
         "cases": [
-            {"n": c.n, "s": c.s, "residual": c.residual, **({"note": c.note} if c.note else {})}
-            for c in rep.cases
+            {"n": n, "s": s, "residual": r, "note": note} if note else {"n": n, "s": s, "residual": r}
+            for n, s, r, note in rep.cases
         ],
         "meta": rep.meta,
     }

@@ -12,14 +12,16 @@ Theta/Delta x, the polynomial raising and lowering
 relations, the ladder coefficients and operators, the difference
 quotients, k-fold forward differences and n-fold backward chains, the
 Pearson recurrence, rho_n, the Rodrigues formula, the direct tau_k quotient,
-the discrete squared norms and the Askey--Wilson h-product.  The library
-has no point-by-point evaluator: it evaluates sigma, Theta and the ladder
-coefficients on `ladder.StencilGrid` arrays, x on `lattice.LatticeTable`s,
-whose folds give the difference calculus, and P_n, rho and phi_n on arrays
-of points.  The tests keep these as the reference the library is compared
+the discrete squared norms, the Askey--Wilson h-product, and the
+terminating basic hypergeometric series with each family's series P_n.
+The library has no point-by-point evaluator: it evaluates sigma, Theta and
+the ladder coefficients on `ladder.StencilGrid` arrays, x on
+`lattice.LatticeTable`s, whose folds give the difference calculus, P_n, rho
+and phi_n on arrays of points, and the series on an (n, point) grid.  The tests keep these as the reference the library is compared
 against."""
 
 import cmath
+import math
 from dataclasses import dataclass
 
 from qladder.hypergeometric_core import (
@@ -39,8 +41,15 @@ from functools import reduce
 import numpy as np
 
 from qladder.ladder import StencilGrid, _by_offset, _reduced
-from qladder.lattice import DegenerateStepError, Lattice, _cdiv
-from qladder.qkernel import QKernelError, q_factorial, require_finite
+from qladder.lattice import DegenerateStepError, Lattice
+from qladder.qkernel import (
+    QKernelError,
+    _cdiv,
+    q_factorial,
+    q_pochhammer,
+    q_pochhammer_multi,
+    require_finite,
+)
 
 
 @dataclass(frozen=True)
@@ -266,6 +275,83 @@ def phi(fam, n: int, s) -> complex:
 def pn_monic(fam, n: int, s) -> complex:
     """Monic-normalization value P_n / a_n."""
     return pn(fam, n, s) / fam.coeffs.a_n(n)
+
+
+def basic_hypergeometric(n: int, upper, lower, z, base) -> complex:
+    """The terminating series _r phi_s(q^{-n}, a_1..a_{r-1}; b_1..b_s; q, z) of
+    one n, one term at a time in Python complex arithmetic: the scalar loop
+    the library's `qkernel.basic_hypergeometric` runs over arrays.
+
+    `upper` holds the numerator parameters after q^{-n}, which is formed here.
+    Exactly the n + 1 terms k = 0..n are summed; the k-th carries the standard
+    extra factor [(-1)^k q^{k(k-1)/2}]^{s-r+1}.  A lower parameter at q^{-k}
+    with k < n divides by zero and raises.
+    """
+    upper = [complex(base.pow(float(-n)))] + [complex(a) for a in upper]
+    lower = [complex(b) for b in lower]
+    z = complex(z)
+    sign_power = len(lower) - len(upper) + 1
+
+    total = complex(1.0)
+    term = complex(1.0)
+    qk = 1.0  # q^k
+    for k in range(n):
+        num = complex(1.0)
+        for a in upper:
+            num *= 1.0 - a * qk
+        den = 1.0 - base.q * qk  # the (q;q)_{k+1} factor
+        for b in lower:
+            f = 1.0 - b * qk
+            if abs(f) < 1e-14 * (1.0 + abs(b * qk)):
+                raise QKernelError(
+                    f"lower parameter {b} hits q^{{-{k}}}: division by zero in series"
+                )
+            den *= f
+        ratio = num / den * z
+        if sign_power:
+            ratio *= (-qk) ** sign_power
+        term = term * ratio
+        total += term
+        qk *= base.q
+    return require_finite(total, "basic hypergeometric series")
+
+
+def pn_series(fam, n: int, s) -> complex:
+    """Canonical P_n at one point s by the family's basic-hypergeometric
+    series, in Python complex arithmetic through `basic_hypergeometric`
+    above: the per-family formulas the library's `series_fn` evaluates on
+    an n column and an s row."""
+    p, base, lat = fam.params, fam.base, fam.lattice
+    q = base.q
+    if fam.name == "asc1":
+        a, x = p["a"], lat.x(s)
+        pre = (-a) ** n * q ** (n * (n - 1) / 2.0)
+        return pre * basic_hypergeometric(n, (1.0 / x,), (0.0,), q * x / a, base)
+    if fam.name == "asc2":
+        a, x = p["a"], lat.x(s)
+        pre = (-a) ** n * q ** (-n * (n - 1) / 2.0)
+        return pre * basic_hypergeometric(n, (x,), (), base.pow(float(n)) / a, base)
+    if fam.name == "big_q_jacobi":
+        a, b, c = p["a"], p["b"], p["c"]
+        pre = (q_pochhammer(a * q, base, n) * q_pochhammer(c * q, base, n)
+               / q_pochhammer(a * b * q ** (n + 1), base, n))
+        return pre * basic_hypergeometric(n, (a * b * q ** (n + 1), lat.x(s)),
+                                          (a * q, c * q), q, base)
+    if fam.name == "q_dual_hahn":
+        a, b, c, s = p["a"], p["b"], p["c"], complex(s)
+        pre = (-1.0) ** n * (
+            q_pochhammer(q ** (a - b + 1), base, n) * q_pochhammer(q ** (a + c + 1), base, n)
+        ) / (q ** (n / 2.0 * (3 * a - b + c + 1 + n)) * base.k_q**n * q_pochhammer(q, base, n))
+        upper = (cmath.exp((a - s) * math.log(q)), cmath.exp((a + s + 1.0) * math.log(q)))
+        return pre * basic_hypergeometric(n, upper, (q ** (a - b + 1), q ** (a + c + 1)), q, base)
+    qs = lat.qs(s)
+    if fam.name == "askey_wilson":
+        a, b, c, d = p["a"], p["b"], p["c"], p["d"]
+        pre = q_pochhammer_multi((a * b, a * c, a * d), base, n) / a**n
+        upper = (a * b * c * d * q ** (n - 1), a / qs, a * qs)
+        return pre * basic_hypergeometric(n, upper, (a * b, a * c, a * d), q, base)
+    # continuous q-Hermite: e^{i n theta} 2phi0(q^{-n}, 0; -; q, q^n e^{-2 i theta})
+    return qs**n * basic_hypergeometric(n, (0.0,), (), base.pow(float(n)) / qs**2, base)
 
 
 def delta_x(lat: Lattice, s) -> complex:

@@ -12,7 +12,7 @@ import pytest
 
 from qladder import checks
 from qladder.checks import SUITE_NAMES, default_grid, run_suite, run_suites
-from qladder.families import FAMILY_NAMES, make_family, reference_params
+from qladder.families import FAMILY_NAMES, FamilySpec, make_family, reference_params
 from qladder.ladder import check_adjoint, check_eigen, check_selfadjoint
 from qladder.lattice import DegenerateStepError, Lattice
 from qladder.qkernel import QBase, QKernelError
@@ -255,6 +255,43 @@ def test_a_nan_case_makes_the_maximum_nan_and_the_report_fail():
                       cases=[CaseRecord(1, "0.5", 1e-16), CaseRecord(2, "1.5", math.nan)])
     assert math.isnan(rep.max_residual) and not rep.passed
     assert report_to_dict(rep)["verdict"] == "fail"
+
+
+def test_a_case_record_is_an_immutable_named_tuple():
+    case = CaseRecord(2, "0.5", 1e-12)
+    assert case._fields == ("n", "s", "residual", "note") and case.note == ""
+    with pytest.raises(AttributeError):
+        case.residual = 0.0
+
+
+@pytest.mark.parametrize("suite", ["rodrigues", "bootstrap"])
+def test_a_constant_fit_at_the_only_grid_point_is_skipped(suite):
+    # each suite fits its constant at the first point and checks the others,
+    # so on one point every case would read 0 whatever the family
+    fam = make_family("big_q_jacobi", {"a": 0.5, "b": 0.5, "c": -0.5}, QBase(0.5))
+    rep = run_suite(fam, suite, s_grid=[0.25])
+    assert rep.cases == [] and rep.meta == {
+        "status": "skipped",
+        "reason": "one grid point: the constant fit there leaves no point to check"}
+    assert run_suite(fam, suite, s_grid=[0.25, 1.25]).cases
+
+
+@pytest.mark.parametrize("name", FAMILY_NAMES)
+def test_concordance_makes_one_series_call(name, monkeypatch):
+    # the series route of every (n, point) of series_vs_ttrr in one pass
+    fam = make_family(name, reference_params(name), QBase(0.5))
+    calls, pn_series = [], FamilySpec.pn_series
+
+    def counted(self, n, s):
+        calls.append((np.shape(n), np.shape(s)))
+        return pn_series(self, n, s)
+
+    monkeypatch.setattr(FamilySpec, "pn_series", counted)
+    rep = run_suite(fam, "concordance")
+    top = min(10, fam.n_max) if fam.n_max is not None else 10
+    assert calls == [((top + 1, 1), (len(fam.series_points),))]
+    series = [c for c in rep.cases if c.note == "series_vs_ttrr"]
+    assert len(series) == (top + 1) * len(fam.series_points)
 
 
 def test_a_programming_error_in_rho_leaves_the_bootstrap(monkeypatch):

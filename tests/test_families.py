@@ -14,11 +14,11 @@ from qladder.families import (
     reference_params,
 )
 from qladder.hypergeometric_core import rel_residual, tau_k_coeffs
-from qladder.lattice import _cdiv
 from qladder.orthogonality import jackson_integral
-from qladder.qkernel import QBase, QKernelError, q_pochhammer_multi
+from qladder.qkernel import QBase, QKernelError, _cdiv, q_pochhammer_multi
 
 from conftest import FAMILY_NAMES, grid_for
+import pointwise as pw
 from pointwise import beta_generic, h_pair, lambda_n, pn, pn_monic, pn_x, ttrr_coeffs_generic
 
 
@@ -293,6 +293,34 @@ def test_qdh_series_beyond_family_raises(families):
     fam = families["q_dual_hahn"]
     with pytest.raises(FamilyError, match="n_max"):
         fam.pn_series(5, 1.3)
+    with pytest.raises(FamilyError, match="n=5 > n_max=4"):
+        fam.pn_series(np.arange(7)[:, None], np.array([0.3, 1.3]))
+
+
+def _bits(values):
+    return np.asarray(values, dtype=complex).tobytes()
+
+
+@pytest.mark.parametrize("q", [0.2, 0.5, 0.8])
+@pytest.mark.parametrize("name", FAMILY_NAMES)
+def test_series_pass_equals_the_pointwise_series(name, q):
+    # one pass over the (n, point) grid, and one entry of it, against the
+    # family's scalar series in tests/pointwise.py: bit for bit on
+    # real-valued data (the series points, the default grid of a real
+    # lattice coordinate); within rounding where q^s is complex, for n <= 3
+    # (on the orthogonality interval the alternating series loses digits
+    # with n: terms of size q^{-n(n-1)/2})
+    fam = make_family(name, reference_params(name), QBase(q))
+    top = min(10, fam.n_max) if fam.n_max is not None else 10
+    grid = fam.kind.default_grid(fam, 5)
+    for points, exact in ((list(fam.series_points), True), (grid, not fam.kind.complex_s)):
+        got = fam.pn_series(np.arange(top + 1)[:, None], np.array(points, dtype=complex))
+        one = [[fam.pn_series(n, s) for s in points] for n in range(top + 1)]
+        want = [[pw.pn_series(fam, n, s) for s in points] for n in range(top + 1)]
+        if exact:
+            assert _bits(got) == _bits(want) == _bits(one)
+        else:
+            assert np.abs(got[:4] - want[:4]).max() <= 1e-13 * np.abs(want[:4]).max()
 
 
 def test_pn_monic_accessor(families):

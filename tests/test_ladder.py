@@ -10,8 +10,8 @@ from qladder.families import make_family, reference_params
 import numpy as np
 
 from qladder.hypergeometric_core import lam_ratio, rel_residual
-from qladder.lattice import DegenerateStepError, Lattice, _cdiv
-from qladder.qkernel import QBase, QKernelError, q_number
+from qladder.lattice import DegenerateStepError, Lattice
+from qladder.qkernel import QBase, QKernelError, _cdiv, q_number
 
 import pointwise as pw
 from pointwise import (

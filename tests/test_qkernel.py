@@ -20,6 +20,8 @@ from qladder.qkernel import (
     q_pochhammer_orbit,
 )
 
+import pointwise as pw
+
 B25 = QBase(0.25)
 B50 = QBase(0.5)
 
@@ -232,6 +234,77 @@ def test_series_lower_parameter_guard():
     # lower parameter q^{-2} hits zero in the denominator at k = 2 < n
     with pytest.raises(QKernelError, match="division by zero"):
         basic_hypergeometric(5, (0.3,), (q**-2,), 0.4, B50)
+
+
+def _first_scalar_failure(ns, upper, lower, z, base):
+    """The error of the scalar loop's first failing entry, n outer and point
+    inner: upper, lower and z hold one value per point."""
+    for n in ns:
+        for j in range(len(z)):
+            try:
+                pw.basic_hypergeometric(n, [a[j] for a in upper], [b[j] for b in lower], z[j], base)
+            except QKernelError as e:
+                return type(e), str(e)
+    return None
+
+
+def test_batched_series_equals_the_scalar_loop_bit_for_bit():
+    # an n column against a row of real parameter sets: every entry is the
+    # scalar loop's value, bits and signed zeros included
+    rng = np.random.default_rng(5)
+    for q in (0.2, 0.5, 0.8):
+        base = QBase(q)
+        upper = rng.uniform(-3.0, 3.0, size=(2, 9))
+        lower = rng.uniform(-3.0, 3.0, size=(1, 9))
+        z = rng.uniform(-2.0, 2.0, size=9)
+        ns = np.arange(11)[:, None]
+        for power in ((upper, lower), (upper[:1], lower), (upper, ())):  # s - r + 1 = -1, 0, -2
+            got = basic_hypergeometric(ns, tuple(power[0]), tuple(power[1]), z, base)
+            want = [[pw.basic_hypergeometric(n, power[0][:, j], [b[j] for b in power[1]], z[j],
+                                             base) for j in range(9)] for n in range(11)]
+            assert _bits(got) == _bits(want)
+
+
+def test_batched_series_on_complex_data_within_rounding():
+    # a product of two complex factors may round apart (a fused multiply-add)
+    rng = np.random.default_rng(6)
+    base = QBase(0.6)
+    upper = rng.uniform(-2.0, 2.0, size=9) + 1j * rng.uniform(-2.0, 2.0, size=9)
+    lower = rng.uniform(-2.0, 2.0, size=9) + 1j * rng.uniform(-2.0, 2.0, size=9)
+    z = rng.uniform(-1.0, 1.0, size=9) + 1j * rng.uniform(-1.0, 1.0, size=9)
+    got = basic_hypergeometric(np.arange(11)[:, None], (upper,), (lower,), z, base)
+    for n in range(11):
+        for j in range(9):
+            want = pw.basic_hypergeometric(n, (upper[j],), (lower[j],), z[j], base)
+            assert abs(got[n, j] - want) <= 1e-13 * max(1.0, abs(want)), (n, j)
+
+
+def test_q_pochhammer_over_an_order_array_equals_the_scalar_bit_for_bit():
+    base = QBase(0.7)
+    a = np.array([0.3, -1.7, 2.5, 0.0])
+    k = np.arange(9)[:, None]
+    want = [[q_pochhammer(float(v), base, m) for v in a] for m in range(9)]
+    assert _bits(q_pochhammer(a, base, k)) == _bits(want)
+    with pytest.raises(QKernelError, match="nonnegative"):
+        q_pochhammer(0.3, base, np.array([2, -1]))
+
+
+def test_batched_series_raises_the_scalar_loops_first_failure():
+    q = 0.5
+    # the lower parameter q^{-4} is reached only from n = 5, q^{-2} from n = 3
+    ns, lower, upper = (1, 3, 5), [np.array([q**-4, q**-2])], [np.array([0.3, 0.3])]
+    want = _first_scalar_failure(ns, upper, lower, [0.4, 0.4], B50)
+    assert want == (QKernelError, "lower parameter (4+0j) hits q^{-2}: division by zero in series")
+    with pytest.raises(QKernelError) as err:
+        basic_hypergeometric(np.array(ns)[:, None], upper, lower, 0.4, B50)
+    assert (type(err.value), str(err.value)) == want
+    # an overflowing sum: the first non-finite entry, as require_finite names it
+    z = [1e160, 1e170]
+    want = _first_scalar_failure((2, 4), upper, (), z, B50)
+    assert want[1].startswith("basic hypergeometric series is not finite")
+    with pytest.raises(QKernelError) as err:
+        basic_hypergeometric(np.array([[2], [4]]), upper, (), np.array(z), B50)
+    assert (type(err.value), str(err.value)) == want
 
 
 # Closed forms of terminating series (Gasper & Rahman, Basic Hypergeometric
