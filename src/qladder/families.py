@@ -51,6 +51,7 @@ from .qkernel import (
     QBase,
     QKernelError,
     _cdiv,
+    _q_orbit,
     basic_hypergeometric,
     q_factorial,
     q_number,
@@ -999,24 +1000,6 @@ def _make_q_dual_hahn(params: dict, base: QBase) -> FamilySpec:
     )
 
 
-def _aw_equation_data(a, b, c, d, base: QBase) -> EquationData:
-    q = base.q
-    lat = Lattice(0.5, 0.5, 0.0, base)
-    abcd = a * b * c * d
-    e1 = a + b + c + d
-    e2 = a * b + a * c + a * d + b * c + b * d + c * d
-    e3 = a * b * c + a * b * d + a * c * d + b * c * d
-    rq = math.sqrt(q)
-    return EquationData(
-        sigma_pp=-4.0 * (q - 1) ** 2 * (1 + abcd) / rq,
-        sigma_p0=(q - 1) ** 2 * (e1 + e3) / rq,
-        sigma_00=(q - 1) ** 2 * (1 - e2 + abcd) / rq,
-        tau_p=4.0 * (q - 1) * (1 - abcd),
-        tau_0=2.0 * (1 - q) * (e1 - e3),
-        lattice=lat,
-    )
-
-
 def _aw_weights(a, b, c, d, base: QBase):
     """The tabulated weight omega(x) and the positive density of the
     Askey--Wilson measure (q-Hermite at a = b = c = d = 0).
@@ -1028,7 +1011,7 @@ def _aw_weights(a, b, c, d, base: QBase):
     h(x, alpha) = prod_k (1 - 2 alpha q^k x + alpha^2 q^{2k}), each product
     taken while |alpha q^k| > 1e-17.  The table of q-power sequences holds,
     per alpha and k, the factor constants 2 alpha q^k and alpha^2 q^{2k}
-    (alpha q^k by repeated multiplication, one cumprod over the eight
+    (alpha q^k by repeated multiplication, one `_q_orbit` of the eight
     alphas); it is built in one array pass on the first evaluation, so
     making a family costs nothing.  x is an ndarray (one point
     is a one-element array): all eight products run in one loop over k on a
@@ -1050,9 +1033,7 @@ def _aw_weights(a, b, c, d, base: QBase):
         # steps enough for the largest |alpha| (>= 1) to fall below 1e-17
         top = max(abs(alpha) for alpha in alphas)
         size = math.ceil(math.log(1e-17 / top) / math.log(q)) + 2
-        steps = np.full((size, len(alphas)), q, dtype=complex)
-        steps[0] = alphas
-        aq = np.cumprod(steps, axis=0)  # alpha q^k by repeated multiplication
+        aq = _q_orbit(np.array(alphas), q, size).T  # alpha q^k as (k, alpha)
         lens = np.argmin(np.abs(aq) > 1e-17, axis=0)  # each row's first k at or below
         order = np.argsort(-lens, kind="stable")  # rows by falling length
         consts = np.stack([2.0 * aq, aq * aq])[:, :lens.max(), order]  # read below lens
@@ -1094,16 +1075,25 @@ def _aw_forms(a, b, c, d, base: QBase):
     q-Hermite ones, which are them at a = b = c = d = 0: the equation data,
     a_n and the closed forms lambda_n, tau_n', tau_n(0), d_n^2 and the
     weight, with the positive density as a display.  Returns (eq, a_n,
-    ClosedForms fields, displays)."""
+    ClosedForms fields, displays, (abcd, e1, e3)), with e1, e3 elementary
+    symmetric sums of the parameters."""
     q = base.q
-    abcd = a * b * c * d
-    e1 = a + b + c + d
+    abcd, e1 = a * b * c * d, a + b + c + d
     e3 = a * b * c + a * b * d + a * c * d + b * c * d
+    # the nonzero pair products: their sum is e2, and (0; q)_inf = 1
+    pairs = [p for p in (a * b, a * c, a * d, b * c, b * d, c * d) if p]
+    rq = math.sqrt(q)
+    eq = EquationData(
+        sigma_pp=-4.0 * (q - 1) ** 2 * (1 + abcd) / rq,
+        sigma_p0=(q - 1) ** 2 * (e1 + e3) / rq,
+        sigma_00=(q - 1) ** 2 * (1 - sum(pairs) + abcd) / rq,
+        tau_p=4.0 * (q - 1) * (1 - abcd),
+        tau_0=2.0 * (1 - q) * (e1 - e3),
+        lattice=Lattice(0.5, 0.5, 0.0, base),
+    )
 
     def a_n(n):
         return 2.0**n * q_pochhammer(abcd * q ** (n - 1), base, n)
-
-    pairs = [p for p in (a * b, a * c, a * d, b * c, b * d, c * d) if p]  # (0; q)_inf = 1
 
     def d_n_sq(n):
         num = q_pochhammer(abcd * q ** (n - 1), base, n) * q_pochhammer_inf(
@@ -1119,7 +1109,7 @@ def _aw_forms(a, b, c, d, base: QBase):
         "d_n_sq": d_n_sq,
         "weight": weight,
     }
-    return _aw_equation_data(a, b, c, d, base), a_n, forms, {"weight_density": weight_density}
+    return eq, a_n, forms, {"weight_density": weight_density}, (abcd, e1, e3)
 
 
 def _make_askey_wilson(params: dict, base: QBase) -> FamilySpec:
@@ -1129,11 +1119,8 @@ def _make_askey_wilson(params: dict, base: QBase) -> FamilySpec:
     _require(a != 0.0, "a", "series prefactor needs a != 0 "
                             "(use continuous_q_hermite for a=b=c=d=0)")
     q = base.q
-    eq, a_n, forms, displays = _aw_forms(a, b, c, d, base)
+    eq, a_n, forms, displays, (abcd, e1, e3) = _aw_forms(a, b, c, d, base)
     lat = eq.lattice
-    abcd = a * b * c * d
-    e1 = a + b + c + d
-    e3 = a * b * c + a * b * d + a * c * d + b * c * d
 
     def series(n, s):
         qs = lat.qs(s)
@@ -1202,7 +1189,7 @@ def _make_continuous_q_hermite(params: dict, base: QBase) -> FamilySpec:
     kq = base.k_q
     # the Askey-Wilson forms at a=b=c=d=0, bit for bit; beta_n and gamma_n
     # are its own, as the Askey-Wilson ones divide by a (a removable a/a)
-    eq, a_n, forms, displays = _aw_forms(0.0, 0.0, 0.0, 0.0, base)
+    eq, a_n, forms, displays, _ = _aw_forms(0.0, 0.0, 0.0, 0.0, base)
     lat = eq.lattice
 
     def series(n, s):

@@ -42,7 +42,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .qkernel import NonConvergedError, QBase, QKernelError
+from .qkernel import NonConvergedError, QBase, QKernelError, _q_orbit
 
 __all__ = [
     "QUADRATURE_RULE",
@@ -115,9 +115,7 @@ def _jackson_zero_to(f, zs, base: QBase, scale):
         # nodes past an entry's stop are evaluated but never read: whatever
         # they give must neither raise nor warn
         with np.errstate(all="ignore"):
-            steps = np.full((len(zs), size), q, dtype=complex)
-            steps[:, 0] = zs
-            nodes = np.cumprod(steps, axis=1)  # z q^k by repeated multiplication
+            nodes = _q_orbit(zs, q, size)  # z q^k
             terms = np.asarray(f(nodes) * nodes, dtype=complex)
             shape, terms = terms.shape[:-1], terms.reshape(-1, size)
             floor = np.broadcast_to(np.abs(np.asarray(scale))[..., None], shape).reshape(-1, 1)

@@ -14,19 +14,18 @@ stops at its first factor with |a q^k| < `_INF_TOL`, a module constant.
 
 Scalar/array contract
 ---------------------
-Scalars go through `math`/`cmath` and return a Python complex (or float).
-`QBase.pow`, `q_pochhammer_inf` and `q_pochhammer_multi` (infinite products)
-also take an ndarray and work elementwise through numpy: a family's weight
-takes arrays only, so it is evaluated once per node array.  The array
-product repeats the scalar's factor sequence: a q^k by repeated
-multiplication, each element's own factors (those before its first
-|a q^k| < _INF_TOL) multiplied left to right from 1, so every entry equals
-the scalar value bit for bit.  `q_pochhammer_multi` stacks its parameters
-(scalars broadcast) into one array product and multiplies the rows from 1
-in order, as the scalar route does.  `q_pochhammer_orbit` (the suffix
-products of one run of factors) equals the scalar up to rounding.  The
-scalar loop of `q_pochhammer_inf` stays for constants: at q <= 0.5 a call
-takes 4-17 us, against 30-50 us through the array product.
+Scalars go through `math`/`cmath` and return a Python complex (or float);
+`QBase.pow` also works elementwise on an ndarray.  (a;q)_inf has one route
+for numbers and ndarrays: `q_pochhammer_inf` takes each element's run of
+factors 1 - a q^m (a q^m by repeated multiplication, `_q_orbit`, which
+forms every q-orbit of the library), each factor from the first
+|a q^m| < _INF_TOL on set to 1, and multiplies them from 1 along the last
+axis, where numpy multiplies as Python's complex product does.  So every
+entry equals the one-factor-at-a-time loop (the tests' oracle) bit for bit,
+and a number gives a Python complex.  `q_pochhammer_multi` stacks its
+parameters (numbers broadcast) into one such pass and multiplies the rows
+from 1 in order; `q_pochhammer_orbit` (the suffix products of one run)
+equals the oracle up to rounding.
 
 `q_pochhammer` with an int ndarray order and `basic_hypergeometric` (n an
 int ndarray, 0-d for one series) broadcast their arguments and return an
@@ -81,10 +80,11 @@ class NonConvergedError(QKernelError):
 
 
 def require_finite(value, what="value"):
-    """Return `value` unchanged, raising if it is NaN or infinite."""
-    z = complex(value)
-    if not (math.isfinite(z.real) and math.isfinite(z.imag)):
-        raise QKernelError(f"{what} is not finite: {value!r}")
+    """Return `value` unchanged, raising if it is NaN or infinite (for an
+    ndarray, if an entry is: the message names the first)."""
+    if not np.isfinite(value).all():
+        first = complex(value[~np.isfinite(value)][0]) if isinstance(value, np.ndarray) else value
+        raise QKernelError(f"{what} is not finite: {first!r}")
     return value
 
 
@@ -191,6 +191,15 @@ def q_factorial(n: int, base: QBase) -> float:
     return out
 
 
+def _q_orbit(a, q: float, size: int):
+    """a q^m for m < size on a new last axis, elementwise in `a`, by repeated
+    multiplication (the scalar's aq *= q)."""
+    steps = np.full(np.shape(a) + (size,), q, dtype=complex)
+    if size:
+        steps[..., 0] = a
+    return np.cumprod(steps, axis=-1)
+
+
 def q_pochhammer(a, base: QBase, k):
     """(a;q)_k = prod_{m=0}^{k-1} (1 - a q^m) for integer k >= 0; elementwise
     for an int ndarray k, broadcast with `a` (see the module contract)."""
@@ -198,11 +207,9 @@ def q_pochhammer(a, base: QBase, k):
         if (k < 0).any():
             raise QKernelError(f"q-Pochhammer order must be a nonnegative integer, got {k.min()}")
         shape = np.broadcast_shapes(k.shape, np.shape(a))
-        steps = np.full((int(k.max(initial=0)) + 1,) + shape, base.q, dtype=complex)
-        steps[0] = a
-        steps[1:] = 1.0 - np.cumprod(steps, axis=0)[:-1]  # 1 - a q^m, a q^m as aq *= q
-        steps[0] = 1.0
-        return _row_at(np.cumprod(steps, axis=0), k)  # (a;q)_m at row m: out *= 1 - aq from 1
+        factors = 1.0 - _q_orbit(np.broadcast_to(a, shape), base.q, int(k.max(initial=0)))
+        table = np.cumprod(np.concatenate([np.ones(shape + (1,)), factors], axis=-1), axis=-1)
+        return _row_at(np.moveaxis(table, -1, 0), k)  # (a;q)_m at m: out *= 1 - aq from 1
     if k < 0 or k != int(k):
         raise QKernelError(f"q-Pochhammer order must be a nonnegative integer, got {k}")
     out = complex(1.0)
@@ -213,87 +220,70 @@ def q_pochhammer(a, base: QBase, k):
     return out
 
 
+def _run(a, q: float, size: int):
+    """(factors, a q^size): the factors 1 - a q^m, m < size, of each element
+    on a new last axis, each 1 from the first |a q^m| < _INF_TOL on (|a q^m|
+    falls with m), and the power that follows them."""
+    powers = _q_orbit(a, q, size + 1)
+    factors = 1.0 - powers[..., :-1]
+    factors[np.abs(powers[..., :-1]) < _INF_TOL] = 1.0
+    return factors, powers[..., -1]
+
+
 def q_pochhammer_inf(a, base: QBase):
     """(a;q)_infty = prod_{k>=0} (1 - a q^k), truncated once |a q^K| < _INF_TOL.
 
-    Requires 0 < q < 1.  The truncation criterion is factor distance from 1;
-    the dropped tail multiplies the result by 1 + O(|a| q^K / (1-q)).
-    `a` may be an ndarray (elementwise, see the module contract).
+    Requires 0 < q < 1; the dropped tail multiplies the result by
+    1 + O(|a| q^K / (1-q)).  Elementwise for an ndarray `a`, a Python complex
+    for a number, in blocks of at most _BLOCK_ENTRIES entries (module
+    contract).  A run that never ends (a non-finite a, or more than
+    _MAX_INF_FACTORS factors) raises NonConvergedError before any factor.
     """
     if not base.allows_infinite_products:
         raise QKernelError(f"infinite product requires q<1, got q={base.q}")
-    if isinstance(a, np.ndarray):
-        return _q_pochhammer_inf_array(a, base.q)
-    out = complex(1.0)
-    aq = complex(a)
-    for _ in range(_MAX_INF_FACTORS):
-        if abs(aq) < _INF_TOL:
-            return require_finite(out, "(a;q)_inf")
-        out *= 1.0 - aq
-        if out == 0.0:
-            return out
-        aq *= base.q
-    raise NonConvergedError(_NOT_TRUNCATED)
+    number = not isinstance(a, np.ndarray)
+    top = abs(complex(a)) if number else float(np.abs(a).max(initial=0.0))
+    if not top < math.inf:  # a non-finite a never truncates (NaN included)
+        raise NonConvergedError(_NOT_TRUNCATED)
+    # factors for the largest |a q^m| to reach _INF_TOL q: room for their rounding
+    need = math.ceil(math.log(_INF_TOL / top) / math.log(base.q)) + 1 if top >= _INF_TOL else 0
+    if need > _MAX_INF_FACTORS:
+        raise NonConvergedError(_NOT_TRUNCATED)
+    if number and not need:
+        return complex(1.0)
+    aq = np.asarray(a, dtype=complex)
+    out, rows = np.ones(aq.shape, dtype=complex), max(1, _BLOCK_ENTRIES // max(aq.size, 1))
+    with np.errstate(all="ignore"):  # a non-finite product raises below
+        for done in range(0, need, rows):
+            factors, aq = _run(aq, base.q, min(rows, need - done))
+            # each element's product so far, then its factors, left to right
+            out = np.multiply.reduce(np.concatenate([out[..., None], factors], axis=-1), axis=-1)
+    out = require_finite(out, "(a;q)_inf")
+    return complex(out) if number else out
 
 
 def q_pochhammer_orbit(a, base: QBase, size: int):
     """(a q^k;q)_infty for k = 0..size-1 on a new last axis, elementwise in `a`:
-    the suffix products of the run of factors 1 - a q^m, cut where
-    `q_pochhammer_inf` cuts.  The factors past the last node are one
-    `q_pochhammer_inf`, which refuses what it refuses."""
+    the suffix products of the run of factors of `q_pochhammer_inf`.  The
+    factors past the last node are one `q_pochhammer_inf`, which refuses what
+    it refuses."""
     with np.errstate(all="ignore"):  # a non-finite a or product raises below
-        steps = np.full((size,) + np.shape(a), base.q, dtype=complex)
-        steps[0] = a
-        powers = np.cumprod(steps, axis=0)  # a q^m: the scalar's aq *= q
-        past = q_pochhammer_inf(powers[-1:] * base.q, base)
-        factors = np.where(np.abs(powers) >= _INF_TOL, 1.0 - powers, 1.0)  # |a q^m| falls with m
-        out = np.cumprod(np.concatenate([past, factors[::-1]]), axis=0)[:0:-1]
-    if not np.isfinite(out).all():
-        raise QKernelError(f"(a;q)_inf is not finite: {complex(out[~np.isfinite(out)][0])!r}")
-    return np.moveaxis(out, 0, -1)
-
-
-def _q_pochhammer_inf_array(a, q: float):
-    """`q_pochhammer_inf` elementwise on an ndarray, in blocks of factors over
-    the elements still live: each element multiplies its own factors only,
-    those before its first |a q^k| < _INF_TOL, into its product so far."""
-    aq = np.array(a, dtype=complex).ravel()
-    if not np.isfinite(aq).all():  # the scalar loop runs to the factor cap
-        raise NonConvergedError(_NOT_TRUNCATED)
-    out = np.ones(aq.shape, dtype=complex)
-    live, done = np.arange(aq.size), 0  # elements that may still take factors
-    with np.errstate(over="ignore", invalid="ignore"):  # non-finite raises below
-        while live.size and (top := np.abs(aq[live]).max()) >= _INF_TOL:
-            if done >= _MAX_INF_FACTORS:
-                raise NonConvergedError(_NOT_TRUNCATED)
-            # enough factors for the largest live element, within the budget
-            need = math.ceil(math.log(_INF_TOL / top) / math.log(q)) + 1
-            rows = max(1, min(need, _MAX_INF_FACTORS - done, _BLOCK_ENTRIES // live.size))
-            steps = np.full((live.size, rows + 2), q, dtype=complex)
-            steps[:, 0] = aq[live]
-            powers = np.cumprod(steps, axis=1)  # a q^k: the scalar's aq *= q
-            run = np.logical_and.accumulate(np.abs(powers[:, :-1]) >= _INF_TOL, axis=1)
-            # row e: its product so far, then 1 - a q^k, k < rows, reduced over its own
-            np.subtract(1.0, powers[:, :rows], out=steps[:, 1:-1])
-            steps[:, 0] = out[live]
-            bounds = np.repeat(np.arange(0, steps.size, rows + 2), 2)
-            bounds[1::2] += 1 + run[:, :-1].sum(axis=1)
-            out[live] = np.multiply.reduceat(steps.ravel(), bounds)[::2]
-            aq[live] = powers[:, rows]
-            live, done = live[run[:, -1]], done + rows
-    if not np.isfinite(out).all():
-        raise QKernelError(f"(a;q)_inf is not finite: {complex(out[~np.isfinite(out)][0])!r}")
-    return out.reshape(np.shape(a))
+        factors, aq = _run(a, base.q, size)
+        past = q_pochhammer_inf(aq, base)
+        out = np.cumprod(np.concatenate([past[..., None], factors[..., ::-1]], axis=-1),
+                         axis=-1)[..., :0:-1]
+    return require_finite(out, "(a;q)_inf")
 
 
 def q_pochhammer_multi(values, base: QBase, k=None):
     """(a_1,...,a_p;q)_k = prod_i (a_i;q)_k; k=None means the infinite product,
-    one array pass over the stacked a_i when one is an ndarray (module contract)."""
-    if k is None and any(isinstance(a, np.ndarray) for a in values):
+    one pass of `q_pochhammer_inf` over the stacked a_i (module contract)."""
+    if k is not None:
+        factors = [q_pochhammer(a, base, k) for a in values]
+    elif any(isinstance(a, np.ndarray) for a in values):
         factors = q_pochhammer_inf(np.stack(np.broadcast_arrays(*values)), base)
     else:
-        factors = (q_pochhammer_inf(a, base) if k is None else q_pochhammer(a, base, k)
-                   for a in values)
+        factors = q_pochhammer_inf(np.array(values, dtype=complex), base).tolist()
     out = complex(1.0)
     for f in factors:
         out *= f
@@ -329,9 +319,7 @@ def basic_hypergeometric(n, upper, lower, z, base: QBase):
     shape = np.broadcast_shapes(n.shape, z.shape, *(v.shape for v in upper + lower))
     sign_power = len(lower) - len(upper) + 1
     K = int(n.max(initial=0))  # axis 0 runs over k < K: every term ratio at once
-    qks = [1.0] * K  # q^k by repeated multiplication
-    for k in range(1, K):
-        qks[k] = qks[k - 1] * base.q
+    qks = _q_orbit(1.0, base.q, K).real.tolist()  # q^k
     qk = np.array(qks).reshape((K,) + (1,) * len(shape))
     with np.errstate(all="ignore"):  # the guard and the finiteness test raise below
         num = np.ones(qk.shape, dtype=complex)

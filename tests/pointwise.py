@@ -12,8 +12,9 @@ Theta/Delta x, the polynomial raising and lowering
 relations, the ladder coefficients and operators, the difference
 quotients, k-fold forward differences and n-fold backward chains, the
 Pearson recurrence, rho_n, the Rodrigues formula, the direct tau_k quotient,
-the discrete squared norms, the Askey--Wilson h-product, and the
-terminating basic hypergeometric series with each family's series P_n.
+the discrete squared norms, the Askey--Wilson h-product, the infinite
+product (a;q)_inf of one number, and the terminating basic hypergeometric
+series with each family's series P_n.
 The library has no point-by-point evaluator: it evaluates sigma, Theta and
 the ladder coefficients on `ladder.StencilGrid` arrays, x on
 `lattice.LatticeTable`s, whose folds give the difference calculus, P_n, rho
@@ -43,6 +44,10 @@ import numpy as np
 from qladder.ladder import StencilGrid, _by_offset, _reduced
 from qladder.lattice import DegenerateStepError, Lattice
 from qladder.qkernel import (
+    _INF_TOL,
+    _MAX_INF_FACTORS,
+    _NOT_TRUNCATED,
+    NonConvergedError,
     QKernelError,
     _cdiv,
     q_factorial,
@@ -275,6 +280,23 @@ def phi(fam, n: int, s) -> complex:
 def pn_monic(fam, n: int, s) -> complex:
     """Monic-normalization value P_n / a_n."""
     return pn(fam, n, s) / fam.coeffs.a_n(n)
+
+
+def q_pochhammer_inf(a, base) -> complex:
+    """(a;q)_inf of one number, one factor at a time in Python complex
+    arithmetic: the scalar loop the library's `qkernel.q_pochhammer_inf` runs
+    over arrays.  It stops at its first |a q^k| < _INF_TOL, or at a zero
+    product, and gives up after _MAX_INF_FACTORS factors."""
+    out = complex(1.0)
+    aq = complex(a)
+    for _ in range(_MAX_INF_FACTORS):
+        if abs(aq) < _INF_TOL:
+            return require_finite(out, "(a;q)_inf")
+        out *= 1.0 - aq
+        if out == 0.0:
+            return out
+        aq *= base.q
+    raise NonConvergedError(_NOT_TRUNCATED)
 
 
 def basic_hypergeometric(n: int, upper, lower, z, base) -> complex:

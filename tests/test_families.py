@@ -97,9 +97,9 @@ def test_asc1_sigma_is_factored_product(families):
 
 def test_cqh_equals_aw_at_zero_parameters(base, families):
     cqh = families["continuous_q_hermite"].eq
-    from qladder.families import _aw_equation_data
+    from qladder.families import _aw_forms
 
-    aw0 = _aw_equation_data(0.0, 0.0, 0.0, 0.0, base)
+    aw0 = _aw_forms(0.0, 0.0, 0.0, 0.0, base)[0]
     for f in ("sigma_pp", "sigma_p0", "sigma_00", "tau_p", "tau_0"):
         assert getattr(cqh, f) == getattr(aw0, f)
     assert cqh.lattice.c1 == aw0.lattice.c1
@@ -295,6 +295,41 @@ def test_qdh_series_beyond_family_raises(families):
         fam.pn_series(5, 1.3)
     with pytest.raises(FamilyError, match="n=5 > n_max=4"):
         fam.pn_series(np.arange(7)[:, None], np.array([0.3, 1.3]))
+
+
+@pytest.mark.parametrize("name", ["askey_wilson", "q_dual_hahn"])
+def test_tabulated_norms_take_two_infinite_products_per_n(name, monkeypatch):
+    # a number's (a_1..a_p;q)_inf is one stacked q_pochhammer_inf call, so a
+    # tabulated d_n^2 (a product over a product) makes two per n, and equals
+    # the closed form with every (a;q)_inf through the oracle, one by one
+    import qladder.families as families_module
+    import qladder.qkernel as qk
+
+    calls = []
+    product = qk.q_pochhammer_inf
+    counted = lambda a, base: calls.append(np.shape(a)) or product(a, base)
+    for module in (qk, families_module):
+        monkeypatch.setattr(module, "q_pochhammer_inf", counted)
+    ns = range(9)
+    fam = make_family(name, reference_params(name), QBase(0.5))
+    if fam.n_max is not None:
+        ns = range(fam.n_max + 1)
+    del calls[:]  # what making the family takes
+    norms = fam.coeffs.d_n_sq(ns)
+    assert len(calls) <= 2 * len(ns)
+    monkeypatch.undo()
+
+    def oracle_multi(values, base, k=None):
+        assert k is None
+        out = complex(1.0)
+        for a in values:
+            out *= pw.q_pochhammer_inf(a, base)
+        return out
+
+    monkeypatch.setattr(families_module, "q_pochhammer_inf", pw.q_pochhammer_inf)
+    monkeypatch.setattr(families_module, "q_pochhammer_multi", oracle_multi)
+    fam = make_family(name, reference_params(name), QBase(0.5))
+    assert _bits(norms) == _bits([fam.closed.d_n_sq(n) for n in ns])
 
 
 def _bits(values):

@@ -19,7 +19,8 @@ per-point refusal (NaN where the weight raises) is `FamilySpec.rho_at_s`,
 and the positive-real rule sits beside `sqrt_rho`; the grid steps Delta x,
 nabla x and Delta x(s-1/2) are read from a `LatticeTable`, and the scalar
 steps live in tests/pointwise.py.  So the wrappers, scalar forks and second
-routes they replaced stay out of the library.
+routes they replaced stay out of the library.  (a;q)_inf has one route for
+numbers and arrays, so no module groups factors with `reduceat`.
 
 A suite's report has one maker, `report.suite`: the suite modules neither
 build a CheckReport nor mark one skipped.
@@ -46,7 +47,8 @@ REMOVED = {"OrthonormalFamily", "WeightTable", "B_n", "_B_from_leading", "weight
            "family_names", "phi_point", "_CMATH_LOG", "SeriesSpec", "_detect_termination",
            "pn_ttrr", "pn_ttrr_x", "_complex", "_scalar_or_array", "_phi_pointwise_ok",
            "_over_n", "_d_column", "_entry", "_memo", "SupportSpec", "norm_source",
-           "_compute_norm_sq", "_rho_or_nan", "_positive_real", "delta_x", "nabla_x"}
+           "_compute_norm_sq", "_rho_or_nan", "_positive_real", "delta_x", "nabla_x",
+           "_q_pochhammer_inf_array", "_aw_equation_data", "reduceat"}
 SUPPORT_LABELS = {"discrete_grid", "jackson_integral", "continuous_interval"}
 
 

@@ -111,26 +111,47 @@ def _bits(values):
     return np.asarray(values, dtype=complex).tobytes()
 
 
+def _numbers_and_array(a, base):
+    """The kernel's (a;q)_inf of each element of `a` as a number, and of `a` as one array."""
+    numbers = [q_pochhammer_inf(complex(v), base) for v in a.ravel()]
+    assert all(type(v) is complex for v in numbers)
+    return _bits(numbers), _bits(q_pochhammer_inf(a, base))
+
+
 @pytest.mark.parametrize("q", [0.5, 0.1, 0.83])
 def test_q_pochhammer_inf_array_equals_scalar_bit_for_bit(q):
     # mixed truncation lengths in one array, |a| < tol, a = 0, complex a and,
-    # at q = 1/2, the zero factor of a = q^-3; the 2-d shape is kept
+    # at q = 1/2, the zero factor of a = q^-3; the 2-d shape is kept.  Both
+    # the numbers and the array equal the oracle's one-factor-at-a-time loop
     base = QBase(q)
     a = np.array([[0.3, -2.7, 1e-17, 0.0, 5.0, 123.4],
                   [-0.999, 1e-3, 8.0, -40.0, 0.75, 1e-15],
                   [0.37 - 0.2j, -2.5 + 1.25j, 1e-3 + 0.7j, -0.05 - 0.04j, 6.0 + 0.5j, 0.9j]])
     got = q_pochhammer_inf(a, base)
     assert got.shape == a.shape
-    assert _bits(got) == _bits([[q_pochhammer_inf(complex(v), base) for v in row] for row in a])
+    want = _bits([pw.q_pochhammer_inf(v, base) for v in a.ravel()])
+    assert _numbers_and_array(a, base) == (want, want)
     if q == 0.5:
         assert got[1, 2] == 0.0
+
+
+def test_q_pochhammer_inf_equals_the_oracle_on_random_arguments():
+    # 2025 real and complex arguments of modulus up to 50 at q = 0.05..0.95
+    rng = np.random.default_rng(30)
+    for q in np.linspace(0.05, 0.95, 9):
+        base = QBase(float(q))
+        a = rng.normal(size=225) * 10.0 ** rng.uniform(-3, 1.7, size=225)
+        a = a + np.where(np.arange(225) % 2, 1j, 0.0) * rng.normal(size=225)
+        want = _bits([pw.q_pochhammer_inf(v, base) for v in a])
+        assert _numbers_and_array(a, base) == (want, want)
 
 
 def test_q_pochhammer_inf_array_in_several_blocks():
     # 1500 elements at q = 0.9 need about 350 factors, more than one block holds
     base = QBase(0.9)
-    a = np.linspace(-3.0, 3.0, 1500)
-    assert _bits(q_pochhammer_inf(a, base)) == _bits([q_pochhammer_inf(float(v), base) for v in a])
+    a = np.linspace(-3.0, 3.0, 1500) + np.where(np.arange(1500) % 3, 0.0, 0.25j)
+    want = _bits([pw.q_pochhammer_inf(v, base) for v in a])
+    assert _numbers_and_array(a, base) == (want, want)
 
 
 def test_q_pochhammer_inf_array_non_finite_errors():
@@ -140,33 +161,54 @@ def test_q_pochhammer_inf_array_non_finite_errors():
         q_pochhammer_inf(1e200, base)
     with pytest.raises(QKernelError, match="not finite"):
         q_pochhammer_inf(np.array([0.5, 1e200]), base)
-    # a non-finite argument never truncates
-    with pytest.raises(NonConvergedError):
-        q_pochhammer_inf(np.array([0.5, np.nan]), base)
+
+
+@pytest.mark.parametrize("a, q", [(math.nan, 0.5), (math.inf, 0.5), (1.0, 1.0 - 1e-7)])
+def test_a_run_that_never_ends_is_refused_before_any_factor(a, q, monkeypatch):
+    # a non-finite a never truncates, and 1 - 1e-7 needs about 4e8 factors:
+    # both refused from max|a| and q, for a number and an array alike
+    import qladder.qkernel as qk
+
+    orbits = []
+    orbit = qk._q_orbit
+    monkeypatch.setattr(qk, "_q_orbit", lambda *args: orbits.append(args) or orbit(*args))
+    base = QBase(q)
+    for value in (a, np.array([0.5, a])):
+        with pytest.raises(NonConvergedError, match="did not truncate within"):
+            q_pochhammer_inf(value, base)
+    assert orbits == []
 
 
 @pytest.mark.parametrize("q", [0.5, 0.1, 0.83])
-def test_q_pochhammer_multi_array_is_one_stacked_pass_equal_to_scalars(q, monkeypatch):
-    # a scalar parameter broadcasts against the arrays; every entry is the
-    # product, from 1 in parameter order, of the scalar (a_i;q)_inf
+def test_q_pochhammer_multi_is_one_stacked_pass_equal_to_the_oracle(q, monkeypatch):
+    # numbers, or arrays with a number broadcast against them: one
+    # q_pochhammer_inf call on the stacked parameters, and every entry the
+    # product, from 1 in parameter order, of the oracle's (a_i;q)_inf
     import qladder.qkernel as qk
 
     base = QBase(q)
     x = np.array([[0.3, -2.7, 1e-17], [0.0, 5.0, -0.999]])
-    values = (x, 0.45, -3.0 * x, np.array([1.5, -0.2, 8.0]))
     passes = []
-    array_pass = qk._q_pochhammer_inf_array
-    monkeypatch.setattr(qk, "_q_pochhammer_inf_array",
-                        lambda a, *rest: passes.append(a.shape) or array_pass(a, *rest))
-    got = q_pochhammer_multi(values, base)
-    assert passes == [(4, 2, 3)] and got.shape == x.shape
-    want = np.ones(x.shape, dtype=complex)
-    for index in np.ndindex(x.shape):
+    product = qk.q_pochhammer_inf
+    monkeypatch.setattr(qk, "q_pochhammer_inf",
+                        lambda a, *rest: passes.append(a.shape) or product(a, *rest))
+
+    def oracle(values):
         out = complex(1.0)
         for v in values:
-            out *= q_pochhammer_inf(float(np.broadcast_to(v, x.shape)[index]), base)
-        want[index] = out
+            out *= pw.q_pochhammer_inf(v, base)
+        return out
+
+    values = (x, 0.45, -3.0 * x, np.array([1.5, -0.2, 8.0]))
+    got = q_pochhammer_multi(values, base)
+    assert passes == [(4, 2, 3)] and got.shape == x.shape
+    want = [oracle([np.broadcast_to(v, x.shape)[index] for v in values])
+            for index in np.ndindex(x.shape)]
     assert _bits(got) == _bits(want)
+    numbers = (0.3, -2.7 + 0.5j, 0.0, 8.0, 0.45)
+    got = q_pochhammer_multi(numbers, base)
+    assert passes[1:] == [(5,)] and type(got) is complex
+    assert _bits(got) == _bits(oracle(numbers))
 
 
 def test_q_pochhammer_multi_array_non_finite_errors():
@@ -189,7 +231,7 @@ def test_q_pochhammer_orbit_equals_each_node_product(q):
     for index in np.ndindex(a.shape):
         node = complex(a[index])
         for k in range(size):
-            want = q_pochhammer_inf(node, base)
+            want = pw.q_pochhammer_inf(node, base)
             assert abs(got[index + (k,)] - want) <= 1e-14 * abs(want)
             node *= q
 
