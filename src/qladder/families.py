@@ -1,17 +1,22 @@
 """Concrete q-polynomial families: Al-Salam--Carlitz I and II, big q-Jacobi,
 q-dual Hahn, Askey--Wilson and continuous q-Hermite.
 
-Each family bundles its lattice, the Taylor data of its difference equation,
-closed-form weight / norm / recurrence data, a basic-hypergeometric series
-evaluator, support description and parameter validation.  A `FamilySpec`
-owns every quantity of one family on its lattice: P_n, rho, d_n, the
-orthonormal phi_n = sqrt(rho/d_n^2) P_n and the per-n table `coeffs` (B_n).
-Its weight, rho, phi_n and recurrence P_n take 1-d arrays of points only.
+Each family is stated once: the registry gives its name, its reference
+parameters and its aliases, and `make_family` converts the parameters to
+finite floats and sets them, the name and the base on the `FamilySpec`.  The
+family's builder validates the parameters and gives only its own data: its
+lattice and the Taylor data of its difference equation, the closed-form
+weight / norm / recurrence data, the parameters of its basic-hypergeometric
+series (`FamilySpec.pn_series` sums them) and the bounds of its measure.  A
+`FamilySpec` owns every quantity of one family on its lattice: P_n, rho,
+d_n, the orthonormal phi_n = sqrt(rho/d_n^2) P_n and the per-n table
+`coeffs` (B_n).  Its weight, rho, phi_n and recurrence P_n take 1-d arrays
+of points only.
 
 Normalization
 -------------
-Every family has a canonical normalization: the one its series evaluator
-produces.  Its leading coefficient a_n is stored explicitly (monic for
+Every family has a canonical normalization: the one its series produces.
+Its leading coefficient a_n is stored explicitly (monic, the default, for
 Al-Salam--Carlitz, big q-Jacobi; a_n = 2^n (abcd q^{n-1};q)_n for
 Askey--Wilson; a_n = 2^n for continuous q-Hermite; a nontrivial closed form
 for q-dual Hahn).  The tabulated three-term recurrence coefficients
@@ -323,10 +328,16 @@ class CoefficientTable(EquationTable):
         return cmath.sqrt(self.norm_sq(n))
 
 
+def _monic(n) -> complex:
+    """a_n of a monic family."""
+    return complex(1.0)
+
+
 @dataclass(frozen=True)
 class FamilySpec:
     """A fully populated family: lattice + equation data + closed forms +
-    series evaluator + support + validated recurrence/norm routes.
+    series parameters + support + validated recurrence/norm routes.
+    `make_family` sets name, params and base; the family's builder the rest.
 
     Immutable after construction; evaluators are pure.  The private cache
     only memoizes idempotent derived values: the per-n table `coeffs`, which
@@ -337,14 +348,16 @@ class FamilySpec:
     starts with an empty cache.
     """
 
-    name: str
-    params: dict
+    name: str  # the canonical registry key
+    params: dict  # the required parameters as finite floats, in reference order
     base: QBase  # user-facing base q (0 < q < 1)
     eq: EquationData  # internal base may be 1/q (asc2)
     support: tuple | None  # the measure's bounds (lo, hi); None where none ships
     closed: ClosedForms
-    a_n: object  # callable n -> canonical leading coefficient
-    series_fn: object  # callable (int ndarray n, ndarray s) -> canonical P_n(s), broadcast
+    # callable (int ndarray n, ndarray s) -> (prefactor, upper, lower, z), so that
+    # canonical P_n(s) = prefactor r_phi_s(q^-n, upper; lower; q, z) over (n, s)
+    series_fn: object
+    a_n: object = _monic  # callable n -> canonical leading coefficient (monic: 1)
     n_max: int | None = None  # highest n of the orthogonal family (None = infinite)
     # lattice coordinates where the series route is well conditioned up to
     # n = 10 (n_max for a finite family): the concordance series-vs-ttrr points
@@ -373,14 +386,18 @@ class FamilySpec:
     # -- polynomial evaluation --------------------------------------------
     def pn_series(self, n, s):
         """Canonical P_n at lattice coordinate s via the basic-hypergeometric
-        representation: `series_fn` on the int ndarray n >= 0 and the ndarray
-        s (an n column and an s row: every (n, point) in one pass); an int n
-        and one point read one entry of it, 0 for n < 0."""
-        if isinstance(n, np.ndarray):
-            return self.series_fn(n, np.asarray(s, dtype=complex))
-        if n < 0:
-            return complex(0.0)
-        return complex(self.series_fn(np.array([[n]]), np.array([s], dtype=complex))[0, 0])
+        representation: the prefactor times one `basic_hypergeometric` pass
+        on the parameters `series_fn` gives for the int ndarray n >= 0 and
+        the ndarray s (an n column and an s row: every (n, point) in one
+        pass); an int n and one point read one entry of it, 0 for n < 0."""
+        one = not isinstance(n, np.ndarray)
+        if one:
+            if n < 0:
+                return complex(0.0)
+            n, s = np.array([[n]]), [s]
+        pre, upper, lower, z = self.series_fn(n, np.asarray(s, dtype=complex))
+        values = pre * basic_hypergeometric(n, upper, lower, z, self.base)
+        return complex(values[0, 0]) if one else values
 
     def pn_stack(self, N: int, x):
         """P_0..P_N (canonical) at the points of the ndarray x from one pass
@@ -555,9 +572,9 @@ def _series_points(start: float, step: float) -> tuple:
 
 def _asc_forms(a: float, base: QBase):
     """What Al-Salam-Carlitz I in base `base` shares with Al-Salam-Carlitz II,
-    which is I in the inverted base: the lattice q^s, the equation data with
-    a_n = 1, and the closed forms lambda_n, beta_n, gamma_n, tau_n', tau_n(0),
-    u and h-+.  Returns (lattice, eq, a_n, ClosedForms fields, displays)."""
+    which is I in the inverted base: the lattice q^s, the equation data and
+    the closed forms lambda_n, beta_n, gamma_n, tau_n', tau_n(0), u and h-+
+    (both monic).  Returns (lattice, eq, ClosedForms fields, displays)."""
     q = base.q
     lat = Lattice(1.0, 0.0, 0.0, base)
     rq = math.sqrt(q)
@@ -569,7 +586,6 @@ def _asc_forms(a: float, base: QBase):
         tau_0=rq * (1.0 + a) / (q - 1.0),
         lattice=lat,
     )
-    a_n = lambda n: complex(1.0)
     forms = {
         "lambda_n": lambda n: q_number(float(n), base) * q ** (1 - n / 2.0) / (q - 1.0),
         "beta_n": lambda n: (1.0 + a) * q**n,
@@ -581,7 +597,7 @@ def _asc_forms(a: float, base: QBase):
         "u": lambda s, n: a * q / (1.0 - q) / lat.x(s),
         "h_mp": lambda n: a * q ** (1 - n) * (q ** (n + 1) - 1.0) / (q - 1.0) ** 2,
     }
-    return lat, eq, a_n, forms, displays
+    return lat, eq, forms, displays
 
 
 def _pochhammer_quotient(factors, products):
@@ -595,22 +611,21 @@ def _pochhammer_quotient(factors, products):
     return weight
 
 
-def _make_asc1(params: dict, base: QBase) -> FamilySpec:
-    a = float(params["a"])
+def _make_asc1(base: QBase, a: float) -> dict:
     _require(a != 0.0, "a", "must be nonzero (weight support [a,1] degenerates)")
     q = base.q
     if a > 0.0:  # at a = q^k the Jackson sums over [0, 1] and [0, a] cancel: d_0^2 = 0
         k = round(math.log(a) / math.log(q))
         _require(abs(a - q**k) > 1e-12 * a, "a", f"a = q^{k} makes the measure on "
                  f"[a, 1] vanish: (q, a, q/a; q)_inf = 0")
-    lat, eq, a_n, forms, displays = _asc_forms(a, base)
+    lat, eq, forms, displays = _asc_forms(a, base)
 
     def series(n, s):
         x = lat.x_values(s)
         if (x == 0).any():
             raise FamilyError("series evaluator needs x != 0 (it uses 1/x)")
         pre = _each_n(lambda k: (-a) ** k * q ** (k * (k - 1) / 2.0), n)
-        return pre * basic_hypergeometric(n, (_cdiv(1.0, x),), (0.0,), _cdiv(q * x, a), base)
+        return pre, (_cdiv(1.0, x),), (0.0,), _cdiv(q * x, a)
 
     weight_factors = ((lambda x: q * x, 1), (lambda x: _cdiv(q * x, a), 1))
     const = cache(lambda: q_pochhammer_multi((q, a, q / a), base))
@@ -651,33 +666,22 @@ def _make_asc1(params: dict, base: QBase) -> FamilySpec:
             "pearson_ratio": "oracle 1/((1-qx)(1-qx/a))",
         },
     )
-    return FamilySpec(
-        name="asc1",
-        params={"a": a},
-        base=base,
-        eq=eq,
-        support=(a, 1.0),
-        closed=closed,
-        a_n=a_n,
-        series_fn=series,
-        series_points=_series_points(-3.0, 0.9),
-    )
+    return dict(eq=eq, support=(a, 1.0), closed=closed, series_fn=series,
+                series_points=_series_points(-3.0, 0.9))
 
 
-def _make_asc2(params: dict, base: QBase) -> FamilySpec:
-    a = float(params["a"])
+def _make_asc2(base: QBase, a: float) -> dict:
     _require(a != 0.0, "a", "must be nonzero")
     q = base.q
     ibase = base.inverted()  # the family is the base-inverted ASC1
     iq = ibase.q
-    lat, eq, a_n, forms, displays = _asc_forms(a, ibase)
+    lat, eq, forms, displays = _asc_forms(a, ibase)
 
     def series(n, s):
         # V_n^{(a)}(x; q) = U_n^{(a)}(x; 1/q), evaluated as the 2phi0 form in
         # the user's base q (terminating, so no q>1 products are needed)
         pre = _each_n(lambda k: (-a) ** k * q ** (-k * (k - 1) / 2.0), n)
-        z = _each_n(lambda k: base.pow(float(k)) / a, n)
-        return pre * basic_hypergeometric(n, (lat.x_values(s),), (), z, base)
+        return pre, (lat.x_values(s),), (), _each_n(lambda k: base.pow(float(k)) / a, n)
 
     def d_n_sq(n):
         # reduced norm: the n-independent (q~, a, q~/a; q~)_inf constant of the
@@ -685,21 +689,11 @@ def _make_asc2(params: dict, base: QBase) -> FamilySpec:
         # (only ratios enter the ladder identities); anchored at d_0^2 = 1.
         return (-a) ** n * q_pochhammer(iq, ibase, n) * iq ** (n * (n - 1) / 2.0)
 
-    return FamilySpec(
-        name="asc2",
-        params={"a": a},
-        base=base,
-        eq=eq,
-        support=None,
-        closed=ClosedForms(**forms, d_n_sq=d_n_sq, weight=None, displays=displays),
-        a_n=a_n,
-        series_fn=series,
-        series_points=_series_points(-3.0, 0.9),
-    )
+    return dict(eq=eq, support=None, series_fn=series, series_points=_series_points(-3.0, 0.9),
+                closed=ClosedForms(**forms, d_n_sq=d_n_sq, weight=None, displays=displays))
 
 
-def _make_big_q_jacobi(params: dict, base: QBase) -> FamilySpec:
-    a, b, c = (float(params[k]) for k in ("a", "b", "c"))
+def _make_big_q_jacobi(base: QBase, a: float, b: float, c: float) -> dict:
     q = base.q
     _require(0.0 < a * q < 1.0, "a", f"need 0 < a q < 1, got a q = {a * q}")
     _require(0.0 <= b * q < 1.0, "b", f"need 0 <= b q < 1, got b q = {b * q}")
@@ -714,13 +708,12 @@ def _make_big_q_jacobi(params: dict, base: QBase) -> FamilySpec:
         tau_0=rq * (a * (b * q - 1.0) + c * (a * q - 1.0)) / (1.0 - q),
         lattice=lat,
     )
-    a_n = lambda n: complex(1.0)
 
     def series(n, s):
         abq = _each_n(lambda k: a * b * q ** (k + 1), n)
         pre = _cdiv(q_pochhammer(a * q, base, n) * q_pochhammer(c * q, base, n),
                     q_pochhammer(abq, base, n))
-        return pre * basic_hypergeometric(n, (abq, lat.x_values(s)), (a * q, c * q), q, base)
+        return pre, (abq, lat.x_values(s)), (a * q, c * q), q
 
     def A_n(n):
         return (
@@ -801,21 +794,11 @@ def _make_big_q_jacobi(params: dict, base: QBase) -> FamilySpec:
         notes={"d_0_sq_anchor": "tabulated norm prefactor disagrees with the direct "
                                 "orthogonality integral of the weight"},
     )
-    return FamilySpec(
-        name="big_q_jacobi",
-        params={"a": a, "b": b, "c": c},
-        base=base,
-        eq=eq,
-        support=(c * q, a * q),
-        closed=closed,
-        a_n=a_n,
-        series_fn=series,
-        series_points=_series_points(-3.9, 0.25),
-    )
+    return dict(eq=eq, support=(c * q, a * q), closed=closed, series_fn=series,
+                series_points=_series_points(-3.9, 0.25))
 
 
-def _make_q_dual_hahn(params: dict, base: QBase) -> FamilySpec:
-    a, b, c = (float(params[k]) for k in ("a", "b", "c"))
+def _make_q_dual_hahn(base: QBase, a: float, b: float, c: float) -> dict:
     q = base.q
     _require(a >= -0.5, "a", f"need -1/2 <= a, got {a}")
     _require(a < b - 1.0, "a", f"need a < b-1, got a={a}, b={b}")
@@ -876,8 +859,7 @@ def _make_q_dual_hahn(params: dict, base: QBase) -> FamilySpec:
         scale = _each_n(lambda k: q ** (k / 2.0 * (3 * a - b + c + 1 + k)) * kq**k, n)
         pre = _cdiv(num, scale * q_pochhammer(q, base, n))
         upper = (np.exp((a - s) * math.log(q)), np.exp((a + s + 1.0) * math.log(q)))
-        lower = (q ** (a - b + 1), q ** (a + c + 1))
-        return pre * basic_hypergeometric(n, upper, lower, q, base)
+        return pre, upper, (q ** (a - b + 1), q ** (a + c + 1)), q
 
     qq_inf = q_pochhammer_inf(q, base)  # (q;q)_inf
 
@@ -945,17 +927,17 @@ def _make_q_dual_hahn(params: dict, base: QBase) -> FamilySpec:
             )
         )
 
+    def tau_intercept(n):
+        return (
+            q ** ((c - b - n + 1) / 2.0) * qn(c + n / 2.0) * qn(b - n / 2.0)
+            + q ** ((a + c - b + 1 - n / 2.0) / 2.0) * qn(a + n / 2.0 + 1.0) * qn(b - c - n - 1.0)
+        )
+
     def u_display(s, n):
         s = complex(s)
         return (
             q ** (0.5 - n / 2.0) * lat.x(s + n / 2.0)
-            - q ** (0.5 + n / 2.0)
-            * (
-                q ** ((c - b - n + 1) / 2.0) * qn(c + n / 2.0) * qn(b - n / 2.0)
-                + q ** ((a + c - b + 1 - n / 2.0) / 2.0)
-                * qn(a + n / 2.0 + 1.0)
-                * qn(b - c - n - 1.0)
-            )
+            - q ** (0.5 + n / 2.0) * tau_intercept(n)
             - base.pow((s + c + a - b + 2.0) / 2.0)
             * qn(s - a)
             * qn(s + b)
@@ -968,12 +950,7 @@ def _make_q_dual_hahn(params: dict, base: QBase) -> FamilySpec:
         beta_n=beta_display,
         gamma_n=gamma_n,
         tau_slope=lambda n: -base.pow(float(-n)),
-        tau_intercept=lambda n: q ** ((c - b - n + 1) / 2.0)
-        * qn(c + n / 2.0)
-        * qn(b - n / 2.0)
-        + q ** ((a + c - b + 1 - n / 2.0) / 2.0)
-        * qn(a + n / 2.0 + 1.0)
-        * qn(b - c - n - 1.0),
+        tau_intercept=tau_intercept,
         d_n_sq=d_n_sq_tab,
         weight=weight,
         displays={
@@ -986,18 +963,8 @@ def _make_q_dual_hahn(params: dict, base: QBase) -> FamilySpec:
             "d_0_sq_anchor": "tabulated norm at n=0 vs the direct orthogonality sum",
         },
     )
-    return FamilySpec(
-        name="q_dual_hahn",
-        params={"a": a, "b": b, "c": c},
-        base=base,
-        eq=eq,
-        support=(a, b),
-        closed=closed,
-        a_n=a_n,
-        series_fn=series,
-        series_points=_series_points(0.3, 0.7),
-        n_max=n_max,
-    )
+    return dict(eq=eq, support=(a, b), closed=closed, a_n=a_n, series_fn=series,
+                series_points=_series_points(0.3, 0.7), n_max=n_max)
 
 
 def _aw_weights(a, b, c, d, base: QBase):
@@ -1112,8 +1079,7 @@ def _aw_forms(a, b, c, d, base: QBase):
     return eq, a_n, forms, {"weight_density": weight_density}, (abcd, e1, e3)
 
 
-def _make_askey_wilson(params: dict, base: QBase) -> FamilySpec:
-    a, b, c, d = (float(params[k]) for k in ("a", "b", "c", "d"))
+def _make_askey_wilson(base: QBase, a: float, b: float, c: float, d: float) -> dict:
     for nm, v in (("a", a), ("b", b), ("c", c), ("d", d)):
         _require(abs(v) < 1.0, nm, f"need |{nm}| < 1 for real orthogonality, got {v}")
     _require(a != 0.0, "a", "series prefactor needs a != 0 "
@@ -1126,7 +1092,7 @@ def _make_askey_wilson(params: dict, base: QBase) -> FamilySpec:
         qs = lat.qs(s)
         pre = _cdiv(q_pochhammer_multi((a * b, a * c, a * d), base, n), _each_n(lambda k: a**k, n))
         upper = (_each_n(lambda k: abcd * q ** (k - 1), n), _cdiv(a, qs), a * qs)
-        return pre * basic_hypergeometric(n, upper, (a * b, a * c, a * d), q, base)
+        return pre, upper, (a * b, a * c, a * d), q
 
     def A_n(n):
         return (
@@ -1171,20 +1137,11 @@ def _make_askey_wilson(params: dict, base: QBase) -> FamilySpec:
         notes={"u_display": "displayed u(s,n) disagrees with the general route "
                             "(the sigma/nabla-x term is off by a factor 2)"},
     )
-    return FamilySpec(
-        name="askey_wilson",
-        params={"a": a, "b": b, "c": c, "d": d},
-        base=base,
-        eq=eq,
-        support=(-1.0, 1.0),
-        closed=closed,
-        a_n=a_n,
-        series_fn=series,
-        series_points=_series_points(3.8, 0.35),
-    )
+    return dict(eq=eq, support=(-1.0, 1.0), closed=closed, a_n=a_n, series_fn=series,
+                series_points=_series_points(3.8, 0.35))
 
 
-def _make_continuous_q_hermite(params: dict, base: QBase) -> FamilySpec:
+def _make_continuous_q_hermite(base: QBase) -> dict:
     q = base.q
     kq = base.k_q
     # the Askey-Wilson forms at a=b=c=d=0, bit for bit; beta_n and gamma_n
@@ -1196,7 +1153,7 @@ def _make_continuous_q_hermite(params: dict, base: QBase) -> FamilySpec:
         # H_n(x|q) = e^{i n theta} 2phi0(q^{-n}, 0; -; q, q^n e^{-2 i theta})
         qs = lat.qs(s)
         z = _cdiv(_each_n(lambda k: base.pow(float(k)), n), qs**2)
-        return qs**n * basic_hypergeometric(n, (0.0,), (), z, base)
+        return qs**n, (0.0,), (), z
 
     def h_pm_display(n):
         # as tabulated (suspected erratum, see notes)
@@ -1215,21 +1172,13 @@ def _make_continuous_q_hermite(params: dict, base: QBase) -> FamilySpec:
         notes={"h_pm_display": "displayed factorization constant differs from the "
                                "general route by a factor q^2"},
     )
-    return FamilySpec(
-        name="continuous_q_hermite",
-        params={},
-        base=base,
-        eq=eq,
-        support=(-1.0, 1.0),
-        closed=closed,
-        a_n=a_n,
-        series_fn=series,
-        series_points=_series_points(2.2, 0.6),
-    )
+    return dict(eq=eq, support=(-1.0, 1.0), closed=closed, a_n=a_n, series_fn=series,
+                series_points=_series_points(2.2, 0.6))
 
 
 # One row per family: name -> (builder, reference parameters, aliases).  The
-# reference parameter names are the parameters the builder requires.
+# reference parameter names are the parameters the builder requires: it is
+# called as build(base, **params) and returns the FamilySpec fields it sets.
 _REGISTRY = {
     "asc1": (_make_asc1, {"a": -1.0}, ("al_salam_carlitz_1", "asc_i")),
     "asc2": (_make_asc2, {"a": -1.0}, ("al_salam_carlitz_2", "asc_ii")),
@@ -1257,8 +1206,21 @@ def canonical_name(name: str) -> str:
     return key
 
 
+def _finite(param: str, value) -> float:
+    """value as a finite float, or FamilyError naming the parameter."""
+    try:
+        out = float(value)
+    except (TypeError, ValueError, OverflowError):
+        out = math.nan
+    _require(math.isfinite(out), param, f"must be a finite number, got {value!r}")
+    return out
+
+
 def make_family(name: str, params: dict, base: QBase) -> FamilySpec:
-    """Construct a validated FamilySpec; constraint violations raise
+    """Construct a validated FamilySpec: its name is the registry key, its
+    params the required parameters as finite floats, in reference order, and
+    the family's builder gives the rest.  Constraint violations (a missing,
+    unused, non-numeric or non-finite parameter among them) raise
     FamilyError naming the offending parameter."""
     _positive_q(base)
     key = canonical_name(name)
@@ -1270,7 +1232,8 @@ def make_family(name: str, params: dict, base: QBase) -> FamilySpec:
     extra = [p for p in params if p not in required]
     if extra:
         raise FamilyError(f"parameter {extra[0]!r} invalid: not used by {key}")
-    return build(params, base)
+    values = {p: _finite(p, params[p]) for p in required}
+    return FamilySpec(name=key, params=values, base=base, **build(base, **values))
 
 
 # -- module-level convenience wrappers --------------------------------------

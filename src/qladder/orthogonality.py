@@ -49,7 +49,6 @@ __all__ = [
     "InnerProductSpec",
     "discrete_inner",
     "jackson_integral",
-    "continuous_inner_aw",
     "gram_matrix",
 ]
 
@@ -178,28 +177,13 @@ def _panel_sum(v):
     return (v[..., 0] + v[..., -1]) / 2 + v[..., 1:-1].sum(axis=-1)
 
 
-def continuous_inner_aw(f, g, weight_density, nodes: int = 2000):
-    """Quadrature of f g over x in (-1, 1) against the density:
-
-        int f(x) g(x) weight_density(x) / sqrt(1-x^2) dx
-
-    computed as the trapezoidal rule in theta (x = cos theta) on `nodes`
-    panels, theta_j = j pi / nodes for j = 0..nodes, where the integrand is
-    smooth and periodic.  f, g and `weight_density` are called once, on the
-    array of all nodes, and return arrays whose last axis runs over the nodes
-    (or scalars); the result is the ndarray of the remaining shape (0-d for
-    scalars).  `weight_density` must already include any 1/(2 pi)
-    normalization.
-    """
-    if nodes < 1:
-        raise QKernelError("quadrature needs at least 1 panel")
-    v = _aw_values(f, g, weight_density, np.arange(nodes + 1) * (math.pi / nodes))
-    return np.asarray(_panel_sum(v) * (math.pi / nodes))
-
-
 def continuous_inner_aw_converged(f, g, weight_density, scale=1.0):
-    """Nested node-doubling loop of the rule of `continuous_inner_aw`, from
-    QUADRATURE_START_NODES panels.
+    """int f(x) g(x) weight_density(x) / sqrt(1-x^2) dx over (-1, 1) by the
+    trapezoidal rule in theta (x = cos theta) on M panels, theta_j = j pi / M,
+    j = 0..M, in a nested node-doubling loop from M = QUADRATURE_START_NODES.
+    f, g and the density (with any 1/(2 pi) folded in) return scalars or
+    arrays whose last axis runs over the nodes; a value is the ndarray of
+    the remaining shape.
 
     Each node is evaluated once: the first call of f, g and the density covers
     the 2M + 1 nodes of the first two levels (M panels read from the

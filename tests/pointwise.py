@@ -12,7 +12,8 @@ Theta/Delta x, the polynomial raising and lowering
 relations, the ladder coefficients and operators, the difference
 quotients, k-fold forward differences and n-fold backward chains, the
 Pearson recurrence, rho_n, the Rodrigues formula, the direct tau_k quotient,
-the discrete squared norms, the Askey--Wilson h-product, the infinite
+the discrete squared norms, the Askey--Wilson quadrature on a fixed
+number of panels and its h-product, the infinite
 product (a;q)_inf of one number, and the terminating basic hypergeometric
 series with each family's series P_n.
 The library has no point-by-point evaluator: it evaluates sigma, Theta and
@@ -43,6 +44,7 @@ import numpy as np
 
 from qladder.ladder import StencilGrid, _by_offset, _reduced
 from qladder.lattice import DegenerateStepError, Lattice
+from qladder.orthogonality import _aw_values, _panel_sum
 from qladder.qkernel import (
     _INF_TOL,
     _MAX_INF_FACTORS,
@@ -341,8 +343,9 @@ def basic_hypergeometric(n: int, upper, lower, z, base) -> complex:
 def pn_series(fam, n: int, s) -> complex:
     """Canonical P_n at one point s by the family's basic-hypergeometric
     series, in Python complex arithmetic through `basic_hypergeometric`
-    above: the per-family formulas the library's `series_fn` evaluates on
-    an n column and an s row."""
+    above: the per-family series whose prefactor and parameters the
+    library's `series_fn` gives on an n column and an s row, and whose one
+    `basic_hypergeometric` pass `FamilySpec.pn_series` makes."""
     p, base, lat = fam.params, fam.base, fam.lattice
     q = base.q
     if fam.name == "asc1":
@@ -802,6 +805,26 @@ def d_n_sq_discrete(eq: EquationData, rho, n: int, a, b, B) -> complex:
     return require_finite(
         sign * a_nk(eq, n, n) * complex(B(n)) ** 2 * total, "discrete d_n^2"
     )
+
+
+def continuous_inner_aw(f, g, weight_density, nodes: int = 2000):
+    """Quadrature of f g over x in (-1, 1) against the density:
+
+        int f(x) g(x) weight_density(x) / sqrt(1-x^2) dx
+
+    computed as the trapezoidal rule in theta (x = cos theta) on `nodes`
+    panels, theta_j = j pi / nodes for j = 0..nodes, where the integrand is
+    smooth and periodic: one level of the rule whose levels the library's
+    `orthogonality.continuous_inner_aw_converged` nests.  f, g and
+    `weight_density` are called once, on the array of all nodes, and return
+    arrays whose last axis runs over the nodes (or scalars); the result is
+    the ndarray of the remaining shape (0-d for scalars).  `weight_density`
+    must already include any 1/(2 pi) normalization.
+    """
+    if nodes < 1:
+        raise QKernelError("quadrature needs at least 1 panel")
+    v = _aw_values(f, g, weight_density, np.arange(nodes + 1) * (math.pi / nodes))
+    return np.asarray(_panel_sum(v) * (math.pi / nodes))
 
 
 def h_pair(x, alpha, q):

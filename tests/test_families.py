@@ -1,6 +1,7 @@
 import cmath
 import dataclasses
 import math
+import random
 
 import numpy as np
 import pytest
@@ -35,6 +36,26 @@ def test_missing_and_extra_params(base):
         make_family("big_q_jacobi", {"a": 0.5, "c": -0.5}, base)
     with pytest.raises(FamilyError, match="'z'"):
         make_family("asc1", {"a": -1.0, "z": 2.0}, base)
+
+
+@pytest.mark.parametrize("name,param,value", [
+    ("asc1", "a", math.nan), ("asc1", "a", -math.inf), ("asc1", "a", math.inf),
+    ("asc2", "a", math.nan), ("asc2", "a", math.inf), ("asc2", "a", -math.inf),
+    ("big_q_jacobi", "c", -math.inf), ("asc1", "a", "x"), ("asc1", "a", None),
+])
+def test_non_finite_or_non_numeric_parameter_is_refused_by_name(base, name, param, value):
+    # each of these built a family whose P_1 and P_2 read NaN, or raised a
+    # bare OverflowError, ValueError or TypeError
+    params = {**reference_params(name), param: value}
+    with pytest.raises(FamilyError, match=f"^parameter '{param}' invalid: must be a finite"):
+        make_family(name, params, base)
+
+
+def test_params_are_the_required_floats_in_reference_order(base):
+    fam = make_family("big_q_jacobi", {"c": -1, "b": "0.5", "a": np.float64(0.5)}, base)
+    assert list(fam.params.items()) == [("a", 0.5), ("b", 0.5), ("c", -1.0)]
+    assert all(type(v) is float for v in fam.params.values())
+    assert fam.name == "big_q_jacobi" and fam.base is base
 
 
 def test_qdh_constraints_named(base):
@@ -356,6 +377,47 @@ def test_series_pass_equals_the_pointwise_series(name, q):
             assert _bits(got) == _bits(want) == _bits(one)
         else:
             assert np.abs(got[:4] - want[:4]).max() <= 1e-13 * np.abs(want[:4]).max()
+
+
+# the parameter boxes of the benchmark's draws (perfbench/configs.py)
+_BOX = {
+    "asc1": {"a": (-3.0, 3.0)},
+    "asc2": {"a": (-3.0, 3.0)},
+    "big_q_jacobi": {"a": (0.0, 10.0), "b": (0.0, 10.0), "c": (-3.0, 0.0)},
+    "askey_wilson": {k: (-0.9, 0.9) for k in "abcd"},
+    "continuous_q_hermite": {},
+}
+_SERIES_DRAWS = 70  # per family
+
+
+def _admissible(rng, name):
+    """A family at seeded admissible parameters, q in [0.1, 0.9]: drawn from
+    its box (q-dual Hahn: b - a from 2 to 7), redrawn while refused."""
+    while True:
+        q = rng.uniform(0.1, 0.9)
+        if name == "q_dual_hahn":
+            a = rng.uniform(-0.5, 2.0)
+            params = {"a": a, "b": a + rng.randint(2, 7), "c": rng.uniform(-3.0, 3.0)}
+        else:
+            params = {k: rng.uniform(*box) for k, box in _BOX[name].items()}
+        try:
+            return make_family(name, params, QBase(q))
+        except FamilyError:
+            pass
+
+
+@pytest.mark.parametrize("name", FAMILY_NAMES)
+def test_series_pass_equals_the_pointwise_series_at_random_admissible_parameters(name):
+    # the one series pass of pn_series over the n column and the series
+    # points, bit for bit against the family's scalar series
+    rng = random.Random(FAMILY_NAMES.index(name))
+    for _ in range(_SERIES_DRAWS):
+        fam = _admissible(rng, name)
+        top = min(10, fam.n_max) if fam.n_max is not None else 10
+        points = fam.series_points
+        got = fam.pn_series(np.arange(top + 1)[:, None], np.array(points, dtype=complex))
+        want = [[pw.pn_series(fam, n, s) for s in points] for n in range(top + 1)]
+        assert _bits(got) == _bits(want), (fam.params, fam.base.q)
 
 
 def test_pn_monic_accessor(families):

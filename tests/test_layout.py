@@ -28,6 +28,11 @@ build a CheckReport nor mark one skipped.
 The lattice kind owns the measure: a family gives only its bounds, so no
 module but families.py spells a measure's label, and none reads a support
 kind (`.support.kind`).
+
+Each family is stated once: `make_family` alone builds a `FamilySpec`, with
+the name, parameters and base the registry gives, so no builder restates
+them; a builder gives its series' prefactor and parameters, and
+`FamilySpec.pn_series` is the one caller of `basic_hypergeometric`.
 """
 
 import ast
@@ -42,7 +47,8 @@ POINTWISE_ONLY = {"sigma_eval", "theta_eval", "tau_eval", "sigma_over_nabla",
                   "theta_over_delta", "check_poly_raising", "check_poly_lowering"}
 TEST_ONLY = {"mu_k", "a_nk", "leading_coeff", "ttrr_coeffs_generic", "pn_monic",
              "lambda_closed", "lam_tau_ratio", "ThreePointOperator",
-             "apply_scaled", "_apply_scaled", "apply_reduced", "ladder_bootstrap", "h_pair"}
+             "apply_scaled", "_apply_scaled", "apply_reduced", "ladder_bootstrap", "h_pair",
+             "continuous_inner_aw"}
 REMOVED = {"OrthonormalFamily", "WeightTable", "B_n", "_B_from_leading", "weight_at",
            "family_names", "phi_point", "_CMATH_LOG", "SeriesSpec", "_detect_termination",
            "pn_ttrr", "pn_ttrr_x", "_complex", "_scalar_or_array", "_phi_pointwise_ok",
@@ -155,3 +161,30 @@ def test_measure_labels_spelled_only_in_families_module():
                     and isinstance(node.value, ast.Attribute) and node.value.attr == "support"):
                 found.append(f"{path.name}:{node.lineno} .support.kind")
     assert not found, f"support kinds read outside the lattice kind: {found}"
+
+
+def _call_sites(path, callee):
+    """The enclosing definition (dotted, as Class.method or outer.inner) of
+    each call of `callee` in `path`; "" at module level."""
+    sites = []
+
+    def visit(node, scope):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                visit(child, f"{scope}.{child.name}".lstrip("."))
+                continue
+            if isinstance(child, ast.Call) and callee in _names(child.func):
+                sites.append(scope)
+            visit(child, scope)
+
+    visit(_tree(path), "")
+    return sites
+
+
+def test_one_call_of_the_series_kernel_makes_p_n():
+    assert _call_sites(SRC / "families.py", "basic_hypergeometric") == ["FamilySpec.pn_series"]
+
+
+def test_only_make_family_builds_a_family_spec():
+    # so no builder names its family or restates its parameters or base
+    assert _call_sites(SRC / "families.py", "FamilySpec") == ["make_family"]

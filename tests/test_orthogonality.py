@@ -16,7 +16,6 @@ from qladder.orthogonality import (
     _jackson_block,
     _one,
     _outer,
-    continuous_inner_aw,
     continuous_inner_aw_converged,
     discrete_inner,
     gram_matrix,
@@ -25,6 +24,7 @@ from qladder.orthogonality import (
 from qladder.qkernel import NonConvergedError, QBase, QKernelError
 
 from conftest import grid_for
+from pointwise import continuous_inner_aw
 from pointwise import phi as phi_at
 
 
