@@ -300,13 +300,9 @@ def cmd_eval(cfg: RunConfig) -> int:
             phi = [None] * len(pts)
         for col, P, f, good in zip(columns, stack[n].tolist(), phi, ok.tolist()):
             rows.append({"n": n, "P": P, "phi": f if good else None, **col})
+    cols = ("n", "s", "x", "P", "phi", "rho", "sigma", "tau", "Theta")  # n, then complex values
     if cfg.fmt == "csv":
-        cols = ["n", "s", "x", "P", "phi", "rho", "sigma", "tau", "Theta"]
-        lines = []
-        header = ["family", "n"]
-        for c in cols[1:]:
-            header += [f"{c}_re", f"{c}_im"]
-        lines.append(",".join(header))
+        lines = [",".join(["family", "n"] + [f"{c}_{p}" for c in cols[1:] for p in ("re", "im")])]
         for r in rows:
             cells = [fam.name, str(r["n"])]
             for c in cols[1:]:
@@ -331,11 +327,7 @@ def cmd_eval(cfg: RunConfig) -> int:
             "family": fam.name,
             "params": fam.params,
             "q": cfg.q,
-            "rows": [
-                {k: (r[k] if k == "n" else enc(r[k])) for k in
-                 ("n", "s", "x", "P", "phi", "rho", "sigma", "tau", "Theta")}
-                for r in rows
-            ],
+            "rows": [{k: (r[k] if k == "n" else enc(r[k])) for k in cols} for r in rows],
         }
         _emit(json.dumps(payload), cfg.out)
     return EXIT_OK

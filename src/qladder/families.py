@@ -50,7 +50,7 @@ import numpy as np
 
 from .hypergeometric_core import EquationData, EquationTable, _column
 from .lattice import Lattice
-from .orthogonality import InnerProductSpec, _one, _outer, discrete_inner, jackson_integral
+from .orthogonality import InnerProductSpec, _outer, discrete_inner, jackson_integral
 from .orthogonality import continuous_inner_aw_converged
 from .qkernel import (
     QBase,
@@ -223,7 +223,7 @@ class _Trigonometric(LatticeKind):
         return fam.weight(fam.lattice.x_values(s)) * fam.lattice.delta_x_mid(s)
 
     def p_gram(self, fam, N: int, outer_p):
-        return continuous_inner_aw_converged(outer_p, _one, fam.closed.displays["weight_density"],
+        return continuous_inner_aw_converged(outer_p, fam.closed.displays["weight_density"],
                                              scale=np.abs(_outer(fam.d_n(range(N + 1)))))
 
 

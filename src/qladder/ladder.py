@@ -18,7 +18,10 @@ E^- and E^+ coefficients, u, v, the H diagonal and the chain weights on
 (grid point x chain offset) arrays, and every suite reads them there: a
 suite that needs the coefficients at a few points takes a grid on them
 from `StencilGrid.shared`, which keeps one grid per family and distinct
-(points, margin), so the suites of one run share them.  The n-dependent
+(points, margin), so the suites of one run share them.  `StencilGrid.apply`
+is the one sum of an H, L+ or L- stencil, on chain functions or, reduced
+through the Pearson relation, on P_n; every suite reads it, and only the
+outer products of the factorization are written out.  The n-dependent
 pieces (A(s,n), u, v, the H diagonal, P_n and w P_n) are columns over n,
 like the family's per-n table (`FamilySpec.coeffs`) their constants come
 from, so a suite reads every n it checks as one array and forms their
@@ -90,26 +93,6 @@ def h_plusminus(fam, n):
     if np.any(np.asarray(n) < 1):
         raise QKernelError("h_plusminus needs n >= 1")
     return h_minusplus(fam, n - 1)
-
-
-def _reduced(which: str, n, g: "StencilGrid", op_n: int | None = None):
-    """The reduced stencil of L+, L- or H(., op_n) on P_n at the points of a
-    margin-1 StencilGrid, for one n or, on (n x point) arrays, for an int
-    ndarray of n.  Where sigma, Theta and rho are >= 0 on a real support, the
-    Pearson relation sqrt(Theta(s-1) sigma(s)) sqrt(rho(s-1)) = sigma(s)
-    sqrt(rho(s)) reduces the square roots of the operators on phi_n to
-    sigma/nabla x on P_n(s-1) and Theta/Delta x on P_n(s+1); the limit-aware
-    ratios keep boundary points with sigma(a) = nabla x(a) = 0 finite."""
-    P = g.p(n)  # P_n at s - 1, s, s + 1 on the last axis
-    son, tod = g.son[:, 0], g.tod[:, 0]
-    if which == "L+":
-        return g.u(n)[..., 0] * P[..., 1] + son * P[..., 0]
-    if which == "L-":
-        return g.v(n)[..., 0] * P[..., 1] + tod * P[..., 2]
-    if which == "H":
-        diag = g.h_diag(n if op_n is None else op_n)
-        return son * P[..., 0] + tod * P[..., 2] + diag * P[..., 1]
-    raise QKernelError(f"unknown operator {which!r}")
 
 
 # ==========================================================================
@@ -383,6 +366,31 @@ class StencilGrid:
         """The chain function w P_n on every offset."""
         return self.w * self.p(n)
 
+    def apply(self, op: str, n, f, k: int = 0, reduced: bool = False):
+        """(value, terms) of (Op f)(s + k) for op "L+", "L-" or "H" at
+        operator index n (an int, or n's whose coefficients broadcast against
+        f as (n x grid point)).  f holds values on chain offsets, centred on
+        offset 0 along its last axis.  The terms are summed in order: for L+
+        and L- the diagonal term, then the side term; for H the E^-, I and
+        E^+ terms.  With `reduced`, sigma/nabla x and Theta/Delta x are the
+        E^- and E^+ coefficients: the operator on P_n where the Pearson
+        relation sqrt(Theta(s-1) sigma(s)) sqrt(rho(s-1)) = sigma(s)
+        sqrt(rho(s)) (sigma, Theta, rho >= 0 on a real support) takes the
+        square roots out; the limit-aware ratios keep a boundary point with
+        sigma(a) = nabla x(a) = 0 finite."""
+        f = _by_offset(f)
+        minus = lambda: self.plus_side(self.son if reduced else self.e_minus)(k) * f(k - 1)
+        plus = lambda: self.minus_side(self.tod if reduced else self.e_plus)(k) * f(k + 1)
+        if op == "L+":
+            terms = (self.plus_side(self.u(n))(k) * f(k), minus())
+        elif op == "L-":
+            terms = (self.minus_side(self.v(n))(k) * f(k), plus())
+        elif op == "H":
+            terms = (minus(), _by_offset(self.h_diag(n)[..., None], 0)(k) * f(k), plus())
+        else:
+            raise QKernelError(f"unknown operator {op!r}")
+        return sum(terms), terms
+
 
 def _cases_by_point(rep, g: StencilGrid, ns, residuals):
     """One case per point and n, point outermost, from (n x point) residuals."""
@@ -402,9 +410,7 @@ def _cases_by_n(rep, g: StencilGrid, ns, residuals):
 def check_eigen(rep, fam, ns, s_grid):
     """H(s,n) phi_n(s) = 0.  Sweep: ns on s_grid."""
     g = StencilGrid.shared(fam, s_grid, 1)
-    f = g.phi(ns)
-    terms = (g.e_minus[:, 0] * f[..., 0], g.h_diag(ns) * f[..., 1], g.e_plus[:, 0] * f[..., 2])
-    _cases_by_point(rep, g, ns, rel_residual(sum(terms), terms))
+    _cases_by_point(rep, g, ns, rel_residual(*g.apply("H", ns, g.phi(ns))))
 
 
 @suite("ttrr_phi",
@@ -424,20 +430,16 @@ def check_ttrr_phi(rep, fam, ns, s_grid):
     _cases_by_n(rep, g, ns, rel_residual(sum(terms), terms))
 
 
-def _ladder_residuals(which: str, ns, g: StencilGrid):
-    """Residual of L+ phi_n (which "+") or L- phi_n ("-") against its
+def _ladder_residuals(op: str, ns, g: StencilGrid):
+    """Residual of L+ phi_n (op "L+") or L- phi_n ("L-") against its
     target at every grid point, for every n in ns."""
     t, n = g.fam.coeffs, np.array(ns, dtype=int)
-    f = g.phi(n)
-    if which == "+":
-        diag, side, shift = g.u(n)[..., 0], g.e_minus[:, 0], 0
+    got, (own, _) = g.apply(op, n, g.phi(n))
+    if op == "L+":
         target = (t.alpha(n) * t.lam_ratio(2 * n))[:, None] * g.phi(n + 1)[..., 1]
     else:
-        diag, side, shift = g.v(n)[..., 0], g.e_plus[:, 0], 2
         coef = (t.gamma(n) * t.lam_ratio(2 * n))[:, None]
         target = np.where((n >= 1)[:, None], coef * g.phi(np.maximum(n - 1, 0))[..., 1], 0.0)
-    own = diag * f[..., 1]
-    got = own + side * f[..., shift] if np.any(side != 0.0) else own
     return rel_residual(got - target, (got, target, own))
 
 
@@ -448,7 +450,7 @@ def check_raising(rep, fam, ns, s_grid):
     the d-ratio enters in its cancelled form (valid at the top of finite
     families where d_{n+1} = 0).  Sweep: ns on s_grid."""
     g = StencilGrid.shared(fam, s_grid, 1)
-    _cases_by_point(rep, g, ns, _ladder_residuals("+", ns, g))
+    _cases_by_point(rep, g, ns, _ladder_residuals("L+", ns, g))
 
 
 @suite("lowering", "L-(s,n) phi_n = gamma_n lambda_{2n}/[2n]_q d_{n-1}/d_n phi_{n-1}", 1e-9)
@@ -457,7 +459,7 @@ def check_lowering(rep, fam, ns, s_grid):
     """L-(s,n) phi_n = gamma_n lambda_{2n}/[2n]_q (d_{n-1}/d_n) phi_{n-1}.
     Sweep: ns on s_grid."""
     g = StencilGrid.shared(fam, s_grid, 1)
-    _cases_by_point(rep, g, ns, _ladder_residuals("-", ns, g))
+    _cases_by_point(rep, g, ns, _ladder_residuals("L-", ns, g))
 
 
 @suite("uv_shift", "u(s+1,n) = v(s,n+1)", 1e-10)
@@ -534,46 +536,43 @@ def check_factorization(rep, fam, ns, s_grid):
         L+(s,n) L-(s,n+1) - h-+(n) I - u(s,n)  H(s,n+1) = 0.
 
     The operators act on chain offsets of a StencilGrid (offset 0 is the
-    grid point) on (n x probe x grid point) arrays.  A residual is scaled by
+    grid point) on (probe x n x grid point) arrays, the inner ones and H
+    through `StencilGrid.apply`.  A residual is scaled by
     the largest product the stencils form, the inner one's propagated
     through the outer coefficients: where rounding noise enters.  Sweep: ns
     on s_grid.
     """
     g = StencilGrid.shared(fam, s_grid, 2)
     n = np.array(ns, dtype=int)
-    monomials = np.stack([g.x ** j for j in range(4)])
-    probes = np.concatenate([np.broadcast_to(monomials, (len(n),) + monomials.shape),
-                             g.phi(n)[:, None]], axis=1)  # (n, probe, grid point, offset)
-    f = _by_offset(probes)
-    per_n = lambda a: a[:, None]  # an (n x grid point) array against the probe axis
-    u, v = g.plus_side(per_n(g.u(n))), g.minus_side(per_n(g.v(n + 1)))
+    monomials = np.stack([g.x ** j for j in range(4)])[:, None]
+    probes = np.concatenate([np.broadcast_to(monomials, (4, len(n)) + g.x.shape),
+                             g.phi(n)[None]])  # (probe, n, grid point, offset)
+    u, v = g.plus_side(g.u(n)), g.minus_side(g.v(n + 1))
     em, ep = g.plus_side(g.e_minus), g.minus_side(g.e_plus)
-    t2 = h_minusplus(fam, n)[:, None, None] * f(0)
+    t2 = h_minusplus(fam, n)[:, None] * _by_offset(probes)(0)
 
-    def apply(stencil):
-        """A stencil's value from its (coefficient, f value) terms, and its
-        largest product."""
-        terms = [c * z for c, z in stencil]
-        return sum(terms), _largest(abs(z) for z in terms)
+    def scaled(value, terms):
+        """A stencil's value and its largest product."""
+        return value, _largest(abs(z) for z in terms)
 
     def residual(outer, hamiltonian, u_h):
         """|L_outer L_inner f - h f - u_h H f| over its scale; `outer` pairs
-        each coefficient of the outer stencil with the inner stencil it
-        multiplies."""
-        inner = [(c, *apply(stencil)) for c, stencil in outer]
-        t1, scale = apply([(c, z) for c, z, _ in inner])
-        scale = _largest([scale] + [abs(c) * sc for c, _, sc in inner])
+        each coefficient of the outer stencil with the scaled inner stencil
+        it multiplies."""
+        terms = [c * z for c, (z, _) in outer]
+        t1, scale = scaled(sum(terms), terms)
+        scale = _largest([scale] + [abs(c) * sc for c, (_, sc) in outer])
         hf, schf = hamiltonian
         return abs(t1 - t2 - u_h * hf) / _largest((scale, abs(t2), abs(u_h) * schf, 1e-300))
 
-    # L+ f at offsets 0, 1 and L- f at offsets -1, 0 (u f + e_minus f(s-1),
-    # v f + e_plus f(s+1)); H f at offset 0 for n and n + 1
-    lp = {k: ((u(k), f(k)), (em(k), f(k - 1))) for k in (0, 1)}
-    lm = {k: ((v(k), f(k)), (ep(k), f(k + 1))) for k in (-1, 0)}
-    h_f = lambda diag: apply(((em(0), f(-1)), (diag, f(0)), (ep(0), f(1))))
-    minus_plus = residual(((v(0), lp[0]), (ep(0), lp[1])), h_f(per_n(g.h_diag(n))), u(1))
-    plus_minus = residual(((em(0), lm[-1]), (u(0), lm[0])), h_f(per_n(g.h_diag(n + 1))), u(0))
-    res = np.stack([minus_plus, plus_minus], axis=-1).transpose(0, 2, 1, 3).tolist()
+    # the inner L+ f at offsets 0, 1 and L- f at offsets -1, 0; H f at offset
+    # 0 for n and n + 1
+    inner = lambda op, m, k=0: scaled(*g.apply(op, m, probes, k))
+    minus_plus = residual(((v(0), inner("L+", n)), (ep(0), inner("L+", n, 1))),
+                          inner("H", n), u(1))
+    plus_minus = residual(((em(0), inner("L-", n + 1, -1)), (u(0), inner("L-", n + 1))),
+                          inner("H", n + 1), u(0))
+    res = np.stack([minus_plus, plus_minus], axis=-1).transpose(1, 2, 0, 3).tolist()
     for k, by_point in zip(ns, res):
         tags = [f"x^{j}" for j in range(4)] + [f"phi_{k}"]
         for label, by_probe in zip(g.labels, by_point):
@@ -585,48 +584,6 @@ def check_factorization(rep, fam, ns, s_grid):
 def _largest(values):
     """Elementwise maximum of nonnegative numbers or arrays (0 for none)."""
     return reduce(np.maximum, values, 0.0)
-
-
-def _bootstrap(fam, N: int, s0: complex, count: int):
-    """Solve L-(s,0) phi_0 = 0 as the ratio recurrence
-
-        phi_0(s+1) = -v(s,0) Delta x(s) phi_0(s) / sqrt(Theta(s) sigma(s+1)),
-
-    normalize phi_0 at s0, then climb N levels with the raising operator,
-    each consuming one chain point on the left.  Returns the table
-    {n: {chain offset: phi_n}}, the margin-1 StencilGrid on the chain points
-    s0 - N .. s0 + count - 1 and `_branch_consistent` on its points."""
-    if N < 0:
-        raise QKernelError("bootstrap needs N >= 0")
-    lo, hi = -N, count - 1
-    g = StencilGrid.shared(fam, [s0 + k for k in range(lo, hi + 1)], 1)
-    # phi_0 from L-(s,0) phi_0 = 0 at every chain point but the last
-    root = g.roots[:-1, 1]  # sqrt(Theta(s) sigma(s+1))
-    if np.any(root == 0.0):
-        at = complex(g.s[:-1][root == 0.0][0])
-        raise QKernelError(f"bootstrap ratio degenerate at s = {at}")
-    vals = [complex(1.0)]
-    for step, r in zip((-g.v(0)[:-1, 0] * g.delta[:-1, 0]).tolist(), root.tolist()):
-        vals.append(step * vals[-1] / r)
-    # normalize at s0 against the direct phi_0
-    i0 = -lo
-    consistent, w = _branch_consistent(fam, g)
-    anchor = complex(fam._phi(0, w[[i0]], g.p(0)[[i0], 1])[0]) if consistent[i0] else complex(1.0)
-    scale = anchor / vals[i0] if vals[i0] != 0 else complex(1.0)
-    cur = np.array([v * scale for v in vals])  # phi_n on the chain offsets n + lo .. hi
-    table = {0: dict(zip(range(lo, hi + 1), cur.tolist()))}
-    # L+ acts on every chain point but the first, on a grid of its own: E^-
-    # is not evaluated at the first point, which may be a lattice symmetry
-    # point where nabla x vanishes
-    up = StencilGrid.shared(fam, g.s[1:], 1)
-    u = up.u(range(N))
-    for n in range(N):
-        coef = fam.coeffs.alpha(n) * fam.coeffs.lam_ratio(2 * n)
-        dr = _d_ratio_up(fam, n)
-        val = u[n, n:, 0] * cur[1:] + up.e_minus[n:, 0] * cur[:-1]
-        cur = _cdiv(val, coef * dr if dr is not None else coef)
-        table[n + 1] = dict(zip(range(lo + n + 1, hi + 1), cur.tolist()))
-    return table, g, consistent, w
 
 
 def _branch_consistent(fam, g: StencilGrid):
@@ -668,19 +625,47 @@ def _d_ratio_up(fam, n: int):
 @suite("bootstrap", "phi_0 from L-(s,0) phi_0 = 0, then phi_{n+1} from L+(s,n)", 1e-8)
 @_RAISE_FP
 def check_bootstrap(rep, fam, ns, s_grid):
-    """Bootstrapped phi_n match direct phi_n up to one constant per level,
-    fixed at the chain's first point (so skipped on a one-point grid).  The
-    direct phi_n are the pointwise ones where their branch agrees with the
-    chain's, else the chain weights times P_n, both on the bootstrap's chain
-    grid.  Sweep: levels
-    n = 0..min(N, 4) on the chain s_grid[0] + k, k < len(s_grid); each level
-    costs digits (q-Hermite at q = 0.2 is off by 2e-4 at level 5)."""
+    """Solve L-(s,0) phi_0 = 0 as the ratio recurrence
+
+        phi_0(s+1) = -v(s,0) Delta x(s) phi_0(s) / sqrt(Theta(s) sigma(s+1))
+
+    on the chain s0 + k, k = -N..len(s_grid) - 1, with s0 = s_grid[0] and
+    N = min(max(ns), 4); normalize phi_0 at s0, then climb N levels with the
+    raising operator, each consuming one chain point on the left.  The
+    bootstrapped phi_n match direct phi_n up to one constant per level,
+    fixed at s0 (so skipped on a one-point grid).  The direct phi_n are the
+    pointwise ones where their branch agrees with the chain's, else the
+    chain weights times P_n, both on the chain grid.  Sweep: levels n = 0..N
+    on the chain s0 + k, k < len(s_grid); each level costs digits (q-Hermite
+    at q = 0.2 is off by 2e-4 at level 5)."""
     if len(s_grid) < 2:
         raise Skipped("one grid point: the constant fit there leaves no point to check")
-    N, s0 = min(max(ns), 4), complex(s_grid[0])
-    offs = range(len(s_grid))
-    table, g, consistent, w = _bootstrap(fam, N, s0, len(s_grid))
-    rows = [k + N for k in offs]
+    N, s0, count = min(max(ns), 4), complex(s_grid[0]), len(s_grid)
+    g = StencilGrid.shared(fam, [s0 + k for k in range(-N, count)], 1)
+    # phi_0 from L-(s,0) phi_0 = 0 at every chain point but the last, in
+    # Python complex arithmetic: as a cumulative product of numpy quotients
+    # the asc1 a = -1, q = 0.2 residual reads 5.1e-8, not 9.478e-9 (bound 1e-8)
+    root = g.roots[:-1, 1]  # sqrt(Theta(s) sigma(s+1))
+    _require_nonzero_root(root, g.s[:-1], "Theta(s) sigma(s+1)")
+    vals = [complex(1.0)]
+    for step, r in zip((-g.v(0)[:-1, 0] * g.delta[:-1, 0]).tolist(), root.tolist()):
+        vals.append(step * vals[-1] / r)
+    # normalize at s0 against the direct phi_0
+    consistent, w = _branch_consistent(fam, g)
+    anchor = complex(fam._phi(0, w[[N]], g.p(0)[[N], 1])[0]) if consistent[N] else complex(1.0)
+    scale = anchor / vals[N] if vals[N] != 0 else complex(1.0)
+    levels = np.zeros((N + 1, len(vals)), dtype=complex)  # phi_n, read from chain point n on
+    levels[0] = [v * scale for v in vals]
+    # L+ acts on every chain point but the first, on a grid of its own: E^-
+    # is not evaluated at the first point, which may be a lattice symmetry
+    # point where nabla x vanishes
+    up = StencilGrid.shared(fam, g.s[1:], 1)
+    up.u(range(N))  # every level's u in one pass
+    for n in range(N):
+        coef, dr = fam.coeffs.alpha(n) * fam.coeffs.lam_ratio(2 * n), _d_ratio_up(fam, n)
+        val, _ = up.apply("L+", n, np.stack([levels[n, :-1], levels[n, 1:]], axis=-1))
+        levels[n + 1, 1:] = _cdiv(val, coef * dr if dr is not None else coef)
+    rows = slice(N, N + count)  # the chain points s0 + k, k < len(s_grid)
     if consistent.all():
         # the pointwise phi_n, with sqrt(rho) from the consistency check
         direct = fam._phi(range(N + 1), w[rows], g.p(range(N + 1))[:, rows, 1])
@@ -691,15 +676,13 @@ def check_bootstrap(rep, fam, ns, s_grid):
         up, down = g.roots[None, :-1, 1], g.roots[None, 1:, 0]
         w = _chain_weights(theta, sigma, up, down, g.s[None, :], N)[0]
         direct = w[rows] * g.p(range(N + 1))[:, rows, 1]
-    for n in range(N + 1):
-        direct_n = dict(zip(offs, direct[n].tolist()))
-        got = table[n]
-        k0 = next(k for k in offs if abs(direct_n[k]) > 1e-14)
-        const = got[k0] / direct_n[k0]
-        scale = max(max(abs(v) for v in direct_n.values()), 1e-30)
-        for k in offs:
-            rep.cases.append(CaseRecord(
-                n, f"{s0 + k:.6g}", abs(got[k] - const * direct_n[k]) / (abs(const) * scale)))
+    for n, (got, want) in enumerate(zip(levels[:, rows].tolist(), direct.tolist())):
+        k0 = next(k for k, d in enumerate(want) if abs(d) > 1e-14)
+        const = got[k0] / want[k0]
+        scale = max(max(abs(d) for d in want), 1e-30)
+        rep.cases += [CaseRecord(n, f"{s0 + k:.6g}",
+                                 abs(got[k] - const * want[k]) / (abs(const) * scale))
+                      for k in range(count)]
 
 
 def _support_grid(fam):
@@ -744,8 +727,8 @@ def check_adjoint(rep, fam, ns, s_grid):
     if targets:
         n = np.array(list(targets))
         phi, phi1 = fam._phi(n, w, g.p(n)[..., 1]), fam._phi(n + 1, w, g.p(n + 1)[..., 1])
-        raised = fam._phi(n, w, _reduced("L+", n, g))
-        lowered = fam._phi(n + 1, w, _reduced("L-", n + 1, g))
+        raised = fam._phi(n, w, g.apply("L+", n, g.p(n), reduced=True)[0])
+        lowered = fam._phi(n + 1, w, g.apply("L-", n + 1, g.p(n + 1), reduced=True)[0])
         s1 = _cdiv(discrete_inner(spec, lambda _: phi1, lambda _: raised), t.lam_ratio(2 * n))
         s2 = _cdiv(discrete_inner(spec, lambda _: lowered, lambda _: phi), t.lam_ratio(2 * n + 2))
         target = np.array(list(targets.values()))
@@ -784,9 +767,10 @@ def check_selfadjoint(rep, fam, ns, s_grid):
     top = N if fam.n_max is None else min(N, fam.n_max + 1)  # phi_k exists for k < top
     if top:
         ks = np.arange(top)
-        phi = fam._phi(ks, w, g.p(ks)[..., 1])
+        P = g.p(ks)
+        phi = fam._phi(ks, w, P[..., 1])
         g.h_diag(ks)  # the H diagonal of every operator n in one pass
-        hphi = [fam._phi(ks, w, _reduced("H", ks, g, n)) for n in range(top)]  # [n][k]
+        hphi = [fam._phi(ks, w, g.apply("H", n, P, reduced=True)[0]) for n in range(top)]  # [n][k]
     for n, m in ((n, m) for n in range(N) for m in range(N)):
         if max(n, m) >= top:
             rep.cases.append(CaseRecord(n, f"m={m}", 0.0,

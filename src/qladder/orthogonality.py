@@ -67,10 +67,6 @@ class InnerProductSpec:
     nodes: tuple
 
 
-def _one(_):
-    return 1.0
-
-
 def discrete_inner(spec: InnerProductSpec, f, g):
     """sum_i f(s_i) g(s_i) Delta x(s_i - 1/2) as an ndarray (0-d for scalar terms).
 
@@ -157,12 +153,12 @@ def jackson_integral(f, z1, z2, base: QBase, scale=1.0):
     return np.asarray(hi - lo)
 
 
-def _aw_values(f, g, weight_density, theta):
-    """f g weight_density at x = cos(theta) for the 1-d array theta, node axis
+def _aw_values(f, weight_density, theta):
+    """f weight_density at x = cos(theta) for the 1-d array theta, node axis
     last; a value that is not finite raises NonConvergedError naming its node."""
     x = np.cos(theta)
     with np.errstate(all="ignore"):  # a value that is not finite is refused below
-        v = np.asarray(f(x) * g(x) * weight_density(x))
+        v = np.asarray(f(x) * weight_density(x))
         total = v.sum()
     if not np.isfinite(total):  # a finite total has only finite values
         bad = ~np.isfinite(v).all(axis=tuple(range(v.ndim - 1)))  # per node
@@ -177,15 +173,15 @@ def _panel_sum(v):
     return (v[..., 0] + v[..., -1]) / 2 + v[..., 1:-1].sum(axis=-1)
 
 
-def continuous_inner_aw_converged(f, g, weight_density, scale=1.0):
-    """int f(x) g(x) weight_density(x) / sqrt(1-x^2) dx over (-1, 1) by the
+def continuous_inner_aw_converged(f, weight_density, scale=1.0):
+    """int f(x) weight_density(x) / sqrt(1-x^2) dx over (-1, 1) by the
     trapezoidal rule in theta (x = cos theta) on M panels, theta_j = j pi / M,
     j = 0..M, in a nested node-doubling loop from M = QUADRATURE_START_NODES.
-    f, g and the density (with any 1/(2 pi) folded in) return scalars or
+    f and the density (with any 1/(2 pi) folded in) return scalars or
     arrays whose last axis runs over the nodes; a value is the ndarray of
     the remaining shape.
 
-    Each node is evaluated once: the first call of f, g and the density covers
+    Each node is evaluated once: the first call of f and the density covers
     the 2M + 1 nodes of the first two levels (M panels read from the
     even-indexed values), and each further doubling from P panels evaluates
     only the P new midpoints, in one call.  Settles when doubling changes
@@ -200,12 +196,12 @@ def continuous_inner_aw_converged(f, g, weight_density, scale=1.0):
     count and the largest relative change between its last two levels.
     """
     panels = QUADRATURE_START_NODES
-    v = _aw_values(f, g, weight_density, np.arange(2 * panels + 1) * (math.pi / (2 * panels)))
+    v = _aw_values(f, weight_density, np.arange(2 * panels + 1) * (math.pi / (2 * panels)))
     total, mids = _panel_sum(v[..., ::2]), v[..., 1::2]
     history = [(panels, np.asarray(total * (math.pi / panels)))]
     for doubling in range(QUADRATURE_MAX_DOUBLINGS):
         if doubling:
-            mids = _aw_values(f, g, weight_density, (np.arange(panels) + 0.5) * (math.pi / panels))
+            mids = _aw_values(f, weight_density, (np.arange(panels) + 0.5) * (math.pi / panels))
         prev = history[-1][1]
         total = total + mids.sum(axis=-1)
         panels *= 2

@@ -42,7 +42,7 @@ from functools import reduce
 
 import numpy as np
 
-from qladder.ladder import StencilGrid, _by_offset, _reduced
+from qladder.ladder import StencilGrid, _by_offset
 from qladder.lattice import DegenerateStepError, Lattice
 from qladder.orthogonality import _aw_values, _panel_sum
 from qladder.qkernel import (
@@ -171,12 +171,13 @@ def beta_generic(eq: EquationData, n: int) -> complex:
 
 def apply_reduced(fam, which: str, n: int, s, op_n: int | None = None):
     """(Op phi_n)(s) with the square roots reduced through the Pearson
-    relation, from the library's reduced stencils (`ladder._reduced`) on a
-    margin-1 StencilGrid at s, one point or an ndarray of support nodes.
-    `op_n` is the operator's eigen-parameter (defaults to the function index
-    n); only H distinguishes the two."""
+    relation, from the library's reduced stencils (`StencilGrid.apply` with
+    `reduced=True`) on a margin-1 StencilGrid at s, one point or an ndarray
+    of support nodes.  `op_n` is the operator's eigen-parameter (defaults to
+    the function index n); only H distinguishes the two."""
     nodes = np.atleast_1d(s)
-    reduced = _reduced(which, n, StencilGrid.shared(fam, nodes, 1), op_n)
+    g = StencilGrid.shared(fam, nodes, 1)
+    reduced, _ = g.apply(which, n if op_n is None or which != "H" else op_n, g.p(n), reduced=True)
     out = _cdiv(fam.sqrt_rho(nodes) * reduced, fam.d_n(n))
     return out if isinstance(s, np.ndarray) else complex(out[0])
 
@@ -517,8 +518,8 @@ def h_diag_at(lam, son, tod, dxm):
 
 def reduced_h_at(son, tod, diag, p_minus, p_zero, p_plus):
     """H(s,n) on P with the square roots reduced: sigma/nabla x P(s-1) +
-    Theta/Delta x P(s+1) + (the I coefficient of H) P(s)."""
-    return son * p_minus + tod * p_plus + diag * p_zero
+    (the I coefficient of H) P(s) + Theta/Delta x P(s+1)."""
+    return son * p_minus + diag * p_zero + tod * p_plus
 
 
 def hamiltonian(fam, n: int) -> ThreePointOperator:
@@ -807,15 +808,15 @@ def d_n_sq_discrete(eq: EquationData, rho, n: int, a, b, B) -> complex:
     )
 
 
-def continuous_inner_aw(f, g, weight_density, nodes: int = 2000):
-    """Quadrature of f g over x in (-1, 1) against the density:
+def continuous_inner_aw(f, weight_density, nodes: int = 2000):
+    """Quadrature of f over x in (-1, 1) against the density:
 
-        int f(x) g(x) weight_density(x) / sqrt(1-x^2) dx
+        int f(x) weight_density(x) / sqrt(1-x^2) dx
 
     computed as the trapezoidal rule in theta (x = cos theta) on `nodes`
     panels, theta_j = j pi / nodes for j = 0..nodes, where the integrand is
     smooth and periodic: one level of the rule whose levels the library's
-    `orthogonality.continuous_inner_aw_converged` nests.  f, g and
+    `orthogonality.continuous_inner_aw_converged` nests.  f and
     `weight_density` are called once, on the array of all nodes, and return
     arrays whose last axis runs over the nodes (or scalars); the result is
     the ndarray of the remaining shape (0-d for scalars).  `weight_density`
@@ -823,7 +824,7 @@ def continuous_inner_aw(f, g, weight_density, nodes: int = 2000):
     """
     if nodes < 1:
         raise QKernelError("quadrature needs at least 1 panel")
-    v = _aw_values(f, g, weight_density, np.arange(nodes + 1) * (math.pi / nodes))
+    v = _aw_values(f, weight_density, np.arange(nodes + 1) * (math.pi / nodes))
     return np.asarray(_panel_sum(v) * (math.pi / nodes))
 
 

@@ -711,7 +711,7 @@ def test_gram_aw_includes_doubling_metadata(tmp_path, monkeypatch):
             finest = np.sort(np.cos(np.arange(panels[-1] + 1) * (np.pi / panels[-1])))
             assert np.abs(x - finest).max() <= 1e-15, (name, N)  # each node once
             _, want = continuous_inner_aw_converged(
-                lambda x: fam.pn_stack(N, x)[N], lambda x: fam.pn_stack(N, x)[N],
+                lambda x: fam.pn_stack(N, x)[N] * fam.pn_stack(N, x)[N],
                 fam.closed.displays["weight_density"], scale=abs(fam.norm_sq(N)),
             )
             assert hist == [[nodes, [v.real, v.imag]] for nodes, v in want], (name, N)

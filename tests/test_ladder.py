@@ -22,7 +22,7 @@ from pointwise import (
     theta_eval,
     theta_over_delta,
 )
-from conftest import FAMILY_NAMES, grid_for, truncated
+from conftest import EXACT_FAMILIES, FAMILY_NAMES, assert_matches_reference, grid_for, truncated
 
 SWEEP_NS = list(range(1, 7))
 
@@ -353,6 +353,66 @@ def test_factorization_beta_sensitivity(families):
     assert rep.max_residual > 1e-5
 
 
+@pytest.mark.parametrize("name", FAMILY_NAMES)
+def test_stencil_apply_matches_the_pointwise_operators(families, name):
+    # the chain form on w P_n along PhiChain, the reduced form on P_n with
+    # sigma/nabla x and Theta/Delta x as the E^- and E^+ coefficients; each
+    # term and the sum in apply's order: diagonal then side for L+ and L-,
+    # E^-, I, E^+ for H (the reduced form on phi_n, `pointwise.apply_reduced`,
+    # is test_apply_reduced_on_node_arrays_matches_pointwise)
+    fam, grid = families[name], [complex(s) for s in grid_for(name)]
+    son, tod = (lambda s: sigma_over_nabla(fam.eq, s)), (lambda s: theta_over_delta(fam.eq, s))
+    g = L.StencilGrid(fam, grid, 1)
+    for n in range(4):
+        H, Lp, Lm = pw.hamiltonian(fam, n), pw.raising_op(fam, n), pw.lowering_op(fam, n)
+        reference = {
+            ("H", False): lambda s, f: (H.c_minus(s) * f(s - 1.0), H.c_zero(s) * f(s),
+                                        H.c_plus(s) * f(s + 1.0)),
+            ("L+", False): lambda s, f: (Lp.c_zero(s) * f(s), Lp.c_minus(s) * f(s - 1.0)),
+            ("L-", False): lambda s, f: (Lm.c_zero(s) * f(s), Lm.c_plus(s) * f(s + 1.0)),
+            ("H", True): lambda s, f: (son(s) * f(s - 1.0), H.c_zero(s) * f(s),
+                                       tod(s) * f(s + 1.0)),
+            ("L+", True): lambda s, f: (Lp.c_zero(s) * f(s), son(s) * f(s - 1.0)),
+            ("L-", True): lambda s, f: (Lm.c_zero(s) * f(s), tod(s) * f(s + 1.0)),
+        }
+        for (op, reduced), terms_at in reference.items():
+            value, terms = g.apply(op, n, g.p(n) if reduced else g.phi(n), reduced=reduced)
+            for i, s in enumerate(grid):
+                f = (lambda t: pw.pn(fam, n, t)) if reduced else pw.PhiChain(fam, s, -1, 1).fn(n)
+                want = terms_at(s, f)
+                for got, w in zip(terms, want):
+                    assert_matches_reference(got[i], w, name)
+                sums = [sum(want)]
+                if op == "H" and reduced:
+                    sums.append(pw.reduced_h_at(son(s), tod(s), H.c_zero(s), f(s - 1.0), f(s),
+                                                f(s + 1.0)))
+                elif op != "H" and not reduced:
+                    sums.append((Lp if op == "L+" else Lm).apply(f, s))
+                for total in sums:  # the sum cancels: off EXACT_FAMILIES, to the terms' size
+                    if name in EXACT_FAMILIES:
+                        assert value[i] == total
+                    else:
+                        assert abs(value[i] - total) <= 1e-14 * max(1.0, *map(abs, want))
+
+
+@pytest.mark.parametrize("suite, ops", [
+    ("eigen", {"H"}), ("raising", {"L+"}), ("lowering", {"L-"}),
+    ("factorization", {"L+", "L-", "H"}), ("bootstrap", {"L+"}), ("adjoint", {"L+", "L-"}),
+    ("selfadjoint", {"H"}),
+])
+def test_each_ladder_suite_sums_its_stencils_in_stencil_grid_apply(families, monkeypatch,
+                                                                   suite, ops):
+    calls, apply = [], L.StencilGrid.apply
+
+    def counted(self, op, *args, **kwargs):
+        calls.append(op)
+        return apply(self, op, *args, **kwargs)
+
+    monkeypatch.setattr(L.StencilGrid, "apply", counted)
+    rep = getattr(L, f"check_{suite}")(families["q_dual_hahn"], [1, 2, 3], grid_for("q_dual_hahn"))
+    assert rep.passed and set(calls) == ops
+
+
 def test_bootstrap_sweep(families):
     for name in FAMILY_NAMES:
         fam = families[name]
@@ -362,15 +422,10 @@ def test_bootstrap_sweep(families):
 
 
 def test_bootstrap_n0_only(families):
-    fam = families["q_dual_hahn"]
-    table = L._bootstrap(fam, 0, 1.3, 3)[0]
-    assert set(table) == {0}
-    # phi_0 proportional to sqrt(rho): ratios match
-    vals, phi = table[0], fam.phi(0, np.array([1.3, 2.3, 3.3]))
-    for k in (0, 1):
-        got = vals[k + 1] / vals[k]
-        want = phi[k + 1] / phi[k]
-        assert got == pytest.approx(want, rel=1e-11)
+    # level 0 alone: phi_0 from L-(s,0) phi_0 = 0 is proportional to sqrt(rho)
+    rep = L.check_bootstrap(families["q_dual_hahn"], [0], [1.3, 2.3, 3.3])
+    assert [(c.n, c.s) for c in rep.cases] == [(0, "1.3+0j"), (0, "2.3+0j"), (0, "3.3+0j")]
+    assert rep.max_residual < 1e-11
 
 
 def test_adjoint_sums(families):

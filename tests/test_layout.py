@@ -33,6 +33,11 @@ Each family is stated once: `make_family` alone builds a `FamilySpec`, with
 the name, parameters and base the registry gives, so no builder restates
 them; a builder gives its series' prefactor and parameters, and
 `FamilySpec.pn_series` is the one caller of `basic_hypergeometric`.
+
+Every H, L+ and L- stencil is summed by `StencilGrid.apply`, the reduced
+form included, so the reduced-stencil and bootstrap-table helpers it
+replaced stay out; the quadrature takes one integrand, so the constant
+second factor `_one` does too.
 """
 
 import ast
@@ -54,7 +59,8 @@ REMOVED = {"OrthonormalFamily", "WeightTable", "B_n", "_B_from_leading", "weight
            "pn_ttrr", "pn_ttrr_x", "_complex", "_scalar_or_array", "_phi_pointwise_ok",
            "_over_n", "_d_column", "_entry", "_memo", "SupportSpec", "norm_source",
            "_compute_norm_sq", "_rho_or_nan", "_positive_real", "delta_x", "nabla_x",
-           "_q_pochhammer_inf_array", "_aw_equation_data", "reduceat"}
+           "_q_pochhammer_inf_array", "_aw_equation_data", "reduceat", "_reduced",
+           "_bootstrap", "_one"}
 SUPPORT_LABELS = {"discrete_grid", "jackson_integral", "continuous_interval"}
 
 

@@ -14,7 +14,6 @@ from qladder.orthogonality import (
     QUADRATURE_START_NODES,
     InnerProductSpec,
     _jackson_block,
-    _one,
     _outer,
     continuous_inner_aw_converged,
     discrete_inner,
@@ -44,7 +43,7 @@ def test_discrete_inner_refuses_a_term_that_is_not_finite():
         gram_matrix(fam, 3)
     spec = InnerProductSpec(fam.lattice, (0.5, 1.5, 2.5))
     with pytest.raises(QKernelError, match=r"at node s = 1\.5\+0j"):
-        discrete_inner(spec, lambda s: np.array([[1.0, np.inf, np.nan]] * 2), _one)
+        discrete_inner(spec, lambda s: np.array([[1.0, np.inf, np.nan]] * 2), lambda s: 1.0)
 
 
 def test_discrete_inner_empty_grid(families):
@@ -104,13 +103,10 @@ def test_asc1_jackson_orthogonality(families):
 def test_aw_quadrature_norm_and_orthogonality(families):
     fam = families["askey_wilson"]
     dens = fam.closed.displays["weight_density"]
-    val = continuous_inner_aw(
-        lambda x: fam.pn_stack(0, x)[0], lambda x: fam.pn_stack(0, x)[0], dens, nodes=2000
-    )
+    val = continuous_inner_aw(lambda x: fam.pn_stack(0, x)[0] ** 2, dens, nodes=2000)
     assert abs(val - fam.norm_sq(0)) < 1e-7 * abs(fam.norm_sq(0))
-    v01 = continuous_inner_aw(
-        lambda x: fam.pn_stack(0, x)[0], lambda x: fam.pn_stack(1, x)[1], dens, nodes=2000
-    )
+    v01 = continuous_inner_aw(lambda x: fam.pn_stack(0, x)[0] * fam.pn_stack(1, x)[1], dens,
+                              nodes=2000)
     assert abs(v01) < 1e-7 * abs(fam.d_n(0) * fam.d_n(1))
 
 
@@ -118,9 +114,7 @@ def test_aw_quadrature_doubling_gate(families):
     fam = families["askey_wilson"]
     dens = fam.closed.displays["weight_density"]
     val, history = continuous_inner_aw_converged(
-        lambda x: fam.pn_stack(1, x)[1], lambda x: fam.pn_stack(1, x)[1], dens,
-        scale=abs(fam.norm_sq(1)),
-    )
+        lambda x: fam.pn_stack(1, x)[1] ** 2, dens, scale=abs(fam.norm_sq(1)))
     assert abs(val - fam.norm_sq(1)) < 1e-9 * abs(fam.norm_sq(1))
     deltas = [abs(history[i + 1][1] - history[i][1]) for i in range(len(history) - 1)]
     assert all(d2 <= d1 or d2 < 1e-12 for d1, d2 in zip(deltas, deltas[1:]))
@@ -177,7 +171,7 @@ def test_gram_matches_per_pair_scalar_rule(families, name):
             else:
                 dd = fam.d_n(n) * fam.d_n(m)
                 val, _ = continuous_inner_aw_converged(
-                    lambda x: fam.pn_stack(n, x)[n], lambda x: fam.pn_stack(m, x)[m],
+                    lambda x: fam.pn_stack(n, x)[n] * fam.pn_stack(m, x)[m],
                     fam.closed.displays["weight_density"], scale=abs(dd),
                 )
                 want = val / dd
@@ -274,7 +268,7 @@ def test_converged_continuous_gram_matches_a_fine_trapezoid(name, params, q, N):
     # trapezoid's to 1e-14 relative to |d_n d_m|
     fam = make_family(name, reference_params(name) if params is None else params, QBase(q))
     G, _ = gram_matrix(fam, N)
-    fine = continuous_inner_aw(lambda x: _outer(fam.pn_stack(N, x)), _one,
+    fine = continuous_inner_aw(lambda x: _outer(fam.pn_stack(N, x)),
                                fam.closed.displays["weight_density"], 8192)
     dd = _outer(fam.d_n(range(N + 1)))
     assert np.max(np.abs(G * dd - fine) / np.abs(dd)) <= 1e-14
@@ -302,17 +296,17 @@ def test_continuous_vector_integrand_unsettled_entry_raises():
 
     smooth = lambda x: 1.0 + 0.5 * x * x
     one = lambda x: 1.0
-    continuous_inner_aw_converged(smooth, one, one)  # settles on its own
+    continuous_inner_aw_converged(smooth, one)  # settles on its own
     # 1/sqrt(1-x) has a non-integrable 1/theta singularity: its entry grows
     # by about sqrt(2) ln 2 per doubling and never settles.  (It is read as 1
     # at the node x = 1, where it is not finite.)  The error names the finest
     # level and the largest relative change between the last two
     singular = lambda x: 1.0 / np.sqrt(1.0 - x + (x == 1.0))
     finest = QUADRATURE_START_NODES * 2**QUADRATURE_MAX_DOUBLINGS
-    prev, cur = (continuous_inner_aw(singular, one, one, m) for m in (finest // 2, finest))
+    prev, cur = (continuous_inner_aw(singular, one, m) for m in (finest // 2, finest))
     with pytest.raises(NonConvergedError, match=rf"after {QUADRATURE_MAX_DOUBLINGS} doublings "
                        rf"\({finest} panels; largest change (\S+)\)$") as err:
-        continuous_inner_aw_converged(lambda x: np.array([smooth(x), singular(x)]), one, one)
+        continuous_inner_aw_converged(lambda x: np.array([smooth(x), singular(x)]), one)
     change = float(str(err.value).rsplit(" ", 1)[1][:-1])
     assert change == pytest.approx(abs(cur - prev) / abs(cur), rel=0.05)  # 2 digits
 
@@ -323,9 +317,9 @@ def test_continuous_non_finite_node_value_is_refused_by_name_without_warning():
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(NonConvergedError, match=r"not finite at node x = 1$"):
-            continuous_inner_aw_converged(lambda x: 1.0 / np.sqrt(1.0 - x), one, one)
+            continuous_inner_aw_converged(lambda x: 1.0 / np.sqrt(1.0 - x), one)
         with pytest.raises(NonConvergedError, match=r"not finite at node x = -1$"):
-            continuous_inner_aw(lambda x: np.log(1.0 + x), one, one, nodes=4)
+            continuous_inner_aw(lambda x: np.log(1.0 + x), one, nodes=4)
 
 
 def test_continuous_gram_past_two_levels_evaluates_each_node_once(monkeypatch):
@@ -350,13 +344,13 @@ def test_continuous_gram_past_two_levels_evaluates_each_node_once(monkeypatch):
     # each nested level is the trapezoid on its own panels, to rounding
     outer_p = lambda x: _outer(fam.pn_stack(N, x))
     for panels, value in history:
-        direct = continuous_inner_aw(outer_p, _one, fam.closed.displays["weight_density"], panels)
+        direct = continuous_inner_aw(outer_p, fam.closed.displays["weight_density"], panels)
         assert np.abs(value - direct).max() <= 1e-15 * np.abs(direct).max(), panels
     for n in range(N + 1):
         for m in range(N + 1):
             dd = fam.d_n(n) * fam.d_n(m)
             val, _ = continuous_inner_aw_converged(
-                lambda x: fam.pn_stack(n, x)[n], lambda x: fam.pn_stack(m, x)[m],
+                lambda x: fam.pn_stack(n, x)[n] * fam.pn_stack(m, x)[m],
                 fam.closed.displays["weight_density"], scale=abs(dd),
             )
             assert abs(G[n, m] - val / dd) < 1e-13, (n, m)
