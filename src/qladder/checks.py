@@ -36,7 +36,7 @@ from .ladder import (
 )
 from .orthogonality import QUADRATURE_RULE, gram_matrix
 from .qkernel import QKernelError, _cdiv, q_factorial, q_number
-from .report import CaseRecord, CheckReport, Skipped, suite
+from .report import CheckReport, Skipped, suite
 
 __all__ = [
     "SUITE_NAMES",
@@ -76,7 +76,8 @@ def concordance_suite(rep, fam, ns, s_grid):
         """One case per row (quantity, label, got, expected), in row order: a
         mismatch is recorded as a suspected erratum; the record, not
         silence, is the pass condition, so every case carries residual 0."""
-        rep.cases.extend(CaseRecord(0, label, 0.0, quantity) for quantity, label, _, _ in rows)
+        rep.add(0, [label for _, label, _, _ in rows], [0.0] * len(rows),
+                [quantity for quantity, _, _, _ in rows])
         for quantity, label, got, expect in rows:
             got, expect = complex(got), complex(expect)
             err = abs(got - expect)
@@ -203,14 +204,11 @@ def difference_calculus_suite(rep, fam, ns, s_grid):
             got = fold(n - 1, r, n)
             want = fact[n] * xh[r][n - 1] + complex(lat.c3) * fact[n - 1] * (
                 n - q_number(float(n), base))
-            rep.cases.append(
-                CaseRecord(n, f"{s:.4g}", rel_residual(got - want, (got, want)),
-                           "exact (n-1)-fold form")
-            )
+            rep.add(n, f"{s:.4g}", rel_residual(got - want, (got, want)), "exact (n-1)-fold form")
         # degree drop: one extra fold annihilates x^n
         got = fold(n + 1, 0, n)
         scale = abs(fact[n]) + abs(xh[0][0]) ** n
-        rep.cases.append(CaseRecord(n, f"{s0:.4g}", abs(got) / scale, "degree drop to zero"))
+        rep.add(n, f"{s0:.4g}", abs(got) / scale, "degree drop to zero")
     # Lemma leading term via divided differences in x_k
     for n in range(2, n_hi + 1):
         for k in range(1, n):
@@ -220,18 +218,13 @@ def difference_calculus_suite(rep, fam, ns, s_grid):
             gvals = [fold(k, r, n) - lead * xv ** (n - k) for r, xv in zip(rs, xvals)]
             resid = _divided_difference(xvals, gvals)
             scale = abs(_divided_difference(xvals, [lead * xv ** (n - k) for xv in xvals]))
-            rep.cases.append(
-                CaseRecord(n, f"k={k}", abs(resid) / max(scale, 1e-12), "leading-term lemma")
-            )
+            rep.add(n, f"k={k}", abs(resid) / max(scale, 1e-12), "leading-term lemma")
     # shift identity (exact), each side through its own argument
     shifts = [(k, s) for k in (0.0, 1.0, 0.5, 2.5) for s in pts]
     a = lat.x_values(np.array([s + 1.0 + k / 2.0 for k, s in shifts])).tolist()  # x_k(s+1)
     b = lat.x_values(np.array([s + (k + 2.0) / 2.0 for k, s in shifts])).tolist()  # x_{k+2}(s)
-    for (k, s), av, bv in zip(shifts, a, b):
-        rep.cases.append(
-            CaseRecord(0, f"k={k},s={s:.4g}", rel_residual(av - bv, (av, bv)),
-                       "x_k(s+1) = x_{k+2}(s)")
-        )
+    rep.add(0, [f"k={k},s={s:.4g}" for k, s in shifts],
+            [rel_residual(av - bv, (av, bv)) for av, bv in zip(a, b)], "x_k(s+1) = x_{k+2}(s)")
 
 
 def _divided_difference(xs, ys):
@@ -260,9 +253,9 @@ def rodrigues_suite(rep, fam, ns, s_grid):
         fit = next((rod / ref for rod, ref in pairs if abs(ref) > 1e-12), None)
         if fit is None:
             raise QKernelError("all reference values vanish; cannot fit constant")
-        for k, (rod, ref) in enumerate(pairs):
-            scale = max(abs(rod), abs(fit * ref), 1e-12)
-            rep.cases.append(CaseRecord(n, f"{s0 + k:.4g}", abs(rod - fit * ref) / scale))
+        rep.add(n, [f"{s0 + k:.4g}" for k in range(len(pairs))],
+                [abs(rod - fit * ref) / max(abs(rod), abs(fit * ref), 1e-12)
+                 for rod, ref in pairs])
         rep.meta.setdefault("fitted_constants", {})[str(n)] = [fit.real, fit.imag]
 
 
@@ -290,17 +283,16 @@ def pearson_suite(rep, fam, ns, s_grid):
     s = np.array([s for s, _ in ratios], dtype=complex)  # closed rho at s, s + 1: one call
     rho = fam.kind.pearson_rho(fam, np.concatenate([s, s + 1.0]))
     wants = _cdiv(rho[len(s):], rho[:len(s)]).tolist()
-    for (s, got), want in zip(ratios, wants):
-        rep.cases.append(CaseRecord(0, f"{complex(s):.4g}", rel_residual(got - want, (got, want))))
+    labels = [f"{complex(s):.4g}" for s, _ in ratios]
+    rep.add(0, labels, [rel_residual(got - want, (got, want))
+                        for (_, got), want in zip(ratios, wants)])
     # oracle form of the same ratio, where the family tabulates one
     oracle = fam.closed.displays.get("pearson_ratio")
     if oracle is not None:
-        for s, got in ratios:
-            want = oracle(s)
-            rep.cases.append(
-                CaseRecord(0, f"{complex(s):.4g}", rel_residual(got - want, (got, want)),
-                           fam.closed.notes.get("pearson_ratio", "oracle"))
-            )
+        wants = [oracle(s) for s, _ in ratios]
+        rep.add(0, labels, [rel_residual(got - want, (got, want))
+                            for (_, got), want in zip(ratios, wants)],
+                fam.closed.notes.get("pearson_ratio", "oracle"))
 
 
 @suite("orthonormality", "Gram matrix of phi_0..phi_N equals the identity", None)
@@ -317,10 +309,9 @@ def orthonormality_suite(rep, fam, ns, s_grid):
         raise Skipped("no orthogonality relation tabulated for this family")
     N = fam.kind.gram_order if fam.n_max is None else min(fam.kind.gram_order, fam.n_max)
     G, history = gram_matrix(fam, N)
-    for n in range(N + 1):
-        for m in range(n, N + 1):
-            target = 1.0 if n == m else 0.0
-            rep.cases.append(CaseRecord(n, f"m={m}", abs(G[n, m] - target)))
+    pairs = [(n, m) for n in range(N + 1) for m in range(n, N + 1)]
+    rep.add([n for n, _ in pairs], [f"m={m}" for _, m in pairs],
+            [abs(G[n, m] - (1.0 if n == m else 0.0)) for n, m in pairs])
     rep.meta["N"] = N
     if fam.kind.norm_convention and fam.tabulated_norms:
         # the tabulated d_n^2 is the validated norm: its ratio to the
@@ -329,8 +320,8 @@ def orthonormality_suite(rep, fam, ns, s_grid):
         spread = float(np.max(np.abs(ratios - ratios[0])) / abs(ratios[0]))
         rep.meta["norm_convention_ratio"] = [ratios[0].real, ratios[0].imag]
         rep.meta["norm_convention_spread"] = spread
-        rep.cases.append(CaseRecord(0, "convention-ratio spread", spread,
-                                    "(integral)/(tabulated d_n^2) constant over n"))
+        rep.add(0, "convention-ratio spread", spread,
+                "(integral)/(tabulated d_n^2) constant over n")
     if history:
         rep.meta["quadrature"] = QUADRATURE_RULE
 
@@ -368,12 +359,11 @@ def poly_ladder_suite(rep, fam, ns, s_grid):
     down = rel_residual(lhs - (low + mid), (lhs, low, mid)).tolist()
     labels = [f"{complex(s):.4g}" for s in s_grid]
     for k in range(1, n_hi + 1):
-        for label, r_up, r_down in zip(labels, up[k - 1], down[k]):
-            rep.cases.append(CaseRecord(k, label, r_up, "raising"))
-            rep.cases.append(CaseRecord(k, label, r_down, "lowering"))
+        rep.add(k, [label for label in labels for _ in range(2)],
+                [r for pair in zip(up[k - 1], down[k]) for r in pair],
+                ["raising", "lowering"] * len(labels))
     # n = 0 lowering consistency with P_{-1} = 0
-    for label, r in zip(labels[:2], down[0]):
-        rep.cases.append(CaseRecord(0, label, r, "lowering n=0"))
+    rep.add(0, labels[:2], down[0][:2], "lowering n=0")
 
 
 # The suites in `--suite all` order.  Suite `name` is the function

@@ -345,7 +345,8 @@ class FamilySpec:
     weights and the suites' stencil grids (`ladder.StencilGrid.shared`), so
     concurrent use is safe: a race at worst recomputes the same values.
     A copy made by `with_perturbation` or `replace(fam, ..., _cache={})`
-    starts with an empty cache.
+    starts with an empty cache.  The table and the grids refer back to the
+    family, so the CLI clears the cache when a command returns.
     """
 
     name: str  # the canonical registry key

@@ -57,7 +57,7 @@ from .hypergeometric_core import _column, _limit_ratio, _sigma_at, _theta_at, re
 from .lattice import DegenerateStepError, LatticeTable
 from .orthogonality import InnerProductSpec, discrete_inner
 from .qkernel import QKernelError, _cdiv
-from .report import CaseRecord, Skipped, suite
+from .report import Skipped, suite
 
 __all__ = [
     "h_minusplus",
@@ -395,14 +395,12 @@ class StencilGrid:
 def _cases_by_point(rep, g: StencilGrid, ns, residuals):
     """One case per point and n, point outermost, from (n x point) residuals."""
     ns = list(ns)
-    for label, row in zip(g.labels, residuals.T.tolist()):
-        rep.cases += [CaseRecord(n, label, r) for n, r in zip(ns, row)]
+    rep.add(ns * len(g.labels), [label for label in g.labels for _ in ns], residuals.T)
 
 
 def _cases_by_n(rep, g: StencilGrid, ns, residuals):
     """One case per n and point, n outermost, from (n x point) residuals."""
-    for n, row in zip(ns, residuals.tolist()):
-        rep.cases += [CaseRecord(n, label, r) for label, r in zip(g.labels, row)]
+    rep.add([n for n in ns for _ in g.labels], g.labels * len(ns), residuals)
 
 
 @suite("eigen", "H(s,n) phi_n(s) = 0 (symmetric-form difference equation)", 1e-9)
@@ -485,7 +483,7 @@ def check_h_remark(rep, fam, ns, s_grid):
     ns = range(1, max(ns) + 2)
     n = np.array(ns, dtype=int)
     a, b = h_plusminus(fam, n + 1), h_minusplus(fam, n)
-    rep.cases += [CaseRecord(k, "-", r) for k, r in zip(ns, rel_residual(a - b, (a, b)).tolist())]
+    rep.add(ns, "-", rel_residual(a - b, (a, b)))
 
 
 @suite("h_s_independence", "s-independence of the bracket expansions of h-+ and h+-", 1e-10)
@@ -518,10 +516,9 @@ def check_h_s_independence(rep, fam, ns, s_grid):
     p2 = -B(0) * tod(-1)
     plus_minus = iter(rel_residual(p1 + p2 - hp, (p1, p2, hp)).tolist())
     for k, row in zip(ns, minus_plus):
-        rep.cases += [CaseRecord(k, label, r, "minusplus") for label, r in zip(g.labels, row)]
+        rep.add(k, g.labels, row, "minusplus")
         if k >= 1:
-            rep.cases += [CaseRecord(k, label, r, "plusminus")
-                          for label, r in zip(g.labels, next(plus_minus))]
+            rep.add(k, g.labels, next(plus_minus), "plusminus")
 
 
 @suite("factorization",
@@ -572,13 +569,13 @@ def check_factorization(rep, fam, ns, s_grid):
                           inner("H", n), u(1))
     plus_minus = residual(((em(0), inner("L-", n + 1, -1)), (u(0), inner("L-", n + 1))),
                           inner("H", n + 1), u(0))
-    res = np.stack([minus_plus, plus_minus], axis=-1).transpose(1, 2, 0, 3).tolist()
+    # (n, grid point, probe, minus-plus or plus-minus), read in C order
+    res = np.stack([minus_plus, plus_minus], axis=-1).transpose(1, 2, 0, 3)
     for k, by_point in zip(ns, res):
-        tags = [f"x^{j}" for j in range(4)] + [f"phi_{k}"]
-        for label, by_probe in zip(g.labels, by_point):
-            for tag, (mp, pm) in zip(tags, by_probe):
-                rep.cases.append(CaseRecord(k, label, mp, f"minus-plus {tag}"))
-                rep.cases.append(CaseRecord(k, label, pm, f"plus-minus {tag}"))
+        notes = [f"{side} {tag}" for tag in [f"x^{j}" for j in range(4)] + [f"phi_{k}"]
+                 for side in ("minus-plus", "plus-minus")]
+        rep.add(k, [label for label in g.labels for _ in notes], by_point,
+                notes * len(g.labels))
 
 
 def _largest(values):
@@ -680,9 +677,8 @@ def check_bootstrap(rep, fam, ns, s_grid):
         k0 = next(k for k, d in enumerate(want) if abs(d) > 1e-14)
         const = got[k0] / want[k0]
         scale = max(max(abs(d) for d in want), 1e-30)
-        rep.cases += [CaseRecord(n, f"{s0 + k:.6g}",
-                                 abs(got[k] - const * want[k]) / (abs(const) * scale))
-                      for k in range(count)]
+        rep.add(n, [f"{s0 + k:.6g}" for k in range(count)],
+                [abs(got[k] - const * want[k]) / (abs(const) * scale) for k in range(count)])
 
 
 def _support_grid(fam):
@@ -737,10 +733,9 @@ def check_adjoint(rep, fam, ns, s_grid):
         targets = dict(zip(targets, sums))
     for n in ns:
         if n in skipped:
-            rep.cases.append(CaseRecord(n, "-", 0.0, skipped[n]))
+            rep.add(n, "-", 0.0, skipped[n])
         else:
-            rep.cases += [CaseRecord(n, "sum1", targets[n][0]),
-                          CaseRecord(n, "sum2", targets[n][1])]
+            rep.add(n, ["sum1", "sum2"], targets[n])
 
 
 @suite("selfadjoint",
@@ -773,15 +768,14 @@ def check_selfadjoint(rep, fam, ns, s_grid):
         hphi = [fam._phi(ks, w, g.apply("H", n, P, reduced=True)[0]) for n in range(top)]  # [n][k]
     for n, m in ((n, m) for n in range(N) for m in range(N)):
         if max(n, m) >= top:
-            rep.cases.append(CaseRecord(n, f"m={m}", 0.0,
-                                        "out-of-range: phi_k beyond finite family"))
+            rep.add(n, f"m={m}", 0.0, "out-of-range: phi_k beyond finite family")
             continue
         ta = phi[m] * hphi[n][n]
         tb = phi[n] * hphi[n][m]
         a, b = ta.sum(), tb.sum()
         terms_scale = max(np.max(np.abs(ta), initial=0.0), np.max(np.abs(tb), initial=0.0))
         scale = max(abs(a), abs(b), terms_scale, 1e-30)
-        rep.cases.append(CaseRecord(n, f"m={m}", float(abs(a - b) / scale)))
+        rep.add(n, f"m={m}", float(abs(a - b) / scale))
 
 
 @suite("branch_continuity",
@@ -796,6 +790,5 @@ def check_branch_continuity(rep, fam, ns, s_grid):
         raise Skipped("real lattice coordinate")
     g = StencilGrid.shared(fam, fam.kind.theta_grid(fam, 200), 1)
     vals = g.roots[:, 1].tolist()  # sqrt(Theta(s) sigma(s+1))
-    for i in range(1, len(vals)):
-        scale = max(abs(vals[i]), abs(vals[i - 1]), 1e-30)
-        rep.cases.append(CaseRecord(0, g.labels[i], abs(vals[i] - vals[i - 1]) / scale))
+    rep.add(0, g.labels[1:], [abs(b - a) / max(abs(b), abs(a), 1e-30)
+                              for a, b in zip(vals, vals[1:])])

@@ -1,17 +1,27 @@
-"""Structured results of identity-check suites, their JSON schema, and the
-one maker of a suite's report (`suite`)."""
+"""Structured results of identity-check suites, their JSON schema, its one
+encoder (`dumps_reports`), and the one maker of a suite's report (`suite`).
+
+A `CheckReport` keeps its cases as four columns (n, label, residual, note),
+filled by `CheckReport.add` with whole rows or arrays, so no suite makes an
+object per case.  `dumps_reports` writes the v1 JSON straight from the
+columns: the bytes `json.dumps` writes for the report objects, with each
+number's text from the json module (NaN and Infinity included) and each
+label and note through `encode_basestring_ascii`.
+"""
 
 from __future__ import annotations
 
 import json
+import math
 import time
 from dataclasses import dataclass, field
 from functools import update_wrapper
+from json.encoder import encode_basestring_ascii
 from typing import NamedTuple
 
 import numpy as np
 
-__all__ = ["SCHEMA_ID", "CaseRecord", "CheckReport", "Skipped", "suite", "report_to_dict"]
+__all__ = ["SCHEMA_ID", "CaseRecord", "CheckReport", "Skipped", "suite", "dumps_reports"]
 
 SCHEMA_ID = "qladder-report/1"
 
@@ -31,27 +41,49 @@ class CheckReport:
 
     `identity` names the relation being verified (self-describing anchor);
     verdict is pass iff max_residual <= tolerance, except suites that carry
-    status "skipped" in meta.  max_residual scans the cases once, and again
-    only after the case list changed length or was replaced; a NaN case makes
-    it NaN, so the report fails.
+    status "skipped" in meta.  max_residual is the largest of the residual
+    column (and 0), read anew on every call; a NaN case makes it NaN, so the
+    report fails.  `cases` is a read-only view of the columns as CaseRecords.
     """
 
     suite: str
     identity: str
     family: str
-    cases: list = field(default_factory=list)
     tolerance: float = 0.0
     wall_ms: float = 0.0
     meta: dict = field(default_factory=dict)
-    _scanned: tuple = field(default=(None, -1, 0.0), init=False, repr=False, compare=False)
+    _case_columns: tuple = field(default_factory=lambda: ([], [], [], []), init=False, repr=False)
+
+    def add(self, n, s, residual, note=""):
+        """Append cases in order: the one case (n, s, residual, note), or, for a
+        list, tuple or array (read in C order) of residuals, one case per
+        residual, where n, s and note are each one value shared by those cases
+        or a sequence of one per case."""
+        if isinstance(residual, np.ndarray):
+            residual = residual.ravel().tolist()
+        elif not isinstance(residual, (list, tuple)):
+            for column, value in zip(self._case_columns, (n, s, residual, note)):
+                column.append(value)
+            return
+        for column, value in zip(self._case_columns, (n, s, residual, note)):
+            if isinstance(value, np.ndarray):
+                value = value.ravel().tolist()
+            if not isinstance(value, (list, tuple, range)):
+                value = [value] * len(residual)
+            elif len(value) != len(residual):
+                raise ValueError(f"{len(value)} values for {len(residual)} cases")
+            column.extend(value)
+
+    @property
+    def cases(self) -> tuple:
+        return tuple(map(CaseRecord._make, zip(*self._case_columns)))
 
     @property
     def max_residual(self) -> float:
-        key = (id(self.cases), len(self.cases))
-        if self._scanned[:2] != key:
-            top = np.max([c.residual for c in self.cases], initial=0.0)  # keeps a NaN
-            self._scanned = (*key, float(top))
-        return self._scanned[2]
+        residuals = self._case_columns[2]
+        if any(map(math.isnan, residuals)):
+            return math.nan
+        return float(max(0.0, max(residuals, default=0.0)))
 
     @property
     def passed(self) -> bool:
@@ -97,23 +129,32 @@ def suite(name: str, identity: str, tolerance):
     return make
 
 
-def report_to_dict(rep: CheckReport) -> dict:
-    return {
-        "schema": SCHEMA_ID,
-        "suite": rep.suite,
-        "identity": rep.identity,
-        "family": rep.family,
-        "tolerance": rep.tolerance,
-        "max_residual": rep.max_residual,
-        "verdict": "pass" if rep.passed else "fail",
-        "wall_ms": round(rep.wall_ms, 3),
-        "cases": [
-            {"n": n, "s": s, "residual": r, "note": note} if note else {"n": n, "s": s, "residual": r}
-            for n, s, r, note in rep.cases
-        ],
-        "meta": rep.meta,
-    }
+def _json_items(values) -> list:
+    """The JSON text of each value, as `json.dumps` writes it in a list."""
+    text = json.dumps(values)[1:-1]
+    items = text.split(", ") if text else []
+    return items if len(items) == len(values) else [json.dumps(v) for v in values]
 
 
 def dumps_reports(reports) -> str:
-    return json.dumps({"schema": SCHEMA_ID, "reports": [report_to_dict(r) for r in reports]})
+    """The JSON document {"schema": SCHEMA_ID, "reports": [...]} of the
+    reports, each an object with the keys schema, suite, identity, family,
+    tolerance, max_residual, verdict, wall_ms (rounded to 3 places), cases
+    (n, s, residual, and note where it is not empty) and meta, in that order:
+    the bytes `json.dumps` writes for them, and what it refuses raises."""
+    enc = encode_basestring_ascii
+
+    def one(rep):
+        head = json.dumps({"schema": SCHEMA_ID, "suite": rep.suite, "identity": rep.identity,
+                           "family": rep.family, "tolerance": rep.tolerance,
+                           "max_residual": rep.max_residual,
+                           "verdict": "pass" if rep.passed else "fail",
+                           "wall_ms": round(rep.wall_ms, 3)})
+        ns, labels, residuals, notes = rep._case_columns
+        cases = ", ".join([
+            f'{{"n": {n}, "s": {enc(s)}, "residual": {r}, "note": {enc(note)}}}' if note
+            else f'{{"n": {n}, "s": {enc(s)}, "residual": {r}}}'
+            for n, s, r, note in zip(_json_items(ns), labels, _json_items(residuals), notes)])
+        return f'{head[:-1]}, "cases": [{cases}], "meta": {json.dumps(rep.meta)}}}'
+
+    return f'{{"schema": "{SCHEMA_ID}", "reports": [{", ".join(map(one, reports))}]}}'

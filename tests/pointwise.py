@@ -15,7 +15,9 @@ Pearson recurrence, rho_n, the Rodrigues formula, the direct tau_k quotient,
 the discrete squared norms, the Askey--Wilson quadrature on a fixed
 number of panels and its h-product, the infinite
 product (a;q)_inf of one number, and the terminating basic hypergeometric
-series with each family's series P_n.
+series with each family's series P_n, and a check report as the dict
+whose `json.dumps` is the v1 JSON (`report_to_dict`), the reference of
+`report.dumps_reports`.
 The library has no point-by-point evaluator: it evaluates sigma, Theta and
 the ladder coefficients on `ladder.StencilGrid` arrays, x on
 `lattice.LatticeTable`s, whose folds give the difference calculus, P_n, rho
@@ -57,6 +59,7 @@ from qladder.qkernel import (
     q_pochhammer_multi,
     require_finite,
 )
+from qladder.report import SCHEMA_ID
 
 
 @dataclass(frozen=True)
@@ -1012,3 +1015,24 @@ def _bootstrap_cases(fam, N: int, grid):
         out += [(n, f"{s0 + k:.6g}", abs(table[n][k] - const * d[k]) / (abs(const) * scale), "")
                 for k in offs]
     return out
+
+
+def report_to_dict(rep) -> dict:
+    """A check report as the dict `json.dumps` writes as its v1 JSON object,
+    case by case from `rep.cases`: the reference `report.dumps_reports` is
+    compared with, byte for byte."""
+    return {
+        "schema": SCHEMA_ID,
+        "suite": rep.suite,
+        "identity": rep.identity,
+        "family": rep.family,
+        "tolerance": rep.tolerance,
+        "max_residual": rep.max_residual,
+        "verdict": "pass" if rep.passed else "fail",
+        "wall_ms": round(rep.wall_ms, 3),
+        "cases": [
+            {"n": n, "s": s, "residual": r, "note": note} if note else {"n": n, "s": s, "residual": r}
+            for n, s, r, note in rep.cases
+        ],
+        "meta": rep.meta,
+    }

@@ -16,7 +16,9 @@ from qladder.families import FAMILY_NAMES, FamilySpec, make_family, reference_pa
 from qladder.ladder import check_adjoint, check_eigen, check_selfadjoint
 from qladder.lattice import DegenerateStepError, Lattice
 from qladder.qkernel import QBase, QKernelError
-from qladder.report import CaseRecord, CheckReport, report_to_dict
+from qladder.report import CaseRecord, CheckReport
+
+from pointwise import report_to_dict
 
 README = pathlib.Path(__file__).resolve().parent.parent / "README.md"
 
@@ -93,7 +95,7 @@ def test_a_direct_call_times_its_suite_and_reports_a_skip(families, check, name,
     fam = families["q_dual_hahn"]
     assert check_eigen(fam, [1, 2], default_grid(fam)).wall_ms > 0
     rep = check(families[name], [1, 2], default_grid(families[name]))
-    assert rep.wall_ms > 0 and rep.cases == []
+    assert rep.wall_ms > 0 and rep.cases == ()
     assert rep.meta == {"status": "skipped",
                         "reason": f"support kind '{label}' has no discrete sum"}
 
@@ -203,7 +205,7 @@ def test_a_suite_checks_the_sweep_its_docstring_derives(families, suite):
         grid = [fam.kind.s_from_grid_value(fam, v) for v in REQUEST_VALUES]
         rep = run_suite(fam, suite, ns=REQUEST_NS, s_grid=grid)
         if rep.meta.get("status") == "skipped":
-            assert rep.cases == []
+            assert rep.cases == ()
             continue
         ran.append(name)
         cases = {(c.n, c.s) for c in rep.cases}
@@ -241,18 +243,48 @@ def test_readme_suite_list_is_the_table():
 def test_max_residual_follows_the_case_list():
     rep = CheckReport("eigen", "identity", "asc1", tolerance=1e-11)
     assert rep.max_residual == 0.0 and rep.passed
-    rep.cases.append(CaseRecord(1, "0.5", 2e-12))
+    rep.add(1, "0.5", 2e-12)
     assert rep.max_residual == 2e-12 and rep.passed
-    rep.cases.append(CaseRecord(2, "0.5", 5e-11))
+    rep.add([2, 3], ["0.5", "1.5"], np.array([5e-11, 1e-13]))
     assert rep.max_residual == 5e-11 and not rep.passed
-    rep.cases = [CaseRecord(1, "0.5", 1e-13)]
+    assert rep.cases == (CaseRecord(1, "0.5", 2e-12), CaseRecord(2, "0.5", 5e-11),
+                         CaseRecord(3, "1.5", 1e-13))
+
+
+def test_max_residual_reads_the_residual_column_on_every_call():
+    # no cached maximum: a residual changed in place from 1e-13 to 1.0 reads
+    # 1.0 and fails the report
+    rep = CheckReport("eigen", "identity", "asc1", tolerance=1e-11)
+    rep.add(1, "0.5", 1e-13)
     assert rep.max_residual == 1e-13 and rep.passed
+    rep._case_columns[2][0] = 1.0
+    assert rep.max_residual == 1.0 and not rep.passed
+
+
+def test_the_case_view_is_read_only():
+    rep = CheckReport("eigen", "identity", "asc1", tolerance=1e-11)
+    rep.add(1, "0.5", 1e-13)
+    with pytest.raises(TypeError):
+        rep.cases[0] = CaseRecord(1, "0.5", 1.0)
+    with pytest.raises(AttributeError):
+        rep.cases.append(CaseRecord(2, "0.5", 1.0))
+    with pytest.raises(AttributeError):
+        rep.cases = [CaseRecord(1, "0.5", 1.0)]
+    assert rep.max_residual == 1e-13 and len(rep.cases) == 1
+
+
+def test_add_pairs_every_value_with_one_case():
+    rep = CheckReport("eigen", "identity", "asc1")
+    with pytest.raises(ValueError, match="2 values for 3 cases"):
+        rep.add([1, 2], "0.5", [0.0, 0.0, 0.0])
+    rep.add(range(2), ("a", "b"), np.zeros((1, 2)), ["x", ""])
+    assert rep.cases == (CaseRecord(0, "a", 0.0, "x"), CaseRecord(1, "b", 0.0))
 
 
 def test_a_nan_case_makes_the_maximum_nan_and_the_report_fail():
     # Python's max keeps 1e-16 against a NaN that is not the first case
-    rep = CheckReport("eigen", "identity", "asc1", tolerance=1e-11,
-                      cases=[CaseRecord(1, "0.5", 1e-16), CaseRecord(2, "1.5", math.nan)])
+    rep = CheckReport("eigen", "identity", "asc1", tolerance=1e-11)
+    rep.add([1, 2], ["0.5", "1.5"], [1e-16, math.nan])
     assert math.isnan(rep.max_residual) and not rep.passed
     assert report_to_dict(rep)["verdict"] == "fail"
 
@@ -270,7 +302,7 @@ def test_a_constant_fit_at_the_only_grid_point_is_skipped(suite):
     # so on one point every case would read 0 whatever the family
     fam = make_family("big_q_jacobi", {"a": 0.5, "b": 0.5, "c": -0.5}, QBase(0.5))
     rep = run_suite(fam, suite, s_grid=[0.25])
-    assert rep.cases == [] and rep.meta == {
+    assert rep.cases == () and rep.meta == {
         "status": "skipped",
         "reason": "one grid point: the constant fit there leaves no point to check"}
     assert run_suite(fam, suite, s_grid=[0.25, 1.25]).cases

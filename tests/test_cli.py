@@ -1,18 +1,20 @@
+import gc
 import json
 import math
 import pathlib
 import subprocess
 import sys
+import weakref
 
 import numpy as np
 import pytest
 
-from qladder import cli, families
+from qladder import cli, families, ladder
 from qladder.cli import main
 from qladder.families import make_family, reference_params
 from qladder.orthogonality import continuous_inner_aw_converged
 from qladder.qkernel import QBase, QKernelError
-from qladder.report import SCHEMA_ID, report_to_dict
+from qladder.report import SCHEMA_ID
 
 import pointwise
 
@@ -29,6 +31,34 @@ REF_ARGS = {
 
 def run_cli(args):
     return main(list(args))
+
+
+@pytest.mark.parametrize("command", [["check", "--suite", "all"], ["gram", "--n-max", "4"],
+                                     ["eval"], ["check", "--perturb", "beta", "1e-3"]],
+                         ids=["check", "gram", "eval", "check-perturbed"])
+def test_a_command_frees_its_family_without_the_cyclic_collector(tmp_path, monkeypatch,
+                                                                 command):
+    # a family's cache holds its per-n table and stencil grids, which refer
+    # back to it; the command drops the cache when it returns, so reference
+    # counting frees the family (and a perturbed family's base), its table
+    # and its grids
+    made = []
+    for cls in (families.FamilySpec, families.CoefficientTable, ladder.StencilGrid):
+        def tracked(self, *args, init=cls.__init__, **kwargs):
+            init(self, *args, **kwargs)
+            made.append(weakref.ref(self))
+
+        monkeypatch.setattr(cls, "__init__", tracked)
+    gc.collect()
+    gc.disable()
+    try:
+        for name, args in REF_ARGS.items():
+            run_cli([*command, "--family", name, "--q", "0.5", *args,
+                     "--out", str(tmp_path / "out")])
+        alive = [type(ref()).__name__ for ref in made if ref() is not None]
+    finally:
+        gc.enable()
+    assert len(made) > len(REF_ARGS) and not alive, (len(made), alive)
 
 
 def test_list_families(capsys):
@@ -741,7 +771,7 @@ def test_check_json_is_compact_and_equals_the_report_dicts(tmp_path, monkeypatch
     text = out.read_text()
     assert "\n" not in text.strip()
     assert json.loads(text) == {"schema": SCHEMA_ID,
-                                "reports": [report_to_dict(r) for r in reports]}
+                                "reports": [pointwise.report_to_dict(r) for r in reports]}
     for cmd in ("eval", "gram"):
         out = tmp_path / f"{cmd}.json"
         assert run_cli([cmd, "--family", "asc1", "--q", "0.5", *REF_ARGS["asc1"],

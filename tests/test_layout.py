@@ -38,6 +38,13 @@ Every H, L+ and L- stencil is summed by `StencilGrid.apply`, the reduced
 form included, so the reduced-stencil and bootstrap-table helpers it
 replaced stay out; the quadrature takes one integrand, so the constant
 second factor `_one` does too.
+
+A report keeps its cases as columns: no library module constructs a
+`CaseRecord` (the read-only `CheckReport.cases` view makes them for readers
+with `CaseRecord._make`), and `report.dumps_reports` is the one encoder of
+check reports: no other library module reads a report's cases or columns,
+and the check command writes its JSON through it.  The dict-per-report
+encoder it replaced lives in tests/pointwise.py as its reference.
 """
 
 import ast
@@ -53,7 +60,7 @@ POINTWISE_ONLY = {"sigma_eval", "theta_eval", "tau_eval", "sigma_over_nabla",
 TEST_ONLY = {"mu_k", "a_nk", "leading_coeff", "ttrr_coeffs_generic", "pn_monic",
              "lambda_closed", "lam_tau_ratio", "ThreePointOperator",
              "apply_scaled", "_apply_scaled", "apply_reduced", "ladder_bootstrap", "h_pair",
-             "continuous_inner_aw"}
+             "continuous_inner_aw", "report_to_dict"}
 REMOVED = {"OrthonormalFamily", "WeightTable", "B_n", "_B_from_leading", "weight_at",
            "family_names", "phi_point", "_CMATH_LOG", "SeriesSpec", "_detect_termination",
            "pn_ttrr", "pn_ttrr_x", "_complex", "_scalar_or_array", "_phi_pointwise_ok",
@@ -194,3 +201,18 @@ def test_one_call_of_the_series_kernel_makes_p_n():
 def test_only_make_family_builds_a_family_spec():
     # so no builder names its family or restates its parameters or base
     assert _call_sites(SRC / "families.py", "FamilySpec") == ["make_family"]
+
+
+def test_no_module_constructs_a_case_record():
+    found = [f"{path.name}:{node.lineno}" for path in MODULES for node in ast.walk(_tree(path))
+             if isinstance(node, ast.Call) and "CaseRecord" in _names(node.func)]
+    assert not found, f"CaseRecord( in the library: {found}"
+
+
+def test_dumps_reports_is_the_one_encoder_of_check_reports():
+    readers = [f"{path.name}:{node.lineno} .{node.attr}" for path in MODULES
+               if path.name != "report.py" for node in ast.walk(_tree(path))
+               if isinstance(node, ast.Attribute) and node.attr in ("cases", "_case_columns")]
+    assert not readers, f"a report's cases read outside report.py: {readers}"
+    assert set(_call_sites(SRC / "report.py", "dumps")) == {"_json_items", "dumps_reports.one"}
+    assert _call_sites(SRC / "cli.py", "dumps_reports") == ["cmd_check"]

@@ -17,9 +17,9 @@ from qladder.checks import SUITE_NAMES, default_grid, run_suite, run_suites
 from qladder.families import FamilyError, make_family, reference_params
 from qladder.ladder import StencilGrid
 from qladder.qkernel import QBase
-from qladder.report import report_to_dict
 
 from conftest import FAMILY_NAMES, REFERENCE_Q
+from pointwise import report_to_dict
 
 
 def _fresh(name, perturbed=False):
