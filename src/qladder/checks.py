@@ -380,12 +380,18 @@ SUITE_NAMES = _SUITES = (
 def run_suite(fam, suite: str, ns=None, s_grid=None, tolerances=None) -> CheckReport:
     """Run one named suite on the request (ns, s_grid), by default n = 1..5
     on `default_grid(fam)`, at its default tolerance unless `tolerances`
-    overrides it."""
+    overrides it.  A request that checks nothing (no n, no point) or an n
+    that is not an int >= 0 raises QKernelError naming the field."""
     if suite not in _SUITES:
         raise QKernelError(f"unknown suite {suite!r}; known: {', '.join(SUITE_NAMES)}")
     tol = {"tolerance": tolerances[suite]} if tolerances and suite in tolerances else {}
     ns = list(ns) if ns is not None else list(range(1, 6))
     grid = list(s_grid) if s_grid is not None else default_grid(fam)
+    if not ns or not all(isinstance(n, (int, np.integer)) and not isinstance(n, bool)
+                         and n >= 0 for n in ns):
+        raise QKernelError(f"field 'ns': need one or more ints n >= 0, got {ns!r}")
+    if not grid:
+        raise QKernelError("field 's_grid': need one or more points, got none")
     run = globals().get(f"check_{suite}") or globals()[f"{suite}_suite"]
     return run(fam, ns, grid, **tol)
 

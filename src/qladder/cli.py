@@ -10,7 +10,6 @@ error.  JSON reports carry the schema id "qladder-report/1".
 from __future__ import annotations
 
 import argparse
-import contextlib
 import functools
 import json
 import math
@@ -222,18 +221,10 @@ def _config_from_args(args) -> RunConfig:
     return cfg
 
 
-@contextlib.contextmanager
 def _family(cfg: RunConfig):
-    """The command's family, whose cache is dropped when the command leaves
-    the block: the per-n table and stencil grids it holds refer back to the
-    family, so without the cache reference counting frees the family."""
+    """The command's family, perturbed as the config asks."""
     fam = make_family(cfg.family, cfg.params, QBase(cfg.q))
-    if cfg.perturb:
-        fam = fam.with_perturbation(cfg.perturb[0], cfg.perturb[1])
-    try:
-        yield fam
-    finally:
-        fam._cache.clear()
+    return fam.with_perturbation(*cfg.perturb) if cfg.perturb else fam
 
 
 def _grid_points(fam, cfg: RunConfig):
@@ -283,31 +274,31 @@ def _n_range(cfg: RunConfig) -> range:
 
 def cmd_eval(cfg: RunConfig) -> int:
     ns = _n_range(cfg)
-    with _family(cfg) as fam:
-        eq = fam.eq
-        pts = np.array([complex(s) for s in _grid_points(fam, cfg)])
-        # x at s - 1/2, s, s + 1/2: x, sigma, tau and Theta once per grid point;
-        # rho in one call, null where the family refuses the point (a weight pole)
-        xh = LatticeTable(fam.lattice, pts, -1, 1).x
-        rho = fam.rho_at_s(pts)
-        columns = [
-            {"s": s, "x": x, "sigma": _sigma_at(eq, x, b - a), "tau": tau_tilde(eq, x),
-             "Theta": _theta_at(eq, x, b - a), "rho": None if refused else r}
-            for s, (a, x, b), r, refused in zip(pts.tolist(), xh.tolist(), rho.tolist(),
-                                                np.isnan(rho).tolist())
-        ]
-        # P_0..P_N from one recurrence pass; phi_n = sqrt(rho) P_n / d_n where rho is
-        # a positive real and d_n exists
-        stack = fam.pn_stack(cfg.n_max, xh[:, 1])
-        ok, w = fam.positive_sqrt_rho(rho)
-        rows = []
-        for n in ns:
-            try:
-                phi = fam._phi(n, w, stack[n]).tolist()
-            except (FamilyError, QKernelError):
-                phi = [None] * len(pts)
-            for col, P, f, good in zip(columns, stack[n].tolist(), phi, ok.tolist()):
-                rows.append({"n": n, "P": P, "phi": f if good else None, **col})
+    fam = _family(cfg)
+    eq = fam.eq
+    pts = np.array([complex(s) for s in _grid_points(fam, cfg)])
+    # x at s - 1/2, s, s + 1/2: x, sigma, tau and Theta once per grid point;
+    # rho in one call, null where the family refuses the point (a weight pole)
+    xh = LatticeTable(fam.lattice, pts, -1, 1).x
+    rho = fam.rho_at_s(pts)
+    columns = [
+        {"s": s, "x": x, "sigma": _sigma_at(eq, x, b - a), "tau": tau_tilde(eq, x),
+         "Theta": _theta_at(eq, x, b - a), "rho": None if refused else r}
+        for s, (a, x, b), r, refused in zip(pts.tolist(), xh.tolist(), rho.tolist(),
+                                            np.isnan(rho).tolist())
+    ]
+    # P_0..P_N from one recurrence pass; phi_n = sqrt(rho) P_n / d_n where rho is
+    # a positive real and d_n exists
+    stack = fam.pn_stack(cfg.n_max, xh[:, 1])
+    ok, w = fam.positive_sqrt_rho(rho)
+    rows = []
+    for n in ns:
+        try:
+            phi = fam._phi(n, w, stack[n]).tolist()
+        except (FamilyError, QKernelError):
+            phi = [None] * len(pts)
+        for col, P, f, good in zip(columns, stack[n].tolist(), phi, ok.tolist()):
+            rows.append({"n": n, "P": P, "phi": f if good else None, **col})
     cols = ("n", "s", "x", "P", "phi", "rho", "sigma", "tau", "Theta")  # n, then complex values
     if cfg.fmt == "csv":
         lines = [",".join(["family", "n"] + [f"{c}_{p}" for c in cols[1:] for p in ("re", "im")])]
@@ -343,12 +334,12 @@ def cmd_eval(cfg: RunConfig) -> int:
 
 def cmd_check(cfg: RunConfig) -> int:
     ns = [n for n in _n_range(cfg) if n >= 1]
-    with _family(cfg) as fam:
-        pts = _grid_points(fam, cfg)
-        if not ns:
-            raise ConfigError(f"check needs --n-max >= 1 (the suites start at n = 1), "
-                              f"got {cfg.n_max}")
-        reports = run_suites(fam, cfg.suites, ns=ns, s_grid=pts, tolerances=cfg.tolerances)
+    fam = _family(cfg)
+    pts = _grid_points(fam, cfg)
+    if not ns:
+        raise ConfigError(f"check needs --n-max >= 1 (the suites start at n = 1), "
+                          f"got {cfg.n_max}")
+    reports = run_suites(fam, cfg.suites, ns=ns, s_grid=pts, tolerances=cfg.tolerances)
     if cfg.fmt == "csv":
         lines = ["suite,identity,family,max_residual,tolerance,verdict,wall_ms"]
         for r in reports:
@@ -378,8 +369,8 @@ def cmd_gram(cfg: RunConfig) -> int:
         raise ConfigError(f"gram needs --n-max >= 0, got {N}")
     if cfg.fmt != "json":
         raise ConfigError(f"gram writes JSON only, got format {cfg.fmt!r}")
-    with _family(cfg) as fam:
-        G, history = gram_matrix(fam, N)
+    fam = _family(cfg)
+    G, history = gram_matrix(fam, N)
     on = np.eye(N + 1, dtype=bool)
     dev = np.abs(G - on)  # |G - I|; a NaN entry reaches its maximum
     payload = {

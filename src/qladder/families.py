@@ -43,6 +43,7 @@ from __future__ import annotations
 
 import cmath
 import math
+from collections import defaultdict
 from dataclasses import dataclass, field, replace
 from functools import cache, cached_property
 
@@ -241,26 +242,27 @@ def lattice_kind(lat: Lattice) -> LatticeKind:
 
 
 class CoefficientTable(EquationTable):
-    """The per-n table of one family, as columns over n: the columns of its
-    equation's table (lam_ratio, lambda_n, (tau_n', tau_n(0)), b_n/a_n,
-    generic beta_n) and the family's a_n, B_n, validated beta_n, monic
-    gamma_n, canonical alpha_n and gamma_n, tabulated d_n^2 and validated
-    norm_sq and d_n, each entry computed once, when first read, by the scalar
-    formula it replaces, so every value is the one that formula gives.
-    Entries are Python numbers and tuples, so no reader can change one.  The
-    table lives in the family's private cache: `with_perturbation` and
-    `replace(fam, ..., _cache={})` give a copy a table of its own."""
+    """The per-n table of one family's data, as columns over n: the columns
+    of its equation's table (lam_ratio, lambda_n, (tau_n', tau_n(0)), b_n/a_n,
+    generic beta_n) and a_n, B_n, validated beta_n, monic gamma_n, canonical
+    alpha_n and gamma_n and the tabulated d_n^2, each entry computed once,
+    when first read, by the scalar formula it replaces, so every value is
+    the one that formula gives.  Entries are Python numbers and tuples, so
+    no reader can change one.  It is built from the family's data (eq,
+    closed forms, a_n, perturbation), not the family, so a family that
+    caches it is freed by reference counting; the norms, which read the
+    family's measure, are columns of `FamilySpec`."""
 
-    def __init__(self, fam: "FamilySpec"):
-        super().__init__(fam.eq)
-        self.fam = fam
-        self._beta_shift = complex(fam.perturb.get("beta", 0.0))
-        self._gamma_shift = complex(fam.perturb.get("gamma", 0.0))
+    def __init__(self, eq: EquationData, closed: ClosedForms, a_n, perturb: dict):
+        super().__init__(eq)
+        self.closed, self._leading = closed, a_n
+        self._beta_shift = complex(perturb.get("beta", 0.0))
+        self._gamma_shift = complex(perturb.get("gamma", 0.0))
 
     @_column
     def a_n(self, n: int):
         """The canonical leading coefficient, as the family's a_n gives it."""
-        return self.fam.a_n(n)
+        return self._leading(n)
 
     @_column
     def B(self, n: int) -> complex:
@@ -275,18 +277,17 @@ class CoefficientTable(EquationTable):
         """beta_n, the same in the monic and the canonical normalization: the
         generic route where the tabulated display is a recorded suspected
         erratum, else the display; plus any perturbation."""
-        fam = self.fam
-        if "beta_n" in fam.closed.notes:
+        if "beta_n" in self.closed.notes:
             val = self.beta_generic(n)
         else:
-            val = complex(fam.closed.beta_n(n))
+            val = complex(self.closed.beta_n(n))
         return val + self._beta_shift
 
     @_column
     def gamma_monic(self, n: int) -> complex:
         if n == 0:
             return complex(0.0)
-        return complex(self.fam.closed.gamma_n(n)) + self._gamma_shift
+        return complex(self.closed.gamma_n(n)) + self._gamma_shift
 
     @_column
     def alpha(self, n: int) -> complex:
@@ -303,29 +304,18 @@ class CoefficientTable(EquationTable):
     @_column
     def d_n_sq(self, n: int) -> complex:
         """The tabulated d_n^2 (canonical normalization)."""
-        return complex(self.fam.closed.d_n_sq(n))
+        return complex(self.closed.d_n_sq(n))
 
-    @_column
-    def norm_sq(self, n: int) -> complex:
-        """The validated squared norm of canonical P_n: the tabulated d_n^2,
-        or where the family's norms are not `tabulated_norms`, d_0^2
-        prod_{k<=n} gamma_k/alpha_{k-1} from the lattice kind's anchor;
-        undefined beyond a finite family."""
-        fam = self.fam
-        if fam.n_max is not None and n > fam.n_max:
-            raise FamilyError(f"{fam.name}: norm undefined beyond the finite family "
-                              f"(n_max={fam.n_max})")
-        if fam.tabulated_norms:
-            return self.d_n_sq(n)
-        out = fam._norm_anchor
-        for k in range(1, n + 1):
-            out *= self.gamma(k) / self.alpha(k - 1)
-        return out
-
-    @_column
-    def d_n(self, n: int) -> complex:
-        """The principal square root of norm_sq, kept so ratios stay consistent."""
-        return cmath.sqrt(self.norm_sq(n))
+    def monic_recurrence(self, N: int, x, rows=()) -> list:
+        """Monic P_0..P_N (at least) at x by the three-term recurrence on
+        the beta and gamma_monic columns, continued from `rows`, monic
+        P_0..P_k at the same x from an earlier call, when given."""
+        beta, gamma = self.beta(range(N)), self.gamma_monic(range(N))
+        rows = list(rows) or [complex(1.0)]  # monic P_0
+        for k in range(len(rows) - 1, N):
+            pm = rows[k - 1] if k else complex(0.0)  # monic P_{k-1}
+            rows.append((x - beta[k]) * rows[k] - gamma[k] * pm)
+        return rows
 
 
 def _monic(n) -> complex:
@@ -339,14 +329,15 @@ class FamilySpec:
     series parameters + support + validated recurrence/norm routes.
     `make_family` sets name, params and base; the family's builder the rest.
 
-    Immutable after construction; evaluators are pure.  The private cache
-    only memoizes idempotent derived values: the per-n table `coeffs`, which
-    holds the norms, the measure's integrals (`p_gram`), the Jackson node
-    weights and the suites' stencil grids (`ladder.StencilGrid.shared`), so
-    concurrent use is safe: a race at worst recomputes the same values.
-    A copy made by `with_perturbation` or `replace(fam, ..., _cache={})`
-    starts with an empty cache.  The table and the grids refer back to the
-    family, so the CLI clears the cache when a command returns.
+    Immutable after construction; evaluators are pure.  What it caches are
+    idempotent derived values: the per-n table `coeffs` and the norm columns
+    (`cached_property` and `_column`), and, per key through `cached`, the
+    measure's integrals (`p_gram`), the Jackson node weights and the suites'
+    stencil grids (`ladder.StencilGrid.shared`), so concurrent use is safe:
+    a race at worst recomputes the same values.  A copy made by
+    `with_perturbation` or `dataclasses.replace` starts with none of them.
+    None of them refers back to the family, so reference counting frees a
+    family when its last reference goes.
     """
 
     name: str  # the canonical registry key
@@ -364,7 +355,7 @@ class FamilySpec:
     # n = 10 (n_max for a finite family): the concordance series-vs-ttrr points
     series_points: tuple = ()
     perturb: dict = field(default_factory=dict)
-    _cache: dict = field(default_factory=dict, compare=False, repr=False)
+    _cache: dict = field(default_factory=dict, init=False, compare=False, repr=False)
 
     # -- lattice and natural coordinate ------------------------------------
     @property
@@ -404,37 +395,50 @@ class FamilySpec:
         """P_0..P_N (canonical) at the points of the ndarray x from one pass
         of the (stable) three-term recurrence, the recurrence route of P_n:
         an (N+1, *x.shape) ndarray.  `eval_ttrr` wraps it for one point."""
-        rows = zip(self.monic_rows(N, x), self.coeffs.a_n(range(N + 1)))
+        t = self.coeffs
+        rows = zip(t.monic_recurrence(N, x), t.a_n(range(N + 1)))
         return np.stack([np.broadcast_to(p * a, x.shape) for p, a in rows])
 
-    def monic_rows(self, N: int, x, rows=()) -> list:
-        """Monic P_0..P_N (at least) at x by the three-term recurrence on
-        the beta and gamma_monic columns, continued from `rows`, monic
-        P_0..P_k at the same x from an earlier call, when given."""
-        beta, gamma = self.coeffs.beta(range(N)), self.coeffs.gamma_monic(range(N))
-        rows = list(rows) or [complex(1.0)]  # monic P_0
-        for k in range(len(rows) - 1, N):
-            pm = rows[k - 1] if k else complex(0.0)  # monic P_{k-1}
-            rows.append((x - beta[k]) * rows[k] - gamma[k] * pm)
-        return rows
-
-    # -- the per-n table ------------------------------------------------------
-    @property
+    # -- what the family caches -----------------------------------------------
+    @cached_property
     def coeffs(self) -> CoefficientTable:
         """The family's per-n table, built on first use."""
-        table = self._cache.get("coeffs")
-        if table is None:
-            table = self._cache["coeffs"] = CoefficientTable(self)
-        return table
+        return CoefficientTable(self.eq, self.closed, self.a_n, self.perturb)
 
-    # -- norms --------------------------------------------------------------
-    def norm_sq(self, n):
-        """Validated squared norms of canonical P_n: the table's column."""
-        return self.coeffs.norm_sq(n)
+    def cached(self, key, make):
+        """The value kept under `key`, made by `make()` on the first request."""
+        if key not in self._cache:
+            self._cache[key] = make()
+        return self._cache[key]
 
-    def d_n(self, n):
-        """d_n = sqrt(norm_sq): the table's column."""
-        return self.coeffs.d_n(n)
+    # -- norms: columns over n, like the table's ------------------------------
+    @cached_property
+    def _columns(self):
+        return defaultdict(list)
+
+    _compute = EquationTable._compute  # one scalar formula call per n
+
+    @_column
+    def norm_sq(self, n: int) -> complex:
+        """The validated squared norm of canonical P_n: the tabulated d_n^2,
+        or where the family's norms are not `tabulated_norms`, d_0^2
+        prod_{k<=n} gamma_k/alpha_{k-1} from the lattice kind's anchor;
+        undefined beyond a finite family."""
+        if self.n_max is not None and n > self.n_max:
+            raise FamilyError(f"{self.name}: norm undefined beyond the finite family "
+                              f"(n_max={self.n_max})")
+        t = self.coeffs
+        if self.tabulated_norms:
+            return t.d_n_sq(n)
+        out = self._norm_anchor
+        for k in range(1, n + 1):
+            out *= t.gamma(k) / t.alpha(k - 1)
+        return out
+
+    @_column
+    def d_n(self, n: int) -> complex:
+        """The principal square root of norm_sq, kept so ratios stay consistent."""
+        return cmath.sqrt(self.norm_sq(n))
 
     @property
     def tabulated_norms(self) -> bool:
@@ -452,11 +456,10 @@ class FamilySpec:
         `q_pochhammer_orbit` per factor from the endpoints x[:, 0], combined
         as the pointwise weight.  Every pass starts at the endpoints, so its
         weights are cached per size."""
-        key = ("jackson_weight", x.shape)
-        if key not in self._cache:
+        def make():
             orbits = lambda v: np.prod(q_pochhammer_orbit(v, self.base, x.shape[-1]), 0)
-            self._cache[key] = _pochhammer_quotient(self.closed.weight_factors, orbits)(x[:, 0])
-        return self._cache[key]
+            return _pochhammer_quotient(self.closed.weight_factors, orbits)(x[:, 0])
+        return self.cached(("jackson_weight", x.shape), make)
 
     def p_gram(self, N: int):
         """(M, history): the read-only M[n, m] = int P_n P_m w over the
@@ -466,14 +469,13 @@ class FamilySpec:
         the node x itself or the quadrature against the density, these two
         settling against |d_n d_m|.  history is the quadrature's node-doubling
         loop, as (panels, matrix) pairs, or []."""
-        key = ("p_gram", N)
-        if key not in self._cache:
+        def make():
             if self.support is None:
                 raise QKernelError("no inner product available for support kind 'none'")
             M, history = self.kind.p_gram(self, N, lambda x: _outer(self.pn_stack(N, x)))
             M.setflags(write=False)
-            self._cache[key] = M, history
-        return self._cache[key]
+            return M, history
+        return self.cached(("p_gram", N), make)
 
     # -- weight -------------------------------------------------------------
     def weight(self, points):
@@ -543,8 +545,8 @@ class FamilySpec:
         if name not in ("beta", "gamma"):
             raise FamilyError(f"unknown perturbation target {name!r}")
         newp = dict(self.perturb)
-        newp[name] = newp.get(name, 0.0) + delta
-        return replace(self, perturb=newp, _cache={})
+        newp[name] = newp.get(name, 0.0) + _finite("delta", delta)
+        return replace(self, perturb=newp)
 
 
 # ==========================================================================

@@ -45,11 +45,12 @@ and the generic beta_n) are columns over n = 0, 1, ... of an
 `EquationTable`, each entry computed once through its scalar formula, so it
 equals the formula's value bit for bit.  `_column` is the one store of
 per-n data: the family's table (`families.CoefficientTable`, with the
-recurrence data and the norms) and the stencil grid's arrays over n
-(`ladder.StencilGrid`) use it too.  A column read with an int gives one
-row (a Python number for a table entry), with a sequence of n the complex
-ndarray of those rows; `A` stacks A(s,n) on a leading n axis, so the suites
-take their per-n constants for every n at once.
+recurrence data), the family's norms (`families.FamilySpec`) and the
+stencil grid's arrays over n (`ladder.StencilGrid`) use it too.  A column
+read with an int gives one row (a Python number for a table entry), with a
+sequence of n the complex ndarray of those rows; `A` stacks A(s,n) on a
+leading n axis, so the suites take their per-n constants for every n at
+once.
 """
 
 from __future__ import annotations

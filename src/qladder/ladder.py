@@ -189,7 +189,9 @@ class StencilGrid:
     coefficient-array computation, under _RAISE_FP, so a grid raises only at
     an n at or below one a suite asked for.  P_0..P_n come from one
     recurrence pass on x, continued when a higher n is first read; the
-    constants from the family's per-n table.
+    constants from the family's per-n table.  A grid keeps the family's
+    equation data `eq` and its table `coeffs`, not the family, so the family
+    that caches it is freed by reference counting.
 
     The suites take their grids from `StencilGrid.shared`, one per family
     and distinct (points, margin), so suites on the same points and margin
@@ -206,7 +208,7 @@ class StencilGrid:
 
     @_RAISE_FP
     def __init__(self, fam, s_grid, margin: int):
-        self.fam = fam
+        self.eq, self.coeffs = fam.eq, fam.coeffs
         self.margin = margin
         pts = [complex(s) for s in s_grid]
         self.s = _frozen(np.array(pts, dtype=complex))
@@ -223,13 +225,9 @@ class StencilGrid:
     @classmethod
     def shared(cls, fam, s_grid, margin: int) -> "StencilGrid":
         """The grid of `fam` on these points with this margin, built on the
-        first request and kept in the family's private cache."""
+        first request and kept by the family (`FamilySpec.cached`)."""
         pts = tuple(complex(s) for s in s_grid)
-        key = ("grid", pts, margin)
-        grid = fam._cache.get(key)
-        if grid is None:
-            grid = fam._cache[key] = cls(fam, pts, margin)
-        return grid
+        return fam.cached(("grid", pts, margin), lambda: cls(fam, pts, margin))
 
     @_RAISE_FP
     def _compute(self, fn, ns):
@@ -251,11 +249,11 @@ class StencilGrid:
 
     @_grid_array
     def sigma(self):
-        return _sigma_at(self.fam.eq, self.x, self.dxm)
+        return _sigma_at(self.eq, self.x, self.dxm)
 
     @_grid_array
     def theta(self):
-        return _theta_at(self.fam.eq, self.x, self.dxm)
+        return _theta_at(self.eq, self.x, self.dxm)
 
     @_grid_array
     def nabla(self):
@@ -271,12 +269,12 @@ class StencilGrid:
 
     @_grid_array
     def son(self):
-        return _limit_ratio(self.fam.eq, self.sigma[:, self._plus], self.nabla,
+        return _limit_ratio(self.eq, self.sigma[:, self._plus], self.nabla,
                             self.t[:, self._plus], -1)
 
     @_grid_array
     def tod(self):
-        return _limit_ratio(self.fam.eq, self.theta[:, self._minus], self.delta,
+        return _limit_ratio(self.eq, self.theta[:, self._minus], self.delta,
                             self.t[:, self._minus], 1)
 
     @_grid_array
@@ -305,7 +303,7 @@ class StencilGrid:
         """root / step on the offsets `cols`.  A degenerate step raises
         DegenerateStepError naming its point, in the words of the CLI's grid
         check, where the division would raise a bare FloatingPointError."""
-        bad = self.fam.lattice.is_degenerate_step(step)
+        bad = self.eq.lattice.is_degenerate_step(step)
         if bad.any():
             i, k = np.argwhere(bad)[0]
             s, t = self.s[i], self.t[i, cols][k]
@@ -327,7 +325,7 @@ class StencilGrid:
     def A(self, n):
         """A(s,n) = lambda_n/[n]_q tau_n(s)/tau_n' on offsets -(margin-1)..margin-1;
         the n = 0 value by the continuation of lam_ratio."""
-        return self.fam.coeffs.A(n, self.t[:, 1:-1])
+        return self.coeffs.A(n, self.t[:, 1:-1])
 
     @_column
     def u(self, n):
@@ -338,7 +336,7 @@ class StencilGrid:
     def v(self, n):
         """v(s,n) = -A(s,n) + lambda_n Delta x(s-1/2) + lambda_{2n}/[2n]_q
         (x(s) - beta_n) - Theta(s)/Delta x(s) on the L- offsets."""
-        t, cols = self.fam.coeffs, self._minus
+        t, cols = self.coeffs, self._minus
         return (
             -self.A(n)[..., :self.margin]
             + t.lambda_n(n)[:, None, None] * self.dxm[:, cols]
@@ -350,16 +348,16 @@ class StencilGrid:
     def h_diag(self, n):
         """The I coefficient of H(s,n) on offset 0:
         -(Theta/Delta x + sigma/nabla x - lambda_n Delta x(s-1/2))."""
-        lam = self.fam.coeffs.lambda_n(n)[:, None]
+        lam = self.coeffs.lambda_n(n)[:, None]
         return -(self.tod[:, -1] + self.son[:, 0] - lam * self.dxm[:, self.margin])
 
     @_column
     def p(self, n):
         """P_n on every offset."""
-        fam = self.fam
-        self._monic = rows = fam.monic_rows(int(n[-1]), self.x, self._monic)
+        t = self.coeffs
+        self._monic = rows = t.monic_recurrence(int(n[-1]), self.x, self._monic)
         monic = np.array([np.broadcast_to(rows[k], self.x.shape) for k in n.tolist()])
-        return monic * fam.coeffs.a_n(n)[:, None, None]
+        return monic * t.a_n(n)[:, None, None]
 
     @_column
     def phi(self, n):
@@ -431,7 +429,7 @@ def check_ttrr_phi(rep, fam, ns, s_grid):
 def _ladder_residuals(op: str, ns, g: StencilGrid):
     """Residual of L+ phi_n (op "L+") or L- phi_n ("L-") against its
     target at every grid point, for every n in ns."""
-    t, n = g.fam.coeffs, np.array(ns, dtype=int)
+    t, n = g.coeffs, np.array(ns, dtype=int)
     got, (own, _) = g.apply(op, n, g.phi(n))
     if op == "L+":
         target = (t.alpha(n) * t.lam_ratio(2 * n))[:, None] * g.phi(n + 1)[..., 1]

@@ -66,4 +66,4 @@ def truncated(fam):
     self-adjointness check lose their boundary condition (a negative
     control)."""
     lo, hi = fam.support
-    return replace(fam, support=(lo, hi - 1), _cache={})
+    return replace(fam, support=(lo, hi - 1))

@@ -150,6 +150,18 @@ def test_unknown_suite_raises_naming_the_known_suites(families):
         run_suite(families["asc1"], "nosuch")
 
 
+@pytest.mark.parametrize("suite", SUITE_NAMES)
+def test_a_request_that_checks_nothing_is_refused_naming_the_field(families, suite):
+    # an empty ns passed six suites on 0 cases and raised a bare ValueError
+    # in six others; an empty s_grid passed eight and raised IndexError in one
+    fam = families["asc1"]
+    for ns in ([], [-1], [1, 2.0], [True], ["1"]):
+        with pytest.raises(QKernelError, match=r"^field 'ns': need one or more ints n >= 0"):
+            run_suite(fam, suite, ns=ns)
+    with pytest.raises(QKernelError, match=r"^field 's_grid': need one or more points"):
+        run_suites(fam, [suite], s_grid=[])
+
+
 def test_rows_read_the_suite_functions_at_call_time(families, monkeypatch):
     calls = []
     monkeypatch.setattr(checks, "rodrigues_suite",

@@ -38,10 +38,9 @@ def run_cli(args):
                          ids=["check", "gram", "eval", "check-perturbed"])
 def test_a_command_frees_its_family_without_the_cyclic_collector(tmp_path, monkeypatch,
                                                                  command):
-    # a family's cache holds its per-n table and stencil grids, which refer
-    # back to it; the command drops the cache when it returns, so reference
-    # counting frees the family (and a perturbed family's base), its table
-    # and its grids
+    # a family's per-n table and stencil grids take its data, not the family,
+    # so reference counting frees the family (and a perturbed family's base),
+    # its table and its grids when the command returns
     made = []
     for cls in (families.FamilySpec, families.CoefficientTable, ladder.StencilGrid):
         def tracked(self, *args, init=cls.__init__, **kwargs):

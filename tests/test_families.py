@@ -504,6 +504,19 @@ def test_perturbation_roundtrip(families):
         fam.with_perturbation("sigma", 1.0)
 
 
+@pytest.mark.parametrize("delta", [math.nan, math.inf, -math.inf, "x", None])
+def test_a_non_finite_or_non_numeric_delta_is_refused_by_name(families, delta):
+    # NaN built a family whose eigen residual read NaN, inf raised a bare
+    # FloatingPointError in the suites and a string a TypeError there
+    with pytest.raises(FamilyError, match="^parameter 'delta' invalid: must be a finite"):
+        families["asc1"].with_perturbation("beta", delta)
+
+
+def test_a_delta_is_a_float_as_a_parameter_is(families):
+    fam = families["asc1"].with_perturbation("gamma", "1e-3")
+    assert fam.perturb == {"gamma": 1e-3} and type(fam.perturb["gamma"]) is float
+
+
 # -------------------- node arrays equal the scalar path ---------------------
 
 

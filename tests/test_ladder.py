@@ -446,7 +446,7 @@ def test_adjoint_invariant_under_weight_rescale(families):
     fam = families["q_dual_hahn"]
     w0 = fam.closed.weight
     scaled_closed = replace(fam.closed, weight=lambda s: 9.0 * w0(s))
-    fam9 = replace(fam, closed=scaled_closed, _cache={})
+    fam9 = replace(fam, closed=scaled_closed)
     r1 = L.check_adjoint(fam, [3], grid_for("q_dual_hahn"))  # n = 0..2
     r9 = L.check_adjoint(fam9, [3], grid_for("q_dual_hahn"))
     assert r9.max_residual < 1e-8
@@ -653,8 +653,8 @@ def test_adjoint_one_weight_pass_matches_per_node_sums(families):
     fam = families["q_dual_hahn"]
     w0 = fam.closed.weight
     calls = []
-    fam = replace(fam, closed=replace(fam.closed, weight=lambda s: calls.append(np.size(s)) or w0(s)),
-                  _cache={})
+    fam = replace(fam, closed=replace(fam.closed,
+                                      weight=lambda s: calls.append(np.size(s)) or w0(s)))
     for n in range(fam.n_max + 1):
         fam.d_n(n)
     calls.clear()

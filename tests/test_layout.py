@@ -45,6 +45,11 @@ with `CaseRecord._make`), and `report.dumps_reports` is the one encoder of
 check reports: no other library module reads a report's cases or columns,
 and the check command writes its JSON through it.  The dict-per-report
 encoder it replaced lives in tests/pointwise.py as its reference.
+
+A family's cache is its own: no library module but families.py names
+`_cache`.  Other modules reach a kept value through `FamilySpec.cached`, and
+what the cache keeps (the per-n table, the stencil grids) takes the family's
+data, not the family, so no reference cycle runs through it.
 """
 
 import ast
@@ -67,7 +72,7 @@ REMOVED = {"OrthonormalFamily", "WeightTable", "B_n", "_B_from_leading", "weight
            "_over_n", "_d_column", "_entry", "_memo", "SupportSpec", "norm_source",
            "_compute_norm_sq", "_rho_or_nan", "_positive_real", "delta_x", "nabla_x",
            "_q_pochhammer_inf_array", "_aw_equation_data", "reduceat", "_reduced",
-           "_bootstrap", "_one"}
+           "_bootstrap", "_one", "monic_rows"}
 SUPPORT_LABELS = {"discrete_grid", "jackson_integral", "continuous_interval"}
 
 
@@ -216,3 +221,10 @@ def test_dumps_reports_is_the_one_encoder_of_check_reports():
     assert not readers, f"a report's cases read outside report.py: {readers}"
     assert set(_call_sites(SRC / "report.py", "dumps")) == {"_json_items", "dumps_reports.one"}
     assert _call_sites(SRC / "cli.py", "dumps_reports") == ["cmd_check"]
+
+
+def test_only_families_module_names_the_family_cache():
+    found = [f"{path.name}:{getattr(node, 'lineno', '?')}" for path in MODULES
+             if path.name != "families.py" for node in ast.walk(_tree(path))
+             if "_cache" in _names(node)]
+    assert not found, f"a family's private cache named outside families.py: {found}"

@@ -6,7 +6,9 @@ and its perturbed copy, and must evaluate each shared quantity once.
 """
 
 import collections
+import gc
 import json
+import weakref
 from dataclasses import replace
 
 import numpy as np
@@ -16,6 +18,7 @@ from qladder import checks, families, hypergeometric_core, ladder
 from qladder.checks import SUITE_NAMES, default_grid, run_suite, run_suites
 from qladder.families import FamilyError, make_family, reference_params
 from qladder.ladder import StencilGrid
+from qladder.orthogonality import gram_matrix
 from qladder.qkernel import QBase
 
 from conftest import FAMILY_NAMES, REFERENCE_Q
@@ -91,6 +94,44 @@ def test_perturbed_copy_has_its_own_table_and_grids():
     assert all(np.array_equal(fresh.v(n), g1.v(n)) for n in range(1, 5))
 
 
+def test_a_family_its_table_and_its_grids_are_freed_by_reference_counting():
+    """Nothing a family caches refers back to it: with the cyclic collector
+    off, the family, its per-n table and its stencil grids die with the last
+    reference to the family (plain and perturbed, after every suite and, where
+    a measure exists, a Gram matrix)."""
+    gc.collect()
+    gc.disable()
+    try:
+        alive, grids = [], 0
+        for name in FAMILY_NAMES:
+            for perturbed in (False, True):
+                fam = _fresh(name, perturbed)
+                run_suites(fam, "all")
+                if fam.support is not None:
+                    gram_matrix(fam, 4)
+                refs = [weakref.ref(v) for v in (fam, fam.coeffs, *_grids(fam))]
+                grids += len(refs) - 2
+                del fam
+                alive += [(name, perturbed, type(r()).__name__) for r in refs if r() is not None]
+    finally:
+        gc.enable()
+    assert grids >= 12 and not alive, alive
+
+
+def test_a_replaced_copy_has_its_own_table_norms_and_grids():
+    """`dataclasses.replace` starts the copy with nothing cached, so a copy
+    on a shorter support reads the norms of its own measure."""
+    fam = _fresh("q_dual_hahn")
+    grid = default_grid(fam)
+    g, d0, M = StencilGrid.shared(fam, grid, 1), fam.norm_sq(0), fam.p_gram(2)[0]
+    lo, hi = fam.support
+    short = replace(fam, support=(lo, hi - 1))
+    assert short.coeffs is not fam.coeffs and not short._cache
+    assert StencilGrid.shared(short, grid, 1) is not g
+    assert short.norm_sq(0) != d0 and not np.array_equal(short.p_gram(2)[0], M)
+    assert fam.norm_sq(0) == d0 and StencilGrid.shared(fam, grid, 1) is g
+
+
 def _counter(fn, counts, key):
     def counted(*args):
         counts[key(args)] += 1
@@ -114,7 +155,7 @@ def test_each_shared_quantity_is_evaluated_once(name, monkeypatch):
         build(self, fam, s_grid, margin)
 
     monkeypatch.setattr(StencilGrid, "__init__", counted_build)
-    compute = families.CoefficientTable._compute
+    compute = families.FamilySpec._compute
 
     def counted_compute(self, fn, ns):  # the norm_sq rows, counted per n
         ns = list(ns)
@@ -122,12 +163,12 @@ def test_each_shared_quantity_is_evaluated_once(name, monkeypatch):
             counts["norm_sq"].update(ns)
         return compute(self, fn, ns)
 
-    monkeypatch.setattr(families.CoefficientTable, "_compute", counted_compute)
+    monkeypatch.setattr(families.FamilySpec, "_compute", counted_compute)
     fam = _fresh(name)
     one = lambda a: a[0]
     closed = replace(fam.closed, gamma_n=_counter(fam.closed.gamma_n, counts["gamma_n"], one),
                      d_n_sq=_counter(fam.closed.d_n_sq, counts["d_n_sq"], one))
-    fam = replace(fam, closed=closed, a_n=_counter(fam.a_n, counts["a_n"], one), _cache={})
+    fam = replace(fam, closed=closed, a_n=_counter(fam.a_n, counts["a_n"], one))
     run_suites(fam, "all")
     for what, counter in counts.items():
         assert counter, what
