@@ -19,6 +19,7 @@ from .lattice import LatticeTable
 from .ladder import (
     _RAISE_FP,
     StencilGrid,
+    _by_offset,
     check_adjoint,
     check_bootstrap,
     check_branch_continuity,
@@ -142,10 +143,11 @@ def concordance_suite(rep, fam, ns, s_grid):
 def _compare_displays(fam, grid, compare):
     """The concordance cases of the secondary displays (u, h, the identity
     term of H and the squared E-+ coefficients) at the first three points
-    of `grid`, against the coefficients of H, L+ and L- on the margin-1
-    StencilGrid of `grid` (the eigen suite's, on the default grid)."""
+    of `grid`, against the coefficients of H, L+ and L- at offset 0 of the
+    StencilGrid on `grid` (the one the ladder suites read on the default
+    grid)."""
     displays = fam.closed.displays
-    g = StencilGrid.shared(fam, grid, 1)
+    g = StencilGrid.shared(fam, grid)
     grid = grid[:3]
     labels = [f"{complex(s):.4g}" for s in grid]
     if "u" in displays:
@@ -163,8 +165,8 @@ def _compare_displays(fam, grid, compare):
     if "ham_cminus" in displays:
         # squared comparison of displayed E-+ coefficients (branch-free)
         rows = []
-        for s, label, em, ep in zip(grid, labels, g.e_minus[:3, 0].tolist(),
-                                    g.e_plus[:3, 0].tolist()):
+        em, ep = g.plus_side(g.e_minus)(0), g.minus_side(g.e_plus)(0)
+        for s, label, em, ep in zip(grid, labels, em[:3].tolist(), ep[:3].tolist()):
             rows += [("hamiltonian_cminus_sq", f"s={label}",
                       complex(displays["ham_cminus"](s)) ** 2, em ** 2),
                      ("hamiltonian_cplus_sq", f"s={label}",
@@ -335,27 +337,28 @@ def poly_ladder_suite(rep, fam, ns, s_grid):
     """The polynomial-level raising and lowering relations, canonical
     normalization, at every point of s_grid at once.  The
     coefficients sigma/nabla x, Theta/Delta x, A(s,n), x and Delta x(s-1/2)
-    come from the shared margin-1 StencilGrid, and P_0..P_{n_hi+1} on its
+    come from the shared StencilGrid on s_grid, and P_0..P_{n_hi+1} on its
     offsets -1, 0, 1 from its recurrence pass (the well-conditioned evaluator;
     alternating-sign series terms of size q^{-n(n-1)/2} make the series
     route lose digits from n ~ 6); the series-vs-recurrence tie happens in
     the concordance suite.  Sweep: n = 0..N+1 on s_grid (n = 0 at two points)."""
     t, n_hi = fam.coeffs, max(ns) + 1
-    g = StencilGrid.shared(fam, s_grid, 1)
-    P = g.p(range(n_hi + 2))  # P[k][:, 1 + j] = P_k(s + j)
+    g = StencilGrid.shared(fam, s_grid)
+    P = _by_offset(g.p(range(n_hi + 2)))  # P(j)[k] = P_k(s + j)
     n = np.arange(n_hi + 1)
-    son, tod, x, dxm = g.son[:, 0], g.tod[:, 0], g.x[:, 1], g.dxm[:, 1]
-    A, Pn, L = g.A(n)[..., 0], P[n], t.lam_ratio(2 * n)[:, None]
+    son, tod = g.plus_side(g.son)(0), g.minus_side(g.tod)(0)
+    x, dxm = _by_offset(g.x)(0), _by_offset(g.dxm)(0)
+    A, L = _by_offset(g.A(n))(0), t.lam_ratio(2 * n)[:, None]
     # raising, n >= 1: sigma nabla P_n/nabla x - (A P_n - alpha_n lambda_2n/[2n]_q P_{n+1})
-    lhs = son * (Pn[1:, :, 1] - Pn[1:, :, 0])
-    t1 = A[1:] * Pn[1:, :, 1]
-    t2 = (t.alpha(n[1:])[:, None] * L[1:]) * P[n[1:] + 1, :, 1]
+    lhs = son * (P(0)[n[1:]] - P(-1)[n[1:]])
+    t1 = A[1:] * P(0)[n[1:]]
+    t2 = (t.alpha(n[1:])[:, None] * L[1:]) * P(0)[n[1:] + 1]
     up = rel_residual(lhs - (t1 - t2), (lhs, t1, t2)).tolist()
     # lowering, n >= 0: Theta Delta P_n/Delta x - (gamma_n lambda_2n/[2n]_q P_{n-1}
     # + [...] P_n), P_{-1} = 0
-    lhs = tod * (Pn[..., 2] - Pn[..., 1])
-    low = np.where(n[:, None] >= 1, (t.gamma(n)[:, None] * L) * P[np.maximum(n - 1, 0), :, 1], 0.0)
-    mid = (A - t.lambda_n(n)[:, None] * dxm - L * (x - t.beta(n)[:, None])) * Pn[..., 1]
+    lhs = tod * (P(1)[n] - P(0)[n])
+    low = np.where(n[:, None] >= 1, (t.gamma(n)[:, None] * L) * P(0)[np.maximum(n - 1, 0)], 0.0)
+    mid = (A - t.lambda_n(n)[:, None] * dxm - L * (x - t.beta(n)[:, None])) * P(0)[n]
     down = rel_residual(lhs - (low + mid), (lhs, low, mid)).tolist()
     labels = [f"{complex(s):.4g}" for s in s_grid]
     for k in range(1, n_hi + 1):

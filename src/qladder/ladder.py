@@ -18,7 +18,8 @@ E^- and E^+ coefficients, u, v, the H diagonal and the chain weights on
 (grid point x chain offset) arrays, and every suite reads them there: a
 suite that needs the coefficients at a few points takes a grid on them
 from `StencilGrid.shared`, which keeps one grid per family and distinct
-(points, margin), so the suites of one run share them.  `StencilGrid.apply`
+(points, margin); the suites on the request's points all read the one
+margin-2 grid there, each testing the chain links it reads.  `StencilGrid.apply`
 is the one sum of an H, L+ or L- stencil, on chain functions or, reduced
 through the Pearson relation, on P_n; every suite reads it, and only the
 outer products of the factorization are written out.  The n-dependent
@@ -121,7 +122,7 @@ def _by_offset(a, first: int | None = None):
     return at
 
 
-def _chain_weights(theta, sigma, up, down, t, anchor: int):
+def _chain_weights(theta, sigma, up, down, anchor: int):
     """Chain weights along the last axis, w = 1 on column `anchor`:
 
         sqrt(Theta(s) sigma(s+1)) w(s+1) = Theta(s) w(s)  and
@@ -129,17 +130,27 @@ def _chain_weights(theta, sigma, up, down, t, anchor: int):
 
     so w^2 solves the Pearson ratio recurrence and every square-root branch
     agrees with the operator coefficients.  Column c of `up` and of `down` is
-    sqrt(Theta sigma) between columns c and c + 1 of theta, sigma and the
-    points t, evaluated from the lower and from the upper point."""
+    sqrt(Theta sigma) between columns c and c + 1 of theta and sigma,
+    evaluated from the lower and from the upper point.  A link whose root
+    vanishes leaves no weight beyond it: the caller tests the links it
+    reads first (`_require_links`)."""
     last = theta.shape[-1] - 1
     w = {anchor: np.ones(theta.shape[:-1], dtype=complex)}
     for c in range(anchor, last):
-        _require_nonzero_root(up[..., c], t[..., c], "Theta(s) sigma(s+1)")
         w[c + 1] = _cdiv(theta[..., c] * w[c], up[..., c])
     for c in range(anchor, 0, -1):
-        _require_nonzero_root(down[..., c - 1], t[..., c], "Theta(s-1) sigma(s)")
         w[c - 1] = _cdiv(sigma[..., c] * w[c], down[..., c - 1])
     return np.stack([w[c] for c in range(last + 1)], axis=-1)
+
+
+def _require_links(up, down, t, anchor: int, lo: int, hi: int):
+    """Refuse a chain (see `_chain_weights`) whose root vanishes on a link
+    between columns lo and hi: the links up from the anchor first, outward,
+    then the links down, each at the first point where its root is 0."""
+    for c in range(anchor, hi):
+        _require_nonzero_root(up[..., c], t[..., c], "Theta(s) sigma(s+1)")
+    for c in range(anchor, lo, -1):
+        _require_nonzero_root(down[..., c - 1], t[..., c], "Theta(s-1) sigma(s)")
 
 
 def _require_nonzero_root(root, s, product: str):
@@ -173,14 +184,16 @@ class StencilGrid:
     `sigma`, `theta` and the chain weights `w` cover the offsets
     k = -margin..margin, column margin + k holding s + k; column c of `roots`
     is sqrt(Theta sigma) between columns c and c + 1 of those.  Each
-    coefficient covers only the offsets a stencil of the suites reads, so the
-    grid divides by a lattice step exactly where a point-by-point stencil
-    would: the L+ side (`nabla`, `son` = sigma/nabla x with the removable-0/0
-    limit, `e_minus`, `u`) on offsets 0..margin-1, the L- side (`delta`,
-    `tod` = Theta/Delta x, `e_plus`, `v`) on -(margin-1)..0, A(s,n) on
-    -(margin-1)..margin-1 and the H diagonal on offset 0.  `plus_side` and
-    `minus_side` index the two sides by offset.  x is one `LatticeTable`, on
-    the half-integer offsets as well.
+    coefficient covers the offsets a stencil of the margin's widest reader
+    (the factorization's outer products, at margin 2) reads: the L+ side
+    (`nabla`, `son` = sigma/nabla x with the removable-0/0 limit, `e_minus`,
+    `u`) on offsets 0..margin-1, the L- side (`delta`, `tod` = Theta/Delta x,
+    `e_plus`, `v`) on -(margin-1)..0, A(s,n) on -(margin-1)..margin-1 and the
+    H diagonal on offset 0.  A suite reading only offsets -1..1 of a
+    margin-2 grid divides by the outer steps Delta x(s) and nabla x(s) as
+    well, so it refuses a point where either vanishes, as the CLI's grid
+    check does.  `plus_side` and `minus_side` index the two sides by offset.
+    x is one `LatticeTable`, on the half-integer offsets as well.
 
     A(s,n), u, v, the H diagonal, P_n and the chain function w P_n are
     columns over n too (`hypergeometric_core._column`): one n reads its
@@ -197,13 +210,19 @@ class StencilGrid:
     and distinct (points, margin), so suites on the same points and margin
     read one grid, and the first of them pays for each piece.  The margin is
     part of the key because it fixes the offsets each coefficient covers.
+    The suites on the request's points all read its margin-2 grid, and only
+    the grids on other points (bootstrap's chains, the discrete support, the
+    theta grid) have margin 1, so a check builds one grid per point set.
     Every array a grid keeps is read-only.
 
     Each grid point carries its own Pearson-consistent weight chain, anchored
     at w = 1 on offset 0 (the residuals checked here are local and
     1-homogeneous in the chain constant), so grids need not be integer
     chains of each other; this is how the theta-grids of the trigonometric
-    lattice are handled.
+    lattice are handled.  The weights cover every offset, formed with
+    floating-point errors ignored; a reader tests the links it reads first
+    (`require_links`), as `LatticeTable` tests a step only where a lane
+    reads it.
     """
 
     @_RAISE_FP
@@ -223,9 +242,10 @@ class StencilGrid:
         self._minus = slice(1, m + 1)  # columns of the L- offsets -(m-1)..0
 
     @classmethod
-    def shared(cls, fam, s_grid, margin: int) -> "StencilGrid":
-        """The grid of `fam` on these points with this margin, built on the
-        first request and kept by the family (`FamilySpec.cached`)."""
+    def shared(cls, fam, s_grid, margin: int = 2) -> "StencilGrid":
+        """The grid of `fam` on these points with this margin (by default
+        the request's grid, margin 2), built on the first request and kept
+        by the family (`FamilySpec.cached`)."""
         pts = tuple(complex(s) for s in s_grid)
         return fam.cached(("grid", pts, margin), lambda: cls(fam, pts, margin))
 
@@ -315,9 +335,17 @@ class StencilGrid:
 
     @_grid_array
     def w(self):
-        """The chain weights of every grid point, w = 1 on offset 0."""
-        return _chain_weights(self.theta, self.sigma, self.roots, self.roots, self.t,
-                              self.margin)
+        """The chain weights of every grid point, w = 1 on offset 0; NaN
+        beyond a link whose root vanishes, which `require_links` refuses."""
+        with np.errstate(all="ignore"):
+            return _chain_weights(self.theta, self.sigma, self.roots, self.roots, self.margin)
+
+    def require_links(self, reach: int):
+        """Refuse the grid if a chain link within `reach` of offset 0 has a
+        vanishing root: a reader of the chain weights on offsets
+        -reach..reach calls this first."""
+        m = self.margin
+        _require_links(self.roots, self.roots, self.t, m, m - reach, m + reach)
 
     # H(s,n) = e_minus E^- + e_plus E^+ + h_diag I, L+(s,n) = u I + e_minus
     # E^-, L-(s,n) = v I + e_plus E^+ on chain offsets
@@ -405,7 +433,8 @@ def _cases_by_n(rep, g: StencilGrid, ns, residuals):
 @_RAISE_FP
 def check_eigen(rep, fam, ns, s_grid):
     """H(s,n) phi_n(s) = 0.  Sweep: ns on s_grid."""
-    g = StencilGrid.shared(fam, s_grid, 1)
+    g = StencilGrid.shared(fam, s_grid)
+    g.require_links(1)
     _cases_by_point(rep, g, ns, rel_residual(*g.apply("H", ns, g.phi(ns))))
 
 
@@ -416,26 +445,28 @@ def check_ttrr_phi(rep, fam, ns, s_grid):
     """alpha_n (d_{n+1}/d_n) phi_{n+1} + gamma_n (d_{n-1}/d_n) phi_{n-1}
     + (beta_n - x) phi_n = 0; the norm ratios cancel against the phi
     normalizations, so the check runs on chain functions.  P_0..P_{n+1} come
-    from the recurrence pass of the margin-1 grid.  Sweep: ns on s_grid."""
-    g = StencilGrid.shared(fam, s_grid, 1)
+    from the recurrence pass of the grid on s_grid, at its offset 0.  Sweep:
+    ns on s_grid."""
+    g = StencilGrid.shared(fam, s_grid)
     t, n = fam.coeffs, np.array(ns, dtype=int)
-    P = lambda k: g.p(k)[..., 1]
+    P = lambda k: g.p(k)[..., g.margin]
     below = np.where((n >= 1)[:, None], P(np.maximum(n - 1, 0)), 0.0)  # P_{-1} = 0
     terms = (t.alpha(n)[:, None] * P(n + 1), t.gamma(n)[:, None] * below,
-             (t.beta(n)[:, None] - g.x[:, 1]) * P(n))
+             (t.beta(n)[:, None] - g.x[:, g.margin]) * P(n))
     _cases_by_n(rep, g, ns, rel_residual(sum(terms), terms))
 
 
 def _ladder_residuals(op: str, ns, g: StencilGrid):
     """Residual of L+ phi_n (op "L+") or L- phi_n ("L-") against its
     target at every grid point, for every n in ns."""
-    t, n = g.coeffs, np.array(ns, dtype=int)
+    t, n, m = g.coeffs, np.array(ns, dtype=int), g.margin
+    g.require_links(1)
     got, (own, _) = g.apply(op, n, g.phi(n))
     if op == "L+":
-        target = (t.alpha(n) * t.lam_ratio(2 * n))[:, None] * g.phi(n + 1)[..., 1]
+        target = (t.alpha(n) * t.lam_ratio(2 * n))[:, None] * g.phi(n + 1)[..., m]
     else:
         coef = (t.gamma(n) * t.lam_ratio(2 * n))[:, None]
-        target = np.where((n >= 1)[:, None], coef * g.phi(np.maximum(n - 1, 0))[..., 1], 0.0)
+        target = np.where((n >= 1)[:, None], coef * g.phi(np.maximum(n - 1, 0))[..., m], 0.0)
     return rel_residual(got - target, (got, target, own))
 
 
@@ -445,7 +476,7 @@ def check_raising(rep, fam, ns, s_grid):
     """L+(s,n) phi_n = alpha_n lambda_{2n}/[2n]_q (d_{n+1}/d_n) phi_{n+1};
     the d-ratio enters in its cancelled form (valid at the top of finite
     families where d_{n+1} = 0).  Sweep: ns on s_grid."""
-    g = StencilGrid.shared(fam, s_grid, 1)
+    g = StencilGrid.shared(fam, s_grid)
     _cases_by_point(rep, g, ns, _ladder_residuals("L+", ns, g))
 
 
@@ -454,7 +485,7 @@ def check_raising(rep, fam, ns, s_grid):
 def check_lowering(rep, fam, ns, s_grid):
     """L-(s,n) phi_n = gamma_n lambda_{2n}/[2n]_q (d_{n-1}/d_n) phi_{n-1}.
     Sweep: ns on s_grid."""
-    g = StencilGrid.shared(fam, s_grid, 1)
+    g = StencilGrid.shared(fam, s_grid)
     _cases_by_point(rep, g, ns, _ladder_residuals("L-", ns, g))
 
 
@@ -463,7 +494,7 @@ def check_lowering(rep, fam, ns, s_grid):
 def check_uv_shift(rep, fam, ns, s_grid):
     """u(s+1,n) = v(s,n+1) (equivalently u(s+1,n-1) = v(s,n)).  Sweep:
     n = 0..N+1 on s_grid."""
-    g = StencilGrid.shared(fam, s_grid, 2)
+    g = StencilGrid.shared(fam, s_grid)
     ns = range(max(ns) + 2)
     n = np.array(ns, dtype=int)
     uu = g.plus_side(g.u(n))(1)
@@ -499,7 +530,7 @@ def check_h_s_independence(rep, fam, ns, s_grid):
     The scale of a residual is what had to cancel, so a degenerately zero h
     (top of a finite family) is not divided by its own noise.  Sweep: ns on
     s_grid."""
-    g = StencilGrid.shared(fam, s_grid, 2)
+    g = StencilGrid.shared(fam, s_grid)
     t, n = fam.coeffs, np.array(ns, dtype=int)
     son, tod, dxm = g.plus_side(g.son), g.minus_side(g.tod), _by_offset(g.dxm)
     A, hm = _by_offset(g.A(n)), h_minusplus(fam, n)[:, None]
@@ -537,9 +568,10 @@ def check_factorization(rep, fam, ns, s_grid):
     through the outer coefficients: where rounding noise enters.  Sweep: ns
     on s_grid.
     """
-    g = StencilGrid.shared(fam, s_grid, 2)
+    g = StencilGrid.shared(fam, s_grid)
     n = np.array(ns, dtype=int)
     monomials = np.stack([g.x ** j for j in range(4)])[:, None]
+    g.require_links(2)
     probes = np.concatenate([np.broadcast_to(monomials, (4, len(n)) + g.x.shape),
                              g.phi(n)[None]])  # (probe, n, grid point, offset)
     u, v = g.plus_side(g.u(n)), g.minus_side(g.v(n + 1))
@@ -669,7 +701,8 @@ def check_bootstrap(rep, fam, ns, s_grid):
         # is read at its lower point, one going down at its upper point
         theta, sigma = g.theta[None, :, 1], g.sigma[None, :, 1]
         up, down = g.roots[None, :-1, 1], g.roots[None, 1:, 0]
-        w = _chain_weights(theta, sigma, up, down, g.s[None, :], N)[0]
+        _require_links(up, down, g.s[None, :], N, 0, len(g.s) - 1)
+        w = _chain_weights(theta, sigma, up, down, N)[0]
         direct = w[rows] * g.p(range(N + 1))[:, rows, 1]
     for n, (got, want) in enumerate(zip(levels[:, rows].tolist(), direct.tolist())):
         k0 = next(k for k, d in enumerate(want) if abs(d) > 1e-14)

@@ -6,6 +6,7 @@ from dataclasses import replace
 import pytest
 
 from qladder import ladder as L
+from qladder.checks import run_suite, run_suites
 from qladder.families import make_family, reference_params
 import numpy as np
 
@@ -595,6 +596,42 @@ def test_degenerate_step_on_the_grid_is_refused_naming_the_point():
     with pytest.raises(DegenerateStepError,
                        match=re.escape("grid point -1+0j is degenerate (Delta x vanishes);")):
         L.check_lowering(fam, [1], [-1.0, 1.0])
+
+
+@pytest.mark.parametrize("suite, point, step, at", [
+    ("lowering", 0.0, "Delta x", -1.0),  # Delta x(-1) = x(0) - x(-1) = 0
+    ("raising", -1.0, "nabla x", 0.0),  # nabla x(0), the same step
+    ("eigen", -1.0, "nabla x", 0.0),
+])
+def test_a_suite_on_the_shared_grid_refuses_a_point_whose_outer_step_vanishes(
+        families, suite, point, step, at):
+    """The suites on the requested points read one margin-2 grid, which
+    divides by Delta x(s) and nabla x(s) on the outer offsets too, so a
+    point where either vanishes (the q-dual Hahn lattice is symmetric about
+    s = -1/2) is refused as the CLI's grid check refuses it, not checked."""
+    message = (f"{suite}: grid point {complex(point):.6g} is degenerate ({step} vanishes at "
+               f"{complex(at):.6g} on its chain); choose a grid excluding lattice symmetry points")
+    with pytest.raises(DegenerateStepError, match=re.escape(message)):
+        run_suite(families["q_dual_hahn"], suite, s_grid=[point])
+
+
+def test_a_reader_of_the_inner_offsets_tests_only_the_inner_chain_links():
+    """q-dual Hahn with c = 0 has sigma(0.7) = 0, so the chain from s = 1.7
+    meets a vanishing root on its outer link down, Theta(-0.3) sigma(0.7).
+    eigen, raising and lowering read offsets -1..1 of the shared grid and
+    report their residuals; factorization reads -2..2 and refuses the point.
+    A grid whose chain refused every reader at the outer link would turn
+    the first three into errors."""
+    fam = make_family("q_dual_hahn", {"a": 0.7, "b": 3.7, "c": 0.0}, QBase(0.5))
+    refused = re.escape("weight chain hit Theta(s-1) sigma(s) = 0 at s = (0.7+0j)")
+    for suite in ("eigen", "raising", "lowering"):
+        rep = run_suite(fam, suite, s_grid=[1.7])
+        assert rep.cases and not rep.passed, suite
+    with pytest.raises(QKernelError, match=refused):
+        run_suite(fam, "factorization", s_grid=[1.7])
+    fresh = make_family("q_dual_hahn", {"a": 0.7, "b": 3.7, "c": 0.0}, QBase(0.5))
+    with pytest.raises(QKernelError, match=refused):
+        run_suites(fresh, "all", s_grid=[1.7])
 
 
 @pytest.mark.parametrize("drop_last", [0, 1])

@@ -10,6 +10,7 @@ from qladder.qkernel import (
     NonConvergedError,
     QBase,
     QKernelError,
+    _cdiv,
     alpha_q,
     basic_hypergeometric,
     q_factorial,
@@ -421,3 +422,100 @@ def test_series_q_hermite_is_the_q_binomial_sum():
         cases.append((got, want, binomials))
     worst, median = _worst_relative_to_terms(cases)
     assert worst <= 1e-13 and median <= 1e-15
+
+
+# --------------------------------------------------------------------------
+# _cdiv: Python's complex division, elementwise on arrays
+# --------------------------------------------------------------------------
+
+# parts of a divisor that take each branch of Smith's method (divide through
+# by the larger part of b; a tie takes the real part), with signed zeros and
+# magnitudes near the ends of the double range
+_PARTS = (0.0, -0.0, 1.0, -1.0, 0.5, -3.25, 2.0 ** 0.5, 1e300, -1e300, 1e-300, -1e-300, 7e-8)
+
+
+def _bits(values):
+    """The bit patterns of complex values, with every NaN alike."""
+    a = np.array(values, dtype=complex).reshape(-1)
+    bits = a.view(np.uint64).reshape(-1, 2).copy()
+    bits[np.isnan(a.real), 0] = bits[np.isnan(a.imag), 1] = 1
+    return bits.tolist()
+
+
+def _python_quotients(a, b):
+    """a / b by Python's complex division, on the broadcast of two arrays."""
+    a, b = np.broadcast_arrays(np.asarray(a, dtype=complex), np.asarray(b, dtype=complex))
+    return [complex(x) / complex(y) for x, y in zip(a.reshape(-1).tolist(), b.reshape(-1).tolist())]
+
+
+def _quiet(fn, *args):
+    with np.errstate(all="ignore"):  # overflow and underflow as Python's division gives them
+        return fn(*args)
+
+
+def test_cdiv_equals_python_division_on_every_branch_and_signed_zero():
+    zs = [complex(re, im) for re in _PARTS for im in _PARTS]
+    divisors = [z for z in zs if z != 0]
+    a, b = np.array(zs)[:, None], np.array(divisors)[None, :]
+    # one array mixes both branches; its columns take one branch each
+    assert _bits(_quiet(_cdiv, a, b)) == _bits(_python_quotients(a, b))
+    for j, d in enumerate(divisors):
+        col = np.full(len(zs), d)
+        want = _bits([z / d for z in zs])
+        assert _bits(_quiet(_cdiv, a[:, 0], col)) == want, d
+        assert _bits(_quiet(_cdiv, a[:, 0], d)) == want, d  # a number divisor
+
+
+def test_cdiv_takes_each_branch_per_element_in_one_array():
+    b = np.array([2.0 + 1.0j, 1.0 + 2.0j, 3.0 + 3.0j, -1.0 - 4.0j, -5.0 + 0.25j, 0.0 - 1.0j])
+    a = np.array([1.0 - 2.0j, -0.0 + 3.0j, 1e300 + 1e300j, 1e-300 - 0.0j, 7.0 + 0.0j, -0.0 - 0.0j])
+    assert _bits(_quiet(_cdiv, a, b)) == _bits([x / y for x, y in zip(a.tolist(), b.tolist())])
+    by_real = np.abs(b.real) >= np.abs(b.imag)
+    assert by_real.any() and not by_real.all()
+
+
+def test_cdiv_equals_python_division_on_random_operands():
+    rng = np.random.default_rng(35)
+    parts = lambda n: rng.choice([-1.0, 1.0], n) * 10.0 ** rng.uniform(-300, 300, n) * (
+        rng.random(n) > 0.1)  # one part in ten is 0
+    a = parts(4000) + 1j * parts(4000)
+    b = parts(4000) + 1j * parts(4000)
+    b[b == 0] = 1.0
+    assert _bits(_quiet(_cdiv, a, b)) == _bits(_python_quotients(a, b))
+
+
+def test_cdiv_on_number_array_zero_d_and_broadcast_operands():
+    col = np.array([[1.5 - 2.0j], [-0.0 + 2.0j], [3e-300 + 1e300j]])  # (3, 1)
+    row = np.array([[0.5 + 4.0j, -2.0 + 0.0j, 0.0 - 7.0j, 1e300 - 1e-300j]])  # (1, 4)
+    for a, b in ((col, row), (row, col), (2.5 - 1.0j, row), (3.0, row), (col, -0.5 + 2.0j),
+                 (col, 4.0), (np.array(1.0 + 2.0j), np.array(3.0 - 4.0j)),
+                 (np.array(1.0 + 2.0j), row), (col, np.array(-3.0 - 0.5j))):
+        got = _quiet(_cdiv, a, b)
+        assert isinstance(got, np.ndarray) and got.dtype == complex
+        assert got.shape == np.broadcast(a, b).shape
+        assert _bits(got) == _bits(_python_quotients(a, b)), (a, b)
+
+
+def test_cdiv_of_two_numbers_is_their_python_quotient():
+    for a, b in ((1.0 + 2.0j, 3.0 - 4.0j), (1, 2), (2.5, -0.5 + 1e-300j), (-0.0j, 1e300 + 0j)):
+        got = _cdiv(a, b)
+        assert type(got) is type(a / b) and _bits([got]) == _bits([a / b])
+    with pytest.raises(ZeroDivisionError):
+        _cdiv(1.0 + 1.0j, 0j)
+
+
+@pytest.mark.parametrize("a, b", [
+    (np.array([1.0 + 1.0j, 2.0]), np.array([1.0 + 0.0j, 0.0j])),
+    (np.array([1.0, -0.0j]), np.array([-0.0 - 0.0j, 2.0])),
+    (3.0, np.array([0.0j])),
+    (np.array(2.0j), np.array(-0.0j)),
+])
+def test_cdiv_by_a_zero_array_entry_raises_under_raising_errstate(a, b):
+    with np.errstate(divide="raise", invalid="raise"), pytest.raises(FloatingPointError):
+        _cdiv(a, b)
+
+
+def test_cdiv_by_a_zero_number_raises_as_python_division_does():
+    # the parts of a number divisor divide as Python floats, under any errstate
+    with np.errstate(all="ignore"), pytest.raises(ZeroDivisionError):
+        _cdiv(np.array([1.0 + 1.0j, 2.0]), 0j)

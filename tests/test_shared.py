@@ -1,5 +1,6 @@
 """What a check run shares across suites: the family's per-n table
-(`FamilySpec.coeffs`) and one StencilGrid per distinct (points, margin).
+(`FamilySpec.coeffs`) and one StencilGrid per distinct (points, margin),
+which is one grid on the requested points.
 
 Sharing must not change what a suite reports, must not leak between a family
 and its perturbed copy, and must evaluate each shared quantity once.
@@ -42,14 +43,50 @@ def _grids(fam):
     return [v for v in fam._cache.values() if isinstance(v, StencilGrid)]
 
 
+GRIDS = {"default": None, "0.4:2.6:4": (0.4, 2.6, 4)}
+
+
+def _points(fam, grid):
+    """The check points of a `--grid start:stop:count` as the CLI takes them
+    (None: the family's default grid)."""
+    if grid is None:
+        return default_grid(fam)
+    start, stop, count = grid
+    return [fam.kind.s_from_grid_value(fam, start + (stop - start) * j / (count - 1))
+            for j in range(count)]
+
+
+@pytest.mark.parametrize("grid", GRIDS.values(), ids=GRIDS.keys())
 @pytest.mark.parametrize("perturbed", [False, True], ids=["plain", "perturbed"])
 @pytest.mark.parametrize("name", FAMILY_NAMES)
-def test_suites_on_one_family_equal_suites_on_fresh_families(name, perturbed):
-    together = run_suites(_fresh(name, perturbed), "all")
+def test_suites_on_one_family_equal_suites_on_fresh_families(name, perturbed, grid):
+    pts = _points(_fresh(name), grid)
+    together = run_suites(_fresh(name, perturbed), "all", s_grid=pts)
     assert [r.suite for r in together] == list(SUITE_NAMES)
     for rep in together:
-        alone = run_suite(_fresh(name, perturbed), rep.suite)
+        alone = run_suite(_fresh(name, perturbed), rep.suite, s_grid=pts)
         assert _exact(rep) == _exact(alone), rep.suite
+
+
+@pytest.mark.parametrize("grid", GRIDS.values(), ids=GRIDS.keys())
+@pytest.mark.parametrize("name", FAMILY_NAMES)
+def test_a_check_builds_one_stencil_grid_on_its_points(name, grid, monkeypatch):
+    """Every suite on the requested points reads one grid there, margin 2,
+    and no point set has two grids (the margin-1 grids are bootstrap's
+    chains, the support and the theta grid; concordance's displays read the
+    margin-2 grid on the default grid)."""
+    fam = _fresh(name)
+    pts = tuple(complex(s) for s in _points(fam, grid))
+    builds, build = [], StencilGrid.__init__
+
+    def counted_build(self, fam, s_grid, margin):
+        builds.append((tuple(complex(s) for s in s_grid), margin))
+        build(self, fam, s_grid, margin)
+
+    monkeypatch.setattr(StencilGrid, "__init__", counted_build)
+    run_suites(fam, "all", s_grid=pts)
+    assert [b for b in builds if b[0] == pts] == [(pts, 2)]
+    assert len({points for points, _ in builds}) == len(builds), builds
 
 
 def test_shared_grid_arrays_are_read_only():

@@ -10,6 +10,13 @@ against each tree, each tree in its own Python process:
   all` (json and csv), `eval` (json and csv) and `gram --n-max 3`, `4` and
   `6`;
 * `check --suite all --perturb beta 1e-3` at the reference configs, q = 0.5;
+* `check` of each suite that reads a stencil grid on the requested points
+  (and bootstrap), one at a time and as `--suite all`, at the reference
+  configs, q = 0.5, on the default grid, `--grid 0.4:2.6:4` and `--grid
+  0.3:0.3:1`; and at q-dual Hahn's reference and at (a, b, c) = (0.7, 3.7,
+  0), where Theta(s-1) sigma(s) vanishes at s = 0.7, on five grids near
+  its zeros and its support boundary, so a refusal or a verdict that moves
+  in one suite alone shows;
 * every config of the benchmark's check_sweep and gram_sweep at seeds 3, 7
   and 11 (`perfbench/configs.py`, imported read-only).
 
@@ -40,6 +47,11 @@ ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 SEEDS = (3, 7, 11)
 REFERENCE_Q = ("0.2", "0.5", "0.8")
 GRAM_ORDERS = ("3", "4", "6")
+SUITES = ("eigen", "ttrr_phi", "raising", "lowering", "uv_shift", "h_s_independence",
+          "factorization", "poly_ladder", "concordance", "bootstrap", "all")
+SUITE_GRIDS = (None, "0.4:2.6:4", "0.3:0.3:1")  # None: the family's default grid
+QDH_EDGE = {"a": 0.7, "b": 3.7, "c": 0.0}
+QDH_GRIDS = ("1.7:1.7:1", "1.7:2.7:2", "2:3:2", "1:3:3", "3.5:3.5:1")
 _WALL_MS = re.compile(r'"wall_ms": [-+0-9.eE]+')
 
 
@@ -50,11 +62,15 @@ def run_set() -> list:
     import configs
     from qladder.families import FAMILY_NAMES, reference_params
 
-    def family_args(name):
+    def family_args(name, params=None):
         out = ["--family", name]
-        for k, v in reference_params(name).items():
+        for k, v in (params or reference_params(name)).items():
             out += ["--param", f"{k}={v!r}"]
         return out
+
+    def suite_runs(args, grids):
+        return [["check", *args, "--q", "0.5", "--suite", suite]
+                + (["--grid", grid] if grid else []) for grid in grids for suite in SUITES]
 
     runs = []
     for name in FAMILY_NAMES:
@@ -66,6 +82,9 @@ def run_set() -> list:
             runs += [["gram", *base, "--n-max", n] for n in GRAM_ORDERS]
         runs.append(["check", *family_args(name), "--q", "0.5", "--suite", "all",
                      "--perturb", "beta", "1e-3"])
+        runs += suite_runs(family_args(name), SUITE_GRIDS)
+    for params in (None, QDH_EDGE):
+        runs += suite_runs(family_args("q_dual_hahn", params), QDH_GRIDS)
     runs = [argv + ["--out", "OUT"] for argv in runs]
     for workload in configs.WORKLOADS:
         for seed in SEEDS:
