@@ -13,6 +13,7 @@ import argparse
 import functools
 import json
 import math
+import re
 import sys
 from dataclasses import dataclass, field
 
@@ -417,6 +418,10 @@ def build_parser() -> argparse.ArgumentParser:
         """A subcommand with the flags it reads (a config file may name keys a
         command does not read, so one file serves every command)."""
         sp = sub.add_parser(name, help=help)
+        # a value may start with "-": argparse takes only -N and -N.N for
+        # values, not a grid -1.5:-0.5:2 or a delta -1e-3, and no flag here
+        # starts with a digit or "."
+        sp._negative_number_matcher = re.compile(r"^-\.?\d")
         sp.add_argument("--config", help="key=value or JSON config file")
         sp.add_argument("--family", help=f"one of: {', '.join(FAMILY_NAMES)}")
         sp.add_argument("--param", action="append", metavar="k=v",

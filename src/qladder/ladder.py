@@ -39,12 +39,11 @@ which squares to the weight ratio rho(s+1)/rho(s) = Theta(s)/sigma(s+1) and
 keeps every square-root branch consistent with the operator coefficients;
 for positive weights it reduces to sqrt(rho) up to one overall constant.
 The identities checked here are 1-homogeneous in that constant, so chains
-may be anchored anywhere.  Orthogonality sums (mutual adjointness,
-self-adjointness, Gram matrices) instead use the family's closed-form
-weight on the real support, where rho >= 0 pointwise: rho, sqrt(rho) and
-phi_n = sqrt(rho) P_n / d_n come from the `FamilySpec` (`rho_at_s`,
-`sqrt_rho`, `positive_sqrt_rho`, `_phi`), which this module never forms
-itself.
+may be anchored anywhere; the bootstrap's direct phi_n are these chains
+too.  Only the orthogonality sums (mutual adjointness, self-adjointness)
+read the family's closed-form weight, on the real support where rho >= 0
+pointwise: sqrt(rho) and phi_n = sqrt(rho) P_n / d_n come from the
+`FamilySpec` (`sqrt_rho`, `_phi`), which this module never forms itself.
 """
 
 from __future__ import annotations
@@ -613,30 +612,6 @@ def _largest(values):
     return reduce(np.maximum, values, 0.0)
 
 
-def _branch_consistent(fam, g: StencilGrid):
-    """Per point of a margin-1 grid, whether the positive pointwise
-    sqrt(rho) satisfies the same branch relations as the principal-root
-    chain there: sigma(s), Theta(s) >= 0 and rho > 0, all real.  Where
-    Theta < 0 (Al-Salam--Carlitz with a < 0) the chain continuation
-    alternates sign against pointwise sqrt(rho) and is the branch the
-    operators pair with.
-
-    rho is read on the array of the points where sigma and Theta pass (a
-    point the weight refuses is not consistent).  Returns the verdicts and
-    sqrt(rho) where they hold (0 elsewhere)."""
-
-    def nonneg(z):
-        scale = np.maximum(1.0, np.abs(z))
-        return (np.abs(z.imag) <= 1e-10 * scale) & (z.real >= -1e-12 * scale)
-
-    ok = nonneg(g.sigma[:, 1]) & nonneg(g.theta[:, 1])
-    w = np.zeros(len(ok), dtype=complex)
-    if ok.any():
-        positive, w[ok] = fam.positive_sqrt_rho(fam.rho_at_s(g.s[ok]))
-        ok[ok] = positive
-    return ok, w
-
-
 def _d_ratio_up(fam, n: int):
     """d_{n+1}/d_n when both norms exist and are nonzero, else None."""
     try:
@@ -657,14 +632,15 @@ def check_bootstrap(rep, fam, ns, s_grid):
         phi_0(s+1) = -v(s,0) Delta x(s) phi_0(s) / sqrt(Theta(s) sigma(s+1))
 
     on the chain s0 + k, k = -N..len(s_grid) - 1, with s0 = s_grid[0] and
-    N = min(max(ns), 4); normalize phi_0 at s0, then climb N levels with the
-    raising operator, each consuming one chain point on the left.  The
-    bootstrapped phi_n match direct phi_n up to one constant per level,
-    fixed at s0 (so skipped on a one-point grid).  The direct phi_n are the
-    pointwise ones where their branch agrees with the chain's, else the
-    chain weights times P_n, both on the chain grid.  Sweep: levels n = 0..N
-    on the chain s0 + k, k < len(s_grid); each level costs digits (q-Hermite
-    at q = 0.2 is off by 2e-4 at level 5)."""
+    N = min(max(ns), 4); normalize phi_0 to 1 at s0, then climb N levels
+    with the raising operator, each consuming one chain point on the left.
+    The bootstrapped phi_n match the direct phi_n, the chain weights through
+    the chain points times P_n, up to one constant per level, fixed at s0
+    (so skipped on a one-point grid).  The closed-form weight is not read:
+    the chain weights square to it up to a constant (the Pearson relation)
+    and take the branch the operators pair with.  Sweep: levels n = 0..N on
+    the chain s0 + k, k < len(s_grid); each level costs digits (q-Hermite at
+    q = 0.2 reads 2.6e-7 at level 4)."""
     if len(s_grid) < 2:
         raise Skipped("one grid point: the constant fit there leaves no point to check")
     N, s0, count = min(max(ns), 4), complex(s_grid[0]), len(s_grid)
@@ -677,10 +653,7 @@ def check_bootstrap(rep, fam, ns, s_grid):
     vals = [complex(1.0)]
     for step, r in zip((-g.v(0)[:-1, 0] * g.delta[:-1, 0]).tolist(), root.tolist()):
         vals.append(step * vals[-1] / r)
-    # normalize at s0 against the direct phi_0
-    consistent, w = _branch_consistent(fam, g)
-    anchor = complex(fam._phi(0, w[[N]], g.p(0)[[N], 1])[0]) if consistent[N] else complex(1.0)
-    scale = anchor / vals[N] if vals[N] != 0 else complex(1.0)
+    scale = 1 / vals[N] if vals[N] != 0 else complex(1.0)  # phi_0(s0) = 1
     levels = np.zeros((N + 1, len(vals)), dtype=complex)  # phi_n, read from chain point n on
     levels[0] = [v * scale for v in vals]
     # L+ acts on every chain point but the first, on a grid of its own: E^-
@@ -692,18 +665,14 @@ def check_bootstrap(rep, fam, ns, s_grid):
         coef, dr = fam.coeffs.alpha(n) * fam.coeffs.lam_ratio(2 * n), _d_ratio_up(fam, n)
         val, _ = up.apply("L+", n, np.stack([levels[n, :-1], levels[n, 1:]], axis=-1))
         levels[n + 1, 1:] = _cdiv(val, coef * dr if dr is not None else coef)
+    # the direct phi_n: one chain through the chain points, anchored at s0,
+    # times P_n; a link going up is read at its lower point, one going down
+    # at its upper point
+    theta, sigma = g.theta[None, :, 1], g.sigma[None, :, 1]
+    up, down = g.roots[None, :-1, 1], g.roots[None, 1:, 0]
+    _require_links(up, down, g.s[None, :], N, 0, len(g.s) - 1)
     rows = slice(N, N + count)  # the chain points s0 + k, k < len(s_grid)
-    if consistent.all():
-        # the pointwise phi_n, with sqrt(rho) from the consistency check
-        direct = fam._phi(range(N + 1), w[rows], g.p(range(N + 1))[:, rows, 1])
-    else:
-        # one chain through the grid points, anchored at s0; a link going up
-        # is read at its lower point, one going down at its upper point
-        theta, sigma = g.theta[None, :, 1], g.sigma[None, :, 1]
-        up, down = g.roots[None, :-1, 1], g.roots[None, 1:, 0]
-        _require_links(up, down, g.s[None, :], N, 0, len(g.s) - 1)
-        w = _chain_weights(theta, sigma, up, down, N)[0]
-        direct = w[rows] * g.p(range(N + 1))[:, rows, 1]
+    direct = _chain_weights(theta, sigma, up, down, N)[0, rows] * g.p(range(N + 1))[:, rows, 1]
     for n, (got, want) in enumerate(zip(levels[:, rows].tolist(), direct.tolist())):
         k0 = next(k for k, d in enumerate(want) if abs(d) > 1e-14)
         const = got[k0] / want[k0]

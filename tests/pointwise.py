@@ -974,26 +974,21 @@ def suite_cases(fam, suite: str, ns, grid):
 
 def _bootstrap_cases(fam, N: int, grid):
     """The bootstrap suite point by point: phi_0 from the ratio recurrence of
-    L-(s,0) phi_0 = 0, normalized against the pointwise phi_0 where its
-    branch agrees with the chain's, then N raising steps, each level against
-    the direct phi_n up to one constant."""
+    L-(s,0) phi_0 = 0, normalized to 1 at s0, then N raising steps, each
+    level against the direct phi_n (the weight chain through the chain
+    points, anchored at s0, times P_n) up to one constant."""
     from qladder.ladder import _d_ratio_up
 
     eq, lat, t = fam.eq, fam.lattice, fam.coeffs
     s0 = complex(grid[0])
     offs = [round((complex(s) - s0).real) for s in grid]
     lo, hi = min(offs) - N, max(offs)
-    nonneg = lambda z: abs(z.imag) <= 1e-10 * max(1.0, abs(z)) and \
-        z.real >= -1e-12 * max(1.0, abs(z))
-    ok = lambda s: (phi_ok(fam, s) and nonneg(sigma_eval(eq, s))
-                    and nonneg(theta_eval(eq, s)))
     vals = [complex(1.0)]
     for k in range(lo, hi):
         s = s0 + k
         vals.append(-v_fn(fam, 0, s) * delta_x(lat, s) * vals[-1] / sqrt_ts_plus(fam, s))
     i0 = offs[0] - lo
-    anchor = phi(fam, 0, s0) if ok(s0) else complex(1.0)
-    cur = [v * (anchor / vals[i0] if vals[i0] != 0 else 1.0) for v in vals]
+    cur = [v * (1 / vals[i0] if vals[i0] != 0 else 1.0) for v in vals]
     table = {0: dict(zip(range(lo, hi + 1), cur))}
     for n in range(N):
         coef, dr = t.alpha(n) * lam_ratio(eq, 2.0 * n), _d_ratio_up(fam, n)
@@ -1001,14 +996,10 @@ def _bootstrap_cases(fam, N: int, grid):
         cur = [(u_fn(fam, n, s0 + k) * cur[j + 1] + e_minus(fam, s0 + k) * cur[j]) / div
                for j, k in enumerate(range(lo + n + 1, hi + 1))]
         table[n + 1] = dict(zip(range(lo + n + 1, hi + 1), cur))
-    if all(ok(s0 + k) for k in range(lo, hi + 1)):
-        direct = lambda n, k: phi(fam, n, s0 + k)
-    else:
-        w = weight_chain(fam, s0, lo, hi)
-        direct = lambda n, k: w[k] * pn(fam, n, s0 + k)
+    w = weight_chain(fam, s0, lo, hi)
     out = []
     for n in range(N + 1):
-        d = {k: direct(n, k) for k in offs}
+        d = {k: w[k] * pn(fam, n, s0 + k) for k in offs}
         k0 = next(k for k in offs if abs(d[k]) > 1e-14)
         const = table[n][k0] / d[k0]
         scale = max(max(abs(v) for v in d.values()), 1e-30)

@@ -12,7 +12,8 @@ import pytest
 
 from qladder import checks
 from qladder.checks import SUITE_NAMES, default_grid, run_suite, run_suites
-from qladder.families import FAMILY_NAMES, FamilySpec, make_family, reference_params
+from qladder.families import (FAMILY_NAMES, FamilySpec, LatticeKind, make_family,
+                              reference_params)
 from qladder.ladder import check_adjoint, check_eigen, check_selfadjoint
 from qladder.lattice import DegenerateStepError, Lattice
 from qladder.qkernel import QBase, QKernelError
@@ -338,17 +339,52 @@ def test_concordance_makes_one_series_call(name, monkeypatch):
     assert len(series) == (top + 1) * len(fam.series_points)
 
 
-def test_a_programming_error_in_rho_leaves_the_bootstrap(monkeypatch):
-    # only a refused point (ValueError, ArithmeticError) reads "not branch
-    # consistent"; a TypeError is a fault of the program and propagates
+def test_rho_at_s_reads_nan_where_the_weight_refuses_and_propagates_a_fault(monkeypatch):
+    # only a refused point (ValueError, ArithmeticError) reads NaN, point by
+    # point; a TypeError is a fault of the program and propagates
     fam = make_family("q_dual_hahn", reference_params("q_dual_hahn"), QBase(0.5))
+
+    def pole_at_two(self, family, s):
+        if np.any(s == 2.0):
+            raise ValueError("a pole at s = 2")
+        return np.ones(len(s), dtype=complex)
+
+    monkeypatch.setattr(type(fam.kind), "rho_at_s", pole_at_two)
+    rho = fam.rho_at_s(np.array([1.0, 2.0, 3.0], dtype=complex))
+    assert rho[[0, 2]].tolist() == [1, 1] and np.isnan(rho[1])
 
     def broken(self, family, s):
         raise TypeError("rho is broken")
 
     monkeypatch.setattr(type(fam.kind), "rho_at_s", broken)
     with pytest.raises(TypeError, match="rho is broken"):
-        run_suite(fam, "bootstrap")
+        fam.rho_at_s(np.array([1.0, 2.0, 3.0], dtype=complex))
+
+
+@pytest.mark.parametrize("name", FAMILY_NAMES)
+def test_the_bootstrap_reads_no_weight(name, monkeypatch):
+    # its direct phi_n are the chain weights times P_n: with every pointwise
+    # weight refused (once the norms the climb divides by are known) the
+    # report is the same
+    def cases(fam):
+        rep = run_suite(fam, "bootstrap")
+        return rep.passed, rep.max_residual, [tuple(c) for c in rep.cases]
+
+    want = cases(make_family(name, reference_params(name), QBase(0.5)))
+    fam = make_family(name, reference_params(name), QBase(0.5))
+    for n in range(6):
+        try:
+            fam.d_n(n)
+        except (ValueError, ArithmeticError):
+            pass
+
+    def refused(*args):
+        raise AssertionError("the weight was read")
+
+    for kind in (LatticeKind, *LatticeKind.__subclasses__()):
+        monkeypatch.setattr(kind, "rho_at_s", refused)
+    monkeypatch.setattr(FamilySpec, "weight", refused)
+    assert cases(fam) == want
 
 
 @pytest.mark.parametrize("name", ["asc1", "q_dual_hahn", "askey_wilson"])

@@ -2,6 +2,7 @@ import gc
 import json
 import math
 import pathlib
+import re
 import subprocess
 import sys
 import weakref
@@ -649,6 +650,32 @@ def test_grid_parse_errors_exit_2(capsys):
                   "--suite", "nosuchsuite"])
     assert rc == 2
     assert "unknown suite" in capsys.readouterr().err
+
+
+QDH_REF = ["--family", "q_dual_hahn", *REF_ARGS["q_dual_hahn"]]
+ASC1_REF = ["--family", "asc1", *REF_ARGS["asc1"]]
+
+
+@pytest.mark.parametrize("spelt, twin", [
+    (["eval", *QDH_REF, "--grid", "-1.5:-0.5:2"], ["eval", *QDH_REF, "--grid=-1.5:-0.5:2"]),
+    (["check", *ASC1_REF, "--q", "0.5", "--suite", "all", "--grid", "-2.5:-0.5:3"],
+     ["check", *ASC1_REF, "--q", "0.5", "--suite", "all", "--grid=-2.5:-0.5:3"]),
+    (["check", *ASC1_REF, "--suite", "eigen", "--perturb", "beta", "-1e-3"],
+     ["check", *ASC1_REF, "--suite", "eigen", "--perturb", "beta", "-0.001"]),
+], ids=["grid-refused", "grid", "perturb"])
+def test_a_flag_value_may_start_with_a_minus_sign(tmp_path, capsys, spelt, twin):
+    # a grid -1.5:-0.5:2 or a delta -1e-3 is the flag's value, not a flag
+    seen = []
+    for argv in (spelt, twin):
+        out = tmp_path / "out"
+        rc = run_cli([*argv, "--out", str(out)])
+        captured = capsys.readouterr()
+        text = out.read_text() if out.exists() else ""
+        seen.append((rc, captured.out, captured.err,
+                     re.sub(r'"wall_ms": [-+0-9.eE]+', "", text)))
+        out.unlink(missing_ok=True)
+    assert seen[0] == seen[1]
+    assert "expected" not in seen[0][2]
 
 
 def test_suite_all_takes_no_other_suite_name(capsys):

@@ -72,7 +72,7 @@ REMOVED = {"OrthonormalFamily", "WeightTable", "B_n", "_B_from_leading", "weight
            "_over_n", "_d_column", "_entry", "_memo", "SupportSpec", "norm_source",
            "_compute_norm_sq", "_rho_or_nan", "_positive_real", "delta_x", "nabla_x",
            "_q_pochhammer_inf_array", "_aw_equation_data", "reduceat", "_reduced",
-           "_bootstrap", "_one", "monic_rows"}
+           "_bootstrap", "_one", "monic_rows", "_branch_consistent"}
 SUPPORT_LABELS = {"discrete_grid", "jackson_integral", "continuous_interval"}
 
 
