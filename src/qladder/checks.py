@@ -17,7 +17,6 @@ import numpy as np
 from .hypergeometric_core import RODRIGUES_MAX_ORDER, pearson_weight, rel_residual, rodrigues_values
 from .lattice import LatticeTable
 from .ladder import (
-    _RAISE_FP,
     StencilGrid,
     _by_offset,
     check_adjoint,
@@ -139,7 +138,6 @@ def concordance_suite(rep, fam, ns, s_grid):
     rep.meta["errata"] = errata
 
 
-@_RAISE_FP
 def _compare_displays(fam, grid, compare):
     """The concordance cases of the secondary displays (u, h, the identity
     term of H and the squared E-+ coefficients) at the first three points
@@ -332,7 +330,6 @@ def orthonormality_suite(rep, fam, ns, s_grid):
        "sigma nabla P_n/nabla x = lambda_n/[n]_q tau_n/tau_n' P_n "
        "- alpha_n lambda_{2n}/[2n]_q P_{n+1};  Theta Delta P_n/Delta x = "
        "gamma_n lambda_{2n}/[2n]_q P_{n-1} + [...] P_n", 1e-10)
-@_RAISE_FP
 def poly_ladder_suite(rep, fam, ns, s_grid):
     """The polynomial-level raising and lowering relations, canonical
     normalization, at every point of s_grid at once.  The

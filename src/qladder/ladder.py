@@ -100,12 +100,6 @@ def h_plusminus(fam, n):
 # ==========================================================================
 
 
-# numpy turns a division by a vanishing step, an overflow or an invalid
-# operation into a warning and an inf or nan residual; Python's complex
-# arithmetic raises an ArithmeticError there, and so do the suites
-_RAISE_FP = np.errstate(divide="raise", over="raise", invalid="raise")
-
-
 def _by_offset(a, first: int | None = None):
     """A (... x chain offset) array as a function of the offset, its column 0
     holding offset `first` (by default the array is centred on offset 0)."""
@@ -121,35 +115,24 @@ def _by_offset(a, first: int | None = None):
     return at
 
 
-def _chain_weights(theta, sigma, up, down, anchor: int):
+def _chain_weights(theta, sigma, roots, anchor: int):
     """Chain weights along the last axis, w = 1 on column `anchor`:
 
         sqrt(Theta(s) sigma(s+1)) w(s+1) = Theta(s) w(s)  and
         sqrt(Theta(s-1) sigma(s)) w(s-1) = sigma(s) w(s),
 
     so w^2 solves the Pearson ratio recurrence and every square-root branch
-    agrees with the operator coefficients.  Column c of `up` and of `down` is
-    sqrt(Theta sigma) between columns c and c + 1 of theta and sigma,
-    evaluated from the lower and from the upper point.  A link whose root
-    vanishes leaves no weight beyond it: the caller tests the links it
-    reads first (`_require_links`)."""
+    agrees with the operator coefficients.  Column c of `roots` is
+    sqrt(Theta sigma) between columns c and c + 1 of theta and sigma.  A
+    link whose root vanishes leaves no weight beyond it: the caller tests
+    the links it reads first (`StencilGrid.require_links`)."""
     last = theta.shape[-1] - 1
     w = {anchor: np.ones(theta.shape[:-1], dtype=complex)}
     for c in range(anchor, last):
-        w[c + 1] = _cdiv(theta[..., c] * w[c], up[..., c])
+        w[c + 1] = _cdiv(theta[..., c] * w[c], roots[..., c])
     for c in range(anchor, 0, -1):
-        w[c - 1] = _cdiv(sigma[..., c] * w[c], down[..., c - 1])
+        w[c - 1] = _cdiv(sigma[..., c] * w[c], roots[..., c - 1])
     return np.stack([w[c] for c in range(last + 1)], axis=-1)
-
-
-def _require_links(up, down, t, anchor: int, lo: int, hi: int):
-    """Refuse a chain (see `_chain_weights`) whose root vanishes on a link
-    between columns lo and hi: the links up from the anchor first, outward,
-    then the links down, each at the first point where its root is 0."""
-    for c in range(anchor, hi):
-        _require_nonzero_root(up[..., c], t[..., c], "Theta(s) sigma(s+1)")
-    for c in range(anchor, lo, -1):
-        _require_nonzero_root(down[..., c - 1], t[..., c], "Theta(s-1) sigma(s)")
 
 
 def _require_nonzero_root(root, s, product: str):
@@ -168,11 +151,10 @@ def _frozen(a):
     return a
 
 
-# A grid's arrays are computed under _RAISE_FP whichever suite reads them
-# first, so a shared array is the same, or raises the same, for every suite.
 def _grid_array(fn):
-    """A StencilGrid array, computed on first read and read-only."""
-    return cached_property(wraps(fn)(_RAISE_FP(lambda self: _frozen(fn(self)))))
+    """A StencilGrid array, computed on first read, under the floating-point
+    policy of the suite that reads it first (`report.suite`), and read-only."""
+    return cached_property(wraps(fn)(lambda self: _frozen(fn(self))))
 
 
 class StencilGrid:
@@ -198,12 +180,12 @@ class StencilGrid:
     columns over n too (`hypergeometric_core._column`): one n reads its
     row, and a suite reads every n it checks at once, stacked as (n x grid
     point x offset).  A column grows to the largest n read in one
-    coefficient-array computation, under _RAISE_FP, so a grid raises only at
-    an n at or below one a suite asked for.  P_0..P_n come from one
-    recurrence pass on x, continued when a higher n is first read; the
-    constants from the family's per-n table.  A grid keeps the family's
-    equation data `eq` and its table `coeffs`, not the family, so the family
-    that caches it is freed by reference counting.
+    coefficient-array computation, so a grid raises only at an n at or below
+    one a suite asked for.  P_0..P_n come from one recurrence pass on x,
+    continued when a higher n is first read; the constants from the
+    family's per-n table.  A grid keeps the family's equation data `eq` and
+    its table `coeffs`, not the family, so the family that caches it is
+    freed by reference counting.
 
     The suites take their grids from `StencilGrid.shared`, one per family
     and distinct (points, margin), so suites on the same points and margin
@@ -212,7 +194,11 @@ class StencilGrid:
     The suites on the request's points all read its margin-2 grid, and only
     the grids on other points (bootstrap's chains, the discrete support, the
     theta grid) have margin 1, so a check builds one grid per point set.
-    Every array a grid keeps is read-only.
+    Every array a grid keeps is read-only.  The library reads grids only in
+    suite bodies, so each array is computed under the suites' one
+    floating-point policy (`report.suite`: divide, over and invalid raise)
+    by whichever suite reads it first, and is the same, or raises the same,
+    for every suite.
 
     Each grid point carries its own Pearson-consistent weight chain, anchored
     at w = 1 on offset 0 (the residuals checked here are local and
@@ -224,7 +210,6 @@ class StencilGrid:
     reads it.
     """
 
-    @_RAISE_FP
     def __init__(self, fam, s_grid, margin: int):
         self.eq, self.coeffs = fam.eq, fam.coeffs
         self.margin = margin
@@ -248,7 +233,6 @@ class StencilGrid:
         pts = tuple(complex(s) for s in s_grid)
         return fam.cached(("grid", pts, margin), lambda: cls(fam, pts, margin))
 
-    @_RAISE_FP
     def _compute(self, fn, ns):
         """fn's rows for the n in ns, read-only: one coefficient-array computation."""
         return list(_frozen(fn(self, np.array(ns))))
@@ -337,14 +321,18 @@ class StencilGrid:
         """The chain weights of every grid point, w = 1 on offset 0; NaN
         beyond a link whose root vanishes, which `require_links` refuses."""
         with np.errstate(all="ignore"):
-            return _chain_weights(self.theta, self.sigma, self.roots, self.roots, self.margin)
+            return _chain_weights(self.theta, self.sigma, self.roots, self.margin)
 
     def require_links(self, reach: int):
         """Refuse the grid if a chain link within `reach` of offset 0 has a
-        vanishing root: a reader of the chain weights on offsets
-        -reach..reach calls this first."""
+        vanishing root: the links up from offset 0 first, outward, then the
+        links down, each at the first point where its root is 0.  A reader
+        of the chain weights on offsets -reach..reach calls this first."""
         m = self.margin
-        _require_links(self.roots, self.roots, self.t, m, m - reach, m + reach)
+        for c in range(m, m + reach):
+            _require_nonzero_root(self.roots[:, c], self.t[:, c], "Theta(s) sigma(s+1)")
+        for c in range(m, m - reach, -1):
+            _require_nonzero_root(self.roots[:, c - 1], self.t[:, c], "Theta(s-1) sigma(s)")
 
     # H(s,n) = e_minus E^- + e_plus E^+ + h_diag I, L+(s,n) = u I + e_minus
     # E^-, L-(s,n) = v I + e_plus E^+ on chain offsets
@@ -429,7 +417,6 @@ def _cases_by_n(rep, g: StencilGrid, ns, residuals):
 
 
 @suite("eigen", "H(s,n) phi_n(s) = 0 (symmetric-form difference equation)", 1e-9)
-@_RAISE_FP
 def check_eigen(rep, fam, ns, s_grid):
     """H(s,n) phi_n(s) = 0.  Sweep: ns on s_grid."""
     g = StencilGrid.shared(fam, s_grid)
@@ -470,7 +457,6 @@ def _ladder_residuals(op: str, ns, g: StencilGrid):
 
 
 @suite("raising", "L+(s,n) phi_n = alpha_n lambda_{2n}/[2n]_q d_{n+1}/d_n phi_{n+1}", 1e-9)
-@_RAISE_FP
 def check_raising(rep, fam, ns, s_grid):
     """L+(s,n) phi_n = alpha_n lambda_{2n}/[2n]_q (d_{n+1}/d_n) phi_{n+1};
     the d-ratio enters in its cancelled form (valid at the top of finite
@@ -480,7 +466,6 @@ def check_raising(rep, fam, ns, s_grid):
 
 
 @suite("lowering", "L-(s,n) phi_n = gamma_n lambda_{2n}/[2n]_q d_{n-1}/d_n phi_{n-1}", 1e-9)
-@_RAISE_FP
 def check_lowering(rep, fam, ns, s_grid):
     """L-(s,n) phi_n = gamma_n lambda_{2n}/[2n]_q (d_{n-1}/d_n) phi_{n-1}.
     Sweep: ns on s_grid."""
@@ -489,7 +474,6 @@ def check_lowering(rep, fam, ns, s_grid):
 
 
 @suite("uv_shift", "u(s+1,n) = v(s,n+1)", 1e-10)
-@_RAISE_FP
 def check_uv_shift(rep, fam, ns, s_grid):
     """u(s+1,n) = v(s,n+1) (equivalently u(s+1,n-1) = v(s,n)).  Sweep:
     n = 0..N+1 on s_grid."""
@@ -515,7 +499,6 @@ def check_h_remark(rep, fam, ns, s_grid):
 
 
 @suite("h_s_independence", "s-independence of the bracket expansions of h-+ and h+-", 1e-10)
-@_RAISE_FP
 def check_h_s_independence(rep, fam, ns, s_grid):
     """The displayed brackets for h-+(n) and h+-(n) are independent of s and
     equal the gamma/alpha closed values:
@@ -552,7 +535,6 @@ def check_h_s_independence(rep, fam, ns, s_grid):
 @suite("factorization",
        "u(s+1,n) H(s,n) = L-(s,n+1) L+(s,n) - h(n) I  and  "
        "u(s,n) H(s,n+1) = L+(s,n) L-(s,n+1) - h(n) I", 1e-9)
-@_RAISE_FP
 def check_factorization(rep, fam, ns, s_grid):
     """Both factorizations on probe functions (monomials x^j, j <= 3, plus
     the chain phi_n):
@@ -625,7 +607,6 @@ def _d_ratio_up(fam, n: int):
 
 
 @suite("bootstrap", "phi_0 from L-(s,0) phi_0 = 0, then phi_{n+1} from L+(s,n)", 1e-8)
-@_RAISE_FP
 def check_bootstrap(rep, fam, ns, s_grid):
     """Solve L-(s,0) phi_0 = 0 as the ratio recurrence
 
@@ -665,14 +646,12 @@ def check_bootstrap(rep, fam, ns, s_grid):
         coef, dr = fam.coeffs.alpha(n) * fam.coeffs.lam_ratio(2 * n), _d_ratio_up(fam, n)
         val, _ = up.apply("L+", n, np.stack([levels[n, :-1], levels[n, 1:]], axis=-1))
         levels[n + 1, 1:] = _cdiv(val, coef * dr if dr is not None else coef)
-    # the direct phi_n: one chain through the chain points, anchored at s0,
-    # times P_n; a link going up is read at its lower point, one going down
-    # at its upper point
-    theta, sigma = g.theta[None, :, 1], g.sigma[None, :, 1]
-    up, down = g.roots[None, :-1, 1], g.roots[None, 1:, 0]
-    _require_links(up, down, g.s[None, :], N, 0, len(g.s) - 1)
+    # the direct phi_n: one chain up through the chain points from s0, whose
+    # links the phi_0 recurrence tested, times P_n
     rows = slice(N, N + count)  # the chain points s0 + k, k < len(s_grid)
-    direct = _chain_weights(theta, sigma, up, down, N)[0, rows] * g.p(range(N + 1))[:, rows, 1]
+    chain = _chain_weights(g.theta[None, rows, 1], g.sigma[None, rows, 1],
+                           g.roots[None, rows, 1], 0)[0]
+    direct = chain * g.p(range(N + 1))[:, rows, 1]
     for n, (got, want) in enumerate(zip(levels[:, rows].tolist(), direct.tolist())):
         k0 = next(k for k, d in enumerate(want) if abs(d) > 1e-14)
         const = got[k0] / want[k0]
@@ -695,7 +674,6 @@ def _support_grid(fam):
 @suite("adjoint",
        "sum phi_{n+1} [2n]_q/lambda_{2n} (L+ phi_n) dx = "
        "sum ([2n+2]_q/lambda_{2n+2} L- phi_{n+1}) phi_n dx = alpha_n d_{n+1}/d_n", 1e-8)
-@_RAISE_FP
 def check_adjoint(rep, fam, ns, s_grid):
     """Mutual adjointness on a finite discrete support:
 
@@ -741,7 +719,6 @@ def check_adjoint(rep, fam, ns, s_grid):
 @suite("selfadjoint",
        "sum phi_m (H(.,n) phi_n) = sum phi_n (H(.,n) phi_m)"
        " (eigenvalue operator -H/Delta x(s-1/2) self-adjoint)", 1e-8)
-@_RAISE_FP
 def check_selfadjoint(rep, fam, ns, s_grid):
     """Self-adjointness of the eigenvalue operator on the discrete support:
 
@@ -780,7 +757,6 @@ def check_selfadjoint(rep, fam, ns, s_grid):
 
 @suite("branch_continuity",
        "sqrt(Theta sigma) operator coefficients vary continuously along the grid", 0.2)
-@_RAISE_FP
 def check_branch_continuity(rep, fam, ns, s_grid):
     """Continuity of the principal-root operator coefficients along the grid
     (detects branch flips on complex lattice coordinates; a real one is

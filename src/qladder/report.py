@@ -7,6 +7,11 @@ object per case.  `dumps_reports` writes the v1 JSON straight from the
 columns: the bytes `json.dumps` writes for the report objects, with each
 number's text from the json module (NaN and Infinity included) and each
 label and note through `encode_basestring_ascii`.
+
+`suite` sets the one floating-point policy of the suites: a body runs with
+numpy's divide, over and invalid raising, as Python's complex arithmetic
+does, so a fault refuses the suite by name instead of giving an inf or NaN
+residual.  A step inside a body that refuses on its own may ignore them.
 """
 
 from __future__ import annotations
@@ -106,15 +111,19 @@ def suite(name: str, identity: str, tolerance):
     CheckReport of `name`, `identity` and `fam.name` at the caller's
     tolerance, runs the body, marks the report skipped with the text of a
     `Skipped` the body raises, and sets `wall_ms` to the body's run time.
-    An ArithmeticError (a vanishing lattice step, an overflow, an invalid
-    operation) is raised again, of the same class, with the suite named."""
+    The body runs under numpy's errstate divide, over and invalid = raise,
+    so a floating-point fault is a FloatingPointError, not an inf or NaN
+    residual.  An ArithmeticError (a vanishing lattice step, an overflow, an
+    invalid operation) is raised again, of the same class, with the suite
+    named."""
 
     def make(body):
         def run(fam, ns, s_grid, tolerance=tolerance):
             rep = CheckReport(name, identity, fam.name, tolerance=tolerance)
             t0 = time.perf_counter()
             try:
-                body(rep, fam, ns, s_grid)
+                with np.errstate(divide="raise", over="raise", invalid="raise"):
+                    body(rep, fam, ns, s_grid)
             except Skipped as e:
                 rep.meta.update(status="skipped", reason=str(e))
             except ArithmeticError as e:

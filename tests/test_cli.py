@@ -5,6 +5,7 @@ import pathlib
 import re
 import subprocess
 import sys
+import warnings
 import weakref
 
 import numpy as np
@@ -676,6 +677,20 @@ def test_a_flag_value_may_start_with_a_minus_sign(tmp_path, capsys, spelt, twin)
         out.unlink(missing_ok=True)
     assert seen[0] == seen[1]
     assert "expected" not in seen[0][2]
+
+
+@pytest.mark.parametrize("grid", ["-3.25:-1.25:3", "6:8:3"])
+def test_a_weight_pole_refuses_the_pearson_suite(tmp_path, capsys, grid):
+    # the closed q-dual Hahn weight is 0/0 at these points: no residual, no NaN verdict
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        rc = run_cli(["check", *QDH_REF, "--q", "0.5", f"--grid={grid}", "--suite", "pearson",
+                      "--out", str(tmp_path / "p.json")])
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert err.startswith("error: pearson: ")
+    assert "RuntimeWarning" not in err
+    assert not caught
 
 
 def test_suite_all_takes_no_other_suite_name(capsys):

@@ -48,13 +48,16 @@ def test_the_run_set_checks_single_suites_on_requested_grids():
     """Beside `--suite all` on default grids, every stencil suite runs alone
     on three grids at each reference config, and on five grids near the
     zeros of q-dual Hahn's chain, so a refusal that moves in one suite shows;
+    pearson and all run at a pole of q-dual Hahn's weight, where both refuse;
     bootstrap runs alone at the two asc1 draws where rounding decides it."""
     sys.path.insert(0, str(pathlib.Path(__file__).resolve().parent.parent / "perfbench"))
     runs = co.run_set()
-    assert len(runs) == len({tuple(r) for r in runs}) == 857
+    assert len(runs) == len({tuple(r) for r in runs}) == 859
     assert all(r[-2:] == ["--out", "OUT"] for r in runs)
     single = [r for r in runs if r[0] == "check" and "--format" not in r and "--perturb" not in r]
-    assert len(single) == 6 * 11 * 3 + 2 * 11 * 5 + len(co.BOOTSTRAP_EDGE)
+    assert len(single) == 6 * 11 * 3 + 2 * 11 * 5 + 2 + len(co.BOOTSTRAP_EDGE)
+    pole = [r for r in single if co.QDH_POLE_GRID in r]
+    assert [r[r.index("--suite") + 1] for r in pole] == ["pearson", "all"]
     edge = [r for r in single if "a=0.7" in r]
     assert {r[r.index("--grid") + 1] for r in edge} == set(co.QDH_GRIDS)
     assert {r[r.index("--suite") + 1] for r in edge} == set(co.SUITES)

@@ -50,6 +50,11 @@ A family's cache is its own: no library module but families.py names
 `_cache`.  Other modules reach a kept value through `FamilySpec.cached`, and
 what the cache keeps (the per-n table, the stencil grids) takes the family's
 data, not the family, so no reference cycle runs through it.
+
+A suite body runs under one floating-point policy, set by `report.suite`:
+every `np.errstate` in the library is the item of a `with` block, so none
+decorates a function or is kept as a value, and `report.suite` is the one
+place that sets a policy around a suite.
 """
 
 import ast
@@ -72,7 +77,8 @@ REMOVED = {"OrthonormalFamily", "WeightTable", "B_n", "_B_from_leading", "weight
            "_over_n", "_d_column", "_entry", "_memo", "SupportSpec", "norm_source",
            "_compute_norm_sq", "_rho_or_nan", "_positive_real", "delta_x", "nabla_x",
            "_q_pochhammer_inf_array", "_aw_equation_data", "reduceat", "_reduced",
-           "_bootstrap", "_one", "monic_rows", "_branch_consistent"}
+           "_bootstrap", "_one", "monic_rows", "_branch_consistent", "_RAISE_FP",
+           "_require_links"}
 SUPPORT_LABELS = {"discrete_grid", "jackson_integral", "continuous_interval"}
 
 
@@ -228,3 +234,16 @@ def test_only_families_module_names_the_family_cache():
              if path.name != "families.py" for node in ast.walk(_tree(path))
              if "_cache" in _names(node)]
     assert not found, f"a family's private cache named outside families.py: {found}"
+
+
+def test_no_library_function_is_decorated_with_an_errstate():
+    found = []
+    for path in MODULES:
+        tree = _tree(path)
+        items = {id(item.context_expr) for node in ast.walk(tree) if isinstance(node, ast.With)
+                 for item in node.items}
+        found += [f"{path.name}:{node.lineno}" for node in ast.walk(tree)
+                  if isinstance(node, ast.Call) and "errstate" in _names(node.func)
+                  and id(node) not in items]
+    assert not found, f"np.errstate outside a with block: {found}"
+    assert _call_sites(SRC / "report.py", "errstate") == ["suite.make.run"]

@@ -1,10 +1,12 @@
 """`report.dumps_reports` writes the v1 JSON straight from a report's case
 columns; `pointwise.report_to_dict` with `json.dumps` is its reference, and
 the two agree byte for byte, on every suite's reports and on synthetic
-reports at the edges of what JSON writes, or both refuse a value."""
+reports at the edges of what JSON writes, or both refuse a value.
+`report.suite` runs a body under its one floating-point policy."""
 
 import json
 import math
+import types
 
 import numpy as np
 import pytest
@@ -12,7 +14,7 @@ import pytest
 from qladder.checks import SUITE_NAMES, run_suite
 from qladder.families import make_family, reference_params
 from qladder.qkernel import QBase, QKernelError
-from qladder.report import SCHEMA_ID, CheckReport, dumps_reports
+from qladder.report import SCHEMA_ID, CheckReport, dumps_reports, suite
 
 from conftest import FAMILY_NAMES
 from pointwise import report_to_dict
@@ -111,3 +113,20 @@ def test_a_residual_json_refuses_is_refused_by_both(residual):
     rep = _report()
     rep.add(1, "0.5", residual)
     assert_same_or_both_refuse([rep])
+
+
+@pytest.mark.parametrize("fault, message", [
+    (lambda: np.ones(2) / np.zeros(2), "divide by zero"),
+    (lambda: np.zeros(2) / np.zeros(2), "invalid value"),
+    (lambda: np.full(2, 1e300) * 1e300, "overflow"),
+], ids=["divide", "invalid", "over"])
+def test_a_suite_raises_a_floating_point_fault_naming_itself(fault, message):
+    # numpy's default would warn and give the body an inf or NaN residual
+    @suite("throwaway", "1 = 1", 1e-9)
+    def check(rep, fam, ns, s_grid):
+        rep.add(0, "-", float(np.max(np.abs(fault()))))
+
+    before = np.geterr()
+    with pytest.raises(FloatingPointError, match=f"^throwaway: {message}"):
+        check(types.SimpleNamespace(name="asc1"), [1], [0.5])
+    assert np.geterr() == before

@@ -17,6 +17,10 @@ against each tree, each tree in its own Python process:
   0), where Theta(s-1) sigma(s) vanishes at s = 0.7, on five grids near
   its zeros and its support boundary, so a refusal or a verdict that moves
   in one suite alone shows;
+* `check --suite pearson` and `--suite all` at q-dual Hahn's reference,
+  q = 0.5, on `--grid -3.25:-1.25:3`, where the closed weight is 0/0: each
+  refuses (exit 2, "error: pearson: ..."), so a fault that turns into a
+  NaN verdict again shows;
 * `check --suite bootstrap` at two asc1 draws of check_sweep, a =
   0.8376083363309292 at q = 0.22101136604850918 and a = 1.648781045550221
   at q = 0.2346512797828426, whose residuals (1.8e-8 and 2.6e-9 with the
@@ -58,6 +62,7 @@ SUITES = ("eigen", "ttrr_phi", "raising", "lowering", "uv_shift", "h_s_independe
 SUITE_GRIDS = (None, "0.4:2.6:4", "0.3:0.3:1")  # None: the family's default grid
 QDH_EDGE = {"a": 0.7, "b": 3.7, "c": 0.0}
 QDH_GRIDS = ("1.7:1.7:1", "1.7:2.7:2", "2:3:2", "1:3:3", "3.5:3.5:1")
+QDH_POLE_GRID = "-3.25:-1.25:3"  # the closed q-dual Hahn weight is 0/0 here
 BOOTSTRAP_EDGE = ((0.8376083363309292, 0.22101136604850918),
                   (1.648781045550221, 0.2346512797828426))  # asc1 (a, q)
 _WALL_MS = re.compile(r'"wall_ms": [-+0-9.eE]+')
@@ -93,6 +98,8 @@ def run_set() -> list:
         runs += suite_runs(family_args(name), SUITE_GRIDS)
     for params in (None, QDH_EDGE):
         runs += suite_runs(family_args("q_dual_hahn", params), QDH_GRIDS)
+    runs += [["check", *family_args("q_dual_hahn"), "--q", "0.5", "--suite", suite,
+              "--grid", QDH_POLE_GRID] for suite in ("pearson", "all")]
     runs += [["check", *family_args("asc1", {"a": a}), "--q", repr(q), "--suite", "bootstrap"]
              for a, q in BOOTSTRAP_EDGE]
     runs = [argv + ["--out", "OUT"] for argv in runs]
