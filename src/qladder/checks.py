@@ -163,7 +163,8 @@ def _compare_displays(fam, grid, compare):
     if "ham_cminus" in displays:
         # squared comparison of displayed E-+ coefficients (branch-free)
         rows = []
-        em, ep = g.plus_side(g.e_minus)(0), g.minus_side(g.e_plus)(0)
+        g.require_steps()
+        em, ep = g.plus_side(g.e)(0), g.minus_side(g.e)(0)
         for s, label, em, ep in zip(grid, labels, em[:3].tolist(), ep[:3].tolist()):
             rows += [("hamiltonian_cminus_sq", f"s={label}",
                       complex(displays["ham_cminus"](s)) ** 2, em ** 2),

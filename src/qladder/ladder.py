@@ -14,12 +14,12 @@ every family, including complex lattice coordinates.
 
 `StencilGrid` is the one implementation of these coefficients.  It tabulates
 x, the steps, sigma, Theta, the limit-aware ratios, the principal roots, the
-E^- and E^+ coefficients, u, v, the H diagonal and the chain weights on
-(grid point x chain offset) arrays, and every suite reads them there: a
-suite that needs the coefficients at a few points takes a grid on them
-from `StencilGrid.shared`, which keeps one grid per family and distinct
-(points, margin); the suites on the request's points all read the one
-margin-2 grid there, each testing the chain links it reads.  `StencilGrid.apply`
+E^-+ coefficients (one array on the links, as E^-(s+1) = E^+(s)), u, v, the
+H diagonal and the chain weights on (grid point x chain offset) arrays of
+one shape, offsets -2..2, and every suite reads them there: a suite takes
+the grid on its points from `StencilGrid.shared`, which keeps one grid per
+family and point set, so the suites on the request's points all read one
+grid, each testing the chain links and the steps it reads.  `StencilGrid.apply`
 is the one sum of an H, L+ or L- stencil, on chain functions or, reduced
 through the Pearson relation, on P_n; every suite reads it, and only the
 outer products of the factorization are written out.  The n-dependent
@@ -161,20 +161,19 @@ class StencilGrid:
     """The coefficients of H, L+ and L- on one check grid, each piece
     computed once, when first needed.
 
-    Arrays are (grid point x chain offset).  `t`, `x`, `dxm` (Delta x(s-1/2)),
-    `sigma`, `theta` and the chain weights `w` cover the offsets
-    k = -margin..margin, column margin + k holding s + k; column c of `roots`
-    is sqrt(Theta sigma) between columns c and c + 1 of those.  Each
-    coefficient covers the offsets a stencil of the margin's widest reader
-    (the factorization's outer products, at margin 2) reads: the L+ side
-    (`nabla`, `son` = sigma/nabla x with the removable-0/0 limit, `e_minus`,
-    `u`) on offsets 0..margin-1, the L- side (`delta`, `tod` = Theta/Delta x,
-    `e_plus`, `v`) on -(margin-1)..0, A(s,n) on -(margin-1)..margin-1 and the
-    H diagonal on offset 0.  A suite reading only offsets -1..1 of a
-    margin-2 grid divides by the outer steps Delta x(s) and nabla x(s) as
-    well, so it refuses a point where either vanishes, as the CLI's grid
-    check does.  `plus_side` and `minus_side` index the two sides by offset.
-    x is one `LatticeTable`, on the half-integer offsets as well.
+    Arrays are (grid point x chain offset), on one shape for every grid.
+    `t`, `x`, `dxm` (Delta x(s-1/2)), `sigma`, `theta` and the chain weights
+    `w` cover the offsets k = -2..2, column 2 + k holding s + k; column c of
+    `roots` is sqrt(Theta sigma) between columns c and c + 1 of those.  The
+    coefficients cover the offsets the widest stencil reads (the
+    factorization's outer products): the L+ side (`son` = sigma/nabla x with
+    the removable-0/0 limit, `u`) on offsets 0, 1, the L- side (`tod` =
+    Theta/Delta x, `v`) on -1, 0, A(s,n) on -1..1 and the H diagonal on
+    offset 0.  The links (s-1, s) and (s, s+1) carry one `step` array,
+    nabla x on offsets 0, 1 and Delta x on -1, 0, and one `e` array,
+    sqrt(Theta sigma)/step: E^- on the L+ side and E^+ on the L- side.
+    `plus_side` and `minus_side` index the two sides by offset.  x is one
+    `LatticeTable`, on the half-integer offsets as well.
 
     A(s,n), u, v, the H diagonal, P_n and the chain function w P_n are
     columns over n too (`hypergeometric_core._column`): one n reads its
@@ -188,62 +187,56 @@ class StencilGrid:
     freed by reference counting.
 
     The suites take their grids from `StencilGrid.shared`, one per family
-    and distinct (points, margin), so suites on the same points and margin
-    read one grid, and the first of them pays for each piece.  The margin is
-    part of the key because it fixes the offsets each coefficient covers.
-    The suites on the request's points all read its margin-2 grid, and only
-    the grids on other points (bootstrap's chains, the discrete support, the
-    theta grid) have margin 1, so a check builds one grid per point set.
-    Every array a grid keeps is read-only.  The library reads grids only in
-    suite bodies, so each array is computed under the suites' one
-    floating-point policy (`report.suite`: divide, over and invalid raise)
-    by whichever suite reads it first, and is the same, or raises the same,
-    for every suite.
+    and point set, so the suites on the request's points read one grid, and
+    the first of them pays for each piece; the other grids lie on the
+    bootstrap's chain, the discrete support and the theta grid.  Every array
+    a grid keeps is read-only.  The library reads grids only in suite
+    bodies, so each array is computed under the suites' one floating-point
+    policy (`report.suite`: divide, over and invalid raise) by whichever
+    suite reads it first, and is the same, or raises the same, for every
+    suite.
 
     Each grid point carries its own Pearson-consistent weight chain, anchored
     at w = 1 on offset 0 (the residuals checked here are local and
     1-homogeneous in the chain constant), so grids need not be integer
     chains of each other; this is how the theta-grids of the trigonometric
-    lattice are handled.  The weights cover every offset, formed with
-    floating-point errors ignored; a reader tests the links it reads first
-    (`require_links`), as `LatticeTable` tests a step only where a lane
-    reads it.
+    lattice are handled.  What a grid may not divide by is tested where it
+    is read, as `LatticeTable` tests a step only where a lane reads it: the
+    weights cover every offset, formed with floating-point errors ignored,
+    and a reader tests the links it reads first (`require_links`); `e` reads
+    NaN where a step is degenerate, and a reader of `e` tests the steps
+    first (`require_steps`).
     """
 
-    def __init__(self, fam, s_grid, margin: int):
+    def __init__(self, fam, s_grid):
         self.eq, self.coeffs = fam.eq, fam.coeffs
-        self.margin = margin
         pts = [complex(s) for s in s_grid]
         self.s = _frozen(np.array(pts, dtype=complex))
         self.labels = tuple(f"{s:.6g}" for s in pts)  # case label of each grid point
-        self._x_half = _frozen(LatticeTable(fam.lattice, pts, -2 * margin - 1, 2 * margin + 1).x)
-        self.t = _frozen(self.s[:, None] + np.arange(-margin, margin + 1))
+        self._x_half = _frozen(LatticeTable(fam.lattice, pts, -5, 5).x)
+        self.t = _frozen(self.s[:, None] + np.arange(-2, 3))
         self.x = self._x_half[:, 1::2]
         self._columns = defaultdict(list)  # name -> its rows over n = 0, 1, .. so far
         self._monic = ()  # monic P_0, P_1, .. on x, as far as read
-        m = margin
-        self._plus = slice(m, 2 * m)  # columns of the L+ offsets 0..m-1
-        self._minus = slice(1, m + 1)  # columns of the L- offsets -(m-1)..0
 
     @classmethod
-    def shared(cls, fam, s_grid, margin: int = 2) -> "StencilGrid":
-        """The grid of `fam` on these points with this margin (by default
-        the request's grid, margin 2), built on the first request and kept
-        by the family (`FamilySpec.cached`)."""
+    def shared(cls, fam, s_grid) -> "StencilGrid":
+        """The grid of `fam` on these points, built on the first request and
+        kept by the family (`FamilySpec.cached`)."""
         pts = tuple(complex(s) for s in s_grid)
-        return fam.cached(("grid", pts, margin), lambda: cls(fam, pts, margin))
+        return fam.cached(("grid", pts), lambda: cls(fam, pts))
 
     def _compute(self, fn, ns):
         """fn's rows for the n in ns, read-only: one coefficient-array computation."""
         return list(_frozen(fn(self, np.array(ns))))
 
     def plus_side(self, a):
-        """An L+-side array as a function of the offset."""
+        """An L+-side array (offsets 0, 1) as a function of the offset."""
         return _by_offset(a, 0)
 
     def minus_side(self, a):
-        """An L--side array as a function of the offset."""
-        return _by_offset(a, 1 - self.margin)
+        """An L--side array (offsets -1, 0) as a function of the offset."""
+        return _by_offset(a, -1)
 
     @_grid_array
     def dxm(self):
@@ -259,103 +252,87 @@ class StencilGrid:
         return _theta_at(self.eq, self.x, self.dxm)
 
     @_grid_array
-    def nabla(self):
-        """nabla x(s) = x(s) - x(s-1) on the L+ offsets."""
-        m = self.margin
-        return self.x[:, self._plus] - self.x[:, m - 1:2 * m - 1]
-
-    @_grid_array
-    def delta(self):
-        """Delta x(s) = x(s+1) - x(s) on the L- offsets."""
-        m = self.margin
-        return self.x[:, 2:m + 2] - self.x[:, self._minus]
+    def step(self):
+        """x(s) - x(s-1) and x(s+1) - x(s): nabla x on the L+ offsets, Delta x
+        on the L- offsets."""
+        return self.x[:, 2:4] - self.x[:, 1:3]
 
     @_grid_array
     def son(self):
-        return _limit_ratio(self.eq, self.sigma[:, self._plus], self.nabla,
-                            self.t[:, self._plus], -1)
+        return _limit_ratio(self.eq, self.sigma[:, 2:4], self.step, self.t[:, 2:4], -1)
 
     @_grid_array
     def tod(self):
-        return _limit_ratio(self.eq, self.theta[:, self._minus], self.delta,
-                            self.t[:, self._minus], 1)
+        return _limit_ratio(self.eq, self.theta[:, 1:3], self.step, self.t[:, 1:3], 1)
 
     @_grid_array
     def roots(self):
-        """sqrt(Theta(s+k) sigma(s+k+1)) for k = -margin..margin-1, the
-        principal root of the product: the root of the E^+ coefficient at
-        s+k and of the E^- coefficient at s+k+1."""
+        """sqrt(Theta(s+k) sigma(s+k+1)) for k = -2..1, the principal root of
+        the product: the root of the E^+ coefficient at s+k and of the E^-
+        coefficient at s+k+1."""
         return np.sqrt(self.theta[:, :-1] * self.sigma[:, 1:])
 
     @_grid_array
-    def e_minus(self):
-        """The E^- coefficient of H and L+, sqrt(Theta(s-1) sigma(s))/nabla x(s),
-        on the L+ offsets."""
-        m = self.margin
-        return self._over_step(self.roots[:, m - 1:2 * m - 1], self.nabla, self._plus,
-                               "nabla x")
+    def e(self):
+        """sqrt(Theta sigma)/step on the links (s-1, s) and (s, s+1): the E^-
+        coefficient sqrt(Theta(s-1) sigma(s))/nabla x(s) of H and L+ on the
+        L+ offsets, the E^+ coefficient sqrt(Theta(s) sigma(s+1))/Delta x(s)
+        of H and L- on the L- offsets; NaN where the step is degenerate,
+        which `require_steps` refuses."""
+        bad = self.eq.lattice.is_degenerate_step(self.step)
+        return np.where(bad, np.nan, _cdiv(self.roots[:, 1:3], np.where(bad, 1.0, self.step)))
 
-    @_grid_array
-    def e_plus(self):
-        """The E^+ coefficient of H and L-, sqrt(Theta(s) sigma(s+1))/Delta x(s),
-        on the L- offsets."""
-        return self._over_step(self.roots[:, self._minus], self.delta, self._minus,
-                               "Delta x")
-
-    def _over_step(self, root, step, cols, name):
-        """root / step on the offsets `cols`.  A degenerate step raises
-        DegenerateStepError naming its point, in the words of the CLI's grid
-        check, where the division would raise a bare FloatingPointError."""
-        bad = self.eq.lattice.is_degenerate_step(step)
+    def require_steps(self, first: int = 0, nabla_only: bool = False):
+        """Refuse the grid if a step that `e` divides by vanishes: nabla x(s)
+        and (unless `nabla_only`) Delta x(s) of each point from row `first`
+        on, in row order, in the words of the CLI's grid check.  A reader of
+        `e` calls this first."""
+        bad = self.eq.lattice.is_degenerate_step(self.step[first:, :1 if nabla_only else 2])
         if bad.any():
             i, k = np.argwhere(bad)[0]
-            s, t = self.s[i], self.t[i, cols][k]
-            where = "" if t == s else f" at {t:.6g} on its chain"
-            raise DegenerateStepError(f"grid point {s:.6g} is degenerate ({name} vanishes"
-                                      f"{where}); choose a grid excluding lattice symmetry "
-                                      "points")
-        return _cdiv(root, step)
+            raise DegenerateStepError(f"grid point {self.s[first + i]:.6g} is degenerate "
+                                      f"({('nabla x', 'Delta x')[k]} vanishes); choose a grid "
+                                      "excluding lattice symmetry points")
 
     @_grid_array
     def w(self):
         """The chain weights of every grid point, w = 1 on offset 0; NaN
         beyond a link whose root vanishes, which `require_links` refuses."""
         with np.errstate(all="ignore"):
-            return _chain_weights(self.theta, self.sigma, self.roots, self.margin)
+            return _chain_weights(self.theta, self.sigma, self.roots, 2)
 
     def require_links(self, reach: int):
         """Refuse the grid if a chain link within `reach` of offset 0 has a
         vanishing root: the links up from offset 0 first, outward, then the
         links down, each at the first point where its root is 0.  A reader
         of the chain weights on offsets -reach..reach calls this first."""
-        m = self.margin
-        for c in range(m, m + reach):
+        for c in range(2, 2 + reach):
             _require_nonzero_root(self.roots[:, c], self.t[:, c], "Theta(s) sigma(s+1)")
-        for c in range(m, m - reach, -1):
+        for c in range(2, 2 - reach, -1):
             _require_nonzero_root(self.roots[:, c - 1], self.t[:, c], "Theta(s-1) sigma(s)")
 
-    # H(s,n) = e_minus E^- + e_plus E^+ + h_diag I, L+(s,n) = u I + e_minus
-    # E^-, L-(s,n) = v I + e_plus E^+ on chain offsets
+    # H(s,n) = e E^- + e E^+ + h_diag I, L+(s,n) = u I + e E^-, L-(s,n) =
+    # v I + e E^+ on chain offsets
     @_column
     def A(self, n):
-        """A(s,n) = lambda_n/[n]_q tau_n(s)/tau_n' on offsets -(margin-1)..margin-1;
-        the n = 0 value by the continuation of lam_ratio."""
+        """A(s,n) = lambda_n/[n]_q tau_n(s)/tau_n' on offsets -1..1; the n = 0
+        value by the continuation of lam_ratio."""
         return self.coeffs.A(n, self.t[:, 1:-1])
 
     @_column
     def u(self, n):
         """u(s,n) = A(s,n) - sigma(s)/nabla x(s) on the L+ offsets."""
-        return self.A(n)[..., self.margin - 1:] - self.son
+        return self.A(n)[..., 1:] - self.son
 
     @_column
     def v(self, n):
         """v(s,n) = -A(s,n) + lambda_n Delta x(s-1/2) + lambda_{2n}/[2n]_q
         (x(s) - beta_n) - Theta(s)/Delta x(s) on the L- offsets."""
-        t, cols = self.coeffs, self._minus
+        t = self.coeffs
         return (
-            -self.A(n)[..., :self.margin]
-            + t.lambda_n(n)[:, None, None] * self.dxm[:, cols]
-            + t.lam_ratio(2 * n)[:, None, None] * (self.x[:, cols] - t.beta(n)[:, None, None])
+            -self.A(n)[..., :2]
+            + t.lambda_n(n)[:, None, None] * self.dxm[:, 1:3]
+            + t.lam_ratio(2 * n)[:, None, None] * (self.x[:, 1:3] - t.beta(n)[:, None, None])
             - self.tod
         )
 
@@ -364,7 +341,7 @@ class StencilGrid:
         """The I coefficient of H(s,n) on offset 0:
         -(Theta/Delta x + sigma/nabla x - lambda_n Delta x(s-1/2))."""
         lam = self.coeffs.lambda_n(n)[:, None]
-        return -(self.tod[:, -1] + self.son[:, 0] - lam * self.dxm[:, self.margin])
+        return -(self.tod[:, -1] + self.son[:, 0] - lam * self.dxm[:, 2])
 
     @_column
     def p(self, n):
@@ -392,8 +369,8 @@ class StencilGrid:
         square roots out; the limit-aware ratios keep a boundary point with
         sigma(a) = nabla x(a) = 0 finite."""
         f = _by_offset(f)
-        minus = lambda: self.plus_side(self.son if reduced else self.e_minus)(k) * f(k - 1)
-        plus = lambda: self.minus_side(self.tod if reduced else self.e_plus)(k) * f(k + 1)
+        minus = lambda: self.plus_side(self.son if reduced else self.e)(k) * f(k - 1)
+        plus = lambda: self.minus_side(self.tod if reduced else self.e)(k) * f(k + 1)
         if op == "L+":
             terms = (self.plus_side(self.u(n))(k) * f(k), minus())
         elif op == "L-":
@@ -421,6 +398,7 @@ def check_eigen(rep, fam, ns, s_grid):
     """H(s,n) phi_n(s) = 0.  Sweep: ns on s_grid."""
     g = StencilGrid.shared(fam, s_grid)
     g.require_links(1)
+    g.require_steps()
     _cases_by_point(rep, g, ns, rel_residual(*g.apply("H", ns, g.phi(ns))))
 
 
@@ -435,24 +413,25 @@ def check_ttrr_phi(rep, fam, ns, s_grid):
     ns on s_grid."""
     g = StencilGrid.shared(fam, s_grid)
     t, n = fam.coeffs, np.array(ns, dtype=int)
-    P = lambda k: g.p(k)[..., g.margin]
+    P = lambda k: g.p(k)[..., 2]
     below = np.where((n >= 1)[:, None], P(np.maximum(n - 1, 0)), 0.0)  # P_{-1} = 0
     terms = (t.alpha(n)[:, None] * P(n + 1), t.gamma(n)[:, None] * below,
-             (t.beta(n)[:, None] - g.x[:, g.margin]) * P(n))
+             (t.beta(n)[:, None] - g.x[:, 2]) * P(n))
     _cases_by_n(rep, g, ns, rel_residual(sum(terms), terms))
 
 
 def _ladder_residuals(op: str, ns, g: StencilGrid):
     """Residual of L+ phi_n (op "L+") or L- phi_n ("L-") against its
     target at every grid point, for every n in ns."""
-    t, n, m = g.coeffs, np.array(ns, dtype=int), g.margin
+    t, n = g.coeffs, np.array(ns, dtype=int)
     g.require_links(1)
+    g.require_steps()
     got, (own, _) = g.apply(op, n, g.phi(n))
     if op == "L+":
-        target = (t.alpha(n) * t.lam_ratio(2 * n))[:, None] * g.phi(n + 1)[..., m]
+        target = (t.alpha(n) * t.lam_ratio(2 * n))[:, None] * g.phi(n + 1)[..., 2]
     else:
         coef = (t.gamma(n) * t.lam_ratio(2 * n))[:, None]
-        target = np.where((n >= 1)[:, None], coef * g.phi(np.maximum(n - 1, 0))[..., m], 0.0)
+        target = np.where((n >= 1)[:, None], coef * g.phi(np.maximum(n - 1, 0))[..., 2], 0.0)
     return rel_residual(got - target, (got, target, own))
 
 
@@ -553,10 +532,11 @@ def check_factorization(rep, fam, ns, s_grid):
     n = np.array(ns, dtype=int)
     monomials = np.stack([g.x ** j for j in range(4)])[:, None]
     g.require_links(2)
+    g.require_steps()
     probes = np.concatenate([np.broadcast_to(monomials, (4, len(n)) + g.x.shape),
                              g.phi(n)[None]])  # (probe, n, grid point, offset)
     u, v = g.plus_side(g.u(n)), g.minus_side(g.v(n + 1))
-    em, ep = g.plus_side(g.e_minus), g.minus_side(g.e_plus)
+    em, ep = g.plus_side(g.e), g.minus_side(g.e)
     t2 = h_minusplus(fam, n)[:, None] * _by_offset(probes)(0)
 
     def scaled(value, terms):
@@ -614,44 +594,46 @@ def check_bootstrap(rep, fam, ns, s_grid):
 
     on the chain s0 + k, k = -N..len(s_grid) - 1, with s0 = s_grid[0] and
     N = min(max(ns), 4); normalize phi_0 to 1 at s0, then climb N levels
-    with the raising operator, each consuming one chain point on the left.
-    The bootstrapped phi_n match the direct phi_n, the chain weights through
-    the chain points times P_n, up to one constant per level, fixed at s0
-    (so skipped on a one-point grid).  The closed-form weight is not read:
-    the chain weights square to it up to a constant (the Pearson relation)
-    and take the branch the operators pair with.  Sweep: levels n = 0..N on
+    with the raising operator, each consuming one chain point on the left;
+    the recurrence and the climb read one grid, on the chain.  The
+    bootstrapped phi_n match the direct phi_n, the chain weights through the
+    chain points times P_n, up to one constant per level, fixed at s0 (so
+    skipped on a one-point grid).  The closed-form weight is not read: the
+    chain weights square to it up to a constant (the Pearson relation) and
+    take the branch the operators pair with.  Sweep: levels n = 0..N on
     the chain s0 + k, k < len(s_grid); each level costs digits (q-Hermite at
     q = 0.2 reads 2.6e-7 at level 4)."""
     if len(s_grid) < 2:
         raise Skipped("one grid point: the constant fit there leaves no point to check")
     N, s0, count = min(max(ns), 4), complex(s_grid[0]), len(s_grid)
-    g = StencilGrid.shared(fam, [s0 + k for k in range(-N, count)], 1)
+    g = StencilGrid.shared(fam, [s0 + k for k in range(-N, count)])
     # phi_0 from L-(s,0) phi_0 = 0 at every chain point but the last, in
     # Python complex arithmetic: as a cumulative product of numpy quotients
     # the asc1 a = -1, q = 0.2 residual reads 5.1e-8, not 9.478e-9 (bound 1e-8)
-    root = g.roots[:-1, 1]  # sqrt(Theta(s) sigma(s+1))
+    root = g.roots[:-1, 2]  # sqrt(Theta(s) sigma(s+1))
     _require_nonzero_root(root, g.s[:-1], "Theta(s) sigma(s+1)")
     vals = [complex(1.0)]
-    for step, r in zip((-g.v(0)[:-1, 0] * g.delta[:-1, 0]).tolist(), root.tolist()):
+    for step, r in zip((-g.v(0)[:-1, 1] * g.step[:-1, 1]).tolist(), root.tolist()):
         vals.append(step * vals[-1] / r)
     scale = 1 / vals[N] if vals[N] != 0 else complex(1.0)  # phi_0(s0) = 1
     levels = np.zeros((N + 1, len(vals)), dtype=complex)  # phi_n, read from chain point n on
     levels[0] = [v * scale for v in vals]
-    # L+ acts on every chain point but the first, on a grid of its own: E^-
-    # is not evaluated at the first point, which may be a lattice symmetry
-    # point where nabla x vanishes
-    up = StencilGrid.shared(fam, g.s[1:], 1)
-    up.u(range(N))  # every level's u in one pass
+    # L+ acts on the chain, its values kept from chain point 1 on: phi_n
+    # left of the chain enters as 0, and the first point's E^- (nabla x
+    # vanishes there at a lattice symmetry point) is neither tested nor kept
+    g.u(range(N))  # every level's u in one pass
+    g.require_steps(1, nabla_only=True)
     for n in range(N):
         coef, dr = fam.coeffs.alpha(n) * fam.coeffs.lam_ratio(2 * n), _d_ratio_up(fam, n)
-        val, _ = up.apply("L+", n, np.stack([levels[n, :-1], levels[n, 1:]], axis=-1))
-        levels[n + 1, 1:] = _cdiv(val, coef * dr if dr is not None else coef)
+        left = np.concatenate(([0.0], levels[n, :-1]))
+        val, _ = g.apply("L+", n, np.stack([left, levels[n]], axis=-1))
+        levels[n + 1, 1:] = _cdiv(val[1:], coef * dr if dr is not None else coef)
     # the direct phi_n: one chain up through the chain points from s0, whose
     # links the phi_0 recurrence tested, times P_n
     rows = slice(N, N + count)  # the chain points s0 + k, k < len(s_grid)
-    chain = _chain_weights(g.theta[None, rows, 1], g.sigma[None, rows, 1],
-                           g.roots[None, rows, 1], 0)[0]
-    direct = chain * g.p(range(N + 1))[:, rows, 1]
+    chain = _chain_weights(g.theta[None, rows, 2], g.sigma[None, rows, 2],
+                           g.roots[None, rows, 2], 0)[0]
+    direct = chain * g.p(range(N + 1))[:, rows, 2]
     for n, (got, want) in enumerate(zip(levels[:, rows].tolist(), direct.tolist())):
         k0 = next(k for k, d in enumerate(want) if abs(d) > 1e-14)
         const = got[k0] / want[k0]
@@ -661,13 +643,13 @@ def check_bootstrap(rep, fam, ns, s_grid):
 
 
 def _support_grid(fam):
-    """(nodes, g, w): the nodes of the discrete support, the margin-1
-    StencilGrid on them (s - 1, s, s + 1) and sqrt(rho) there; Skipped where
-    the lattice kind has no discrete sum."""
+    """(nodes, g, w): the nodes of the discrete support, the StencilGrid on
+    them and sqrt(rho) there; Skipped where the lattice kind has no discrete
+    sum."""
     grid = fam.kind.sum_nodes(fam)
     if grid is None:
         raise Skipped(f"support kind {fam.support_label!r} has no discrete sum")
-    g = StencilGrid.shared(fam, grid, 1)
+    g = StencilGrid.shared(fam, grid)
     return grid, g, fam.sqrt_rho(g.s)
 
 
@@ -700,7 +682,7 @@ def check_adjoint(rep, fam, ns, s_grid):
             targets[n] = t.alpha(n) * dr
     if targets:
         n = np.array(list(targets))
-        phi, phi1 = fam._phi(n, w, g.p(n)[..., 1]), fam._phi(n + 1, w, g.p(n + 1)[..., 1])
+        phi, phi1 = fam._phi(n, w, g.p(n)[..., 2]), fam._phi(n + 1, w, g.p(n + 1)[..., 2])
         raised = fam._phi(n, w, g.apply("L+", n, g.p(n), reduced=True)[0])
         lowered = fam._phi(n + 1, w, g.apply("L-", n + 1, g.p(n + 1), reduced=True)[0])
         s1 = _cdiv(discrete_inner(spec, lambda _: phi1, lambda _: raised), t.lam_ratio(2 * n))
@@ -740,7 +722,7 @@ def check_selfadjoint(rep, fam, ns, s_grid):
     if top:
         ks = np.arange(top)
         P = g.p(ks)
-        phi = fam._phi(ks, w, P[..., 1])
+        phi = fam._phi(ks, w, P[..., 2])
         g.h_diag(ks)  # the H diagonal of every operator n in one pass
         hphi = [fam._phi(ks, w, g.apply("H", n, P, reduced=True)[0]) for n in range(top)]  # [n][k]
     for n, m in ((n, m) for n in range(N) for m in range(N)):
@@ -764,7 +746,7 @@ def check_branch_continuity(rep, fam, ns, s_grid):
     between close neighbours."""
     if not fam.kind.complex_s:
         raise Skipped("real lattice coordinate")
-    g = StencilGrid.shared(fam, fam.kind.theta_grid(fam, 200), 1)
-    vals = g.roots[:, 1].tolist()  # sqrt(Theta(s) sigma(s+1))
+    g = StencilGrid.shared(fam, fam.kind.theta_grid(fam, 200))
+    vals = g.roots[:, 2].tolist()  # sqrt(Theta(s) sigma(s+1))
     rep.add(0, g.labels[1:], [abs(b - a) / max(abs(b), abs(a), 1e-30)
                               for a, b in zip(vals, vals[1:])])

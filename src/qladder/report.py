@@ -26,6 +26,8 @@ from typing import NamedTuple
 
 import numpy as np
 
+from .qkernel import QKernelError
+
 __all__ = ["SCHEMA_ID", "CaseRecord", "CheckReport", "Skipped", "suite", "dumps_reports"]
 
 SCHEMA_ID = "qladder-report/1"
@@ -113,9 +115,10 @@ def suite(name: str, identity: str, tolerance):
     `Skipped` the body raises, and sets `wall_ms` to the body's run time.
     The body runs under numpy's errstate divide, over and invalid = raise,
     so a floating-point fault is a FloatingPointError, not an inf or NaN
-    residual.  An ArithmeticError (a vanishing lattice step, an overflow, an
-    invalid operation) is raised again, of the same class, with the suite
-    named."""
+    residual.  A library refusal, an ArithmeticError (a vanishing lattice
+    step, an overflow, an invalid operation) or a QKernelError (a vanishing
+    root or weight, a series that does not settle), is raised again, of the
+    same class, with the suite named."""
 
     def make(body):
         def run(fam, ns, s_grid, tolerance=tolerance):
@@ -126,7 +129,7 @@ def suite(name: str, identity: str, tolerance):
                     body(rep, fam, ns, s_grid)
             except Skipped as e:
                 rep.meta.update(status="skipped", reason=str(e))
-            except ArithmeticError as e:
+            except (ArithmeticError, QKernelError) as e:
                 raise type(e)(f"{name}: {e}") from e
             rep.wall_ms = (time.perf_counter() - t0) * 1e3
             return rep

@@ -135,18 +135,18 @@ def apply_scaled(op: ThreePointOperator, f, s, inner=None):
 
 def grid_hamiltonian(g, n: int) -> ThreePointOperator:
     """H(s,n) on the chain offsets of a StencilGrid's arrays."""
-    return ThreePointOperator(g.plus_side(g.e_minus), _by_offset(g.h_diag(n)[:, None], 0),
-                              g.minus_side(g.e_plus))
+    return ThreePointOperator(g.plus_side(g.e), _by_offset(g.h_diag(n)[:, None], 0),
+                              g.minus_side(g.e))
 
 
 def grid_raising(g, n: int) -> ThreePointOperator:
     """L+(s,n) on the chain offsets of a StencilGrid's arrays."""
-    return ThreePointOperator(g.plus_side(g.e_minus), g.plus_side(g.u(n)), _absent)
+    return ThreePointOperator(g.plus_side(g.e), g.plus_side(g.u(n)), _absent)
 
 
 def grid_lowering(g, n: int) -> ThreePointOperator:
     """L-(s,n) on the chain offsets of a StencilGrid's arrays."""
-    return ThreePointOperator(_absent, g.minus_side(g.v(n)), g.minus_side(g.e_plus))
+    return ThreePointOperator(_absent, g.minus_side(g.v(n)), g.minus_side(g.e))
 
 
 def lam_tau_ratio(eq: EquationData, n, s):
@@ -175,11 +175,11 @@ def beta_generic(eq: EquationData, n: int) -> complex:
 def apply_reduced(fam, which: str, n: int, s, op_n: int | None = None):
     """(Op phi_n)(s) with the square roots reduced through the Pearson
     relation, from the library's reduced stencils (`StencilGrid.apply` with
-    `reduced=True`) on a margin-1 StencilGrid at s, one point or an ndarray
+    `reduced=True`) on the StencilGrid at s, one point or an ndarray
     of support nodes.  `op_n` is the operator's eigen-parameter (defaults to
     the function index n); only H distinguishes the two."""
     nodes = np.atleast_1d(s)
-    g = StencilGrid.shared(fam, nodes, 1)
+    g = StencilGrid.shared(fam, nodes)
     reduced, _ = g.apply(which, n if op_n is None or which != "H" else op_n, g.p(n), reduced=True)
     out = _cdiv(fam.sqrt_rho(nodes) * reduced, fam.d_n(n))
     return out if isinstance(s, np.ndarray) else complex(out[0])

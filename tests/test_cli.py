@@ -221,7 +221,7 @@ def test_rodrigues_next_to_a_sigma_zero_of_q_hermite(tmp_path):
 
 
 def test_bootstrap_chain_starting_at_symmetry_point(tmp_path):
-    # the chain s = 0..8 starts at the symmetry point; L+ acts from s = 1 on
+    # the chain s = 0..8 starts at the symmetry point; the climb keeps L+ from s = 1 on
     for a in (0.0, 0.7):
         assert run_cli(["check", "--family", "q_dual_hahn", "--param", f"a={a}", "--param",
                         f"b={a + 5}", "--param", "c=0.25", "--q", "0.5", "--grid", "4:8:5",
@@ -691,6 +691,20 @@ def test_a_weight_pole_refuses_the_pearson_suite(tmp_path, capsys, grid):
     assert err.startswith("error: pearson: ")
     assert "RuntimeWarning" not in err
     assert not caught
+
+
+@pytest.mark.parametrize("argv, refusal", [
+    (["--family", "continuous_q_hermite", "--q", "0.2", "--suite", "all"],
+     "error: rodrigues: sigma((7-0.16266510548593094j)) = 0 inside weight span: "),
+    ([*QDH_REF, "--q", "0.5", "--grid", "6:8:3", "--suite", "rodrigues"],
+     "error: rodrigues: Theta((4+0j)) = 0 inside weight span: "),
+], ids=["q_hermite-all", "q_dual_hahn-rodrigues"])
+def test_a_weight_refusal_names_its_suite(tmp_path, capsys, argv, refusal):
+    # the Pearson guard's refusal is a QKernelError, not an ArithmeticError
+    assert run_cli(["check", *argv, "--out", str(tmp_path / "r.json")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(refusal) and err.count("\n") == 1
+    assert not (tmp_path / "r.json").exists()
 
 
 def test_suite_all_takes_no_other_suite_name(capsys):

@@ -7,6 +7,7 @@ import pytest
 
 from qladder import ladder as L
 from qladder.checks import run_suite, run_suites
+from qladder.cli import ConfigError, RunConfig, _grid_points
 from qladder.families import make_family, reference_params
 import numpy as np
 
@@ -116,7 +117,7 @@ def test_eigen_equation_sweep(families):
 
 def test_eigen_nondegenerate_for_wrong_index(families):
     fam = families["big_q_jacobi"]
-    g = L.StencilGrid(fam, [0.25], 1)
+    g = L.StencilGrid(fam, [0.25])
     H = pw.grid_hamiltonian(g, 2)
     f = L._by_offset(g.phi(4)[0])  # phi_4 is not annihilated by H(.,2)
     terms = (
@@ -134,7 +135,7 @@ def test_qdh_hamiltonian_display_coefficients(families):
     q = fam.base.q
     qn = lambda k: q_number(k, fam.base)
     grid = grid_for("q_dual_hahn", 4)
-    H = pw.grid_hamiltonian(L.StencilGrid(fam, grid, 1), 2)
+    H = pw.grid_hamiltonian(L.StencilGrid(fam, grid), 2)
     for i, s in enumerate(grid):
         cm = complex(H.c_minus(0)[i])
         want = (
@@ -164,7 +165,7 @@ def test_cqh_hamiltonian_display_coefficients(families):
     fam = families["continuous_q_hermite"]
     q = fam.base.q
     grid = grid_for("continuous_q_hermite", 4)
-    H = pw.grid_hamiltonian(L.StencilGrid(fam, grid, 1), 1)
+    H = pw.grid_hamiltonian(L.StencilGrid(fam, grid), 1)
     for i, s in enumerate(grid):
         s = complex(s)
         cm = complex(H.c_minus(0)[i])
@@ -181,13 +182,13 @@ def test_u_closed_forms(families):
     # ASC1: u(x,n) = a q/(1-q) x^{-1} and v(x,n) = a/(1-q) x^{-1}
     fam = families["asc1"]
     a, q = fam.params["a"], fam.base.q
-    g = L.StencilGrid(fam, grid_for("asc1", 5), 1)
+    g = L.StencilGrid(fam, grid_for("asc1", 5))
     for n in range(1, 6):
         for i, s in enumerate(grid_for("asc1", 5)):
             x = fam.lattice.x(s)
             got = g.u(n)[i, 0]
             assert got == pytest.approx(a * q / (1 - q) / x, rel=1e-10)
-            gotv = g.v(n)[i, 0]
+            gotv = g.minus_side(g.v(n))(0)[i]
             assert gotv == pytest.approx(a / (1 - q) / x, rel=1e-10)
     # big q-Jacobi u display
     fam = families["big_q_jacobi"]
@@ -200,7 +201,7 @@ def test_u_closed_forms(families):
             - a * (b + c + a * b + b * c) * q ** (n + 2)
         ) / ((1 - a * b * q ** (2 * n + 2)) * (1 - q))
 
-    g = L.StencilGrid(fam, grid_for("big_q_jacobi", 3), 1)
+    g = L.StencilGrid(fam, grid_for("big_q_jacobi", 3))
     for n in range(1, 5):
         for i, s in enumerate(grid_for("big_q_jacobi", 3)):
             x = fam.lattice.x(s)
@@ -214,7 +215,7 @@ def test_uv_shift_sweep(families):
         rep = L.check_uv_shift(fam, range(1, 6), grid_for(name))  # n = 0..6
         assert rep.max_residual < 1e-10, (name, rep.max_residual)
         # the equivalent form u(s+1, n-1) = v(s, n)
-        g = L.StencilGrid(fam, grid_for(name, 3), 2)
+        g = L.StencilGrid(fam, grid_for(name, 3))
         for n in (1, 4):
             uu = g.plus_side(g.u(n - 1))(1)
             vv = g.minus_side(g.v(n))(0)
@@ -232,7 +233,7 @@ def test_ladder_actions_sweep(families):
 
 def test_lowering_annihilates_phi0(families):
     fam = families["q_dual_hahn"]
-    g = L.StencilGrid(fam, [1.3], 1)
+    g = L.StencilGrid(fam, [1.3])
     op = pw.grid_lowering(g, 0)
     f = L._by_offset(g.phi(0)[0])
     got = complex(op.apply(f, 0)[0])
@@ -244,7 +245,7 @@ def test_ladder_round_trip(families):
     # L-(n+1) L+(n) phi_n = h(n) phi_n
     for name in FAMILY_NAMES:
         fam = families[name]
-        g = L.StencilGrid(fam, grid_for(name, 3), 2)
+        g = L.StencilGrid(fam, grid_for(name, 3))
         for n in (1, 3, 5):
             h = L.h_minusplus(fam, n)
             Lp = pw.grid_raising(g, n)
@@ -330,7 +331,7 @@ def test_factorization_sweep(families):
 def test_factorization_probe_scale_invariance(families):
     fam = families["big_q_jacobi"]
     n = 2
-    g = L.StencilGrid(fam, [0.25], 2)
+    g = L.StencilGrid(fam, [0.25])
     Lp = pw.grid_raising(g, n)
     Lm = pw.grid_lowering(g, n + 1)
     Hn = pw.grid_hamiltonian(g, n)
@@ -363,7 +364,7 @@ def test_stencil_apply_matches_the_pointwise_operators(families, name):
     # is test_apply_reduced_on_node_arrays_matches_pointwise)
     fam, grid = families[name], [complex(s) for s in grid_for(name)]
     son, tod = (lambda s: sigma_over_nabla(fam.eq, s)), (lambda s: theta_over_delta(fam.eq, s))
-    g = L.StencilGrid(fam, grid, 1)
+    g = L.StencilGrid(fam, grid)
     for n in range(4):
         H, Lp, Lm = pw.hamiltonian(fam, n), pw.raising_op(fam, n), pw.lowering_op(fam, n)
         reference = {
@@ -480,7 +481,7 @@ def test_chain_weight_squares_to_pearson_ratio(families):
     for name in ("asc1", "big_q_jacobi", "askey_wilson"):
         fam = families[name]
         s0 = complex(grid_for(name, 1)[0])
-        w = L._by_offset(L.StencilGrid(fam, [s0], 2).w[0])
+        w = L._by_offset(L.StencilGrid(fam, [s0]).w[0])
         for k in range(-2, 2):
             lhs = w(k + 1) ** 2 / w(k) ** 2
             rhs = theta_eval(fam.eq, s0 + k) / sigma_eval(fam.eq, s0 + k + 1.0)
@@ -529,7 +530,7 @@ def _assert_grid_matches_scalar(fam, grid):
     0..1, L- side -1..0), against their point-by-point definitions,
     elementwise (on the trigonometric lattice numpy's complex products round
     differently)."""
-    g = L.StencilGrid(fam, grid, 2)
+    g = L.StencilGrid(fam, grid)
     plus, minus = g.t[:, 2:4], g.t[:, 1:3]
     close = lambda a, b: np.testing.assert_allclose(a, b, rtol=1e-12, atol=0)
     close(g.son, _scalar_at(plus, lambda t: sigma_over_nabla(fam.eq, t)))
@@ -547,9 +548,10 @@ def _assert_grid_matches_scalar(fam, grid):
 def test_stencil_grid_coefficients_match_scalar(families, name):
     fam = families[name]
     g = _assert_grid_matches_scalar(fam, grid_for(name))
-    np.testing.assert_allclose(g.e_minus, _scalar_at(g.t[:, 2:4], lambda t: pw.e_minus(fam, t)),
+    # one link array: E^- on the L+ offsets 0, 1 and E^+ on the L- offsets -1, 0
+    np.testing.assert_allclose(g.e, _scalar_at(g.t[:, 2:4], lambda t: pw.e_minus(fam, t)),
                                rtol=1e-12, atol=0)
-    np.testing.assert_allclose(g.e_plus, _scalar_at(g.t[:, 1:3], lambda t: pw.e_plus(fam, t)),
+    np.testing.assert_allclose(g.e, _scalar_at(g.t[:, 1:3], lambda t: pw.e_plus(fam, t)),
                                rtol=1e-12, atol=0)
     for i, s in enumerate(grid_for(name)):
         w = pw.weight_chain(fam, s, -2, 2)
@@ -561,7 +563,7 @@ def test_stencil_grid_removable_limit_on_the_chain(families):
     # s = 0, where sigma/nabla x is the removable limit
     fam = families["q_dual_hahn"]
     g = _assert_grid_matches_scalar(fam, [0.0, 2.5])
-    assert g.t[0, 2] == 0 and fam.lattice.is_degenerate_step(g.nabla[0, 0])
+    assert g.t[0, 2] == 0 and fam.lattice.is_degenerate_step(g.step[0, 0])
     assert cmath.isfinite(g.son[0, 0]) and g.son[0, 0] != 0
 
 
@@ -572,7 +574,7 @@ def test_stencil_grid_reads_no_step_beyond_the_stencils(families):
     fam = families["q_dual_hahn"]
     with np.errstate(divide="raise", invalid="raise"):
         g = _assert_grid_matches_scalar(fam, [1.0, 2.5])
-        np.testing.assert_allclose(g.e_minus, _scalar_at(g.t[:, 2:4], lambda t: pw.e_minus(fam, t)),
+        np.testing.assert_allclose(g.e, _scalar_at(g.t[:, 2:4], lambda t: pw.e_minus(fam, t)),
                                    rtol=1e-12, atol=0)
     assert g.t[0, 1] == 0 and fam.lattice.is_degenerate_step(g.x[0, 1] - g.x[0, 0])
     assert L.check_factorization(fam, [1, 2], [1.0, 2.5]).max_residual < 1e-9
@@ -587,32 +589,35 @@ def test_degenerate_step_on_the_grid_is_refused_naming_the_point():
     for check in (L.check_eigen, L.check_factorization):
         with pytest.raises(DegenerateStepError, match=at_zero):
             check(fam, [1, 2], [0.0, 1.0, 2.0])
-    # s = 0 as a chain point of the margin-2 factorization grid at s = -1
+    # nabla x(0) = x(0) - x(-1) is Delta x(-1), a step the stencils at s = -1
+    # divide by: the E^+ coefficient at s = -1 and the E^- one at s = 0
     with pytest.raises(DegenerateStepError,
-                       match=re.escape("grid point -1+0j is degenerate (nabla x vanishes "
-                                       "at 0+0j on its chain)")):
+                       match=re.escape("grid point -1+0j is degenerate (Delta x vanishes); "
+                                       "choose a grid excluding lattice symmetry points")):
         L.check_factorization(fam, [1], [-1.0, 1.0])
-    # the same step is Delta x(-1), the E^+ side's step at s = -1
     with pytest.raises(DegenerateStepError,
                        match=re.escape("grid point -1+0j is degenerate (Delta x vanishes);")):
         L.check_lowering(fam, [1], [-1.0, 1.0])
 
 
-@pytest.mark.parametrize("suite, point, step, at", [
-    ("lowering", 0.0, "Delta x", -1.0),  # Delta x(-1) = x(0) - x(-1) = 0
-    ("raising", -1.0, "nabla x", 0.0),  # nabla x(0), the same step
-    ("eigen", -1.0, "nabla x", 0.0),
+@pytest.mark.parametrize("suite, point, step", [
+    ("lowering", 0.0, "nabla x"),  # nabla x(0) = x(0) - x(-1) = 0
+    ("raising", -1.0, "Delta x"),  # Delta x(-1), the same step
+    ("eigen", -1.0, "Delta x"),
 ])
 def test_a_suite_on_the_shared_grid_refuses_a_point_whose_outer_step_vanishes(
-        families, suite, point, step, at):
-    """The suites on the requested points read one margin-2 grid, which
-    divides by Delta x(s) and nabla x(s) on the outer offsets too, so a
+        families, suite, point, step):
+    """The suites on the requested points read one grid, and a reader of the
+    E^-+ coefficients tests nabla x(s) and Delta x(s) of every point, so a
     point where either vanishes (the q-dual Hahn lattice is symmetric about
-    s = -1/2) is refused as the CLI's grid check refuses it, not checked."""
-    message = (f"{suite}: grid point {complex(point):.6g} is degenerate ({step} vanishes at "
-               f"{complex(at):.6g} on its chain); choose a grid excluding lattice symmetry points")
-    with pytest.raises(DegenerateStepError, match=re.escape(message)):
-        run_suite(families["q_dual_hahn"], suite, s_grid=[point])
+    s = -1/2) is refused in the words of the CLI's grid check, not checked."""
+    fam = families["q_dual_hahn"]
+    message = (f"grid point {complex(point):.6g} is degenerate ({step} vanishes); "
+               "choose a grid excluding lattice symmetry points")
+    with pytest.raises(DegenerateStepError, match=f"^{re.escape(f'{suite}: {message}')}$"):
+        run_suite(fam, suite, s_grid=[point])
+    with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
+        _grid_points(fam, RunConfig(grid=(point, point, 1)))
 
 
 def test_a_reader_of_the_inner_offsets_tests_only_the_inner_chain_links():

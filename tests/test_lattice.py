@@ -298,7 +298,7 @@ def test_every_x_table_equals_the_scalar_x_bit_for_bit(name, q, monkeypatch, tmp
         argv += ["--param", f"{k}={v!r}"]
     cli.main(argv)
     path = "grid"
-    grid = StencilGrid(fam, checks.default_grid(fam), 2)
+    grid = StencilGrid(fam, checks.default_grid(fam))
     paths = {"rodrigues", "pearson", "difference_calculus", "eval", "grid"}
     if fam.closed.weight is None:
         paths.remove("pearson")  # skipped: no closed-form weight

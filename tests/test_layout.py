@@ -78,7 +78,7 @@ REMOVED = {"OrthonormalFamily", "WeightTable", "B_n", "_B_from_leading", "weight
            "_compute_norm_sq", "_rho_or_nan", "_positive_real", "delta_x", "nabla_x",
            "_q_pochhammer_inf_array", "_aw_equation_data", "reduceat", "_reduced",
            "_bootstrap", "_one", "monic_rows", "_branch_consistent", "_RAISE_FP",
-           "_require_links"}
+           "_require_links", "e_minus", "e_plus", "_over_step", "margin"}
 SUPPORT_LABELS = {"discrete_grid", "jackson_integral", "continuous_interval"}
 
 

@@ -2,7 +2,8 @@
 columns; `pointwise.report_to_dict` with `json.dumps` is its reference, and
 the two agree byte for byte, on every suite's reports and on synthetic
 reports at the edges of what JSON writes, or both refuse a value.
-`report.suite` runs a body under its one floating-point policy."""
+`report.suite` runs a body under its one floating-point policy and names
+itself on a library refusal."""
 
 import json
 import math
@@ -13,7 +14,7 @@ import pytest
 
 from qladder.checks import SUITE_NAMES, run_suite
 from qladder.families import make_family, reference_params
-from qladder.qkernel import QBase, QKernelError
+from qladder.qkernel import NonConvergedError, QBase, QKernelError
 from qladder.report import SCHEMA_ID, CheckReport, dumps_reports, suite
 
 from conftest import FAMILY_NAMES
@@ -130,3 +131,18 @@ def test_a_suite_raises_a_floating_point_fault_naming_itself(fault, message):
     with pytest.raises(FloatingPointError, match=f"^throwaway: {message}"):
         check(types.SimpleNamespace(name="asc1"), [1], [0.5])
     assert np.geterr() == before
+
+
+@pytest.mark.parametrize("error", [QKernelError, NonConvergedError])
+def test_a_suite_names_itself_on_a_q_kernel_refusal(error):
+    # a refusal that is not an ArithmeticError (a vanishing root or weight, a
+    # series that does not settle) is raised again, of its class, named too
+    @suite("throwaway", "1 = 1", 1e-9)
+    def check(rep, fam, ns, s_grid):
+        raise error("weight undetermined")
+
+    with pytest.raises(error, match="^throwaway: weight undetermined$") as caught:
+        check(types.SimpleNamespace(name="asc1"), [1], [0.5])
+    assert type(caught.value) is error
+    assert type(caught.value.__cause__) is error
+    assert str(caught.value.__cause__) == "weight undetermined"

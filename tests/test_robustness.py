@@ -103,7 +103,7 @@ def _defined_grid(fam, a, c):
     """The grid a + o + k, k = 0..2, for the first offset o of 0.3, 0.45,
     0.6, 0.75 and 0.9 on which the identities are defined.
 
-    Its margin-2 chains keep 0.05 (mod 1) away from the zeros of
+    Its chains over offsets -2..2 keep 0.05 (mod 1) away from the zeros of
     Theta(s-1) sigma(s) off the support, s = -a and -c (of Theta(s-1)) and
     s = c (of sigma): at a zero met to rounding the chain weight is rounding
     error.  At c = 0 the zeros c and -c coincide at s = 0 and cancel in the
@@ -135,7 +135,7 @@ def _defined_grid(fam, a, c):
     (0.5, 1.5, 3, 0.8),  # sigma(s) = 0 at s = c = 1.8
 ])
 def test_dual_hahn_chain_through_exact_zero_is_refused(q, a, N, cfrac):
-    """Where the margin-2 chain from s = a + 0.3 meets a zero of
+    """Where the chain from s = a + 0.3 over offsets -2..2 meets a zero of
     Theta(s-1) sigma(s) exactly, the weight chain is undetermined and
     check_factorization raises, as the point-by-point reference does."""
     fam = make_family("q_dual_hahn", {"a": a, "b": a + N, "c": cfrac * (a + 1.0) * 0.9}, QBase(q))

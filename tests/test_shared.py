@@ -1,6 +1,6 @@
 """What a check run shares across suites: the family's per-n table
-(`FamilySpec.coeffs`) and one StencilGrid per distinct (points, margin),
-which is one grid on the requested points.
+(`FamilySpec.coeffs`) and one StencilGrid per distinct point set, which
+is one grid on the requested points.
 
 Sharing must not change what a suite reports, must not leak between a family
 and its perturbed copy, and must evaluate each shared quantity once.
@@ -71,22 +71,39 @@ def test_suites_on_one_family_equal_suites_on_fresh_families(name, perturbed, gr
 @pytest.mark.parametrize("grid", GRIDS.values(), ids=GRIDS.keys())
 @pytest.mark.parametrize("name", FAMILY_NAMES)
 def test_a_check_builds_one_stencil_grid_on_its_points(name, grid, monkeypatch):
-    """Every suite on the requested points reads one grid there, margin 2,
-    and no point set has two grids (the margin-1 grids are bootstrap's
-    chains, the support and the theta grid; concordance's displays read the
-    margin-2 grid on the default grid)."""
+    """Every suite on the requested points reads one grid there, and no
+    point set has two grids (the other grids lie on the bootstrap's chain,
+    the support and the theta grid; concordance's displays read the grid on
+    the default grid)."""
     fam = _fresh(name)
     pts = tuple(complex(s) for s in _points(fam, grid))
+    builds = _count_builds(monkeypatch)
+    run_suites(fam, "all", s_grid=pts)
+    assert [b for b in builds if b == pts] == [pts]
+    assert len(set(builds)) == len(builds), builds
+
+
+def _count_builds(monkeypatch) -> list:
+    """The points of every StencilGrid built from now on, in build order."""
     builds, build = [], StencilGrid.__init__
 
-    def counted_build(self, fam, s_grid, margin):
-        builds.append((tuple(complex(s) for s in s_grid), margin))
-        build(self, fam, s_grid, margin)
+    def counted_build(self, fam, s_grid):
+        builds.append(tuple(complex(s) for s in s_grid))
+        build(self, fam, s_grid)
 
     monkeypatch.setattr(StencilGrid, "__init__", counted_build)
-    run_suites(fam, "all", s_grid=pts)
-    assert [b for b in builds if b[0] == pts] == [(pts, 2)]
-    assert len({points for points, _ in builds}) == len(builds), builds
+    return builds
+
+
+@pytest.mark.parametrize("name", FAMILY_NAMES)
+def test_the_bootstrap_reads_one_grid_on_its_chain(name, monkeypatch):
+    """phi_0's recurrence, the raising climb and the direct phi_n all read
+    the grid on the chain s0 - N .. s0 + len(s_grid) - 1."""
+    fam = _fresh(name)
+    builds = _count_builds(monkeypatch)
+    rep = run_suite(fam, "bootstrap")
+    s0, count = complex(default_grid(fam)[0]), len(default_grid(fam))
+    assert rep.passed and builds == [tuple(s0 + k for k in range(-4, count))]
 
 
 def test_shared_grid_arrays_are_read_only():
@@ -98,7 +115,7 @@ def test_shared_grid_arrays_are_read_only():
     arrays += [row for g in grids for col in g._columns.values() for row in col]
     assert len(arrays) > 20
     assert not any(a.flags.writeable for a in arrays)
-    g = StencilGrid.shared(fam, default_grid(fam), 1)
+    g = StencilGrid.shared(fam, default_grid(fam))
     for a in (g.sigma, g.u(2), g.p(3)):
         with pytest.raises(ValueError, match="read-only"):
             a[0, 0] = 0.0
@@ -113,7 +130,7 @@ def test_perturbed_copy_has_its_own_table_and_grids():
     shared = {id(v) for v in fam._cache.values()} & {id(v) for v in pert._cache.values()}
     assert not shared
     grid = default_grid(fam)
-    g0, g1 = StencilGrid.shared(fam, grid, 1), StencilGrid.shared(pert, grid, 1)
+    g0, g1 = StencilGrid.shared(fam, grid), StencilGrid.shared(pert, grid)
     assert g1 is not g0
     t = fam.coeffs
     for n in range(1, 5):
@@ -127,7 +144,7 @@ def test_perturbed_copy_has_its_own_table_and_grids():
         assert not np.array_equal(pert.pn_stack(n, x)[n], fam.pn_stack(n, x)[n])
         assert np.array_equal(g1.p(n), pert.pn_stack(n, x)[n])
         assert np.array_equal(g0.p(n), fam.pn_stack(n, x)[n])
-    fresh = StencilGrid.shared(_fresh("q_dual_hahn", perturbed=True), grid, 1)
+    fresh = StencilGrid.shared(_fresh("q_dual_hahn", perturbed=True), grid)
     assert all(np.array_equal(fresh.v(n), g1.v(n)) for n in range(1, 5))
 
 
@@ -160,13 +177,13 @@ def test_a_replaced_copy_has_its_own_table_norms_and_grids():
     on a shorter support reads the norms of its own measure."""
     fam = _fresh("q_dual_hahn")
     grid = default_grid(fam)
-    g, d0, M = StencilGrid.shared(fam, grid, 1), fam.norm_sq(0), fam.p_gram(2)[0]
+    g, d0, M = StencilGrid.shared(fam, grid), fam.norm_sq(0), fam.p_gram(2)[0]
     lo, hi = fam.support
     short = replace(fam, support=(lo, hi - 1))
     assert short.coeffs is not fam.coeffs and not short._cache
-    assert StencilGrid.shared(short, grid, 1) is not g
+    assert StencilGrid.shared(short, grid) is not g
     assert short.norm_sq(0) != d0 and not np.array_equal(short.p_gram(2)[0], M)
-    assert fam.norm_sq(0) == d0 and StencilGrid.shared(fam, grid, 1) is g
+    assert fam.norm_sq(0) == d0 and StencilGrid.shared(fam, grid) is g
 
 
 def _counter(fn, counts, key):
@@ -185,13 +202,7 @@ def test_each_shared_quantity_is_evaluated_once(name, monkeypatch):
             if hasattr(module, fn):
                 monkeypatch.setattr(module, fn, _counter(
                     getattr(hypergeometric_core, fn), counts[fn], lambda a: float(a[1])))
-    build = StencilGrid.__init__
-
-    def counted_build(self, fam, s_grid, margin):
-        counts["grid"][tuple(complex(s) for s in s_grid), margin] += 1
-        build(self, fam, s_grid, margin)
-
-    monkeypatch.setattr(StencilGrid, "__init__", counted_build)
+    builds = _count_builds(monkeypatch)
     compute = families.FamilySpec._compute
 
     def counted_compute(self, fn, ns):  # the norm_sq rows, counted per n
@@ -207,6 +218,7 @@ def test_each_shared_quantity_is_evaluated_once(name, monkeypatch):
                      d_n_sq=_counter(fam.closed.d_n_sq, counts["d_n_sq"], one))
     fam = replace(fam, closed=closed, a_n=_counter(fam.a_n, counts["a_n"], one))
     run_suites(fam, "all")
+    counts["grid"].update(builds)
     for what, counter in counts.items():
         assert counter, what
         assert max(counter.values()) == 1, (what, counter.most_common(3))
@@ -250,7 +262,7 @@ def test_a_column_reads_python_numbers_and_the_same_bits_as_an_array(name):
 
 def test_grid_column_reads_a_stored_row_or_the_rows_stacked():
     fam = _fresh("asc1")
-    g = StencilGrid.shared(fam, default_grid(fam), 1)
+    g = StencilGrid.shared(fam, default_grid(fam))
     stacked = g.p([3, 1, 3])
     assert g.p(3) is g._columns["p"][3]
     for row, n in zip(stacked, (3, 1, 3)):
@@ -262,7 +274,7 @@ def test_a_negative_n_is_refused():
     """The table, the norms and the grid have no row below n = 0 (P_{-1}
     would read P_0, gamma_{-1} and d_{-1} a value of no formula)."""
     asc1, qdh = _fresh("asc1"), _fresh("q_dual_hahn")
-    g = StencilGrid.shared(asc1, default_grid(asc1), 1)
+    g = StencilGrid.shared(asc1, default_grid(asc1))
     reads = (lambda: asc1.coeffs.gamma(-1), lambda: g.p(np.array([-1])), lambda: g.u(-1),
              lambda: qdh.d_n(-1), lambda: qdh.norm_sq([0, -1]), lambda: qdh.coeffs.beta(-1))
     for read in reads:
